@@ -21,13 +21,13 @@ from .pairs import (PairMorphism, PairObject, canonical_resolution,
                     check_commutation, j_lower_shriek, pair_pushforward,
                     pair_tensor, rj_shriek, rj_shriek_triangle_exact,
                     unit_pair)
-from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CurvedStructure,
-                             DgSchemePresentation, MatrixFactorization,
-                             SuperElement, derived_zero_locus,
-                             dgmf_from_homotopy, fold_to_mf, gauge_intertwiner,
-                             koszul_mf, leibniz_holds, mf_tensor,
-                             nullhomotopy_solve, point_verdict, support_check,
-                             unit_mf)
+from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
+                             CurvedStructure, DgSchemePresentation,
+                             MatrixFactorization, SuperElement,
+                             derived_zero_locus, dgmf_from_homotopy, fold_to_mf,
+                             gauge_intertwiner, koszul_mf, leibniz_holds,
+                             mf_tensor, nullhomotopy_solve, point_homology,
+                             point_verdict, support_check, unit_mf)
 from .spincurve import (LogFormModel, Marking, Node, PipelineResult,
                         SpinCurveSpec, SpinDataError, TwoTermModel,
                         build_obstruction, cech_oracle, check_equivariance,

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 certificate failure, 5 solver bound exhausted.
+
+Commands raise, and ``main`` alone maps exceptions to exit codes:
+SpecParseError -> 2; CertificateError -> 4; any other ValueError (a failed
+precondition, such as inconsistent spin data) or a missing input file -> 3;
+CliFailure -> its own code, which ``check`` and ``glue`` use for verdicts.
 """
 
 from __future__ import annotations
@@ -12,13 +17,11 @@ import random
 import sys
 
 from . import specfile
-from .factorizations import (CONTRACTIBLE, fold_to_mf, dgmf_from_homotopy,
+from .factorizations import (CertificateError, fold_to_mf, dgmf_from_homotopy,
                              koszul_mf, support_check)
-from .groups import is_invariant
 from .jacobian import DEGENERATE, INCONCLUSIVE, nondegeneracy_check
 from .complexes import homology_ranks
-from .spincurve import (SpinDataError, check_equivariance, fundamental_mf,
-                        twisted_diagonal_glue)
+from .spincurve import check_equivariance, fundamental_mf, twisted_diagonal_glue
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,26 +81,15 @@ def cmd_koszul(args):
 
 
 def cmd_fold(args):
-    text = _read_input(args)
-    try:
-        scheme, f = specfile.parse_scheme(text)
-        curved = dgmf_from_homotopy(scheme, f)
-        mf = fold_to_mf(curved)
-    except specfile.SpecParseError:
-        raise
-    except ValueError as e:
-        raise CliFailure(EXIT_PRECONDITION, str(e))
+    scheme, f = specfile.parse_scheme(_read_input(args))
+    mf = fold_to_mf(dgmf_from_homotopy(scheme, f))
     _emit(args, specfile.write_mf(mf))
     return EXIT_OK
 
 
 def cmd_fundamental(args):
-    doc = specfile.parse_spec(_read_input(args))
-    try:
-        spec = doc.spin_spec()
-        result = fundamental_mf(spec)
-    except (SpinDataError, ValueError) as e:
-        raise CliFailure(EXIT_PRECONDITION, str(e))
+    spec = specfile.parse_spec(_read_input(args)).spin_spec()
+    result = fundamental_mf(spec)
     cert = result.certificate()
     cert["equivariance"] = check_equivariance(spec, result)
     _emit(args, specfile.write_mf(result.mf, certificate=cert))
@@ -106,20 +98,13 @@ def cmd_fundamental(args):
 
 def cmd_verify(args):
     mf, _cert = specfile.parse_mf(_read_input(args), check=False)
-    try:
-        mf.verify()
-    except ValueError as e:
-        raise CliFailure(EXIT_CERTIFICATE, str(e))
+    mf.verify()
     _emit(args, "verified: delta^2 = W . id\n")
     return EXIT_OK
 
 
 def cmd_homology(args):
-    cx = specfile.parse_complex(_read_input(args))
-    try:
-        ranks = homology_ranks(cx)
-    except ValueError as e:
-        raise CliFailure(EXIT_PRECONDITION, str(e))
+    ranks = homology_ranks(specfile.parse_complex(_read_input(args)))
     _emit(args, json.dumps({str(n): r for n, r in sorted(ranks.items())},
                            indent=2) + "\n")
     return EXIT_OK
@@ -131,10 +116,7 @@ def cmd_glue(args):
         raise CliFailure(EXIT_PRECONDITION, "glue requires --glued SPECFILE")
     with open(args.glued) as fh:
         doc_glued = specfile.parse_spec(fh.read())
-    try:
-        report = twisted_diagonal_glue(doc_disc.spin_spec(), doc_glued.spin_spec())
-    except (SpinDataError, ValueError) as e:
-        raise CliFailure(EXIT_PRECONDITION, str(e))
+    report = twisted_diagonal_glue(doc_disc.spin_spec(), doc_glued.spin_spec())
     out = {
         "cartesian": report["cartesian"],
         "potentials_match": report["potentials_match"],
@@ -163,9 +145,6 @@ def cmd_support(args):
     out = [{"point": [str(c) for c in entry["point"]],
             "verdict": entry["verdict"]} for entry in report]
     _emit(args, json.dumps(out, indent=2) + "\n")
-    if any(entry["verdict"] not in (CONTRACTIBLE, "noncontractible")
-           for entry in report):
-        raise CliFailure(EXIT_BOUND, "support verdict unknown at the bound")
     return EXIT_OK
 
 
@@ -206,12 +185,15 @@ def main(argv=None):
     except specfile.SpecParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except CertificateError as e:
+        print(f"certificate failure: {e}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    except (ValueError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ class FreeComplex:
         for n in self.degrees():
             if self.rank(n + 2) == 0 or self.rank(n) == 0:
                 continue
-            comp = _pmat_mul(self.diff(n + 1), self.diff(n), self.ring)
+            comp = linalg.mat_mul(self.diff(n + 1), self.diff(n), self.ring)
             for row in comp:
                 for c in row:
                     if c:
@@ -181,8 +181,8 @@ class ChainMap:
             if len(m) != self.target.rank(n) or any(len(r) != self.source.rank(n) for r in m):
                 raise ValueError(f"chain map component at degree {n} has wrong shape")
         for n in set(self.source.degrees()) | set(self.target.degrees()):
-            left = _pmat_mul(self.target.diff(n), self.component(n), ring)
-            right = _pmat_mul(self.component(n + 1), self.source.diff(n), ring)
+            left = linalg.mat_mul(self.target.diff(n), self.component(n), ring)
+            right = linalg.mat_mul(self.component(n + 1), self.source.diff(n), ring)
             if left != right and not (_is_zero_mat(left) and _is_zero_mat(right)):
                 raise NotAChainMap(
                     f"square at degree {n} does not commute: "
@@ -194,15 +194,8 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c):
-        comps = {n: linalg_identity_poly(c.ring, c.rank(n)) for n in c.degrees()}
+        comps = {n: linalg.identity(c.ring, c.rank(n)) for n in c.degrees()}
         return cls(c, c, comps)
-
-
-def linalg_identity_poly(ring, n):
-    m = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = ring.one
-    return m
 
 
 def _coerce(ring, c):
@@ -211,21 +204,6 @@ def _coerce(ring, c):
 
 def _is_zero_mat(m):
     return all(not e for row in m for e in row)
-
-
-def _pmat_mul(a, b, ring):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ring.zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            c = a[i][k]
-            if c:
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + c * b[k][j]
-    return out
 
 
 # -- cone, tensor, symmetric powers ---------------------------------------

@@ -17,6 +17,11 @@ from . import linalg
 from .complexes import Generator
 
 
+class CertificateError(ValueError):
+    """Raised when an exact certificate (delta^2 = W . id, a contracting
+    homotopy, a curving, a gauge intertwiner) fails its exact check."""
+
+
 def _merge_sign(s, t):
     """Koszul sign for e_S . e_T (disjoint sorted tuples); None if they meet."""
     if set(s) & set(t):
@@ -273,13 +278,14 @@ class MatrixFactorization:
             raise ValueError("delta0 has wrong shape")
         if len(self.delta1) != self.rank0 or any(len(r) != self.rank1 for r in self.delta1):
             raise ValueError("delta1 has wrong shape")
-        for comp, n in ((_pmul(self.delta1, self.delta0, self.ring), self.rank0),
-                        (_pmul(self.delta0, self.delta1, self.ring), self.rank1)):
+        for a, b, n in ((self.delta1, self.delta0, self.rank0),
+                        (self.delta0, self.delta1, self.rank1)):
+            comp = _square(a, b, self.ring, n)
             for i in range(n):
                 for j in range(n):
                     expected = self.potential if i == j else self.ring.zero
                     if comp[i][j] != expected:
-                        raise ValueError(
+                        raise CertificateError(
                             f"delta^2 != W . id at entry ({i},{j}): "
                             f"{comp[i][j]} vs {expected}")
         return True
@@ -311,20 +317,10 @@ class MatrixFactorization:
             self.potential.substitute(point_images))
 
 
-def _pmul(a, b, ring):
-    if not a or not b:
-        return []
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[ring.zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            c = a[i][k]
-            if c:
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + c * b[k][j]
-    return out
+def _square(a, b, ring, n):
+    """The n x n composite a . b.  A 0-row ``b`` (inner rank 0, as in the
+    unit MF) has lost its column count, and the composite is zero."""
+    return linalg.mat_mul(a, b, ring) if b else linalg.zeros(ring, n, n)
 
 
 def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
@@ -509,8 +505,10 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
     ``target0``/``target1`` are the even endomorphism's blocks (default: the
     identity).  Unknown entries are polynomials of total degree <= the bound;
     the search is one exact linear solve.  Returns (h0, h1) or None; a
-    returned homotopy has been verified exactly.
+    returned homotopy has been verified exactly (CertificateError if not).
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     ring = mf.ring
     field = ring.field
     n0, n1 = mf.rank0, mf.rank1
@@ -583,19 +581,13 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
           for i in range(n1)]
     h1 = [[_from_combo(ring, monos, sol, h1_var(i, j, 0)) for j in range(n1)]
           for i in range(n0)]
-    # exact verification
-    lhs0 = _mat_add(_pmul(mf.delta1, h0, ring), _pmul(h1, mf.delta0, ring), ring)
-    lhs1 = _mat_add(_pmul(mf.delta0, h1, ring), _pmul(h0, mf.delta1, ring), ring)
-    assert lhs0 == target0 and lhs1 == target1
+    lhs0 = linalg.mat_add(_square(mf.delta1, h0, ring, n0),
+                          _square(h1, mf.delta0, ring, n0))
+    lhs1 = linalg.mat_add(_square(mf.delta0, h1, ring, n1),
+                          _square(h0, mf.delta1, ring, n1))
+    if lhs0 != target0 or lhs1 != target1:
+        raise CertificateError("solved homotopy fails delta h + h delta = target")
     return h0, h1
-
-
-def _mat_add(a, b, ring):
-    if not a:
-        return b
-    if not b:
-        return a
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _monomials_up_to(ring, bound):
@@ -630,29 +622,37 @@ CONTRACTIBLE = "contractible"
 NONCONTRACTIBLE = "noncontractible"
 
 
-def point_verdict(mf, point):
-    """Exact contractibility verdict for the restriction of an MF to a point.
+def point_homology(mf, point):
+    """(h0, h1) of the restriction of an MF to a point, exactly.
 
-    Over the field this is decidable: if W(p) != 0 the restriction is
-    contractible (delta is invertible); if W(p) = 0 it is a 2-periodic complex
-    and contractibility is equivalent to vanishing homology, a rank condition.
+    If W(p) != 0 the restriction is contractible (delta is invertible) and
+    both vanish; if W(p) = 0 it is a 2-periodic complex of vector spaces and
+    h_i = rank P_i - rank delta0 - rank delta1.
     """
     field = mf.ring.field
     restricted = mf.restrict_to_point(point)
     if restricted.potential:
-        return CONTRACTIBLE
+        return (0, 0)
     d0 = [[c.constant_value() for c in row] for row in restricted.delta0]
     d1 = [[c.constant_value() for c in row] for row in restricted.delta1]
     r0 = linalg.rank(d0, field) if d0 and d0[0] else 0
     r1 = linalg.rank(d1, field) if d1 and d1[0] else 0
-    if r0 + r1 == restricted.rank0 and r0 + r1 == restricted.rank1:
-        return CONTRACTIBLE
-    return NONCONTRACTIBLE
+    return (restricted.rank0 - r0 - r1, restricted.rank1 - r0 - r1)
+
+
+def point_verdict(mf, point):
+    """Exact contractibility verdict for the restriction of an MF to a point:
+    contractible iff its homology vanishes."""
+    return CONTRACTIBLE if point_homology(mf, point) == (0, 0) else NONCONTRACTIBLE
 
 
 def support_check(mf, points, degree_bound=4, with_certificates=True):
     """Per-point contractibility report; certificates come from the homotopy
-    solver and are verified exactly before being reported."""
+    solver and are verified exactly before being reported.  At a point every
+    contracting homotopy is constant, so a contractible verdict without one
+    means the solver and the rank verdict disagree: CertificateError."""
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []
     for point in points:
         verdict = point_verdict(mf, point)
@@ -661,9 +661,8 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
             cert = nullhomotopy_solve(mf.restrict_to_point(point),
                                       degree_bound=degree_bound)
             if cert is None:
-                # rank verdict is definitive; the bound only limits the
-                # explicit witness (cannot happen at a point, kept for safety)
-                verdict = f"unknown at {point}"
+                raise CertificateError(
+                    f"no contracting homotopy at the contractible point {point}")
         report.append({"point": tuple(point), "verdict": verdict,
                        "certificate": cert})
     return report
@@ -731,12 +730,12 @@ def gauge_intertwiner(scheme, f_a, f_b, weight=None, check_fold=True):
         mfa = fold_to_mf(dgmf_from_homotopy(scheme, f_a))
         mfb = fold_to_mf(dgmf_from_homotopy(scheme, f_b))
         # delta_b o E = E o delta_a (E multiplies by exp(-h))
-        left0 = _pmul(mfb.delta0, e0, ring)
-        right0 = _pmul(e1, mfa.delta0, ring)
-        left1 = _pmul(mfb.delta1, e1, ring)
-        right1 = _pmul(e0, mfa.delta1, ring)
+        left0 = linalg.mat_mul(mfb.delta0, e0, ring)
+        right0 = linalg.mat_mul(e1, mfa.delta0, ring)
+        left1 = linalg.mat_mul(mfb.delta1, e1, ring)
+        right1 = linalg.mat_mul(e0, mfa.delta1, ring)
         if left0 != right0 or left1 != right1:
-            raise AssertionError("gauge intertwiner failed exact verification")
+            raise CertificateError("gauge intertwiner failed exact verification")
     return h, e0, e1
 
 

@@ -3,6 +3,10 @@
 Matrices are plain lists of lists of Scalar.  Everything here is fraction-free
 in spirit but not in implementation: Fraction coefficients make exactness
 automatic, and the sizes in this package are desk-scale.
+
+``zeros``, ``identity``, ``mat_mul`` and ``mat_add`` only touch ``.zero`` and
+``.one`` of their base, so they serve Poly matrices too: pass the PolyRing
+where a field is asked for.
 """
 
 from __future__ import annotations
@@ -21,22 +25,23 @@ def identity(field, n):
 
 
 def mat_mul(a, b, field):
+    """a . b.  A 0-row ``b`` cannot carry its column count, so the product
+    then has 0 columns."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix size mismatch")
-    rows, inner = len(a), len(b)
+    zero = field.zero
     cols = len(b[0]) if b else 0
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
+    out = []
+    for ai in a:
+        oi = [zero] * cols
+        for c, bk in zip(ai, b):
             if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] = oi[j] + c * bk[j]
+                for j, e in enumerate(bk):
+                    if e:
+                        oi[j] = oi[j] + c * e
+        out.append(oi)
     return out
+
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -44,10 +49,6 @@ def mat_add(a, b):
 
 def mat_neg(a):
     return [[-x for x in row] for row in a]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_eq(a, b):
@@ -145,12 +146,8 @@ def invert(matrix, field):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("not square")
-    aug = [list(matrix[i]) + list(identity(field, n)[i]) for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(matrix, identity(field, n))]
     r, pivots = rref(aug, field, col_order=list(range(n)))
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
-
-
-def column_space_contains(matrix, vector, field):
-    return solve(matrix, vector, field) is not None

@@ -54,6 +54,43 @@ def _keyvals(lines):
     return out
 
 
+def _parse_positive(lineno, text, what):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SpecParseError(lineno, f"bad {what} {text!r}: expected a "
+                                     f"positive integer")
+    return value
+
+
+def _parse_field(kv, where):
+    """The cyclotomic field Q(zeta_N) from the ``order`` key of a section."""
+    if "order" not in kv:
+        raise SpecParseError(1, f"missing order in [{where}]")
+    lineno, val = kv["order"]
+    return CyclotomicField(_parse_positive(lineno, val, "cyclotomic order"))
+
+
+def _parse_poly(ring, lineno, text, what):
+    try:
+        return ring.parse(text)
+    except (ValueError, IndexError, ZeroDivisionError) as e:
+        raise SpecParseError(lineno, f"bad {what} {text!r}: {e}")
+
+
+def _parse_poly_list(ring, lineno, text, what):
+    """Comma-separated polynomials, each optionally parenthesised."""
+    out = []
+    for part in _split_toplevel(text, ","):
+        part = part.strip()
+        if part.startswith("(") and part.endswith(")"):
+            part = part[1:-1]
+        out.append(_parse_poly(ring, lineno, part, what))
+    return out
+
+
 def _parse_variables(field, lineno, text):
     names, weights = [], []
     for part in text.split(","):
@@ -68,7 +105,10 @@ def _parse_variables(field, lineno, text):
             weights.append(int(w) if w else 1)
         except ValueError:
             raise SpecParseError(lineno, f"bad weight in {part!r}")
-    return PolyRing(field, names, weights)
+    try:
+        return PolyRing(field, names, weights)
+    except ValueError as e:
+        raise SpecParseError(lineno, str(e))
 
 
 def _parse_scalar(field, lineno, text):
@@ -152,14 +192,7 @@ def parse_spec(text):
     sections = _sections(text)
     if "field" not in sections:
         raise SpecParseError(1, "missing [field] section")
-    kv = _keyvals(sections["field"])
-    if "order" not in kv:
-        raise SpecParseError(1, "missing order in [field]")
-    lineno, val = kv["order"]
-    try:
-        field = CyclotomicField(int(val))
-    except ValueError:
-        raise SpecParseError(lineno, f"bad cyclotomic order {val!r}")
+    field = _parse_field(_keyvals(sections["field"]), "field")
     if "potential" not in sections:
         raise SpecParseError(1, "missing [potential] section")
     kv = _keyvals(sections["potential"])
@@ -168,16 +201,8 @@ def parse_spec(text):
             raise SpecParseError(1, f"missing {key} in [potential]")
     lineno, val = kv["variables"]
     ring = _parse_variables(field, lineno, val)
-    lineno, val = kv["w"]
-    try:
-        W = ring.parse(val)
-    except (ValueError, IndexError) as e:
-        raise SpecParseError(lineno, f"bad potential: {e}")
-    lineno, val = kv["d"]
-    try:
-        degree_d = int(val)
-    except ValueError:
-        raise SpecParseError(lineno, f"bad degree {val!r}")
+    W = _parse_poly(ring, *kv["w"], "potential")
+    degree_d = _parse_positive(*kv["d"], "degree")
     generators = []
     J = None
     J_sqrt_lambda = None
@@ -320,21 +345,8 @@ def _parse_matrix(ring, lineno, text, rows, cols):
         if text:
             raise SpecParseError(lineno, "expected an empty matrix")
         return [[] for _ in range(rows)]
-    if not text:
-        matrix = []
-    else:
-        matrix = []
-        for rtext in text.split(";"):
-            row = []
-            for part in _split_toplevel(rtext, ","):
-                part = part.strip()
-                if part.startswith("(") and part.endswith(")"):
-                    part = part[1:-1]
-                try:
-                    row.append(ring.parse(part))
-                except (ValueError, IndexError) as e:
-                    raise SpecParseError(lineno, f"bad entry {part!r}: {e}")
-            matrix.append(row)
+    matrix = [_parse_poly_list(ring, lineno, rtext, "entry")
+              for rtext in text.split(";")] if text else []
     if len(matrix) != rows or any(len(r) != cols for r in matrix):
         raise SpecParseError(lineno, f"matrix shape {len(matrix)} rows, "
                                      f"expected {rows} x {cols}")
@@ -367,15 +379,13 @@ def parse_mf(text, check=False):
     if "mf" not in sections:
         raise SpecParseError(1, "missing [mf] section")
     kv = _keyvals([(n, l) for (n, l) in sections["mf"]])
-    for key in ("order", "variables", "potential", "p0", "p1", "delta0", "delta1"):
+    for key in ("variables", "potential", "p0", "p1", "delta0", "delta1"):
         if key not in kv:
             raise SpecParseError(1, f"missing {key} in [mf]")
-    lineno, val = kv["order"]
-    field = CyclotomicField(int(val))
+    field = _parse_field(kv, "mf")
     lineno, val = kv["variables"]
     ring = _parse_variables(field, lineno, val)
-    lineno, val = kv["potential"]
-    potential = ring.parse(val)
+    potential = _parse_poly(ring, *kv["potential"], "potential")
     _, val0 = kv["p0"]
     _, val1 = kv["p1"]
     p0 = _parse_gen_list(kv["p0"][0], val0)
@@ -402,10 +412,7 @@ def parse_mf(text, check=False):
 
 
 def _ring_from_sections(sections, section="ring"):
-    kv_field = _keyvals(sections["field"]) if "field" in sections else {}
-    if "order" not in kv_field:
-        raise SpecParseError(1, "missing [field] order")
-    field = CyclotomicField(int(kv_field["order"][1]))
+    field = _parse_field(_keyvals(sections.get("field", [])), "field")
     kv = _keyvals(sections[section])
     if "variables" not in kv:
         raise SpecParseError(1, f"missing variables in [{section}]")
@@ -421,21 +428,8 @@ def parse_koszul(text):
     kv = _keyvals(sections["koszul"])
     if "alpha" not in kv or "beta" not in kv:
         raise SpecParseError(1, "missing alpha or beta in [koszul]")
-
-    def plist(key):
-        lineno, val = kv[key]
-        out = []
-        for part in _split_toplevel(val, ","):
-            part = part.strip()
-            if part.startswith("(") and part.endswith(")"):
-                part = part[1:-1]
-            try:
-                out.append(ring.parse(part))
-            except (ValueError, IndexError) as e:
-                raise SpecParseError(lineno, f"bad {key} entry {part!r}: {e}")
-        return out
-
-    return ring, plist("alpha"), plist("beta")
+    return (ring, _parse_poly_list(ring, *kv["alpha"], "alpha entry"),
+            _parse_poly_list(ring, *kv["beta"], "beta entry"))
 
 
 def parse_scheme(text):
@@ -454,8 +448,7 @@ def parse_scheme(text):
         key = f"d({g.name})"
         if key not in kv:
             raise SpecParseError(lineno, f"missing {key} in [scheme]")
-        ln, v = kv[key]
-        images.append(ring.parse(v))
+        images.append(_parse_poly(ring, *kv[key], key))
     scheme = DgSchemePresentation(ring, odd, images)
     f = scheme.zero_element()
     if "f" in kv:
@@ -475,7 +468,7 @@ def _parse_super_element(scheme, lineno, text):
             raise SpecParseError(lineno, f"term {part!r} must look like "
                                          f"(poly)*b0^b1")
         close = part.rindex(")")
-        coeff = scheme.ring.parse(part[1:close])
+        coeff = _parse_poly(scheme.ring, lineno, part[1:close], "coefficient")
         tail = part[close + 1:].lstrip("*").strip()
         try:
             subset = tuple(sorted(names[n] for n in tail.split("^"))) if tail \
@@ -492,10 +485,7 @@ def parse_complex(text):
     sections = _sections(text)
     if "complex" not in sections:
         raise SpecParseError(1, "missing [complex] section")
-    kv_field = _keyvals(sections["field"]) if "field" in sections else {}
-    if "order" not in kv_field:
-        raise SpecParseError(1, "missing [field] order")
-    field = CyclotomicField(int(kv_field["order"][1]))
+    field = _parse_field(_keyvals(sections.get("field", [])), "field")
     kv = _keyvals(sections["complex"])
     ring = PolyRing(field, [], [])
     if "variables" in kv:
@@ -504,10 +494,17 @@ def parse_complex(text):
     objects = {}
     diffs_text = {}
     for key, (lineno, val) in kv.items():
-        if key.startswith("generators "):
-            objects[int(key.split()[1])] = _parse_gen_list(lineno, val)
-        elif key.startswith("d "):
-            diffs_text[int(key.split()[1])] = (lineno, val)
+        words = key.split()
+        if not words or words[0] not in ("generators", "d"):
+            continue
+        try:
+            n = int(words[1])
+        except (IndexError, ValueError):
+            raise SpecParseError(lineno, f"bad degree in {key!r}")
+        if words[0] == "generators":
+            objects[n] = _parse_gen_list(lineno, val)
+        else:
+            diffs_text[n] = (lineno, val)
     diffs = {}
     for n, (lineno, val) in diffs_text.items():
         rows = len(objects.get(n + 1, []))

@@ -13,11 +13,13 @@ along D.
 from __future__ import annotations
 
 from . import linalg
-from .complexes import (ChainMap, FreeComplex, Generator, cone, homology_ranks,
+from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap, cone,
+                        homology_ranks, induced_homology_map_rank,
                         sym_power_two_term)
-from .factorizations import (CurvedStructure, DgSchemePresentation,
-                             SuperElement, dgmf_from_homotopy, fold_to_mf,
-                             point_verdict, unit_mf, _solve_d_preimage)
+from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
+                             DgSchemePresentation, SuperElement,
+                             dgmf_from_homotopy, fold_to_mf, point_homology,
+                             unit_mf, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import Poly, PolyRing
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
@@ -209,8 +211,7 @@ class TwoTermModel:
 
     @property
     def dim_a(self):
-        return len(self.embed[0]) if self.embed and self.embed[0] else (
-            0 if self.raw_basis else 0)
+        return len(self.embed[0]) if self.embed and self.embed[0] else 0
 
     @property
     def dim_b(self):
@@ -550,9 +551,8 @@ def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
                           col_order=pivot_order)
     if f is None:
         raise SpinDataError("spin-structure data violates the residue constraint")
-    # exact verification
-    check = scheme.d(f) + scheme.scalar_element(obstruction.c)
-    assert not check, "solver returned an unverified homotopy"
+    if scheme.d(f) + scheme.scalar_element(obstruction.c):
+        raise CertificateError("solved f_{-1} fails d(f_{-1}) = -c")
     return f
 
 
@@ -586,22 +586,17 @@ class PipelineResult:
         """(h0, h1, verdict) over a sector point; for a tot(A) output the
         fiber direction is the auxiliary coordinates, handled by exact
         homology over k[t] (one auxiliary variable supported)."""
-        field = self.spec.field
         if not self.extra_names:
-            restricted = self.mf.restrict_to_point(point)
-            if restricted.potential:
-                return (0, 0, point_verdict(self.mf, point))
-            d0 = [[c.constant_value() for c in row] for row in restricted.delta0]
-            d1 = [[c.constant_value() for c in row] for row in restricted.delta1]
-            r0 = linalg.rank(d0, field) if d0 and d0[0] else 0
-            r1 = linalg.rank(d1, field) if d1 and d1[0] else 0
-            h0 = restricted.rank0 - r0 - r1
-            h1 = restricted.rank1 - r0 - r1
-            verdict = "contractible" if (h0 == 0 and h1 == 0) else "noncontractible"
-            return (h0, h1, verdict)
+            h0, h1 = point_homology(self.mf, point)
+        else:
+            h0, h1 = self._line_homology(point)
+        return (h0, h1, CONTRACTIBLE if (h0, h1) == (0, 0) else NONCONTRACTIBLE)
+
+    def _line_homology(self, point):
         if len(self.extra_names) != 1:
             raise NotImplementedError("fiber homology supported for at most one "
                                       "auxiliary direction")
+        field = self.spec.field
         tring = PolyRing(field, ["t"], [1])
         images = []
         for name in self.mf.ring.names:
@@ -612,13 +607,11 @@ class PipelineResult:
                 images.append(tring.gen("t"))
         fiber = self.mf.restrict_to_line(images)
         if fiber.potential:
-            return (0, 0, "contractible")
+            return (0, 0)
         to_upoly = lambda p: _poly_to_upoly(p, field)
         d0 = [[to_upoly(c) for c in row] for row in fiber.delta0]
         d1 = [[to_upoly(c) for c in row] for row in fiber.delta1]
-        h0, h1 = two_periodic_homology_dims(d0, d1)
-        verdict = "contractible" if (h0 == 0 and h1 == 0) else "noncontractible"
-        return (h0, h1, verdict)
+        return two_periodic_homology_dims(d0, d1)
 
 
 def _poly_to_upoly(p, field):
@@ -1024,9 +1017,8 @@ def _omega_to_rj_map(logmodel, omega_cx, rj_cx):
         comps[1] = mat
     try:
         f = ChainMap(omega_cx, rj_cx, comps)
-    except Exception:
+    except NotAChainMap:
         return None
-    from .complexes import induced_homology_map_rank
     h_a, h_b = homology_ranks(omega_cx), homology_ranks(rj_cx)
     for n in (0, 1):
         if h_a.get(n, 0) != h_b.get(n, 0) or \

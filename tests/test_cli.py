@@ -1,4 +1,8 @@
 import json
+import random
+import re
+
+import pytest
 
 from dgmf.cli import main
 
@@ -203,3 +207,73 @@ def test_output_deterministic(tmp_path):
     _, a = _run(tmp_path, "fundamental", SPIN)
     _, b = _run(tmp_path, "fundamental", SPIN)
     assert a == b
+
+
+def test_fundamental_wrong_solution_exit_4(tmp_path, wrong_solve):
+    code, _ = _run(tmp_path, "fundamental", SPIN)
+    assert code == 4
+
+
+def test_support_negative_degree_bound_exit_3(tmp_path):
+    _code, out = _run(tmp_path, "koszul", KOSZUL)
+    code, _ = _run(tmp_path, "support", out, "--degree-bound", "-1")
+    assert code == 3
+
+
+def _sessions(tmp_path):
+    """(command, input, extra arguments) for every input format above."""
+    glued = _write(tmp_path, "glued.spec", GLUED)
+    _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
+    return [("check", CHECK_GOOD, ()), ("check", CHECK_DEGENERATE, ()),
+            ("fundamental", SPIN, ()), ("glue", DISCONNECTED, ("--glued", glued)),
+            ("koszul", KOSZUL, ()), ("fold", FOLD, ()), ("homology", COMPLEX, ()),
+            ("verify", mf_text, ()), ("support", mf_text, ("--points", "2"))]
+
+
+@pytest.mark.parametrize("command", ["check", "fundamental", "glue", "koszul",
+                                     "fold", "homology", "verify", "support"])
+def test_bad_field_order_exit_2(tmp_path, command):
+    for cmd, text, extra in _sessions(tmp_path):
+        if cmd != command:
+            continue
+        for order in ("z", "0", "-3"):
+            bad = re.sub(r"^order = \d+$", f"order = {order}", text, flags=re.M)
+            assert bad != text
+            code, _ = _run(tmp_path, command, bad, *extra)
+            assert code == 2, bad
+
+
+def test_bad_degree_exit_2(tmp_path):
+    code, _ = _run(tmp_path, "check", CHECK_GOOD.replace("d = 5", "d = 0"))
+    assert code == 2
+
+
+TOKEN = re.compile(r"\w+|[^\w\s]")
+REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x"]
+
+
+def _mutants(text):
+    """Each input with one line deleted, or one token replaced."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1:]
+        for m in TOKEN.finditer(line):
+            for r in REPLACEMENTS:
+                yield lines[:i] + [line[:m.start()] + r + line[m.end():]] + lines[i + 1:]
+
+
+def test_mutated_inputs_give_documented_exit_codes(tmp_path):
+    rng = random.Random(0)
+    runs = 0
+    for command, text, extra in _sessions(tmp_path):
+        for lines in _mutants(text):
+            if rng.random() >= 0.3:
+                continue
+            mutated = "\n".join(lines) + "\n"
+            try:
+                code, _ = _run(tmp_path, command, mutated, *extra)
+            except Exception as e:
+                pytest.fail(f"{command} raised {e!r} on:\n{mutated}")
+            assert code in (0, 2, 3, 4, 5), f"{command} exited {code} on:\n{mutated}"
+            runs += 1
+    assert runs > 500

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from dgmf import factorizations
 from dgmf.poly import Poly
 from dgmf import (
     CONTRACTIBLE,
     NONCONTRACTIBLE,
+    CertificateError,
     CyclotomicField,
     PolyRing,
     derived_zero_locus,
@@ -16,6 +18,7 @@ from dgmf import (
     leibniz_holds,
     mf_tensor,
     nullhomotopy_solve,
+    point_homology,
     point_verdict,
     support_check,
     unit_mf,
@@ -148,6 +151,8 @@ def test_point_verdict_koszul():
         mf = koszul_mf(R, [x ** (r - 1)], [x])
         assert point_verdict(mf, [F.scalar(2)]) == CONTRACTIBLE
         assert point_verdict(mf, [F.zero]) == NONCONTRACTIBLE
+        assert point_homology(mf, [F.scalar(2)]) == (0, 0)
+        assert point_homology(mf, [F.zero]) == (1, 1)
 
 
 def test_nullhomotopy_certificate_at_point():
@@ -197,3 +202,65 @@ def test_gauge_intertwiner_trivial():
     f = x * scheme.odd_coordinate(0)
     h, E0, E1 = gauge_intertwiner(scheme, f, f)
     assert not h
+
+
+def test_unit_mf_verifies_and_restricts():
+    # rank (1|0): both composites are the zero matrix, and W = 0
+    R = _ring(1)
+    u = unit_mf(R)
+    assert u.verify()
+    at = u.restrict_to_point([F.scalar(2)])
+    assert (at.rank0, at.rank1) == (1, 0) and not at.potential
+    assert point_homology(u, [F.scalar(2)]) == (1, 0)
+    assert point_verdict(u, [F.scalar(2)]) == NONCONTRACTIBLE
+
+
+def test_negative_degree_bound_rejected():
+    R = _ring(1)
+    x = R.gen("x0")
+    mf = koszul_mf(R, [x], [x])
+    with pytest.raises(ValueError, match="degree_bound"):
+        support_check(mf, [[F.one]], degree_bound=-1)
+    with pytest.raises(ValueError, match="degree_bound"):
+        nullhomotopy_solve(mf.restrict_to_point([F.one]), degree_bound=-1)
+
+
+def test_nullhomotopy_solve_rejects_a_wrong_solution(wrong_solve):
+    R = _ring(1)
+    x = R.gen("x0")
+    mf = koszul_mf(R, [x], [x]).restrict_to_point([F.scalar(3)])
+    with pytest.raises(CertificateError):
+        nullhomotopy_solve(mf, degree_bound=0)
+
+
+def test_support_check_raises_when_solver_and_verdict_disagree(monkeypatch):
+    R = _ring(1)
+    x = R.gen("x0")
+    mf = koszul_mf(R, [x], [x])
+    monkeypatch.setattr(factorizations, "nullhomotopy_solve",
+                        lambda mf, degree_bound: None)
+    with pytest.raises(CertificateError):
+        support_check(mf, [[F.one]])
+    # without certificates the solver is never asked
+    assert support_check(mf, [[F.one]], with_certificates=False)[0]["verdict"] \
+        == CONTRACTIBLE
+
+
+def test_gauge_intertwiner_rejects_a_wrong_operator(monkeypatch):
+    R = _ring(2)
+    x, y = R.gen("x0"), R.gen("x1")
+    scheme = derived_zero_locus(R, [x, y])
+    e0, e1 = scheme.odd_coordinate(0), scheme.odd_coordinate(1)
+    f_a = x * e0 + y * e1
+    f_b = f_a + scheme.d(scheme.scalar_element(R.one) * e0 * e1)
+    exact = factorizations.exp_multiplication_operator
+    two = R.constant(F.scalar(2))
+
+    def doubled_on_even_part(scheme, h, basis):
+        m = exact(scheme, h, basis)
+        return [[two * c for c in row] for row in m] if basis[0] == () else m
+
+    monkeypatch.setattr(factorizations, "exp_multiplication_operator",
+                        doubled_on_even_part)
+    with pytest.raises(CertificateError):
+        gauge_intertwiner(scheme, f_a, f_b)

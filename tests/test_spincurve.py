@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dgmf import (
+    CertificateError,
     GroupElement,
     SpinDataError,
     build_obstruction,
@@ -277,3 +278,11 @@ def test_glue_rejects_wrong_lambda():
         twisted_diagonal_glue(_spec(DISCONNECTED.replace("J_sqrt = z",
                                                          "J_sqrt = 1")),
                               _spec(bad))
+
+
+def test_solve_f_minus_one_rejects_a_wrong_solution(wrong_solve):
+    spec = _spec(BROAD)
+    model = two_term_realization(spec)
+    obstruction = build_obstruction(spec, model)
+    with pytest.raises(CertificateError):
+        solve_f_minus_one(spec, model, obstruction)
