@@ -7,6 +7,9 @@ Commands raise, and ``main`` alone maps exceptions to exit codes:
 SpecParseError -> 2; CertificateError -> 4; any other ValueError (a failed
 precondition, such as inconsistent spin data) or a missing input file -> 3;
 CliFailure -> its own code, which ``check`` and ``glue`` use for verdicts.
+Malformed spec values, such as a degree ``d <= 0`` or a ``divisor`` line
+whose fifth word is not ``mult`` or whose multiplicity is not a positive
+integer, are SpecParseErrors.
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ theorem itself (which is what the tests are checking).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 class UPoly:
     """Univariate polynomial over a cyclotomic field; coeffs low-to-high."""
@@ -32,6 +30,15 @@ class UPoly:
     @classmethod
     def gen(cls, field):
         return cls(field, [field.zero, field.one])
+
+    @classmethod
+    def from_poly(cls, p):
+        """The same polynomial, from a one-variable ``poly.Poly``."""
+        field = p.ring.field
+        coeffs = [field.zero] * (max((e for (e,) in p.terms), default=-1) + 1)
+        for (e,), c in p.terms.items():
+            coeffs[e] = c
+        return cls(field, coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -85,6 +92,8 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         result = UPoly.constant(self.field, 1)
         base = self
         while n:
@@ -300,48 +309,46 @@ class RationalFunction:
 # -- homology of matrices over k[t] --------------------------------------
 
 
+def _diagonal(matrix):
+    """Nonzero entries of a diagonal form of ``matrix`` over k[t], reached by
+    Euclidean row and column operations."""
+    # Unimodular operations keep the determinantal divisors, and the only
+    # nonzero r x r minor of a diagonal matrix with r nonzero entries is their
+    # product, so no Smith divisibility chain (and no U, V) is needed.
+    a = [list(row) for row in matrix]
+    rows, cols = len(a), len(a[0]) if a else 0
+    diagonal = []
+    for k in range(min(rows, cols)):
+        while True:
+            entries = [(a[i][j].degree(), i, j) for i in range(k, rows)
+                       for j in range(k, cols) if a[i][j]]
+            if not entries:
+                return diagonal
+            _, pi, pj = min(entries)  # least degree pivot, moved to (k, k)
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            pivot = a[k][k]
+            for row in a[k + 1:]:
+                if row[k]:
+                    q = row[k].divmod(pivot)[0]
+                    row[k:] = [x - q * y if y else x
+                               for x, y in zip(row[k:], a[k][k:])]
+            for j in range(k + 1, cols):
+                if a[k][j]:
+                    q = a[k][j].divmod(pivot)[0]
+                    for row in a[k:]:
+                        if row[k]:
+                            row[j] = row[j] - q * row[k]
+            if not any(row[k] for row in a[k + 1:]) and not any(a[k][k + 1:]):
+                diagonal.append(pivot)
+                break
+    return diagonal
+
+
 def poly_mat_rank(matrix):
-    """Rank over the fraction field k(t): largest r with a nonzero r x r minor."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    for r in range(min(rows, cols), 0, -1):
-        for ri in combinations(range(rows), r):
-            for ci in combinations(range(cols), r):
-                if _poly_det([[matrix[i][j] for j in ci] for i in ri]):
-                    return r
-    return 0
-
-
-def _poly_det(m):
-    n = len(m)
-    if n == 0:
-        return None
-    field = m[0][0].field
-    if n == 1:
-        return m[0][0]
-    total = UPoly(field, [])
-    for j, entry in enumerate(m[0]):
-        if entry:
-            minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-            term = entry * _poly_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def _minor_gcd(matrix, r):
-    """Monic gcd of all r x r minors (the r-th determinantal divisor)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    field = matrix[0][0].field if rows else None
-    g = UPoly(field, [])
-    for ri in combinations(range(rows), r):
-        for ci in combinations(range(cols), r):
-            d = _poly_det([[matrix[i][j] for j in ci] for i in ri])
-            if d:
-                g = g.gcd(d) if g else d.monic()
-                if g.degree() == 0:
-                    return g
-    return g
+    """Rank over the fraction field k(t)."""
+    return len(_diagonal(matrix))
 
 
 def two_periodic_homology_dims(delta0, delta1):
@@ -349,18 +356,14 @@ def two_periodic_homology_dims(delta0, delta1):
     k[t]-modules P0 --delta0--> P1 --delta1--> P0, assuming delta composites
     vanish.  Returns None for a homology that is not finite-dimensional.
 
-    Uses determinantal divisors: when ranks are complementary, the torsion of
-    the cokernel is the homology, and its length is the degree of the maximal
-    determinantal divisor.
+    Brings each differential to a diagonal form over k[t]: when the ranks
+    are complementary, the homology is the torsion of a cokernel, whose
+    length is the sum of the degrees of the nonzero diagonal entries.
     """
     n0 = len(delta0[0]) if delta0 and delta0[0] else (len(delta1) if delta1 else 0)
     n1 = len(delta1[0]) if delta1 and delta1[0] else (len(delta0) if delta0 else 0)
-    r0 = poly_mat_rank(delta0) if delta0 and delta0[0] else 0
-    r1 = poly_mat_rank(delta1) if delta1 and delta1[0] else 0
-    h0 = None
-    h1 = None
-    if r0 + r1 == n0:
-        h0 = _minor_gcd(delta1, r1).degree() if r1 > 0 else 0
-    if r0 + r1 == n1:
-        h1 = _minor_gcd(delta0, r0).degree() if r0 > 0 else 0
+    diag0, diag1 = _diagonal(delta0), _diagonal(delta1)
+    r0, r1 = len(diag0), len(diag1)
+    h0 = sum(d.degree() for d in diag1) if r0 + r1 == n0 else None
+    h1 = sum(d.degree() for d in diag0) if r0 + r1 == n1 else None
     return (h0, h1)

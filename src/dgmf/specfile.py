@@ -137,27 +137,27 @@ def _parse_group_element(ring, lineno, text):
 
 
 def _parse_ratfun(field, lineno, text):
-    """(num poly in t) / (den poly in t)."""
-    if "/" not in text:
+    """(num poly in t) / (den poly in t), split at the "/" outside parentheses."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and depth == 0:
+            break
+    else:
         raise SpecParseError(lineno, f"expected (num)/(den), got {text!r}")
-    numtext, _, dentext = text.partition("/")
     tring = PolyRing(field, ["t"], [1])
 
     def to_upoly(ptext):
         ptext = ptext.strip()
         if ptext.startswith("(") and ptext.endswith(")"):
             ptext = ptext[1:-1]
-        p = tring.parse(ptext)
-        coeffs = []
-        for e, c in p.terms.items():
-            k = e[0]
-            while len(coeffs) <= k:
-                coeffs.append(field.zero)
-            coeffs[k] = coeffs[k] + c
-        return UPoly(field, coeffs)
+        return UPoly.from_poly(tring.parse(ptext))
 
     try:
-        return RationalFunction(to_upoly(numtext), to_upoly(dentext))
+        return RationalFunction(to_upoly(text[:i]), to_upoly(text[i + 1:]))
     except (ValueError, ZeroDivisionError) as e:
         raise SpecParseError(lineno, f"bad rational function: {e}")
 
@@ -264,7 +264,12 @@ def _parse_curve(field, ring, lines):
                 # divisor c0 at 0 mult 2
                 comp = words[1]
                 point = _parse_scalar(field, lineno, words[3])
-                mult = int(words[5]) if len(words) > 5 else 1
+                mult = 1
+                if len(words) > 4:
+                    if words[4] != "mult" or len(words) != 6:
+                        raise SpecParseError(lineno, "expected divisor <component> "
+                                                     "at <point> [mult <m>]")
+                    mult = _parse_positive(lineno, words[5], "multiplicity")
                 divisor.append((comp, point, mult))
             elif head == "node":
                 # node c0 at -1 rig z ~ c1 at 1 rig 1

@@ -608,20 +608,9 @@ class PipelineResult:
         fiber = self.mf.restrict_to_line(images)
         if fiber.potential:
             return (0, 0)
-        to_upoly = lambda p: _poly_to_upoly(p, field)
-        d0 = [[to_upoly(c) for c in row] for row in fiber.delta0]
-        d1 = [[to_upoly(c) for c in row] for row in fiber.delta1]
+        d0 = [[UPoly.from_poly(c) for c in row] for row in fiber.delta0]
+        d1 = [[UPoly.from_poly(c) for c in row] for row in fiber.delta1]
         return two_periodic_homology_dims(d0, d1)
-
-
-def _poly_to_upoly(p, field):
-    coeffs = []
-    for e, c in p.terms.items():
-        k = e[0] if e else 0
-        while len(coeffs) <= k:
-            coeffs.append(field.zero)
-        coeffs[k] = coeffs[k] + c
-    return UPoly(field, coeffs)
 
 
 def fundamental_mf(spec, pivot_order=None):

@@ -248,6 +248,21 @@ def test_bad_degree_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["divisor c0 at 0 size 7", "divisor c0 at 0 mult",
+                                  "divisor c0 at 0 mult 0"])
+def test_bad_divisor_exit_2(tmp_path, line):
+    code, _ = _run(tmp_path, "fundamental",
+                   SPIN.replace("divisor c0 at 0 mult 1", line))
+    assert code == 2
+
+
+def test_eta_with_a_fraction_coefficient(tmp_path):
+    _, want = _run(tmp_path, "fundamental", SPIN)
+    code, got = _run(tmp_path, "fundamental", SPIN.replace("eta c0 = (2)",
+                                                           "eta c0 = (4/2)"))
+    assert code == 0 and got == want
+
+
 TOKEN = re.compile(r"\w+|[^\w\s]")
 REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x"]
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 import sympy
 
-from dgmf import CyclotomicField, PolyRing, RationalFunction, UPoly
-from dgmf.ratfun import two_periodic_homology_dims
+from dgmf import CyclotomicField, PolyRing, RationalFunction, UPoly, koszul_mf
+from dgmf.ratfun import _diagonal, poly_mat_rank, two_periodic_homology_dims
 
 F = CyclotomicField(1)
 t = UPoly.gen(F)
@@ -22,6 +24,10 @@ def test_upoly_basics():
     assert q == t and r == t
     assert p.evaluate(F.scalar(2)) == F.scalar(3)
     assert (t ** 2 - one).gcd(t - one).monic() == (t - one).monic()
+    tring = PolyRing(F, ["t"], [1])
+    assert UPoly.from_poly(tring.parse("3*t^2 + (-1)")) == _c(3) * t ** 2 - one
+    with pytest.raises(ValueError):
+        t ** -1
 
 
 def test_residue_dx_over_x():
@@ -91,3 +97,84 @@ def test_two_periodic_homology_infinite():
     z = UPoly.constant(F, 0)
     h0, h1 = two_periodic_homology_dims([[z]], [[z]])
     assert h0 is None and h1 is None
+
+
+def _det(m):
+    """Laplace expansion (brute-force reference)."""
+    if len(m) == 1:
+        return m[0][0]
+    total = UPoly(m[0][0].field, [])
+    for j, entry in enumerate(m[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            total = total + (-1) ** j * entry * _det(minor)
+    return total
+
+
+def _reference_rank_and_divisor(m):
+    """(rank, deg d_r) from every minor: the largest r with a nonzero r x r
+    minor, and the degree of the gcd of all r x r minors."""
+    rows, cols = len(m), len(m[0])
+    for r in range(min(rows, cols), 0, -1):
+        minors = [_det([[m[i][j] for j in ci] for i in ri])
+                  for ri in combinations(range(rows), r)
+                  for ci in combinations(range(cols), r)]
+        g = UPoly(m[0][0].field, [])
+        for d in minors:
+            g = g.gcd(d) if d else g
+        if g:
+            return r, g.degree()
+    return 0, 0
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_diagonal_form_matches_minors(order):
+    field = CyclotomicField(order)
+    rng = random.Random(order)
+
+    def entry():
+        if rng.random() < 0.3:
+            return UPoly(field, [])
+        return UPoly(field, [field.scalar(rng.randint(-3, 3))
+                             + field.scalar(rng.randint(-2, 2)) * field.zeta
+                             for _ in range(rng.randint(1, 3))])
+
+    for _ in range(60):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        inner = rng.randint(1, min(rows, cols) - 1)  # rank <= inner: deficient
+        b = [[entry() for _ in range(inner)] for _ in range(rows)]
+        c = [[entry() for _ in range(cols)] for _ in range(inner)]
+        m = [[sum((b[i][k] * c[k][j] for k in range(inner)), UPoly(field, []))
+              for j in range(cols)] for i in range(rows)]
+        diagonal = _diagonal(m)
+        assert (len(diagonal), sum(d.degree() for d in diagonal)) == \
+            _reference_rank_and_divisor(m)
+        assert poly_mat_rank(m) == len(diagonal)
+
+
+def _koszul_line_homology(n, offsets):
+    """(h0, h1) of the Koszul MF {c_i x_i, y_i} on the line x_i = (i+1) t +
+    offsets[i], y = C^-1 S x with S antisymmetric, which lies in W = 0."""
+    field = CyclotomicField(4)
+    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
+    ring = PolyRing(field, names, [1] * (2 * n))
+    cs = [field.scalar(i + 1) + field.zeta for i in range(n)]
+    mf = koszul_mf(ring, [c * ring.gen(f"x{i}") for i, c in enumerate(cs)],
+                   [ring.gen(f"y{i}") for i in range(n)])
+    tring = PolyRing(field, ["t"], [1])
+    xs = [(i + 1) * tring.gen("t") + tring.constant(offsets[i]) for i in range(n)]
+    ys = [sum(((j - i) * xs[j] for j in range(n)), tring.zero) * cs[i].inverse()
+          for i in range(n)]
+    fiber = mf.restrict_to_line(xs + ys)
+    assert not fiber.potential
+    d0 = [[UPoly.from_poly(p) for p in row] for row in fiber.delta0]
+    d1 = [[UPoly.from_poly(p) for p in row] for row in fiber.delta1]
+    return mf.rank0, two_periodic_homology_dims(d0, d1)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_koszul_line_fibers(n):
+    r, dims = _koszul_line_homology(n, [0] * n)
+    assert dims == (r // 2, r // 2)  # through the origin
+    r, dims = _koszul_line_homology(n, [1] * n)
+    assert dims == (0, 0)  # the x_i vanish at distinct t: contractible
