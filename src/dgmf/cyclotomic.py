@@ -135,7 +135,7 @@ class CyclotomicField:
             raise ValueError("empty scalar literal")
         # normalize "- " into "+ -"
         tokens = text.replace("- ", "+ -").split("+")
-        coeffs = [Fraction(0)] * max(self.degree, 1)
+        total = self.zero
         for tok in tokens:
             tok = tok.strip()
             if not tok:
@@ -152,10 +152,8 @@ class CyclotomicField:
             else:
                 coeff = Fraction(tok)
                 power = 0
-            if power >= len(coeffs):
-                coeffs += [Fraction(0)] * (power + 1 - len(coeffs))
-            coeffs[power] += coeff
-        return self.from_coeffs(coeffs)
+            total = total + coeff * self.zeta_power(power)
+        return total
 
 
 class Scalar:

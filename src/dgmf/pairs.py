@@ -76,10 +76,9 @@ def pair_tensor(p, q):
     fb = tensor(p.f_beta, q.f_beta)
     comps = {}
     # phi (x) phi on the lexicographically ordered tensor basis
+    tgt_index = _tensor_index(p.f_alpha, q.f_alpha)
+    src_index = _tensor_index(p.f_beta, q.f_beta)
     for n in fb.degrees():
-        rows = []
-        tgt_index = _tensor_index(p.f_alpha, q.f_alpha)
-        src_index = _tensor_index(p.f_beta, q.f_beta)
         mat = [[p.ring.zero] * fb.rank(n) for _ in range(fa.rank(n))]
         for (n1, i, m1, j), (deg_s, col) in src_index.items():
             if deg_s != n:
@@ -92,11 +91,9 @@ def pair_tensor(p, q):
                 for j2 in range(q.f_alpha.rank(m1)):
                     if not qc or not qc[j2][j]:
                         continue
-                    deg_t, row = tgt_index[(n1, i2, m1, j2)]
-                    assert deg_t == n
+                    _deg, row = tgt_index[(n1, i2, m1, j2)]
                     mat[row][col] = mat[row][col] + pc[i2][i] * qc[j2][j]
         comps[n] = mat
-        del rows
     return PairObject(fa, fb, ChainMap(fb, fa, comps))
 
 

@@ -12,14 +12,16 @@ along D.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from . import linalg
-from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap, cone,
-                        homology_ranks, induced_homology_map_rank,
-                        sym_power_two_term)
+from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
+                        homology_ranks, induced_homology_map_rank)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
-                             DgSchemePresentation, SuperElement,
-                             dgmf_from_homotopy, fold_to_mf, point_homology,
-                             unit_mf, _solve_d_preimage)
+                             DgSchemePresentation, MatrixFactorization,
+                             SuperElement, dgmf_from_homotopy, fold_to_mf,
+                             point_homology, unit_mf, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import Poly, PolyRing
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
@@ -162,7 +164,6 @@ class SpinCurveSpec:
         """sum_i W_i in the sector coordinates: W restricted to V^{gamma_i}."""
         ring = ring or self.sector_ring()
         total = ring.zero
-        sectors = self.sectors()
         for i, m in enumerate(self.markings):
             broad = m.broad_indices()
             images = []
@@ -199,7 +200,6 @@ class TwoTermModel:
         self.b_basis = b_basis
         self.f_matrix = f_matrix  # rows = B, cols = A
         self.z_matrix = z_matrix  # rows = sectors, cols = A
-        field = spec.field
         self.a_weights = []
         for col in range(self.dim_a):
             support = [r for r in range(len(raw_basis)) if embed[r][col]]
@@ -299,7 +299,6 @@ def two_term_realization(spec):
         embed = [[kernel[c][r] for c in range(len(kernel))] for r in range(len(raw))]
     else:
         embed = linalg.identity(field, len(raw))
-    dim_a = len(embed[0]) if embed else 0
     # B: jets along D
     b_basis = []
     for comp in spec.components:
@@ -389,156 +388,39 @@ def cech_oracle(spec):
 
 
 class ObstructionData:
-    def __init__(self, u_ring, c, scheme, sym_complex, quotient_map, k_complex,
-                 e_complex):
+    def __init__(self, u_ring, c, scheme):
         self.u_ring = u_ring       # S(A_dual) coordinates u0, u1, ...
         self.c = c                 # Z^*(sum_i W_i), weight-d even function
         self.scheme = scheme       # dg-scheme presentation in u coordinates
-        self.sym_complex = sym_complex
-        self.quotient_map = quotient_map
-        self.k_complex = k_complex
-        self.e_complex = e_complex
 
 
 def build_obstruction(spec, model):
-    field = spec.field
-    d = spec.degree_d
-    u_ring = PolyRing(field, [f"u{k}" for k in range(model.dim_a)], model.a_weights)
-    sectors = spec.sectors()
+    u_ring = PolyRing(spec.field, [f"u{k}" for k in range(model.dim_a)],
+                      model.a_weights)
     # c = (sum_i W_i) composed with Z
-    z_forms = []
-    for srow in model.z_matrix:
-        form = u_ring.zero
-        for k, cval in enumerate(srow):
-            if cval:
-                form = form + cval * u_ring.gen(f"u{k}")
-        z_forms.append(form)
     sring = spec.sector_ring()
-    c = _substitute_linear(spec.sector_potential(sring), sring, z_forms, u_ring)
+    c = _substitute_linear(spec.sector_potential(sring),
+                           _linear_forms(model.z_matrix, u_ring), u_ring)
     # dg-scheme in u coordinates: odd generator per B-basis jet
     odd = [Generator(f"b{k}", w) for k, w in enumerate(model.b_weights)]
-    images = []
-    for k in range(model.dim_b):
-        img = u_ring.zero
-        for j in range(model.dim_a):
-            cval = model.f_matrix[k][j]
-            if cval:
-                img = img + cval * u_ring.gen(f"u{j}")
-        images.append(img)
-    scheme = DgSchemePresentation(u_ring, odd, images)
-    # the realization of E and the complex K = Cone(S(A->B)_d -> (+) S(V^gi)_d)[-1]
-    base = PolyRing(field, [], [])
-    a_gens = [Generator(f"a{k}", w) for k, w in enumerate(model.a_weights)]
-    b_gens = [Generator(f"b{k}", w) for k, w in enumerate(model.b_weights)]
-    f_mat = [[base.constant(c2) for c2 in row] for row in model.f_matrix]
-    sym = sym_power_two_term(base, a_gens, b_gens, f_mat, d)
-    kc, ec, qmap = _k_and_e_complexes(spec, model, sym, base, d)
-    return ObstructionData(u_ring, c, scheme, sym, qmap, kc, ec)
+    scheme = DgSchemePresentation(u_ring, odd,
+                                  _linear_forms(model.f_matrix, u_ring))
+    return ObstructionData(u_ring, c, scheme)
 
 
-def _substitute_linear(p, source_ring, images, target_ring):
+def _linear_forms(matrix, ring):
+    """sum_j matrix[i][j] * (j-th generator of ring), one form per row."""
+    units = [tuple(int(i == j) for i in range(ring.nvars))
+             for j in range(ring.nvars)]
+    return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
+            for row in matrix]
+
+
+def _substitute_linear(p, images, target_ring):
     if not images:
         # zero-variable source: p is a constant
         return target_ring.constant(p.constant_value()) if p else target_ring.zero
     return p.substitute(images)
-
-
-def _k_and_e_complexes(spec, model, sym, base, d):
-    """K = Cone(S(A->B)_d -> (+)_i S(V^{gamma_i})_d)[-1] and the kernel
-    realization E of the same triangle."""
-    field = spec.field
-    # target: (+)_i S(V^{gamma_i})_d in degree 0
-    sring = spec.sector_ring()
-    # basis: monomials of weight d in each marking's own sector variables
-    tgt_basis = []
-    for i, m in enumerate(spec.markings):
-        names = [f"{spec.vring.names[j]}{i + 1}" for j in m.broad_indices()]
-        if not names:
-            continue
-        sub = PolyRing(field, names, [spec.vring.weights[j] for j in m.broad_indices()])
-        for exps in sub.monomials_of_weight(d):
-            tgt_basis.append((i, sub, exps))
-    target = FreeComplex(base, {0: [Generator(f"s{k}", d) for k in range(len(tgt_basis))]}
-                         if tgt_basis else {}, {})
-    # the degree-0 map: S(A)_d -> (+) S(V^gi)_d by substituting the Z forms
-    deg0 = sym.gens(0)
-    # S(A)_d basis = exponent tuples of a-generators of weight d, in the same
-    # order sym_power_two_term produced them; recompute that order
-    a_exps = _sym_basis_exponents(model.a_weights, d)
-    assert len(a_exps) == len(deg0)
-    u_ring = PolyRing(field, [f"u{k}" for k in range(model.dim_a)], model.a_weights)
-    mat = [[base.zero] * len(deg0) for _ in range(len(tgt_basis))]
-    for col, exps in enumerate(a_exps):
-        mono = Poly(u_ring, {tuple(exps): field.one})
-        for row, (i, sub, texps) in enumerate(tgt_basis):
-            # coefficient of the target monomial in S(Z)(mono)
-            img = _apply_sector_projection(spec, model, mono, i, sub)
-            cval = img.terms.get(tuple(texps), field.zero)
-            if cval:
-                mat[row][col] = base.constant(cval)
-    qmap = ChainMap(sym, target, {0: mat} if tgt_basis and deg0 else {})
-    kc = cone(qmap).shift(-1)
-    # E: kernel of the degree-0 map, higher terms unchanged
-    if tgt_basis and deg0:
-        smat = [[mat[i][j].constant_value() for j in range(len(deg0))]
-                for i in range(len(tgt_basis))]
-        kernel = linalg.nullspace(smat, field)
-    else:
-        kernel = [[field.one if i == j else field.zero for i in range(len(deg0))]
-                  for j in range(len(deg0))]
-    objects = {0: [Generator(f"k{k}", d) for k in range(len(kernel))]} if kernel else {}
-    diffs = {}
-    for n in sym.degrees():
-        if n == 0:
-            continue
-        objects[n] = sym.gens(n)
-        if n > 0:
-            diffs[n] = sym.diff(n)
-    if kernel and sym.rank(1):
-        d0 = [[e.constant_value() for e in row] for row in sym.diff(0)]
-        cols = []
-        for vec in kernel:
-            cols.append([sum((d0[i][j] * vec[j] for j in range(len(vec))), field.zero)
-                         for i in range(len(d0))])
-        diffs[0] = [[base.constant(cols[j][i]) for j in range(len(kernel))]
-                    for i in range(sym.rank(1))]
-    ec = FreeComplex(base, objects, diffs, weight_check=False)
-    return kc, ec, qmap
-
-
-def _sym_basis_exponents(weights, target):
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(i + 1, remaining - e * w, prefix + [e])
-
-    rec(0, target, [])
-    return sorted(out)
-
-
-def _apply_sector_projection(spec, model, mono, marking_index, sub_ring):
-    """S(Z_i) applied to a monomial in the u-variables, landing in
-    S(V^{gamma_i})."""
-    field = spec.field
-    sectors = spec.sectors()
-    images = []
-    for k in range(model.dim_a):
-        img = sub_ring.zero
-        for srow, (i, j) in enumerate(sectors):
-            if i != marking_index:
-                continue
-            cval = model.z_matrix[srow][k]
-            if cval:
-                img = img + cval * sub_ring.gen(f"{spec.vring.names[j]}{i + 1}")
-        images.append(img)
-    return mono.substitute(images) if images else (
-        sub_ring.constant(mono.constant_value()) if mono.is_constant() else sub_ring.zero)
 
 
 def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
@@ -619,8 +501,7 @@ def fundamental_mf(spec, pivot_order=None):
     f = solve_f_minus_one(spec, model, obstruction, pivot_order=pivot_order)
     field = spec.field
     sring = spec.sector_ring()
-    sectors = spec.sectors()
-    n_sect = len(sectors)
+    n_sect = len(model.z_matrix)
     if n_sect == 0 and model.dim_a == model.dim_b and \
             linalg.rank(model.f_matrix, field) == model.dim_a:
         # narrow concentrated case: [A -> B] acyclic, pushforward is the unit
@@ -628,39 +509,29 @@ def fundamental_mf(spec, pivot_order=None):
         mf.metadata["narrow_concentrated"] = True
         return PipelineResult(spec, model, obstruction, f, mf, None, None,
                               list(sring.names), [], None)
-    # choose coordinates: sector rows of Z first, then a greedy complement
-    m_rows = [list(row) for row in model.z_matrix]
-    extra_indices = []
-    for k in range(model.dim_a):
-        candidate = [field.one if j == k else field.zero for j in range(model.dim_a)]
-        trial = m_rows + [candidate]
-        if linalg.rank(trial, field) == len(trial):
-            m_rows = trial
-            extra_indices.append(k)
-        if len(m_rows) == model.dim_a:
-            break
-    if len(m_rows) != model.dim_a:
+    # choose coordinates: sector rows of Z first, then the unit vectors e_k
+    # for the k that are not the last nonzero index of any vector in row(Z);
+    # those last indices are the pivots of Z's right-to-left echelon form
+    _, pivots = linalg.rref(model.z_matrix, field,
+                            col_order=range(model.dim_a - 1, -1, -1))
+    if len(pivots) != n_sect:
         raise SpinDataError("could not complete the sector coordinates to a "
                             "basis; Z is not surjective")
+    pivot_cols = {j for _, j in pivots}
+    extra_indices = [k for k in range(model.dim_a) if k not in pivot_cols]
+    units = linalg.identity(field, model.dim_a)
+    m_rows = [list(row) for row in model.z_matrix] + [units[k] for k in extra_indices]
     m_inv = linalg.invert(m_rows, field)
     sector_names = list(sring.names)
     extra_names = [f"t{i + 1}" for i in range(len(extra_indices))]
     weights = list(sring.weights) + [model.a_weights[k] for k in extra_indices]
     out_ring = PolyRing(field, sector_names + extra_names, weights)
     # u_k = sum_i (M^{-1})[k][i] y_i
-    y_gens = out_ring.gens()
-    u_images = []
-    for k in range(model.dim_a):
-        img = out_ring.zero
-        for i in range(model.dim_a):
-            cval = m_inv[k][i]
-            if cval:
-                img = img + cval * y_gens[i]
-        u_images.append(img)
-    odd = [Generator(f"b{k}", w) for k, w in enumerate(model.b_weights)]
+    u_images = _linear_forms(m_inv, out_ring)
     images_out = [img.substitute(u_images) for img in
-                  (obstruction.scheme.differential)]
-    scheme_out = DgSchemePresentation(out_ring, odd, images_out)
+                  obstruction.scheme.differential]
+    scheme_out = DgSchemePresentation(out_ring, obstruction.scheme.odd_gens,
+                                      images_out)
     f_out = SuperElement(scheme_out, {s: c.substitute(u_images)
                                       for s, c in f.coefficients.items()})
     curved = dgmf_from_homotopy(scheme_out, -f_out)
@@ -679,84 +550,56 @@ def fundamental_mf(spec, pivot_order=None):
 # -- equivariance ----------------------------------------------------------
 
 
-def _function_action(result, g_entries_by_name):
-    """Substitution images for (g . p)(y) = p(g^{-1} y) on the output ring."""
-    ring = result.mf.ring
-    images = []
-    for name in ring.names:
-        scale = g_entries_by_name[name]
-        images.append(scale.inverse() * ring.gen(name))
-    return images
-
-
 def check_equivariance(spec, result, elements=None):
     """Exact conjugation check: for each diagonal group element the induced
-    action on the output module must conjugate delta to itself."""
+    action on the output module must conjugate delta to itself.
+
+    g = diag(g_j) acts on an output coordinate y_k of V-coordinate j by
+    y_k -> g_j^{-1} y_k and on the odd generator of a jet of V-coordinate j
+    by g_j^{-1}; a free generator (a subset of odd generators) carries the
+    product rho of its generators' scalars.  delta is equivariant exactly
+    when every monomial y^e of every entry (i, j) satisfies
+    rho_src[j] == rho_tgt[i] * prod_k s_k^{-e_k}, with s_k = g_j of y_k."""
     if result.scheme_out is None:
         return {"trivial": True, "elements": []}
     elements = elements if elements is not None else [spec.J] + spec.group_generators
-    ring = result.mf.ring
     field = spec.field
+    model = result.model
+    mf = result.mf
     sectors = spec.sectors()
+    # V-coordinate of each output coordinate: a sector's own; an auxiliary
+    # coordinate is dual to a unit A-basis vector and takes the V-coordinate
+    # of the ambient sections that vector is built from (None if mixed)
+    coords = [j for (_i, j) in sectors]
+    for row in result.change_matrix[len(sectors):]:
+        var = {model.raw_basis[r][1] for k, c in enumerate(row) if c
+               for r in range(len(model.raw_basis)) if model.embed[r][k]}
+        coords.append(var.pop() if len(var) == 1 else None)
+    odd_coords = [j for (_c, j, _q, _o) in model.b_basis]
+    subsets = [result.scheme_out.basis_subsets(parity) for parity in (0, 1)]
+    blocks = ((mf.delta0, 0, 1), (mf.delta1, 1, 0))  # (delta, src, tgt parity)
+    exponents = {e for (mat, _s, _t) in blocks for row in mat for entry in row
+                 for e in entry.terms}
     report = []
     for g in elements:
         if not g.is_diagonal():
             report.append({"element": repr(g), "verdict": "skipped: not diagonal"})
             continue
-        diag = g.diagonal_entries()
-        scale_by_name = {}
-        for idx, (i, j) in enumerate(sectors):
-            scale_by_name[result.sector_names[idx]] = diag[j]
-        ok = True
-        if result.extra_names:
-            # auxiliary coordinates are duals of unit A-basis vectors; they
-            # scale by the same variable's eigenvalue
-            for pos, name in enumerate(result.extra_names):
-                # recover which V-coordinate the complement row scales under
-                row = result.change_matrix[len(sectors) + pos]
-                var = set()
-                for k, c in enumerate(row):
-                    if not c:
-                        continue
-                    for r in range(len(result.model.raw_basis)):
-                        if result.model.embed[r][k]:
-                            var.add(result.model.raw_basis[r][1])
-                if len(var) != 1:
-                    ok = False
-                    break
-                scale_by_name[name] = diag[var.pop()]
-        if not ok:
+        if None in coords:
             report.append({"element": repr(g), "verdict": "skipped: mixed weights"})
             continue
-        images = _function_action(result, scale_by_name)
-        odd_scales = []
-        for k, (_c, j, _q, _o) in enumerate(result.model.b_basis):
-            odd_scales.append(diag[j].inverse())
-
-        def subset_scale(gens, names):
-            total = field.one
-            for gname in names:
-                k = int(gname[1:])
-                total = total * odd_scales[k]
-            return total
-
-        good = True
-        for (mat, src_gens, tgt_gens) in ((result.mf.delta0, result.mf.p0_gens,
-                                           result.mf.p1_gens),
-                                          (result.mf.delta1, result.mf.p1_gens,
-                                           result.mf.p0_gens)):
-            for irow, row in enumerate(mat):
-                for jcol, entry in enumerate(row):
-                    if not entry:
-                        continue
-                    src = src_gens[jcol].name
-                    tgt = tgt_gens[irow].name
-                    rho_s = subset_scale(None, [] if src == "1" else src.split("^"))
-                    rho_t = subset_scale(None, [] if tgt == "1" else tgt.split("^"))
-                    lhs = rho_s * entry
-                    rhs = rho_t * entry.substitute(images)
-                    if lhs != rhs:
-                        good = False
+        diag = g.diagonal_entries()
+        inv = [diag[j].inverse() for j in coords]
+        odd_inv = [diag[j].inverse() for j in odd_coords]
+        rho = [[reduce(mul, (odd_inv[k] for k in subset), field.one)
+                for subset in parity_subsets] for parity_subsets in subsets]
+        scale = {e: reduce(mul, (x ** n for x, n in zip(inv, e) if n), field.one)
+                 for e in exponents}
+        good = all(rho[src][j] == rho[tgt][i] * scale[e]
+                   for (mat, src, tgt) in blocks
+                   for i, row in enumerate(mat)
+                   for j, entry in enumerate(row)
+                   for e in entry.terms)
         report.append({"element": repr(g),
                        "verdict": "equivariant" if good else "broken"})
     return {"trivial": False, "elements": report}
@@ -991,7 +834,6 @@ def _omega_to_rj_map(logmodel, omega_cx, rj_cx):
     jets in degree 1 is a chain map into Cone(phi)[-1]; verify and return it,
     or None if the induced maps are not isomorphisms."""
     base = omega_cx.ring
-    field = logmodel.field
     dim_om = len(logmodel.a_om)
     comps = {}
     if dim_om and rj_cx.rank(0):
@@ -1113,7 +955,6 @@ def twisted_diagonal_glue(disconnected, glued):
         if not matched:
             images.append(target_ring.gen(name))
     sub = lambda mrows: [[c.substitute(images) for c in row] for row in mrows]
-    from .factorizations import MatrixFactorization
     pulled = MatrixFactorization(target_ring, result_disc.mf.p0_gens,
                                  result_disc.mf.p1_gens,
                                  sub(result_disc.mf.delta0),

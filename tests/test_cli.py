@@ -292,3 +292,10 @@ def test_mutated_inputs_give_documented_exit_codes(tmp_path):
             assert code in (0, 2, 3, 4, 5), f"{command} exited {code} on:\n{mutated}"
             runs += 1
     assert runs > 500
+
+
+def test_rig_negative_power_of_z(tmp_path):
+    _, plain = _run(tmp_path, "fundamental", SPIN)
+    _, want = _run(tmp_path, "fundamental", SPIN.replace("rig z\n", "rig -z\n"))
+    code, got = _run(tmp_path, "fundamental", SPIN.replace("rig z\n", "rig z^-1\n"))
+    assert code == 0 and got == want and got != plain

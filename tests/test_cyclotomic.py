@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,19 @@ def test_cross_field_mixing_rejected():
     F4, F5 = CyclotomicField(4), CyclotomicField(5)
     with pytest.raises(ValueError):
         F4.zeta + F5.zeta
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 12])
+def test_parse_reads_every_power_of_z(order):
+    F = CyclotomicField(order)
+    rng = random.Random(order)
+    for _ in range(20):
+        a = F.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(F.degree)])
+        assert F.parse(str(a)) == a
+    assert F.parse("z^-1") == F.zeta.inverse()
+    assert F.parse(f"z^{order + 1}") == F.zeta
+    # powers at and past 2*phi(N) - 1, and negative ones, next to other terms
+    high = 2 * F.degree + 1
+    assert F.parse(f"1 + 3/2*z^{high} - z^-2") == (
+        F.one + Fraction(3, 2) * F.zeta ** high - F.zeta.inverse() ** 2)

@@ -4,6 +4,7 @@ import pytest
 
 from dgmf import (
     CertificateError,
+    CyclotomicField,
     GroupElement,
     SpinDataError,
     build_obstruction,
@@ -19,6 +20,7 @@ from dgmf import (
     two_term_realization,
     cech_oracle,
 )
+from dgmf import linalg
 from dgmf.specfile import parse_spec
 
 BROAD = """[field]
@@ -103,6 +105,44 @@ marking c1 at -1 gamma diag(1) rig z
 node c0 at -1 rig z ~ c1 at 1 rig 1
 divisor c0 at 0 mult 1
 divisor c1 at 0 mult 1
+"""
+
+
+# W = x^3 over Q(zeta_12): J = diag(zeta_3) = diag(z^4)
+A2_ZETA12 = """[field]
+order = 12
+[potential]
+variables = x:1
+W = x^3
+d = 3
+[group]
+generator = diag(z^4)
+J = diag(z^4)
+[curve]
+component c0
+bundle c0 = -1
+marking c0 at 1 gamma diag(1) rig 1
+marking c0 at -1 gamma diag(1) rig z^3
+divisor c0 at 0 mult 2
+"""
+
+XY = """[field]
+order = 4
+[potential]
+variables = x:1, y:1
+W = x^2 + y^2
+d = 2
+[group]
+generator = diag(-1, -1)
+J = diag(-1, -1)
+J_sqrt = z
+[curve]
+component c0
+bundle c0 = 0, 0
+marking c0 at 1 gamma diag(1, 1) rig 1, 1
+marking c0 at -1 gamma diag(1, 1) rig z, z
+divisor c0 at -2 mult 2
+eta c0 = (2) / (t^2 + (-1))
 """
 
 
@@ -286,3 +326,74 @@ def test_solve_f_minus_one_rejects_a_wrong_solution(wrong_solve):
     obstruction = build_obstruction(spec, model)
     with pytest.raises(CertificateError):
         solve_f_minus_one(spec, model, obstruction)
+
+
+@pytest.mark.parametrize("text", [BROAD, A2_ZETA12], ids=["a1-zeta4", "a2-zeta12"])
+def test_equivariance_verdicts_follow_the_character(text):
+    """diag(zeta^k) preserves sum_i W_i of degree d exactly when
+    zeta^(kd) = 1; every other k must be reported broken."""
+    spec = _spec(text)
+    r = fundamental_mf(spec)
+    F = spec.field
+    elements = [GroupElement.diagonal(spec.vring, [F.zeta_power(k)])
+                for k in range(F.order)]
+    report = check_equivariance(spec, r, elements=elements)
+    verdicts = [e["verdict"] for e in report["elements"]]
+    assert verdicts == ["equivariant" if F.zeta_power(k * spec.degree_d) == F.one
+                        else "broken" for k in range(F.order)]
+    assert "broken" in verdicts
+
+
+def _greedy_complement(z_matrix, field, dim):
+    """Reference: append e_0, e_1, ... to the rows of Z whenever the rank
+    grows, until the rows form a basis."""
+    rows, extra = [list(row) for row in z_matrix], []
+    for k in range(dim):
+        trial = rows + [[field.one if j == k else field.zero for j in range(dim)]]
+        if linalg.rank(trial, field) == len(trial):
+            rows, extra = trial, extra + [k]
+        if len(rows) == dim:
+            break
+    return rows, extra
+
+
+@pytest.mark.parametrize("text", [
+    BROAD.replace("divisor c0 at 0 mult 1", "divisor c0 at 2 mult 3"),
+    BROAD.replace("divisor c0 at 0 mult 1", "divisor c0 at 0 mult 4"),
+    BROAD.replace("divisor c0 at 0 mult 1",
+                  "divisor c0 at 0 mult 1\ndivisor c0 at -2 mult 2"),
+    XY,
+    XY.replace("gamma diag(1, 1) rig z, z", "gamma diag(1, -1) rig z, z")
+      .replace("bundle c0 = 0, 0", "bundle c0 = 0, -1"),
+    A2_ZETA12.replace("divisor c0 at 0 mult 2", "divisor c0 at 3 mult 3"),
+], ids=["a1-off-m3", "a1-m4", "a1-two-points", "xy-off-m2", "xy-mixed-sectors",
+        "a2-zeta12-off-m3"])
+def test_complement_matches_the_greedy_choice(text):
+    spec = _spec(text)
+    r = fundamental_mf(spec)
+    rows, extra = _greedy_complement(r.model.z_matrix, spec.field, r.model.dim_a)
+    assert extra
+    assert r.change_matrix == rows
+    assert r.extra_names == [f"t{i + 1}" for i in range(len(extra))]
+    n_sect = len(r.sector_names)
+    assert list(r.mf.ring.weights[n_sect:]) == [r.model.a_weights[k] for k in extra]
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_right_to_left_pivots_are_the_greedy_complement(order):
+    F = CyclotomicField(order)
+    rng = random.Random(order)
+    values = [F.zero] * 3 + [F.scalar(v) for v in (1, -1, 2)] + [
+        F.one + F.zeta_power(k) for k in range(1, order)]
+    checked = 0
+    while checked < 60:
+        dim = rng.randint(1, 6)
+        z = [[rng.choice(values) for _ in range(dim)]
+             for _ in range(rng.randint(0, dim))]
+        if z and linalg.rank(z, F) < len(z):
+            continue
+        _, pivots = linalg.rref(z, F, col_order=range(dim - 1, -1, -1))
+        pivot_cols = {j for _, j in pivots}
+        assert [k for k in range(dim) if k not in pivot_cols] == \
+            _greedy_complement(z, F, dim)[1]
+        checked += 1
