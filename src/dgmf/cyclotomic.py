@@ -4,12 +4,19 @@ Elements are represented by their unique reduced form: a rational-coefficient
 polynomial in z = zeta_N of degree < phi(N), reduced modulo the N-th
 cyclotomic polynomial.  All arithmetic is exact (``fractions.Fraction``
 coefficients); nothing is ever rounded.
+
+Products run on an integer kernel.  A rational factor (zero included) just
+scales the other one.  Otherwise each operand is scaled to an integer vector
+by the lcm of its denominators, the two are convolved in ints and reduced by
+one integer table of the monic, integer Phi_N, and the phi(N) result
+Fractions are built once over the product of the two denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def _poly_divmod(num, den):
@@ -26,6 +33,16 @@ def _poly_divmod(num, den):
     while num and num[-1] == 0:
         num.pop()
     return q, num
+
+
+_ZERO = Fraction(0)
+
+
+def _integer_vector(coeffs):
+    """(ints, den) with coeffs[k] == ints[k] / den; den is the lcm of the
+    denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @lru_cache(maxsize=None)
@@ -51,19 +68,18 @@ class CyclotomicField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1  # = phi(order)
-        # reduction table: z^k for k in [degree, 2*degree-2] as reduced vectors
+        # Phi_N is monic with integer coefficients, so z^k for k in
+        # [degree, 2*degree-2] reduces to an integer vector; each row keeps
+        # only its nonzero (index, coefficient) pairs
+        zd = [-int(c) for c in self.modulus[:-1]]  # z^degree
+        row = zd
         self._reduction = []
-        if self.degree > 0:
-            prev = [-c for c in self.modulus[:-1]]  # z^degree
-            self._reduction.append(list(prev))
-            for _ in range(self.degree - 2):
-                nxt = [Fraction(0)] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    for i in range(self.degree):
-                        nxt[i] += top * self._reduction[0][i]
-                self._reduction.append(nxt)
-                prev = nxt
+        for _ in range(max(1, self.degree - 1)):
+            self._reduction.append([(i, c) for i, c in enumerate(row) if c])
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [x + top * y for x, y in zip(row, zd)]
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -109,24 +125,21 @@ class CyclotomicField:
     def zeta_power(self, k):
         return self.zeta ** (k % self.order)
 
-    def _reduce(self, coeffs):
-        """Reduce a coefficient list of length <= 2*degree-1 mod the modulus."""
+    def _reduce(self, ints, den):
+        """The Scalar sum(ints[k] * z^k) / den, for a positive integer den and
+        an integer list of length <= 2*degree-1 (<= 2 when degree is 1)."""
         d = self.degree
-        out = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
+        if len(ints) > d + len(self._reduction):
+            raise ValueError("too many coefficients to reduce")
+        out = ints[:d] + [0] * (d - len(ints))
+        for c, row in zip(ints[d:], self._reduction):
             if c:
-                row = self._reduction[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return Scalar(self, tuple(out))
+                for i, t in row:
+                    out[i] += c * t
+        return Scalar(self, tuple([Fraction(n, den) if n else _ZERO for n in out]))
 
     def from_coeffs(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            return self._reduce(coeffs)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return Scalar(self, tuple(coeffs))
+        return self._reduce(*_integer_vector([Fraction(c) for c in coeffs]))
 
     def parse(self, text):
         """Inverse of ``str(scalar)``: reads "a0 + a1*z + a2*z^2 + ...". """
@@ -223,13 +236,24 @@ class Scalar:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (2 * len(a) - 1) if a else []
+        # a rational factor (zero included) scales the other one
+        if not any(b[1:]):
+            c = b[0]
+            return Scalar(self.field, tuple([x * c if x else x for x in a])) if c else other
+        if not any(a[1:]):
+            c = a[0]
+            return Scalar(self.field, tuple([c * x if x else x for x in b])) if c else self
+        # scale both to integer vectors, convolve in ints, reduce once and
+        # divide by the product of the two denominators
+        a, da = _integer_vector(a)
+        b, db = _integer_vector(b)
+        b = [(j, bj) for j, bj in enumerate(b) if bj]
+        prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return self.field._reduce(prod)
+                for j, bj in b:
+                    prod[i + j] += ai * bj
+        return self.field._reduce(prod, da * db)
 
     __rmul__ = __mul__
 

@@ -519,6 +519,7 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
         target1 = [[ring.one if i == j else ring.zero for j in range(n1)]
                    for i in range(n1)]
     monos = _monomials_up_to(ring, degree_bound)
+    shifts = [next(iter(mono.terms)) for mono in monos]
     # unknowns: h0[i1][j0] (P0->P1) and h1[i0][j1] (P1->P0), each a combo of monos
     nvars_h0 = n1 * n0 * len(monos)
     nvars_h1 = n0 * n1 * len(monos)
@@ -531,29 +532,31 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
 
     equations = {}  # (block, i, j, exponent) -> row dict var -> Scalar
 
-    def add_term(block, i, j, poly, var):
+    def add_term(block, i, j, poly, var, shift):
+        # poly * monomial: a monomial factor shifts exponents and cancels nothing
         for e, c in poly.terms.items():
-            row = equations.setdefault((block, i, j, e), {})
-            row[var] = row.get(var, field.zero) + c
+            key = (block, i, j, tuple([a + b for a, b in zip(e, shift)]))
+            row = equations.setdefault(key, {})
+            row[var] = row[var] + c if var in row else c
 
     # block 0: delta1 h0 + h1 delta0 = target0  (P0 -> P0)
     for i in range(n0):
         for j in range(n0):
             for k in range(n1):
-                for mi, mono in enumerate(monos):
-                    add_term(0, i, j, mf.delta1[i][k] * mono, h0_var(k, j, mi))
+                for mi, shift in enumerate(shifts):
+                    add_term(0, i, j, mf.delta1[i][k], h0_var(k, j, mi), shift)
             for k in range(n1):
-                for mi, mono in enumerate(monos):
-                    add_term(0, i, j, mono * mf.delta0[k][j], h1_var(i, k, mi))
+                for mi, shift in enumerate(shifts):
+                    add_term(0, i, j, mf.delta0[k][j], h1_var(i, k, mi), shift)
     # block 1: delta0 h1 + h0 delta1 = target1  (P1 -> P1)
     for i in range(n1):
         for j in range(n1):
             for k in range(n0):
-                for mi, mono in enumerate(monos):
-                    add_term(1, i, j, mf.delta0[i][k] * mono, h1_var(k, j, mi))
+                for mi, shift in enumerate(shifts):
+                    add_term(1, i, j, mf.delta0[i][k], h1_var(k, j, mi), shift)
             for k in range(n0):
-                for mi, mono in enumerate(monos):
-                    add_term(1, i, j, mono * mf.delta1[k][j], h0_var(i, k, mi))
+                for mi, shift in enumerate(shifts):
+                    add_term(1, i, j, mf.delta1[k][j], h0_var(i, k, mi), shift)
 
     rhs_map = {}
     for i in range(n0):
@@ -630,7 +633,8 @@ def point_homology(mf, point):
     h_i = rank P_i - rank delta0 - rank delta1.
     """
     field = mf.ring.field
-    restricted = mf.restrict_to_point(point)
+    # an MF over the point base (no variables) is its own restriction
+    restricted = mf.restrict_to_point(point) if mf.ring.nvars else mf
     if restricted.potential:
         return (0, 0)
     d0 = [[c.constant_value() for c in row] for row in restricted.delta0]
@@ -650,16 +654,18 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
     """Per-point contractibility report; certificates come from the homotopy
     solver and are verified exactly before being reported.  At a point every
     contracting homotopy is constant, so a contractible verdict without one
-    means the solver and the rank verdict disagree: CertificateError."""
+    means the solver and the rank verdict disagree: CertificateError.
+    Each point restricts the MF once (one delta^2 check); the verdict and
+    the certificate both read that restriction."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []
     for point in points:
-        verdict = point_verdict(mf, point)
+        restricted = mf.restrict_to_point(point)
+        verdict = point_verdict(restricted, ())
         cert = None
         if verdict == CONTRACTIBLE and with_certificates:
-            cert = nullhomotopy_solve(mf.restrict_to_point(point),
-                                      degree_bound=degree_bound)
+            cert = nullhomotopy_solve(restricted, degree_bound=degree_bound)
             if cert is None:
                 raise CertificateError(
                     f"no contracting homotopy at the contractible point {point}")

@@ -1,8 +1,12 @@
 """Exact dense linear algebra over Q(zeta_N).
 
-Matrices are plain lists of lists of Scalar.  Everything here is fraction-free
-in spirit but not in implementation: Fraction coefficients make exactness
-automatic, and the sizes in this package are desk-scale.
+Matrices are plain lists of lists of Scalar.  ``rref`` is Gauss-Jordan
+elimination that skips zeros: it scales the pivot row, lists that row's
+nonzero columns once, and updates each other row with a nonzero in the pivot
+column on those columns only.  The systems here (homotopy equations, MF
+restrictions) are sparse with small coefficients, so the cost is the number
+of Scalar operations, not coefficient growth.  The reduced row echelon form
+is unique, so skipping zeros changes no result.
 
 ``zeros``, ``identity``, ``mat_mul`` and ``mat_add`` only touch ``.zero`` and
 ``.one`` of their base, so they serve Poly matrices too: pass the PolyRing
@@ -84,11 +88,14 @@ def rref(matrix, field, col_order=None):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = m[r][j].inverse()
-        m[r] = [inv * x for x in m[r]]
+        prow = m[r] = [inv * x for x in m[r]]
+        nonzero_cols = [k for k, y in enumerate(prow) if y]
         for i in range(rows):
-            if i != r and m[i][j]:
-                c = m[i][j]
-                m[i] = [x - c * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            c = row[j]
+            if i != r and c:
+                for k in nonzero_cols:
+                    row[k] = row[k] - c * prow[k]
         pivots.append((r, j))
         r += 1
     return m, pivots

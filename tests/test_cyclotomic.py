@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmf import CyclotomicField, cyclotomic_polynomial
+from dgmf.cyclotomic import Scalar
 
 
 def test_cyclotomic_polynomials():
@@ -97,3 +98,53 @@ def test_parse_reads_every_power_of_z(order):
     high = 2 * F.degree + 1
     assert F.parse(f"1 + 3/2*z^{high} - z^-2") == (
         F.one + Fraction(3, 2) * F.zeta ** high - F.zeta.inverse() ** 2)
+
+
+def _reference_product(F, a, b):
+    """Schoolbook Fraction convolution, then division by the monic Phi_N
+    from the top coefficient down."""
+    d = F.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            prod[i + j] += ai * bj
+    phi = cyclotomic_polynomial(F.order)
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i, p in enumerate(phi):
+            prod[k - d + i] -= c * p
+    return tuple(prod[:d])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12])
+def test_product_matches_fraction_reference(order):
+    F = CyclotomicField(order)
+    rng = random.Random(f"product:{order}")
+
+    def coeff():
+        bits = rng.choice([3, 20, 64])
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    def element(kind):
+        if kind == "zero":
+            return F.zero
+        if kind == "rational":
+            return F.scalar(coeff())
+        cs = [coeff() if rng.random() < 0.8 else 0 for _ in range(F.degree)]
+        if F.degree > 1 and not any(cs[1:]):
+            cs[-1] = Fraction(-(2 ** 64) + 1, 2 ** 64 - 59)
+        a = Scalar(F, tuple(Fraction(c) for c in cs))
+        assert F.from_coeffs(cs).coeffs == a.coeffs
+        return a
+
+    kinds = ["zero", "rational", "general"]
+    for ka in kinds:
+        for kb in kinds:
+            for _ in range(60 if ka == kb == "general" else 8):
+                a, b = element(ka), element(kb)
+                if F.degree > 1 and ka == "general":
+                    assert not a.is_rational()
+                product = a * b
+                assert product.coeffs == _reference_product(F, a, b)
+                assert all(type(c) is Fraction for c in product.coeffs)
+                assert product == b * a

@@ -182,6 +182,24 @@ def test_support_check_report():
     assert report[2]["verdict"] == CONTRACTIBLE
 
 
+def test_support_check_restricts_and_checks_once_per_point(monkeypatch):
+    R = _ring(1)
+    x = R.gen("x0")
+    mf = koszul_mf(R, [x ** 2], [x])
+    checked = []
+    verify = factorizations.MatrixFactorization.verify
+
+    def recording_verify(self):
+        checked.append(self.ring.nvars)
+        return verify(self)
+
+    monkeypatch.setattr(factorizations.MatrixFactorization, "verify", recording_verify)
+    report = support_check(mf, [[F.zero], [F.one], [F.scalar(-2)]])
+    assert [entry["certificate"] is not None for entry in report] == [False, True, True]
+    # the verdict and the certificate share one restriction, checked once
+    assert checked == [0, 0, 0]
+
+
 def test_gauge_intertwiner_between_equivalent_curvings():
     # f and f + d(h) fold to gauge-equivalent factorizations
     R = _ring(2)

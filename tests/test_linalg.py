@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
-from dgmf import CyclotomicField
+import pytest
+
+from dgmf import CyclotomicField, PolyRing, koszul_mf, nullhomotopy_solve
 from dgmf import linalg
 
 F = CyclotomicField(4)
@@ -68,3 +71,84 @@ def test_mat_ops():
     a = [[F.one, F.zeta], [F.zero, F.one]]
     assert linalg.transpose(a) == [[F.one, F.zero], [F.zeta, F.one]]
     assert linalg.mat_add(a, linalg.mat_neg(a)) == linalg.zeros(F, 2, 2)
+
+
+def _reference_rref(matrix, col_order=None):
+    """Dense Gauss-Jordan: scale the whole pivot row, update every entry of
+    every other row that has a nonzero in the pivot column."""
+    m = [list(row) for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    if col_order is None:
+        col_order = list(range(cols))
+    pivots = []
+    r = 0
+    for j in col_order:
+        if r >= rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][j]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][j].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][j]:
+                c = m[i][j]
+                m[i] = [x - c * y for x, y in zip(m[i], m[r])]
+        pivots.append((r, j))
+        r += 1
+    return m, pivots
+
+
+def _assert_rref_matches_reference(matrix, field, rng):
+    cols = len(matrix[0])
+    shuffled = list(range(cols))
+    rng.shuffle(shuffled)
+    for order in (None, list(range(cols - 1, -1, -1)), shuffled):
+        assert linalg.rref(matrix, field, order) == _reference_rref(matrix, order)
+
+
+@pytest.mark.parametrize("order", [3, 4, 7, 12])
+def test_rref_matches_dense_reference_on_sparse_matrices(order):
+    field = CyclotomicField(order)
+    rng = random.Random(f"rref:{order}")
+
+    def entry():
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+              for _ in range(field.degree)]
+        cs[rng.randrange(1, field.degree)] = Fraction(rng.choice([-3, -1, 1, 2]))
+        return field.from_coeffs(cs)
+
+    for rows, cols in [(4, 5), (6, 6), (8, 5), (9, 11), (12, 13)]:
+        density = rng.uniform(0.2, 0.4)
+        m = [[entry() if rng.random() < density else field.zero
+              for _ in range(cols)] for _ in range(rows)]
+        assert any(not x.is_rational() for row in m for x in row)
+        _assert_rref_matches_reference(m, field, rng)
+
+
+def test_rref_matches_dense_reference_on_a_homotopy_system(monkeypatch):
+    # the certified support check of a rank-4 Koszul MF over Q(zeta_7) at a
+    # generic point solves one 32 x 33 system; its fill-in is the hard case
+    field = CyclotomicField(7)
+    z = field.zeta
+    ring = PolyRing(field, ["x0", "x1", "x2", "y"])
+    xs, y = [ring.gen(f"x{i}") for i in range(3)], ring.gen("y")
+    cs = [1 + z, 2 - z ** 3, z ** 2 + z ** 5]
+    mf = koszul_mf(ring, [c * x for c, x in zip(cs, xs)], [x * y for x in xs])
+    point = [1 + z ** 2, 3 - z, z ** 4 - 2, 1 + z ** 3]
+    systems = []
+    rref = linalg.rref
+
+    def recording_rref(matrix, field, col_order=None):
+        systems.append(matrix)
+        return rref(matrix, field, col_order)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    assert nullhomotopy_solve(mf.restrict_to_point(point)) is not None
+    monkeypatch.undo()
+    (system,) = systems
+    assert (len(system), len(system[0])) == (32, 33)
+    _assert_rref_matches_reference(system, field, random.Random("homotopy"))
