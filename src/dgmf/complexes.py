@@ -67,9 +67,6 @@ class FreeComplex:
     def rank(self, n):
         return len(self.objects.get(n, []))
 
-    def total_rank(self):
-        return sum(len(g) for g in self.objects.values())
-
     def gens(self, n):
         return self.objects.get(n, [])
 

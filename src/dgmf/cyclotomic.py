@@ -105,11 +105,11 @@ class CyclotomicField:
 
     @property
     def zero(self):
-        return self.scalar(0)
+        return _constants(self.order)[0]
 
     @property
     def one(self):
-        return self.scalar(1)
+        return _constants(self.order)[1]
 
     @property
     def zeta(self):
@@ -125,9 +125,10 @@ class CyclotomicField:
     def zeta_power(self, k):
         return self.zeta ** (k % self.order)
 
-    def _reduce(self, ints, den):
-        """The Scalar sum(ints[k] * z^k) / den, for a positive integer den and
-        an integer list of length <= 2*degree-1 (<= 2 when degree is 1)."""
+    def reduce_integers(self, ints):
+        """The integer vector of length degree equal to sum(ints[k] * z^k) mod
+        Phi_N, for an integer list of length <= 2*degree-1 (<= 2 when degree
+        is 1)."""
         d = self.degree
         if len(ints) > d + len(self._reduction):
             raise ValueError("too many coefficients to reduce")
@@ -136,7 +137,12 @@ class CyclotomicField:
             if c:
                 for i, t in row:
                     out[i] += c * t
-        return Scalar(self, tuple([Fraction(n, den) if n else _ZERO for n in out]))
+        return out
+
+    def _reduce(self, ints, den):
+        """The Scalar sum(ints[k] * z^k) / den, for a positive integer den."""
+        return Scalar(self, tuple([Fraction(n, den) if n else _ZERO
+                                   for n in self.reduce_integers(ints)]))
 
     def from_coeffs(self, coeffs):
         return self._reduce(*_integer_vector([Fraction(c) for c in coeffs]))
@@ -167,6 +173,14 @@ class CyclotomicField:
                 power = 0
             total = total + coeff * self.zeta_power(power)
         return total
+
+
+@lru_cache(maxsize=None)
+def _constants(order):
+    """(zero, one) of Q(zeta_order), built once: Scalars are immutable, and
+    keying by the order keeps the cache off the field object."""
+    field = CyclotomicField(order)
+    return field.scalar(0), field.scalar(1)
 
 
 class Scalar:

@@ -12,9 +12,12 @@ factorization of the curvature d(f).
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .complexes import Generator
+from .cyclotomic import _integer_vector
+from .poly import Poly, PolyRing, evaluator
 
 
 class CertificateError(ValueError):
@@ -274,20 +277,26 @@ class MatrixFactorization:
         return len(self.p1_gens)
 
     def verify(self):
+        """Certify delta1 . delta0 = W . id and delta0 . delta1 = W . id
+        exactly, without building either composite (``first_mismatch``).
+        The first failing entry, row by row and delta1 . delta0 first, is
+        reported in a CertificateError."""
         if len(self.delta0) != self.rank1 or any(len(r) != self.rank0 for r in self.delta0):
             raise ValueError("delta0 has wrong shape")
         if len(self.delta1) != self.rank0 or any(len(r) != self.rank1 for r in self.delta1):
             raise ValueError("delta1 has wrong shape")
+        zero = self.ring.zero
         for a, b, n in ((self.delta1, self.delta0, self.rank0),
                         (self.delta0, self.delta1, self.rank1)):
-            comp = _square(a, b, self.ring, n)
-            for i in range(n):
-                for j in range(n):
-                    expected = self.potential if i == j else self.ring.zero
-                    if comp[i][j] != expected:
-                        raise CertificateError(
-                            f"delta^2 != W . id at entry ({i},{j}): "
-                            f"{comp[i][j]} vs {expected}")
+            target = [[self.potential if i == j else zero for j in range(n)]
+                      for i in range(n)]
+            bad = first_mismatch([(a, b)], target, self.ring.field)
+            if bad is not None:
+                i, j = bad
+                entry = sum((c * row[j] for c, row in zip(a[i], b)), zero)
+                raise CertificateError(
+                    f"delta^2 != W . id at entry ({i},{j}): "
+                    f"{entry} vs {target[i][j]}")
         return True
 
     def __eq__(self, other):
@@ -299,13 +308,15 @@ class MatrixFactorization:
 
     def restrict_to_point(self, point):
         """Evaluate all entries at a Scalar tuple; returns a new MF over the
-        point base (the zero-variable ring)."""
-        from .poly import PolyRing
+        point base (the zero-variable ring), certified by its own ``verify``.
+        One evaluation map serves every entry, so each monomial's value at
+        the point is computed once for the whole MF."""
         base = PolyRing(self.ring.field, [], [])
-        ev = lambda m: [[base.constant(c.evaluate(point)) for c in row] for row in m]
+        ev = evaluator(self.ring, point)
+        at = lambda m: [[base.constant(ev(c)) for c in row] for row in m]
         return MatrixFactorization(
-            base, self.p0_gens, self.p1_gens, ev(self.delta0), ev(self.delta1),
-            base.constant(self.potential.evaluate(point)))
+            base, self.p0_gens, self.p1_gens, at(self.delta0), at(self.delta1),
+            base.constant(ev(self.potential)))
 
     def restrict_to_line(self, point_images):
         """Substitute each variable by a univariate polynomial in t (as a Poly
@@ -317,10 +328,100 @@ class MatrixFactorization:
             self.potential.substitute(point_images))
 
 
-def _square(a, b, ring, n):
-    """The n x n composite a . b.  A 0-row ``b`` (inner rank 0, as in the
-    unit MF) has lost its column count, and the composite is zero."""
-    return linalg.mat_mul(a, b, ring) if b else linalg.zeros(ring, n, n)
+def _terms(poly):
+    """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
+    the coefficient is sum(integer * zeta^k) / denominator."""
+    out = []
+    for e, c in poly.terms.items():
+        ints, den = _integer_vector(c.coeffs)
+        out.append((e, [(k, x) for k, x in enumerate(ints) if x], den))
+    return out
+
+
+def first_mismatch(products, target, field):
+    """The first (i, j), row by row, at which sum(a . b for a, b in products)
+    differs from ``target`` (a matrix of Poly over ``field``); None if equal.
+
+    Exact, and no product Poly or Scalar is built.  Every nonzero entry is
+    turned once into integer terms with packed exponents, and the nonzero
+    columns of each row are listed once (Gustavson's row-by-row product).  Row i then accumulates,
+    per column and exponent, one unreduced integer vector of length
+    2*phi(N) - 1 over the lcm of its denominators, reduces it by Phi_N once
+    and compares it with the target by cross-multiplying denominators."""
+    cache = {}  # id -> terms; every entry stays alive in its matrix meanwhile
+
+    def terms(poly):
+        t = cache.get(id(poly))
+        if t is None:
+            t = cache[id(poly)] = _terms(poly)
+        return t
+
+    sparse = lambda m: [[(j, terms(c)) for j, c in enumerate(row) if c.terms] for row in m]
+    products = [(sparse(a), sparse(b)) for a, b in products]
+    target = [dict(row) for row in sparse(target)]
+    # pack each exponent into one int, `shift` bits per variable: enough for
+    # every exponent here and every sum of two, so a product's exponent is
+    # the sum of its factors' and distinct exponents stay distinct
+    top = max((x for ts in cache.values() for e, _, _ in ts for x in e), default=0)
+    shift = (2 * top + 1).bit_length()
+    for ts in cache.values():
+        ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
+                 for e, vec, d in ts]
+    width = 2 * field.degree - 1
+    for i, want in enumerate(target):
+        acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
+        for a, b in products:
+            for k, ta in a[i]:
+                for j, tb in b[k]:
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    for ea, va, da in ta:
+                        for eb, vb, db in tb:
+                            e = ea + eb
+                            d = da * db
+                            slot = cell.get(e)
+                            if slot is None:
+                                slot = cell[e] = [d, [0] * width]
+                            den, ints = slot
+                            scale = 1
+                            if d != den:
+                                common = lcm(den, d)
+                                if common != den:
+                                    f = common // den
+                                    slot[:] = common, [x * f for x in ints]
+                                    den, ints = slot
+                                scale = den // d
+                            for ka, xa in va:
+                                xa *= scale
+                                for kb, xb in vb:
+                                    ints[ka + kb] += xa * xb
+        for j in sorted(acc.keys() | want.keys()):
+            if not _agrees(acc.get(j, {}), want.get(j, ()), field):
+                return i, j
+    return None
+
+
+def _agrees(cell, expected, field):
+    """Whether the accumulated {exponent: [den, unreduced ints]} equals the
+    Poly whose ``_terms`` are ``expected``."""
+    expected = {e: (v, d) for e, v, d in expected}
+    for e, (den, ints) in cell.items():
+        got = field.reduce_integers(ints) if any(ints) else None
+        w = expected.pop(e, None)
+        if w is None:
+            if got is not None and any(got):
+                return False
+        elif got is None:
+            return False
+        else:
+            v, wden = w
+            diff = [g * wden for g in got]
+            for k, x in v:
+                diff[k] -= x * den
+            if any(diff):
+                return False
+    return not expected
 
 
 def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
@@ -584,17 +685,13 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
           for i in range(n1)]
     h1 = [[_from_combo(ring, monos, sol, h1_var(i, j, 0)) for j in range(n1)]
           for i in range(n0)]
-    lhs0 = linalg.mat_add(_square(mf.delta1, h0, ring, n0),
-                          _square(h1, mf.delta0, ring, n0))
-    lhs1 = linalg.mat_add(_square(mf.delta0, h1, ring, n1),
-                          _square(h0, mf.delta1, ring, n1))
-    if lhs0 != target0 or lhs1 != target1:
+    if (first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field) is not None
+            or first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field) is not None):
         raise CertificateError("solved homotopy fails delta h + h delta = target")
     return h0, h1
 
 
 def _monomials_up_to(ring, bound):
-    from .poly import Poly
     out = []
     for total in range(bound + 1):
         for exps in _exps_of_total(ring.nvars, total):
@@ -763,7 +860,6 @@ def _solve_d_preimage(scheme, target, degree, weight, col_order=None):
     rows = {}
     columns = []
     for subset, exps in basis:
-        from .poly import Poly
         elt = SuperElement(scheme, {subset: Poly(ring, {exps: field.one})})
         image = scheme.d(elt)
         col = {}
@@ -788,7 +884,6 @@ def _solve_d_preimage(scheme, target, degree, weight, col_order=None):
     if sol is None:
         return None
     terms = {}
-    from .poly import Poly
     for j, (subset, exps) in enumerate(basis):
         if sol[j]:
             cur = terms.get(subset, ring.zero)

@@ -130,12 +130,6 @@ class GroupElement:
              for i in range(n)]
         return linalg.nullspace(m, f)
 
-    def apply_vector(self, vec):
-        """Matrix-vector action on a fiber vector of Scalars."""
-        f = self.ring.field
-        return [sum((self.matrix[i][j] * vec[j] for j in range(len(vec))), f.zero)
-                for i in range(len(vec))]
-
     def __repr__(self):
         rows = "; ".join(", ".join(str(c) for c in row) for row in self.matrix)
         return f"GroupElement([{rows}], order={self.order})"

@@ -200,14 +200,6 @@ def pair_pushforward(f, p):
     return PairObject(fa, fb, ChainMap(fb, fa, comps))
 
 
-def push_complex(f, c):
-    """Pushforward of a bare complex along the same morphism shapes."""
-    if f.kind == "identity":
-        return c
-    # for a bare complex only the beta transports apply
-    return _transport_complex(c, f.transport_beta)
-
-
 def check_commutation(f, p):
     """Certificate that Rj^! Rf_* (P) and Rf_* Rj^! (P) agree.
 

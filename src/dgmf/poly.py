@@ -167,6 +167,39 @@ def _split_factors(term):
     return factors
 
 
+def evaluator(ring, point):
+    """The map Poly -> Scalar of evaluation at ``point`` (Scalars, ints or
+    Fractions).  Each monomial value is computed once, from one table of
+    powers per coordinate, and shared by every Poly the map is applied to."""
+    field = ring.field
+    point = [field.scalar(p) for p in point]
+    if len(point) != ring.nvars:
+        raise ValueError("point dimension mismatch")
+    one, zero = field.one, field.zero
+    powers = [[one] for _ in point]  # powers[v][k] = point[v] ** k
+    monomials = {}
+
+    def monomial(e):
+        val = one
+        for p, pw, k in zip(point, powers, e):
+            if k:
+                while len(pw) <= k:
+                    pw.append(pw[-1] * p)
+                val = val * pw[k]
+        return val
+
+    def evaluate(poly):
+        total = zero
+        for e, c in poly.terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = monomials[e] = monomial(e)
+            total = total + c * m
+        return total
+
+    return evaluate
+
+
 class Poly:
     """Immutable multivariate polynomial; no zero coefficients are stored."""
 
@@ -266,9 +299,6 @@ class Poly:
         zero_exp = (0,) * self.ring.nvars
         return self.terms.get(zero_exp, self.ring.field.zero)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def weight(self):
         """Weighted degree if quasihomogeneous.
 
@@ -301,18 +331,7 @@ class Poly:
 
     def evaluate(self, point):
         """Evaluate at a tuple of Scalars (or ints/Fractions)."""
-        field = self.ring.field
-        point = [field.scalar(p) if not isinstance(p, type(field.zero)) else p for p in point]
-        if len(point) != self.ring.nvars:
-            raise ValueError("point dimension mismatch")
-        total = field.zero
-        for e, c in self.terms.items():
-            val = c
-            for p, exp in zip(point, e):
-                if exp:
-                    val = val * p ** exp
-            total = total + val
-        return total
+        return evaluator(self.ring, point)(self)
 
     def substitute(self, images):
         """Substitute each variable by the given Poly (in any ring)."""
@@ -327,10 +346,6 @@ class Poly:
                     term = term * img ** exp
             result = result + term
         return result
-
-    def map_coefficients(self, fn, ring=None):
-        ring = ring or self.ring
-        return Poly(ring, {e: fn(c) for e, c in self.terms.items()})
 
     # -- printing ---------------------------------------------------------
 

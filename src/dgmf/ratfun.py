@@ -297,9 +297,6 @@ class RationalFunction:
             g = RationalFunction(-num_rev, (t ** (-shift)) * den_rev)
         return g.residue(self.field.zero)
 
-    def finite_poles(self, candidates):
-        return [p for p in candidates if self.pole_order(p) > 0]
-
     def __str__(self):
         return f"({self.num})/({self.den})" if self.den.degree() > 0 else str(self.num)
 

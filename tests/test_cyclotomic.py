@@ -148,3 +148,11 @@ def test_product_matches_fraction_reference(order):
                 assert product.coeffs == _reference_product(F, a, b)
                 assert all(type(c) is Fraction for c in product.coeffs)
                 assert product == b * a
+
+
+def test_zero_and_one_are_shared_per_order():
+    for n in (1, 4, 7):
+        assert CyclotomicField(n).zero is CyclotomicField(n).zero
+        assert CyclotomicField(n).one is CyclotomicField(n).one
+        assert CyclotomicField(n).zero == 0 and CyclotomicField(n).one == 1
+    assert CyclotomicField(4).one.field == CyclotomicField(4)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -282,3 +283,156 @@ def test_gauge_intertwiner_rejects_a_wrong_operator(monkeypatch):
                         doubled_on_even_part)
     with pytest.raises(CertificateError):
         gauge_intertwiner(scheme, f_a, f_b)
+
+
+# -- the sparse certificate kernel against a dense reference ---------------
+
+
+def _random_scalar(rng, field):
+    """A nonzero Scalar with non-integer denominators; rational now and then."""
+    while True:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 2 ** 31 - 1]))
+                  for _ in range(field.degree)]
+        if rng.random() < 0.3:
+            coeffs[1:] = [0] * (field.degree - 1)
+        if any(coeffs):
+            return field.from_coeffs(coeffs)
+
+
+def _random_poly(rng, ring, density=0.35):
+    if rng.random() > density:
+        return ring.zero
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+        terms[e] = _random_scalar(rng, ring.field)
+    return Poly(ring, terms)
+
+
+def _random_matrix(rng, ring, rows, cols, density=0.35):
+    return [[_random_poly(rng, ring, density) for _ in range(cols)] for _ in range(rows)]
+
+
+def _dense_sum(products, ring, rows, cols):
+    """sum(a . b) by the dense triple loop over Poly entries."""
+    out = [[ring.zero] * cols for _ in range(rows)]
+    for a, b in products:
+        for i in range(rows):
+            for k in range(len(b)):
+                for j in range(cols):
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def _first_difference(x, y):
+    return next(((i, j) for i in range(len(x)) for j in range(len(x[i]))
+                 if x[i][j] != y[i][j]), None)
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_first_mismatch_matches_dense_reference(order):
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x", "y"], [1, 1])
+    rng = random.Random(order)
+    for trial in range(12):
+        n, m, p = rng.randint(1, 6), rng.randint(0, 6), rng.randint(1, 6)
+        products = [(_random_matrix(rng, ring, n, m), _random_matrix(rng, ring, m, p))
+                    for _ in range(rng.randint(1, 2))]
+        exact = _dense_sum(products, ring, n, p)
+        assert factorizations.first_mismatch(products, exact, field) is None
+        # perturb seeded entries: the first one in row-major order is reported
+        wrong = [list(row) for row in exact]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(n), rng.randrange(p)
+            e = tuple(rng.randint(0, 5) for _ in range(2))
+            wrong[i][j] = wrong[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
+        assert factorizations.first_mismatch(products, wrong, field) \
+            == _first_difference(wrong, exact)
+        # an unrelated target, mostly zero
+        other = _random_matrix(rng, ring, n, p, density=0.1)
+        assert factorizations.first_mismatch(products, other, field) \
+            == _first_difference(other, exact)
+
+
+def test_first_mismatch_with_an_empty_inner_dimension():
+    ring = _ring(1)
+    a, b = [[], []], []
+    zero = [[ring.zero] * 3 for _ in range(2)]
+    assert factorizations.first_mismatch([(a, b)], zero, F) is None
+    zero[1][2] = ring.gen("x0")
+    assert factorizations.first_mismatch([(a, b)], zero, F) == (1, 2)
+
+
+def test_first_mismatch_keeps_exponents_apart():
+    # x^2 * x^2 = x^4 must not meet y, nor a higher power in the target only
+    ring = _ring(2)
+    x, y = ring.gens()
+    a, b = [[x * x]], [[x * x]]
+    assert factorizations.first_mismatch([(a, b)], [[x ** 4]], F) is None
+    assert factorizations.first_mismatch([(a, b)], [[y]], F) == (0, 0)
+    assert factorizations.first_mismatch([(a, b)], [[x ** 4 + y ** 9]], F) == (0, 0)
+
+
+def _reference_composite_error(mf):
+    """The first failing entry and message of the dense delta^2 check."""
+    ring = mf.ring
+    for a, b, n in ((mf.delta1, mf.delta0, mf.rank0), (mf.delta0, mf.delta1, mf.rank1)):
+        comp = _dense_sum([(a, b)], ring, n, n)
+        for i in range(n):
+            for j in range(n):
+                expected = mf.potential if i == j else ring.zero
+                if comp[i][j] != expected:
+                    return (f"delta^2 != W . id at entry ({i},{j}): "
+                            f"{comp[i][j]} vs {expected}")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_rejects_a_perturbed_entry(seed):
+    rng = random.Random(seed)
+    field = CyclotomicField(rng.choice([4, 7, 12]))
+    n = rng.choice([2, 3])
+    ring = PolyRing(field, [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)])
+    xs, ys = ring.gens()[:n], ring.gens()[n:]
+    mf = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                   [y * y + _random_scalar(rng, field) * x for x, y in zip(xs, ys)])
+    assert mf.verify() and _reference_composite_error(mf) is None
+    delta0 = [list(row) for row in mf.delta0]
+    delta1 = [list(row) for row in mf.delta1]
+    m = rng.choice([delta0, delta1])
+    i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+    e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+    m[i][j] = m[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
+    bad = factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
+                                             delta1, mf.potential, check=False)
+    expected = _reference_composite_error(bad)
+    assert expected is not None
+    with pytest.raises(CertificateError) as info:
+        bad.verify()
+    assert str(info.value) == expected
+
+
+def test_restrict_to_point_matches_evaluate():
+    rng = random.Random(5)
+    field = CyclotomicField(12)
+    ring = PolyRing(field, ["x0", "x1", "y0", "y1"])
+    x0, x1, y0, y1 = ring.gens()
+    mf = koszul_mf(ring, [x0 ** 3 + _random_scalar(rng, field) * x1, x1 * y1],
+                   [y0 * y0, _random_scalar(rng, field) * y1 + x0])
+    point = [_random_scalar(rng, field) for _ in range(4)]
+    at = mf.restrict_to_point(point)
+
+    def naive(p):
+        total = field.zero
+        for e, c in p.terms.items():
+            for v, k in zip(point, e):
+                for _ in range(k):
+                    c = c * v
+            total = total + c
+        return total
+
+    for got, want in ((at.delta0, mf.delta0), (at.delta1, mf.delta1),
+                      ([[at.potential]], [[mf.potential]])):
+        for grow, wrow in zip(got, want):
+            for g, w in zip(grow, wrow):
+                assert g.constant_value() == w.evaluate(point) == naive(w)

@@ -6,6 +6,7 @@ from dgmf import (
     CertificateError,
     CyclotomicField,
     GroupElement,
+    MatrixFactorization,
     SpinDataError,
     build_obstruction,
     check_equivariance,
@@ -397,3 +398,22 @@ def test_right_to_left_pivots_are_the_greedy_complement(order):
         assert [k for k in range(dim) if k not in pivot_cols] == \
             _greedy_complement(z, F, dim)[1]
         checked += 1
+
+
+def test_rank_64_fundamental_mf_is_certified():
+    # the size knob: A_1 with the divisor at 0 of mult m has rank 2^(m-1)
+    mf = fundamental_mf(_spec(BROAD.replace("divisor c0 at 0 mult 1",
+                                            "divisor c0 at 0 mult 7"))).mf
+    assert (mf.rank0, mf.rank1) == (64, 64)
+    assert mf.verify()
+    # adding x to delta0[r][c] changes column c of delta1 . delta0 by
+    # delta1[i][r] * x: the first failing entry is (first i with
+    # delta1[i][r] != 0, c)
+    for r, c in ((0, 0), (5, 17), (63, 40)):
+        delta0 = [list(row) for row in mf.delta0]
+        delta0[r][c] = delta0[r][c] + mf.ring.gens()[0]
+        bad = MatrixFactorization(mf.ring, mf.p0_gens, mf.p1_gens, delta0,
+                                  mf.delta1, mf.potential, check=False)
+        i = next(i for i, row in enumerate(mf.delta1) if row[r])
+        with pytest.raises(CertificateError, match=rf"at entry \({i},{c}\):"):
+            bad.verify()
