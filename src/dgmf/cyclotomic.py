@@ -123,7 +123,8 @@ class CyclotomicField:
         return Scalar(self, tuple(coeffs))
 
     def zeta_power(self, k):
-        return self.zeta ** (k % self.order)
+        """zeta^k for any integer k, read from a table built once per order."""
+        return _zeta_powers(self.order)[k % self.order]
 
     def reduce_integers(self, ints):
         """The integer vector of length degree equal to sum(ints[k] * z^k) mod
@@ -181,6 +182,30 @@ def _constants(order):
     keying by the order keeps the cache off the field object."""
     field = CyclotomicField(order)
     return field.scalar(0), field.scalar(1)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(order):
+    """(zeta^0, ..., zeta^(order-1)) of Q(zeta_order), built once."""
+    field = CyclotomicField(order)
+    zeta = field.zeta
+    powers = [field.one]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * zeta)
+    return tuple(powers)
+
+
+def _power(base, n, one):
+    """base ** n for an integer n >= 0 by binary powering: no product with
+    ``one`` and no squaring past the top bit of n."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
 
 
 class Scalar:
@@ -312,14 +337,7 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one)
 
     def __str__(self):
         parts = []

@@ -17,7 +17,7 @@ from math import lcm
 from . import linalg
 from .complexes import Generator
 from .cyclotomic import _integer_vector
-from .poly import Poly, PolyRing, evaluator
+from .poly import Poly, PolyRing, evaluator, substituter
 
 
 class CertificateError(ValueError):
@@ -319,13 +319,17 @@ class MatrixFactorization:
             base.constant(ev(self.potential)))
 
     def restrict_to_line(self, point_images):
-        """Substitute each variable by a univariate polynomial in t (as a Poly
-        over a 1-variable ring); used for fiberwise homology."""
+        """Substitute each variable by a univariate polynomial in t (a Poly
+        over a one-variable ring), for fiberwise homology.  One substitution
+        map serves delta0, delta1 and the potential, so each monomial's image
+        on the line is computed once for the whole MF.  The line MF is
+        certified by its own ``verify``."""
         target = point_images[0].ring
-        sub = lambda m: [[c.substitute(point_images) for c in row] for row in m]
+        sub = substituter(self.ring, point_images, target)
+        on_line = lambda m: [[sub(c) for c in row] for row in m]
         return MatrixFactorization(
-            target, self.p0_gens, self.p1_gens, sub(self.delta0), sub(self.delta1),
-            self.potential.substitute(point_images))
+            target, self.p0_gens, self.p1_gens, on_line(self.delta0),
+            on_line(self.delta1), sub(self.potential))
 
 
 def _terms(poly):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cyclotomic import _power
+
 
 class PolyRing:
     """Polynomial ring over a cyclotomic field, with named weighted variables."""
@@ -95,41 +97,49 @@ class PolyRing:
         text = text.strip()
         if text in ("0", ""):
             return self.zero
-        result = self.zero
+        terms = {}
+        zero = self.field.zero
         for term in _split_terms(text):
-            result = result + self._parse_term(term)
-        return result
+            e, c = self._parse_term(term)
+            s = terms.get(e, zero) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return Poly(self, terms)
 
     def _parse_term(self, term):
+        """(exponent tuple, coefficient) of one term; the coefficient may be 0."""
         term = term.strip()
         sign = 1
         while term and term[0] in "+-":
             if term[0] == "-":
                 sign = -sign
             term = term[1:].strip()
-        coeff = self.field.one
+        coeff = None  # the product of the coefficient factors, if any
         exps = [0] * self.nvars
         for factor in _split_factors(term):
             factor = factor.strip()
             if not factor:
                 continue
             if factor.startswith("("):
-                coeff = coeff * self.field.parse(factor[1:-1])
+                c = self.field.parse(factor[1:-1])
             else:
                 base, _, power = factor.partition("^")
                 base = base.strip()
                 if base in self.names:
                     exps[self.names.index(base)] += int(power) if power else 1
-                elif base == "z":
-                    coeff = coeff * self.field.zeta ** (int(power) if power else 1)
+                    continue
+                if base == "z":
+                    c = self.field.zeta_power(int(power) if power else 1)
                 else:
-                    coeff = coeff * self.field.scalar(Fraction(base))
+                    c = self.field.scalar(Fraction(base))
                     if power:
                         raise ValueError(f"unexpected power on constant: {factor}")
-        coeff = coeff * sign
-        if not coeff:
-            return self.zero
-        return Poly(self, {tuple(exps): coeff})
+            coeff = c if coeff is None else coeff * c
+        if coeff is None:
+            coeff = self.field.one
+        return tuple(exps), (-coeff if sign < 0 else coeff)
 
 
 def _split_terms(text):
@@ -167,6 +177,28 @@ def _split_factors(term):
     return factors
 
 
+def _monomial_table(values, one):
+    """The map e -> prod values[v] ** e[v].  Each power of each value and
+    each monomial's product is computed once, on first use, and kept."""
+    powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
+    table = {}
+
+    def monomial(e):
+        m = table.get(e)
+        if m is None:
+            for v, pw, k in zip(values, powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * v)
+                    m = pw[k] if m is None else m * pw[k]
+            if m is None:
+                m = one
+            table[e] = m
+        return m
+
+    return monomial
+
+
 def evaluator(ring, point):
     """The map Poly -> Scalar of evaluation at ``point`` (Scalars, ints or
     Fractions).  Each monomial value is computed once, from one table of
@@ -175,29 +207,43 @@ def evaluator(ring, point):
     point = [field.scalar(p) for p in point]
     if len(point) != ring.nvars:
         raise ValueError("point dimension mismatch")
-    one, zero = field.one, field.zero
-    powers = [[one] for _ in point]  # powers[v][k] = point[v] ** k
-    monomials = {}
-
-    def monomial(e):
-        val = one
-        for p, pw, k in zip(point, powers, e):
-            if k:
-                while len(pw) <= k:
-                    pw.append(pw[-1] * p)
-                val = val * pw[k]
-        return val
+    monomial = _monomial_table(point, field.one)
+    zero = field.zero
 
     def evaluate(poly):
         total = zero
         for e, c in poly.terms.items():
-            m = monomials.get(e)
-            if m is None:
-                m = monomials[e] = monomial(e)
-            total = total + c * m
+            total = total + c * monomial(e)
         return total
 
     return evaluate
+
+
+def substituter(ring, images, target):
+    """The map Poly -> Poly (over ``target``) that substitutes ``images[v]``
+    for the v-th variable of ``ring``.  Each monomial image is computed
+    once, from one table of powers per image, and shared by every Poly the
+    map is applied to; each result is summed into one dict."""
+    images = list(images)
+    if len(images) != ring.nvars:
+        raise ValueError("one image per variable")
+    if target.field != ring.field or any(img.ring != target for img in images):
+        raise ValueError("images must lie in the target ring over the same field")
+    monomial = _monomial_table(images, target.one)
+    zero = target.field.zero
+
+    def substitute(poly):
+        terms = {}
+        for e, c in poly.terms.items():
+            for e2, c2 in monomial(e).terms.items():
+                s = terms.get(e2, zero) + c * c2
+                if s:
+                    terms[e2] = s
+                else:
+                    terms.pop(e2, None)
+        return Poly(target, terms)
+
+    return substitute
 
 
 class Poly:
@@ -281,14 +327,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.ring.one)
 
     # -- structure --------------------------------------------------------
 
@@ -334,18 +373,9 @@ class Poly:
         return evaluator(self.ring, point)(self)
 
     def substitute(self, images):
-        """Substitute each variable by the given Poly (in any ring)."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("one image per variable")
+        """Substitute each variable by the given Poly (all in one ring)."""
         target = images[0].ring if images else self.ring
-        result = target.zero
-        for e, c in self.terms.items():
-            term = target.constant(c)
-            for img, exp in zip(images, e):
-                if exp:
-                    term = term * img ** exp
-            result = result + term
-        return result
+        return substituter(self.ring, images, target)(self)
 
     # -- printing ---------------------------------------------------------
 

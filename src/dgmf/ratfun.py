@@ -10,6 +10,8 @@ theorem itself (which is what the tests are checking).
 
 from __future__ import annotations
 
+from .cyclotomic import _power
+
 
 class UPoly:
     """Univariate polynomial over a cyclotomic field; coeffs low-to-high."""
@@ -94,24 +96,21 @@ class UPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UPoly.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UPoly.constant(self.field, 1))
 
     def divmod(self, other):
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
+        return self._divmod(other, other.coeffs[-1].inverse())
+
+    def _divmod(self, other, lead_inverse):
+        """(quotient, remainder) by a nonzero ``other`` whose leading
+        coefficient has inverse ``lead_inverse``."""
         rem = list(self.coeffs)
         q = [self.field.zero] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1].inverse()
         for i in range(len(rem) - len(other.coeffs), -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * dlead
+            c = rem[i + len(other.coeffs) - 1] * lead_inverse
             q[i] = c
             if c:
                 for j, dj in enumerate(other.coeffs):
@@ -326,14 +325,15 @@ def _diagonal(matrix):
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             pivot = a[k][k]
+            lead_inverse = pivot.coeffs[-1].inverse()  # once per pivot
             for row in a[k + 1:]:
                 if row[k]:
-                    q = row[k].divmod(pivot)[0]
+                    q = row[k]._divmod(pivot, lead_inverse)[0]
                     row[k:] = [x - q * y if y else x
                                for x, y in zip(row[k:], a[k][k:])]
             for j in range(k + 1, cols):
                 if a[k][j]:
-                    q = a[k][j].divmod(pivot)[0]
+                    q = a[k][j]._divmod(pivot, lead_inverse)[0]
                     for row in a[k:]:
                         if row[k]:
                             row[j] = row[j] - q * row[k]

@@ -23,7 +23,7 @@ from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              SuperElement, dgmf_from_homotopy, fold_to_mf,
                              point_homology, unit_mf, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, substituter
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
 
 
@@ -399,8 +399,8 @@ def build_obstruction(spec, model):
                       model.a_weights)
     # c = (sum_i W_i) composed with Z
     sring = spec.sector_ring()
-    c = _substitute_linear(spec.sector_potential(sring),
-                           _linear_forms(model.z_matrix, u_ring), u_ring)
+    c = substituter(sring, _linear_forms(model.z_matrix, u_ring),
+                    u_ring)(spec.sector_potential(sring))
     # dg-scheme in u coordinates: odd generator per B-basis jet
     odd = [Generator(f"b{k}", w) for k, w in enumerate(model.b_weights)]
     scheme = DgSchemePresentation(u_ring, odd,
@@ -414,13 +414,6 @@ def _linear_forms(matrix, ring):
              for j in range(ring.nvars)]
     return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
             for row in matrix]
-
-
-def _substitute_linear(p, images, target_ring):
-    if not images:
-        # zero-variable source: p is a constant
-        return target_ring.constant(p.constant_value()) if p else target_ring.zero
-    return p.substitute(images)
 
 
 def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
@@ -528,16 +521,16 @@ def fundamental_mf(spec, pivot_order=None):
     out_ring = PolyRing(field, sector_names + extra_names, weights)
     # u_k = sum_i (M^{-1})[k][i] y_i
     u_images = _linear_forms(m_inv, out_ring)
-    images_out = [img.substitute(u_images) for img in
-                  obstruction.scheme.differential]
+    to_out = substituter(obstruction.u_ring, u_images, out_ring)
+    images_out = [to_out(img) for img in obstruction.scheme.differential]
     scheme_out = DgSchemePresentation(out_ring, obstruction.scheme.odd_gens,
                                       images_out)
-    f_out = SuperElement(scheme_out, {s: c.substitute(u_images)
+    f_out = SuperElement(scheme_out, {s: to_out(c)
                                       for s, c in f.coefficients.items()})
     curved = dgmf_from_homotopy(scheme_out, -f_out)
     # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i
-    expected = spec.sector_potential(sring).substitute(
-        [out_ring.gen(n) for n in sector_names]) if n_sect else out_ring.zero
+    expected = substituter(sring, [out_ring.gen(n) for n in sector_names],
+                           out_ring)(spec.sector_potential(sring))
     if curved.curvature != expected:
         raise SpinDataError("curvature does not equal the sector potential; "
                             "spin data is inconsistent")
@@ -645,10 +638,11 @@ def rigidification_transport_check(spec, result, marking_index, eps):
                 images.append(ring.gen(name))
         else:
             images.append(ring.gen(name))
-    sub = lambda m: [[c.substitute(images) for c in row] for row in m]
-    return (sub(result.mf.delta0) == result2.mf.delta0
-            and sub(result.mf.delta1) == result2.mf.delta1
-            and result.mf.potential.substitute(images) == result2.mf.potential)
+    sub = substituter(ring, images, ring)
+    transported = lambda m: [[sub(c) for c in row] for row in m]
+    return (transported(result.mf.delta0) == result2.mf.delta0
+            and transported(result.mf.delta1) == result2.mf.delta1
+            and sub(result.mf.potential) == result2.mf.potential)
 
 
 # -- log forms and residues ------------------------------------------------
@@ -954,12 +948,13 @@ def twisted_diagonal_glue(disconnected, glued):
                 matched = True
         if not matched:
             images.append(target_ring.gen(name))
-    sub = lambda mrows: [[c.substitute(images) for c in row] for row in mrows]
+    sub = substituter(ring_disc, images, target_ring)
+    pull = lambda mrows: [[sub(c) for c in row] for row in mrows]
     pulled = MatrixFactorization(target_ring, result_disc.mf.p0_gens,
                                  result_disc.mf.p1_gens,
-                                 sub(result_disc.mf.delta0),
-                                 sub(result_disc.mf.delta1),
-                                 result_disc.mf.potential.substitute(images))
+                                 pull(result_disc.mf.delta0),
+                                 pull(result_disc.mf.delta1),
+                                 sub(result_disc.mf.potential))
     # the glued potential, embedded into the same ring
     glued_sring = glued.sector_ring()
     glued_pot = glued.sector_potential(glued_sring)
@@ -970,8 +965,8 @@ def twisted_diagonal_glue(disconnected, glued):
         # match by component and point against the disconnected markings
         src = find_marking(disconnected, m.component, m.point)
         emb_images.append(target_ring.gen(f"{vnames[j]}{src + 1}"))
-    glued_pot_embedded = glued_pot.substitute(emb_images) if glued_sectors \
-        else target_ring.zero
+    glued_pot_embedded = substituter(glued_sring, emb_images,
+                                     target_ring)(glued_pot)
     potentials_match = (pulled.potential == glued_pot_embedded)
     return {
         "cartesian": cartesian,

@@ -436,3 +436,54 @@ def test_restrict_to_point_matches_evaluate():
         for grow, wrow in zip(got, want):
             for g, w in zip(grow, wrow):
                 assert g.constant_value() == w.evaluate(point) == naive(w)
+
+
+def _naive_on_line(p, images, line):
+    """Each term's image on the line, by repeated products."""
+    total = line.zero
+    for e, c in p.terms.items():
+        term = line.constant(c)
+        for img, k in zip(images, e):
+            for _ in range(k):
+                term = term * img
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restrict_to_line_rejects_a_perturbed_entry(seed):
+    rng = random.Random(seed)
+    field = CyclotomicField(rng.choice([4, 7, 12]))
+    n = rng.choice([2, 3])
+    ring = PolyRing(field, [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)])
+    xs, ys = ring.gens()[:n], ring.gens()[n:]
+    mf = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                   [y * y + _random_scalar(rng, field) * x for x, y in zip(xs, ys)])
+    line = PolyRing(field, ["t"], [1])
+    t = line.gen("t")
+    images = [_random_scalar(rng, field) * t + line.constant(_random_scalar(rng, field))
+              for _ in range(2 * n)]
+    # the exact MF restricts to a certified line MF with the naive entries
+    fiber = mf.restrict_to_line(images)
+    for got, want in ((fiber.delta0, mf.delta0), (fiber.delta1, mf.delta1),
+                      ([[fiber.potential]], [[mf.potential]])):
+        assert got == [[_naive_on_line(p, images, line) for p in row] for row in want]
+    # one perturbed entry: the line MF fails its delta^2 certificate, at the
+    # entry and with the message of the dense reference on the naive line MF
+    delta0 = [list(row) for row in mf.delta0]
+    delta1 = [list(row) for row in mf.delta1]
+    m = rng.choice([delta0, delta1])
+    i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+    e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+    m[i][j] = m[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
+    bad = factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
+                                             delta1, mf.potential, check=False)
+    on_line = lambda rows: [[_naive_on_line(p, images, line) for p in row] for row in rows]
+    naive = factorizations.MatrixFactorization(
+        line, mf.p0_gens, mf.p1_gens, on_line(delta0), on_line(delta1),
+        _naive_on_line(mf.potential, images, line), check=False)
+    expected = _reference_composite_error(naive)
+    assert expected is not None
+    with pytest.raises(CertificateError) as info:
+        bad.restrict_to_line(images)
+    assert str(info.value) == expected

@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmf import CyclotomicField, Poly, PolyRing
+from dgmf import CyclotomicField, Poly, PolyRing, UPoly
+from dgmf.poly import substituter
 
 F = CyclotomicField(4)
 R = PolyRing(F, ["x", "y"], [1, 2])
@@ -80,3 +84,97 @@ def test_cross_ring_arithmetic_rejected():
     S = PolyRing(F, ["u"], [1])
     with pytest.raises(ValueError):
         R.gen("x") + S.gen("u")
+
+
+def test_substitute_into_an_explicit_ring():
+    S = PolyRing(F, ["u"], [1])
+    point = PolyRing(F, [], [])
+    assert substituter(point, [], S)(point.constant(3)) == S.constant(3)
+    assert substituter(point, [], S)(point.zero) == S.zero
+    with pytest.raises(ValueError):
+        substituter(R, [S.gen("u")], S)  # one image per variable
+    with pytest.raises(ValueError):
+        substituter(R, [S.gen("u"), R.gen("y")], S)  # image outside S
+
+
+# -- the shared substitution map against the per-term loop -----------------
+
+
+def _naive_substitute(p, images, target):
+    """The per-term loop of the former ``Poly.substitute``: each term's image
+    built from powers of the images, then added to the running sum."""
+    result = target.zero
+    for e, c in p.terms.items():
+        term = target.constant(c)
+        for img, exp in zip(images, e):
+            if exp:
+                term = term * img ** exp
+        result = result + term
+    return result
+
+
+def _seeded_scalar(rng, field):
+    coeffs = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+              for _ in range(field.degree)]
+    if rng.random() < 0.4:
+        coeffs[1:] = [0] * (field.degree - 1)
+    return field.from_coeffs(coeffs)
+
+
+def _seeded_poly(rng, ring, max_terms=6):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, 5) for _ in range(ring.nvars))
+        terms[e] = _seeded_scalar(rng, ring.field)
+    return Poly(ring, terms)
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_substituter_matches_naive_substitution(order):
+    field = CyclotomicField(order)
+    rng = random.Random(order)
+    source = PolyRing(field, ["x", "y", "z"], [1, 2, 3])
+    targets = [PolyRing(field, ["t"], [1]), PolyRing(field, ["u", "v"], [1, 1])]
+    for trial in range(12):
+        target = targets[trial % 2]
+        images = [_seeded_poly(rng, target, max_terms=3) for _ in range(3)]
+        images[rng.randrange(3)] = target.constant(_seeded_scalar(rng, field))
+        if trial % 3 == 0:
+            images[rng.randrange(3)] = target.zero
+        sub = substituter(source, images, target)
+        # one map, many Polys: the monomial table is shared between them
+        for _ in range(5):
+            p = _seeded_poly(rng, source)
+            assert sub(p) == _naive_substitute(p, images, target) \
+                == p.substitute(images)
+        # terms that cancel: x^2 - y with y -> (image of x)^2, plus a
+        # constant that survives
+        x, y = source.gen("x"), source.gen("y")
+        images[1] = images[0] * images[0]
+        p = x * x - y + source.constant(2)
+        assert substituter(source, images, target)(p) == target.constant(2)
+    # a zero-variable source maps constants into the target
+    point = PolyRing(field, [], [])
+    for _ in range(3):
+        c = point.constant(_seeded_scalar(rng, field))
+        for target in targets:
+            assert substituter(point, [], target)(c) \
+                == _naive_substitute(c, [], target) == target.constant(c.constant_value())
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_pow_matches_repeated_product(order):
+    field = CyclotomicField(order)
+    rng = random.Random(order)
+    ring = PolyRing(field, ["x", "y"], [1, 1])
+    bases = [
+        (_seeded_scalar(rng, field) + field.zeta, field.one),
+        (_seeded_poly(rng, ring, max_terms=3) + ring.gen("x"), ring.one),
+        (UPoly(field, [_seeded_scalar(rng, field), field.zeta, field.one]),
+         UPoly.constant(field, 1)),
+    ]
+    for base, one in bases:
+        product = one
+        for n in range(10):
+            assert base ** n == product
+            product = product * base

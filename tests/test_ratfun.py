@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from dgmf import CyclotomicField, PolyRing, RationalFunction, UPoly, koszul_mf
+from dgmf.cyclotomic import Scalar
 from dgmf.ratfun import _diagonal, poly_mat_rank, two_periodic_homology_dims
 
 F = CyclotomicField(1)
@@ -178,3 +179,74 @@ def test_koszul_line_fibers(n):
     assert dims == (r // 2, r // 2)  # through the origin
     r, dims = _koszul_line_homology(n, [1] * n)
     assert dims == (0, 0)  # the x_i vanish at distinct t: contractible
+
+
+def _divmod_diagonal(matrix):
+    """The elimination of ``_diagonal`` through the public ``UPoly.divmod``,
+    which inverts the pivot's leading coefficient on every call.  Returns the
+    diagonal and the number of pivots tried."""
+    a = [list(row) for row in matrix]
+    rows, cols = len(a), len(a[0]) if a else 0
+    diagonal, pivots = [], 0
+    for k in range(min(rows, cols)):
+        while True:
+            entries = [(a[i][j].degree(), i, j) for i in range(k, rows)
+                       for j in range(k, cols) if a[i][j]]
+            if not entries:
+                return diagonal, pivots
+            _, pi, pj = min(entries)
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            pivot = a[k][k]
+            pivots += 1
+            for row in a[k + 1:]:
+                if row[k]:
+                    q = row[k].divmod(pivot)[0]
+                    row[k:] = [x - q * y if y else x
+                               for x, y in zip(row[k:], a[k][k:])]
+            for j in range(k + 1, cols):
+                if a[k][j]:
+                    q = a[k][j].divmod(pivot)[0]
+                    for row in a[k:]:
+                        if row[k]:
+                            row[j] = row[j] - q * row[k]
+            if not any(row[k] for row in a[k + 1:]) and not any(a[k][k + 1:]):
+                diagonal.append(pivot)
+                break
+    return diagonal, pivots
+
+
+def test_diagonal_inverts_once_per_pivot(monkeypatch):
+    # a rank-4 Koszul MF {c_i x_i, y_i} over Q(zeta_7), on a seeded line
+    # through a point off the zero locus of the x_i
+    rng = random.Random(4)
+    field = CyclotomicField(7)
+    n = 3
+    ring = PolyRing(field, [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)])
+    cs = [field.scalar(rng.randint(1, 5)) + rng.randint(1, 3) * field.zeta
+          for _ in range(n)]
+    mf = koszul_mf(ring, [c * x for c, x in zip(cs, ring.gens()[:n])], ring.gens()[n:])
+    assert mf.rank0 == 4
+    tring = PolyRing(field, ["t"], [1])
+    tgen = tring.gen("t")
+    images = [field.scalar(rng.randint(1, 4)) * tgen
+              + tring.constant(field.zeta ** rng.randint(0, 6)) for _ in range(2 * n)]
+    fiber = mf.restrict_to_line(images)
+    calls = []
+    inverse = Scalar.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    for delta in (fiber.delta0, fiber.delta1):
+        m = [[UPoly.from_poly(p) for p in row] for row in delta]
+        want, pivots = _divmod_diagonal(m)
+        calls.clear()
+        monkeypatch.setattr(Scalar, "inverse", counted)
+        got = _diagonal(m)
+        monkeypatch.setattr(Scalar, "inverse", inverse)
+        assert got == want
+        assert [d.coeffs for d in got] == [d.coeffs for d in want]
+        assert pivots > len(want) and len(calls) == pivots
