@@ -20,9 +20,8 @@ u = unit_pair(PT)
 print(f"homology of Rj^!(unit): {homology_ranks(rj_shriek(u))}")
 
 print("\n== a pair with interesting sections-with-support ==")
-fa = FreeComplex(PT, {0: [Generator("s", 0)]}, {}, weight_check=False)
-fb = FreeComplex(PT, {0: [Generator("g0", 0), Generator("g1", 0)]}, {},
-                 weight_check=False)
+fa = FreeComplex(PT, {0: [Generator("s", 0)]}, {})
+fb = FreeComplex(PT, {0: [Generator("g0", 0), Generator("g1", 0)]}, {})
 phi = ChainMap(fb, fa, {0: [[1, 1]]})     # restriction adds the two branches
 p = PairObject(fa, fb, phi)
 print(f"H(Rj^! P) = {homology_ranks(rj_shriek(p))}")

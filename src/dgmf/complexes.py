@@ -10,7 +10,10 @@ complex.  Homology is exact Gaussian elimination, available over the field.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import linalg
+from .poly import exponents_of_weight
 
 
 class Generator:
@@ -39,18 +42,15 @@ class NotAChainMap(ValueError):
 class FreeComplex:
     """A bounded complex of free modules over a PolyRing."""
 
-    def __init__(self, ring, objects, diffs, check=True, weight_check=True):
+    def __init__(self, ring, objects, diffs):
         self.ring = ring
         self.objects = {n: list(gens) for n, gens in objects.items() if gens}
         self.diffs = {}
         for n, m in diffs.items():
             if self.rank(n) and self.rank(n + 1):
                 self.diffs[n] = [[self._coerce_entry(c) for c in row] for row in m]
-        if check:
-            self._check_shapes()
-            self._check_d_squared()
-            if weight_check:
-                self._check_weights()
+        self._check_shapes()
+        self._check_d_squared()
 
     def _coerce_entry(self, c):
         if hasattr(c, "terms"):
@@ -85,22 +85,12 @@ class FreeComplex:
         for n in self.degrees():
             if self.rank(n + 2) == 0 or self.rank(n) == 0:
                 continue
-            comp = linalg.mat_mul(self.diff(n + 1), self.diff(n), self.ring)
-            for row in comp:
-                for c in row:
-                    if c:
-                        raise ValueError(f"d o d != 0 at degree {n}")
-
-    def _check_weights(self):
-        for n, m in self.diffs.items():
-            src = self.gens(n)
-            tgt = self.gens(n + 1)
-            for i, row in enumerate(m):
-                for j, c in enumerate(row):
-                    if c and not c.is_quasihomogeneous_of(src[j].weight - tgt[i].weight):
-                        raise ValueError(
-                            f"differential entry ({i},{j}) at degree {n} does not "
-                            f"preserve R-weight")
+            zero = linalg.zeros(self.ring, self.rank(n + 2), self.rank(n))
+            bad = linalg.first_mismatch([(self.diff(n + 1), self.diff(n))], zero,
+                                        self.ring.field)
+            if bad is not None:
+                i, j = bad
+                raise ValueError(f"d o d != 0 at degree {n}, entry ({i},{j})")
 
     def __eq__(self, other):
         if not isinstance(other, FreeComplex) or other.ring != self.ring:
@@ -118,9 +108,9 @@ class FreeComplex:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def single(cls, ring, degree=0, gens=None):
-        gens = gens if gens is not None else [Generator("e", 0)]
-        return cls(ring, {degree: gens}, {})
+    def single(cls, ring):
+        """The base ring in degree 0, on one generator of weight 0."""
+        return cls(ring, {0: [Generator("e", 0)]}, {})
 
     @classmethod
     def zero_complex(cls, ring):
@@ -132,7 +122,7 @@ class FreeComplex:
         sign = 1 if k % 2 == 0 else -1
         diffs = {n - k: [[sign * c for c in row] for row in m]
                  for n, m in self.diffs.items()}
-        return FreeComplex(self.ring, objects, diffs, weight_check=False)
+        return FreeComplex(self.ring, objects, diffs)
 
     def direct_sum(self, other):
         objects = {}
@@ -148,13 +138,13 @@ class FreeComplex:
                 for row in b:
                     m.append([self.ring.zero] * self.rank(n) + list(row))
                 diffs[n] = m
-        return FreeComplex(self.ring, objects, diffs, weight_check=False)
+        return FreeComplex(self.ring, objects, diffs)
 
 
 class ChainMap:
     """A degree-0 map of complexes; commutation with d is checked."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         if source.ring != target.ring:
             raise ValueError("chain map between complexes over different rings")
         self.source = source
@@ -163,8 +153,7 @@ class ChainMap:
         for n, m in components.items():
             if source.rank(n) and target.rank(n):
                 self.components[n] = [[_coerce(source.ring, c) for c in row] for row in m]
-        if check:
-            self._check()
+        self._check()
 
     def component(self, n):
         if n in self.components:
@@ -173,16 +162,24 @@ class ChainMap:
                 for _ in range(self.target.rank(n))]
 
     def _check(self):
+        """d_target o f_n = f_{n+1} o d_source in every degree, exactly; the
+        first failing entry is reported in a NotAChainMap."""
         ring = self.source.ring
         for n, m in self.components.items():
             if len(m) != self.target.rank(n) or any(len(r) != self.source.rank(n) for r in m):
                 raise ValueError(f"chain map component at degree {n} has wrong shape")
-        for n in set(self.source.degrees()) | set(self.target.degrees()):
-            left = linalg.mat_mul(self.target.diff(n), self.component(n), ring)
-            right = linalg.mat_mul(self.component(n + 1), self.source.diff(n), ring)
-            if left != right and not (_is_zero_mat(left) and _is_zero_mat(right)):
+        for n in sorted(set(self.source.degrees()) | set(self.target.degrees())):
+            d_t, f_n = self.target.diff(n), self.component(n)
+            f_next, d_s = self.component(n + 1), self.source.diff(n)
+            zero = linalg.zeros(ring, self.target.rank(n + 1), self.source.rank(n))
+            bad = linalg.first_mismatch([(d_t, f_n), (linalg.mat_neg(f_next), d_s)],
+                                        zero, ring.field)
+            if bad is not None:
+                i, j = bad
+                left = sum((c * row[j] for c, row in zip(d_t[i], f_n)), ring.zero)
+                right = sum((c * row[j] for c, row in zip(f_next[i], d_s)), ring.zero)
                 raise NotAChainMap(
-                    f"square at degree {n} does not commute: "
+                    f"square at degree {n} does not commute at entry ({i},{j}): "
                     f"d_target o f = {left}, f o d_source = {right}")
 
     @classmethod
@@ -197,10 +194,6 @@ class ChainMap:
 
 def _coerce(ring, c):
     return c if hasattr(c, "terms") else ring.constant(c)
-
-
-def _is_zero_mat(m):
-    return all(not e for row in m for e in row)
 
 
 # -- cone, tensor, symmetric powers ---------------------------------------
@@ -232,7 +225,7 @@ def cone(f):
             rows.append([ring.zero] * D.rank(n)
                         + [-dC[i][j] for j in range(C.rank(n + 1))])
         diffs[n] = rows
-    return FreeComplex(ring, objects, diffs, weight_check=False)
+    return FreeComplex(ring, objects, diffs)
 
 
 def cone_inclusion(f):
@@ -303,7 +296,7 @@ def tensor(C, D):
             if c:
                 _, row = index[(n, i, m + 1, j2)]
                 mat[row][col] = mat[row][col] + sign * c
-    return FreeComplex(ring, objects, diffs, weight_check=False)
+    return FreeComplex(ring, objects, diffs)
 
 
 def sym_power_two_term(ring, a_gens, b_gens, f_matrix, weight):
@@ -322,31 +315,14 @@ def sym_power_two_term(ring, a_gens, b_gens, f_matrix, weight):
     if weight < 0:
         return FreeComplex.zero_complex(ring)
 
-    def sym_basis(target):
-        """Exponent tuples on A-generators of total weight ``target``."""
-        out = []
-
-        def rec(i, remaining, prefix):
-            if i == len(a_gens):
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            w = a_gens[i].weight
-            for e in range(remaining // w + 1):
-                rec(i + 1, remaining - e * w, prefix + [e])
-
-        rec(0, target, [])
-        return sorted(out)
-
-    from itertools import combinations
-
+    a_weights = [g.weight for g in a_gens]
     objects = {}
     index = {}
     for k in range(len(b_gens) + 1):
         gens = []
         for subset in combinations(range(len(b_gens)), k):
             wsub = sum(b_gens[i].weight for i in subset)
-            for exps in sym_basis(weight - wsub):
+            for exps in exponents_of_weight(a_weights, weight - wsub):
                 index[(exps, subset)] = (k, len(gens))
                 name_parts = [f"{a_gens[i].name}^{e}" for i, e in enumerate(exps) if e]
                 name_parts += [b_gens[i].name for i in subset]
@@ -377,7 +353,7 @@ def sym_power_two_term(ring, a_gens, b_gens, f_matrix, weight):
                 _, row = index[(lowered, newsub)]
                 sign = 1 if pos % 2 == 0 else -1
                 mat[row][col] = mat[row][col] + sign * e * c
-    return FreeComplex(ring, objects, diffs, check=True, weight_check=False)
+    return FreeComplex(ring, objects, diffs)
 
 
 # -- homology over the field ----------------------------------------------

@@ -11,13 +11,12 @@ factorization of the curvature d(f).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from . import linalg
 from .complexes import Generator
-from .cyclotomic import _integer_vector
-from .poly import Poly, PolyRing, evaluator, substituter
+from .poly import Poly, PolyRing, evaluator, exponents_of_weight, substituter
 
 
 class CertificateError(ValueError):
@@ -45,7 +44,7 @@ class DgSchemePresentation:
     ``differential`` the list of even functions d(b_k), the duals of f: A -> B.
     """
 
-    def __init__(self, ring, odd_gens, differential, weight_check=True):
+    def __init__(self, ring, odd_gens, differential):
         self.ring = ring
         self.odd_gens = [g if isinstance(g, Generator) else Generator(*g)
                          for g in odd_gens]
@@ -53,11 +52,10 @@ class DgSchemePresentation:
             raise ValueError("one differential image per odd generator")
         self.differential = [ring.constant(p) if not hasattr(p, "terms") else p
                              for p in differential]
-        if weight_check:
-            for g, img in zip(self.odd_gens, self.differential):
-                if img and not img.is_quasihomogeneous_of(g.weight):
-                    raise ValueError(
-                        f"d({g.name}) does not preserve the R-weight {g.weight}")
+        for g, img in zip(self.odd_gens, self.differential):
+            if img and not img.is_quasihomogeneous_of(g.weight):
+                raise ValueError(
+                    f"d({g.name}) does not preserve the R-weight {g.weight}")
 
     @property
     def n_odd(self):
@@ -195,19 +193,21 @@ class SuperElement:
         return " + ".join(parts)
 
 
-def derived_zero_locus(ring, beta, odd_weights=None, odd_names=None,
-                       weight_check=True):
+def _odd_weights(beta):
+    """The R-weight of the odd generator e_k with d(e_k) = beta_k: the
+    weight of beta_k, or 1 when beta_k is zero or not quasihomogeneous."""
+    weights = []
+    for b in beta:
+        w, _ = b.weight()
+        weights.append(w if isinstance(w, int) else 1)
+    return weights
+
+
+def derived_zero_locus(ring, beta):
     """The dg-scheme Z(beta): odd generator e_k with d(e_k) = beta_k."""
     beta = [ring.constant(b) if not hasattr(b, "terms") else b for b in beta]
-    if odd_names is None:
-        odd_names = [f"e{k}" for k in range(len(beta))]
-    if odd_weights is None:
-        odd_weights = []
-        for b in beta:
-            w, _ = b.weight()
-            odd_weights.append(w if isinstance(w, int) else 1)
-    gens = [Generator(n, w) for n, w in zip(odd_names, odd_weights)]
-    return DgSchemePresentation(ring, gens, beta, weight_check=weight_check)
+    gens = [Generator(f"e{k}", w) for k, w in enumerate(_odd_weights(beta))]
+    return DgSchemePresentation(ring, gens, beta)
 
 
 class CurvedStructure:
@@ -255,7 +255,7 @@ class MatrixFactorization:
     """(P0, P1, delta0, delta1) with both composites equal to W . id."""
 
     def __init__(self, ring, p0_gens, p1_gens, delta0, delta1, potential,
-                 check=True, metadata=None):
+                 check=True):
         self.ring = ring
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
@@ -264,7 +264,7 @@ class MatrixFactorization:
         self.delta0 = coerce(delta0)  # P0 -> P1, rows indexed by P1
         self.delta1 = coerce(delta1)  # P1 -> P0
         self.potential = ring.constant(potential) if not hasattr(potential, "terms") else potential
-        self.metadata = metadata or {}
+        self.metadata = {}
         if check:
             self.verify()
 
@@ -290,7 +290,7 @@ class MatrixFactorization:
                         (self.delta0, self.delta1, self.rank1)):
             target = [[self.potential if i == j else zero for j in range(n)]
                       for i in range(n)]
-            bad = first_mismatch([(a, b)], target, self.ring.field)
+            bad = linalg.first_mismatch([(a, b)], target, self.ring.field)
             if bad is not None:
                 i, j = bad
                 entry = sum((c * row[j] for c, row in zip(a[i], b)), zero)
@@ -323,7 +323,12 @@ class MatrixFactorization:
         over a one-variable ring), for fiberwise homology.  One substitution
         map serves delta0, delta1 and the potential, so each monomial's image
         on the line is computed once for the whole MF.  The line MF is
-        certified by its own ``verify``."""
+        certified by its own ``verify``.  An MF over the point base has no
+        variable to substitute: restrict it with ``restrict_to_point(())``."""
+        if not point_images:
+            raise ValueError("restrict_to_line needs one image per variable; "
+                             "an MF over the point base has none, use "
+                             "restrict_to_point(())")
         target = point_images[0].ring
         sub = substituter(self.ring, point_images, target)
         on_line = lambda m: [[sub(c) for c in row] for row in m]
@@ -332,103 +337,7 @@ class MatrixFactorization:
             on_line(self.delta1), sub(self.potential))
 
 
-def _terms(poly):
-    """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
-    the coefficient is sum(integer * zeta^k) / denominator."""
-    out = []
-    for e, c in poly.terms.items():
-        ints, den = _integer_vector(c.coeffs)
-        out.append((e, [(k, x) for k, x in enumerate(ints) if x], den))
-    return out
-
-
-def first_mismatch(products, target, field):
-    """The first (i, j), row by row, at which sum(a . b for a, b in products)
-    differs from ``target`` (a matrix of Poly over ``field``); None if equal.
-
-    Exact, and no product Poly or Scalar is built.  Every nonzero entry is
-    turned once into integer terms with packed exponents, and the nonzero
-    columns of each row are listed once (Gustavson's row-by-row product).  Row i then accumulates,
-    per column and exponent, one unreduced integer vector of length
-    2*phi(N) - 1 over the lcm of its denominators, reduces it by Phi_N once
-    and compares it with the target by cross-multiplying denominators."""
-    cache = {}  # id -> terms; every entry stays alive in its matrix meanwhile
-
-    def terms(poly):
-        t = cache.get(id(poly))
-        if t is None:
-            t = cache[id(poly)] = _terms(poly)
-        return t
-
-    sparse = lambda m: [[(j, terms(c)) for j, c in enumerate(row) if c.terms] for row in m]
-    products = [(sparse(a), sparse(b)) for a, b in products]
-    target = [dict(row) for row in sparse(target)]
-    # pack each exponent into one int, `shift` bits per variable: enough for
-    # every exponent here and every sum of two, so a product's exponent is
-    # the sum of its factors' and distinct exponents stay distinct
-    top = max((x for ts in cache.values() for e, _, _ in ts for x in e), default=0)
-    shift = (2 * top + 1).bit_length()
-    for ts in cache.values():
-        ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
-                 for e, vec, d in ts]
-    width = 2 * field.degree - 1
-    for i, want in enumerate(target):
-        acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
-        for a, b in products:
-            for k, ta in a[i]:
-                for j, tb in b[k]:
-                    cell = acc.get(j)
-                    if cell is None:
-                        cell = acc[j] = {}
-                    for ea, va, da in ta:
-                        for eb, vb, db in tb:
-                            e = ea + eb
-                            d = da * db
-                            slot = cell.get(e)
-                            if slot is None:
-                                slot = cell[e] = [d, [0] * width]
-                            den, ints = slot
-                            scale = 1
-                            if d != den:
-                                common = lcm(den, d)
-                                if common != den:
-                                    f = common // den
-                                    slot[:] = common, [x * f for x in ints]
-                                    den, ints = slot
-                                scale = den // d
-                            for ka, xa in va:
-                                xa *= scale
-                                for kb, xb in vb:
-                                    ints[ka + kb] += xa * xb
-        for j in sorted(acc.keys() | want.keys()):
-            if not _agrees(acc.get(j, {}), want.get(j, ()), field):
-                return i, j
-    return None
-
-
-def _agrees(cell, expected, field):
-    """Whether the accumulated {exponent: [den, unreduced ints]} equals the
-    Poly whose ``_terms`` are ``expected``."""
-    expected = {e: (v, d) for e, v, d in expected}
-    for e, (den, ints) in cell.items():
-        got = field.reduce_integers(ints) if any(ints) else None
-        w = expected.pop(e, None)
-        if w is None:
-            if got is not None and any(got):
-                return False
-        elif got is None:
-            return False
-        else:
-            v, wden = w
-            diff = [g * wden for g in got]
-            for k, x in v:
-                diff[k] -= x * den
-            if any(diff):
-                return False
-    return not expected
-
-
-def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
+def koszul_mf(ring, alpha, beta):
     """The Koszul matrix factorization {alpha, beta} of W = <alpha, beta>.
 
     Underlying module Wedge of the free rank-n module on odd generators;
@@ -441,13 +350,7 @@ def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
     n = len(alpha)
-    if names is None:
-        names = [f"e{k}" for k in range(n)]
-    if odd_weights is None:
-        odd_weights = []
-        for b in beta:
-            w, _ = b.weight()
-            odd_weights.append(w if isinstance(w, int) else 1)
+    odd_weights = _odd_weights(beta)
     subsets = []
     for k in range(n + 1):
         subsets.extend(combinations(range(n), k))
@@ -455,11 +358,6 @@ def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
     odd = [s for s in subsets if len(s) % 2 == 1]
     even_index = {s: i for i, s in enumerate(even)}
     odd_index = {s: i for i, s in enumerate(odd)}
-
-    def weight_of_subset(s):
-        if odd_weights is None:
-            return 0
-        return sum(odd_weights[k] for k in s)
 
     def apply_delta(s):
         out = {}
@@ -490,8 +388,10 @@ def koszul_mf(ring, alpha, beta, odd_weights=None, names=None):
     potential = ring.zero
     for a, b in zip(alpha, beta):
         potential = potential + a * b
-    p0 = [Generator("^".join(names[k] for k in s) or "1", weight_of_subset(s)) for s in even]
-    p1 = [Generator("^".join(names[k] for k in s) or "1", weight_of_subset(s)) for s in odd]
+    gen = lambda s: Generator("^".join(f"e{k}" for k in s) or "1",
+                              sum(odd_weights[k] for k in s))
+    p0 = [gen(s) for s in even]
+    p1 = [gen(s) for s in odd]
     return MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
 
 
@@ -523,75 +423,40 @@ def fold_to_mf(curved):
 
 
 def mf_tensor(m, n):
-    """Z/2-graded tensor product; potentials add."""
+    """Z/2-graded tensor product; potentials add.
+
+    P0 = M0 (x) N0 (+) M1 (x) N1 and P1 = M0 (x) N1 (+) M1 (x) N0.  On the
+    block M_a (x) N_b, delta is delta_m (x) 1 into block (1-a, b) plus
+    (-1)^a 1 (x) delta_n into block (a, 1-b)."""
     if m.ring != n.ring:
         raise ValueError("tensor of matrix factorizations over different rings")
     ring = m.ring
-    # P0 = M0 (x) N0 (+) M1 (x) N1 ; P1 = M0 (x) N1 (+) M1 (x) N0
-    def pairs(ga, gb):
-        return [Generator(f"{a.name}*{b.name}", a.weight + b.weight) for a in ga for b in gb]
-
-    p0 = pairs(m.p0_gens, n.p0_gens) + pairs(m.p1_gens, n.p1_gens)
-    p1 = pairs(m.p0_gens, n.p1_gens) + pairs(m.p1_gens, n.p0_gens)
-    r0a = len(m.p0_gens) * len(n.p0_gens)
-    r1a = len(m.p0_gens) * len(n.p1_gens)
-    delta0 = [[ring.zero] * len(p0) for _ in range(len(p1))]
-    delta1 = [[ring.zero] * len(p1) for _ in range(len(p0))]
-
-    def idx(block_offset, i, j, width):
-        return block_offset + i * width + j
-
-    nm0, nm1 = len(m.p0_gens), len(m.p1_gens)
-    nn0, nn1 = len(n.p0_gens), len(n.p1_gens)
-    # delta on M0 (x) N0: delta_m (x) 1 into M1N0 block, 1 (x) delta_n into M0N1
-    for i in range(nm0):
-        for j in range(nn0):
-            col = idx(0, i, j, nn0)
-            for i2 in range(nm1):
-                c = m.delta0[i2][i]
-                if c:
-                    delta0[idx(r1a, i2, j, nn0)][col] = c
-            for j2 in range(nn1):
-                c = n.delta0[j2][j]
-                if c:
-                    delta0[idx(0, i, j2, nn1)][col] = c
-    # delta on M1 (x) N1: delta_m (x) 1 into M0N1, -(1 (x) delta_n) into M1N0
-    for i in range(nm1):
-        for j in range(nn1):
-            col = idx(r0a, i, j, nn1)
-            for i2 in range(nm0):
-                c = m.delta1[i2][i]
-                if c:
-                    delta0[idx(0, i2, j, nn1)][col] = c
-            for j2 in range(nn0):
-                c = n.delta1[j2][j]
-                if c:
-                    delta0[idx(r1a, i, j2, nn0)][col] = -c
-    # delta on M0 (x) N1: 1 (x) delta_n into M0N0, delta_m (x) 1 into M1N1
-    for i in range(nm0):
-        for j in range(nn1):
-            col = idx(0, i, j, nn1)
-            for j2 in range(nn0):
-                c = n.delta1[j2][j]
-                if c:
-                    delta1[idx(0, i, j2, nn0)][col] = c
-            for i2 in range(nm1):
-                c = m.delta0[i2][i]
-                if c:
-                    delta1[idx(nm0 * nn0, i2, j, nn1)][col] = c
-    # delta on M1 (x) N0: delta_m (x) 1 into M0N0, -(1 (x) delta_n) into M1N1
-    for i in range(nm1):
-        for j in range(nn0):
-            col = idx(r1a, i, j, nn0)
-            for i2 in range(nm0):
-                c = m.delta1[i2][i]
-                if c:
-                    delta1[idx(0, i2, j, nn0)][col] = c
-            for j2 in range(nn1):
-                c = n.delta0[j2][j]
-                if c:
-                    delta1[idx(nm0 * nn0, i, j2, nn1)][col] = -c
-    return MatrixFactorization(ring, p0, p1, delta0, delta1,
+    m_gens, n_gens = (m.p0_gens, m.p1_gens), (n.p0_gens, n.p1_gens)
+    m_delta, n_delta = (m.delta0, m.delta1), (n.delta0, n.delta1)
+    gens = ([], [])
+    offset = {}  # block (a, b) -> index of its first generator in P_{a+b}
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        p = gens[(a + b) % 2]
+        offset[a, b] = len(p)
+        p.extend(Generator(f"{g.name}*{h.name}", g.weight + h.weight)
+                 for g in m_gens[a] for h in n_gens[b])
+    delta = ([[ring.zero] * len(gens[0]) for _ in gens[1]],
+             [[ring.zero] * len(gens[1]) for _ in gens[0]])
+    for (a, b), col0 in offset.items():
+        out = delta[(a + b) % 2]
+        width, width_flip = len(n_gens[b]), len(n_gens[1 - b])
+        for i in range(len(m_gens[a])):
+            for j in range(width):
+                col = col0 + i * width + j
+                for i2, row in enumerate(m_delta[a]):
+                    c = row[i]
+                    if c:
+                        out[offset[1 - a, b] + i2 * width + j][col] = c
+                for j2, row in enumerate(n_delta[b]):
+                    c = row[j]
+                    if c:
+                        out[offset[a, 1 - b] + i * width_flip + j2][col] = -c if a else c
+    return MatrixFactorization(ring, gens[0], gens[1], delta[0], delta[1],
                                m.potential + n.potential)
 
 
@@ -604,36 +469,33 @@ def unit_mf(ring):
 # -- homotopy solving ------------------------------------------------------
 
 
-def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
-    """Search for an odd h with delta h + h delta = target.
+def nullhomotopy_solve(mf, degree_bound=4):
+    """Search for an odd h with delta h + h delta = id (a contracting
+    homotopy).
 
-    ``target0``/``target1`` are the even endomorphism's blocks (default: the
-    identity).  Unknown entries are polynomials of total degree <= the bound;
-    the search is one exact linear solve.  Returns (h0, h1) or None; a
-    returned homotopy has been verified exactly (CertificateError if not).
+    Unknown entries are polynomials of total degree <= the bound; the search
+    is one exact linear solve.  Returns (h0, h1) or None; a returned
+    homotopy has been verified exactly (CertificateError if not).
     """
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     ring = mf.ring
     field = ring.field
     n0, n1 = mf.rank0, mf.rank1
-    if target0 is None:
-        target0 = [[ring.one if i == j else ring.zero for j in range(n0)]
-                   for i in range(n0)]
-    if target1 is None:
-        target1 = [[ring.one if i == j else ring.zero for j in range(n1)]
-                   for i in range(n1)]
-    monos = _monomials_up_to(ring, degree_bound)
-    shifts = [next(iter(mono.terms)) for mono in monos]
-    # unknowns: h0[i1][j0] (P0->P1) and h1[i0][j1] (P1->P0), each a combo of monos
-    nvars_h0 = n1 * n0 * len(monos)
-    nvars_h1 = n0 * n1 * len(monos)
+    target0, target1 = linalg.identity(ring, n0), linalg.identity(ring, n1)
+    # the monomials of total degree <= the bound, by degree, then lex
+    shifts = [e for total in range(degree_bound + 1)
+              for e in exponents_of_weight([1] * ring.nvars, total)]
+    # unknowns: h0[i1][j0] (P0->P1) and h1[i0][j1] (P1->P0), each a combination
+    # of the monomials
+    nvars_h0 = n1 * n0 * len(shifts)
+    nvars_h1 = n0 * n1 * len(shifts)
 
     def h0_var(i, j, k):
-        return (i * n0 + j) * len(monos) + k
+        return (i * n0 + j) * len(shifts) + k
 
     def h1_var(i, j, k):
-        return nvars_h0 + (i * n1 + j) * len(monos) + k
+        return nvars_h0 + (i * n1 + j) * len(shifts) + k
 
     equations = {}  # (block, i, j, exponent) -> row dict var -> Scalar
 
@@ -685,41 +547,14 @@ def nullhomotopy_solve(mf, target0=None, target1=None, degree_bound=4):
     sol = linalg.solve(matrix, rhs, field) if matrix else []
     if sol is None:
         return None
-    h0 = [[_from_combo(ring, monos, sol, h0_var(i, j, 0)) for j in range(n0)]
-          for i in range(n1)]
-    h1 = [[_from_combo(ring, monos, sol, h1_var(i, j, 0)) for j in range(n1)]
-          for i in range(n0)]
-    if (first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field) is not None
-            or first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field) is not None):
-        raise CertificateError("solved homotopy fails delta h + h delta = target")
+    combo = lambda base: Poly(ring, {e: sol[base + k] for k, e in enumerate(shifts)})
+    h0 = [[combo(h0_var(i, j, 0)) for j in range(n0)] for i in range(n1)]
+    h1 = [[combo(h1_var(i, j, 0)) for j in range(n1)] for i in range(n0)]
+    bad0 = linalg.first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field)
+    bad1 = linalg.first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field)
+    if bad0 is not None or bad1 is not None:
+        raise CertificateError("solved homotopy fails delta h + h delta = id")
     return h0, h1
-
-
-def _monomials_up_to(ring, bound):
-    out = []
-    for total in range(bound + 1):
-        for exps in _exps_of_total(ring.nvars, total):
-            out.append(Poly(ring, {tuple(exps): ring.field.one}))
-    return out
-
-
-def _exps_of_total(nvars, total):
-    if nvars == 0:
-        if total == 0:
-            yield []
-        return
-    for first in range(total + 1):
-        for rest in _exps_of_total(nvars - 1, total - first):
-            yield [first] + rest
-
-
-def _from_combo(ring, monos, sol, base):
-    p = ring.zero
-    for k, mono in enumerate(monos):
-        c = sol[base + k]
-        if c:
-            p = p + c * mono
-    return p
 
 
 CONTRACTIBLE = "contractible"
@@ -787,20 +622,14 @@ def exp_multiplication_operator(scheme, h, parity_basis):
     index = {s: i for i, s in enumerate(parity_basis)}
     cols = []
     for s in parity_basis:
-        elt = SuperElement(scheme, {s: ring.one})
-        acc = elt
-        total = elt
+        acc = total = SuperElement(scheme, {s: ring.one})
         k = 1
         while True:
             acc = h * acc
             if not acc:
                 break
-            from fractions import Fraction
-            coeff = ring.field.scalar(Fraction(1))
-            for i in range(1, k + 1):
-                coeff = coeff * ring.field.scalar(Fraction(1, i))
-            term = SuperElement(scheme, {t: c * coeff for t, c in acc.coefficients.items()})
-            total = total + term
+            acc = acc * Fraction(1, k)  # h^k e_s / k!
+            total = total + acc
             k += 1
         col = [ring.zero] * len(parity_basis)
         for t, c in total.coefficients.items():
@@ -810,21 +639,21 @@ def exp_multiplication_operator(scheme, h, parity_basis):
             for i in range(len(parity_basis))]
 
 
-def gauge_intertwiner(scheme, f_a, f_b, weight=None, check_fold=True):
+def gauge_intertwiner(scheme, f_a, f_b):
     """If f_b - f_a = d(h) for an even h of degree -2, return (h, E0, E1):
     multiplication by exp(-h) intertwines delta_a = d + f_a and
-    delta_b = d + f_b on the folded modules.  Returns None when the difference
-    is not exact at the searched weight."""
+    delta_b = d + f_b on the folded modules, which is checked exactly
+    (CertificateError if not).  Returns None when the difference is not
+    exact at its weight."""
     ring = scheme.ring
     field = ring.field
     diff = f_b - f_a
     if not diff:
         h = scheme.zero_element()
     else:
-        if weight is None:
-            weight = diff.weight()
-            if not isinstance(weight, int):
-                raise ValueError("cannot infer the weight of the difference")
+        weight = diff.weight()
+        if not isinstance(weight, int):
+            raise ValueError("cannot infer the weight of the difference")
         h = _solve_d_preimage(scheme, diff, degree=-2, weight=weight)
         if h is None:
             return None
@@ -833,16 +662,19 @@ def gauge_intertwiner(scheme, f_a, f_b, weight=None, check_fold=True):
     odd = scheme.basis_subsets(parity=1)
     e0 = exp_multiplication_operator(scheme, minus_h, even)
     e1 = exp_multiplication_operator(scheme, minus_h, odd)
-    if check_fold:
-        mfa = fold_to_mf(dgmf_from_homotopy(scheme, f_a))
-        mfb = fold_to_mf(dgmf_from_homotopy(scheme, f_b))
-        # delta_b o E = E o delta_a (E multiplies by exp(-h))
-        left0 = linalg.mat_mul(mfb.delta0, e0, ring)
-        right0 = linalg.mat_mul(e1, mfa.delta0, ring)
-        left1 = linalg.mat_mul(mfb.delta1, e1, ring)
-        right1 = linalg.mat_mul(e0, mfa.delta1, ring)
-        if left0 != right0 or left1 != right1:
-            raise CertificateError("gauge intertwiner failed exact verification")
+    mfa = fold_to_mf(dgmf_from_homotopy(scheme, f_a))
+    mfb = fold_to_mf(dgmf_from_homotopy(scheme, f_b))
+    # delta_b o E = E o delta_a (E multiplies by exp(-h)), block by block
+    for k, delta_a, delta_b, e_in, e_out in ((0, mfa.delta0, mfb.delta0, e0, e1),
+                                              (1, mfa.delta1, mfb.delta1, e1, e0)):
+        bad = linalg.first_mismatch(
+            [(delta_b, e_in), (linalg.mat_neg(e_out), delta_a)],
+            linalg.zeros(ring, len(e_out), len(e_in)), field)
+        if bad is not None:
+            i, j = bad
+            raise CertificateError(
+                f"gauge intertwiner failed exact verification: "
+                f"delta_b{k} o E{k} != E{1 - k} o delta_a{k} at entry ({i},{j})")
     return h, e0, e1
 
 

@@ -13,7 +13,7 @@ class GroupElement:
     (contragredient bookkeeping so that act(gh, p) = act(g, act(h, p))).
     """
 
-    def __init__(self, ring, matrix, max_order=None):
+    def __init__(self, ring, matrix):
         field = ring.field
         n = ring.nvars
         matrix = [[field.scalar(c) if not hasattr(c, "coeffs") else c for c in row]
@@ -22,13 +22,13 @@ class GroupElement:
             raise ValueError(f"matrix must be {n}x{n} to act on {ring!r}")
         self.ring = ring
         self.matrix = matrix
-        bound = max_order if max_order is not None else 4 * max(field.order, 1)
-        self.order = self._compute_order(bound)
+        self.order = self._compute_order()
         if not self._commutes_with_r_charge():
             raise ValueError("group element does not commute with the R-charge action")
 
-    def _compute_order(self, bound):
+    def _compute_order(self):
         field = self.ring.field
+        bound = 4 * max(field.order, 1)
         ident = linalg.identity(field, self.ring.nvars)
         power = self.matrix
         for k in range(1, bound + 1):
@@ -91,10 +91,7 @@ class GroupElement:
         return [row[i] for i, row in enumerate(self.matrix)]
 
     def commutes_with(self, other):
-        f = self.ring.field
-        ab = linalg.mat_mul(self.matrix, other.matrix, f)
-        ba = linalg.mat_mul(other.matrix, self.matrix, f)
-        return linalg.mat_eq(ab, ba)
+        return self.commutator_witness(other) is None
 
     def commutator_witness(self, other):
         """First (i, j, gh_ij, hg_ij) where gh and hg differ, else None."""

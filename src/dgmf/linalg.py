@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over Q(zeta_N).
+"""Exact linear algebra over Q(zeta_N), and the one check of polynomial
+matrix identities.
 
 Matrices are plain lists of lists of Scalar.  ``rref`` is Gauss-Jordan
 elimination that skips zeros: it scales the pivot row, lists that row's
@@ -8,12 +9,20 @@ restrictions) are sparse with small coefficients, so the cost is the number
 of Scalar operations, not coefficient growth.  The reduced row echelon form
 is unique, so skipping zeros changes no result.
 
-``zeros``, ``identity``, ``mat_mul`` and ``mat_add`` only touch ``.zero`` and
-``.one`` of their base, so they serve Poly matrices too: pass the PolyRing
-where a field is asked for.
+``mat_mul`` multiplies Scalar matrices.  ``first_mismatch`` is the sparse
+certificate kernel: it decides whether a sum of products of Poly matrices
+equals a target, exactly, without building any product, and every identity
+on Poly matrices (delta^2 = W . id, d o d = 0, commuting squares, gauge
+intertwiners, contracting homotopies) is checked by it.  ``zeros`` and
+``identity`` only touch ``.zero`` and ``.one`` of their base, so they build
+Poly matrices too: pass the PolyRing where a field is asked for.
 """
 
 from __future__ import annotations
+
+from math import lcm
+
+from .cyclotomic import _integer_vector
 
 
 def zeros(field, rows, cols):
@@ -45,10 +54,6 @@ def mat_mul(a, b, field):
                         oi[j] = oi[j] + c * e
         out.append(oi)
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_neg(a):
@@ -158,3 +163,101 @@ def invert(matrix, field):
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
+
+
+def _terms(poly):
+    """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
+    the coefficient is sum(integer * zeta^k) / denominator."""
+    out = []
+    for e, c in poly.terms.items():
+        ints, den = _integer_vector(c.coeffs)
+        out.append((e, [(k, x) for k, x in enumerate(ints) if x], den))
+    return out
+
+
+def first_mismatch(products, target, field):
+    """The first (i, j), row by row, at which sum(a . b for a, b in products)
+    differs from ``target`` (a matrix of Poly over ``field``); None if equal.
+
+    Exact, and no product Poly or Scalar is built.  Every nonzero entry is
+    turned once into integer terms with packed exponents, and the nonzero
+    columns of each row are listed once (Gustavson's row-by-row product).
+    Row i then accumulates, per column and exponent, one unreduced integer
+    vector of length 2*phi(N) - 1 over the lcm of its denominators, reduces
+    it by Phi_N once and compares it with the target by cross-multiplying
+    denominators.  A difference A . B - C . D = 0 is checked as the products
+    [(A, B), (-C, D)] against a zero target."""
+    cache = {}  # id -> terms; every entry stays alive in its matrix meanwhile
+
+    def terms(poly):
+        t = cache.get(id(poly))
+        if t is None:
+            t = cache[id(poly)] = _terms(poly)
+        return t
+
+    sparse = lambda m: [[(j, terms(c)) for j, c in enumerate(row) if c.terms] for row in m]
+    products = [(sparse(a), sparse(b)) for a, b in products]
+    target = [dict(row) for row in sparse(target)]
+    # pack each exponent into one int, `shift` bits per variable: enough for
+    # every exponent here and every sum of two, so a product's exponent is
+    # the sum of its factors' and distinct exponents stay distinct
+    top = max((x for ts in cache.values() for e, _, _ in ts for x in e), default=0)
+    shift = (2 * top + 1).bit_length()
+    for ts in cache.values():
+        ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
+                 for e, vec, d in ts]
+    width = 2 * field.degree - 1
+    for i, want in enumerate(target):
+        acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
+        for a, b in products:
+            for k, ta in a[i]:
+                for j, tb in b[k]:
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    for ea, va, da in ta:
+                        for eb, vb, db in tb:
+                            e = ea + eb
+                            d = da * db
+                            slot = cell.get(e)
+                            if slot is None:
+                                slot = cell[e] = [d, [0] * width]
+                            den, ints = slot
+                            scale = 1
+                            if d != den:
+                                common = lcm(den, d)
+                                if common != den:
+                                    f = common // den
+                                    slot[:] = common, [x * f for x in ints]
+                                    den, ints = slot
+                                scale = den // d
+                            for ka, xa in va:
+                                xa *= scale
+                                for kb, xb in vb:
+                                    ints[ka + kb] += xa * xb
+        for j in sorted(acc.keys() | want.keys()):
+            if not _agrees(acc.get(j, {}), want.get(j, ()), field):
+                return i, j
+    return None
+
+
+def _agrees(cell, expected, field):
+    """Whether the accumulated {exponent: [den, unreduced ints]} equals the
+    Poly whose ``_terms`` are ``expected``."""
+    expected = {e: (v, d) for e, v, d in expected}
+    for e, (den, ints) in cell.items():
+        got = field.reduce_integers(ints) if any(ints) else None
+        w = expected.pop(e, None)
+        if w is None:
+            if got is not None and any(got):
+                return False
+        elif got is None:
+            return False
+        else:
+            v, wden = w
+            diff = [g * wden for g in got]
+            for k, x in v:
+                diff[k] -= x * den
+            if any(diff):
+                return False
+    return not expected

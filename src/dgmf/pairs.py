@@ -174,7 +174,7 @@ def _transport_complex(c, transports):
         new = linalg.mat_mul(linalg.mat_mul(t_next, d, field),
                              linalg.invert(t_here, field), field)
         diffs[n] = [[c.ring.constant(e) for e in row] for row in new]
-    return FreeComplex(c.ring, objects, diffs, weight_check=False)
+    return FreeComplex(c.ring, objects, diffs)
 
 
 def pair_pushforward(f, p):

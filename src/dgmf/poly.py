@@ -71,23 +71,9 @@ class PolyRing:
         return sum(e * w for e, w in zip(exps, self.weights))
 
     def monomials_of_weight(self, target):
-        """All exponent tuples of exact weighted degree ``target`` (finite since
-        all weights are positive), in lexicographic order."""
-        out = []
-
-        def rec(i, remaining, prefix):
-            if i == self.nvars:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            w = self.weights[i]
-            for e in range(remaining // w + 1):
-                rec(i + 1, remaining - e * w, prefix + [e])
-
-        if target < 0:
-            return []
-        rec(0, target, [])
-        return sorted(out)
+        """All exponent tuples of exact weighted degree ``target``, in
+        lexicographic order."""
+        return exponents_of_weight(self.weights, target)
 
     def parse(self, text):
         """Reads the textual polynomial format ``coeff*x^e*y^f + ...``.
@@ -140,6 +126,24 @@ class PolyRing:
         if coeff is None:
             coeff = self.field.one
         return tuple(exps), (-coeff if sign < 0 else coeff)
+
+
+def exponents_of_weight(weights, target):
+    """All exponent tuples e with sum(e[i] * weights[i]) == target, in
+    lexicographic order; finite since every weight is positive, and empty
+    when ``target`` is negative."""
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(weights):
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for e in range(remaining // weights[i] + 1):
+            rec(i + 1, remaining - e * weights[i], prefix + [e])
+
+    rec(0, target, [])
+    return out
 
 
 def _split_terms(text):

@@ -515,4 +515,4 @@ def parse_complex(text):
         rows = len(objects.get(n + 1, []))
         cols = len(objects.get(n, []))
         diffs[n] = _parse_matrix(ring, lineno, val, rows, cols)
-    return FreeComplex(ring, objects, diffs, weight_check=False)
+    return FreeComplex(ring, objects, diffs)

@@ -228,7 +228,7 @@ class TwoTermModel:
         diffs = {}
         if self.dim_a and self.dim_b:
             diffs[0] = [[base.constant(c) for c in row] for row in self.f_matrix]
-        return FreeComplex(base, objects, diffs, weight_check=False)
+        return FreeComplex(base, objects, diffs)
 
     def homology(self):
         h = homology_ranks(self.complex())
@@ -657,10 +657,10 @@ class LogFormModel:
     elsewhere including infinity.
     """
 
-    def __init__(self, spec, component=None):
+    def __init__(self, spec):
         if spec.nodes:
             raise SpinDataError("log-form models are per irreducible component")
-        comp = component or spec.components[0]
+        comp = spec.components[0]
         field = spec.field
         self.spec = spec
         self.component = comp
@@ -713,7 +713,7 @@ class LogFormModel:
         diffs = {}
         if a_dims and self.b_basis:
             diffs[0] = [[base.constant(c) for c in row] for row in f_matrix]
-        return FreeComplex(base, objects, diffs, weight_check=False)
+        return FreeComplex(base, objects, diffs)
 
     def log_complex(self):
         return self._two_term(len(self.a_log), self.f_log, "w")
@@ -728,7 +728,7 @@ class LogFormModel:
         f_beta = self.log_complex()
         f_alpha = FreeComplex(base, {0: [Generator(f"r{i}", 0)
                                          for i in range(self.n)]} if self.n else {},
-                              {}, weight_check=False)
+                              {})
         comps = {}
         if self.n and len(self.a_log):
             comps[0] = [[base.constant(c) for c in row] for row in self.res]
@@ -800,8 +800,8 @@ class LogFormModel:
         return report
 
 
-def residue_structure(spec, component=None):
-    return LogFormModel(spec, component)
+def residue_structure(spec):
+    return LogFormModel(spec)
 
 
 def check_projection_commutation(logmodel):

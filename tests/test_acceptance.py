@@ -154,7 +154,7 @@ def _random_pair(rng):
             objs[1] = [Generator(f"b{i}", 0) for i in range(rows)]
             diffs[0] = [[rng.randint(-2, 2) for _ in range(cols)]
                         for _ in range(rows)]
-        return FreeComplex(ring, objs, diffs, weight_check=False)
+        return FreeComplex(ring, objs, diffs)
 
     fa, fb = cx(), cx()
     for _ in range(30):

@@ -15,29 +15,28 @@ from dgmf import (
     induced_homology_map_rank,
 )
 from dgmf.complexes import Generator, NotAChainMap
+from dgmf.poly import Poly
 
 F = CyclotomicField(1)
 PT = PolyRing(F, [], [])
 
 
 def _single(deg=0, rank=1):
-    return FreeComplex(
-        PT, {deg: [Generator(f"e{i}", 0) for i in range(rank)]}, {},
-        weight_check=False)
+    return FreeComplex(PT, {deg: [Generator(f"e{i}", 0) for i in range(rank)]}, {})
 
 
 def _two_term(mat, deg=0):
     rows, cols = len(mat), len(mat[0])
     objs = {deg: [Generator(f"a{i}", 0) for i in range(cols)],
             deg + 1: [Generator(f"b{i}", 0) for i in range(rows)]}
-    return FreeComplex(PT, objs, {deg: mat}, weight_check=False)
+    return FreeComplex(PT, objs, {deg: mat})
 
 
 def test_d_squared_enforced():
     objs = {0: [Generator("a", 0)], 1: [Generator("b", 0)],
             2: [Generator("c", 0)]}
     with pytest.raises(ValueError):
-        FreeComplex(PT, objs, {0: [[1]], 1: [[1]]}, weight_check=False)
+        FreeComplex(PT, objs, {0: [[1]], 1: [[1]]})
 
 
 def test_cone_of_identity_is_acyclic():
@@ -137,3 +136,165 @@ def test_induced_homology_map_rank_identity():
     f = ChainMap.identity(C)
     assert induced_homology_map_rank(f, 0) == 1
     assert induced_homology_map_rank(f, 1) == 1
+
+
+def test_free_complex_rejects_a_broken_d_squared():
+    R = PolyRing(CyclotomicField(4), ["x", "y"], [1, 1])
+    x, y = R.gens()
+    objs = {0: [Generator("a", 0)], 1: [Generator("b0", 0), Generator("b1", 0)],
+            2: [Generator("c", 0)]}
+    FreeComplex(R, objs, {0: [[x], [y]], 1: [[-y, x]]})  # the Koszul complex
+    with pytest.raises(ValueError, match=r"d o d != 0 at degree 0, entry \(0,0\)"):
+        FreeComplex(R, objs, {0: [[x], [y]], 1: [[y, x]]})
+
+
+def test_chain_map_rejects_a_non_commuting_square():
+    C = _two_term([[1, 0], [0, 2]])
+    ChainMap(C, C, {0: [[3, 0], [0, 1]], 1: [[3, 0], [0, 1]]})
+    with pytest.raises(NotAChainMap) as info:
+        ChainMap(C, C, {0: [[1, 0], [0, 1]], 1: [[1, 0], [0, 3]]})
+    assert str(info.value) == ("square at degree 0 does not commute at entry (1,1): "
+                               "d_target o f = 2, f o d_source = 6")
+
+
+# -- the certificate kernel against a dense reference ---------------------
+
+
+def _mat_mul(a, b, ring, rows, inner, cols):
+    """a . b by the dense triple loop, the product the d o d and chain-map
+    checks used to build; the sizes are explicit so that zero ranks work."""
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), ring.zero)
+             for j in range(cols)] for i in range(rows)]
+
+
+def _first_difference(x, y):
+    return next(((i, j) for i, (rx, ry) in enumerate(zip(x, y))
+                 for j, (a, b) in enumerate(zip(rx, ry)) if a != b), None)
+
+
+def _random_entry(rng, ring, density=0.5):
+    """Zero, or a Poly of at most two terms of degree <= 1 in each variable
+    with coefficients a + b*zeta."""
+    if rng.random() > density:
+        return ring.zero
+    field = ring.field
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        e = tuple(rng.randint(0, 1) for _ in range(ring.nvars))
+        terms[e] = field.scalar(rng.randint(-2, 2)) + rng.randint(-1, 1) * field.zeta
+    return Poly(ring, terms)
+
+
+def _random_entries(rng, ring, rows, cols):
+    return [[_random_entry(rng, ring) for _ in range(cols)] for _ in range(rows)]
+
+
+def _perturb(rng, ring, m):
+    """m with one entry moved by a nonzero Poly (m unchanged if it is empty)."""
+    m = [list(row) for row in m]
+    if m and m[0]:
+        i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+        m[i][j] = m[i][j] + (_random_entry(rng, ring, density=1) or ring.one)
+    return m
+
+
+def _random_complex_data(rng, ring, top=3):
+    """Objects and differentials on degrees 0..top with d o d = 0: in a
+    shuffled basis, C^n = X^n (+) Y^n, d maps X^n into Y^{n+1} and kills
+    Y^n.  Ranks 0 occur."""
+    parts = []
+    for _ in range(top + 1):
+        basis = [("x", i) for i in range(rng.randint(0, 2))]
+        basis += [("y", i) for i in range(rng.randint(0, 2))]
+        rng.shuffle(basis)
+        parts.append(basis)
+    objects = {n: [Generator(f"g{n}.{k}", 0) for k in range(len(basis))]
+               for n, basis in enumerate(parts)}
+    diffs = {}
+    for n in range(top):
+        src, tgt = parts[n], parts[n + 1]
+        a = _random_entries(rng, ring, len(tgt), len(src))
+        diffs[n] = [[a[r][c] if kr == "y" and kc == "x" else ring.zero
+                     for c, (kc, _) in enumerate(src)]
+                    for r, (kr, _) in enumerate(tgt)]
+    return objects, diffs
+
+
+def _dense_d_squared_failure(objects, diffs, ring):
+    """(degree, i, j) of the first nonzero entry of some d o d, or None."""
+    rank = lambda n: len(objects.get(n, []))
+    for n in sorted(objects):
+        if rank(n) and rank(n + 2):
+            comp = _mat_mul(diffs[n + 1], diffs[n], ring, rank(n + 2), rank(n + 1), rank(n))
+            bad = _first_difference(comp, [[ring.zero] * rank(n)] * rank(n + 2))
+            if bad is not None:
+                return (n, *bad)
+    return None
+
+
+def _dense_chain_map_failure(S, T, comps, ring):
+    """(degree, i, j) of the first entry where d_T o f_n != f_{n+1} o d_S."""
+    for n in sorted(set(S.degrees()) | set(T.degrees())):
+        left = _mat_mul(T.diff(n), comps[n], ring, T.rank(n + 1), T.rank(n), S.rank(n))
+        right = _mat_mul(comps[n + 1], S.diff(n), ring,
+                         T.rank(n + 1), S.rank(n + 1), S.rank(n))
+        bad = _first_difference(left, right)
+        if bad is not None:
+            return (n, *bad)
+    return None
+
+
+@pytest.mark.parametrize("nvars", [0, 2])
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_certificate_kernel_accepts_and_rejects_like_the_dense_reference(order, nvars):
+    ring = PolyRing(CyclotomicField(order), ["x", "y"][:nvars], [1] * nvars)
+    rng = random.Random(100 * order + nvars)
+    top = 3
+    verdicts = {"complex": [], "map": []}
+    for _ in range(60):
+        objects, diffs = _random_complex_data(rng, ring, top)
+        if rng.random() < 0.5:  # two consecutive differentials made random
+            n = rng.randrange(top - 1)
+            for m in (n, n + 1):
+                diffs[m] = _random_entries(rng, ring, len(objects[m + 1]), len(objects[m]))
+        expected = _dense_d_squared_failure(objects, diffs, ring)
+        verdicts["complex"].append(expected is None)
+        if expected is None:
+            FreeComplex(ring, objects, diffs)
+        else:
+            n, i, j = expected
+            with pytest.raises(ValueError) as info:
+                FreeComplex(ring, objects, diffs)
+            assert str(info.value) == f"d o d != 0 at degree {n}, entry ({i},{j})"
+
+        # f = d_T h + h d_S is a chain map for every h; then perturb it, or
+        # replace it by a random map
+        S = FreeComplex(ring, *_random_complex_data(rng, ring, top))
+        T = FreeComplex(ring, *_random_complex_data(rng, ring, top))
+        h = {n: _random_entries(rng, ring, T.rank(n - 1), S.rank(n))
+             for n in range(top + 2)}
+        comps = {}
+        for n in range(top + 2):
+            dh = _mat_mul(T.diff(n - 1), h[n], ring, T.rank(n), T.rank(n - 1), S.rank(n))
+            hd = _mat_mul(h.get(n + 1, []), S.diff(n), ring,
+                          T.rank(n), S.rank(n + 1), S.rank(n))
+            comps[n] = [[p + q for p, q in zip(rp, rq)] for rp, rq in zip(dh, hd)]
+        kind = rng.randrange(3)
+        if kind == 1:
+            n = rng.randrange(top + 1)
+            comps[n] = _perturb(rng, ring, comps[n])
+        elif kind == 2:
+            comps = {n: _random_entries(rng, ring, T.rank(n), S.rank(n))
+                     for n in range(top + 2)}
+        expected = _dense_chain_map_failure(S, T, comps, ring)
+        verdicts["map"].append(expected is None)
+        if expected is None:
+            ChainMap(S, T, comps)
+        else:
+            n, i, j = expected
+            with pytest.raises(NotAChainMap) as info:
+                ChainMap(S, T, comps)
+            assert f"at degree {n} does not commute at entry ({i},{j}):" in str(info.value)
+    # both verdicts occur often enough for the comparison to mean something
+    for seen in verdicts.values():
+        assert 5 <= sum(seen) <= len(seen) - 5

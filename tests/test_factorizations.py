@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgmf import factorizations
+from dgmf import factorizations, linalg
+from dgmf.complexes import Generator
 from dgmf.poly import Poly
 from dgmf import (
     CONTRACTIBLE,
@@ -144,6 +145,96 @@ def test_unit_mf_is_tensor_unit():
     assert (t.rank0, t.rank1) == (a.rank0, a.rank1)
 
 
+def _reference_mf_tensor(m, n):
+    """The tensor product as mf_tensor used to build it, with one copy of the
+    block loop per source block; kept as the reference."""
+    ring = m.ring
+
+    def pairs(ga, gb):
+        return [Generator(f"{a.name}*{b.name}", a.weight + b.weight) for a in ga for b in gb]
+
+    p0 = pairs(m.p0_gens, n.p0_gens) + pairs(m.p1_gens, n.p1_gens)
+    p1 = pairs(m.p0_gens, n.p1_gens) + pairs(m.p1_gens, n.p0_gens)
+    r0a = len(m.p0_gens) * len(n.p0_gens)
+    r1a = len(m.p0_gens) * len(n.p1_gens)
+    delta0 = [[ring.zero] * len(p0) for _ in range(len(p1))]
+    delta1 = [[ring.zero] * len(p1) for _ in range(len(p0))]
+
+    def idx(block_offset, i, j, width):
+        return block_offset + i * width + j
+
+    nm0, nm1 = len(m.p0_gens), len(m.p1_gens)
+    nn0, nn1 = len(n.p0_gens), len(n.p1_gens)
+    for i in range(nm0):
+        for j in range(nn0):
+            col = idx(0, i, j, nn0)
+            for i2 in range(nm1):
+                c = m.delta0[i2][i]
+                if c:
+                    delta0[idx(r1a, i2, j, nn0)][col] = c
+            for j2 in range(nn1):
+                c = n.delta0[j2][j]
+                if c:
+                    delta0[idx(0, i, j2, nn1)][col] = c
+    for i in range(nm1):
+        for j in range(nn1):
+            col = idx(r0a, i, j, nn1)
+            for i2 in range(nm0):
+                c = m.delta1[i2][i]
+                if c:
+                    delta0[idx(0, i2, j, nn1)][col] = c
+            for j2 in range(nn0):
+                c = n.delta1[j2][j]
+                if c:
+                    delta0[idx(r1a, i, j2, nn0)][col] = -c
+    for i in range(nm0):
+        for j in range(nn1):
+            col = idx(0, i, j, nn1)
+            for j2 in range(nn0):
+                c = n.delta1[j2][j]
+                if c:
+                    delta1[idx(0, i, j2, nn0)][col] = c
+            for i2 in range(nm1):
+                c = m.delta0[i2][i]
+                if c:
+                    delta1[idx(nm0 * nn0, i2, j, nn1)][col] = c
+    for i in range(nm1):
+        for j in range(nn0):
+            col = idx(r1a, i, j, nn0)
+            for i2 in range(nm0):
+                c = m.delta1[i2][i]
+                if c:
+                    delta1[idx(0, i2, j, nn0)][col] = c
+            for j2 in range(nn1):
+                c = n.delta0[j2][j]
+                if c:
+                    delta1[idx(nm0 * nn0, i, j2, nn1)][col] = -c
+    return factorizations.MatrixFactorization(ring, p0, p1, delta0, delta1,
+                                              m.potential + n.potential)
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_mf_tensor_matches_the_block_by_block_reference(order):
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x0", "x1", "y0", "y1"])
+    xs, ys = ring.gens()[:2], ring.gens()[2:]
+    rng = random.Random(order)
+
+    def random_koszul():
+        k = rng.randint(1, 2)
+        alpha = [_random_scalar(rng, field) * rng.choice(xs) for _ in range(k)]
+        beta = [rng.choice(ys) + _random_scalar(rng, field) * rng.choice(xs) * rng.choice(ys)
+                for _ in range(k)]
+        return koszul_mf(ring, alpha, beta)
+
+    mfs = [unit_mf(ring)] + [random_koszul() for _ in range(8)]
+    for m in mfs:
+        for n in mfs:
+            got, want = mf_tensor(m, n), _reference_mf_tensor(m, n)
+            assert (got.p0_gens, got.p1_gens) == (want.p0_gens, want.p1_gens)
+            assert got == want
+
+
 def test_point_verdict_koszul():
     # {x^{r-1}, x} is contractible away from 0, not at 0
     for r in (2, 3, 5):
@@ -274,15 +365,17 @@ def test_gauge_intertwiner_rejects_a_wrong_operator(monkeypatch):
     f_b = f_a + scheme.d(scheme.scalar_element(R.one) * e0 * e1)
     exact = factorizations.exp_multiplication_operator
     two = R.constant(F.scalar(2))
+    for first in ((), (0,)):  # double E on the even, then on the odd part
 
-    def doubled_on_even_part(scheme, h, basis):
-        m = exact(scheme, h, basis)
-        return [[two * c for c in row] for row in m] if basis[0] == () else m
+        def doubled_on_one_part(scheme, h, basis, first=first):
+            m = exact(scheme, h, basis)
+            return [[two * c for c in row] for row in m] if basis[0] == first else m
 
-    monkeypatch.setattr(factorizations, "exp_multiplication_operator",
-                        doubled_on_even_part)
-    with pytest.raises(CertificateError):
-        gauge_intertwiner(scheme, f_a, f_b)
+        monkeypatch.setattr(factorizations, "exp_multiplication_operator",
+                            doubled_on_one_part)
+        with pytest.raises(CertificateError,
+                           match=r"delta_b0 o E0 != E1 o delta_a0 at entry \(0,0\)"):
+            gauge_intertwiner(scheme, f_a, f_b)
 
 
 # -- the sparse certificate kernel against a dense reference ---------------
@@ -339,18 +432,18 @@ def test_first_mismatch_matches_dense_reference(order):
         products = [(_random_matrix(rng, ring, n, m), _random_matrix(rng, ring, m, p))
                     for _ in range(rng.randint(1, 2))]
         exact = _dense_sum(products, ring, n, p)
-        assert factorizations.first_mismatch(products, exact, field) is None
+        assert linalg.first_mismatch(products, exact, field) is None
         # perturb seeded entries: the first one in row-major order is reported
         wrong = [list(row) for row in exact]
         for _ in range(rng.randint(1, 3)):
             i, j = rng.randrange(n), rng.randrange(p)
             e = tuple(rng.randint(0, 5) for _ in range(2))
             wrong[i][j] = wrong[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
-        assert factorizations.first_mismatch(products, wrong, field) \
+        assert linalg.first_mismatch(products, wrong, field) \
             == _first_difference(wrong, exact)
         # an unrelated target, mostly zero
         other = _random_matrix(rng, ring, n, p, density=0.1)
-        assert factorizations.first_mismatch(products, other, field) \
+        assert linalg.first_mismatch(products, other, field) \
             == _first_difference(other, exact)
 
 
@@ -358,9 +451,9 @@ def test_first_mismatch_with_an_empty_inner_dimension():
     ring = _ring(1)
     a, b = [[], []], []
     zero = [[ring.zero] * 3 for _ in range(2)]
-    assert factorizations.first_mismatch([(a, b)], zero, F) is None
+    assert linalg.first_mismatch([(a, b)], zero, F) is None
     zero[1][2] = ring.gen("x0")
-    assert factorizations.first_mismatch([(a, b)], zero, F) == (1, 2)
+    assert linalg.first_mismatch([(a, b)], zero, F) == (1, 2)
 
 
 def test_first_mismatch_keeps_exponents_apart():
@@ -368,9 +461,9 @@ def test_first_mismatch_keeps_exponents_apart():
     ring = _ring(2)
     x, y = ring.gens()
     a, b = [[x * x]], [[x * x]]
-    assert factorizations.first_mismatch([(a, b)], [[x ** 4]], F) is None
-    assert factorizations.first_mismatch([(a, b)], [[y]], F) == (0, 0)
-    assert factorizations.first_mismatch([(a, b)], [[x ** 4 + y ** 9]], F) == (0, 0)
+    assert linalg.first_mismatch([(a, b)], [[x ** 4]], F) is None
+    assert linalg.first_mismatch([(a, b)], [[y]], F) == (0, 0)
+    assert linalg.first_mismatch([(a, b)], [[x ** 4 + y ** 9]], F) == (0, 0)
 
 
 def _reference_composite_error(mf):
@@ -448,6 +541,14 @@ def _naive_on_line(p, images, line):
                 term = term * img
         total = total + term
     return total
+
+
+def test_restrict_to_line_rejects_a_zero_variable_mf():
+    point = PolyRing(F, [], [])
+    mf = unit_mf(point)
+    with pytest.raises(ValueError, match=r"restrict_to_point\(\(\)\)"):
+        mf.restrict_to_line([])
+    assert mf.restrict_to_point(()) == mf
 
 
 @pytest.mark.parametrize("seed", range(4))

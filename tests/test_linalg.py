@@ -70,7 +70,7 @@ def test_invert():
 def test_mat_ops():
     a = [[F.one, F.zeta], [F.zero, F.one]]
     assert linalg.transpose(a) == [[F.one, F.zero], [F.zeta, F.one]]
-    assert linalg.mat_add(a, linalg.mat_neg(a)) == linalg.zeros(F, 2, 2)
+    assert linalg.mat_neg(a) == [[-F.one, -F.zeta], [F.zero, -F.one]]
 
 
 def _reference_rref(matrix, col_order=None):

@@ -16,7 +16,8 @@ def test_certificate_checks_survive_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-k", "rejects or wrong or exit_4 or raises",
-         "tests/test_factorizations.py", "tests/test_spincurve.py", "tests/test_cli.py"],
+         "tests/test_factorizations.py", "tests/test_spincurve.py", "tests/test_cli.py",
+         "tests/test_complexes.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     # pytest exits 5 when the selection is empty, so 0 means tests ran and passed
     assert proc.returncode == 0, proc.stdout + proc.stderr

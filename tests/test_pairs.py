@@ -34,7 +34,7 @@ def _random_complex(rng, max_rank=2):
         objs[1] = [Generator(f"b{i}", 0) for i in range(rows)]
         diffs[0] = [[rng.randint(-2, 2) for _ in range(cols)]
                     for _ in range(rows)]
-    return FreeComplex(PT, objs, diffs, weight_check=False)
+    return FreeComplex(PT, objs, diffs)
 
 
 def _random_pair(rng):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmf import CyclotomicField, Poly, PolyRing, UPoly
-from dgmf.poly import substituter
+from dgmf.poly import exponents_of_weight, substituter
 
 F = CyclotomicField(4)
 R = PolyRing(F, ["x", "y"], [1, 2])
@@ -64,6 +65,12 @@ def test_monomials_of_weight():
     # weights (1, 2): weight 4 monomials: x^4, x^2 y, y^2
     assert set(R.monomials_of_weight(4)) == {(4, 0), (2, 1), (0, 2)}
     assert R.monomials_of_weight(-1) == []
+    # one enumerator, in lexicographic order, against a brute-force search
+    for weights in ([], [1], [1, 2], [2, 1, 3], [1, 1, 1, 1]):
+        for target in range(-1, 7):
+            brute = sorted(e for e in itertools.product(range(target + 1), repeat=len(weights))
+                           if sum(x * w for x, w in zip(e, weights)) == target)
+            assert exponents_of_weight(weights, target) == brute
 
 
 def test_derivative_and_evaluate():
