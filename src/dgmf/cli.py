@@ -133,6 +133,8 @@ def cmd_glue(args):
 
 
 def cmd_support(args):
+    if args.points < 0:
+        raise ValueError(f"--points must be >= 0, got {args.points}")
     mf, _cert = specfile.parse_mf(_read_input(args), check=True)
     field = mf.ring.field
     rng = random.Random(args.seed)

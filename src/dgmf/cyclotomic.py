@@ -5,22 +5,26 @@ polynomial in z = zeta_N of degree < phi(N), reduced modulo the N-th
 cyclotomic polynomial.  All arithmetic is exact (``fractions.Fraction``
 coefficients); nothing is ever rounded.
 
-Products run on an integer kernel.  A rational factor (zero included) just
-scales the other one.  Otherwise each operand is scaled to an integer vector
-by the lcm of its denominators, the two are convolved in ints and reduced by
-one integer table of the monic, integer Phi_N, and the phi(N) result
-Fractions are built once over the product of the two denominators.
+Products and inverses run on integers.  An element a/den is an integer vector
+``ints`` of length phi(N) over one positive denominator.  ``_product``
+convolves two such vectors in ints and reduces once by an integer table of
+the monic, integer Phi_N; a rational factor (zero included) just scales the
+other one.  ``_inverse_integers`` solves M x = e_0 fraction-free (Bareiss),
+where M is the integer matrix of multiplication by ``ints``.  ``Scalar``
+builds its phi(N) Fractions once per result, and ``linalg`` eliminates on the
+integer vectors themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 def _poly_divmod(num, den):
-    """Exact division with remainder of rational coefficient lists (low-to-high)."""
+    """Exact division with remainder of rational coefficient lists
+    (low-to-high); it builds the cyclotomic polynomials."""
     num = list(num)
     q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     dlead = den[-1]
@@ -43,6 +47,70 @@ def _integer_vector(coeffs):
     denominators."""
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _product(field, a, da, b, db):
+    """(ints, da * db) with ints / (da * db) == (a / da) * (b / db), for
+    integer vectors a and b of length phi(N); not in lowest terms."""
+    if not any(b[1:]):
+        c = b[0]
+        return [x * c for x in a], da * db
+    if not any(a[1:]):
+        c = a[0]
+        return [c * x for x in b], da * db
+    b = [(j, bj) for j, bj in enumerate(b) if bj]
+    prod = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in b:
+                prod[i + j] += ai * bj
+    return field.reduce_integers(prod), da * db
+
+
+def _inverse_integers(field, ints, den):
+    """(inverse ints, inverse den), in lowest terms, of the nonzero element
+    sum(ints[k] * z^k) / den.
+
+    Column k of the integer matrix M is ints * z^k mod Phi_N, so M x = e_0
+    says ints * x = 1, and the inverse is den * x.  Bareiss elimination keeps
+    every entry an integer; back substitution then finds X = D x, with D the
+    last pivot (+-det M), by exact integer division."""
+    n = len(ints)
+    if not any(ints[1:]):
+        a = ints[0]
+        return [den if a > 0 else -den] + [0] * (n - 1), abs(a)
+    top_row = field._reduction[0]  # z^phi(N) as nonzero (index, coefficient)
+    columns = [list(ints)]
+    for _ in range(n - 1):
+        col = columns[-1]
+        shifted = [0] + col[:-1]
+        if col[-1]:
+            for i, t in top_row:
+                shifted[i] += col[-1] * t
+        columns.append(shifted)
+    m = [[col[i] for col in columns] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k])  # M is invertible
+        m[k], m[p] = m[p], m[k]
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            c = row[k]
+            row[k] = 0
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - c * row_k[j]) // prev
+        prev = pivot
+    d = prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = s // row[i]
+    if d < 0:
+        d, x = -d, [-v for v in x]
+    x = [den * v for v in x]
+    g = gcd(d, *x)
+    return [v // g for v in x], d // g
 
 
 @lru_cache(maxsize=None)
@@ -282,48 +350,20 @@ class Scalar:
         if not any(a[1:]):
             c = a[0]
             return Scalar(self.field, tuple([c * x if x else x for x in b])) if c else self
-        # scale both to integer vectors, convolve in ints, reduce once and
-        # divide by the product of the two denominators
-        a, da = _integer_vector(a)
-        b, db = _integer_vector(b)
-        b = [(j, bj) for j, bj in enumerate(b) if bj]
-        prod = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in b:
-                    prod[i + j] += ai * bj
-        return self.field._reduce(prod, da * db)
+        return self.field._reduce(*_product(self.field, *_integer_vector(a),
+                                            *_integer_vector(b)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the cyclotomic modulus."""
+        """Multiplicative inverse: rational ones directly, the others by one
+        fraction-free integer solve (``_inverse_integers``)."""
         if not self:
             raise ZeroDivisionError("division by zero")
         if self.is_rational():
             return self.field.scalar(1 / self.coeffs[0])
-        # extended Euclid in Q[z] for gcd(self, modulus) = 1
-        r0, r1 = list(self.field.modulus), list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]  # Bezout coefficients for the element
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            # s_new = s0 - q*s1
-            s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            while s_new and s_new[-1] == 0:
-                s_new.pop()
-            r0, r1, s0, s1 = r1, r, s1, s_new
-        # r0 = gcd (a nonzero constant since the modulus is irreducible over Q)
-        if len(r0) != 1:
-            raise ArithmeticError("element not invertible; modulus not coprime")
-        c = r0[0]
-        return self.field.from_coeffs([si / c for si in s0])
+        return self.field._reduce(*_inverse_integers(self.field,
+                                                     *_integer_vector(self.coeffs)))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -1,13 +1,18 @@
 """Exact linear algebra over Q(zeta_N), and the one check of polynomial
 matrix identities.
 
-Matrices are plain lists of lists of Scalar.  ``rref`` is Gauss-Jordan
-elimination that skips zeros: it scales the pivot row, lists that row's
+Matrices are plain lists of lists of Scalar.  Every elimination (``rref``,
+``rank``, ``nullspace``, ``solve``, ``invert``) runs ``_eliminate``, a
+Gauss-Jordan elimination on integers: each entry is an integer vector over
+one positive denominator, kept in lowest terms, and None is zero.  Products
+run through ``cyclotomic._product``.  It scales the pivot row by the pivot's
+fraction-free inverse (``cyclotomic._inverse_integers``), lists that row's
 nonzero columns once, and updates each other row with a nonzero in the pivot
-column on those columns only.  The systems here (homotopy equations, MF
-restrictions) are sparse with small coefficients, so the cost is the number
-of Scalar operations, not coefficient growth.  The reduced row echelon form
-is unique, so skipping zeros changes no result.
+column on those columns only.  Entries become Scalars only where a result
+needs them: all of R in ``rref``, the returned columns in ``nullspace``,
+``solve`` and ``invert``, and nothing in ``rank``.  The reduced row echelon
+form is unique, so every result equals that of Scalar Gauss-Jordan
+elimination (kept as the reference in the tests).
 
 ``mat_mul`` multiplies Scalar matrices.  ``first_mismatch`` is the sparse
 certificate kernel: it decides whether a sum of products of Poly matrices
@@ -20,9 +25,9 @@ Poly matrices too: pass the PolyRing where a field is asked for.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
-from .cyclotomic import _integer_vector
+from .cyclotomic import _integer_vector, _inverse_integers, _product
 
 
 def zeros(field, rows, cols):
@@ -70,6 +75,69 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _eliminate(matrix, field, col_order=None):
+    """Gauss-Jordan elimination of a Scalar matrix on integer entries.
+
+    Returns (R, pivots) as ``rref`` does, but each entry of R is an
+    (integer vector, positive denominator) pair in lowest terms, and None is
+    zero.  The pivot row is scaled by the pivot's fraction-free inverse; each
+    other row with a nonzero in the pivot column is updated on the pivot
+    row's nonzero columns only."""
+    m = [[_integer_vector(x.coeffs) if x else None for x in row] for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    if col_order is None:
+        col_order = range(cols)
+    pivots = []
+    r = 0
+    for j in col_order:
+        if r >= rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][j] is not None), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv, dinv = _inverse_integers(field, *m[r][j])
+        prow = m[r] = [None if x is None else _lowest(*_product(field, inv, dinv, *x))
+                       for x in m[r]]
+        nonzero = [(k, x) for k, x in enumerate(prow) if x is not None and k != j]
+        for i in range(rows):
+            row = m[i]
+            c = row[j]
+            if i != r and c is not None:
+                row[j] = None
+                ci, dc = c
+                for k, (pk, dp) in nonzero:
+                    q, dq = _product(field, ci, dc, pk, dp)
+                    x = row[k]
+                    if x is None:
+                        row[k] = _lowest([-v for v in q], dq)
+                        continue
+                    xi, dx = x
+                    if dx == dq:
+                        diff = [a - b for a, b in zip(xi, q)]
+                    else:
+                        g = gcd(dx, dq)
+                        fx, fq = dq // g, dx // g
+                        dq *= fq
+                        diff = [a * fx - b * fq for a, b in zip(xi, q)]
+                    row[k] = _lowest(diff, dq) if any(diff) else None
+        pivots.append((r, j))
+        r += 1
+    return m, pivots
+
+
+def _lowest(ints, den):
+    g = gcd(den, *ints)
+    return (ints, den) if g == 1 else ([v // g for v in ints], den // g)
+
+
+def _entry(x, field):
+    """The Scalar of an entry of ``_eliminate``."""
+    return field.zero if x is None else field._reduce(*x)
+
+
 def rref(matrix, field, col_order=None):
     """Reduced row echelon form.
 
@@ -77,38 +145,12 @@ def rref(matrix, field, col_order=None):
     selects the order in which pivot columns are searched; this is the knob the
     homotopy solver uses to produce gauge-different solutions.
     """
-    m = [list(row) for row in matrix]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    if col_order is None:
-        col_order = list(range(cols))
-    pivots = []
-    r = 0
-    for j in col_order:
-        if r >= rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if m[i][j]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][j].inverse()
-        prow = m[r] = [inv * x for x in m[r]]
-        nonzero_cols = [k for k, y in enumerate(prow) if y]
-        for i in range(rows):
-            row = m[i]
-            c = row[j]
-            if i != r and c:
-                for k in nonzero_cols:
-                    row[k] = row[k] - c * prow[k]
-        pivots.append((r, j))
-        r += 1
-    return m, pivots
+    r, pivots = _eliminate(matrix, field, col_order)
+    return [[_entry(x, field) for x in row] for row in r], pivots
 
 
 def rank(matrix, field):
-    _, pivots = rref(matrix, field)
-    return len(pivots)
+    return len(_eliminate(matrix, field)[1])
 
 
 def nullspace(matrix, field):
@@ -116,7 +158,7 @@ def nullspace(matrix, field):
     if not matrix:
         return []
     cols = len(matrix[0])
-    r, pivots = rref(matrix, field)
+    r, pivots = _eliminate(matrix, field)
     pivot_cols = {j for _, j in pivots}
     basis = []
     for free in range(cols):
@@ -125,7 +167,9 @@ def nullspace(matrix, field):
         vec = [field.zero] * cols
         vec[free] = field.one
         for (i, j) in pivots:
-            vec[j] = -r[i][free]
+            x = r[i][free]
+            if x is not None:
+                vec[j] = field._reduce([-v for v in x[0]], x[1])
         basis.append(vec)
     return basis
 
@@ -142,15 +186,15 @@ def solve(matrix, rhs, field, col_order=None):
         raise ValueError("rhs length mismatch")
     aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
     if col_order is None:
-        col_order = list(range(cols))
-    r, pivots = rref(aug, field, col_order=list(col_order))
-    for i in range(rows):
-        if r[i][cols] and not any(r[i][j] for j in range(cols)):
+        col_order = range(cols)
+    r, pivots = _eliminate(aug, field, col_order)
+    for row in r:
+        if row[cols] is not None and all(x is None for x in row[:cols]):
             return None
     x = [field.zero] * cols
     for (i, j) in pivots:
         if j < cols:
-            x[j] = r[i][cols]
+            x[j] = _entry(r[i][cols], field)
     return x
 
 
@@ -159,10 +203,10 @@ def invert(matrix, field):
     if any(len(row) != n for row in matrix):
         raise ValueError("not square")
     aug = [list(row) + unit for row, unit in zip(matrix, identity(field, n))]
-    r, pivots = rref(aug, field, col_order=list(range(n)))
+    r, pivots = _eliminate(aug, field, range(n))
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return [[_entry(x, field) for x in row[n:]] for row in r]
 
 
 def _terms(poly):

@@ -79,6 +79,8 @@ class PolyRing:
         """Reads the textual polynomial format ``coeff*x^e*y^f + ...``.
 
         Coefficients may be parenthesised scalar literals, e.g. ``(1 + z)*x^2``.
+        A variable's exponent must be a nonnegative integer (a ValueError
+        otherwise); powers of ``z`` may be negative.
         """
         text = text.strip()
         if text in ("0", ""):
@@ -114,7 +116,10 @@ class PolyRing:
                 base, _, power = factor.partition("^")
                 base = base.strip()
                 if base in self.names:
-                    exps[self.names.index(base)] += int(power) if power else 1
+                    k = int(power) if power else 1
+                    if k < 0:
+                        raise ValueError(f"negative exponent on a variable: {factor}")
+                    exps[self.names.index(base)] += k
                     continue
                 if base == "z":
                     c = self.field.zeta_power(int(power) if power else 1)

@@ -220,6 +220,32 @@ def test_support_negative_degree_bound_exit_3(tmp_path):
     assert code == 3
 
 
+def test_support_negative_points_exit_3(tmp_path, capsys):
+    _code, out = _run(tmp_path, "koszul", KOSZUL)
+    code, _ = _run(tmp_path, "support", out, "--points", "-2")
+    assert code == 3
+    assert "--points" in capsys.readouterr().err
+    code, report = _run(tmp_path, "support", out, "--points", "0")
+    assert code == 0 and json.loads(report) == []
+
+
+def test_negative_variable_exponent_is_a_parse_error(tmp_path):
+    _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
+    for old, new in [("delta1 = (x)", "delta1 = (x^-1)"),
+                     ("potential = x^2", "potential = x^3*x^-1")]:
+        bad = mf_text.replace(old, new)
+        assert bad != mf_text
+        for command in ("verify", "support"):
+            code, _ = _run(tmp_path, command, bad)
+            assert code == 2, (command, bad)
+    for old, new in [("W = x^2", "W = x^-2"), ("t^2 + (-1)", "t^-2 + (-1)")]:
+        bad = SPIN.replace(old, new)
+        assert bad != SPIN
+        for command in ("check", "fundamental"):
+            code, _ = _run(tmp_path, command, bad)
+            assert code == 2, (command, bad)
+
+
 def _sessions(tmp_path):
     """(command, input, extra arguments) for every input format above."""
     glued = _write(tmp_path, "glued.spec", GLUED)

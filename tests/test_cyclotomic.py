@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmf import CyclotomicField, cyclotomic_polynomial
-from dgmf.cyclotomic import Scalar
+from dgmf.cyclotomic import Scalar, _integer_vector, _inverse_integers
 
 
 def test_cyclotomic_polynomials():
@@ -156,3 +156,63 @@ def test_zero_and_one_are_shared_per_order():
         assert CyclotomicField(n).one is CyclotomicField(n).one
         assert CyclotomicField(n).zero == 0 and CyclotomicField(n).one == 1
     assert CyclotomicField(4).one.field == CyclotomicField(4)
+
+
+def _reference_inverse(a):
+    """The extended Euclidean algorithm in Q[z] against Phi_N, on Fractions."""
+    F = a.field
+    if a.is_rational():
+        return F.scalar(1 / a.coeffs[0])
+
+    def divmod_(num, den):
+        num = list(num)
+        q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+        for i in range(len(num) - len(den), -1, -1):
+            c = q[i] = num[i + len(den) - 1] / den[-1]
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+        while num and num[-1] == 0:
+            num.pop()
+        return q, num
+
+    r0, r1 = list(F.modulus), list(a.coeffs)
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [], [Fraction(1)]  # Bezout coefficients of a
+    while r1:
+        q, r = divmod_(r0, r1)
+        s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s_new[i + j] -= qi * sj
+        while s_new and s_new[-1] == 0:
+            s_new.pop()
+        r0, r1, s0, s1 = r1, r, s1, s_new
+    assert len(r0) == 1  # gcd(a, Phi_N) is a nonzero constant
+    return F.from_coeffs([si / r0[0] for si in s0])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 9, 12])
+def test_inverse_matches_euclid_reference(order):
+    F = CyclotomicField(order)
+    rng = random.Random(f"inverse:{order}")
+
+    def coeff():
+        bits = rng.choice([3, 20, 64])
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    elements = [F.scalar(Fraction(-3, 7)), F.scalar(-(2 ** 64) + 1), F.zeta,
+                -F.zeta ** (order - 1), F.one + F.zeta]
+    for _ in range(60):
+        cs = [coeff() if rng.random() < 0.8 else 0 for _ in range(F.degree)]
+        elements.append(F.from_coeffs(cs))
+        elements.append(F.scalar(-abs(coeff()) or -1))  # a negative rational
+    for a in elements:
+        if not a:
+            continue
+        inv = a.inverse()
+        assert inv.coeffs == _reference_inverse(a).coeffs
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert a * inv == F.one
+        # the integer form, rational or not, is the inverse in lowest terms
+        assert _inverse_integers(F, *_integer_vector(a.coeffs)) == _integer_vector(inv.coeffs)

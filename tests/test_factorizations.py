@@ -427,6 +427,7 @@ def test_first_mismatch_matches_dense_reference(order):
     field = CyclotomicField(order)
     ring = PolyRing(field, ["x", "y"], [1, 1])
     rng = random.Random(order)
+    shifted_terms = 0
     for trial in range(12):
         n, m, p = rng.randint(1, 6), rng.randint(0, 6), rng.randint(1, 6)
         products = [(_random_matrix(rng, ring, n, m), _random_matrix(rng, ring, m, p))
@@ -441,10 +442,22 @@ def test_first_mismatch_matches_dense_reference(order):
             wrong[i][j] = wrong[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
         assert linalg.first_mismatch(products, wrong, field) \
             == _first_difference(wrong, exact)
+        # shift the rational (zeta^0) coefficient of one existing term: the
+        # difference there is nonzero in that coordinate only
+        filled = [(i, j) for i in range(n) for j in range(p) if exact[i][j].terms]
+        if filled:
+            i, j = rng.choice(filled)
+            e = rng.choice(sorted(exact[i][j].terms))
+            shift = field.scalar(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 7])))
+            shifted = [list(row) for row in exact]
+            shifted[i][j] = exact[i][j] + Poly(ring, {e: shift})
+            assert linalg.first_mismatch(products, shifted, field) == (i, j)
+            shifted_terms += 1
         # an unrelated target, mostly zero
         other = _random_matrix(rng, ring, n, p, density=0.1)
         assert linalg.first_mismatch(products, other, field) \
             == _first_difference(other, exact)
+    assert shifted_terms >= 6
 
 
 def test_first_mismatch_with_an_empty_inner_dimension():

@@ -102,8 +102,114 @@ def _reference_rref(matrix, col_order=None):
     return m, pivots
 
 
-def _assert_rref_matches_reference(matrix, field, rng):
+def _reference_nullspace(matrix, field):
+    if not matrix:
+        return []
     cols = len(matrix[0])
+    r, pivots = _reference_rref(matrix)
+    basis = []
+    for free in sorted(set(range(cols)) - {j for _, j in pivots}):
+        vec = [field.zero] * cols
+        vec[free] = field.one
+        for i, j in pivots:
+            vec[j] = -r[i][free]
+        basis.append(vec)
+    return basis
+
+
+def _reference_solve(matrix, rhs, field, col_order=None):
+    cols = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    r, pivots = _reference_rref(aug, list(range(cols)) if col_order is None else col_order)
+    if any(row[cols] and not any(row[:cols]) for row in r):
+        return None
+    x = [field.zero] * cols
+    for i, j in pivots:
+        x[j] = r[i][cols]
+    return x
+
+
+def _reference_invert(matrix, field):
+    n = len(matrix)
+    aug = [list(row) + unit for row, unit in zip(matrix, linalg.identity(field, n))]
+    r, pivots = _reference_rref(aug, list(range(n)))
+    return [row[n:] for row in r] if len(pivots) == n else None
+
+
+def _assert_all_match_reference(matrix, field, rng):
+    """rref (three column orders), rank, nullspace, solve (consistent and
+    random right-hand sides) and invert against the reference elimination."""
+    _assert_rref_matches_reference(matrix, field, rng)
+    assert linalg.rank(matrix, field) == len(_reference_rref(matrix)[1])
+    assert linalg.nullspace(matrix, field) == _reference_nullspace(matrix, field)
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    consistent = [sum((matrix[i][j] for j in range(cols) if j % 2), field.zero)
+                  for i in range(rows)]
+    other = [field.scalar(rng.randint(-3, 3)) for _ in range(rows)]
+    for rhs in (consistent, other):
+        want = _reference_solve(matrix, rhs, field)
+        assert linalg.solve(matrix, rhs, field) == want
+        order = list(range(cols - 1, -1, -1))
+        assert linalg.solve(matrix, rhs, field, order) == \
+            _reference_solve(matrix, rhs, field, order)
+    if rows == cols:
+        want = _reference_invert(matrix, field)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                linalg.invert(matrix, field)
+        else:
+            assert linalg.invert(matrix, field) == want
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7])
+def test_linalg_matches_dense_reference_on_dense_matrices(order):
+    # dense entries with numerators and denominators up to 2^64, all-rational
+    # matrices, and rank drops from a zero row, a zero column and a repeated
+    # row; N = 1, 2 are the degree-1 (rational) fields
+    field = CyclotomicField(order)
+    rng = random.Random(f"dense:{order}")
+
+    def entry(rational):
+        bits = rng.choice([3, 20, 64])
+        cs = [Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+              for _ in range(field.degree)]
+        if rational:
+            cs[1:] = [0] * (field.degree - 1)
+        return field.from_coeffs(cs)
+
+    # coefficients grow fast over Q(zeta_7): keep its matrices small
+    shapes = [(1, 1), (3, 3), (4, 6), (6, 4), (5, 5)] if field.degree <= 2 else \
+        [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+    for rows, cols in shapes:
+        for rational in (False, True):
+            m = [[entry(rational) for _ in range(cols)] for _ in range(rows)]
+            _assert_all_match_reference(m, field, rng)
+            if rows > 1:
+                m[rng.randrange(rows)] = [field.zero] * cols
+                dup = rng.randrange(rows)
+                m[(dup + 1) % rows] = list(m[dup])
+            col = rng.randrange(cols)
+            for row in m:
+                row[col] = field.zero
+            _assert_all_match_reference(m, field, rng)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_linalg_on_empty_shapes(order):
+    field = CyclotomicField(order)
+    rng = random.Random(order)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 0)]:
+        m = [[field.one] * cols for _ in range(rows)]
+        _assert_all_match_reference(m, field, rng)
+    assert linalg.rref([[], []], field) == ([[], []], [])
+    assert linalg.solve([[], []], [field.zero, field.one], field) is None
+    assert linalg.solve([[], []], [field.zero, field.zero], field) == []
+    assert linalg.invert([], field) == []
+    assert linalg.nullspace([[field.zero] * 3], field) == linalg.identity(field, 3)
+
+
+def _assert_rref_matches_reference(matrix, field, rng):
+    cols = len(matrix[0]) if matrix else 0
     shuffled = list(range(cols))
     rng.shuffle(shuffled)
     for order in (None, list(range(cols - 1, -1, -1)), shuffled):
@@ -140,13 +246,13 @@ def test_rref_matches_dense_reference_on_a_homotopy_system(monkeypatch):
     mf = koszul_mf(ring, [c * x for c, x in zip(cs, xs)], [x * y for x in xs])
     point = [1 + z ** 2, 3 - z, z ** 4 - 2, 1 + z ** 3]
     systems = []
-    rref = linalg.rref
+    solve = linalg.solve
 
-    def recording_rref(matrix, field, col_order=None):
-        systems.append(matrix)
-        return rref(matrix, field, col_order)
+    def recording_solve(matrix, rhs, field, col_order=None):
+        systems.append([row + [b] for row, b in zip(matrix, rhs)])
+        return solve(matrix, rhs, field, col_order)
 
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(linalg, "solve", recording_solve)
     assert nullhomotopy_solve(mf.restrict_to_point(point)) is not None
     monkeypatch.undo()
     (system,) = systems

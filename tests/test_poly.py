@@ -55,6 +55,15 @@ def test_parse_examples():
     assert R.parse("-x") == -x
 
 
+def test_parse_rejects_a_negative_variable_exponent():
+    for text in ("x^-1", "3*y^-2 + x", "x^2*x^-1", "(1 + z)*x^-3*y"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            R.parse(text)
+    # negative powers of zeta stay legal, and x^0 is 1
+    assert R.parse("z^-1*x") == F.zeta.inverse() * R.gen("x")
+    assert R.parse("x^0*y") == R.gen("y")
+
+
 @settings(max_examples=100, deadline=None)
 @given(_polys())
 def test_str_parse_round_trip(p):
