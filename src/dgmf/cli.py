@@ -9,7 +9,8 @@ precondition, such as inconsistent spin data) or a missing input file -> 3;
 CliFailure -> its own code, which ``check`` and ``glue`` use for verdicts.
 Malformed spec values, such as a degree ``d <= 0`` or a ``divisor`` line
 whose fifth word is not ``mult`` or whose multiplicity is not a positive
-integer, are SpecParseErrors.
+integer, are SpecParseErrors.  A negative ``--degree-bound`` (``check``,
+``support``) or ``--points`` (``support``) is a precondition violation (3).
 """
 
 from __future__ import annotations

@@ -78,7 +78,8 @@ def _inverse_integers(field, ints, den):
     n = len(ints)
     if not any(ints[1:]):
         a = ints[0]
-        return [den if a > 0 else -den] + [0] * (n - 1), abs(a)
+        g = gcd(a, den)
+        return [den // g if a > 0 else -den // g] + [0] * (n - 1), abs(a) // g
     top_row = field._reduction[0]  # z^phi(N) as nonzero (index, coefficient)
     columns = [list(ints)]
     for _ in range(n - 1):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import linalg
 from .complexes import Generator
-from .poly import Poly, PolyRing, evaluator, exponents_of_weight, substituter
+from .poly import Poly, PolyRing, exponents_of_weight, substituter
 
 
 class CertificateError(ValueError):
@@ -309,14 +309,11 @@ class MatrixFactorization:
     def restrict_to_point(self, point):
         """Evaluate all entries at a Scalar tuple; returns a new MF over the
         point base (the zero-variable ring), certified by its own ``verify``.
-        One evaluation map serves every entry, so each monomial's value at
-        the point is computed once for the whole MF."""
+        One substitution of constants serves every entry, so each
+        monomial's value at the point is computed once for the whole MF."""
         base = PolyRing(self.ring.field, [], [])
-        ev = evaluator(self.ring, point)
-        at = lambda m: [[base.constant(ev(c)) for c in row] for row in m]
-        return MatrixFactorization(
-            base, self.p0_gens, self.p1_gens, at(self.delta0), at(self.delta1),
-            base.constant(ev(self.potential)))
+        images = [base.constant(base.field.scalar(p)) for p in point]
+        return self._mapped(base, substituter(self.ring, images, base))
 
     def restrict_to_line(self, point_images):
         """Substitute each variable by a univariate polynomial in t (a Poly
@@ -330,11 +327,13 @@ class MatrixFactorization:
                              "an MF over the point base has none, use "
                              "restrict_to_point(())")
         target = point_images[0].ring
-        sub = substituter(self.ring, point_images, target)
-        on_line = lambda m: [[sub(c) for c in row] for row in m]
-        return MatrixFactorization(
-            target, self.p0_gens, self.p1_gens, on_line(self.delta0),
-            on_line(self.delta1), sub(self.potential))
+        return self._mapped(target, substituter(self.ring, point_images, target))
+
+    def _mapped(self, target, sub):
+        """The MF over ``target`` whose entries are the images under ``sub``."""
+        on = lambda m: [[sub(c) for c in row] for row in m]
+        return MatrixFactorization(target, self.p0_gens, self.p1_gens, on(self.delta0),
+                                   on(self.delta1), sub(self.potential))
 
 
 def koszul_mf(ring, alpha, beta):

@@ -74,8 +74,10 @@ def nondegeneracy_check(W, degree_bound):
     DEGENERATE the detail names the coordinate subspace where the gradient
     vanishes; for NONDEGENERATE it is the weight band at which the maximal
     ideal power falls inside the Jacobian ideal.  Verdicts are monotone in the
-    bound: a definite answer never flips.
+    bound: a definite answer never flips.  A negative bound is a ValueError.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     ring = W.ring
     w, _ = W.weight()
     if w == "inhomogeneous":

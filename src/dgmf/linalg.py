@@ -18,7 +18,8 @@ elimination (kept as the reference in the tests).
 certificate kernel: it decides whether a sum of products of Poly matrices
 equals a target, exactly, without building any product, and every identity
 on Poly matrices (delta^2 = W . id, d o d = 0, commuting squares, gauge
-intertwiners, contracting homotopies) is checked by it.  ``zeros`` and
+intertwiners, contracting homotopies) is checked by it.  Its accumulation,
+``_accumulate``, also sums the results of ``poly.substituter``.  ``zeros`` and
 ``identity`` only touch ``.zero`` and ``.one`` of their base, so they build
 Poly matrices too: pass the PolyRing where a field is asked for.
 """
@@ -259,30 +260,36 @@ def first_mismatch(products, target, field):
                     cell = acc.get(j)
                     if cell is None:
                         cell = acc[j] = {}
-                    for ea, va, da in ta:
-                        for eb, vb, db in tb:
-                            e = ea + eb
-                            d = da * db
-                            slot = cell.get(e)
-                            if slot is None:
-                                slot = cell[e] = [d, [0] * width]
-                            den, ints = slot
-                            scale = 1
-                            if d != den:
-                                common = lcm(den, d)
-                                if common != den:
-                                    f = common // den
-                                    slot[:] = common, [x * f for x in ints]
-                                    den, ints = slot
-                                scale = den // d
-                            for ka, xa in va:
-                                xa *= scale
-                                for kb, xb in vb:
-                                    ints[ka + kb] += xa * xb
+                    _accumulate(cell, ta, tb, width)
         for j in sorted(acc.keys() | want.keys()):
             if not _agrees(acc.get(j, {}), want.get(j, ()), field):
                 return i, j
     return None
+
+
+def _accumulate(cell, ta, tb, width):
+    """Add every product of a term of ``ta`` and a term of ``tb`` (lists of
+    (exponent, nonzero (k, integer) pairs, denominator), as ``_terms`` gives)
+    to cell[ea + eb] = [denominator, unreduced integer vector of length
+    ``width``], rescaled to the lcm of the denominators.  Exponents are
+    packed ints here, or tuples with ea = () for a substitution."""
+    for ea, va, da in ta:
+        for eb, vb, db in tb:
+            e, d = ea + eb, da * db
+            slot = cell.get(e)
+            if slot is None:
+                slot = cell[e] = [d, [0] * width]
+            den, ints = slot
+            if d != den:
+                common = lcm(den, d)
+                if common != den:
+                    f = common // den
+                    slot[:] = den, ints = common, [x * f for x in ints]
+            scale = den // d
+            for ka, xa in va:
+                xa *= scale
+                for kb, xb in vb:
+                    ints[ka + kb] += xa * xb
 
 
 def _agrees(cell, expected, field):

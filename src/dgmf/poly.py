@@ -4,7 +4,9 @@ A PolyRing fixes the variable names and their (positive integer) weights; a
 Poly is a finitely supported map from exponent tuples to nonzero Scalars.
 The weight of a monomial is the weighted degree sum; quasihomogeneity checks
 and weight-graded enumeration live here because every module above relies on
-them.
+them.  Substitution (``substituter``, also behind ``Poly.evaluate`` and the
+restrictions of an MF) sums on integers through ``linalg._accumulate``, the
+kernel of ``linalg.first_mismatch``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import _power
+from .linalg import _accumulate, _terms
 
 
 class PolyRing:
@@ -187,70 +190,51 @@ def _split_factors(term):
 
 
 def _monomial_table(values, one):
-    """The map e -> prod values[v] ** e[v].  Each power of each value and
-    each monomial's product is computed once, on first use, and kept."""
+    """The map e -> the ``linalg._terms`` of prod values[v] ** e[v], for
+    Poly values.  Each power of each value and each monomial's terms are
+    computed once, on first use, and kept."""
     powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
     table = {}
 
     def monomial(e):
-        m = table.get(e)
-        if m is None:
+        terms = table.get(e)
+        if terms is None:
+            m = one
             for v, pw, k in zip(values, powers, e):
                 if k:
                     while len(pw) <= k:
                         pw.append(pw[-1] * v)
-                    m = pw[k] if m is None else m * pw[k]
-            if m is None:
-                m = one
-            table[e] = m
-        return m
+                    m = pw[k] if m is one else m * pw[k]
+            terms = table[e] = _terms(m)
+        return terms
 
     return monomial
-
-
-def evaluator(ring, point):
-    """The map Poly -> Scalar of evaluation at ``point`` (Scalars, ints or
-    Fractions).  Each monomial value is computed once, from one table of
-    powers per coordinate, and shared by every Poly the map is applied to."""
-    field = ring.field
-    point = [field.scalar(p) for p in point]
-    if len(point) != ring.nvars:
-        raise ValueError("point dimension mismatch")
-    monomial = _monomial_table(point, field.one)
-    zero = field.zero
-
-    def evaluate(poly):
-        total = zero
-        for e, c in poly.terms.items():
-            total = total + c * monomial(e)
-        return total
-
-    return evaluate
 
 
 def substituter(ring, images, target):
     """The map Poly -> Poly (over ``target``) that substitutes ``images[v]``
     for the v-th variable of ``ring``.  Each monomial image is computed
     once, from one table of powers per image, and shared by every Poly the
-    map is applied to; each result is summed into one dict."""
+    map is applied to.
+
+    Each result coefficient is summed as one unreduced integer vector over
+    the lcm of its terms' denominators, then reduced by Phi_N and turned into
+    Fractions once.  Result terms keep the order in which their exponents
+    first occur; those that sum to zero are dropped."""
     images = list(images)
     if len(images) != ring.nvars:
         raise ValueError("one image per variable")
     if target.field != ring.field or any(img.ring != target for img in images):
         raise ValueError("images must lie in the target ring over the same field")
+    field = target.field
     monomial = _monomial_table(images, target.one)
-    zero = target.field.zero
+    width = 2 * field.degree - 1
 
     def substitute(poly):
-        terms = {}
-        for e, c in poly.terms.items():
-            for e2, c2 in monomial(e).terms.items():
-                s = terms.get(e2, zero) + c * c2
-                if s:
-                    terms[e2] = s
-                else:
-                    terms.pop(e2, None)
-        return Poly(target, terms)
+        acc = {}  # exponent -> [denominator, unreduced integer vector]
+        for e, vc, dc in _terms(poly):
+            _accumulate(acc, [((), vc, dc)], monomial(e), width)
+        return Poly(target, {e2: field._reduce(ints, den) for e2, (den, ints) in acc.items()})
 
     return substitute
 
@@ -378,8 +362,11 @@ class Poly:
         return Poly(self.ring, terms)
 
     def evaluate(self, point):
-        """Evaluate at a tuple of Scalars (or ints/Fractions)."""
-        return evaluator(self.ring, point)(self)
+        """Evaluate at a tuple of Scalars (or ints/Fractions): substitute
+        constants, into the zero-variable ring."""
+        base = PolyRing(self.ring.field, [], [])
+        images = [base.constant(base.field.scalar(p)) for p in point]
+        return substituter(self.ring, images, base)(self).constant_value()
 
     def substitute(self, images):
         """Substitute each variable by the given Poly (all in one ring)."""

@@ -6,11 +6,21 @@ Residues are the workhorse of the log-differential model on P^1: sections of
 omega^log and its twists are stored as rational 1-forms f(t) dt and their
 residues are read off from exact Laurent expansions, never from the residue
 theorem itself (which is what the tests are checking).
+
+Homology over k[t] diagonalizes by Euclidean steps on integers.  An entry is
+(vectors, den): vectors[i] (length phi(N), low to high in t, the top one
+nonzero) over den is the t^i coefficient, in lowest terms; None is zero.  Each
+pivot's leading coefficient is inverted once, fraction-free
+(``cyclotomic._inverse_integers``); quotients come from pseudo-division, and
+each update x - q * y is one convolution in t and z, reduced by Phi_N once.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import _power
+from itertools import zip_longest
+from math import gcd
+
+from .cyclotomic import _integer_vector, _inverse_integers, _power, _product
 
 
 class UPoly:
@@ -102,11 +112,7 @@ class UPoly:
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        return self._divmod(other, other.coeffs[-1].inverse())
-
-    def _divmod(self, other, lead_inverse):
-        """(quotient, remainder) by a nonzero ``other`` whose leading
-        coefficient has inverse ``lead_inverse``."""
+        lead_inverse = other.coeffs[-1].inverse()
         rem = list(self.coeffs)
         q = [self.field.zero] * max(len(rem) - len(other.coeffs) + 1, 0)
         for i in range(len(rem) - len(other.coeffs), -1, -1):
@@ -156,9 +162,6 @@ class UPoly:
         z = self.field.zero
         padded = list(self.coeffs) + [z] * (n - len(self.coeffs))
         return UPoly(self.field, list(reversed(padded)))
-
-    def derivative(self):
-        return UPoly(self.field, [c * (i + 1) for i, c in enumerate(self.coeffs[1:])])
 
     def __str__(self):
         if not self.coeffs:
@@ -246,14 +249,6 @@ class RationalFunction:
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.evaluate(point) * d.inverse()
 
-    def pole_order(self, point):
-        """Order of the pole at a finite point (0 if regular there)."""
-        if not self.num:
-            return 0
-        den = self.den.shift(point)
-        num = self.num.shift(point)
-        return max(den.valuation() - num.valuation(), 0)
-
     def laurent_coefficient(self, point, k):
         """Coefficient of (t - point)^k in the Laurent expansion at ``point``."""
         if not self.num:
@@ -305,42 +300,106 @@ class RationalFunction:
 # -- homology of matrices over k[t] --------------------------------------
 
 
+def _entry(p):
+    """The entry of a nonzero UPoly."""
+    n = p.field.degree
+    ints, den = _integer_vector([c for s in p.coeffs for c in s.coeffs])
+    return [ints[i:i + n] for i in range(0, len(ints), n)], den
+
+
+def _normal(vectors, den):
+    """The entry sum(vectors[i] t^i) / den: trimmed, in lowest terms."""
+    while vectors and not any(vectors[-1]):
+        vectors.pop()
+    if not vectors:
+        return None
+    g = gcd(den, *[x for v in vectors for x in v])
+    return (vectors, den) if g == 1 else ([[x // g for x in v] for v in vectors], den // g)
+
+
+def _scaled(field, x, c):
+    """The entry x times the scalar c = (ints, den)."""
+    return _normal([_product(field, v, 1, c[0], 1)[0] for v in x[0]], x[1] * c[1])
+
+
+def _sub_product(field, x, q, y):
+    """x - q * y for entries q, y and an entry or None x: one convolution in t
+    and z into unreduced integer vectors, each reduced by Phi_N once."""
+    (qv, dq), (yv, dy) = q, y
+    acc = [[0] * (2 * field.degree - 1) for _ in range(len(qv) + len(yv) - 1)]
+    ys = [[(j, w) for j, w in enumerate(v) if w] for v in yv]
+    for a, v in enumerate(qv):
+        for i, c in enumerate(v):
+            if c:
+                for b, nonzero in enumerate(ys):
+                    out = acc[a + b]
+                    for j, w in nonzero:
+                        out[i + j] += c * w
+    prod, den = [field.reduce_integers(v) for v in acc], dq * dy
+    xv, dx = x or ([], 1)
+    g = gcd(dx, den)
+    fx, fp = den // g, dx // g
+    return _normal([[a * fx - b * fp for a, b in zip(u, v)] for u, v in
+                    zip_longest(xv, prod, fillvalue=[0] * field.degree)], dx * fx)
+
+
+def _quotient(field, x, monic, inverse):
+    """The quotient of x by a pivot p with deg x >= deg p, where monic is p
+    times ``inverse`` (the inverse of p's leading coefficient), in lowest
+    terms, so its top vector is (lam, 0, ..., 0).  Pseudo-division by that
+    integer top keeps every step on integers."""
+    (xv, dx), (mv, lam) = x, monic
+    deg = len(mv) - 1
+    # after s steps, lam^s * dx * x = q * mv + t^deg * r + (terms below t^deg)
+    r, q = [list(v) for v in xv[deg:]], []  # r[k]: the coefficient of t^(deg + k)
+    for i in range(len(r) - 1, -1, -1):
+        c = r.pop()
+        q = [[v * lam for v in w] for w in q] + [c]  # top first
+        r = [[v * lam for v in w] for w in r]
+        for j in range(max(deg - i, 0), deg):
+            r[i + j - deg] = [a - b for a, b in
+                              zip(r[i + j - deg], _product(field, c, 1, mv[j], 1)[0])]
+    return _scaled(field, (q[::-1], dx * lam ** (len(q) - 1)), inverse)
+
+
 def _diagonal(matrix):
     """Nonzero entries of a diagonal form of ``matrix`` over k[t], reached by
-    Euclidean row and column operations."""
+    Euclidean row and column operations on integer entries."""
     # Unimodular operations keep the determinantal divisors, and the only
     # nonzero r x r minor of a diagonal matrix with r nonzero entries is their
     # product, so no Smith divisibility chain (and no U, V) is needed.
-    a = [list(row) for row in matrix]
-    rows, cols = len(a), len(a[0]) if a else 0
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    field = matrix[0][0].field if rows and cols else None
+    a = [[_entry(p) if p else None for p in row] for row in matrix]
     diagonal = []
     for k in range(min(rows, cols)):
-        while True:
-            entries = [(a[i][j].degree(), i, j) for i in range(k, rows)
-                       for j in range(k, cols) if a[i][j]]
-            if not entries:
-                return diagonal
+        while entries := [(len(a[i][j][0]), i, j) for i in range(k, rows)
+                          for j in range(k, cols) if a[i][j]]:
             _, pi, pj = min(entries)  # least degree pivot, moved to (k, k)
             a[k], a[pi] = a[pi], a[k]
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             pivot = a[k][k]
-            lead_inverse = pivot.coeffs[-1].inverse()  # once per pivot
+            inverse = _inverse_integers(field, pivot[0][-1], pivot[1])  # once per pivot
+            monic = _scaled(field, pivot, inverse)
             for row in a[k + 1:]:
                 if row[k]:
-                    q = row[k]._divmod(pivot, lead_inverse)[0]
-                    row[k:] = [x - q * y if y else x
+                    q = _quotient(field, row[k], monic, inverse)
+                    row[k:] = [_sub_product(field, x, q, y) if y else x
                                for x, y in zip(row[k:], a[k][k:])]
             for j in range(k + 1, cols):
                 if a[k][j]:
-                    q = a[k][j]._divmod(pivot, lead_inverse)[0]
+                    q = _quotient(field, a[k][j], monic, inverse)
                     for row in a[k:]:
                         if row[k]:
-                            row[j] = row[j] - q * row[k]
+                            row[j] = _sub_product(field, row[j], q, row[k])
             if not any(row[k] for row in a[k + 1:]) and not any(a[k][k + 1:]):
                 diagonal.append(pivot)
                 break
-    return diagonal
+        else:
+            break  # the rest of the matrix is zero
+    return [UPoly(field, [field._reduce(v, den) for v in vectors])
+            for vectors, den in diagonal]
 
 
 def poly_mat_rank(matrix):

@@ -135,6 +135,15 @@ def test_check_inconclusive_exit_5(tmp_path):
     assert code == 5
 
 
+def test_check_negative_degree_bound_exit_3(tmp_path, capsys):
+    # a bad argument, not an exhausted solver: no report, and not exit 5
+    code, out = _run(tmp_path, "check", CHECK_GOOD, "--degree-bound", "-1")
+    assert code == 3 and out == ""
+    assert "degree_bound must be >= 0" in capsys.readouterr().err
+    code, _ = _run(tmp_path, "check", CHECK_GOOD, "--degree-bound", "0")
+    assert code == 5
+
+
 def test_parse_error_exit_2(tmp_path):
     code, _ = _run(tmp_path, "check", "[field]\norder = banana\n")
     assert code == 2

@@ -214,5 +214,8 @@ def test_inverse_matches_euclid_reference(order):
         assert inv.coeffs == _reference_inverse(a).coeffs
         assert all(type(c) is Fraction for c in inv.coeffs)
         assert a * inv == F.one
-        # the integer form, rational or not, is the inverse in lowest terms
-        assert _inverse_integers(F, *_integer_vector(a.coeffs)) == _integer_vector(inv.coeffs)
+        # the integer form, rational or not, is the inverse in lowest terms,
+        # also from a form that is not
+        ints, den = _integer_vector(a.coeffs)
+        assert _inverse_integers(F, ints, den) == _integer_vector(inv.coeffs)
+        assert _inverse_integers(F, [6 * v for v in ints], 6 * den) == _integer_vector(inv.coeffs)

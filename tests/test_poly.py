@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmf import CyclotomicField, Poly, PolyRing, UPoly
+from dgmf import CyclotomicField, Poly, PolyRing, UPoly, koszul_mf
 from dgmf.poly import exponents_of_weight, substituter
 
 F = CyclotomicField(4)
@@ -176,6 +176,76 @@ def test_substituter_matches_naive_substitution(order):
         for target in targets:
             assert substituter(point, [], target)(c) \
                 == _naive_substitute(c, [], target) == target.constant(c.constant_value())
+
+
+def _per_term_substitute(p, images, target):
+    """The per-term Scalar loop: each monomial image built by repeated Poly
+    products, in the order of the substituter's power table, then each of its
+    terms times the coefficient added Scalar by Scalar into one dict.  The
+    (exponent, coefficient) list keeps exponents in the order of their first
+    occurrence, without those that sum to zero."""
+    zero = target.field.zero
+    sums = {}
+    for e, c in p.terms.items():
+        m = target.one
+        for img, k in zip(images, e):
+            if k:
+                power = img
+                for _ in range(k - 1):
+                    power = power * img
+                m = power if m == target.one else m * power
+        for e2, c2 in m.terms.items():
+            sums[e2] = sums.get(e2, zero) + c * c2
+    return [(e2, v) for e2, v in sums.items() if v]
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7, 12])
+def test_substituter_matches_per_term_scalar_loop(order):
+    field = CyclotomicField(order)
+    rng = random.Random(f"per-term:{order}")
+
+    def scalar(top, nonzero=False):
+        """Numerators and denominators up to ``top``; about a third of the
+        coordinates zero, but not the first when ``nonzero``."""
+        coeffs = [Fraction(rng.randint(-top, top), rng.randint(1, top))
+                  if rng.random() < 0.7 else 0 for _ in range(field.degree)]
+        if nonzero:
+            coeffs[0] = Fraction(rng.randint(1, top), rng.randint(1, top))
+        return field.from_coeffs(coeffs)
+
+    source = PolyRing(field, ["x", "y"], [1, 1])
+    target = PolyRing(field, ["t", "u"], [1, 1])
+    point = PolyRing(field, [], [])
+    for trial in range(16):
+        top = 2 ** 64 if trial % 2 else 5
+        exps = [(i, j) for i in range(3) for j in range(3)]
+        images = [Poly(target, {e: scalar(top) for e in rng.sample(exps, rng.randint(1, 3))})
+                  for _ in range(2)]
+        p = Poly(source, {e: scalar(top) for e in rng.sample(exps, rng.randint(1, 6))})
+        got = substituter(source, images, target)(p)
+        assert list(got.terms.items()) == _per_term_substitute(p, images, target)
+        # evaluation is substitution into the single exponent ()
+        values = [scalar(top), scalar(top)]
+        want = _per_term_substitute(p, [point.constant(v) for v in values], point)
+        assert p.evaluate(values) == (want[0][1] if want else field.zero)
+    # cancelling terms: with x, y -> t the t^1 sums cancel and are dropped, in
+    # first-occurrence order, and x^2 - y^2 maps to zero
+    c, d = scalar(2 ** 64, nonzero=True), scalar(2 ** 64, nonzero=True)
+    t = target.gen("t")
+    sub = substituter(source, [t, t], target)
+    x, y = source.gen("x"), source.gen("y")
+    p = Poly(source, {(0, 2): d, (1, 0): c, (0, 1): -c, (0, 0): c})
+    assert list(sub(p).terms.items()) == [((2, 0), d), ((0, 0), c)] \
+        == _per_term_substitute(p, [t, t], target)
+    assert sub(x * x - y * y) == target.zero and not sub(x * x - y * y).terms
+    assert (c * x - c * y).evaluate([d, d]) == field.zero
+    # a point of another field is rejected, not read in the wrong basis
+    other = CyclotomicField(3)
+    with pytest.raises(ValueError, match="different cyclotomic field"):
+        x.evaluate([other.zeta, other.one])
+    mf = koszul_mf(source, [x], [y])
+    with pytest.raises(ValueError, match="different cyclotomic field"):
+        mf.restrict_to_point([other.zeta, other.one])
 
 
 @pytest.mark.parametrize("order", [4, 7, 12])

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from dgmf import CyclotomicField, PolyRing, RationalFunction, UPoly, koszul_mf
-from dgmf.cyclotomic import Scalar
+from dgmf import ratfun
 from dgmf.ratfun import _diagonal, poly_mat_rank, two_periodic_homology_dims
 
 F = CyclotomicField(1)
@@ -153,9 +153,10 @@ def test_diagonal_form_matches_minors(order):
         assert poly_mat_rank(m) == len(diagonal)
 
 
-def _koszul_line_homology(n, offsets):
-    """(h0, h1) of the Koszul MF {c_i x_i, y_i} on the line x_i = (i+1) t +
-    offsets[i], y = C^-1 S x with S antisymmetric, which lies in W = 0."""
+def _koszul_line(n, offsets):
+    """(rank, delta0, delta1) over k[t] of the Koszul MF {c_i x_i, y_i} on
+    the line x_i = (i+1) t + offsets[i], y = C^-1 S x with S antisymmetric,
+    which lies in W = 0."""
     field = CyclotomicField(4)
     names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
     ring = PolyRing(field, names, [1] * (2 * n))
@@ -170,7 +171,12 @@ def _koszul_line_homology(n, offsets):
     assert not fiber.potential
     d0 = [[UPoly.from_poly(p) for p in row] for row in fiber.delta0]
     d1 = [[UPoly.from_poly(p) for p in row] for row in fiber.delta1]
-    return mf.rank0, two_periodic_homology_dims(d0, d1)
+    return mf.rank0, d0, d1
+
+
+def _koszul_line_homology(n, offsets):
+    rank, d0, d1 = _koszul_line(n, offsets)
+    return rank, two_periodic_homology_dims(d0, d1)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -234,19 +240,104 @@ def test_diagonal_inverts_once_per_pivot(monkeypatch):
               + tring.constant(field.zeta ** rng.randint(0, 6)) for _ in range(2 * n)]
     fiber = mf.restrict_to_line(images)
     calls = []
-    inverse = Scalar.inverse
+    inverse = ratfun._inverse_integers
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(*args):
+        calls.append(args)
+        return inverse(*args)
 
+    monkeypatch.setattr(ratfun, "_inverse_integers", counted)
     for delta in (fiber.delta0, fiber.delta1):
         m = [[UPoly.from_poly(p) for p in row] for row in delta]
         want, pivots = _divmod_diagonal(m)
         calls.clear()
-        monkeypatch.setattr(Scalar, "inverse", counted)
         got = _diagonal(m)
-        monkeypatch.setattr(Scalar, "inverse", inverse)
         assert got == want
         assert [d.coeffs for d in got] == [d.coeffs for d in want]
         assert pivots > len(want) and len(calls) == pivots
+
+
+def _seeded_upoly(rng, field, big):
+    """Degree <= 2 (<= 1 when ``big``: then numerators and denominators go
+    up to 2^64), a third of the entries zero."""
+    if rng.random() < 0.3:
+        return UPoly(field, [])
+    top = 2 ** 64 if big else 4
+    coeff = lambda: field.from_coeffs(
+        [Fraction(rng.randint(-top, top), rng.randint(1, top)) if rng.random() < 0.7 else 0
+         for _ in range(field.degree)])
+    return UPoly(field, [coeff() for _ in range(rng.randint(1, 2 if big else 3))])
+
+
+def _assert_same_diagonal(m):
+    want, _pivots = _divmod_diagonal(m)
+    got = _diagonal(m)
+    assert [d.coeffs for d in got] == [d.coeffs for d in want]
+    assert poly_mat_rank(m) == len(want)
+    return got
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7, 12])
+def test_diagonal_matches_divmod_reference(order):
+    # coefficient-identical to the UPoly elimination: the pivots are the
+    # same and the arithmetic is exact
+    field = CyclotomicField(order)
+    rng = random.Random(f"diagonal:{order}")
+    zero = UPoly(field, [])
+    deficient = 0
+    for trial in range(24):
+        big = trial % 4 == 0
+        rows, cols = rng.randint(1, 3 if big else 4), rng.randint(1, 3 if big else 4)
+        if trial % 3 == 0:  # a product through a narrower inner dimension
+            inner = rng.randint(1, max(min(rows, cols) - 1, 1))
+            b = [[_seeded_upoly(rng, field, big) for _ in range(inner)] for _ in range(rows)]
+            c = [[_seeded_upoly(rng, field, False) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum((b[i][k] * c[k][j] for k in range(inner)), zero)
+                  for j in range(cols)] for i in range(rows)]
+        else:
+            m = [[_seeded_upoly(rng, field, big) for _ in range(cols)] for _ in range(rows)]
+        if trial % 5 == 1:  # a zero row and a zero column
+            m[rng.randrange(rows)] = [zero] * cols
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = zero
+        deficient += len(_assert_same_diagonal(m)) < min(rows, cols)
+    assert deficient >= 4
+    assert _diagonal([]) == [] == _divmod_diagonal([])[0]  # 0 x k
+    assert _diagonal([[], []]) == [] == _divmod_diagonal([[], []])[0]  # k x 0
+    assert _assert_same_diagonal([[zero, zero], [zero, zero]]) == []
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7, 12])
+def test_integer_steps_match_upoly_arithmetic(order):
+    # one division and one update x - q * y of the elimination, each against
+    # UPoly arithmetic (a wrong step can make the elimination loop forever)
+    field = CyclotomicField(order)
+    rng = random.Random(f"steps:{order}")
+    entry = lambda p: ratfun._entry(p) if p else None
+    upoly = lambda e: UPoly(field, [field._reduce(v, e[1]) for v in e[0]]) if e else \
+        UPoly(field, [])
+    checked = 0
+    while checked < 40:
+        x, p, y = (_seeded_upoly(rng, field, checked % 2 == 0) for _ in range(3))
+        x = x * UPoly.gen(field) ** rng.randint(0, 2)
+        if not (x and p and y) or x.degree() < p.degree():
+            continue
+        vectors, den = entry(p)
+        inverse = ratfun._inverse_integers(field, vectors[-1], den)
+        monic = ratfun._scaled(field, entry(p), inverse)
+        assert upoly(monic) == p.monic()
+        assert upoly(ratfun._quotient(field, entry(x), monic, inverse)) == x.divmod(p)[0]
+        assert upoly(ratfun._sub_product(field, entry(x), entry(p), entry(y))) == x - p * y
+        assert upoly(ratfun._sub_product(field, None, entry(p), entry(y))) == -(p * y)
+        assert ratfun._sub_product(field, entry(p * y), entry(p), entry(y)) is None
+        checked += 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_diagonal_matches_divmod_reference_on_koszul_lines(n):
+    # the 8 x 8 and 16 x 16 fibers, through the origin and off it
+    for offsets in ([0] * n, list(range(1, n + 1))):
+        _rank, d0, d1 = _koszul_line(n, offsets)
+        for m in (d0, d1):
+            _assert_same_diagonal(m)
