@@ -24,8 +24,8 @@ print(f"delta0     {[[str(c) for c in row] for row in mf.delta0]}")
 print("\n== the same object by curving and folding ==")
 scheme = derived_zero_locus(R, [x, y])
 f = (x * x) * scheme.odd_coordinate(0) + y * scheme.odd_coordinate(1)
-curved = dgmf_from_homotopy(scheme, f)          # checks f^2 = 0 exactly
-folded = fold_to_mf(curved)
+curved = dgmf_from_homotopy(scheme, f)          # curvature d(f), an even function
+folded = fold_to_mf(curved)                     # certifies delta^2 = d(f) . id
 print(f"curvature  d(f) = {curved.curvature}")
 print(f"bit-exact match with the Koszul path: "
       f"{folded.delta0 == mf.delta0 and folded.delta1 == mf.delta1}")

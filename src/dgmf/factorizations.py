@@ -226,15 +226,13 @@ class CurvedStructure:
 def dgmf_from_homotopy(scheme, f_minus_1):
     """Curve the structure sheaf by a degree -1 function.
 
-    Verifies f_{-1}^2 = 0 (identically true for pure degree -1 elements of the
-    exterior factor, asserted anyway; for mixed odd elements the offending
-    product is reported) and certifies delta^2 = d(f_{-1}) . id.
+    ``f_minus_1`` must be odd.  An odd element of S (x) Wedge squares to
+    zero (odd elements anticommute and e_t ^ e_t = 0), so delta^2 is
+    multiplication by d(f_{-1}), which must be an even function; the fold
+    certifies delta^2 = d(f_{-1}) . id exactly when it builds the MF.
     """
     if f_minus_1 and f_minus_1.parity() != 1:
         raise ValueError("the curving function must be odd")
-    square = f_minus_1 * f_minus_1
-    if square:
-        raise ValueError(f"f_{-1}^2 != 0; offending product: {square!r}")
     curvature_elt = scheme.d(f_minus_1)
     if not curvature_elt.is_pure_degree(0):
         raise ValueError("curvature is not an even function")
@@ -252,10 +250,10 @@ def leibniz_holds(curved, phi, p):
 
 
 class MatrixFactorization:
-    """(P0, P1, delta0, delta1) with both composites equal to W . id."""
+    """(P0, P1, delta0, delta1) with both composites equal to W . id,
+    certified by ``verify`` when the object is built."""
 
-    def __init__(self, ring, p0_gens, p1_gens, delta0, delta1, potential,
-                 check=True):
+    def __init__(self, ring, p0_gens, p1_gens, delta0, delta1, potential):
         self.ring = ring
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
@@ -265,8 +263,7 @@ class MatrixFactorization:
         self.delta1 = coerce(delta1)  # P1 -> P0
         self.potential = ring.constant(potential) if not hasattr(potential, "terms") else potential
         self.metadata = {}
-        if check:
-            self.verify()
+        self.verify()
 
     @property
     def rank0(self):
@@ -397,7 +394,14 @@ def koszul_mf(ring, alpha, beta):
 def fold_to_mf(curved):
     """2-periodization of (O_X, delta): P0/P1 are the even/odd exterior parts
     over the even coordinate ring, with the same (size, lex) subset order the
-    Koszul construction uses, so the two agree bit-exactly."""
+    Koszul construction uses, so the two agree bit-exactly.
+
+    In closed form, delta(e_s) = sum_pos (-1)^pos d(b_{s[pos]}) e_{s - s[pos]}
+    + sum_{t disjoint from s} sign(t, s) f_t e_{t u s}.  No two terms share a
+    row: contraction targets have size |s| - 1 and differ for each removed
+    index; wedge targets have size >= |s| + 1 (every t is odd), and t -> t u s
+    is injective.  So each entry is one signed copy of a d(b_k) or an f_t,
+    written once; delta^2 = W . id is certified when the MF is built."""
     scheme = curved.scheme
     ring = scheme.ring
     even = scheme.basis_subsets(parity=0)
@@ -406,14 +410,17 @@ def fold_to_mf(curved):
     odd_index = {s: i for i, s in enumerate(odd)}
     delta0 = [[ring.zero] * len(even) for _ in range(len(odd))]
     delta1 = [[ring.zero] * len(odd) for _ in range(len(even))]
-    for j, s in enumerate(even):
-        image = curved.delta(SuperElement(scheme, {s: ring.one}))
-        for key, c in image.coefficients.items():
-            delta0[odd_index[key]][j] = c
-    for j, s in enumerate(odd):
-        image = curved.delta(SuperElement(scheme, {s: ring.one}))
-        for key, c in image.coefficients.items():
-            delta1[even_index[key]][j] = c
+    f_terms = curved.f_minus_1.coefficients.items()
+    for delta, sources, rows in ((delta0, even, odd_index), (delta1, odd, even_index)):
+        for j, s in enumerate(sources):
+            for pos, k in enumerate(s):
+                c = scheme.differential[k]
+                if c:
+                    delta[rows[s[:pos] + s[pos + 1:]]][j] = -c if pos % 2 else c
+            for t, c in f_terms:
+                sign = _merge_sign(t, s)
+                if sign is not None:
+                    delta[rows[tuple(sorted(t + s))]][j] = c if sign > 0 else -c
     namegen = lambda s: "^".join(scheme.odd_gens[k].name for k in s) or "1"
     weight = lambda s: sum(scheme.odd_gens[k].weight for k in s)
     p0 = [Generator(namegen(s), weight(s)) for s in even]
@@ -461,8 +468,7 @@ def mf_tensor(m, n):
 
 def unit_mf(ring):
     """Rank (1|0) matrix factorization of potential 0: the monoidal unit."""
-    return MatrixFactorization(ring, [Generator("1", 0)], [], [], [[]], ring.zero,
-                               check=False)
+    return MatrixFactorization(ring, [Generator("1", 0)], [], [], [[]], ring.zero)
 
 
 # -- homotopy solving ------------------------------------------------------

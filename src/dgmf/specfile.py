@@ -251,7 +251,7 @@ def _parse_curve(field, ring, lines):
             elif head == "marking":
                 # marking c0 at 1 gamma diag(1) rig 1, z
                 comp = words[1]
-                rest = line[line.index(comp) + len(comp):]
+                rest = line.split(None, 2)[2]
                 point_text, _, tail = rest.partition("gamma")
                 point = _parse_scalar(field, lineno,
                                       point_text.replace("at", "", 1).strip())
@@ -375,11 +375,11 @@ def _split_toplevel(text, sep):
     return parts
 
 
-def parse_mf(text, check=False):
+def parse_mf(text):
     """Read a matrix factorization file, returning (mf, certificate) where
-    the certificate is the decoded [certificate] block or None; with
-    check=True the identity delta^2 = W . id is re-verified from the file
-    contents alone."""
+    the certificate is the decoded [certificate] block or None.  The
+    identity delta^2 = W . id is verified from the file contents alone
+    (CertificateError if it fails)."""
     sections = _sections(text)
     if "mf" not in sections:
         raise SpecParseError(1, "missing [mf] section")
@@ -399,8 +399,7 @@ def parse_mf(text, check=False):
     delta0 = _parse_matrix(ring, lineno, val, len(p1), len(p0))
     lineno, val = kv["delta1"]
     delta1 = _parse_matrix(ring, lineno, val, len(p0), len(p1))
-    mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential,
-                             check=check)
+    mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
     certificate = None
     if "certificate" in sections:
         lines = sections["certificate"]

@@ -19,9 +19,8 @@ from . import linalg
 from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
                         homology_ranks, induced_homology_map_rank)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
-                             DgSchemePresentation, MatrixFactorization,
-                             SuperElement, dgmf_from_homotopy, fold_to_mf,
-                             point_homology, unit_mf, _solve_d_preimage)
+                             DgSchemePresentation, SuperElement, dgmf_from_homotopy,
+                             fold_to_mf, point_homology, unit_mf, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import Poly, PolyRing, substituter
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
@@ -887,7 +886,8 @@ def twisted_diagonal_glue(disconnected, glued):
     if m1.broad_indices() != m2.broad_indices():
         raise SpinDataError("glued sectors must have matching fixed subspaces")
 
-    model_disc = two_term_realization(disconnected)
+    result_disc = fundamental_mf(disconnected)
+    model_disc = result_disc.model
     model_glued = two_term_realization(glued)
     sectors = disconnected.sectors()
     rows1 = [r for r, (i, _j) in enumerate(sectors) if i == i1]
@@ -922,7 +922,6 @@ def twisted_diagonal_glue(disconnected, glued):
         fiber_cols.append(amb)
     cartesian, witness = _same_span(glued_cols, fiber_cols, field)
     # pull back the disconnected fundamental MF along the twisted diagonal
-    result_disc = fundamental_mf(disconnected)
     ring_disc = result_disc.mf.ring
     vnames = disconnected.vring.names
     vweights = disconnected.vring.weights
@@ -948,13 +947,8 @@ def twisted_diagonal_glue(disconnected, glued):
                 matched = True
         if not matched:
             images.append(target_ring.gen(name))
-    sub = substituter(ring_disc, images, target_ring)
-    pull = lambda mrows: [[sub(c) for c in row] for row in mrows]
-    pulled = MatrixFactorization(target_ring, result_disc.mf.p0_gens,
-                                 result_disc.mf.p1_gens,
-                                 pull(result_disc.mf.delta0),
-                                 pull(result_disc.mf.delta1),
-                                 sub(result_disc.mf.potential))
+    pulled = result_disc.mf._mapped(target_ring,
+                                    substituter(ring_disc, images, target_ring))
     # the glued potential, embedded into the same ring
     glued_sring = glued.sector_ring()
     glued_pot = glued.sector_potential(glued_sring)

@@ -298,6 +298,14 @@ def test_eta_with_a_fraction_coefficient(tmp_path):
     assert code == 0 and got == want
 
 
+def test_component_named_inside_marking(tmp_path):
+    # "k" occurs in the word "marking": the point is read after the
+    # component name, not after its first occurrence in the line
+    _, want = _run(tmp_path, "fundamental", SPIN)
+    code, got = _run(tmp_path, "fundamental", SPIN.replace("c0", "k"))
+    assert code == 0 and got == want
+
+
 TOKEN = re.compile(r"\w+|[^\w\s]")
 REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x"]
 

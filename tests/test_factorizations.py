@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from dgmf import factorizations, linalg
 from dgmf.complexes import Generator
 from dgmf.poly import Poly
+from dgmf.specfile import parse_spec, write_mf
 from dgmf import (
     CONTRACTIBLE,
     NONCONTRACTIBLE,
@@ -15,6 +18,7 @@ from dgmf import (
     derived_zero_locus,
     dgmf_from_homotopy,
     fold_to_mf,
+    fundamental_mf,
     gauge_intertwiner,
     koszul_mf,
     leibniz_holds,
@@ -86,6 +90,165 @@ def test_fold_matches_koszul_bit_exact():
         assert km.delta0 == fm.delta0
         assert km.delta1 == fm.delta1
         assert km.potential == fm.potential
+
+
+def _reference_fold(curved):
+    """The fold as fold_to_mf used to build it, by exterior-algebra
+    arithmetic: delta applied to each basis vector.  Kept as the reference
+    for the closed form."""
+    scheme = curved.scheme
+    ring = scheme.ring
+    even = scheme.basis_subsets(parity=0)
+    odd = scheme.basis_subsets(parity=1)
+    even_index = {s: i for i, s in enumerate(even)}
+    odd_index = {s: i for i, s in enumerate(odd)}
+    delta0 = [[ring.zero] * len(even) for _ in range(len(odd))]
+    delta1 = [[ring.zero] * len(odd) for _ in range(len(even))]
+    for j, s in enumerate(even):
+        image = curved.delta(scheme.element({s: ring.one}))
+        for key, c in image.coefficients.items():
+            delta0[odd_index[key]][j] = c
+    for j, s in enumerate(odd):
+        image = curved.delta(scheme.element({s: ring.one}))
+        for key, c in image.coefficients.items():
+            delta1[even_index[key]][j] = c
+    namegen = lambda s: "^".join(scheme.odd_gens[k].name for k in s) or "1"
+    weight = lambda s: sum(scheme.odd_gens[k].weight for k in s)
+    p0 = [Generator(namegen(s), weight(s)) for s in even]
+    p1 = [Generator(namegen(s), weight(s)) for s in odd]
+    return factorizations.MatrixFactorization(ring, p0, p1, delta0, delta1,
+                                              curved.curvature)
+
+
+def _assert_same_mf(got, want):
+    assert (got.p0_gens, got.p1_gens) == (want.p0_gens, want.p1_gens)
+    assert got == want
+    assert write_mf(got) == write_mf(want)
+
+
+_A1 = """[field]
+order = 4
+[potential]
+variables = x:1
+W = x^2
+d = 2
+[group]
+generator = diag(-1)
+J = diag(-1)
+J_sqrt = z
+[curve]
+component c0
+bundle c0 = 0
+marking c0 at 1 gamma diag(1) rig 1
+marking c0 at -1 gamma diag(1) rig z
+divisor c0 at {point} mult {mult}
+eta c0 = (2) / (t^2 + (-1))
+"""
+
+_XY = """[field]
+order = 4
+[potential]
+variables = x:1, y:1
+W = x^2 + y^2
+d = 2
+[group]
+generator = diag(-1, -1)
+J = diag(-1, -1)
+J_sqrt = z
+[curve]
+component c0
+bundle c0 = 0, 0
+marking c0 at 1 gamma diag(1, 1) rig 1, 1
+marking c0 at -1 gamma diag(1, 1) rig z, z
+divisor c0 at {point} mult 2
+eta c0 = (2) / (t^2 + (-1))
+"""
+
+# W = x^3: J = diag(zeta_3), which is z^2 in Q(zeta_6) and z^4 in Q(zeta_12)
+_A2 = """[field]
+order = {order}
+[potential]
+variables = x:1
+W = x^3
+d = 3
+[group]
+generator = diag({j})
+J = diag({j})
+[curve]
+component c0
+bundle c0 = -1
+marking c0 at 1 gamma diag(1) rig 1
+marking c0 at -1 gamma diag(1) rig {rig}
+divisor c0 at 0 mult {mult}
+"""
+
+_PIPELINE_SPECS = (
+    [_A1.format(point=p, mult=m) for p in ("0", "2", "-2") for m in range(1, 8)]
+    + [_XY.format(point=p) for p in ("0", "-2")]
+    + [_A2.format(order=6, j="z^2", rig="1", mult=4),
+       _A2.format(order=12, j="z^4", rig="z^3", mult=3),
+       _A2.format(order=12, j="z^4", rig="1", mult=4)])
+
+
+def test_fold_matches_the_reference_on_pipeline_specs():
+    for text in _PIPELINE_SPECS:
+        result = fundamental_mf(parse_spec(text).spin_spec())
+        # fundamental_mf folds the curving delta = d - f_{-1}
+        curved = dgmf_from_homotopy(result.scheme_out, -result.f_out)
+        _assert_same_mf(result.mf, _reference_fold(curved))
+
+
+def _random_odd(rng, scheme, triples):
+    """A seeded odd element: terms of degree -1 on every generator and of
+    degree -3 on the given triples, each present with probability 1/2."""
+    subsets = [(k,) for k in range(scheme.n_odd)] + list(triples)
+    return scheme.element({s: _random_poly(rng, scheme.ring, density=1.0)
+                           for s in subsets if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_fold_matches_the_reference_on_random_curvings(order):
+    # the generators after the first `live` ones have zero differential, so
+    # the degree -3 terms of f_{-1} on them keep d(f_{-1}) a function; no
+    # Koszul factorization has such terms
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x0", "x1"])
+    rng = random.Random(order)
+    cubic_terms = 0
+    for _ in range(8):
+        n = rng.randint(4, 6)
+        live = rng.randint(1, n - 3)
+        beta = [_random_scalar(rng, field) * ring.gen("x0")
+                + _random_scalar(rng, field) * ring.gen("x1") for _ in range(live)]
+        scheme = derived_zero_locus(ring, beta + [ring.zero] * (n - live))
+        f = _random_odd(rng, scheme, combinations(range(live, n), 3))
+        cubic_terms += sum(len(s) == 3 for s in f.coefficients)
+        curved = dgmf_from_homotopy(scheme, f)
+        _assert_same_mf(fold_to_mf(curved), _reference_fold(curved))
+    assert cubic_terms >= 4
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_odd_elements_square_to_zero(order):
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x0", "x1"])
+    rng = random.Random(order)
+    for _ in range(8):
+        n = rng.randint(3, 6)
+        scheme = derived_zero_locus(ring, [ring.zero] * n)
+        f = _random_odd(rng, scheme, combinations(range(n), 3))
+        assert f.parity() == 1 and not f * f
+
+
+def test_fold_rejects_a_wrong_curvature():
+    R = _ring(2)
+    x, y = R.gens()
+    scheme = derived_zero_locus(R, [x, y])
+    f = x * scheme.odd_coordinate(0) + y * scheme.odd_coordinate(1)
+    right = dgmf_from_homotopy(scheme, f).curvature
+    for wrong in (R.zero, right + right, right + x):
+        with pytest.raises(CertificateError, match=r"delta\^2 != W \. id"):
+            fold_to_mf(factorizations.CurvedStructure(scheme, f, wrong))
 
 
 def test_dgmf_rejects_even_curving():
@@ -479,6 +642,13 @@ def test_first_mismatch_keeps_exponents_apart():
     assert linalg.first_mismatch([(a, b)], [[x ** 4 + y ** 9]], F) == (0, 0)
 
 
+def _uncertified(ring, delta0, delta1, potential):
+    """The data of a matrix factorization that is never certified, for
+    _reference_composite_error."""
+    return SimpleNamespace(ring=ring, delta0=delta0, delta1=delta1, potential=potential,
+                           rank0=len(delta1), rank1=len(delta0))
+
+
 def _reference_composite_error(mf):
     """The first failing entry and message of the dense delta^2 check."""
     ring = mf.ring
@@ -509,12 +679,11 @@ def test_verify_rejects_a_perturbed_entry(seed):
     i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
     e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
     m[i][j] = m[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
-    bad = factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
-                                             delta1, mf.potential, check=False)
-    expected = _reference_composite_error(bad)
+    expected = _reference_composite_error(_uncertified(ring, delta0, delta1, mf.potential))
     assert expected is not None
     with pytest.raises(CertificateError) as info:
-        bad.verify()
+        factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
+                                           delta1, mf.potential)
     assert str(info.value) == expected
 
 
@@ -582,22 +751,25 @@ def test_restrict_to_line_rejects_a_perturbed_entry(seed):
     for got, want in ((fiber.delta0, mf.delta0), (fiber.delta1, mf.delta1),
                       ([[fiber.potential]], [[mf.potential]])):
         assert got == [[_naive_on_line(p, images, line) for p in row] for row in want]
-    # one perturbed entry: the line MF fails its delta^2 certificate, at the
-    # entry and with the message of the dense reference on the naive line MF
+    # one perturbed entry: no MF is built from it; and when the entry of the
+    # certified MF is changed after it was built, the line MF fails its
+    # delta^2 certificate, at the entry and with the message of the dense
+    # reference on the naive line MF
     delta0 = [list(row) for row in mf.delta0]
     delta1 = [list(row) for row in mf.delta1]
     m = rng.choice([delta0, delta1])
     i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
     e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
     m[i][j] = m[i][j] + Poly(ring, {e: _random_scalar(rng, field)})
-    bad = factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
-                                             delta1, mf.potential, check=False)
+    with pytest.raises(CertificateError):
+        factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
+                                           delta1, mf.potential)
+    mf.delta0, mf.delta1 = delta0, delta1
     on_line = lambda rows: [[_naive_on_line(p, images, line) for p in row] for row in rows]
-    naive = factorizations.MatrixFactorization(
-        line, mf.p0_gens, mf.p1_gens, on_line(delta0), on_line(delta1),
-        _naive_on_line(mf.potential, images, line), check=False)
+    naive = _uncertified(line, on_line(delta0), on_line(delta1),
+                         _naive_on_line(mf.potential, images, line))
     expected = _reference_composite_error(naive)
     assert expected is not None
     with pytest.raises(CertificateError) as info:
-        bad.restrict_to_line(images)
+        mf.restrict_to_line(images)
     assert str(info.value) == expected

@@ -103,7 +103,7 @@ def test_parse_complex():
 def test_mf_roundtrip_with_certificate():
     r = fundamental_mf(parse_spec(SPIN).spin_spec())
     text = write_mf(r.mf, certificate=r.certificate())
-    mf2, cert = parse_mf(text, check=True)
+    mf2, cert = parse_mf(text)
     assert mf2.delta0 == r.mf.delta0
     assert mf2.delta1 == r.mf.delta1
     assert mf2.potential == r.mf.potential
@@ -127,7 +127,7 @@ def test_mf_parse_detects_corruption():
     text = write_mf(r.mf)
     bad = text.replace("x1^2 + x2^2", "x1^2 + 2*x2^2")
     with pytest.raises((SpecParseError, ValueError)):
-        parse_mf(bad, check=True)
+        parse_mf(bad)
 
 
 def test_mf_parse_error_line_numbers():

@@ -412,8 +412,7 @@ def test_rank_64_fundamental_mf_is_certified():
     for r, c in ((0, 0), (5, 17), (63, 40)):
         delta0 = [list(row) for row in mf.delta0]
         delta0[r][c] = delta0[r][c] + mf.ring.gens()[0]
-        bad = MatrixFactorization(mf.ring, mf.p0_gens, mf.p1_gens, delta0,
-                                  mf.delta1, mf.potential, check=False)
         i = next(i for i, row in enumerate(mf.delta1) if row[r])
         with pytest.raises(CertificateError, match=rf"at entry \({i},{c}\):"):
-            bad.verify()
+            MatrixFactorization(mf.ring, mf.p0_gens, mf.p1_gens, delta0,
+                                mf.delta1, mf.potential)
