@@ -11,6 +11,11 @@ Malformed spec values, such as a degree ``d <= 0`` or a ``divisor`` line
 whose fifth word is not ``mult`` or whose multiplicity is not a positive
 integer, are SpecParseErrors.  A negative ``--degree-bound`` (``check``,
 ``support``) or ``--points`` (``support``) is a precondition violation (3).
+``--degree-bound`` bounds the nondegeneracy search of ``check``; on
+``support`` it bounds nothing (a contracting homotopy at a point is
+constant) and only exits 3 when negative.  ``support`` prints verdicts
+without homotopies; the library's ``support_check`` certifies each
+contractible point.
 """
 
 from __future__ import annotations
@@ -174,7 +179,8 @@ def build_parser():
     parser.add_argument("--output", help="output file (default: stdout)")
     parser.add_argument("--glued", help="glued spec file (glue command)")
     parser.add_argument("--degree-bound", type=int, default=4,
-                        help="solver degree bound (default 4)")
+                        help="degree bound of check's nondegeneracy search "
+                             "(default 4); support only rejects a negative one")
     parser.add_argument("--points", type=int, default=10,
                         help="number of support sample points (default 10)")
     parser.add_argument("--seed", type=int, default=0,

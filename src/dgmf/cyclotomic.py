@@ -225,19 +225,22 @@ class CyclotomicField:
         # normalize "- " into "+ -"
         tokens = text.replace("- ", "+ -").split("+")
         total = self.zero
-        for tok in tokens:
+        for i, tok in enumerate(tokens):
             tok = tok.strip()
             if not tok:
-                continue
+                if i == 0:  # a leading sign, as in "- z"
+                    continue
+                raise ValueError(f"a sign with no term after it in {text!r}")
             if "z" in tok:
                 head, _, tail = tok.partition("z")
-                head = head.strip().rstrip("*").strip()
+                head, tail = head.strip(), tail.strip()
                 if head in ("", "-"):
                     coeff = Fraction(-1 if head == "-" else 1)
                 else:
-                    coeff = Fraction(head)
-                tail = tail.strip()
-                power = int(tail.lstrip("^")) if tail else 1
+                    coeff = Fraction(head[:-1] if head.endswith("*") else head)
+                if tail and not tail.startswith("^"):
+                    raise ValueError(f"bad power of z in {tok!r}")
+                power = int(tail[1:]) if tail else 1
             else:
                 coeff = Fraction(tok)
                 power = 0

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import linalg
 from .complexes import Generator
-from .poly import Poly, PolyRing, exponents_of_weight, substituter
+from .poly import Poly, PolyRing, substituter
 
 
 class CertificateError(ValueError):
@@ -474,87 +474,64 @@ def unit_mf(ring):
 # -- homotopy solving ------------------------------------------------------
 
 
-def nullhomotopy_solve(mf, degree_bound=4):
-    """Search for an odd h with delta h + h delta = id (a contracting
-    homotopy).
+def nullhomotopy_solve(mf):
+    """An odd h = (h0, h1) with delta h + h delta = id (a contracting
+    homotopy) of an MF over the point base, or None if it has none.
 
-    Unknown entries are polynomials of total degree <= the bound; the search
-    is one exact linear solve.  Returns (h0, h1) or None; a returned
-    homotopy has been verified exactly (CertificateError if not).
+    If W(p) != 0, h = (delta0 / W(p), 0): delta1 delta0 = delta0 delta1 =
+    W(p) . id.  This is the solution the general solve below gives too.  The
+    map h -> delta h + h delta has rank n0 . n1 and is injective on
+    {h1 = 0}, since delta1 h0 = 0 forces h0 = 0.  So with h0's unknowns
+    ordered before h1's, the h0 columns are the pivots, h1 is free (set to
+    0), and delta1 h0 = id gives h0 = delta1^-1 = delta0 / W(p).
+
+    If W(p) = 0, delta h + h delta = id is one constant linear system in the
+    2 . n0 . n1 entries of h (h0 row-major, then h1 row-major), solved
+    exactly once with free unknowns set to 0.
+
+    Either way the returned h is checked exactly (CertificateError if not).
     """
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     ring = mf.ring
+    if ring.nvars:
+        raise ValueError("nullhomotopy_solve needs an MF over the point base; "
+                         "restrict it to a point first")
     field = ring.field
     n0, n1 = mf.rank0, mf.rank1
+    w = mf.potential.constant_value()
+    if w:
+        inv = ring.constant(w.inverse())
+        h0 = [[c * inv for c in row] for row in mf.delta0]
+        h1 = [[ring.zero] * n1 for _ in range(n0)]
+    else:
+        d0 = [[c.constant_value() for c in row] for row in mf.delta0]
+        d1 = [[c.constant_value() for c in row] for row in mf.delta1]
+        h1_at = n0 * n1  # column of h1[0][0]
+        matrix, rhs = [], []
+        # delta1 h0 + h1 delta0 = id on P0
+        for i in range(n0):
+            for j in range(n0):
+                row = [field.zero] * (2 * n0 * n1)
+                for k in range(n1):
+                    row[k * n0 + j] = d1[i][k]
+                    row[h1_at + i * n1 + k] = d0[k][j]
+                matrix.append(row)
+                rhs.append(field.one if i == j else field.zero)
+        # delta0 h1 + h0 delta1 = id on P1
+        for i in range(n1):
+            for j in range(n1):
+                row = [field.zero] * (2 * n0 * n1)
+                for k in range(n0):
+                    row[h1_at + k * n1 + j] = d0[i][k]
+                    row[i * n0 + k] = d1[k][j]
+                matrix.append(row)
+                rhs.append(field.one if i == j else field.zero)
+        sol = linalg.solve(matrix, rhs, field)
+        if sol is None:
+            return None
+        h0 = [[ring.constant(sol[i * n0 + j]) for j in range(n0)] for i in range(n1)]
+        h1 = [[ring.constant(sol[h1_at + i * n1 + j]) for j in range(n1)]
+              for i in range(n0)]
     target0, target1 = linalg.identity(ring, n0), linalg.identity(ring, n1)
-    # the monomials of total degree <= the bound, by degree, then lex
-    shifts = [e for total in range(degree_bound + 1)
-              for e in exponents_of_weight([1] * ring.nvars, total)]
-    # unknowns: h0[i1][j0] (P0->P1) and h1[i0][j1] (P1->P0), each a combination
-    # of the monomials
-    nvars_h0 = n1 * n0 * len(shifts)
-    nvars_h1 = n0 * n1 * len(shifts)
-
-    def h0_var(i, j, k):
-        return (i * n0 + j) * len(shifts) + k
-
-    def h1_var(i, j, k):
-        return nvars_h0 + (i * n1 + j) * len(shifts) + k
-
-    equations = {}  # (block, i, j, exponent) -> row dict var -> Scalar
-
-    def add_term(block, i, j, poly, var, shift):
-        # poly * monomial: a monomial factor shifts exponents and cancels nothing
-        for e, c in poly.terms.items():
-            key = (block, i, j, tuple([a + b for a, b in zip(e, shift)]))
-            row = equations.setdefault(key, {})
-            row[var] = row[var] + c if var in row else c
-
-    # block 0: delta1 h0 + h1 delta0 = target0  (P0 -> P0)
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n1):
-                for mi, shift in enumerate(shifts):
-                    add_term(0, i, j, mf.delta1[i][k], h0_var(k, j, mi), shift)
-            for k in range(n1):
-                for mi, shift in enumerate(shifts):
-                    add_term(0, i, j, mf.delta0[k][j], h1_var(i, k, mi), shift)
-    # block 1: delta0 h1 + h0 delta1 = target1  (P1 -> P1)
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n0):
-                for mi, shift in enumerate(shifts):
-                    add_term(1, i, j, mf.delta0[i][k], h1_var(k, j, mi), shift)
-            for k in range(n0):
-                for mi, shift in enumerate(shifts):
-                    add_term(1, i, j, mf.delta1[k][j], h0_var(i, k, mi), shift)
-
-    rhs_map = {}
-    for i in range(n0):
-        for j in range(n0):
-            for e, c in target0[i][j].terms.items():
-                rhs_map[(0, i, j, e)] = c
-    for i in range(n1):
-        for j in range(n1):
-            for e, c in target1[i][j].terms.items():
-                rhs_map[(1, i, j, e)] = c
-    keys = sorted(set(equations) | set(rhs_map))
-    nvars = nvars_h0 + nvars_h1
-    matrix = []
-    rhs = []
-    for key in keys:
-        row = [field.zero] * nvars
-        for var, c in equations.get(key, {}).items():
-            row[var] = c
-        matrix.append(row)
-        rhs.append(rhs_map.get(key, field.zero))
-    sol = linalg.solve(matrix, rhs, field) if matrix else []
-    if sol is None:
-        return None
-    combo = lambda base: Poly(ring, {e: sol[base + k] for k, e in enumerate(shifts)})
-    h0 = [[combo(h0_var(i, j, 0)) for j in range(n0)] for i in range(n1)]
-    h1 = [[combo(h1_var(i, j, 0)) for j in range(n1)] for i in range(n0)]
     bad0 = linalg.first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field)
     bad1 = linalg.first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field)
     if bad0 is not None or bad1 is not None:
@@ -592,10 +569,12 @@ def point_verdict(mf, point):
 
 
 def support_check(mf, points, degree_bound=4, with_certificates=True):
-    """Per-point contractibility report; certificates come from the homotopy
-    solver and are verified exactly before being reported.  At a point every
-    contracting homotopy is constant, so a contractible verdict without one
-    means the solver and the rank verdict disagree: CertificateError.
+    """Per-point contractibility report; certificates come from
+    ``nullhomotopy_solve`` and are verified exactly before being reported.
+    At a point every contracting homotopy is constant, so a contractible
+    verdict without one means the solver and the rank verdict disagree:
+    CertificateError.  For the same reason ``degree_bound`` bounds nothing
+    here; it is only checked to be >= 0.
     Each point restricts the MF once (one delta^2 check); the verdict and
     the certificate both read that restriction."""
     if degree_bound < 0:
@@ -606,7 +585,7 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
         verdict = point_verdict(restricted, ())
         cert = None
         if verdict == CONTRACTIBLE and with_certificates:
-            cert = nullhomotopy_solve(restricted, degree_bound=degree_bound)
+            cert = nullhomotopy_solve(restricted)
             if cert is None:
                 raise CertificateError(
                     f"no contracting homotopy at the contractible point {point}")

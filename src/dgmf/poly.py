@@ -83,7 +83,8 @@ class PolyRing:
 
         Coefficients may be parenthesised scalar literals, e.g. ``(1 + z)*x^2``.
         A variable's exponent must be a nonnegative integer (a ValueError
-        otherwise); powers of ``z`` may be negative.
+        otherwise); powers of ``z`` may be negative.  An empty term or factor
+        (a dangling sign or ``*``) and an empty exponent are ValueErrors.
         """
         text = text.strip()
         if text in ("0", ""):
@@ -107,28 +108,30 @@ class PolyRing:
             if term[0] == "-":
                 sign = -sign
             term = term[1:].strip()
+        if not term:
+            raise ValueError("a sign with no term after it")
         coeff = None  # the product of the coefficient factors, if any
         exps = [0] * self.nvars
         for factor in _split_factors(term):
             factor = factor.strip()
             if not factor:
-                continue
+                raise ValueError(f"empty factor in {term!r}")
             if factor.startswith("("):
                 c = self.field.parse(factor[1:-1])
             else:
-                base, _, power = factor.partition("^")
+                base, caret, power = factor.partition("^")
                 base = base.strip()
                 if base in self.names:
-                    k = int(power) if power else 1
+                    k = int(power) if caret else 1
                     if k < 0:
                         raise ValueError(f"negative exponent on a variable: {factor}")
                     exps[self.names.index(base)] += k
                     continue
                 if base == "z":
-                    c = self.field.zeta_power(int(power) if power else 1)
+                    c = self.field.zeta_power(int(power) if caret else 1)
                 else:
                     c = self.field.scalar(Fraction(base))
-                    if power:
+                    if caret:
                         raise ValueError(f"unexpected power on constant: {factor}")
             coeff = c if coeff is None else coeff * c
         if coeff is None:
@@ -184,8 +187,7 @@ def _split_factors(term):
             cur = ""
         else:
             cur += ch
-    if cur:
-        factors.append(cur)
+    factors.append(cur)
     return factors
 
 

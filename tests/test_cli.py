@@ -255,6 +255,17 @@ def test_negative_variable_exponent_is_a_parse_error(tmp_path):
             assert code == 2, (command, bad)
 
 
+def test_malformed_polynomial_is_a_parse_error(tmp_path):
+    _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
+    for entry in ("(x^)", "(x*)", "(*x)", "(x**1)", "(x +)"):
+        bad = mf_text.replace("delta0 = (x)", f"delta0 = {entry}")
+        assert bad != mf_text
+        code, _ = _run(tmp_path, "verify", bad)
+        assert code == 2, entry
+    code, _ = _run(tmp_path, "check", CHECK_GOOD.replace("W = x^5", "W = x**5"))
+    assert code == 2
+
+
 def _sessions(tmp_path):
     """(command, input, extra arguments) for every input format above."""
     glued = _write(tmp_path, "glued.spec", GLUED)

@@ -100,6 +100,14 @@ def test_parse_reads_every_power_of_z(order):
         F.one + Fraction(3, 2) * F.zeta ** high - F.zeta.inverse() ** 2)
 
 
+@pytest.mark.parametrize("text", ["z^^2", "z^", "z2", "*z", "3**z", "1 +",
+                                  "1 + + z", "+"])
+def test_parse_rejects_malformed_text(text):
+    # a repeated or missing ^, a dangling * or a dangling sign
+    with pytest.raises(ValueError):
+        CyclotomicField(4).parse(text)
+
+
 def _reference_product(F, a, b):
     """Schoolbook Fraction convolution, then division by the monic Phi_N
     from the top coefficient down."""

@@ -7,7 +7,7 @@ import pytest
 
 from dgmf import factorizations, linalg
 from dgmf.complexes import Generator
-from dgmf.poly import Poly
+from dgmf.poly import Poly, exponents_of_weight
 from dgmf.specfile import parse_spec, write_mf
 from dgmf import (
     CONTRACTIBLE,
@@ -414,7 +414,7 @@ def test_nullhomotopy_certificate_at_point():
     R = _ring(1)
     x = R.gen("x0")
     mf = koszul_mf(R, [x], [x]).restrict_to_point([F.scalar(3)])
-    cert = nullhomotopy_solve(mf, degree_bound=0)
+    cert = nullhomotopy_solve(mf)
     assert cert is not None
 
 
@@ -422,7 +422,7 @@ def test_nullhomotopy_absent_when_noncontractible():
     R = _ring(1)
     x = R.gen("x0")
     mf = koszul_mf(R, [x], [x]).restrict_to_point([F.zero])
-    assert nullhomotopy_solve(mf, degree_bound=2) is None
+    assert nullhomotopy_solve(mf) is None
 
 
 def test_support_check_report():
@@ -494,16 +494,139 @@ def test_negative_degree_bound_rejected():
     mf = koszul_mf(R, [x], [x])
     with pytest.raises(ValueError, match="degree_bound"):
         support_check(mf, [[F.one]], degree_bound=-1)
-    with pytest.raises(ValueError, match="degree_bound"):
-        nullhomotopy_solve(mf.restrict_to_point([F.one]), degree_bound=-1)
 
 
 def test_nullhomotopy_solve_rejects_a_wrong_solution(wrong_solve):
+    # {x, y} at (1, 0): W(p) = 0 but delta0 = 1, so the restriction is
+    # contractible and its homotopy comes from the linear solve
+    R = _ring(2)
+    x, y = R.gens()
+    mf = koszul_mf(R, [x], [y]).restrict_to_point([F.one, F.zero])
+    assert not mf.potential and point_verdict(mf, ()) == CONTRACTIBLE
+    with pytest.raises(CertificateError):
+        nullhomotopy_solve(mf)
+
+
+def test_closed_form_homotopy_rejects_a_perturbed_delta():
+    # at W(p) != 0 the homotopy is delta0 / W(p); a delta0 entry changed after
+    # the restricted MF was certified gives an h that fails its exact check
+    R = _ring(2)
+    x, y = R.gens()
+    mf = koszul_mf(R, [x, y], [x, y]).restrict_to_point([F.one, F.scalar(2)])
+    assert mf.potential == 5
+    h0, h1 = nullhomotopy_solve(mf)
+    assert h0 == [[c * Fraction(1, 5) for c in row] for row in mf.delta0]
+    assert not any(c for row in h1 for c in row)
+    mf.delta0 = [list(row) for row in mf.delta0]
+    mf.delta0[1][0] = mf.delta0[1][0] + mf.ring.one
+    with pytest.raises(CertificateError):
+        nullhomotopy_solve(mf)
+
+
+def test_nullhomotopy_solve_needs_the_point_base():
     R = _ring(1)
     x = R.gen("x0")
-    mf = koszul_mf(R, [x], [x]).restrict_to_point([F.scalar(3)])
-    with pytest.raises(CertificateError):
-        nullhomotopy_solve(mf, degree_bound=0)
+    with pytest.raises(ValueError, match="point base"):
+        nullhomotopy_solve(koszul_mf(R, [x], [x]))
+
+
+def _reference_homotopy_system(mf, degree_bound=4):
+    """The polynomial search for a contracting homotopy of entries of total
+    degree <= the bound: (matrix, rhs, shifts).  The unknowns are h0's entries
+    row-major, then h1's, each a combination of the monomials ``shifts``;
+    there is one equation per (block, i, j, exponent) of
+    delta h + h delta = id, in sorted order."""
+    ring = mf.ring
+    field = ring.field
+    n0, n1 = mf.rank0, mf.rank1
+    target0, target1 = linalg.identity(ring, n0), linalg.identity(ring, n1)
+    shifts = [e for total in range(degree_bound + 1)
+              for e in exponents_of_weight([1] * ring.nvars, total)]
+    nvars_h0 = n1 * n0 * len(shifts)
+    nvars_h1 = n0 * n1 * len(shifts)
+    h0_var = lambda i, j, k: (i * n0 + j) * len(shifts) + k
+    h1_var = lambda i, j, k: nvars_h0 + (i * n1 + j) * len(shifts) + k
+    equations = {}  # (block, i, j, exponent) -> row dict var -> Scalar
+
+    def add_term(block, i, j, poly, var, shift):
+        for e, c in poly.terms.items():
+            key = (block, i, j, tuple([a + b for a, b in zip(e, shift)]))
+            row = equations.setdefault(key, {})
+            row[var] = row[var] + c if var in row else c
+
+    for i in range(n0):  # delta1 h0 + h1 delta0 = id on P0
+        for j in range(n0):
+            for k in range(n1):
+                for mi, shift in enumerate(shifts):
+                    add_term(0, i, j, mf.delta1[i][k], h0_var(k, j, mi), shift)
+                    add_term(0, i, j, mf.delta0[k][j], h1_var(i, k, mi), shift)
+    for i in range(n1):  # delta0 h1 + h0 delta1 = id on P1
+        for j in range(n1):
+            for k in range(n0):
+                for mi, shift in enumerate(shifts):
+                    add_term(1, i, j, mf.delta0[i][k], h1_var(k, j, mi), shift)
+                    add_term(1, i, j, mf.delta1[k][j], h0_var(i, k, mi), shift)
+    rhs_map = {}
+    for block, target in ((0, target0), (1, target1)):
+        for i, row in enumerate(target):
+            for j, p in enumerate(row):
+                for e, c in p.terms.items():
+                    rhs_map[(block, i, j, e)] = c
+    matrix, rhs = [], []
+    for key in sorted(set(equations) | set(rhs_map)):
+        row = [field.zero] * (nvars_h0 + nvars_h1)
+        for var, c in equations.get(key, {}).items():
+            row[var] = c
+        matrix.append(row)
+        rhs.append(rhs_map.get(key, field.zero))
+    return matrix, rhs, shifts
+
+
+def _reference_nullhomotopy(mf, degree_bound=4):
+    """(h0, h1) from one exact solve of ``_reference_homotopy_system``,
+    free unknowns set to 0; None if it has no solution."""
+    ring = mf.ring
+    n0, n1 = mf.rank0, mf.rank1
+    matrix, rhs, shifts = _reference_homotopy_system(mf, degree_bound)
+    sol = linalg.solve(matrix, rhs, ring.field) if matrix else []
+    if sol is None:
+        return None
+    combo = lambda base: Poly(ring, {e: sol[base + k] for k, e in enumerate(shifts)})
+    h0 = [[combo((i * n0 + j) * len(shifts)) for j in range(n0)] for i in range(n1)]
+    h1 = [[combo((n1 * n0 + i * n1 + j) * len(shifts)) for j in range(n1)]
+          for i in range(n0)]
+    return h0, h1
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nullhomotopy_solve_matches_the_polynomial_search(order, n):
+    # {c_i x_i, x_i y} of rank 2^(n-1) at a generic point (W != 0, closed
+    # form), at y = 0 with x != 0 (W = 0 but contractible: the solve), and
+    # at x = 0 (noncontractible: both None)
+    field = CyclotomicField(order)
+    rng = random.Random(f"homotopy:{order}:{n}")
+    ring = PolyRing(field, [f"x{i}" for i in range(n)] + ["y"])
+    xs, y = ring.gens()[:n], ring.gens()[n]
+    mf = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                   [x * y for x in xs])
+    assert mf.rank0 == mf.rank1 == 2 ** (n - 1)
+    rand = lambda k: [_random_scalar(rng, field) for _ in range(k)]
+    points = [rand(n + 1), rand(n) + [field.zero], [field.zero] * n + rand(1)]
+    for point, w_zero, contractible in zip(points, (False, True, True),
+                                           (True, True, False)):
+        at = mf.restrict_to_point(point)
+        assert (not at.potential) == w_zero
+        assert (point_verdict(at, ()) == CONTRACTIBLE) == contractible
+        got, want = nullhomotopy_solve(at), _reference_nullhomotopy(at)
+        if not contractible:
+            assert got is None and want is None
+            continue
+        assert got is not None and got == want
+        if not w_zero:
+            inv = at.ring.constant(at.potential.constant_value().inverse())
+            assert got[0] == [[c * inv for c in row] for row in at.delta0]
+            assert not any(c for row in got[1] for c in row)
 
 
 def test_support_check_raises_when_solver_and_verdict_disagree(monkeypatch):
@@ -511,7 +634,7 @@ def test_support_check_raises_when_solver_and_verdict_disagree(monkeypatch):
     x = R.gen("x0")
     mf = koszul_mf(R, [x], [x])
     monkeypatch.setattr(factorizations, "nullhomotopy_solve",
-                        lambda mf, degree_bound: None)
+                        lambda mf: None)
     with pytest.raises(CertificateError):
         support_check(mf, [[F.one]])
     # without certificates the solver is never asked

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dgmf import CyclotomicField, PolyRing, koszul_mf, nullhomotopy_solve
+from dgmf import CyclotomicField, PolyRing, koszul_mf
 from dgmf import linalg
+from test_factorizations import _reference_homotopy_system
 
 F = CyclotomicField(4)
 
@@ -235,9 +236,9 @@ def test_rref_matches_dense_reference_on_sparse_matrices(order):
         _assert_rref_matches_reference(m, field, rng)
 
 
-def test_rref_matches_dense_reference_on_a_homotopy_system(monkeypatch):
-    # the certified support check of a rank-4 Koszul MF over Q(zeta_7) at a
-    # generic point solves one 32 x 33 system; its fill-in is the hard case
+def test_rref_matches_dense_reference_on_a_homotopy_system():
+    # the polynomial homotopy search on a rank-4 Koszul MF over Q(zeta_7) at a
+    # generic point is one 32 x 33 system; its fill-in is the hard case
     field = CyclotomicField(7)
     z = field.zeta
     ring = PolyRing(field, ["x0", "x1", "x2", "y"])
@@ -245,16 +246,7 @@ def test_rref_matches_dense_reference_on_a_homotopy_system(monkeypatch):
     cs = [1 + z, 2 - z ** 3, z ** 2 + z ** 5]
     mf = koszul_mf(ring, [c * x for c, x in zip(cs, xs)], [x * y for x in xs])
     point = [1 + z ** 2, 3 - z, z ** 4 - 2, 1 + z ** 3]
-    systems = []
-    solve = linalg.solve
-
-    def recording_solve(matrix, rhs, field, col_order=None):
-        systems.append([row + [b] for row, b in zip(matrix, rhs)])
-        return solve(matrix, rhs, field, col_order)
-
-    monkeypatch.setattr(linalg, "solve", recording_solve)
-    assert nullhomotopy_solve(mf.restrict_to_point(point)) is not None
-    monkeypatch.undo()
-    (system,) = systems
+    matrix, rhs, _ = _reference_homotopy_system(mf.restrict_to_point(point))
+    system = [row + [b] for row, b in zip(matrix, rhs)]
     assert (len(system), len(system[0])) == (32, 33)
     _assert_rref_matches_reference(system, field, random.Random("homotopy"))

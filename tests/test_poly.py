@@ -64,6 +64,23 @@ def test_parse_rejects_a_negative_variable_exponent():
     assert R.parse("x^0*y") == R.gen("y")
 
 
+@pytest.mark.parametrize("text", ["x**2", "*x", "x*", "x^", "x^^2", "z^^2*x",
+                                  "x^2 +", "x -", "+"])
+def test_parse_rejects_malformed_text(text):
+    # an empty factor or exponent, a repeated ^, or a dangling sign or *
+    with pytest.raises(ValueError):
+        R.parse(text)
+
+
+def test_parse_reads_every_form_the_writers_emit():
+    x, y = R.gen("x"), R.gen("y")
+    assert R.parse("x + -1*y") == x - y
+    assert R.parse("(1 + z)*x") == (F.one + F.zeta) * x
+    assert R.parse("(-z)*x^2 + 1/2*y") == -F.zeta * x * x + Fraction(1, 2) * y
+    assert R.parse("z^-1") == R.constant(F.zeta.inverse())
+    assert R.parse("(0)") == R.zero
+
+
 @settings(max_examples=100, deadline=None)
 @given(_polys())
 def test_str_parse_round_trip(p):
