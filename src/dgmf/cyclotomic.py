@@ -2,17 +2,17 @@
 
 Elements are represented by their unique reduced form: a rational-coefficient
 polynomial in z = zeta_N of degree < phi(N), reduced modulo the N-th
-cyclotomic polynomial.  All arithmetic is exact (``fractions.Fraction``
-coefficients); nothing is ever rounded.
+cyclotomic polynomial.  All arithmetic is exact; nothing is ever rounded.
 
-Products and inverses run on integers.  An element a/den is an integer vector
-``ints`` of length phi(N) over one positive denominator.  ``_product``
-convolves two such vectors in ints and reduces once by an integer table of
-the monic, integer Phi_N; a rational factor (zero included) just scales the
-other one.  ``_inverse_integers`` solves M x = e_0 fraction-free (Bareiss),
-where M is the integer matrix of multiplication by ``ints``.  ``Scalar``
-builds its phi(N) Fractions once per result, and ``linalg`` eliminates on the
-integer vectors themselves.
+A ``Scalar`` stores that form as an integer vector ``ints`` of length phi(N)
+over one positive denominator ``den``, in lowest terms (``_lowest``), with
+zero as (0, ..., 0)/1; ``coeffs`` views it as ``fractions.Fraction``
+coefficients, for printing.  ``_product`` convolves two integer vectors and
+reduces once by an integer table of the monic, integer Phi_N; a rational
+factor (zero included) just scales the other one.  ``_inverse_integers``
+solves M x = e_0 fraction-free (Bareiss), where M is the integer matrix of
+multiplication by ``ints``.  ``linalg``, ``poly`` and ``ratfun`` run these
+kernels on the stored pairs themselves.
 """
 
 from __future__ import annotations
@@ -39,14 +39,20 @@ def _poly_divmod(num, den):
     return q, num
 
 
-_ZERO = Fraction(0)
+def _lowest(ints, den):
+    """(ints, den) over their gcd, for a positive den: zero becomes
+    (0, ..., 0)/1."""
+    g = gcd(den, *ints)
+    return (ints, den) if g == 1 else ([v // g for v in ints], den // g)
 
 
-def _integer_vector(coeffs):
-    """(ints, den) with coeffs[k] == ints[k] / den; den is the lcm of the
-    denominators."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _sum(a, da, b, db, sign=1):
+    """a / da + sign * b / db in lowest terms, for sign = 1 or -1."""
+    if da == db:
+        return _lowest([x + sign * y for x, y in zip(a, b)], da)
+    g = gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    return _lowest([x * fa + y * fb for x, y in zip(a, b)], da * fa)
 
 
 def _product(field, a, da, b, db):
@@ -165,12 +171,9 @@ class CyclotomicField:
             if value.field != self:
                 raise ValueError("scalar belongs to a different cyclotomic field")
             return value
-        coeffs = [Fraction(0)] * self.degree
-        if self.degree > 0:
-            coeffs[0] = Fraction(value)
-        elif value != 0:
-            raise ValueError("degenerate field")
-        return Scalar(self, tuple(coeffs))
+        value = Fraction(value)
+        return Scalar(self, (value.numerator,) + (0,) * (self.degree - 1),
+                      value.denominator)
 
     @property
     def zero(self):
@@ -183,13 +186,9 @@ class CyclotomicField:
     @property
     def zeta(self):
         """The root of unity zeta_N (of multiplicative order exactly N)."""
-        coeffs = [Fraction(0)] * self.degree
-        if self.degree >= 2:
-            coeffs[1] = Fraction(1)
-        else:
-            # N in {1, 2}: zeta is rational
-            coeffs[0] = Fraction(1) if self.order == 1 else Fraction(-1)
-        return Scalar(self, tuple(coeffs))
+        if self.degree == 1:  # N in {1, 2}: zeta is rational
+            return self.scalar(1 if self.order == 1 else -1)
+        return Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def zeta_power(self, k):
         """zeta^k for any integer k, read from a table built once per order."""
@@ -211,11 +210,12 @@ class CyclotomicField:
 
     def _reduce(self, ints, den):
         """The Scalar sum(ints[k] * z^k) / den, for a positive integer den."""
-        return Scalar(self, tuple([Fraction(n, den) if n else _ZERO
-                                   for n in self.reduce_integers(ints)]))
+        return Scalar(self, *_lowest(self.reduce_integers(ints), den))
 
     def from_coeffs(self, coeffs):
-        return self._reduce(*_integer_vector([Fraction(c) for c in coeffs]))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in coeffs])
+        return self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def parse(self, text):
         """Inverse of ``str(scalar)``: reads "a0 + a1*z + a2*z^2 + ...". """
@@ -281,37 +281,45 @@ def _power(base, n, one):
 
 
 class Scalar:
-    """An element of Q(zeta_N), always in reduced form.  Immutable."""
+    """An element of Q(zeta_N), always in reduced form: ``ints`` over
+    ``den`` in lowest terms.  Immutable."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "ints", "den", "_hash")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, ints, den):
         self.field = field
-        self.coeffs = coeffs
+        self.ints = tuple(ints)
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self):
+        """The coefficients of 1, z, ..., z^(phi(N)-1), as Fractions."""
+        return tuple([Fraction(n, self.den) for n in self.ints])
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.order, self.coeffs))
+            self._hash = hash((self.field.order, self.ints, self.den))
         return self._hash
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (self.field == other.field and self.ints == other.ints
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
             return self == self.field.scalar(other)
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.ints)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.ints[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not a rational scalar")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -326,18 +334,18 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Scalar(self.field, *_sum(self.ints, self.den, other.ints, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, [-a for a in self.ints], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Scalar(self.field, *_sum(self.ints, self.den, other.ints, other.den, -1))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -346,28 +354,17 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        # a rational factor (zero included) scales the other one
-        if not any(b[1:]):
-            c = b[0]
-            return Scalar(self.field, tuple([x * c if x else x for x in a])) if c else other
-        if not any(a[1:]):
-            c = a[0]
-            return Scalar(self.field, tuple([c * x if x else x for x in b])) if c else self
-        return self.field._reduce(*_product(self.field, *_integer_vector(a),
-                                            *_integer_vector(b)))
+        return self.field._reduce(*_product(self.field, self.ints, self.den,
+                                            other.ints, other.den))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: rational ones directly, the others by one
-        fraction-free integer solve (``_inverse_integers``)."""
+        """Multiplicative inverse, by one fraction-free integer solve
+        (``_inverse_integers``)."""
         if not self:
             raise ZeroDivisionError("division by zero")
-        if self.is_rational():
-            return self.field.scalar(1 / self.coeffs[0])
-        return self.field._reduce(*_inverse_integers(self.field,
-                                                     *_integer_vector(self.coeffs)))
+        return Scalar(self.field, *_inverse_integers(self.field, self.ints, self.den))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -16,8 +16,7 @@ class GroupElement:
     def __init__(self, ring, matrix):
         field = ring.field
         n = ring.nvars
-        matrix = [[field.scalar(c) if not hasattr(c, "coeffs") else c for c in row]
-                  for row in matrix]
+        matrix = [[field.scalar(c) for c in row] for row in matrix]
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"matrix must be {n}x{n} to act on {ring!r}")
         self.ring = ring
@@ -80,7 +79,7 @@ class GroupElement:
         field = ring.field
         m = linalg.zeros(field, ring.nvars, ring.nvars)
         for i, e in enumerate(entries):
-            m[i][i] = field.scalar(e) if not hasattr(e, "coeffs") else e
+            m[i][i] = field.scalar(e)
         return cls(ring, m)
 
     def is_diagonal(self):

@@ -3,9 +3,9 @@ matrix identities.
 
 Matrices are plain lists of lists of Scalar.  Every elimination (``rref``,
 ``rank``, ``nullspace``, ``solve``, ``invert``) runs ``_eliminate``, a
-Gauss-Jordan elimination on integers: each entry is an integer vector over
-one positive denominator, kept in lowest terms, and None is zero.  Products
-run through ``cyclotomic._product``.  It scales the pivot row by the pivot's
+Gauss-Jordan elimination on the (``ints``, ``den``) pair each Scalar stores,
+kept in lowest terms, with None for zero.  Products run through
+``cyclotomic._product``.  It scales the pivot row by the pivot's
 fraction-free inverse (``cyclotomic._inverse_integers``), lists that row's
 nonzero columns once, and updates each other row with a nonzero in the pivot
 column on those columns only.  Entries become Scalars only where a result
@@ -26,9 +26,9 @@ Poly matrices too: pass the PolyRing where a field is asked for.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
-from .cyclotomic import _integer_vector, _inverse_integers, _product
+from .cyclotomic import Scalar, _inverse_integers, _lowest, _product, _sum
 
 
 def zeros(field, rows, cols):
@@ -80,11 +80,11 @@ def _eliminate(matrix, field, col_order=None):
     """Gauss-Jordan elimination of a Scalar matrix on integer entries.
 
     Returns (R, pivots) as ``rref`` does, but each entry of R is an
-    (integer vector, positive denominator) pair in lowest terms, and None is
-    zero.  The pivot row is scaled by the pivot's fraction-free inverse; each
-    other row with a nonzero in the pivot column is updated on the pivot
-    row's nonzero columns only."""
-    m = [[_integer_vector(x.coeffs) if x else None for x in row] for row in matrix]
+    (``ints``, ``den``) pair as a Scalar stores it, and None is zero.  The
+    pivot row is scaled by the pivot's fraction-free inverse; each other row
+    with a nonzero in the pivot column is updated on the pivot row's nonzero
+    columns only."""
+    m = [[(x.ints, x.den) if x else None for x in row] for row in matrix]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -115,28 +115,16 @@ def _eliminate(matrix, field, col_order=None):
                     if x is None:
                         row[k] = _lowest([-v for v in q], dq)
                         continue
-                    xi, dx = x
-                    if dx == dq:
-                        diff = [a - b for a, b in zip(xi, q)]
-                    else:
-                        g = gcd(dx, dq)
-                        fx, fq = dq // g, dx // g
-                        dq *= fq
-                        diff = [a * fx - b * fq for a, b in zip(xi, q)]
-                    row[k] = _lowest(diff, dq) if any(diff) else None
+                    x = _sum(*x, q, dq, -1)
+                    row[k] = x if any(x[0]) else None
         pivots.append((r, j))
         r += 1
     return m, pivots
 
 
-def _lowest(ints, den):
-    g = gcd(den, *ints)
-    return (ints, den) if g == 1 else ([v // g for v in ints], den // g)
-
-
 def _entry(x, field):
     """The Scalar of an entry of ``_eliminate``."""
-    return field.zero if x is None else field._reduce(*x)
+    return field.zero if x is None else Scalar(field, *x)
 
 
 def rref(matrix, field, col_order=None):
@@ -170,7 +158,7 @@ def nullspace(matrix, field):
         for (i, j) in pivots:
             x = r[i][free]
             if x is not None:
-                vec[j] = field._reduce([-v for v in x[0]], x[1])
+                vec[j] = Scalar(field, [-v for v in x[0]], x[1])
         basis.append(vec)
     return basis
 
@@ -213,11 +201,8 @@ def invert(matrix, field):
 def _terms(poly):
     """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
     the coefficient is sum(integer * zeta^k) / denominator."""
-    out = []
-    for e, c in poly.terms.items():
-        ints, den = _integer_vector(c.coeffs)
-        out.append((e, [(k, x) for k, x in enumerate(ints) if x], den))
-    return out
+    return [(e, [(k, x) for k, x in enumerate(c.ints) if x], c.den)
+            for e, c in poly.terms.items()]
 
 
 def first_mismatch(products, target, field):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import _power
+from .cyclotomic import Scalar, _power
 from .linalg import _accumulate, _terms
 
 
@@ -56,7 +56,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, value):
-        c = self.field.scalar(value) if not hasattr(value, "field") else value
+        c = self.field.scalar(value)
         if not c:
             return self.zero
         return Poly(self, {(0,) * self.nvars: c})
@@ -83,16 +83,21 @@ class PolyRing:
 
         Coefficients may be parenthesised scalar literals, e.g. ``(1 + z)*x^2``.
         A variable's exponent must be a nonnegative integer (a ValueError
-        otherwise); powers of ``z`` may be negative.  An empty term or factor
-        (a dangling sign or ``*``) and an empty exponent are ValueErrors.
+        otherwise); powers of ``z`` may be negative.  Empty text, an empty
+        term or factor (a dangling sign or ``*``), an empty exponent and a
+        repeated sign are ValueErrors: a term may carry the sign that
+        separates it from the previous term and one sign of its own, as in
+        ``x + -1*y``.
         """
         text = text.strip()
-        if text in ("0", ""):
+        if not text:
+            raise ValueError("empty polynomial")
+        if text == "0":
             return self.zero
         terms = {}
         zero = self.field.zero
-        for term in _split_terms(text):
-            e, c = self._parse_term(term)
+        for i, term in enumerate(_split_terms(text)):
+            e, c = self._parse_term(term, 2 if i else 1)
             s = terms.get(e, zero) + c
             if s:
                 terms[e] = s
@@ -100,11 +105,15 @@ class PolyRing:
                 terms.pop(e, None)
         return Poly(self, terms)
 
-    def _parse_term(self, term):
-        """(exponent tuple, coefficient) of one term; the coefficient may be 0."""
+    def _parse_term(self, term, signs):
+        """(exponent tuple, coefficient) of one term with at most ``signs``
+        leading signs; the coefficient may be 0."""
         term = term.strip()
         sign = 1
         while term and term[0] in "+-":
+            if not signs:
+                raise ValueError(f"a repeated sign in {term!r}")
+            signs -= 1
             if term[0] == "-":
                 sign = -sign
             term = term[1:].strip()
@@ -220,8 +229,8 @@ def substituter(ring, images, target):
     map is applied to.
 
     Each result coefficient is summed as one unreduced integer vector over
-    the lcm of its terms' denominators, then reduced by Phi_N and turned into
-    Fractions once.  Result terms keep the order in which their exponents
+    the lcm of its terms' denominators, then reduced by Phi_N and brought to
+    lowest terms once.  Result terms keep the order in which their exponents
     first occur; those that sum to zero are dropped."""
     images = list(images)
     if len(images) != ring.nvars:
@@ -258,7 +267,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring == other.ring and self.terms == other.terms
-        if isinstance(other, (int, Fraction)) or hasattr(other, "coeffs"):
+        if isinstance(other, (int, Fraction, Scalar)):
             return self == self.ring.constant(other)
         return NotImplemented
 
@@ -270,7 +279,7 @@ class Poly:
             if other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "coeffs"):
+        if isinstance(other, (int, Fraction, Scalar)):
             return self.ring.constant(other)
         return None
 

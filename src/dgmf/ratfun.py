@@ -9,7 +9,9 @@ theorem itself (which is what the tests are checking).
 
 Homology over k[t] diagonalizes by Euclidean steps on integers.  An entry is
 (vectors, den): vectors[i] (length phi(N), low to high in t, the top one
-nonzero) over den is the t^i coefficient, in lowest terms; None is zero.  Each
+nonzero) over den is the t^i coefficient, in lowest terms; None is zero.  It
+is the (``ints``, ``den``) pairs of a UPoly's Scalars over the lcm of their
+``den``, so no Fraction is built on the way in or out.  Each
 pivot's leading coefficient is inverted once, fraction-free
 (``cyclotomic._inverse_integers``); quotients come from pseudo-division, and
 each update x - q * y is one convolution in t and z, reduced by Phi_N once.
@@ -18,9 +20,9 @@ each update x - q * y is one convolution in t and z, reduced by Phi_N once.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
-from .cyclotomic import _integer_vector, _inverse_integers, _power, _product
+from .cyclotomic import _inverse_integers, _power, _product
 
 
 class UPoly:
@@ -37,7 +39,7 @@ class UPoly:
 
     @classmethod
     def constant(cls, field, value):
-        return cls(field, [field.scalar(value) if not hasattr(value, "coeffs") else value])
+        return cls(field, [field.scalar(value)])
 
     @classmethod
     def gen(cls, field):
@@ -302,9 +304,8 @@ class RationalFunction:
 
 def _entry(p):
     """The entry of a nonzero UPoly."""
-    n = p.field.degree
-    ints, den = _integer_vector([c for s in p.coeffs for c in s.coeffs])
-    return [ints[i:i + n] for i in range(0, len(ints), n)], den
+    den = lcm(*[c.den for c in p.coeffs])
+    return [[x * (den // c.den) for x in c.ints] for c in p.coeffs], den
 
 
 def _normal(vectors, den):

@@ -266,6 +266,22 @@ def test_malformed_polynomial_is_a_parse_error(tmp_path):
     assert code == 2
 
 
+def test_cli_rejects_empty_and_repeated_sign_polynomials_exit_2(tmp_path):
+    _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
+    for old, new in [("delta0 = (x)", "delta0 = ()"), ("delta0 = (x)", "delta0 = (x + - - x)"),
+                     ("potential = x^2", "potential ="), ("delta1 = (x)", "delta1 = (- - x)")]:
+        bad = mf_text.replace(old, new)
+        assert bad != mf_text
+        for command in ("verify", "support"):
+            code, _ = _run(tmp_path, command, bad)
+            assert code == 2, (command, bad)
+    for old, new in [("W = x^5", "W ="), ("W = x^5", "W = - - x^5")]:
+        bad = CHECK_GOOD.replace(old, new)
+        assert bad != CHECK_GOOD
+        code, _ = _run(tmp_path, "check", bad)
+        assert code == 2, bad
+
+
 def _sessions(tmp_path):
     """(command, input, extra arguments) for every input format above."""
     glued = _write(tmp_path, "glued.spec", GLUED)

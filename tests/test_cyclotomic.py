@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmf import CyclotomicField, cyclotomic_polynomial
-from dgmf.cyclotomic import Scalar, _integer_vector, _inverse_integers
+from dgmf import CyclotomicField, PolyRing, UPoly, cyclotomic_polynomial, linalg
+from dgmf.cyclotomic import _inverse_integers
+from dgmf.poly import substituter
+from dgmf.ratfun import _diagonal
 
 
 def test_cyclotomic_polynomials():
@@ -141,8 +144,8 @@ def test_product_matches_fraction_reference(order):
         cs = [coeff() if rng.random() < 0.8 else 0 for _ in range(F.degree)]
         if F.degree > 1 and not any(cs[1:]):
             cs[-1] = Fraction(-(2 ** 64) + 1, 2 ** 64 - 59)
-        a = Scalar(F, tuple(Fraction(c) for c in cs))
-        assert F.from_coeffs(cs).coeffs == a.coeffs
+        a = F.from_coeffs(cs)
+        assert a.coeffs == tuple(map(Fraction, cs))
         return a
 
     kinds = ["zero", "rational", "general"]
@@ -224,6 +227,69 @@ def test_inverse_matches_euclid_reference(order):
         assert a * inv == F.one
         # the integer form, rational or not, is the inverse in lowest terms,
         # also from a form that is not
-        ints, den = _integer_vector(a.coeffs)
-        assert _inverse_integers(F, ints, den) == _integer_vector(inv.coeffs)
-        assert _inverse_integers(F, [6 * v for v in ints], 6 * den) == _integer_vector(inv.coeffs)
+        want = (list(inv.ints), inv.den)
+        assert _inverse_integers(F, list(a.ints), a.den) == want
+        assert _inverse_integers(F, [6 * v for v in a.ints], 6 * a.den) == want
+
+
+def _assert_canonical(s):
+    """``s`` stores its lowest-terms pair, so it equals and hashes like the
+    same value rebuilt from its coefficients or its text."""
+    F = s.field
+    assert type(s.ints) is tuple and len(s.ints) == F.degree
+    assert all(type(x) is int for x in s.ints) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.ints) == 1
+    if not any(s.ints):
+        assert s.den == 1
+    for t in (F.from_coeffs(s.coeffs), F.parse(str(s))):
+        assert t == s and hash(t) == hash(s)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12])
+def test_every_result_is_canonical(order):
+    F = CyclotomicField(order)
+    rng = random.Random(f"canonical:{order}")
+
+    def element():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return F.from_coeffs([Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6]))
+                                  if rng.random() < 0.7 else 0 for _ in range(F.degree + 1)])
+        if kind == 1:
+            return F.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        if kind == 2:
+            return F.zeta_power(rng.randint(-order, 2 * order))
+        if kind == 3:
+            return F.parse(f"{rng.randint(-3, 3)}/2 - 4/6*z^{rng.randint(-3, 5)}")
+        return F.zero
+
+    produced = [F.zero, F.one, F.zeta, F.scalar(Fraction(4, 6)), F.scalar(-2)]
+    for _ in range(40):
+        a, b = element(), element()
+        produced += [a, b, a + b, a - b, b - a, -a, a * b, a * 6, Fraction(1, 4) * a,
+                     a + Fraction(3, 4), 2 - a, a ** 3]
+        if b:
+            produced += [a / b, b.inverse(), 3 / b, b ** -2]
+    for rows, cols in [(3, 4), (4, 3), (3, 3)]:
+        m = [[element() for _ in range(cols)] for _ in range(rows)]
+        m[-1] = [x + y for x, y in zip(m[0], m[1])]  # rank deficient
+        r, _ = linalg.rref(m, F)
+        produced += [x for row in r for x in row]
+        produced += [x for v in linalg.nullspace(m, F) for x in v]
+        x = linalg.solve(m, [row[0] * 2 for row in m], F)
+        produced += x
+        square = [[element() for _ in range(3)] for _ in range(3)]
+        if linalg.rank(square, F) == 3:
+            produced += [x for row in linalg.invert(square, F) for x in row]
+    R = PolyRing(F, ["x", "y"])
+    S = PolyRing(F, ["u"])
+    u = S.gen("u")
+    p = sum((element() * R.gen("x") ** i * R.gen("y") ** (3 - i) for i in range(4)), R.zero)
+    image = substituter(R, [element() * u + element(), element() * u ** 2], S)(p)
+    produced += list(image.terms.values())
+    t = UPoly.gen(F)
+    upolys = [[UPoly(F, [element() for _ in range(3)]) * (t - element()) for _ in range(3)]
+              for _ in range(2)]
+    produced += [c for d in _diagonal(upolys) for c in d.coeffs]
+    for s in produced:
+        _assert_canonical(s)

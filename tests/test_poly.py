@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmf import CyclotomicField, Poly, PolyRing, UPoly, koszul_mf
+from dgmf import CyclotomicField, GroupElement, Poly, PolyRing, UPoly, koszul_mf
 from dgmf.poly import exponents_of_weight, substituter
 
 F = CyclotomicField(4)
@@ -72,6 +72,28 @@ def test_parse_rejects_malformed_text(text):
         R.parse(text)
 
 
+@pytest.mark.parametrize("text", ["", "  ", "x + - - x", "- - x", "+ + x", "x - + -y"])
+def test_parse_rejects_empty_text_and_repeated_signs(text):
+    # a term carries at most its separating sign and one sign of its own
+    with pytest.raises(ValueError):
+        R.parse(text)
+
+
+def test_mixing_poly_and_upoly_raises_type_error():
+    t = UPoly.gen(F)
+    with pytest.raises(TypeError):
+        R.gen("x") * t
+    with pytest.raises(TypeError):
+        UPoly.constant(F, t)
+    with pytest.raises(TypeError):
+        R.constant(t)
+    with pytest.raises(TypeError):
+        GroupElement.diagonal(R, [t, 1])
+    with pytest.raises(TypeError):
+        GroupElement(R, [[t, 0], [0, 1]])
+    assert R.gen("x") != t and t != R.gen("x")
+
+
 def test_parse_reads_every_form_the_writers_emit():
     x, y = R.gen("x"), R.gen("y")
     assert R.parse("x + -1*y") == x - y
@@ -79,6 +101,8 @@ def test_parse_reads_every_form_the_writers_emit():
     assert R.parse("(-z)*x^2 + 1/2*y") == -F.zeta * x * x + Fraction(1, 2) * y
     assert R.parse("z^-1") == R.constant(F.zeta.inverse())
     assert R.parse("(0)") == R.zero
+    assert R.parse("-x") == -x
+    assert R.parse("x - -1*y") == x + y
 
 
 @settings(max_examples=100, deadline=None)
