@@ -13,10 +13,21 @@ factor (zero included) just scales the other one.  ``_inverse_integers``
 solves M x = e_0 fraction-free (Bareiss), where M is the integer matrix of
 multiplication by ``ints``.  ``linalg``, ``poly`` and ``ratfun`` run these
 kernels on the stored pairs themselves.
+
+Every exact literal, a scalar or a polynomial, is read by one grammar
+(``read_terms``): a scalar is a polynomial without variables.  ``tokenize``
+cuts text into exponents, numerals, names and single characters.  A sum
+takes one optional sign before its first term, and the separating sign plus
+at most one sign of its own before each later term.  A term is
+``*``-separated factors, each a numeral ``a``, ``a/b`` or ``a.b``, a
+variable ``x`` or ``x^k`` with k >= 0, ``z`` or ``z^k`` (zeta_N^k) for any
+integer k, or a parenthesised scalar.  A variable named ``z`` takes
+precedence over zeta.  There are no implicit products: ``2z`` is an error.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -218,34 +229,9 @@ class CyclotomicField:
         return self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def parse(self, text):
-        """Inverse of ``str(scalar)``: reads "a0 + a1*z + a2*z^2 + ...". """
-        text = text.strip()
-        if not text:
-            raise ValueError("empty scalar literal")
-        # normalize "- " into "+ -"
-        tokens = text.replace("- ", "+ -").split("+")
-        total = self.zero
-        for i, tok in enumerate(tokens):
-            tok = tok.strip()
-            if not tok:
-                if i == 0:  # a leading sign, as in "- z"
-                    continue
-                raise ValueError(f"a sign with no term after it in {text!r}")
-            if "z" in tok:
-                head, _, tail = tok.partition("z")
-                head, tail = head.strip(), tail.strip()
-                if head in ("", "-"):
-                    coeff = Fraction(-1 if head == "-" else 1)
-                else:
-                    coeff = Fraction(head[:-1] if head.endswith("*") else head)
-                if tail and not tail.startswith("^"):
-                    raise ValueError(f"bad power of z in {tok!r}")
-                power = int(tail[1:]) if tail else 1
-            else:
-                coeff = Fraction(tok)
-                power = 0
-            total = total + coeff * self.zeta_power(power)
-        return total
+        """Inverse of ``str(scalar)``: the polynomial without variables that
+        ``text`` spells (``read_terms``), e.g. "1/2 - 3*z^2"."""
+        return read_terms(self, (), tokenize(text))[()]
 
 
 @lru_cache(maxsize=None)
@@ -404,3 +390,101 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self}, N={self.field.order})"
+
+
+# an exponent (^k, with its sign attached to the digits), a numeral (a, a/b
+# or a.b), a name, or any other single character
+tokenize = re.compile(r"\^\s*-?[0-9]+|[0-9]+(?:[./][0-9]+)?|[^\W\d]\w*|\S").findall
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def split_tokens(toks, sep):
+    """The runs of the token list ``toks`` between its ``sep`` tokens
+    outside parentheses, like ``str.split``: one empty run for no tokens."""
+    parts, depth, start = [], 0, 0
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif tok == sep and not depth:
+            parts.append(toks[start:i])
+            start = i + 1
+    parts.append(toks[start:])
+    return parts
+
+
+def read_terms(field, names, toks):
+    """{exponent tuple: Scalar, possibly zero} of the polynomial over
+    ``field`` in the variables ``names`` that the token list ``toks`` spells
+    (the grammar of the module docstring).  A ValueError if it spells none,
+    a ZeroDivisionError for a zero denominator."""
+    toks = toks + [""]  # "" marks the end
+    terms, i = _read_sum(field, names, toks, 0)
+    if toks[i]:
+        raise _unexpected(toks[i])
+    return terms
+
+
+def _unexpected(tok):
+    return ValueError(f"unexpected {tok!r}" if tok else "unexpected end of text")
+
+
+def _read_sum(field, names, toks, i):
+    """(terms, index of the first token after them) of the sum at toks[i]."""
+    terms, sign = {}, 1
+    while True:
+        own = _SIGNS.get(toks[i])
+        if own:
+            sign *= own
+            i += 1
+        exps, coeff, i = _read_term(field, names, toks, i)
+        if sign < 0:
+            coeff = -coeff
+        if exps in terms:
+            coeff = terms[exps] + coeff
+        terms[exps] = coeff
+        sign = _SIGNS.get(toks[i])
+        if not sign:
+            return terms, i
+        i += 1
+
+
+def _read_term(field, names, toks, i):
+    """(exponent tuple, coefficient, index of the first token after them)
+    of the ``*``-separated factors at toks[i]."""
+    exps = [0] * len(names)
+    coeff = None
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            inner, i = _read_sum(field, (), toks, i)
+            if toks[i] != ")":
+                raise _unexpected(toks[i])
+            i += 1
+            c = inner[()]
+        elif tok in names or tok == "z":
+            k = 1
+            if toks[i][:1] == "^":
+                if toks[i] == "^":
+                    raise ValueError(f"bad exponent on {tok}: {toks[i + 1]!r}")
+                k = int(toks[i][1:])
+                i += 1
+            if tok in names:
+                if k < 0:
+                    raise ValueError(f"negative exponent on a variable: {tok}^{k}")
+                exps[names.index(tok)] += k
+                c = None
+            else:
+                c = field.zeta_power(k)
+        elif "0" <= tok[:1] <= "9":  # a digit outside 0-9 is a lone character
+            c = field.scalar(int(tok) if tok.isdigit() else Fraction(tok))
+        else:
+            raise _unexpected(tok)
+        if c is not None:
+            coeff = c if coeff is None else coeff * c
+        if toks[i] != "*":
+            return tuple(exps), field.one if coeff is None else coeff, i
+        i += 1

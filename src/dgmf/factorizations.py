@@ -257,13 +257,21 @@ class MatrixFactorization:
         self.ring = ring
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
-        coerce = lambda m: [[ring.constant(c) if not hasattr(c, "terms") else c
-                             for c in row] for row in m]
-        self.delta0 = coerce(delta0)  # P0 -> P1, rows indexed by P1
-        self.delta1 = coerce(delta1)  # P1 -> P0
-        self.potential = ring.constant(potential) if not hasattr(potential, "terms") else potential
+        # delta0: P0 -> P1 (rows indexed by P1), delta1: P1 -> P0
+        self.delta0 = [[self._coerce(c) for c in row] for row in delta0]
+        self.delta1 = [[self._coerce(c) for c in row] for row in delta1]
+        self.potential = self._coerce(potential)
         self.metadata = {}
         self.verify()
+
+    def _coerce(self, c):
+        """A Poly of ``ring`` as it is, a constant into it; a Poly of another
+        ring is a ValueError (its exponents would be read by position)."""
+        if hasattr(c, "terms"):
+            if c.ring != self.ring:
+                raise ValueError("matrix factorization entry from a different ring")
+            return c
+        return self.ring.constant(c)
 
     @property
     def rank0(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Scalar, _power
+from .cyclotomic import Scalar, _power, read_terms, tokenize
 from .linalg import _accumulate, _terms
 
 
@@ -79,73 +79,13 @@ class PolyRing:
         return exponents_of_weight(self.weights, target)
 
     def parse(self, text):
-        """Reads the textual polynomial format ``coeff*x^e*y^f + ...``.
-
-        Coefficients may be parenthesised scalar literals, e.g. ``(1 + z)*x^2``.
-        A variable's exponent must be a nonnegative integer (a ValueError
-        otherwise); powers of ``z`` may be negative.  Empty text, an empty
-        term or factor (a dangling sign or ``*``), an empty exponent and a
-        repeated sign are ValueErrors: a term may carry the sign that
-        separates it from the previous term and one sign of its own, as in
-        ``x + -1*y``.
-        """
-        text = text.strip()
-        if not text:
-            raise ValueError("empty polynomial")
-        if text == "0":
-            return self.zero
-        terms = {}
-        zero = self.field.zero
-        for i, term in enumerate(_split_terms(text)):
-            e, c = self._parse_term(term, 2 if i else 1)
-            s = terms.get(e, zero) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self, terms)
-
-    def _parse_term(self, term, signs):
-        """(exponent tuple, coefficient) of one term with at most ``signs``
-        leading signs; the coefficient may be 0."""
-        term = term.strip()
-        sign = 1
-        while term and term[0] in "+-":
-            if not signs:
-                raise ValueError(f"a repeated sign in {term!r}")
-            signs -= 1
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].strip()
-        if not term:
-            raise ValueError("a sign with no term after it")
-        coeff = None  # the product of the coefficient factors, if any
-        exps = [0] * self.nvars
-        for factor in _split_factors(term):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {term!r}")
-            if factor.startswith("("):
-                c = self.field.parse(factor[1:-1])
-            else:
-                base, caret, power = factor.partition("^")
-                base = base.strip()
-                if base in self.names:
-                    k = int(power) if caret else 1
-                    if k < 0:
-                        raise ValueError(f"negative exponent on a variable: {factor}")
-                    exps[self.names.index(base)] += k
-                    continue
-                if base == "z":
-                    c = self.field.zeta_power(int(power) if caret else 1)
-                else:
-                    c = self.field.scalar(Fraction(base))
-                    if caret:
-                        raise ValueError(f"unexpected power on constant: {factor}")
-            coeff = c if coeff is None else coeff * c
-        if coeff is None:
-            coeff = self.field.one
-        return tuple(exps), (-coeff if sign < 0 else coeff)
+        """Reads the textual polynomial format ``coeff*x^e*y^f + ...``, the
+        inverse of ``str(poly)``, by the one literal grammar of
+        ``cyclotomic.read_terms``: coefficients may be numerals, powers of
+        ``z`` or parenthesised scalars, e.g. ``(1 + z)*x^2 + -1/2*y``, and
+        a variable's exponent must be a nonnegative integer.  Anything else,
+        empty text included, is a ValueError."""
+        return Poly(self, read_terms(self.field, self.names, tokenize(text)))
 
 
 def exponents_of_weight(weights, target):
@@ -164,40 +104,6 @@ def exponents_of_weight(weights, target):
 
     rec(0, target, [])
     return out
-
-
-def _split_terms(text):
-    """Split on top-level + and - (keeping the sign with the term)."""
-    terms, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip() and not cur.rstrip().endswith(("^", "*", "+", "-")):
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
-    return terms
-
-
-def _split_factors(term):
-    factors, depth, cur = [], 0, ""
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    factors.append(cur)
-    return factors
 
 
 def _monomial_table(values, one):

@@ -4,7 +4,14 @@ input formats for the koszul/fold/homology commands.
 Spec files are sectioned (`[field]`, `[potential]`, `[group]`, `[curve]`);
 matrix factorizations are written with fully parenthesised exact entries so
 `verify` can re-check delta^2 = W . id from the file alone.  All parse errors
-carry the 1-based line number.
+carry the 1-based line number, and a key repeated in a ``key = value``
+section is one.
+
+Every scalar and polynomial literal is read by the one grammar of
+``cyclotomic.read_terms``.  The structure around them (polynomial and scalar
+lists split at ``,``, matrix rows at ``;``, ``(num)/(den)`` at ``/``, and
+``(poly)*b0^b1`` terms at ``+``) is found in the same token list, outside
+parentheses, by ``cyclotomic.split_tokens``.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from __future__ import annotations
 import json
 
 from .complexes import FreeComplex, Generator
-from .cyclotomic import CyclotomicField
+from .cyclotomic import CyclotomicField, read_terms, split_tokens, tokenize
 from .factorizations import DgSchemePresentation, MatrixFactorization, SuperElement
 from .groups import GroupElement
-from .poly import PolyRing
+from .poly import Poly, PolyRing
 from .ratfun import RationalFunction, UPoly
 from .spincurve import Marking, Node, SpinCurveSpec
 
@@ -50,7 +57,11 @@ def _keyvals(lines):
         if "=" not in line:
             raise SpecParseError(lineno, f"expected key = value, got {line!r}")
         key, _, val = line.partition("=")
-        out[key.strip().lower()] = (lineno, val.strip())
+        key = key.strip().lower()
+        if key in out:
+            raise SpecParseError(lineno, f"key {key!r} repeated (first on line "
+                                         f"{out[key][0]})")
+        out[key] = (lineno, val.strip())
     return out
 
 
@@ -73,22 +84,28 @@ def _parse_field(kv, where):
     return CyclotomicField(_parse_positive(lineno, val, "cyclotomic order"))
 
 
-def _parse_poly(ring, lineno, text, what):
+def _read_poly(ring, lineno, toks, what):
+    """The Poly over ``ring`` that the token list ``toks`` spells."""
     try:
-        return ring.parse(text)
-    except (ValueError, IndexError, ZeroDivisionError) as e:
-        raise SpecParseError(lineno, f"bad {what} {text!r}: {e}")
+        return Poly(ring, read_terms(ring.field, ring.names, toks))
+    except (ValueError, ZeroDivisionError) as e:
+        raise SpecParseError(lineno, f"bad {what} {' '.join(toks)!r}: {e}")
 
 
-def _parse_poly_list(ring, lineno, text, what):
-    """Comma-separated polynomials, each optionally parenthesised."""
-    out = []
-    for part in _split_toplevel(text, ","):
-        part = part.strip()
-        if part.startswith("(") and part.endswith(")"):
-            part = part[1:-1]
-        out.append(_parse_poly(ring, lineno, part, what))
-    return out
+def _read_entry(ring, lineno, toks, what):
+    """A polynomial, optionally in one pair of parentheses."""
+    if toks and toks[0] == "(" and toks[-1] == ")":
+        toks = toks[1:-1]
+    return _read_poly(ring, lineno, toks, what)
+
+
+def _read_entries(ring, lineno, toks, what):
+    """Comma-separated ``_read_entry`` polynomials; none for no tokens.
+    Each ``(0)``, the writer's zero entry, is one shared zero Poly and costs
+    no read."""
+    zero = ring.zero
+    return [zero if part == ["(", "0", ")"] else _read_entry(ring, lineno, part, what)
+            for part in split_tokens(toks, ",")] if toks else []
 
 
 def _parse_variables(field, lineno, text):
@@ -98,7 +115,7 @@ def _parse_variables(field, lineno, text):
         if not part:
             continue
         name, _, w = part.partition(":")
-        if not name.strip():
+        if not name.strip().isidentifier():  # else no literal could name it
             raise SpecParseError(lineno, f"bad variable entry {part!r}")
         names.append(name.strip())
         try:
@@ -112,52 +129,43 @@ def _parse_variables(field, lineno, text):
 
 
 def _parse_scalar(field, lineno, text):
-    try:
-        return field.parse(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise SpecParseError(lineno, f"bad scalar {text!r}: {e}")
+    """A scalar: a polynomial without variables."""
+    return _read_poly(PolyRing(field, []), lineno, tokenize(text),
+                      "scalar").constant_value()
+
+
+def _read_scalars(field, lineno, toks):
+    """The comma-separated scalars of the token list ``toks``."""
+    ring = PolyRing(field, [])
+    return [_read_poly(ring, lineno, part, "scalar").constant_value()
+            for part in split_tokens(toks, ",")]
 
 
 def _parse_group_element(ring, lineno, text):
     text = text.strip()
     field = ring.field
     if text.startswith("diag(") and text.endswith(")"):
-        entries = [_parse_scalar(field, lineno, p)
-                   for p in text[5:-1].split(",")]
+        entries = _read_scalars(field, lineno, tokenize(text[5:-1]))
         if len(entries) != ring.nvars:
             raise SpecParseError(lineno, "diag() entry count != variable count")
         return GroupElement.diagonal(ring, entries)
     if text.startswith("matrix "):
-        rows = []
-        for rtext in text[len("matrix "):].split(";"):
-            rows.append([_parse_scalar(field, lineno, p)
-                         for p in rtext.split(",")])
-        return GroupElement(ring, rows)
+        return GroupElement(ring, [_read_scalars(field, lineno, row) for row in
+                                   split_tokens(tokenize(text[len("matrix "):]), ";")])
     raise SpecParseError(lineno, f"expected diag(...) or matrix ..., got {text!r}")
 
 
 def _parse_ratfun(field, lineno, text):
-    """(num poly in t) / (den poly in t), split at the "/" outside parentheses."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            break
-    else:
+    """(num poly in t) / (den poly in t), split at the "/" token outside
+    parentheses."""
+    parts = split_tokens(tokenize(text), "/")
+    if len(parts) != 2:
         raise SpecParseError(lineno, f"expected (num)/(den), got {text!r}")
     tring = PolyRing(field, ["t"], [1])
-
-    def to_upoly(ptext):
-        ptext = ptext.strip()
-        if ptext.startswith("(") and ptext.endswith(")"):
-            ptext = ptext[1:-1]
-        return UPoly.from_poly(tring.parse(ptext))
-
+    num, den = (UPoly.from_poly(_read_entry(tring, lineno, p, "rational function"))
+                for p in parts)
     try:
-        return RationalFunction(to_upoly(text[:i]), to_upoly(text[i + 1:]))
+        return RationalFunction(num, den)
     except (ValueError, ZeroDivisionError) as e:
         raise SpecParseError(lineno, f"bad rational function: {e}")
 
@@ -201,18 +209,21 @@ def parse_spec(text):
             raise SpecParseError(1, f"missing {key} in [potential]")
     lineno, val = kv["variables"]
     ring = _parse_variables(field, lineno, val)
-    W = _parse_poly(ring, *kv["w"], "potential")
+    lineno, val = kv["w"]
+    W = _read_poly(ring, lineno, tokenize(val), "potential")
     degree_d = _parse_positive(*kv["d"], "degree")
     generators = []
     J = None
     J_sqrt_lambda = None
+    singles = []  # the [group] lines other than the repeatable generators
     for lineno, line in sections.get("group", []):
         key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if key == "generator":
+        if key.strip().lower() == "generator":
             generators.append(_parse_group_element(ring, lineno, val))
-        elif key == "j":
+        else:
+            singles.append((lineno, line))
+    for key, (lineno, val) in _keyvals(singles).items():
+        if key == "j":
             J = _parse_group_element(ring, lineno, val)
         elif key == "j_sqrt":
             J_sqrt_lambda = _parse_scalar(field, lineno, val)
@@ -250,26 +261,26 @@ def _parse_curve(field, ring, lines):
                 bundle_degrees[words[1]] = [int(p) for p in val.split(",")]
             elif head == "marking":
                 # marking c0 at 1 gamma diag(1) rig 1, z
+                if words[2:3] != ["at"]:
+                    raise SpecParseError(lineno, "expected marking <component> at "
+                                                 "<point> gamma <element> rig <scalars>")
                 comp = words[1]
-                rest = line.split(None, 2)[2]
-                point_text, _, tail = rest.partition("gamma")
-                point = _parse_scalar(field, lineno,
-                                      point_text.replace("at", "", 1).strip())
+                point_text, _, tail = line.split(None, 3)[3].partition("gamma")
+                point = _parse_scalar(field, lineno, point_text)
                 gamma_text, _, rig_text = tail.partition("rig")
-                gamma = _parse_group_element(ring, lineno, gamma_text.strip())
-                rig = [_parse_scalar(field, lineno, p)
-                       for p in rig_text.split(",")]
+                gamma = _parse_group_element(ring, lineno, gamma_text)
+                rig = _read_scalars(field, lineno, tokenize(rig_text))
                 markings.append(Marking(comp, point, gamma, rig))
             elif head == "divisor":
                 # divisor c0 at 0 mult 2
+                if (len(words) not in (4, 6) or words[2] != "at"
+                        or words[4:5] not in ([], ["mult"])):
+                    raise SpecParseError(lineno, "expected divisor <component> "
+                                                 "at <point> [mult <m>]")
                 comp = words[1]
                 point = _parse_scalar(field, lineno, words[3])
-                mult = 1
-                if len(words) > 4:
-                    if words[4] != "mult" or len(words) != 6:
-                        raise SpecParseError(lineno, "expected divisor <component> "
-                                                     "at <point> [mult <m>]")
-                    mult = _parse_positive(lineno, words[5], "multiplicity")
+                mult = _parse_positive(lineno, words[5], "multiplicity") \
+                    if len(words) == 6 else 1
                 divisor.append((comp, point, mult))
             elif head == "node":
                 # node c0 at -1 rig z ~ c1 at 1 rig 1
@@ -277,10 +288,12 @@ def _parse_curve(field, ring, lines):
 
                 def branch(btext):
                     bwords = btext.split()
+                    if bwords[1:2] != ["at"] or bwords[3:4] != ["rig"]:
+                        raise SpecParseError(lineno, "expected node <component> at "
+                                                     "<point> rig <scalars> ~ ...")
                     comp = bwords[0]
                     point = _parse_scalar(field, lineno, bwords[2])
-                    rig = [_parse_scalar(field, lineno, p)
-                           for p in " ".join(bwords[4:]).split(",")]
+                    rig = _read_scalars(field, lineno, tokenize(" ".join(bwords[4:])))
                     return (comp, point, rig)
 
                 nodes.append(Node(branch(left), branch(right)))
@@ -350,29 +363,12 @@ def _parse_matrix(ring, lineno, text, rows, cols):
         if text:
             raise SpecParseError(lineno, "expected an empty matrix")
         return [[] for _ in range(rows)]
-    matrix = [_parse_poly_list(ring, lineno, rtext, "entry")
-              for rtext in text.split(";")] if text else []
+    matrix = [_read_entries(ring, lineno, row, "entry")
+              for row in split_tokens(tokenize(text), ";")] if text else []
     if len(matrix) != rows or any(len(r) != cols for r in matrix):
         raise SpecParseError(lineno, f"matrix shape {len(matrix)} rows, "
                                      f"expected {rows} x {cols}")
     return matrix
-
-
-def _split_toplevel(text, sep):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
-    return parts
 
 
 def parse_mf(text):
@@ -390,7 +386,8 @@ def parse_mf(text):
     field = _parse_field(kv, "mf")
     lineno, val = kv["variables"]
     ring = _parse_variables(field, lineno, val)
-    potential = _parse_poly(ring, *kv["potential"], "potential")
+    lineno, val = kv["potential"]
+    potential = _read_poly(ring, lineno, tokenize(val), "potential")
     _, val0 = kv["p0"]
     _, val1 = kv["p1"]
     p0 = _parse_gen_list(kv["p0"][0], val0)
@@ -432,8 +429,9 @@ def parse_koszul(text):
     kv = _keyvals(sections["koszul"])
     if "alpha" not in kv or "beta" not in kv:
         raise SpecParseError(1, "missing alpha or beta in [koszul]")
-    return (ring, _parse_poly_list(ring, *kv["alpha"], "alpha entry"),
-            _parse_poly_list(ring, *kv["beta"], "beta entry"))
+    (la, alpha), (lb, beta) = kv["alpha"], kv["beta"]
+    return (ring, _read_entries(ring, la, tokenize(alpha), "alpha entry"),
+            _read_entries(ring, lb, tokenize(beta), "beta entry"))
 
 
 def parse_scheme(text):
@@ -452,7 +450,8 @@ def parse_scheme(text):
         key = f"d({g.name})"
         if key not in kv:
             raise SpecParseError(lineno, f"missing {key} in [scheme]")
-        images.append(_parse_poly(ring, *kv[key], key))
+        ln, val = kv[key]
+        images.append(_read_poly(ring, ln, tokenize(val), key))
     scheme = DgSchemePresentation(ring, odd, images)
     f = scheme.zero_element()
     if "f" in kv:
@@ -462,26 +461,24 @@ def parse_scheme(text):
 
 
 def _parse_super_element(scheme, lineno, text):
+    """A sum, at ``+`` tokens, of terms ``(poly)*b0^b1^...``."""
     names = {g.name: k for k, g in enumerate(scheme.odd_gens)}
     terms = {}
-    for part in _split_toplevel(text, "+"):
-        part = part.strip()
+    for part in split_tokens(tokenize(text), "+"):
         if not part:
             continue
-        if "*" not in part or not part.startswith("("):
-            raise SpecParseError(lineno, f"term {part!r} must look like "
-                                         f"(poly)*b0^b1")
-        close = part.rindex(")")
-        coeff = _parse_poly(scheme.ring, lineno, part[1:close], "coefficient")
-        tail = part[close + 1:].lstrip("*").strip()
+        close = len(part) - 1 - part[::-1].index(")") if ")" in part else 0
+        tail = part[close + 1:]
+        odd = tail[1::2]
+        if part[0] != "(" or not odd or tail[::2] != ["*"] + ["^"] * (len(odd) - 1):
+            raise SpecParseError(lineno, f"term {' '.join(part)!r} must look "
+                                         f"like (poly)*b0^b1")
+        coeff = _read_poly(scheme.ring, lineno, part[1:close], "coefficient")
         try:
-            subset = tuple(sorted(names[n] for n in tail.split("^"))) if tail \
-                else ()
+            subset = tuple(sorted(names[n] for n in odd))
         except KeyError as e:
             raise SpecParseError(lineno, f"unknown odd generator {e}")
-        cur = terms.get(subset, scheme.ring.zero) + coeff
-        if cur:
-            terms[subset] = cur
+        terms[subset] = terms.get(subset, scheme.ring.zero) + coeff
     return SuperElement(scheme, terms)
 
 

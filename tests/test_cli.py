@@ -311,17 +311,67 @@ def test_bad_degree_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["divisor c0 at 0 size 7", "divisor c0 at 0 mult",
-                                  "divisor c0 at 0 mult 0"])
+                                  "divisor c0 at 0 mult 0", "divisor c0 near 0 mult 2",
+                                  "divisor c0 near 0"])
 def test_bad_divisor_exit_2(tmp_path, line):
     code, _ = _run(tmp_path, "fundamental",
                    SPIN.replace("divisor c0 at 0 mult 1", line))
     assert code == 2
 
 
+def test_missing_marking_and_node_keywords_exit_2(tmp_path):
+    # every keyword the line format names is checked, with the line number
+    bad = SPIN.replace("marking c0 at 1 gamma", "marking c0 1 gamma")
+    assert bad != SPIN
+    assert _run(tmp_path, "fundamental", bad)[0] == 2
+    for old, new in [("c0 at -1 rig z", "c0 near -1 rig z"), ("c1 at 1 rig 1", "c1 at 1 via 1")]:
+        bad = GLUED.replace(old, new)
+        assert bad != GLUED
+        assert _run(tmp_path, "check", bad)[0] == 2, new
+
+
+def test_variable_name_must_be_an_identifier_exit_2(tmp_path):
+    bad = CHECK_GOOD.replace("variables = x:1\nW = x^5", "variables = x':1\nW = x'^5")
+    assert bad != CHECK_GOOD
+    assert _run(tmp_path, "check", bad)[0] == 2
+
+
+def test_repeated_key_exit_2(tmp_path, capsys):
+    # the second delta0 line used to replace the first, unverified
+    _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
+    lines = mf_text.splitlines()
+    first = lines.index("delta0 = (x)") + 1
+    bad = mf_text.replace("delta0 = (x)", "delta0 = (x^5)\ndelta0 = (x)")
+    code, _ = _run(tmp_path, "verify", bad)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {first + 1}:" in err and f"first on line {first})" in err
+
+
+def test_scalar_slots_read_every_polynomial_form(tmp_path):
+    # a scalar is a polynomial without variables, in every slot of a spec
+    _, want = _run(tmp_path, "fundamental", SPIN)
+    for old, new in [("rig z\n", "rig 1-1 +z\n"), ("rig 1\n", "rig 2 -1\n"),
+                     ("diag(-1)", "diag(z*z)"), ("J_sqrt = z", "J_sqrt = (1 + z) - 1")]:
+        text = SPIN.replace(old, new)
+        assert text != SPIN
+        code, got = _run(tmp_path, "fundamental", text)
+        assert code == 0 and got == want, new
+
+
 def test_eta_with_a_fraction_coefficient(tmp_path):
     _, want = _run(tmp_path, "fundamental", SPIN)
     code, got = _run(tmp_path, "fundamental", SPIN.replace("eta c0 = (2)",
                                                            "eta c0 = (4/2)"))
+    assert code == 0 and got == want
+
+
+def test_eta_fraction_bar_is_a_slash_token(tmp_path):
+    # the "/" of a numeral is not the bar of (num)/(den)
+    eta = "eta c0 = (2) / (t^2 + (-1))"
+    assert _run(tmp_path, "fundamental", SPIN.replace(eta, "eta c0 = 1/2"))[0] == 2
+    _, want = _run(tmp_path, "fundamental", SPIN.replace(eta, "eta c0 = (2/3)/(t^2 + (-1))"))
+    code, got = _run(tmp_path, "fundamental", SPIN.replace(eta, "eta c0 = 2/3/(t^2 + (-1))"))
     assert code == 0 and got == want
 
 
@@ -334,7 +384,7 @@ def test_component_named_inside_marking(tmp_path):
 
 
 TOKEN = re.compile(r"\w+|[^\w\s]")
-REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x"]
+REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x", "1-z", "2z", "x^2_0"]
 
 
 def _mutants(text):

@@ -104,11 +104,44 @@ def test_parse_reads_every_power_of_z(order):
 
 
 @pytest.mark.parametrize("text", ["z^^2", "z^", "z2", "*z", "3**z", "1 +",
-                                  "1 + + z", "+"])
+                                  "1 + + + z", "+"])
 def test_parse_rejects_malformed_text(text):
-    # a repeated or missing ^, a dangling * or a dangling sign
+    # a repeated or missing ^, a dangling * or a dangling sign; a later term
+    # takes its separating sign and one of its own, so "1 + + z" is 1 + z
     with pytest.raises(ValueError):
         CyclotomicField(4).parse(text)
+
+
+def _reference_parse(F, text):
+    """``CyclotomicField.parse`` before the one literal grammar: its own
+    split at "+" (after "- " becomes "+ -"), then ``Fraction`` and ``int``
+    on the pieces.  ``test_poly`` compares the grammar against it."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty scalar literal")
+    tokens = text.replace("- ", "+ -").split("+")
+    total = F.zero
+    for i, tok in enumerate(tokens):
+        tok = tok.strip()
+        if not tok:
+            if i == 0:  # a leading sign, as in "- z"
+                continue
+            raise ValueError(f"a sign with no term after it in {text!r}")
+        if "z" in tok:
+            head, _, tail = tok.partition("z")
+            head, tail = head.strip(), tail.strip()
+            if head in ("", "-"):
+                coeff = Fraction(-1 if head == "-" else 1)
+            else:
+                coeff = Fraction(head[:-1] if head.endswith("*") else head)
+            if tail and not tail.startswith("^"):
+                raise ValueError(f"bad power of z in {tok!r}")
+            power = int(tail[1:]) if tail else 1
+        else:
+            coeff = Fraction(tok)
+            power = 0
+        total = total + coeff * F.zeta_power(power)
+    return total
 
 
 def _reference_product(F, a, b):

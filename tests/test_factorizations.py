@@ -488,6 +488,21 @@ def test_unit_mf_verifies_and_restricts():
     assert point_verdict(u, [F.scalar(2)]) == NONCONTRACTIBLE
 
 
+def test_matrix_factorization_rejects_entries_from_another_ring():
+    # y of Q(i)[y, x] has the exponent tuple of x in Q(i)[x]: accepted by
+    # position, {y, y} would pass as a factorization of W = x^2
+    Fi = CyclotomicField(4)
+    R, S = PolyRing(Fi, ["x"]), PolyRing(Fi, ["y", "x"])
+    x, y = R.gen("x"), S.gen("y")
+    gens = ([("e", 0)], [("f", 1)])
+    with pytest.raises(ValueError, match="different ring"):
+        factorizations.MatrixFactorization(R, *gens, [[y]], [[y]], x * x)
+    with pytest.raises(ValueError, match="different ring"):
+        factorizations.MatrixFactorization(R, *gens, [[x]], [[x]], S.gen("x") ** 2)
+    mf = factorizations.MatrixFactorization(R, *gens, [[x]], [[x]], x * x)
+    assert mf.restrict_to_point((2,)).potential == 4
+
+
 def test_negative_degree_bound_rejected():
     R = _ring(1)
     x = R.gen("x0")

@@ -1,12 +1,17 @@
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmf import CyclotomicField, GroupElement, Poly, PolyRing, UPoly, koszul_mf
+from dgmf import (CyclotomicField, GroupElement, Poly, PolyRing, UPoly, fundamental_mf,
+                  koszul_mf)
 from dgmf.poly import exponents_of_weight, substituter
+from dgmf.specfile import parse_spec
+from test_cyclotomic import _reference_parse as _reference_scalar_parse
 
 F = CyclotomicField(4)
 R = PolyRing(F, ["x", "y"], [1, 2])
@@ -103,6 +108,259 @@ def test_parse_reads_every_form_the_writers_emit():
     assert R.parse("(0)") == R.zero
     assert R.parse("-x") == -x
     assert R.parse("x - -1*y") == x + y
+
+
+# -- the polynomial reader before the one literal grammar, as a reference --
+
+
+def _reference_parse(R, text, scalar=_reference_scalar_parse):
+    """``PolyRing.parse`` before the one literal grammar: terms split at
+    top-level signs and factors at top-level "*", character by character,
+    then ``Fraction`` and ``int`` on the pieces.  ``scalar(field, text)``
+    reads a parenthesised factor; by default the old scalar reader."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty polynomial")
+    if text == "0":
+        return R.zero
+    terms = {}
+    zero = R.field.zero
+    for i, term in enumerate(_reference_split_terms(text)):
+        e, c = _reference_term(R, term, 2 if i else 1, scalar)
+        s = terms.get(e, zero) + c
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Poly(R, terms)
+
+
+def _reference_term(R, term, signs, scalar):
+    term = term.strip()
+    sign = 1
+    while term and term[0] in "+-":
+        if not signs:
+            raise ValueError(f"a repeated sign in {term!r}")
+        signs -= 1
+        if term[0] == "-":
+            sign = -sign
+        term = term[1:].strip()
+    if not term:
+        raise ValueError("a sign with no term after it")
+    coeff = None
+    exps = [0] * R.nvars
+    for factor in _reference_split_factors(term):
+        factor = factor.strip()
+        if not factor:
+            raise ValueError(f"empty factor in {term!r}")
+        if factor.startswith("("):
+            c = scalar(R.field, factor[1:-1])
+        else:
+            base, caret, power = factor.partition("^")
+            base = base.strip()
+            if base in R.names:
+                k = int(power) if caret else 1
+                if k < 0:
+                    raise ValueError(f"negative exponent on a variable: {factor}")
+                exps[R.names.index(base)] += k
+                continue
+            if base == "z":
+                c = R.field.zeta_power(int(power) if caret else 1)
+            else:
+                c = R.field.scalar(Fraction(base))
+                if caret:
+                    raise ValueError(f"unexpected power on constant: {factor}")
+        coeff = c if coeff is None else coeff * c
+    if coeff is None:
+        coeff = R.field.one
+    return tuple(exps), (-coeff if sign < 0 else coeff)
+
+
+def _reference_split_terms(text):
+    terms, depth, cur = [], 0, ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0 and cur.strip() and not cur.rstrip().endswith(("^", "*", "+", "-")):
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    if cur.strip():
+        terms.append(cur)
+    return terms
+
+
+def _reference_split_factors(term):
+    factors, depth, cur = [], 0, ""
+    for ch in term:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "*" and depth == 0:
+            factors.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    factors.append(cur)
+    return factors
+
+
+def _one_grammar_reference(R, text):
+    """The old polynomial reader with every parenthesised scalar read as a
+    polynomial without variables, which is what the one grammar does."""
+    def scalar(F, inner):
+        return _reference_parse(PolyRing(F, []), inner, scalar).constant_value()
+    return _reference_parse(R, text, scalar)
+
+
+def _read_or_none(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# What only int() and Fraction() read, and the one grammar rejects: a
+# numeral that runs into a name (2z, 1e2, 1_0, x^2_0), a sign after ^ or *,
+# a decimal point without a digit on each side, or a digit outside 0-9.
+_LENIENT = re.compile(r"[0-9]\s*[^\W\d]|[\^*]\s*\+|\*\s*-|(?<![0-9])\.|\.(?![0-9])"
+                      r"|(?![0-9])\d")
+
+
+def _verdict_change(R, text, new, old):
+    """The name of the deliberate verdict change from the old reader's
+    ``old`` to the grammar's ``new`` on ``text``, or None."""
+    if new is not None and old is None and new == _read_or_none(
+            lambda t: _one_grammar_reference(R, t), text):
+        return "a scalar is a polynomial without variables"
+    if new is None and old is not None:
+        if _LENIENT.search(text):
+            return "no implicit product, no lenient numeral"
+        if text.count("(") != text.count(")"):
+            # the old reader dropped the last character of a "(" factor
+            return "a parenthesis must close"
+        if re.search(r"(?:^|\()\s*\+\s*-", text):
+            # the old scalar reader skipped an empty piece before "+"
+            return "one sign before the first term"
+    return None
+
+
+A1 = """[field]
+order = 4
+[potential]
+variables = x:1
+W = x^2
+d = 2
+[group]
+generator = diag(-1)
+J = diag(-1)
+J_sqrt = z
+[curve]
+component c0
+bundle c0 = 0
+marking c0 at 1 gamma diag(1) rig 1
+marking c0 at -1 gamma diag(1) rig z
+divisor c0 at 0 mult 1
+eta c0 = (2) / (t^2 + (-1))
+"""
+
+
+def _literals():
+    """(ring, text, read as a scalar?): str() of seeded random Scalars and
+    Polys, and every entry of the A_1 MFs with divisor multiplicity 1..7."""
+    rng = random.Random(0)
+    for order in (1, 2, 3, 4, 5, 7, 12):
+        F = CyclotomicField(order)
+        R0, R2 = PolyRing(F, []), PolyRing(F, ["x", "y"])
+
+        def scalar():
+            return F.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(F.degree)])
+
+        for _ in range(20):
+            yield R0, str(scalar()), True
+            p = R2.zero
+            for _ in range(rng.randint(0, 4)):
+                p = p + Poly(R2, {(rng.randint(0, 3), rng.randint(0, 3)): scalar()})
+            yield R2, str(p), False
+    for m in range(1, 8):
+        mf = fundamental_mf(parse_spec(A1.replace("mult 1", f"mult {m}")).spin_spec()).mf
+        for text in sorted({str(c) for M in (mf.delta0, mf.delta1) for row in M
+                            for c in row} | {str(mf.potential)}):
+            yield mf.ring, text, False
+
+
+_TOKEN = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
+_MUTATIONS = ["", " ", "+", "-", "*", "^", "/", ".", "(", ")", "0", "1", "2", "z", "x",
+              "e", "_0", "1-z", "2z", "3 z", "x^2_0", "z*z", "- -", "(1 + z)", "^+2", "1e2", "\u0662"]
+
+
+def _mutants(text, rng, count):
+    """``count`` seeded copies of ``text`` with one token replaced by, or
+    followed by, one of ``_MUTATIONS``."""
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    for _ in range(count):
+        a, b = rng.choice(spans)
+        r = rng.choice(_MUTATIONS)
+        yield text[:a] + r + text[b:] if rng.random() < 0.5 else text[:b] + r + text[b:]
+
+
+def test_one_grammar_matches_the_reference_readers():
+    # equal values or both reject, except for the deliberate verdict changes
+    # pinned below; the writers' own output always reads the same
+    rng = random.Random(1)
+    seen = Counter()
+    for R, text, is_scalar in _literals():
+        if is_scalar:
+            F = R.field
+            new_read = lambda t: R.constant(F.parse(t))
+            old_read = lambda t: R.constant(_reference_scalar_parse(F, t))
+        else:
+            new_read, old_read = R.parse, lambda t: _reference_parse(R, t)
+        assert new_read(text) == old_read(text), text
+        for t in _mutants(text, rng, 8):
+            new, old = _read_or_none(new_read, t), _read_or_none(old_read, t)
+            if (new is None) == (old is None) and (new is None or new == old):
+                seen["same"] += 1
+                continue
+            change = _verdict_change(R, t, new, old)
+            assert change, (t, is_scalar, new, old)
+            seen[change] += 1
+    assert seen["same"] > 2000 and seen["a scalar is a polynomial without variables"] \
+        and seen["no implicit product, no lenient numeral"], seen
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("1-z", "1 - z"), ("1 -z", "1 - z"), ("1 + - z", "1 - z"), ("1 + + z", "1 + z"),
+    ("z*z", "z^2"), ("2*3", "6"), ("(1 + z)", "1 + z"), ("((1))", "1"),
+    ("-(1 - z)", "-1 + z")])
+def test_a_scalar_reads_every_polynomial_form(text, same_as):
+    # the old scalar reader rejected these, although a polynomial read them
+    with pytest.raises(ValueError):
+        _reference_scalar_parse(F, text)
+    assert F.parse(text) == _reference_scalar_parse(F, same_as)
+    assert R.parse(f"({text})*x") == _reference_parse(R, f"({same_as})*x")
+
+
+@pytest.mark.parametrize("text", ["2z", "3 z", "1z", "1/2 z", "1e2", "1_0", ".5", "5.",
+                                  "\u0662", "x^+2", "x^2_0", "z^+2", "x*-3",
+                                  "(1 + z]", "(1 + z(", "+-1", "(+ -z)*x"])
+def test_parse_rejects_what_only_the_old_readers_read(text):
+    # implicit products and numerals that only int() and Fraction() read, a
+    # "(" factor whose last character the old reader dropped unread, and a
+    # doubled sign before a scalar's first term; no writer emits them
+    olds = [_read_or_none(lambda t: _reference_parse(R, t), text)]
+    if "x" not in text:
+        olds.append(_read_or_none(lambda t: _reference_scalar_parse(F, t), text))
+        with pytest.raises(ValueError):
+            F.parse(text)
+    assert any(old is not None for old in olds)
+    with pytest.raises(ValueError):
+        R.parse(text)
 
 
 @settings(max_examples=100, deadline=None)

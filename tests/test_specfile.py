@@ -94,6 +94,21 @@ def test_parse_scheme():
     assert f.parity() == 1
 
 
+def test_parse_scheme_sums_terms_that_cancel():
+    # a partial sum of zero used to leave the first term in place
+    _, f = parse_scheme(SCHEME.replace("f = (-4*u0)*b0", "f = (u0)*b0 + (-u0)*b0"))
+    assert not f
+    _, f = parse_scheme(SCHEME.replace("f = (-4*u0)*b0",
+                                       "f = (-4*u0)*b0 + (4*u0)*b0 + (-4*u0)*b0"))
+    assert f == parse_scheme(SCHEME)[1]
+
+
+@pytest.mark.parametrize("term", ["(2*u0)", "(-4*u0)**b0", "(-4*u0*b0"])
+def test_parse_scheme_rejects_a_malformed_term(term):
+    with pytest.raises(SpecParseError, match="line 7"):
+        parse_scheme(SCHEME.replace("f = (-4*u0)*b0", f"f = {term}"))
+
+
 def test_parse_complex():
     cx = parse_complex(COMPLEX)
     assert cx.rank(0) == 1 and cx.rank(1) == 1
