@@ -131,8 +131,10 @@ def rref(matrix, field, col_order=None):
     """Reduced row echelon form.
 
     Returns (R, pivots) where pivots is a list of (row, col).  ``col_order``
-    selects the order in which pivot columns are searched; this is the knob the
-    homotopy solver uses to produce gauge-different solutions.
+    selects the order in which pivot columns are searched.  ``fundamental_mf``
+    searches right to left to choose the auxiliary coordinates.  ``solve``
+    takes the same knob (both run ``_eliminate``): it sets the pivot order of
+    the f_{-1} solve, ``fundamental_mf(pivot_order=...)``.
     """
     r, pivots = _eliminate(matrix, field, col_order)
     return [[_entry(x, field) for x in row] for row in r], pivots

@@ -146,8 +146,10 @@ class PairMorphism:
       (ranks are preserved).
 
     The projection (P^1, Sigma) -> (pt, pt) is the third supported shape; it
-    is driven by the divisor models of the spin-curve layer, which hands the
-    already-pushed objects to ``pushforward_log_pair``.
+    is driven by the divisor models of the spin-curve layer:
+    ``spincurve.LogFormModel.pair`` builds the already-pushed pair, and
+    ``spincurve.check_projection_commutation`` compares both orders of
+    pushing and restricting.
     """
 
     def __init__(self, kind, transport_alpha=None, transport_beta=None):

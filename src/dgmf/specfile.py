@@ -4,8 +4,9 @@ input formats for the koszul/fold/homology commands.
 Spec files are sectioned (`[field]`, `[potential]`, `[group]`, `[curve]`);
 matrix factorizations are written with fully parenthesised exact entries so
 `verify` can re-check delta^2 = W . id from the file alone.  All parse errors
-carry the 1-based line number, and a key repeated in a ``key = value``
-section is one.
+carry the 1-based line number.  A key repeated in a ``key = value``
+section is one, and so is a second ``component``, ``bundle`` or ``eta`` line
+for one component of a ``[curve]`` section.
 
 Every scalar and polynomial literal is read by the one grammar of
 ``cyclotomic.read_terms``.  The structure around them (polynomial and scalar
@@ -24,7 +25,7 @@ from .factorizations import DgSchemePresentation, MatrixFactorization, SuperElem
 from .groups import GroupElement
 from .poly import Poly, PolyRing
 from .ratfun import RationalFunction, UPoly
-from .spincurve import Marking, Node, SpinCurveSpec
+from .spincurve import SIGN_CONVENTION, Marking, Node, SpinCurveSpec
 
 
 class SpecParseError(ValueError):
@@ -249,16 +250,26 @@ def _parse_curve(field, ring, lines):
     nodes = []
     divisor = []
     eta = {}
+    first = {}  # (head, component) -> line, for the lines given once each
+
+    def once(lineno, head, comp):
+        if (head, comp) in first:
+            raise SpecParseError(lineno, f"{head} {comp} repeated (first on line "
+                                         f"{first[head, comp]})")
+        first[head, comp] = lineno
+        return comp
+
     for lineno, line in lines:
         words = line.split()
         head = words[0].lower()
         try:
             if head == "component":
-                components.append(words[1])
+                components.append(once(lineno, head, words[1]))
             elif head == "bundle":
                 # bundle c0 = 0, -1
                 _, _, val = line.partition("=")
-                bundle_degrees[words[1]] = [int(p) for p in val.split(",")]
+                comp = once(lineno, head, words[1])
+                bundle_degrees[comp] = [int(p) for p in val.split(",")]
             elif head == "marking":
                 # marking c0 at 1 gamma diag(1) rig 1, z
                 if words[2:3] != ["at"]:
@@ -299,7 +310,7 @@ def _parse_curve(field, ring, lines):
                 nodes.append(Node(branch(left), branch(right)))
             elif head == "eta":
                 _, _, val = line.partition("=")
-                eta[words[1]] = _parse_ratfun(field, lineno, val)
+                eta[once(lineno, head, words[1])] = _parse_ratfun(field, lineno, val)
             else:
                 raise SpecParseError(lineno, f"unknown [curve] entry {head!r}")
         except (IndexError, ValueError) as e:
@@ -312,9 +323,6 @@ def _parse_curve(field, ring, lines):
 
 
 # -- matrix factorization files -------------------------------------------
-
-
-SIGN_CONVENTION = "delta = d - f_{-1}; emitted potential is sum_i W_i"
 
 
 def write_mf(mf, certificate=None):

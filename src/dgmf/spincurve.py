@@ -30,6 +30,9 @@ class SpinDataError(ValueError):
     pass
 
 
+SIGN_CONVENTION = "delta = d - f_{-1}; emitted potential is sum_i W_i"
+
+
 class Marking:
     """A marked point: component, finite coordinate, diagonal group element,
     and the rigidification scalars (one per V-coordinate)."""
@@ -109,15 +112,24 @@ class SpinCurveSpec:
                 raise SpinDataError(f"divisor point on unknown component {comp}")
             if mult < 1:
                 raise SpinDataError("divisor multiplicities must be positive")
+        # markings and node branches are distinct points, and so are the
+        # points of D, which avoid them
         points = {}
-        for m in self.markings:
-            points.setdefault(m.component, []).append(m.point)
-        for node in self.nodes:
-            for (comp, q, _r) in (node.branch1, node.branch2):
-                points.setdefault(comp, []).append(q)
+        special = [(m.component, m.point) for m in self.markings] + [
+            branch[:2] for node in self.nodes for branch in (node.branch1, node.branch2)]
+        for (comp, q) in special:
+            if q in points.setdefault(comp, []):
+                raise SpinDataError(f"the point {q} of {comp} repeats among the "
+                                    f"markings and nodes")
+            points[comp].append(q)
+        on_divisor = {}
         for (comp, q, _mult) in self.divisor:
             if q in points.get(comp, []):
                 raise SpinDataError("divisor must avoid markings and nodes")
+            if q in on_divisor.setdefault(comp, []):
+                raise SpinDataError(f"the divisor point {q} of {comp} repeats: give "
+                                    f"it once, with its total multiplicity")
+            on_divisor[comp].append(q)
         self._validate_eta()
 
     def _validate_eta(self):
@@ -160,18 +172,18 @@ class SpinCurveSpec:
         return PolyRing(self.field, names, weights)
 
     def sector_potential(self, ring=None):
-        """sum_i W_i in the sector coordinates: W restricted to V^{gamma_i}."""
+        """sum_i W_i, W restricted to V^{gamma_i}, in the sector coordinates:
+        the k-th generator of ``ring`` (by default ``sector_ring()``) is the
+        coordinate of ``sectors()[k]``.  Generators past the sectors, such as
+        the auxiliary coordinates of an output ring, do not occur."""
         ring = ring or self.sector_ring()
+        gens = ring.gens()
+        images = [[ring.zero] * self.vring.nvars for _ in self.markings]
+        for k, (i, j) in enumerate(self.sectors()):
+            images[i][j] = gens[k]
         total = ring.zero
-        for i, m in enumerate(self.markings):
-            broad = m.broad_indices()
-            images = []
-            for j in range(self.vring.nvars):
-                if j in broad:
-                    images.append(ring.gen(f"{self.vring.names[j]}{i + 1}"))
-                else:
-                    images.append(ring.zero)
-            total = total + self.W.substitute(images)
+        for marking_images in images:
+            total = total + self.W.substitute(marking_images)
         return total
 
     def degD(self, comp):
@@ -189,7 +201,8 @@ class TwoTermModel:
 
     ``raw_basis`` lists the ambient basis (component, var, RationalFunction);
     for a nodal curve A is the kernel of the node-matching map, encoded by the
-    ``embed`` matrix (columns = A basis in the ambient basis).
+    ``embed`` matrix (columns = A basis in the ambient basis).  Each A-basis
+    vector is built from sections of one V-coordinate, ``a_coords[k]``.
     """
 
     def __init__(self, spec, raw_basis, embed, b_basis, f_matrix, z_matrix):
@@ -199,14 +212,15 @@ class TwoTermModel:
         self.b_basis = b_basis
         self.f_matrix = f_matrix  # rows = B, cols = A
         self.z_matrix = z_matrix  # rows = sectors, cols = A
-        self.a_weights = []
+        self.a_coords = []
         for col in range(self.dim_a):
-            support = [r for r in range(len(raw_basis)) if embed[r][col]]
-            ws = {spec.vring.weights[raw_basis[r][1]] for r in support}
-            if len(ws) != 1:
-                raise SpinDataError("A-basis vector of mixed R-weight")
-            self.a_weights.append(ws.pop())
+            coords = {var for (_c, var, _fn), row in zip(raw_basis, embed) if row[col]}
+            if len(coords) != 1:
+                raise SpinDataError("A-basis vector mixes V-coordinates")
+            self.a_coords.append(coords.pop())
+        self.a_weights = [spec.vring.weights[j] for j in self.a_coords]
         self.b_weights = [spec.vring.weights[j] for (_c, j, _q, _o) in b_basis]
+        self.f_rank = linalg.rank(f_matrix, spec.field)
 
     @property
     def dim_a(self):
@@ -216,22 +230,9 @@ class TwoTermModel:
     def dim_b(self):
         return len(self.b_basis)
 
-    def complex(self):
-        """[A -> B] as a FreeComplex over the point base."""
-        base = PolyRing(self.spec.field, [], [])
-        objects = {}
-        if self.dim_a:
-            objects[0] = [Generator(f"a{k}", w) for k, w in enumerate(self.a_weights)]
-        if self.dim_b:
-            objects[1] = [Generator(f"b{k}", w) for k, w in enumerate(self.b_weights)]
-        diffs = {}
-        if self.dim_a and self.dim_b:
-            diffs[0] = [[base.constant(c) for c in row] for row in self.f_matrix]
-        return FreeComplex(base, objects, diffs)
-
     def homology(self):
-        h = homology_ranks(self.complex())
-        return (h.get(0, 0), h.get(1, 0))
+        """(h0, h1) of [A -> B]: (dim A - rank F, dim B - rank F)."""
+        return (self.dim_a - self.f_rank, self.dim_b - self.f_rank)
 
     def z_surjective(self):
         if not self.z_matrix:
@@ -341,16 +342,9 @@ def two_term_realization(spec):
 
 def cech_oracle(spec):
     """(h^0, h^1) of V on the curve, computed independently of the divisor
-    model: monomial count on a single P^1, polynomial sections with node
-    matching on a tree."""
+    model: polynomial sections of each L_j, matched at the nodes of the tree
+    (on a curve without nodes, a monomial count)."""
     field = spec.field
-    if not spec.nodes:
-        h0 = h1 = 0
-        for comp in spec.components:
-            for a in spec.bundle_degrees[comp]:
-                h0 += max(a + 1, 0)
-                h1 += max(-a - 1, 0)
-        return (h0, h1)
     # polynomial model: sections of L_j are polynomials of degree <= a_j
     basis = []
     for comp in spec.components:
@@ -375,7 +369,7 @@ def cech_oracle(spec):
                 else:
                     row.append(field.zero)
             rows.append(row)
-    r = linalg.rank(rows, field) if rows else 0
+    r = linalg.rank(rows, field)
     h0 = len(basis) - r
     chi = sum(a + 1 for comp in spec.components for a in spec.bundle_degrees[comp])
     chi -= len(spec.nodes) * spec.vring.nvars
@@ -453,13 +447,17 @@ class PipelineResult:
             "potential": str(self.mf.potential),
             "sector_variables": list(self.sector_names),
             "auxiliary_variables": list(self.extra_names),
-            "sign_convention": "delta = d - f_{-1}; emitted potential is sum_i W_i",
+            "sign_convention": SIGN_CONVENTION,
         }
 
     def fiber_data(self, point):
-        """(h0, h1, verdict) over a sector point; for a tot(A) output the
-        fiber direction is the auxiliary coordinates, handled by exact
-        homology over k[t] (one auxiliary variable supported)."""
+        """(h0, h1, verdict) over a sector point, one scalar per sector
+        coordinate; for a tot(A) output the fiber direction is the auxiliary
+        coordinates, handled by exact homology over k[t] (one auxiliary
+        variable supported)."""
+        if len(point) != len(self.sector_names):
+            raise ValueError(f"fiber_data needs one scalar per sector coordinate "
+                             f"({len(self.sector_names)}), got {len(point)}")
         if not self.extra_names:
             h0, h1 = point_homology(self.mf, point)
         else:
@@ -472,14 +470,8 @@ class PipelineResult:
                                       "auxiliary direction")
         field = self.spec.field
         tring = PolyRing(field, ["t"], [1])
-        images = []
-        for name in self.mf.ring.names:
-            if name in self.sector_names:
-                idx = self.sector_names.index(name)
-                images.append(tring.constant(point[idx]))
-            else:
-                images.append(tring.gen("t"))
-        fiber = self.mf.restrict_to_line(images)
+        fiber = self.mf.restrict_to_line([tring.constant(c) for c in point]
+                                         + tring.gens())
         if fiber.potential:
             return (0, 0)
         d0 = [[UPoly.from_poly(c) for c in row] for row in fiber.delta0]
@@ -488,14 +480,17 @@ class PipelineResult:
 
 
 def fundamental_mf(spec, pivot_order=None):
+    """The fundamental MF of ``spec``.  Its ring has one layout, addressed by
+    position everywhere: generator k < n_sect = len(spec.sectors()) is the
+    sector coordinate of ``spec.sectors()[k]``, and generator n_sect + m is
+    the auxiliary coordinate t{m+1}, dual to the unit A-basis vector of the
+    m-th non-pivot column of Z."""
     model = two_term_realization(spec)
     obstruction = build_obstruction(spec, model)
     f = solve_f_minus_one(spec, model, obstruction, pivot_order=pivot_order)
     field = spec.field
     sring = spec.sector_ring()
-    n_sect = len(model.z_matrix)
-    if n_sect == 0 and model.dim_a == model.dim_b and \
-            linalg.rank(model.f_matrix, field) == model.dim_a:
+    if not model.z_matrix and model.homology() == (0, 0):
         # narrow concentrated case: [A -> B] acyclic, pushforward is the unit
         mf = unit_mf(sring)
         mf.metadata["narrow_concentrated"] = True
@@ -504,11 +499,9 @@ def fundamental_mf(spec, pivot_order=None):
     # choose coordinates: sector rows of Z first, then the unit vectors e_k
     # for the k that are not the last nonzero index of any vector in row(Z);
     # those last indices are the pivots of Z's right-to-left echelon form
+    # (Z is surjective, as two_term_realization checked)
     _, pivots = linalg.rref(model.z_matrix, field,
                             col_order=range(model.dim_a - 1, -1, -1))
-    if len(pivots) != n_sect:
-        raise SpinDataError("could not complete the sector coordinates to a "
-                            "basis; Z is not surjective")
     pivot_cols = {j for _, j in pivots}
     extra_indices = [k for k in range(model.dim_a) if k not in pivot_cols]
     units = linalg.identity(field, model.dim_a)
@@ -516,6 +509,12 @@ def fundamental_mf(spec, pivot_order=None):
     m_inv = linalg.invert(m_rows, field)
     sector_names = list(sring.names)
     extra_names = [f"t{i + 1}" for i in range(len(extra_indices))]
+    for (_i, j), name in zip(spec.sectors(), sector_names):
+        if name in extra_names:
+            raise SpinDataError(
+                f"the sector coordinate {name} of V-variable "
+                f"{spec.vring.names[j]!r} clashes with an auxiliary coordinate: "
+                f"auxiliary coordinates are named t1, t2, ...; rename the variable")
     weights = list(sring.weights) + [model.a_weights[k] for k in extra_indices]
     out_ring = PolyRing(field, sector_names + extra_names, weights)
     # u_k = sum_i (M^{-1})[k][i] y_i
@@ -528,9 +527,7 @@ def fundamental_mf(spec, pivot_order=None):
                                       for s, c in f.coefficients.items()})
     curved = dgmf_from_homotopy(scheme_out, -f_out)
     # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i
-    expected = substituter(sring, [out_ring.gen(n) for n in sector_names],
-                           out_ring)(spec.sector_potential(sring))
-    if curved.curvature != expected:
+    if curved.curvature != spec.sector_potential(out_ring):
         raise SpinDataError("curvature does not equal the sector potential; "
                             "spin data is inconsistent")
     mf = fold_to_mf(curved)
@@ -551,7 +548,13 @@ def check_equivariance(spec, result, elements=None):
     by g_j^{-1}; a free generator (a subset of odd generators) carries the
     product rho of its generators' scalars.  delta is equivariant exactly
     when every monomial y^e of every entry (i, j) satisfies
-    rho_src[j] == rho_tgt[i] * prod_k s_k^{-e_k}, with s_k = g_j of y_k."""
+    rho_src[j] == rho_tgt[i] * prod_k s_k^{-e_k}, with s_k = g_j of y_k.
+
+    The output coordinates are addressed by position: y_k for k < len(sectors)
+    is the sector ``spec.sectors()[k]``, of its own V-coordinate; the others
+    are dual to the unit A-basis vectors of the auxiliary rows of
+    ``change_matrix``, of the V-coordinate ``model.a_coords`` records.  Only
+    a non-diagonal element is skipped."""
     if result.scheme_out is None:
         return {"trivial": True, "elements": []}
     elements = elements if elements is not None else [spec.J] + spec.group_generators
@@ -559,14 +562,9 @@ def check_equivariance(spec, result, elements=None):
     model = result.model
     mf = result.mf
     sectors = spec.sectors()
-    # V-coordinate of each output coordinate: a sector's own; an auxiliary
-    # coordinate is dual to a unit A-basis vector and takes the V-coordinate
-    # of the ambient sections that vector is built from (None if mixed)
-    coords = [j for (_i, j) in sectors]
-    for row in result.change_matrix[len(sectors):]:
-        var = {model.raw_basis[r][1] for k, c in enumerate(row) if c
-               for r in range(len(model.raw_basis)) if model.embed[r][k]}
-        coords.append(var.pop() if len(var) == 1 else None)
+    coords = [j for (_i, j) in sectors] + [
+        model.a_coords[next(k for k, c in enumerate(row) if c)]
+        for row in result.change_matrix[len(sectors):]]
     odd_coords = [j for (_c, j, _q, _o) in model.b_basis]
     subsets = [result.scheme_out.basis_subsets(parity) for parity in (0, 1)]
     blocks = ((mf.delta0, 0, 1), (mf.delta1, 1, 0))  # (delta, src, tgt parity)
@@ -576,9 +574,6 @@ def check_equivariance(spec, result, elements=None):
     for g in elements:
         if not g.is_diagonal():
             report.append({"element": repr(g), "verdict": "skipped: not diagonal"})
-            continue
-        if None in coords:
-            report.append({"element": repr(g), "verdict": "skipped: mixed weights"})
             continue
         diag = g.diagonal_entries()
         inv = [diag[j].inverse() for j in coords]
@@ -625,18 +620,10 @@ def rigidification_transport_check(spec, result, marking_index, eps):
     # transported original: substitute the changed marking's sector
     # coordinates x -> eps^{-1} x
     ring = result.mf.ring
-    images = []
-    sectors = spec.sectors()
-    for name in ring.names:
-        if name in result.sector_names:
-            idx = result.sector_names.index(name)
-            (i, j) = sectors[idx]
-            if i == marking_index:
-                images.append(diag[j].inverse() * ring.gen(name))
-            else:
-                images.append(ring.gen(name))
-        else:
-            images.append(ring.gen(name))
+    images = ring.gens()
+    for k, (i, j) in enumerate(spec.sectors()):
+        if i == marking_index:
+            images[k] = diag[j].inverse() * images[k]
     sub = substituter(ring, images, ring)
     transported = lambda m: [[sub(c) for c in row] for row in m]
     return (transported(result.mf.delta0) == result2.mf.delta0
@@ -877,8 +864,8 @@ def twisted_diagonal_glue(disconnected, glued):
         for i, m in enumerate(spec.markings):
             if m.component == comp and m.point == point:
                 return i
-        raise SpinDataError(f"glued node branch ({comp}, {point}) is not a "
-                            f"marking of the disconnected spec")
+        raise SpinDataError(f"the glued node branch or marking ({comp}, {point}) "
+                            f"is not a marking of the disconnected spec")
 
     i1 = find_marking(disconnected, *node.branch1[:2])
     i2 = find_marking(disconnected, *node.branch2[:2])
@@ -889,78 +876,58 @@ def twisted_diagonal_glue(disconnected, glued):
     result_disc = fundamental_mf(disconnected)
     model_disc = result_disc.model
     model_glued = two_term_realization(glued)
-    sectors = disconnected.sectors()
-    rows1 = [r for r, (i, _j) in enumerate(sectors) if i == i1]
-    rows2 = [r for r, (i, _j) in enumerate(sectors) if i == i2]
-    # fiber product inside the ambient section space:
-    # ker( Z_{i2} - J^{1/2} . Z_{i1} ) computed from the disconnected model
-    mismatch = []
-    for (ra, rb) in zip(rows1, rows2):
-        j = sectors[ra][1]
-        tw = lam ** disconnected.vring.weights[j]
-        mismatch.append([model_disc.z_matrix[rb][k] - tw * model_disc.z_matrix[ra][k]
-                         for k in range(model_disc.dim_a)])
-    fiber_kernel = linalg.nullspace(mismatch, field) if mismatch else \
-        linalg.identity(field, model_disc.dim_a)
-    # glued A, expressed in the same ambient basis
-    glued_cols = [[model_glued.embed[r][c] for r in range(len(model_glued.raw_basis))]
-                  for c in range(model_glued.dim_a)]
-    disc_embed_cols = [[model_disc.embed[r][c] for r in range(len(model_disc.raw_basis))]
-                       for c in range(model_disc.dim_a)]
     # both live in the same ambient space (same components and divisor)
     if [b[:2] for b in model_glued.raw_basis] != [b[:2] for b in model_disc.raw_basis]:
         raise SpinDataError("disconnected and glued specs use different section "
                             "models; same components and divisor required")
-    # span(glued A) must equal span(disconnected A restricted to the fiber kernel)
-    fiber_cols = []
-    for vec in fiber_kernel:
-        amb = [field.zero] * len(model_disc.raw_basis)
-        for c, coeff in enumerate(vec):
-            if coeff:
-                for r in range(len(amb)):
-                    amb[r] = amb[r] + coeff * disc_embed_cols[c][r]
-        fiber_cols.append(amb)
-    cartesian, witness = _same_span(glued_cols, fiber_cols, field)
-    # pull back the disconnected fundamental MF along the twisted diagonal
-    ring_disc = result_disc.mf.ring
-    vnames = disconnected.vring.names
+    sectors = disconnected.sectors()
     vweights = disconnected.vring.weights
     broad = m1.broad_indices()
-    glue_names = [f"{vnames[j]}n" for j in broad]
-    rem_names = [n for n in ring_disc.names
-                 if n not in {f"{vnames[j]}{i1 + 1}" for j in broad}
-                 and n not in {f"{vnames[j]}{i2 + 1}" for j in broad}]
-    target_ring = PolyRing(field, glue_names + rem_names,
+    rows1 = [k for k, (i, _j) in enumerate(sectors) if i == i1]
+    rows2 = [k for k, (i, _j) in enumerate(sectors) if i == i2]
+    twists = [lam ** vweights[j] for j in broad]
+    # fiber product inside the ambient section space: embed . K, with K the
+    # kernel of Z_{i2} - J^{1/2} . Z_{i1}; without a broad coordinate, all of A
+    z = model_disc.z_matrix
+    mismatch = [[b - tw * a for a, b in zip(z[ka], z[kb])]
+                for ka, kb, tw in zip(rows1, rows2, twists)]
+    fiber = model_disc.embed
+    if mismatch:
+        kernel = linalg.transpose(linalg.nullspace(mismatch, field))
+        fiber = linalg.mat_mul(fiber, kernel, field)
+    # span(glued A) must equal the fiber product
+    cartesian, witness = _same_span(model_glued.embed, fiber, field)
+    # pull back the disconnected fundamental MF along the twisted diagonal:
+    # output coordinate k is sectors[k] for k < len(sectors), then auxiliary
+    ring_disc = result_disc.mf.ring
+    kept = [k for k in range(ring_disc.nvars) if k not in rows1 and k not in rows2]
+    target_ring = PolyRing(field,
+                           [f"{disconnected.vring.names[j]}n" for j in broad]
+                           + [ring_disc.names[k] for k in kept],
                            [vweights[j] for j in broad]
-                           + [ring_disc.weights[ring_disc.names.index(n)]
-                              for n in rem_names])
-    images = []
-    for name in ring_disc.names:
-        matched = False
-        for pos, j in enumerate(broad):
-            if name == f"{vnames[j]}{i1 + 1}":
-                images.append(target_ring.gen(glue_names[pos]))
-                matched = True
-            elif name == f"{vnames[j]}{i2 + 1}":
-                tw = lam ** vweights[j]
-                images.append(tw * target_ring.gen(glue_names[pos]))
-                matched = True
-        if not matched:
-            images.append(target_ring.gen(name))
+                           + [ring_disc.weights[k] for k in kept])
+    gens = target_ring.gens()
+    images = [None] * ring_disc.nvars
+    for y, k1, k2, tw in zip(gens, rows1, rows2, twists):
+        images[k1], images[k2] = y, tw * y
+    for y, k in zip(gens[len(broad):], kept):
+        images[k] = y
     pulled = result_disc.mf._mapped(target_ring,
                                     substituter(ring_disc, images, target_ring))
-    # the glued potential, embedded into the same ring
-    glued_sring = glued.sector_ring()
-    glued_pot = glued.sector_potential(glued_sring)
-    glued_sectors = glued.sectors()
+    # the glued potential, embedded into the same ring: each glued sector is
+    # matched by component and point to a disconnected one
+    position = {sector: k for k, sector in enumerate(sectors)}
     emb_images = []
-    for idx, (i, j) in enumerate(glued_sectors):
+    for (i, j) in glued.sectors():
         m = glued.markings[i]
-        # match by component and point against the disconnected markings
-        src = find_marking(disconnected, m.component, m.point)
-        emb_images.append(target_ring.gen(f"{vnames[j]}{src + 1}"))
-    glued_pot_embedded = substituter(glued_sring, emb_images,
-                                     target_ring)(glued_pot)
+        k = position.get((find_marking(disconnected, m.component, m.point), j))
+        if k is None:
+            raise SpinDataError(f"glued marking ({m.component}, {m.point}) is broad "
+                                f"where the disconnected marking is not")
+        emb_images.append(images[k])
+    glued_sring = glued.sector_ring()
+    glued_pot_embedded = substituter(glued_sring, emb_images, target_ring)(
+        glued.sector_potential(glued_sring))
     potentials_match = (pulled.potential == glued_pot_embedded)
     return {
         "cartesian": cartesian,
@@ -972,25 +939,15 @@ def twisted_diagonal_glue(disconnected, glued):
     }
 
 
-def _same_span(cols_a, cols_b, field):
-    """Do two lists of ambient column vectors span the same subspace?
-    Returns (bool, witness vector or None)."""
-    if not cols_a and not cols_b:
+def _same_span(a, b, field):
+    """Do the columns of two ambient matrices span the same subspace?
+    Returns (bool, witness column or None): the first column of b outside
+    span(a), else the first column of a outside span(b)."""
+    both = [ra + rb for ra, rb in zip(a, b)]
+    if linalg.rank(a, field) == linalg.rank(b, field) == linalg.rank(both, field):
         return True, None
-    dim = len(cols_a[0]) if cols_a else len(cols_b[0])
-    mat_a = [[col[r] for col in cols_a] for r in range(dim)]
-    mat_b = [[col[r] for col in cols_b] for r in range(dim)]
-    ra = linalg.rank(mat_a, field) if cols_a else 0
-    rb = linalg.rank(mat_b, field) if cols_b else 0
-    both = [[col[r] for col in cols_a + cols_b] for r in range(dim)]
-    rboth = linalg.rank(both, field)
-    if ra == rb == rboth:
-        return True, None
-    # witness: a column of b outside span(a) (or vice versa)
-    for col in cols_b:
-        if linalg.solve(mat_a, col, field) is None:
-            return False, col
-    for col in cols_a:
-        if linalg.solve(mat_b, col, field) is None:
-            return False, col
+    for x, y in ((a, b), (b, a)):
+        for col in linalg.transpose(y):
+            if linalg.solve(x, col, field) is None:
+                return False, col
     return False, None

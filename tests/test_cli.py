@@ -383,15 +383,58 @@ def test_component_named_inside_marking(tmp_path):
     assert code == 0 and got == want
 
 
+@pytest.mark.parametrize("first, second", [
+    ("component c0", "component c0"),
+    ("bundle c0 = 0", "bundle c0 = 1"),
+    ("eta c0 = (2) / (t^2 + (-1))", "eta c0 = (3) / (t^2 + (-1))")],
+    ids=["component", "bundle", "eta"])
+def test_cli_rejects_a_repeated_curve_line_exit_2(tmp_path, capsys, first, second):
+    # a second line for one component used to replace the first, or (for
+    # component) to fail later with a misleading homology mismatch
+    text = SPIN + second + "\n"
+    lines = text.splitlines()
+    code, out = _run(tmp_path, "fundamental", text)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"line {len(lines)}:" in err
+    assert f"first on line {lines.index(first) + 1})" in err
+
+
+@pytest.mark.parametrize("line", ["marking c0 at 1 gamma diag(1) rig z",
+                                  "divisor c0 at 0 mult 2"], ids=["marking", "divisor"])
+def test_cli_rejects_a_repeated_point_exit_3(tmp_path, capsys, line):
+    # these used to exit 3 with "divisor misses markings" or a homology
+    # mismatch against the Cech oracle
+    code, out = _run(tmp_path, "fundamental", SPIN + line + "\n")
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert "repeats" in err
+
+
+def test_cli_rejects_a_variable_whose_sector_names_clash_exit_3(tmp_path, capsys):
+    # at mult 2 there is one auxiliary coordinate, t1, and the sector
+    # coordinates of a V-variable named t are t1 and t2
+    text = SPIN.replace("variables = x:1\nW = x^2", "variables = t:1\nW = t^2")
+    code, out = _run(tmp_path, "fundamental", text.replace("mult 1", "mult 2"))
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert "'t'" in err and "t1, t2" in err
+    # without an auxiliary coordinate nothing clashes, and another name works
+    assert _run(tmp_path, "fundamental", text)[0] == 0
+    renamed = SPIN.replace("variables = x:1\nW = x^2", "variables = s:1\nW = s^2")
+    assert _run(tmp_path, "fundamental", renamed.replace("mult 1", "mult 2"))[0] == 0
+
+
 TOKEN = re.compile(r"\w+|[^\w\s]")
 REPLACEMENTS = ["z", "0", "-1", "", "(", "x, x", "1-z", "2z", "x^2_0"]
 
 
 def _mutants(text):
-    """Each input with one line deleted, or one token replaced."""
+    """Each input with one line deleted or repeated, or one token replaced."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
         yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
         for m in TOKEN.finditer(line):
             for r in REPLACEMENTS:
                 yield lines[:i] + [line[:m.start()] + r + line[m.end():]] + lines[i + 1:]

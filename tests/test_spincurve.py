@@ -22,6 +22,7 @@ from dgmf import (
     cech_oracle,
 )
 from dgmf import linalg
+from dgmf.poly import PolyRing, substituter
 from dgmf.specfile import parse_spec
 
 BROAD = """[field]
@@ -210,6 +211,11 @@ def test_divisor_on_marking_rejected():
                             "divisor c0 at 1 mult 1"))
 
 
+def test_spec_rejects_a_node_at_a_marking():
+    with pytest.raises(SpinDataError, match="repeats"):
+        _spec(GLUED.replace("node c0 at -1", "node c0 at 1"))
+
+
 def test_eta_validation():
     with pytest.raises(SpinDataError, match="pole at infinity"):
         _spec(BROAD.replace("(2) / (t^2 + (-1))", "(2*t) / (t^2 + (-1))"))
@@ -250,6 +256,32 @@ def test_divisor_stability():
     # origin is the one noncontractible point of this family
     assert ra.fiber_data([F.zero, F.zero]) == (1, 1, "noncontractible")
     assert ra.fiber_data([F.one, z])[2] == "contractible"
+
+
+def test_fiber_data_rejects_a_point_of_the_wrong_length():
+    # one scalar per sector coordinate, on the point path (no auxiliary
+    # coordinate) and on the line path (one)
+    for mult in (1, 2):
+        r = fundamental_mf(_spec(BROAD.replace("mult 1", f"mult {mult}")))
+        assert len(r.extra_names) == mult - 1
+        F = r.spec.field
+        assert r.fiber_data([F.zero, F.zero])[2] == "noncontractible"
+        for point in ([F.zero], [F.zero] * 3):
+            with pytest.raises(ValueError, match="one scalar per sector"):
+                r.fiber_data(point)
+
+
+def test_cech_oracle_on_nodeless_curves_is_the_monomial_count():
+    head = XY.split("[curve]")[0] + "[curve]\n"
+    rng = random.Random(3)
+    for _ in range(40):
+        degrees = {f"c{c}": [rng.randint(-3, 3), rng.randint(-3, 3)]
+                   for c in range(rng.randint(1, 3))}
+        spec = _spec(head + "".join(f"component {c}\n" for c in degrees)
+                     + "".join(f"bundle {c} = {a}, {b}\n" for c, (a, b) in degrees.items()))
+        h0 = sum(max(a + 1, 0) for ds in degrees.values() for a in ds)
+        chi = sum(a + 1 for ds in degrees.values() for a in ds)
+        assert cech_oracle(spec) == (h0, h0 - chi)
 
 
 def test_equivariance_report():
@@ -321,6 +353,15 @@ def test_glue_rejects_wrong_lambda():
                               _spec(bad))
 
 
+def test_glue_rejects_a_glued_sector_the_disconnected_marking_lacks():
+    # the marking (c1, -1) is narrow before gluing and broad after
+    disc = DISCONNECTED.replace("marking c1 at -1 gamma diag(1)",
+                                "marking c1 at -1 gamma diag(-1)")
+    with pytest.raises(SpinDataError, match="broad where the disconnected"):
+        twisted_diagonal_glue(_spec(disc.replace("bundle c1 = 0", "bundle c1 = -1")),
+                              _spec(GLUED.replace("bundle c1 = 0", "bundle c1 = -1")))
+
+
 def test_solve_f_minus_one_rejects_a_wrong_solution(wrong_solve):
     spec = _spec(BROAD)
     model = two_term_realization(spec)
@@ -378,6 +419,11 @@ def test_complement_matches_the_greedy_choice(text):
     assert r.extra_names == [f"t{i + 1}" for i in range(len(extra))]
     n_sect = len(r.sector_names)
     assert list(r.mf.ring.weights[n_sect:]) == [r.model.a_weights[k] for k in extra]
+    # each A-basis vector is built from sections of its one V-coordinate
+    model = r.model
+    for k, j in enumerate(model.a_coords):
+        assert {var for (_c, var, _fn), row in zip(model.raw_basis, model.embed)
+                if row[k]} == {j}
 
 
 @pytest.mark.parametrize("order", [1, 4, 7])
@@ -416,3 +462,153 @@ def test_rank_64_fundamental_mf_is_certified():
         with pytest.raises(CertificateError, match=rf"at entry \({i},{c}\):"):
             MatrixFactorization(mf.ring, mf.p0_gens, mf.p1_gens, delta0,
                                 mf.delta1, mf.potential)
+
+
+# -- gluing: differential test against the name-keyed implementation --------
+
+
+def _reference_glue(disconnected, glued):
+    """twisted_diagonal_glue as it was written before the output layout was
+    addressed by position: coordinates found by formatting and looking up
+    their names, spans compared as lists of ambient columns."""
+    field = disconnected.field
+    lam = glued.J_sqrt_lambda
+    new_nodes = [n for n in glued.nodes if not any(
+        n.branch1[:2] == m.branch1[:2] and n.branch2[:2] == m.branch2[:2]
+        for m in disconnected.nodes)]
+    node = new_nodes[0]
+
+    def find_marking(spec, comp, point):
+        return next(i for i, m in enumerate(spec.markings)
+                    if m.component == comp and m.point == point)
+
+    i1 = find_marking(disconnected, *node.branch1[:2])
+    i2 = find_marking(disconnected, *node.branch2[:2])
+    m1 = disconnected.markings[i1]
+    result_disc = fundamental_mf(disconnected)
+    model_disc = result_disc.model
+    model_glued = two_term_realization(glued)
+    sectors = disconnected.sectors()
+    rows1 = [r for r, (i, _j) in enumerate(sectors) if i == i1]
+    rows2 = [r for r, (i, _j) in enumerate(sectors) if i == i2]
+    mismatch = []
+    for (ra, rb) in zip(rows1, rows2):
+        tw = lam ** disconnected.vring.weights[sectors[ra][1]]
+        mismatch.append([model_disc.z_matrix[rb][k] - tw * model_disc.z_matrix[ra][k]
+                         for k in range(model_disc.dim_a)])
+    fiber_kernel = linalg.nullspace(mismatch, field) if mismatch else \
+        linalg.identity(field, model_disc.dim_a)
+    glued_cols = [[model_glued.embed[r][c] for r in range(len(model_glued.raw_basis))]
+                  for c in range(model_glued.dim_a)]
+    disc_embed_cols = [[model_disc.embed[r][c] for r in range(len(model_disc.raw_basis))]
+                       for c in range(model_disc.dim_a)]
+    fiber_cols = []
+    for vec in fiber_kernel:
+        amb = [field.zero] * len(model_disc.raw_basis)
+        for c, coeff in enumerate(vec):
+            if coeff:
+                for r in range(len(amb)):
+                    amb[r] = amb[r] + coeff * disc_embed_cols[c][r]
+        fiber_cols.append(amb)
+    cartesian, witness = _reference_same_span(glued_cols, fiber_cols, field)
+    ring_disc = result_disc.mf.ring
+    vnames = disconnected.vring.names
+    vweights = disconnected.vring.weights
+    broad = m1.broad_indices()
+    glue_names = [f"{vnames[j]}n" for j in broad]
+    rem_names = [n for n in ring_disc.names
+                 if n not in {f"{vnames[j]}{i1 + 1}" for j in broad}
+                 and n not in {f"{vnames[j]}{i2 + 1}" for j in broad}]
+    target_ring = PolyRing(field, glue_names + rem_names,
+                           [vweights[j] for j in broad]
+                           + [ring_disc.weights[ring_disc.names.index(n)]
+                              for n in rem_names])
+    images = []
+    for name in ring_disc.names:
+        matched = False
+        for pos, j in enumerate(broad):
+            if name == f"{vnames[j]}{i1 + 1}":
+                images.append(target_ring.gen(glue_names[pos]))
+                matched = True
+            elif name == f"{vnames[j]}{i2 + 1}":
+                images.append(lam ** vweights[j] * target_ring.gen(glue_names[pos]))
+                matched = True
+        if not matched:
+            images.append(target_ring.gen(name))
+    pulled = result_disc.mf._mapped(target_ring,
+                                    substituter(ring_disc, images, target_ring))
+    glued_sring = glued.sector_ring()
+    emb_images = []
+    for (i, j) in glued.sectors():
+        m = glued.markings[i]
+        src = find_marking(disconnected, m.component, m.point)
+        emb_images.append(target_ring.gen(f"{vnames[j]}{src + 1}"))
+    glued_pot = substituter(glued_sring, emb_images,
+                            target_ring)(glued.sector_potential(glued_sring))
+    return {"cartesian": cartesian, "counterexample": witness,
+            "pulled_back_mf": pulled, "pulled_back_potential": pulled.potential,
+            "glued_potential": glued_pot,
+            "potentials_match": pulled.potential == glued_pot}
+
+
+def _reference_same_span(cols_a, cols_b, field):
+    if not cols_a and not cols_b:
+        return True, None
+    dim = len(cols_a[0]) if cols_a else len(cols_b[0])
+    mat_a = [[col[r] for col in cols_a] for r in range(dim)]
+    mat_b = [[col[r] for col in cols_b] for r in range(dim)]
+    ra = linalg.rank(mat_a, field) if cols_a else 0
+    rb = linalg.rank(mat_b, field) if cols_b else 0
+    rboth = linalg.rank([[col[r] for col in cols_a + cols_b] for r in range(dim)], field)
+    if ra == rb == rboth:
+        return True, None
+    for col in cols_b:
+        if linalg.solve(mat_a, col, field) is None:
+            return False, col
+    for col in cols_a:
+        if linalg.solve(mat_b, col, field) is None:
+            return False, col
+    return False, None
+
+
+def _mult(text, m):
+    return text.replace("at 0 mult 1", f"at 0 mult {m}")
+
+
+def _narrow_pair(text):
+    return text.replace("= 0\n", "= -1\n").replace("gamma diag(1)", "gamma diag(-1)")
+
+
+def _xy_pair(text):
+    return (text.replace("variables = x:1\nW = x^2", "variables = x:1, y:1\nW = x^2 + y^2")
+            .replace("diag(-1)", "diag(-1, -1)").replace("diag(1)", "diag(1, 1)")
+            .replace("= 0\n", "= 0, 0\n").replace("rig 1\n", "rig 1, 1\n")
+            .replace("rig z\n", "rig z, z\n")
+            .replace("rig z ~ c1 at 1 rig 1", "rig z, z ~ c1 at 1 rig 1, 1"))
+
+
+GLUE_PAIRS = {
+    "mult1": (DISCONNECTED, GLUED),
+    "mult2": (_mult(DISCONNECTED, 2), _mult(GLUED, 2)),
+    "mult3": (_mult(DISCONNECTED, 3), _mult(GLUED, 3)),
+    "narrow": (_narrow_pair(DISCONNECTED), _narrow_pair(GLUED)),
+    "xy": (_xy_pair(DISCONNECTED), _xy_pair(GLUED)),
+}
+
+
+@pytest.mark.parametrize("name", list(GLUE_PAIRS))
+def test_glue_matches_the_name_keyed_reference(name):
+    disc, glued = (_spec(t) for t in GLUE_PAIRS[name])
+    got = twisted_diagonal_glue(disc, glued)
+    want = _reference_glue(disc, glued)
+    for key in ("cartesian", "counterexample", "pulled_back_potential",
+                "glued_potential", "potentials_match"):
+        assert got[key] == want[key], key
+    assert str(got["pulled_back_potential"]) == str(want["pulled_back_potential"])
+    assert str(got["glued_potential"]) == str(want["glued_potential"])
+    assert got["pulled_back_mf"] == want["pulled_back_mf"]
+    if name == "narrow":
+        assert not got["cartesian"] and got["counterexample"] == [disc.field.one, disc.field.zero]
+    if name == "xy":
+        mf = got["pulled_back_mf"]
+        assert got["cartesian"] and (mf.rank0, mf.rank1) == (8, 8)
