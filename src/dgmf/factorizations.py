@@ -268,7 +268,7 @@ class MatrixFactorization:
         """A Poly of ``ring`` as it is, a constant into it; a Poly of another
         ring is a ValueError (its exponents would be read by position)."""
         if hasattr(c, "terms"):
-            if c.ring != self.ring:
+            if c.ring is not self.ring and c.ring != self.ring:
                 raise ValueError("matrix factorization entry from a different ring")
             return c
         return self.ring.constant(c)
@@ -397,6 +397,84 @@ def koszul_mf(ring, alpha, beta):
     p0 = [gen(s) for s in even]
     p1 = [gen(s) for s in odd]
     return MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
+
+
+def _linear_forms(matrix, ring):
+    """sum_j matrix[i][j] * (j-th generator of ring), one form per row."""
+    units = [tuple(int(i == j) for i in range(ring.nvars))
+             for j in range(ring.nvars)]
+    return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
+            for row in matrix]
+
+
+def _linear_rows(scheme):
+    """The coefficient vector of each d(b_k), a linear form."""
+    ring = scheme.ring
+    units = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
+    return [[p.terms.get(u, ring.field.zero) for u in units] for p in scheme.differential]
+
+
+def _substitute_pivot(forms, j, c, row):
+    """Map y_j to y_j - row/c in every linear form (coefficient vector)."""
+    for vec in forms:
+        if vec[j]:
+            x = vec[j] / c
+            vec[:] = [a - x * b for a, b in zip(vec, row)]
+
+
+def koszul_steps(scheme, n_keep):
+    """The steps (j, k, c) of the Koszul reduction of a dg-scheme whose d(b_k)
+    are linear forms, which removes its auxiliary coordinates y_j, j >= n_keep:
+    Gauss-Jordan on the d(b) coefficients, row by row, with b_k pivoting at
+    its first y_j whose coefficient c is nonzero after the earlier steps."""
+    rows = _linear_rows(scheme)
+    steps = []
+    for k, row in enumerate(rows):
+        j = next((j for j in range(n_keep, len(row)) if row[j]), None)
+        if j is not None:
+            steps.append((j, k, row[j]))
+            _substitute_pivot(rows, j, row[j], list(row))
+    return steps
+
+
+def koszul_reduce(scheme, f, steps):
+    """The dg-scheme and curving that ``steps`` reduce ``scheme`` and ``f`` to.
+
+    A step (j, k, c) claims that d(b_k) = c y_j + r after the earlier steps,
+    with c != 0 and r free of y_j; it maps y_j to -r/c, the solution of
+    d(b_k) = 0, and b_k to 0.  That commutes with d, as d(b_k) goes to
+    0 = d(0), and is a quasi-isomorphism: in the coordinate y' = d(b_k)/c the
+    algebra is the rest tensored with the Koszul complex k[y'] (x) Wedge(b_k),
+    d(b_k) = c y', which resolves k since c is a unit.  The steps are
+    replayed, and a claim that does not hold raises a CertificateError.
+    Every d(b_i) and f are then transported by one substitution, the b_k of
+    the steps and the terms of f that contain one are dropped, and the
+    certificate is checked exactly: the image of every pivot d(b_k) is 0."""
+    ring, n = scheme.ring, scheme.ring.nvars
+    rows, images = _linear_rows(scheme), linalg.identity(ring.field, n)
+    for j, k, c in steps:
+        row = list(rows[k])
+        if not c or row[j] != c:
+            raise CertificateError(f"reduction step {j, k}: the coefficient of "
+                                   f"{ring.names[j]} in d(b_{k}) is {row[j]}, not {c}")
+        _substitute_pivot(rows + images, j, c, row)
+    pivots = {j for j, _k, _c in steps}
+    keep = [v for v in range(n) if v not in pivots]
+    reduced = PolyRing(ring.field, [ring.names[v] for v in keep],
+                       [ring.weights[v] for v in keep])
+    sub = substituter(ring, _linear_forms([[vec[v] for v in keep] for vec in images],
+                                          reduced), reduced)
+    forms = [sub(p) for p in scheme.differential]
+    killed = {k for _j, k, _c in steps}
+    for k in killed:
+        if forms[k]:
+            raise CertificateError(f"the reduction maps d(b_{k}) to {forms[k]}, not 0")
+    odd = [k for k in range(scheme.n_odd) if k not in killed]
+    scheme_out = DgSchemePresentation(reduced, [scheme.odd_gens[k] for k in odd],
+                                      [forms[k] for k in odd])
+    return scheme_out, SuperElement(scheme_out, {
+        tuple(map(odd.index, s)): sub(c)
+        for s, c in f.coefficients.items() if killed.isdisjoint(s)})
 
 
 def fold_to_mf(curved):

@@ -232,12 +232,14 @@ def first_mismatch(products, target, field):
     target = [dict(row) for row in sparse(target)]
     # pack each exponent into one int, `shift` bits per variable: enough for
     # every exponent here and every sum of two, so a product's exponent is
-    # the sum of its factors' and distinct exponents stay distinct
-    top = max((x for ts in cache.values() for e, _, _ in ts for x in e), default=0)
-    shift = (2 * top + 1).bit_length()
-    for ts in cache.values():
-        ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
-                 for e, vec, d in ts]
+    # the sum of its factors' and distinct exponents stay distinct.  On the
+    # point base every exponent is () and stays so.
+    if any(e for ts in cache.values() for e, _, _ in ts):
+        top = max(x for ts in cache.values() for e, _, _ in ts for x in e)
+        shift = (2 * top + 1).bit_length()
+        for ts in cache.values():
+            ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
+                     for e, vec, d in ts]
     width = 2 * field.degree - 1
     for i, want in enumerate(target):
         acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
@@ -259,7 +261,8 @@ def _accumulate(cell, ta, tb, width):
     (exponent, nonzero (k, integer) pairs, denominator), as ``_terms`` gives)
     to cell[ea + eb] = [denominator, unreduced integer vector of length
     ``width``], rescaled to the lcm of the denominators.  Exponents are
-    packed ints here, or tuples with ea = () for a substitution."""
+    packed ints here, or () on the point base, or tuples with ea = () for a
+    substitution."""
     for ea, va, da in ta:
         for eb, vb, db in tb:
             e, d = ea + eb, da * db

@@ -253,25 +253,27 @@ class RationalFunction:
 
     def laurent_coefficient(self, point, k):
         """Coefficient of (t - point)^k in the Laurent expansion at ``point``."""
+        return self.laurent_coefficients(point, [k])[0]
+
+    def laurent_coefficients(self, point, ks):
+        """The coefficient of (t - point)^k for each k of ``ks``, from one
+        Taylor shift of the numerator and the denominator."""
         if not self.num:
-            return self.field.zero
+            return [self.field.zero for _ in ks]
         num = self.num.shift(point)
         den = self.den.shift(point)
-        vd = den.valuation()
-        vn = num.valuation()
+        vn, vd = num.valuation(), den.valuation()
         # f = (t^vn * nu) / (t^vd * de) with nu(0), de(0) != 0
-        shift = vn - vd
-        idx = k - shift
-        if idx < 0:
-            return self.field.zero
-        nu = list(num.coeffs[vn:])
-        de = list(den.coeffs[vd:])
-        inv = _series_inverse(self.field, de, idx + 1)
-        total = self.field.zero
-        for i in range(idx + 1):
-            if i < len(nu):
+        nu, de = num.coeffs[vn:], den.coeffs[vd:]
+        idxs = [k - (vn - vd) for k in ks]
+        inv = _series_inverse(self.field, de, max(idxs) + 1) if max(idxs) >= 0 else []
+        out = []
+        for idx in idxs:
+            total = self.field.zero
+            for i in range(min(idx + 1, len(nu))):
                 total = total + nu[i] * inv[idx - i]
-        return total
+            out.append(total)
+        return out
 
     def residue(self, point):
         """Residue at a finite point of the 1-form ``self * dt``."""

@@ -12,7 +12,7 @@ along D.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from . import linalg
@@ -20,9 +20,10 @@ from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
                         homology_ranks, induced_homology_map_rank)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              DgSchemePresentation, SuperElement, dgmf_from_homotopy,
-                             fold_to_mf, point_homology, unit_mf, _solve_d_preimage)
+                             fold_to_mf, koszul_reduce, koszul_steps, point_homology,
+                             unit_mf, _linear_forms, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
-from .poly import Poly, PolyRing, substituter
+from .poly import PolyRing, substituter
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
 
 
@@ -299,22 +300,18 @@ def two_term_realization(spec):
         embed = [[kernel[c][r] for c in range(len(kernel))] for r in range(len(raw))]
     else:
         embed = linalg.identity(field, len(raw))
-    # B: jets along D
+    # B: jets along D, read from one principal part per section and point
     b_basis = []
+    f_raw = []
     for comp in spec.components:
         for (q, mult) in spec.divisor_points(comp):
             for j in range(spec.vring.nvars):
+                parts = [fn.laurent_coefficients(q, range(-1, -mult - 1, -1))
+                         if (c2, j2) == (comp, j) else None for (c2, j2, fn) in raw]
                 for order in range(1, mult + 1):
                     b_basis.append((comp, j, q, order))
-    f_raw = []
-    for (comp, j, q, order) in b_basis:
-        row = []
-        for (c2, j2, fn) in raw:
-            if c2 == comp and j2 == j:
-                row.append(fn.laurent_coefficient(q, -order))
-            else:
-                row.append(field.zero)
-        f_raw.append(row)
+                    f_raw.append([field.zero if p is None else p[order - 1]
+                                  for p in parts])
     f_matrix = linalg.mat_mul(f_raw, embed, field) if f_raw else []
     # Z: evaluate-then-rigidify at broad coordinates of markings
     z_raw = []
@@ -401,14 +398,6 @@ def build_obstruction(spec, model):
     return ObstructionData(u_ring, c, scheme)
 
 
-def _linear_forms(matrix, ring):
-    """sum_j matrix[i][j] * (j-th generator of ring), one form per row."""
-    units = [tuple(int(i == j) for i in range(ring.nvars))
-             for j in range(ring.nvars)]
-    return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
-            for row in matrix]
-
-
 def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
     """Exact linear solve for f_{-1} with d(f_{-1}) = -c, in the weight-d
     piece of degree -1.  The pivot order is the determinism knob; any two
@@ -450,33 +439,48 @@ class PipelineResult:
             "sign_convention": SIGN_CONVENTION,
         }
 
+    @cached_property
+    def sector_reduction(self):
+        """(steps, sector MF): ``scheme_out`` with curving ``f_out``,
+        Koszul-reduced to the sector coordinates by certified steps and
+        folded; built on first use.  An auxiliary coordinate without a pivot
+        (a nonzero section of V that vanishes at the broad markings) stays in
+        its ring."""
+        if self.scheme_out is None:
+            return [], self.mf
+        steps = koszul_steps(self.scheme_out, len(self.sector_names))
+        scheme, f = koszul_reduce(self.scheme_out, self.f_out, steps)
+        curved = dgmf_from_homotopy(scheme, -f)
+        if curved.curvature != self.spec.sector_potential(scheme.ring):
+            raise CertificateError("the reduced curvature is not the sector potential")
+        return steps, fold_to_mf(curved)
+
+    sector_steps = property(lambda self: self.sector_reduction[0])
+    sector_mf = property(lambda self: self.sector_reduction[1])
+
     def fiber_data(self, point):
         """(h0, h1, verdict) over a sector point, one scalar per sector
-        coordinate; for a tot(A) output the fiber direction is the auxiliary
-        coordinates, handled by exact homology over k[t] (one auxiliary
-        variable supported)."""
+        coordinate: the ranks of the sector MF at the point, or its exact
+        homology over k[t] along the one auxiliary coordinate it keeps."""
         if len(point) != len(self.sector_names):
             raise ValueError(f"fiber_data needs one scalar per sector coordinate "
                              f"({len(self.sector_names)}), got {len(point)}")
-        if not self.extra_names:
-            h0, h1 = point_homology(self.mf, point)
+        mf = self.sector_mf
+        kept = mf.ring.names[len(point):]
+        if len(kept) > 1:
+            raise NotImplementedError(f"fiber homology along the auxiliary "
+                                      f"coordinates {', '.join(kept)}, which the "
+                                      f"Koszul reduction keeps")
+        if not kept:
+            h0, h1 = point_homology(mf, point)
         else:
-            h0, h1 = self._line_homology(point)
+            tring = PolyRing(mf.ring.field, ["t"], [1])
+            fiber = mf.restrict_to_line([tring.constant(c) for c in point]
+                                        + tring.gens())
+            d0, d1 = ([[UPoly.from_poly(c) for c in row] for row in d]
+                      for d in (fiber.delta0, fiber.delta1))
+            h0, h1 = two_periodic_homology_dims(d0, d1) if not fiber.potential else (0, 0)
         return (h0, h1, CONTRACTIBLE if (h0, h1) == (0, 0) else NONCONTRACTIBLE)
-
-    def _line_homology(self, point):
-        if len(self.extra_names) != 1:
-            raise NotImplementedError("fiber homology supported for at most one "
-                                      "auxiliary direction")
-        field = self.spec.field
-        tring = PolyRing(field, ["t"], [1])
-        fiber = self.mf.restrict_to_line([tring.constant(c) for c in point]
-                                         + tring.gens())
-        if fiber.potential:
-            return (0, 0)
-        d0 = [[UPoly.from_poly(c) for c in row] for row in fiber.delta0]
-        d1 = [[UPoly.from_poly(c) for c in row] for row in fiber.delta1]
-        return two_periodic_homology_dims(d0, d1)
 
 
 def fundamental_mf(spec, pivot_order=None):

@@ -5,6 +5,7 @@ import pytest
 from dgmf import (
     CertificateError,
     CyclotomicField,
+    DgSchemePresentation,
     GroupElement,
     MatrixFactorization,
     SpinDataError,
@@ -19,11 +20,14 @@ from dgmf import (
     solve_f_minus_one,
     twisted_diagonal_glue,
     two_term_realization,
+    two_periodic_homology_dims,
     cech_oracle,
+    UPoly,
 )
 from dgmf import linalg
 from dgmf.poly import PolyRing, substituter
 from dgmf.specfile import parse_spec
+from dgmf.factorizations import koszul_reduce, koszul_steps
 
 BROAD = """[field]
 order = 4
@@ -259,8 +263,8 @@ def test_divisor_stability():
 
 
 def test_fiber_data_rejects_a_point_of_the_wrong_length():
-    # one scalar per sector coordinate, on the point path (no auxiliary
-    # coordinate) and on the line path (one)
+    # one scalar per sector coordinate, without an auxiliary coordinate and
+    # with one
     for mult in (1, 2):
         r = fundamental_mf(_spec(BROAD.replace("mult 1", f"mult {mult}")))
         assert len(r.extra_names) == mult - 1
@@ -269,6 +273,156 @@ def test_fiber_data_rejects_a_point_of_the_wrong_length():
         for point in ([F.zero], [F.zero] * 3):
             with pytest.raises(ValueError, match="one scalar per sector"):
                 r.fiber_data(point)
+
+
+# -- the sector MF: Koszul reduction of the auxiliary coordinates -----------
+
+# the test and benchmark specs whose output has exactly one auxiliary
+# coordinate, where k[t] homology on the unreduced MF is the reference
+ONE_AUXILIARY = {
+    "a1-m2": BROAD.replace("mult 1", "mult 2"),
+    "a1-off-m2": BROAD.replace("divisor c0 at 0 mult 1", "divisor c0 at -2 mult 2"),
+    "a1-two-points": BROAD.replace("divisor c0 at 0 mult 1",
+                                   "divisor c0 at 0 mult 1\ndivisor c0 at 2 mult 1"),
+    "glued": GLUED,
+    "a2-zeta12-m3": A2_ZETA12.replace("mult 2", "mult 3"),
+    "a2-zeta12-off-m3": A2_ZETA12.replace("divisor c0 at 0 mult 2",
+                                          "divisor c0 at 3 mult 3"),
+}
+
+DIHEDRAL = (XY.replace("generator = diag(-1, -1)",
+                       "generator = diag(-1, 1)\ngenerator = matrix 0, 1; 1, 0")
+            .replace("divisor c0 at -2 mult 2", "divisor c0 at 0 mult 2"))
+
+
+def _line_reference(result, point):
+    """(h0, h1) of the unreduced MF along its one auxiliary coordinate."""
+    tring = PolyRing(result.spec.field, ["t"], [1])
+    fiber = result.mf.restrict_to_line([tring.constant(c) for c in point] + tring.gens())
+    if fiber.potential:
+        return (0, 0)
+    d0, d1 = ([[UPoly.from_poly(c) for c in row] for row in d]
+              for d in (fiber.delta0, fiber.delta1))
+    return two_periodic_homology_dims(d0, d1)
+
+
+def _sample_points(field, degree, rng):
+    """The origin, zero-locus points lam * (1, u) with u^d = -1, and points
+    with random coordinates."""
+    step = field.order // (2 * degree)
+    roots = [field.zeta ** (step * k) for k in range(1, 2 * degree, 2)]
+    value = lambda: field.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+    points = [[field.zero, field.zero]]
+    points += [[lam, lam * u] for u in roots for lam in (value(), value())]
+    points += [[value(), value() * field.zeta ** rng.randrange(field.order)]
+               for _ in range(4)]
+    return points
+
+
+@pytest.mark.parametrize("name", list(ONE_AUXILIARY))
+def test_sector_fiber_data_matches_line_homology_of_the_unreduced_mf(name):
+    result = fundamental_mf(_spec(ONE_AUXILIARY[name]))
+    assert len(result.extra_names) == 1
+    assert result.sector_mf.ring.names == tuple(result.sector_names)
+    rng = random.Random(f"sector:{name}")
+    for point in _sample_points(result.spec.field, result.spec.degree_d, rng):
+        h0, h1, _verdict = result.fiber_data(point)
+        assert (h0, h1) == _line_reference(result, point), point
+
+
+def test_sector_mf_of_a1_is_the_mult_1_mf_at_every_multiplicity():
+    base = fundamental_mf(_spec(BROAD)).mf
+    survivors = []
+    for m in range(2, 9):
+        result = fundamental_mf(_spec(BROAD.replace("mult 1", f"mult {m}")))
+        reduced = result.sector_mf
+        assert (reduced.ring, reduced.delta0, reduced.delta1, reduced.potential) == (
+            base.ring, base.delta0, base.delta1, base.potential)
+        assert len(result.sector_steps) == m - 1
+        assert [g.name for g in reduced.p0_gens] == ["1"]
+        survivors.append(reduced.p1_gens[0].name)
+    assert survivors == ["b0", "b2", "b2", "b4", "b4", "b6", "b6"]
+
+
+@pytest.mark.parametrize("text,origin", [
+    (BROAD.replace("mult 1", "mult 3"), (1, 1, "noncontractible")),
+    (BROAD.replace("mult 1", "mult 6"), (1, 1, "noncontractible")),
+    (DIHEDRAL, (2, 2, "noncontractible")),
+], ids=["a1-m3", "a1-m6", "dihedral"])
+def test_fiber_data_answers_with_several_auxiliary_coordinates(text, origin):
+    result = fundamental_mf(_spec(text))
+    assert len(result.extra_names) >= 2
+    F = result.spec.field
+    n = len(result.sector_names)
+    assert result.fiber_data([F.zero] * n) == origin
+    assert result.fiber_data([F.one] + [F.zero] * (n - 1))[2] == "contractible"
+    # W vanishes at (1, 0, ..., i, 0, ...), the sector MF is contractible there
+    zero_locus = [F.one] + [F.zero] * (n - 1)
+    zero_locus[n // 2] = F.zeta
+    assert result.fiber_data(zero_locus) == (0, 0, "contractible")
+
+
+def _reduction_inputs():
+    result = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 3")))
+    scheme = result.scheme_out
+    steps = koszul_steps(scheme, len(result.sector_names))
+    assert steps == result.sector_steps and len(steps) == 2
+    return scheme, result.f_out, steps
+
+
+def test_sector_reduction_rejects_a_wrong_coefficient():
+    scheme, f, steps = _reduction_inputs()
+    (j, k, c), rest = steps[0], steps[1:]
+    with pytest.raises(CertificateError, match="coefficient"):
+        koszul_reduce(scheme, f, [(j, k, c + c)] + rest)
+
+
+def test_sector_reduction_rejects_an_image_off_the_hyperplane():
+    # each step's coordinate moved to the other step's: t2 is not in d(b_0),
+    # so t2 -> t2 - d(b_0)/c does not solve d(b_0) = 0
+    scheme, f, steps = _reduction_inputs()
+    (j0, k0, c0), (j1, k1, c1) = steps
+    with pytest.raises(CertificateError, match="coefficient"):
+        koszul_reduce(scheme, f, [(j1, k0, c0), (j0, k1, c1)])
+
+
+def test_fiber_data_along_auxiliary_coordinates_the_reduction_keeps():
+    # graft coordinates t2, t3 that no d(b) involves onto a real output
+    result = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 2")))
+    old = result.scheme_out
+    F = result.spec.field
+    for extra in (["t2"], ["t2", "t3"]):
+        ring = PolyRing(F, old.ring.names + tuple(extra), old.ring.weights + (1,) * len(extra))
+        sub = substituter(old.ring, ring.gens()[:old.ring.nvars], ring)
+        graft = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 2")))
+        graft.scheme_out = DgSchemePresentation(ring, old.odd_gens,
+                                                [sub(p) for p in old.differential])
+        graft.f_out = graft.scheme_out.element(
+            {s: sub(c) for s, c in result.f_out.coefficients.items()})
+        if len(extra) == 2:
+            with pytest.raises(NotImplementedError, match="t2, t3"):
+                graft.fiber_data([F.zero, F.zero])
+            continue
+        assert graft.sector_mf.ring.names == ("x1", "x2", "t2")
+        # k[t] homology along t2: none off the zero locus, free at the origin
+        assert graft.fiber_data([F.one, F.zero]) == (0, 0, "contractible")
+        assert graft.fiber_data([F.zero, F.zero]) == (None, None, "noncontractible")
+
+
+def test_sector_reduction_keeps_an_auxiliary_coordinate_without_a_pivot():
+    # d(b0) = x + 2 t1 removes t1; no d(b) involves t2, so t2 stays
+    ring = PolyRing(CyclotomicField(4), ["x", "t1", "t2"], [1, 1, 1])
+    x, t1, t2 = ring.gens()
+    scheme = DgSchemePresentation(ring, [("b0", 1), ("b1", 1)], [x + 2 * t1, x])
+    f = scheme.element({(0,): t2, (1,): t1})
+    steps = koszul_steps(scheme, 1)
+    assert [(j, k) for j, k, _c in steps] == [(1, 0)]
+    reduced, f_red = koszul_reduce(scheme, f, steps)
+    assert reduced.ring.names == ("x", "t2")
+    rx, rt2 = reduced.ring.gens()
+    assert [g.name for g in reduced.odd_gens] == ["b1"] and reduced.differential == [rx]
+    # t1 -> -x/2, and the b0 term of f is dropped
+    assert 2 * f_red.coefficients[(0,)] == -rx and len(f_red.coefficients) == 1
 
 
 def test_cech_oracle_on_nodeless_curves_is_the_monomial_count():
