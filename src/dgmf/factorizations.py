@@ -335,10 +335,11 @@ class MatrixFactorization:
         return self._mapped(target, substituter(self.ring, point_images, target))
 
     def _mapped(self, target, sub):
-        """The MF over ``target`` whose entries are the images under ``sub``."""
-        on = lambda m: [[sub(c) for c in row] for row in m]
-        return MatrixFactorization(target, self.p0_gens, self.p1_gens, on(self.delta0),
-                                   on(self.delta1), sub(self.potential))
+        """The MF over ``target`` whose entries are the images under ``sub``,
+        computed once per distinct entry object and shared as it is."""
+        delta0, delta1 = linalg.entrywise(sub, self.delta0, self.delta1)
+        return MatrixFactorization(target, self.p0_gens, self.p1_gens, delta0,
+                                   delta1, sub(self.potential))
 
 
 def koszul_mf(ring, alpha, beta):
@@ -381,11 +382,12 @@ def koszul_mf(ring, alpha, beta):
             out[key] = out.get(key, ring.zero) + sign * beta[k]
         return out
 
-    delta0 = [[ring.zero] * len(even) for _ in range(len(odd))]
+    zero = ring.zero
+    delta0 = [[zero] * len(even) for _ in range(len(odd))]
     for j, s in enumerate(even):
         for key, c in apply_delta(s).items():
             delta0[odd_index[key]][j] = c
-    delta1 = [[ring.zero] * len(odd) for _ in range(len(even))]
+    delta1 = [[zero] * len(odd) for _ in range(len(even))]
     for j, s in enumerate(odd):
         for key, c in apply_delta(s).items():
             delta1[even_index[key]][j] = c
@@ -487,26 +489,35 @@ def fold_to_mf(curved):
     row: contraction targets have size |s| - 1 and differ for each removed
     index; wedge targets have size >= |s| + 1 (every t is odd), and t -> t u s
     is injective.  So each entry is one signed copy of a d(b_k) or an f_t,
-    written once; delta^2 = W . id is certified when the MF is built."""
+    written once; delta^2 = W . id is certified when the MF is built.
+
+    Each d(b_k) and f_t is negated once, and its two signed copies are
+    shared, immutable Poly objects written into every cell they fill; every
+    zero cell holds one zero.  So the MF has at most 2 (#d(b) + #f) + 1
+    distinct entry objects, and every walk keyed by entry object (``verify``,
+    the restrictions, ``write_mf``) works once per distinct entry."""
     scheme = curved.scheme
     ring = scheme.ring
     even = scheme.basis_subsets(parity=0)
     odd = scheme.basis_subsets(parity=1)
     even_index = {s: i for i, s in enumerate(even)}
     odd_index = {s: i for i, s in enumerate(odd)}
-    delta0 = [[ring.zero] * len(even) for _ in range(len(odd))]
-    delta1 = [[ring.zero] * len(odd) for _ in range(len(even))]
-    f_terms = curved.f_minus_1.coefficients.items()
+    zero = ring.zero
+    delta0 = [[zero] * len(even) for _ in range(len(odd))]
+    delta1 = [[zero] * len(odd) for _ in range(len(even))]
+    signed = lambda c: (c, -c)  # index 1 is the negated copy
+    d_signed = [signed(c) if c else None for c in scheme.differential]
+    f_terms = [(t, signed(c)) for t, c in curved.f_minus_1.coefficients.items()]
     for delta, sources, rows in ((delta0, even, odd_index), (delta1, odd, even_index)):
         for j, s in enumerate(sources):
             for pos, k in enumerate(s):
-                c = scheme.differential[k]
+                c = d_signed[k]
                 if c:
-                    delta[rows[s[:pos] + s[pos + 1:]]][j] = -c if pos % 2 else c
+                    delta[rows[s[:pos] + s[pos + 1:]]][j] = c[pos % 2]
             for t, c in f_terms:
                 sign = _merge_sign(t, s)
                 if sign is not None:
-                    delta[rows[tuple(sorted(t + s))]][j] = c if sign > 0 else -c
+                    delta[rows[tuple(sorted(t + s))]][j] = c[sign < 0]
     namegen = lambda s: "^".join(scheme.odd_gens[k].name for k in s) or "1"
     weight = lambda s: sum(scheme.odd_gens[k].weight for k in s)
     p0 = [Generator(namegen(s), weight(s)) for s in even]
@@ -586,7 +597,7 @@ def nullhomotopy_solve(mf):
     w = mf.potential.constant_value()
     if w:
         inv = ring.constant(w.inverse())
-        h0 = [[c * inv for c in row] for row in mf.delta0]
+        h0, = linalg.entrywise(lambda c: c * inv, mf.delta0)
         h1 = [[ring.zero] * n1 for _ in range(n0)]
     else:
         d0 = [[c.constant_value() for c in row] for row in mf.delta0]

@@ -22,6 +22,8 @@ intertwiners, contracting homotopies) is checked by it.  Its accumulation,
 ``_accumulate``, also sums the results of ``poly.substituter``.  ``zeros`` and
 ``identity`` only touch ``.zero`` and ``.one`` of their base, so they build
 Poly matrices too: pass the PolyRing where a field is asked for.
+``entrywise`` maps Poly matrices once per distinct entry object
+(``per_object``), so cells that share an entry share its image.
 """
 
 from __future__ import annotations
@@ -64,6 +66,30 @@ def mat_mul(a, b, field):
 
 def mat_neg(a):
     return [[-x for x in row] for row in a]
+
+
+def per_object(f):
+    """f, computed once per distinct argument object and returned again for
+    that object.  Keyed by id, so the caller keeps every argument alive
+    while the returned function is in use."""
+    images = {}
+
+    def image(c):
+        y = images.get(id(c))
+        if y is None:
+            y = images[id(c)] = f(c)
+        return y
+
+    return image
+
+
+def entrywise(f, *matrices):
+    """The matrices [[f(c) for c in row] for row in m], one for each m, with
+    f applied once per distinct entry object (``per_object``): cells that
+    share an object (one zero, one signed copy of a fold entry) share its
+    image."""
+    image = per_object(f)
+    return [[[image(c) for c in row] for row in m] for m in matrices]
 
 
 def mat_eq(a, b):

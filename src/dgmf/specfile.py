@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 
+from . import linalg
 from .complexes import FreeComplex, Generator
 from .cyclotomic import CyclotomicField, read_terms, split_tokens, tokenize
 from .factorizations import DgSchemePresentation, MatrixFactorization, SuperElement
@@ -100,13 +101,20 @@ def _read_entry(ring, lineno, toks, what):
     return _read_poly(ring, lineno, toks, what)
 
 
-def _read_entries(ring, lineno, toks, what):
+def _read_entries(ring, lineno, toks, what, memo):
     """Comma-separated ``_read_entry`` polynomials; none for no tokens.
-    Each ``(0)``, the writer's zero entry, is one shared zero Poly and costs
-    no read."""
-    zero = ring.zero
-    return [zero if part == ["(", "0", ")"] else _read_entry(ring, lineno, part, what)
-            for part in split_tokens(toks, ",")] if toks else []
+    ``memo`` maps the token tuple of each entry read so far to its Poly, so
+    each distinct literal is read once and all its copies share one
+    immutable Poly (``(0)``, the writer's zero entry, is one such key).
+    Pass one memo for all the entries of one ring."""
+    out = []
+    for part in split_tokens(toks, ",") if toks else []:
+        key = tuple(part)
+        poly = memo.get(key)
+        if poly is None:
+            poly = memo[key] = _read_entry(ring, lineno, part, what)
+        out.append(poly)
+    return out
 
 
 def _parse_variables(field, lineno, text):
@@ -334,9 +342,8 @@ def write_mf(mf, certificate=None):
     lines.append("p0 = " + ", ".join(f"{g.name}:{g.weight}" for g in mf.p0_gens))
     lines.append("p1 = " + ", ".join(f"{g.name}:{g.weight}" for g in mf.p1_gens))
 
-    def matrix_text(m):
-        return " ; ".join(", ".join(f"({c})" for c in row) for row in m)
-
+    entry = linalg.per_object(lambda c: f"({c})")  # one text per distinct entry
+    matrix_text = lambda m: " ; ".join(", ".join(map(entry, row)) for row in m)
     lines.append("delta0 = " + matrix_text(mf.delta0))
     lines.append("delta1 = " + matrix_text(mf.delta1))
     lines.append(f"sign_convention = {SIGN_CONVENTION}")
@@ -361,7 +368,7 @@ def _parse_gen_list(lineno, text):
     return gens
 
 
-def _parse_matrix(ring, lineno, text, rows, cols):
+def _parse_matrix(ring, lineno, text, rows, cols, memo):
     text = text.strip()
     if rows == 0:
         if text:
@@ -371,7 +378,7 @@ def _parse_matrix(ring, lineno, text, rows, cols):
         if text:
             raise SpecParseError(lineno, "expected an empty matrix")
         return [[] for _ in range(rows)]
-    matrix = [_read_entries(ring, lineno, row, "entry")
+    matrix = [_read_entries(ring, lineno, row, "entry", memo)
               for row in split_tokens(tokenize(text), ";")] if text else []
     if len(matrix) != rows or any(len(r) != cols for r in matrix):
         raise SpecParseError(lineno, f"matrix shape {len(matrix)} rows, "
@@ -383,7 +390,11 @@ def parse_mf(text):
     """Read a matrix factorization file, returning (mf, certificate) where
     the certificate is the decoded [certificate] block or None.  The
     identity delta^2 = W . id is verified from the file contents alone
-    (CertificateError if it fails)."""
+    (CertificateError if it fails).
+
+    Each distinct entry literal of delta0 and delta1 is read once, and all
+    its copies share that one immutable Poly, so ``verify`` turns each
+    distinct entry into terms once as well."""
     sections = _sections(text)
     if "mf" not in sections:
         raise SpecParseError(1, "missing [mf] section")
@@ -400,10 +411,11 @@ def parse_mf(text):
     _, val1 = kv["p1"]
     p0 = _parse_gen_list(kv["p0"][0], val0)
     p1 = _parse_gen_list(kv["p1"][0], val1)
+    memo = {}  # one for both matrices: token tuple -> Poly
     lineno, val = kv["delta0"]
-    delta0 = _parse_matrix(ring, lineno, val, len(p1), len(p0))
+    delta0 = _parse_matrix(ring, lineno, val, len(p1), len(p0), memo)
     lineno, val = kv["delta1"]
-    delta1 = _parse_matrix(ring, lineno, val, len(p0), len(p1))
+    delta1 = _parse_matrix(ring, lineno, val, len(p0), len(p1), memo)
     mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
     certificate = None
     if "certificate" in sections:
@@ -438,8 +450,9 @@ def parse_koszul(text):
     if "alpha" not in kv or "beta" not in kv:
         raise SpecParseError(1, "missing alpha or beta in [koszul]")
     (la, alpha), (lb, beta) = kv["alpha"], kv["beta"]
-    return (ring, _read_entries(ring, la, tokenize(alpha), "alpha entry"),
-            _read_entries(ring, lb, tokenize(beta), "beta entry"))
+    memo = {}
+    return (ring, _read_entries(ring, la, tokenize(alpha), "alpha entry", memo),
+            _read_entries(ring, lb, tokenize(beta), "beta entry", memo))
 
 
 def parse_scheme(text):
@@ -514,9 +527,9 @@ def parse_complex(text):
             objects[n] = _parse_gen_list(lineno, val)
         else:
             diffs_text[n] = (lineno, val)
-    diffs = {}
+    diffs, memo = {}, {}
     for n, (lineno, val) in diffs_text.items():
         rows = len(objects.get(n + 1, []))
         cols = len(objects.get(n, []))
-        diffs[n] = _parse_matrix(ring, lineno, val, rows, cols)
+        diffs[n] = _parse_matrix(ring, lineno, val, rows, cols, memo)
     return FreeComplex(ring, objects, diffs)

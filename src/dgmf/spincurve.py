@@ -551,8 +551,9 @@ def check_equivariance(spec, result, elements=None):
     y_k -> g_j^{-1} y_k and on the odd generator of a jet of V-coordinate j
     by g_j^{-1}; a free generator (a subset of odd generators) carries the
     product rho of its generators' scalars.  delta is equivariant exactly
-    when every monomial y^e of every entry (i, j) satisfies
-    rho_src[j] == rho_tgt[i] * prod_k s_k^{-e_k}, with s_k = g_j of y_k.
+    when the monomials y^e of each distinct entry object share one scale
+    s = prod_k s_k^{-e_k}, with s_k = g_j of y_k (as rho != 0), and every
+    nonzero cell (i, j) of that entry has rho_src[j] == rho_tgt[i] * s.
 
     The output coordinates are addressed by position: y_k for k < len(sectors)
     is the sector ``spec.sectors()[k]``, of its own V-coordinate; the others
@@ -572,8 +573,7 @@ def check_equivariance(spec, result, elements=None):
     odd_coords = [j for (_c, j, _q, _o) in model.b_basis]
     subsets = [result.scheme_out.basis_subsets(parity) for parity in (0, 1)]
     blocks = ((mf.delta0, 0, 1), (mf.delta1, 1, 0))  # (delta, src, tgt parity)
-    exponents = {e for (mat, _s, _t) in blocks for row in mat for entry in row
-                 for e in entry.terms}
+    entries = {id(c): c for (mat, _s, _t) in blocks for row in mat for c in row if c}
     report = []
     for g in elements:
         if not g.is_diagonal():
@@ -585,12 +585,13 @@ def check_equivariance(spec, result, elements=None):
         rho = [[reduce(mul, (odd_inv[k] for k in subset), field.one)
                 for subset in parity_subsets] for parity_subsets in subsets]
         scale = {e: reduce(mul, (x ** n for x, n in zip(inv, e) if n), field.one)
-                 for e in exponents}
-        good = all(rho[src][j] == rho[tgt][i] * scale[e]
+                 for c in entries.values() for e in c.terms}
+        scales = {k: {scale[e] for e in c.terms} for k, c in entries.items()}
+        one = {k: s.pop() if len(s) == 1 else None for k, s in scales.items()}
+        good = all(one[id(c)] is not None and rho[src][j] == rho[tgt][i] * one[id(c)]
                    for (mat, src, tgt) in blocks
                    for i, row in enumerate(mat)
-                   for j, entry in enumerate(row)
-                   for e in entry.terms)
+                   for j, c in enumerate(row) if c)
         report.append({"element": repr(g),
                        "verdict": "equivariant" if good else "broken"})
     return {"trivial": False, "elements": report}
@@ -629,9 +630,8 @@ def rigidification_transport_check(spec, result, marking_index, eps):
         if i == marking_index:
             images[k] = diag[j].inverse() * images[k]
     sub = substituter(ring, images, ring)
-    transported = lambda m: [[sub(c) for c in row] for row in m]
-    return (transported(result.mf.delta0) == result2.mf.delta0
-            and transported(result.mf.delta1) == result2.mf.delta1
+    return (linalg.entrywise(sub, result.mf.delta0, result.mf.delta1)
+            == [result2.mf.delta0, result2.mf.delta1]
             and sub(result.mf.potential) == result2.mf.potential)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -462,3 +463,19 @@ def test_rig_negative_power_of_z(tmp_path):
     _, want = _run(tmp_path, "fundamental", SPIN.replace("rig z\n", "rig -z\n"))
     code, got = _run(tmp_path, "fundamental", SPIN.replace("rig z\n", "rig z^-1\n"))
     assert code == 0 and got == want and got != plain
+
+
+def test_a1_mult_6_fundamental_and_support_bytes_are_pinned(tmp_path):
+    """The sha256 of the `fundamental` .mf of A_1 with `divisor c0 at 0
+    mult 6` (rank 32) and of `support --points 10 --seed 0` on it.  Both
+    hashes were computed at commit c7b3fac, where every cell of the fold,
+    the reader and the restrictions was its own Poly object."""
+    spec, mf, support = (tmp_path / name for name in ("a1.spec", "a1.mf", "support.json"))
+    spec.write_text(SPIN.replace("mult 1", "mult 6"))
+    assert main(["fundamental", "--input", str(spec), "--output", str(mf)]) == 0
+    assert main(["support", "--points", "10", "--seed", "0", "--input", str(mf),
+                 "--output", str(support)]) == 0
+    assert hashlib.sha256(mf.read_bytes()).hexdigest() == (
+        "843b30632130b6cc5fa59d5f0e763171f0a97c2c2c6dd729401372655010d56d")
+    assert hashlib.sha256(support.read_bytes()).hexdigest() == (
+        "f5df23d61b97197664f94da1500c59752a5b9836adee31e484d5f2ed63968b30")

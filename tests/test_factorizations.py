@@ -911,3 +911,60 @@ def test_restrict_to_line_rejects_a_perturbed_entry(seed):
     with pytest.raises(CertificateError) as info:
         mf.restrict_to_line(images)
     assert str(info.value) == expected
+
+
+# -- shared entry objects --------------------------------------------------
+
+
+def _a1_mf(mult):
+    return fundamental_mf(parse_spec(_A1.format(point="0", mult=mult)).spin_spec())
+
+
+def _cells(mf):
+    return [c for m in (mf.delta0, mf.delta1) for row in m for c in row]
+
+
+def test_fold_writes_one_object_per_signed_entry():
+    """Each d(b_k) and f_t is negated once, and its two signed copies are
+    the objects of every cell they fill: A_1 at mult 6 (rank 32, 352 nonzero
+    cells) has at most 2 (#d(b) + #f) + 1 distinct entry objects, the one
+    zero included, and no two of them are equal."""
+    result = _a1_mf(6)
+    n_d = sum(1 for c in result.scheme_out.differential if c)
+    n_f = len(result.f_out.coefficients)
+    cells = _cells(result.mf)
+    distinct = {id(c): c for c in cells}
+    assert result.mf.rank0 == 32 and sum(1 for c in cells if c) == 352
+    assert len(distinct) <= 2 * (n_d + n_f) + 1 == 23
+    assert len(distinct) == len(set(distinct.values()))
+
+
+def test_restrictions_share_images_as_their_source_shares_entries():
+    """One image per distinct entry object: two cells hold one image object
+    exactly when they hold one source object."""
+    mf = _a1_mf(6).mf
+    field = mf.ring.field
+    line = PolyRing(field, ["t"], [1])
+    t = line.gen("t")
+    point = [field.scalar(k) for k in (2, -1, 3, 1, -2, 5, 4)[:mf.ring.nvars]]
+    images = [line.constant(p) + (k + 1) * t for k, p in enumerate(point)]
+    for restricted in (mf.restrict_to_point(point), mf.restrict_to_line(images)):
+        pairs = {(id(a), id(b)) for a, b in zip(_cells(mf), _cells(restricted))}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) <= 23
+
+
+def test_restrict_to_point_rejects_one_changed_copy_of_a_shared_entry():
+    """A cell changed after the MF was built holds a new object, and it gets
+    its own image: the point MF fails its delta^2 certificate."""
+    mf = _a1_mf(4).mf
+    field = mf.ring.field
+    shared = max((c for row in mf.delta0 for c in row if c),
+                 key=lambda c: sum(d is c for row in mf.delta0 for d in row))
+    i, j = next((i, j) for i, row in enumerate(mf.delta0)
+                for j, c in enumerate(row) if c is shared)
+    point = [field.scalar(k) for k in (2, -1, 3, 1, -2)[:mf.ring.nvars]]
+    assert mf.restrict_to_point(point).verify()
+    mf.delta0 = [list(row) for row in mf.delta0]
+    mf.delta0[i][j] = shared + mf.ring.one
+    with pytest.raises(CertificateError):
+        mf.restrict_to_point(point)

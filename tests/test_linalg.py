@@ -68,6 +68,23 @@ def test_invert():
         assert linalg.mat_mul(m, inv, F) == linalg.identity(F, 3)
 
 
+def test_entrywise_maps_each_distinct_object_once():
+    ring = PolyRing(F, ["x"])
+    x = ring.gen("x")
+    a, b, z = x + 1, x * x, ring.zero
+    copy_of_a = x + 1  # equal to a, but another object
+    calls = []
+    f = lambda c: calls.append(c) or c * x
+    m1, m2 = [[a, z, a], [b, z, z]], [[z, b], [a, copy_of_a]]
+    got = linalg.entrywise(f, m1, m2)
+    assert got == [[[c * x for c in row] for row in m] for m in (m1, m2)]
+    assert len(calls) == 4
+    assert got[0][0][0] is got[0][0][2] is got[1][1][0]
+    assert got[1][1][1] is not got[1][1][0]
+    assert linalg.entrywise(f) == [] and linalg.entrywise(f, []) == [[]]
+    once = linalg.per_object(f)
+    assert once(b) is once(b) and len(calls) == 5
+
 def test_mat_ops():
     a = [[F.one, F.zeta], [F.zero, F.one]]
     assert linalg.transpose(a) == [[F.one, F.zero], [F.zeta, F.one]]

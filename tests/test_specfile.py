@@ -1,6 +1,9 @@
 import pytest
 
-from dgmf import fundamental_mf, koszul_mf
+from dgmf import CertificateError, fundamental_mf, koszul_mf, specfile
+from dgmf.cli import main
+from dgmf.cyclotomic import read_terms
+from dgmf.poly import Poly
 from dgmf.specfile import (
     SpecParseError,
     parse_complex,
@@ -152,3 +155,60 @@ def test_mf_parse_error_line_numbers():
     with pytest.raises(SpecParseError) as e:
         parse_mf(bad)
     assert "line" in str(e.value)
+
+
+def _a1_text(mult):
+    return write_mf(fundamental_mf(parse_spec(SPIN.replace("mult 1", f"mult {mult}"))
+                                   .spin_spec()).mf)
+
+
+def test_parse_mf_reads_each_distinct_literal_once(monkeypatch):
+    """One Poly object per distinct entry literal, across delta0 and delta1,
+    and one read of each: the 21 distinct literals among the 2048 cells of
+    the rank-32 A_1 MF at mult 6, plus the potential."""
+    text = _a1_text(6)
+    reads = []
+    monkeypatch.setattr(specfile, "read_terms",
+                        lambda *args: reads.append(args[2]) or read_terms(*args))
+    mf, _ = parse_mf(text)
+    assert write_mf(mf) == text
+    objects = {}  # literal -> ids of the Poly objects that spell it
+    for m in (mf.delta0, mf.delta1):
+        for row in m:
+            for c in row:
+                objects.setdefault(f"({c})", set()).add(id(c))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) == 21 and len(reads) == 21 + 1
+    # a literal that occurs in both matrices is one object in both
+    in_delta0 = {id(c) for row in mf.delta0 for c in row}
+    assert len(in_delta0 & {id(c) for row in mf.delta1 for c in row}) > 1
+
+
+def test_write_mf_formats_each_distinct_entry_once(monkeypatch):
+    mf = fundamental_mf(parse_spec(SPIN.replace("mult 1", "mult 6")).spin_spec()).mf
+    text = write_mf(mf)
+    printed = []
+    plain = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda p: printed.append(p) or plain(p))
+    assert write_mf(mf) == text
+    cells = [c for m in (mf.delta0, mf.delta1) for row in m for c in row]
+    assert len(printed) == len({id(c) for c in cells}) + 1 == 22  # and the potential
+
+def test_parse_mf_rejects_one_wrong_copy_of_a_shared_entry(tmp_path):
+    """Each copy of a literal is its own token run: changing one of the 8
+    copies of (2*x1 + (-2*z)*x2) in the delta0 of the A_1 mult 5 MF (the
+    sixth, at cell (9, 9)) is found by the delta^2 certificate, and the
+    CLI's verify exits 4."""
+    text = _a1_text(5)
+    head, sep, tail = text.partition("delta0 = ")
+    line, newline, rest = tail.partition("\n")
+    literal = "(2*x1 + (-2*z)*x2)"
+    parts = line.split(literal)
+    assert len(parts) == 9
+    line = literal.join(parts[:6]) + "(2*x1 + (2*z)*x2)" + literal.join(parts[6:])
+    bad = head + sep + line + newline + rest
+    with pytest.raises(CertificateError, match=r"entry \(2,9\)"):
+        parse_mf(bad)
+    path = tmp_path / "bad.mf"
+    path.write_text(bad)
+    assert main(["verify", "--input", str(path)]) == 4

@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -766,3 +769,71 @@ def test_glue_matches_the_name_keyed_reference(name):
     if name == "xy":
         mf = got["pulled_back_mf"]
         assert got["cartesian"] and (mf.rank0, mf.rank1) == (8, 8)
+
+
+def _reference_equivariance(spec, result, elements):
+    """The per-term verdicts: every monomial of every cell is compared on its
+    own, rho_src[j] == rho_tgt[i] * prod_k s_k^{-e_k}."""
+    field, model, mf = spec.field, result.model, result.mf
+    sectors = spec.sectors()
+    coords = [j for (_i, j) in sectors] + [
+        model.a_coords[next(k for k, c in enumerate(row) if c)]
+        for row in result.change_matrix[len(sectors):]]
+    odd_coords = [j for (_c, j, _q, _o) in model.b_basis]
+    verdicts = []
+    for g in elements:
+        diag = g.diagonal_entries()
+        inv = [diag[j].inverse() for j in coords]
+        odd_inv = [diag[j].inverse() for j in odd_coords]
+        rho = [[reduce(mul, (odd_inv[k] for k in s), field.one)
+                for s in result.scheme_out.basis_subsets(parity)] for parity in (0, 1)]
+        good = all(rho[src][j] == rho[tgt][i] * reduce(
+                       mul, (x ** n for x, n in zip(inv, e) if n), field.one)
+                   for mat, src, tgt in ((mf.delta0, 0, 1), (mf.delta1, 1, 0))
+                   for i, row in enumerate(mat) for j, c in enumerate(row)
+                   for e in c.terms)
+        verdicts.append("equivariant" if good else "broken")
+    return verdicts
+
+
+@pytest.mark.parametrize("text", [BROAD.replace("mult 1", "mult 3"),
+                                  A2_ZETA12.replace("mult 2", "mult 3"), XY],
+                         ids=["a1-mult3", "a2-zeta12", "xy"])
+def test_equivariance_matches_the_per_term_reference_on_changed_entries(text):
+    """The per-entry check (one scale per distinct entry object) gives the
+    verdicts of the per-term reference: on the MF itself, with one copy of a
+    shared entry given a term of another degree (two scales in one cell),
+    and with every copy of one entry object multiplied by a coordinate."""
+    spec = _spec(text)
+    r = fundamental_mf(spec)
+    F = spec.field
+    n = spec.vring.nvars
+    elements = [GroupElement.diagonal(spec.vring, [F.zeta_power(k * (v + 1)) for v in range(n)])
+                for k in range(F.order)]
+    elements += [GroupElement.diagonal(spec.vring, [F.zeta_power(k * v) for v in range(n)])
+                 for k in range(F.order)]
+    y = r.mf.ring.gens()
+    copies = {}  # id of a nonzero delta0 entry -> its cells
+    for i, row in enumerate(r.mf.delta0):
+        for j, c in enumerate(row):
+            if c:
+                copies.setdefault(id(c), []).append((i, j))
+    (i, j), *rest = max(copies.values(), key=len)
+    assert rest
+    shared = r.mf.delta0[i][j]
+    variants = [(r.mf.delta0, r.mf.delta1)]
+    one_copy = [list(row) for row in r.mf.delta0]
+    one_copy[i][j] = shared + y[-1] ** 2
+    variants.append((one_copy, r.mf.delta1))
+    scaled = shared * y[0]
+    variants.append(([[scaled if c is shared else c for c in row] for row in r.mf.delta0],
+                     r.mf.delta1))
+    verdicts = []
+    for delta0, delta1 in variants:
+        fake = SimpleNamespace(scheme_out=r.scheme_out, model=r.model,
+                               change_matrix=r.change_matrix,
+                               mf=SimpleNamespace(delta0=delta0, delta1=delta1))
+        got = [e["verdict"] for e in check_equivariance(spec, fake, elements)["elements"]]
+        assert got == _reference_equivariance(spec, fake, elements)
+        verdicts.append(got)
+    assert "equivariant" in verdicts[0] and "broken" in verdicts[1] + verdicts[2]
