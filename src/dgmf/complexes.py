@@ -48,16 +48,10 @@ class FreeComplex:
         self.diffs = {}
         for n, m in diffs.items():
             if self.rank(n) and self.rank(n + 1):
-                self.diffs[n] = [[self._coerce_entry(c) for c in row] for row in m]
+                self.diffs[n] = [[_coerce(ring, c, "differential entry") for c in row]
+                                 for row in m]
         self._check_shapes()
         self._check_d_squared()
-
-    def _coerce_entry(self, c):
-        if hasattr(c, "terms"):
-            if c.ring != self.ring:
-                raise ValueError("differential entry from a different ring")
-            return c
-        return self.ring.constant(c)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -152,7 +146,8 @@ class ChainMap:
         self.components = {}
         for n, m in components.items():
             if source.rank(n) and target.rank(n):
-                self.components[n] = [[_coerce(source.ring, c) for c in row] for row in m]
+                self.components[n] = [[_coerce(source.ring, c, "chain map component")
+                                       for c in row] for row in m]
         self._check()
 
     def component(self, n):
@@ -192,8 +187,14 @@ class ChainMap:
         return cls(c, c, comps)
 
 
-def _coerce(ring, c):
-    return c if hasattr(c, "terms") else ring.constant(c)
+def _coerce(ring, c, what):
+    """A Poly of ``ring`` as it is, a constant into it; a Poly of another
+    ring is a ValueError (its exponents would be read by position)."""
+    if hasattr(c, "terms"):
+        if c.ring is not ring and c.ring != ring:
+            raise ValueError(f"{what} from a different ring")
+        return c
+    return ring.constant(c)
 
 
 # -- cone, tensor, symmetric powers ---------------------------------------

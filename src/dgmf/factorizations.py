@@ -530,7 +530,9 @@ def mf_tensor(m, n):
 
     P0 = M0 (x) N0 (+) M1 (x) N1 and P1 = M0 (x) N1 (+) M1 (x) N0.  On the
     block M_a (x) N_b, delta is delta_m (x) 1 into block (1-a, b) plus
-    (-1)^a 1 (x) delta_n into block (a, 1-b)."""
+    (-1)^a 1 (x) delta_n into block (a, 1-b).  Cells share entry objects:
+    each of m's as it is, each of n's and its negation (computed once), and
+    one zero."""
     if m.ring != n.ring:
         raise ValueError("tensor of matrix factorizations over different rings")
     ring = m.ring
@@ -543,8 +545,11 @@ def mf_tensor(m, n):
         offset[a, b] = len(p)
         p.extend(Generator(f"{g.name}*{h.name}", g.weight + h.weight)
                  for g in m_gens[a] for h in n_gens[b])
-    delta = ([[ring.zero] * len(gens[0]) for _ in gens[1]],
-             [[ring.zero] * len(gens[1]) for _ in gens[0]])
+    zero = ring.zero
+    delta = ([[zero] * len(gens[0]) for _ in gens[1]],
+             [[zero] * len(gens[1]) for _ in gens[0]])
+    # (-1)^a delta_n: each distinct entry object of n is negated once
+    n_signed = (n_delta, linalg.entrywise(lambda c: -c, *n_delta))
     for (a, b), col0 in offset.items():
         out = delta[(a + b) % 2]
         width, width_flip = len(n_gens[b]), len(n_gens[1 - b])
@@ -555,10 +560,10 @@ def mf_tensor(m, n):
                     c = row[i]
                     if c:
                         out[offset[1 - a, b] + i2 * width + j][col] = c
-                for j2, row in enumerate(n_delta[b]):
+                for j2, row in enumerate(n_signed[a][b]):
                     c = row[j]
                     if c:
-                        out[offset[a, 1 - b] + i * width_flip + j2][col] = -c if a else c
+                        out[offset[a, 1 - b] + i * width_flip + j2][col] = c
     return MatrixFactorization(ring, gens[0], gens[1], delta[0], delta[1],
                                m.potential + n.potential)
 

@@ -445,7 +445,8 @@ class PipelineResult:
         Koszul-reduced to the sector coordinates by certified steps and
         folded; built on first use.  An auxiliary coordinate without a pivot
         (a nonzero section of V that vanishes at the broad markings) stays in
-        its ring."""
+        its ring: every section of a summand L_j with no broad marking, as in
+        ``x^2 + y^2`` with both markings ``gamma diag(1, -1)``."""
         if self.scheme_out is None:
             return [], self.mf
         steps = koszul_steps(self.scheme_out, len(self.sector_names))
@@ -461,25 +462,28 @@ class PipelineResult:
     def fiber_data(self, point):
         """(h0, h1, verdict) over a sector point, one scalar per sector
         coordinate: the ranks of the sector MF at the point, or its exact
-        homology over k[t] along the one auxiliary coordinate it keeps."""
+        homology over k[t] along the one auxiliary coordinate it keeps.
+        Where W(p) != 0 the fiber is contractible, however many it keeps."""
         if len(point) != len(self.sector_names):
             raise ValueError(f"fiber_data needs one scalar per sector coordinate "
                              f"({len(self.sector_names)}), got {len(point)}")
         mf = self.sector_mf
         kept = mf.ring.names[len(point):]
-        if len(kept) > 1:
+        if not kept:
+            h0, h1 = point_homology(mf, point)
+        elif mf.potential.evaluate(list(point) + [0] * len(kept)):
+            h0, h1 = 0, 0  # W(p) != 0 is a unit on the whole fiber
+        elif len(kept) > 1:
             raise NotImplementedError(f"fiber homology along the auxiliary "
                                       f"coordinates {', '.join(kept)}, which the "
                                       f"Koszul reduction keeps")
-        if not kept:
-            h0, h1 = point_homology(mf, point)
         else:
             tring = PolyRing(mf.ring.field, ["t"], [1])
             fiber = mf.restrict_to_line([tring.constant(c) for c in point]
                                         + tring.gens())
             d0, d1 = ([[UPoly.from_poly(c) for c in row] for row in d]
                       for d in (fiber.delta0, fiber.delta1))
-            h0, h1 = two_periodic_homology_dims(d0, d1) if not fiber.potential else (0, 0)
+            h0, h1 = two_periodic_homology_dims(d0, d1)
         return (h0, h1, CONTRACTIBLE if (h0, h1) == (0, 0) else NONCONTRACTIBLE)
 
 
@@ -544,16 +548,16 @@ def fundamental_mf(spec, pivot_order=None):
 
 
 def check_equivariance(spec, result, elements=None):
-    """Exact conjugation check: for each diagonal group element the induced
-    action on the output module must conjugate delta to itself.
-
-    g = diag(g_j) acts on an output coordinate y_k of V-coordinate j by
-    y_k -> g_j^{-1} y_k and on the odd generator of a jet of V-coordinate j
-    by g_j^{-1}; a free generator (a subset of odd generators) carries the
-    product rho of its generators' scalars.  delta is equivariant exactly
-    when the monomials y^e of each distinct entry object share one scale
-    s = prod_k s_k^{-e_k}, with s_k = g_j of y_k (as rho != 0), and every
-    nonzero cell (i, j) of that entry has rho_src[j] == rho_tgt[i] * s.
+    """Exact equivariance check on the curved dg-scheme the fundamental MF is
+    folded from, ``result.scheme_out`` with curving ``result.f_out``.
+    g = diag(g_j) scales an output coordinate of V-coordinate j, and the odd
+    generator b_k of a jet of V-coordinate j, by g_j^{-1} (r_k for b_k).  g
+    is equivariant exactly when every monomial of each d(b_k) scales by r_k
+    and every monomial of each coefficient f_t of f_{-1} by 1 / prod_{k in t}
+    r_k.  That is the per-cell test on the folded MF: a free generator e_s
+    carries rho(s) = prod_{k in s} r_k, the fold writes +-d(b_k) into the
+    cell (s - k <- s) and +-f_t into (t u s <- s), rho is multiplicative so
+    s cancels, and every nonzero d(b_k) and f_t fills a cell (s = {k}, {}).
 
     The output coordinates are addressed by position: y_k for k < len(sectors)
     is the sector ``spec.sectors()[k]``, of its own V-coordinate; the others
@@ -563,17 +567,11 @@ def check_equivariance(spec, result, elements=None):
     if result.scheme_out is None:
         return {"trivial": True, "elements": []}
     elements = elements if elements is not None else [spec.J] + spec.group_generators
-    field = spec.field
-    model = result.model
-    mf = result.mf
-    sectors = spec.sectors()
+    one, model, sectors = spec.field.one, result.model, spec.sectors()
     coords = [j for (_i, j) in sectors] + [
         model.a_coords[next(k for k, c in enumerate(row) if c)]
         for row in result.change_matrix[len(sectors):]]
     odd_coords = [j for (_c, j, _q, _o) in model.b_basis]
-    subsets = [result.scheme_out.basis_subsets(parity) for parity in (0, 1)]
-    blocks = ((mf.delta0, 0, 1), (mf.delta1, 1, 0))  # (delta, src, tgt parity)
-    entries = {id(c): c for (mat, _s, _t) in blocks for row in mat for c in row if c}
     report = []
     for g in elements:
         if not g.is_diagonal():
@@ -581,17 +579,13 @@ def check_equivariance(spec, result, elements=None):
             continue
         diag = g.diagonal_entries()
         inv = [diag[j].inverse() for j in coords]
-        odd_inv = [diag[j].inverse() for j in odd_coords]
-        rho = [[reduce(mul, (odd_inv[k] for k in subset), field.one)
-                for subset in parity_subsets] for parity_subsets in subsets]
-        scale = {e: reduce(mul, (x ** n for x, n in zip(inv, e) if n), field.one)
-                 for c in entries.values() for e in c.terms}
-        scales = {k: {scale[e] for e in c.terms} for k, c in entries.items()}
-        one = {k: s.pop() if len(s) == 1 else None for k, s in scales.items()}
-        good = all(one[id(c)] is not None and rho[src][j] == rho[tgt][i] * one[id(c)]
-                   for (mat, src, tgt) in blocks
-                   for i, row in enumerate(mat)
-                   for j, c in enumerate(row) if c)
+        r = [diag[j].inverse() for j in odd_coords]
+        # (polynomial, the scale every one of its monomials must have)
+        wanted = [(p, r[k]) for k, p in enumerate(result.scheme_out.differential)]
+        wanted += [(c, reduce(mul, (r[k] for k in t), one).inverse())
+                   for t, c in result.f_out.coefficients.items()]
+        good = all(reduce(mul, (x ** n for x, n in zip(inv, e) if n), one) == scale
+                   for p, scale in wanted for e in p.terms)
         report.append({"element": repr(g),
                        "verdict": "equivariant" if good else "broken"})
     return {"trivial": False, "elements": report}

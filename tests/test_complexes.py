@@ -157,6 +157,20 @@ def test_chain_map_rejects_a_non_commuting_square():
                                "d_target o f = 2, f o d_source = 6")
 
 
+def test_chain_map_rejects_a_component_from_another_ring():
+    # with no square to check (a single object) and with one (a two-term
+    # complex); an equal ring built again is the same ring
+    def diagonal(C, c):
+        return {d: [[c if i == j else 0 for j in range(C.rank(d))]
+                    for i in range(C.rank(d))] for d in C.degrees()}
+
+    x = PolyRing(F, ["x"], [1]).gen("x")
+    for C in (_single(), _two_term([[1, 0], [0, 2]])):
+        ChainMap(C, C, diagonal(C, PolyRing(F, [], []).one))
+        with pytest.raises(ValueError, match="chain map component from a different ring"):
+            ChainMap(C, C, diagonal(C, x))
+
+
 # -- the certificate kernel against a dense reference ---------------------
 
 

@@ -953,6 +953,18 @@ def test_restrictions_share_images_as_their_source_shares_entries():
         assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) <= 23
 
 
+def test_mf_tensor_shares_the_entry_objects_of_its_factors():
+    """The tensor square of A_1 at mult 5 (rank 16|16) holds m's entry
+    objects, n's and their negations, and one zero: at most
+    dist(m) + 2 dist(n) + 1 objects, and the block-by-block reference agrees."""
+    mf = _a1_mf(5).mf
+    dist = len({id(c) for c in _cells(mf) if c})
+    square = mf_tensor(mf, mf)
+    assert square.rank0 == 512
+    assert len({id(c) for c in _cells(square)}) <= 3 * dist + 1
+    assert square == _reference_mf_tensor(mf, mf)
+
+
 def test_restrict_to_point_rejects_one_changed_copy_of_a_shared_entry():
     """A cell changed after the MF was built holds a new object, and it gets
     its own image: the point MF fails its delta^2 certificate."""

@@ -30,7 +30,7 @@ from dgmf import (
 from dgmf import linalg
 from dgmf.poly import PolyRing, substituter
 from dgmf.specfile import parse_spec
-from dgmf.factorizations import koszul_reduce, koszul_steps
+from dgmf.factorizations import dgmf_from_homotopy, fold_to_mf, koszul_reduce, koszul_steps
 
 BROAD = """[field]
 order = 4
@@ -410,6 +410,42 @@ def test_fiber_data_along_auxiliary_coordinates_the_reduction_keeps():
         # k[t] homology along t2: none off the zero locus, free at the origin
         assert graft.fiber_data([F.one, F.zero]) == (0, 0, "contractible")
         assert graft.fiber_data([F.zero, F.zero]) == (None, None, "noncontractible")
+
+
+# both markings are broad for x only, so every section of L_y is an auxiliary
+# coordinate without a pivot: the reduction keeps 1 + deg L_y of them
+KEPT = """[field]
+order = 4
+[potential]
+variables = x:1, y:1
+W = x^2 + y^2
+d = 2
+[group]
+generator = diag(-1, -1)
+generator = diag(1, -1)
+J = diag(-1, -1)
+J_sqrt = z
+[curve]
+component c0
+bundle c0 = 0, 0
+marking c0 at 1 gamma diag(1, -1) rig 1, 1
+marking c0 at -1 gamma diag(1, -1) rig z, z
+divisor c0 at 0 mult 1
+"""
+
+
+def test_fiber_data_on_a_valid_spec_whose_reduction_keeps_auxiliary_coordinates():
+    result = fundamental_mf(_spec(KEPT))
+    F = result.spec.field
+    assert result.sector_mf.ring.names == ("x1", "x2", "t2")
+    assert result.fiber_data([F.zero, F.zero]) == (None, None, "noncontractible")
+    assert result.fiber_data([F.one, F.zeta]) == (0, 0, "contractible")
+    result = fundamental_mf(_spec(KEPT.replace("bundle c0 = 0, 0", "bundle c0 = 0, 1")))
+    assert result.sector_mf.ring.names == ("x1", "x2", "t2", "t3")
+    with pytest.raises(NotImplementedError, match="t2, t3"):
+        result.fiber_data([F.zero, F.zero])
+    # W(1, 1) = 2: the fiber is contractible, however many coordinates are kept
+    assert result.fiber_data([F.one, F.one]) == (0, 0, "contractible")
 
 
 def test_sector_reduction_keeps_an_auxiliary_coordinate_without_a_pivot():
@@ -797,13 +833,13 @@ def _reference_equivariance(spec, result, elements):
 
 
 @pytest.mark.parametrize("text", [BROAD.replace("mult 1", "mult 3"),
-                                  A2_ZETA12.replace("mult 2", "mult 3"), XY],
-                         ids=["a1-mult3", "a2-zeta12", "xy"])
-def test_equivariance_matches_the_per_term_reference_on_changed_entries(text):
-    """The per-entry check (one scale per distinct entry object) gives the
-    verdicts of the per-term reference: on the MF itself, with one copy of a
-    shared entry given a term of another degree (two scales in one cell),
-    and with every copy of one entry object multiplied by a coordinate."""
+                                  A2_ZETA12.replace("mult 2", "mult 3"), XY, DIHEDRAL],
+                         ids=["a1-mult3", "a2-zeta12", "xy", "dihedral"])
+def test_equivariance_matches_the_per_term_reference_on_folded_schemes(text):
+    """The check on the curved dg-scheme gives the verdicts of the per-term
+    reference on its fold: for the pipeline's scheme, for the gauge change
+    f + d(y b_0 b_1) (same curvature), and, with two V-coordinates, for the
+    scheme with the d(b)'s of two jets of different V-coordinates swapped."""
     spec = _spec(text)
     r = fundamental_mf(spec)
     F = spec.field
@@ -812,28 +848,22 @@ def test_equivariance_matches_the_per_term_reference_on_changed_entries(text):
                 for k in range(F.order)]
     elements += [GroupElement.diagonal(spec.vring, [F.zeta_power(k * v) for v in range(n)])
                  for k in range(F.order)]
-    y = r.mf.ring.gens()
-    copies = {}  # id of a nonzero delta0 entry -> its cells
-    for i, row in enumerate(r.mf.delta0):
-        for j, c in enumerate(row):
-            if c:
-                copies.setdefault(id(c), []).append((i, j))
-    (i, j), *rest = max(copies.values(), key=len)
-    assert rest
-    shared = r.mf.delta0[i][j]
-    variants = [(r.mf.delta0, r.mf.delta1)]
-    one_copy = [list(row) for row in r.mf.delta0]
-    one_copy[i][j] = shared + y[-1] ** 2
-    variants.append((one_copy, r.mf.delta1))
-    scaled = shared * y[0]
-    variants.append(([[scaled if c is shared else c for c in row] for row in r.mf.delta0],
-                     r.mf.delta1))
-    verdicts = []
-    for delta0, delta1 in variants:
-        fake = SimpleNamespace(scheme_out=r.scheme_out, model=r.model,
-                               change_matrix=r.change_matrix,
-                               mf=SimpleNamespace(delta0=delta0, delta1=delta1))
-        got = [e["verdict"] for e in check_equivariance(spec, fake, elements)["elements"]]
-        assert got == _reference_equivariance(spec, fake, elements)
-        verdicts.append(got)
-    assert "equivariant" in verdicts[0] and "broken" in verdicts[1] + verdicts[2]
+    scheme, f = r.scheme_out, r.f_out
+    gauge = f + scheme.d(scheme.element({(0, 1): scheme.ring.gens()[-1]}))
+    assert gauge != f and scheme.d(gauge) == scheme.d(f)
+    inputs = [(scheme, f), (scheme, gauge)]
+    if n > 1:
+        coords = [j for (_c, j, _q, _o) in r.model.b_basis]
+        k = coords.index(1 - coords[0])
+        images = list(scheme.differential)
+        images[0], images[k] = images[k], images[0]
+        assert images[0] != images[k]
+        swapped = DgSchemePresentation(scheme.ring, scheme.odd_gens, images)
+        inputs.append((swapped, swapped.element(f.coefficients)))
+    for scheme_in, f_in in inputs:
+        folded = SimpleNamespace(scheme_out=scheme_in, f_out=f_in, model=r.model,
+                                 change_matrix=r.change_matrix,
+                                 mf=fold_to_mf(dgmf_from_homotopy(scheme_in, -f_in)))
+        got = [e["verdict"] for e in check_equivariance(spec, folded, elements)["elements"]]
+        assert got == _reference_equivariance(spec, folded, elements)
+        assert {"equivariant", "broken"} <= set(got)
