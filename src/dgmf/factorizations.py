@@ -7,6 +7,12 @@ and an odd derivation d sending each odd generator to an even function.  A
 function of degree -1 with square zero curves the differential,
 delta = d + f . (-), and folding over Z/2 produces an honest matrix
 factorization of the curvature d(f).
+
+Every operator on the exterior basis is written by one index map,
+``_exterior_matrix``: the fold's delta (contraction by the d(b_k), wedge by
+the terms of f), the Koszul factorization {alpha, beta} (the fold of the
+derived zero locus Z(beta) curved by sum alpha_k e_k, with ``unit_mf`` its
+n = 0 case), and the gauge operators exp(-h) (wedge only).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .complexes import Generator
+from .complexes import Generator, _coerce
 from .poly import Poly, PolyRing, substituter
 
 
@@ -36,6 +42,44 @@ def _merge_sign(s, t):
     return sign
 
 
+def _subsets(n, parity=None):
+    """All sorted subsets of range(n), ordered by (size, lex); optionally
+    only even- or odd-sized ones."""
+    return [s for k in range(n + 1) if parity is None or k % 2 == parity
+            for s in combinations(range(n), k)]
+
+
+def _exterior_matrix(sources, targets, contract, wedge, zero):
+    """The matrix (rows ``targets``, columns ``sources``, both lists of
+    sorted subsets) of the operator on the exterior basis
+
+        e_s -> sum_pos (-1)^pos c_{s[pos]} e_{s - s[pos]}
+               + sum_{t disjoint from s} sign(t, s) g_t e_{t u s}.
+
+    ``contract[k]`` is None or the pair (c_k, -c_k), ``wedge`` a list of
+    (t, (g_t, -g_t)).  No two terms share a cell: contraction targets have
+    size |s| - 1 and differ for each removed index, wedge targets have size
+    >= |s| and t -> t u s is injective.  So each entry is one of the given
+    objects, written once, and every zero cell holds ``zero``."""
+    rows = {s: i for i, s in enumerate(targets)}
+    out = [[zero] * len(sources) for _ in targets]
+    for j, s in enumerate(sources):
+        for pos, k in enumerate(s):
+            c = contract[k]
+            if c:
+                out[rows[s[:pos] + s[pos + 1:]]][j] = c[pos % 2]
+        for t, g in wedge:
+            sign = _merge_sign(t, s)
+            if sign is not None:
+                out[rows[tuple(sorted(t + s))]][j] = g[sign < 0]
+    return out
+
+
+def _signed(c):
+    """(c, -c), negated once and shared by every cell it fills; None for 0."""
+    return (c, -c) if c else None
+
+
 class DgSchemePresentation:
     """[A -> B]: Spec of S(B_dual -> A_dual).
 
@@ -50,8 +94,8 @@ class DgSchemePresentation:
                          for g in odd_gens]
         if len(differential) != len(self.odd_gens):
             raise ValueError("one differential image per odd generator")
-        self.differential = [ring.constant(p) if not hasattr(p, "terms") else p
-                             for p in differential]
+        self.differential = [_coerce(ring, p, f"d({g.name})")
+                             for g, p in zip(self.odd_gens, differential)]
         for g, img in zip(self.odd_gens, self.differential):
             if img and not img.is_quasihomogeneous_of(g.weight):
                 raise ValueError(
@@ -68,8 +112,7 @@ class DgSchemePresentation:
         return SuperElement(self, {})
 
     def scalar_element(self, p):
-        p = self.ring.constant(p) if not hasattr(p, "terms") else p
-        return SuperElement(self, {(): p})
+        return SuperElement(self, {(): _coerce(self.ring, p, "scalar")})
 
     def odd_coordinate(self, k):
         return SuperElement(self, {(k,): self.ring.one})
@@ -77,12 +120,7 @@ class DgSchemePresentation:
     def basis_subsets(self, parity=None):
         """All sorted index subsets, ordered by (size, lex); optionally only
         even- or odd-sized ones."""
-        out = []
-        for k in range(self.n_odd + 1):
-            if parity is not None and k % 2 != parity:
-                continue
-            out.extend(combinations(range(self.n_odd), k))
-        return out
+        return _subsets(self.n_odd, parity)
 
     def d(self, elt):
         """The odd derivation: e_k -> d(b_k), extended by the Leibniz rule."""
@@ -193,21 +231,17 @@ class SuperElement:
         return " + ".join(parts)
 
 
-def _odd_weights(beta):
-    """The R-weight of the odd generator e_k with d(e_k) = beta_k: the
-    weight of beta_k, or 1 when beta_k is zero or not quasihomogeneous."""
-    weights = []
-    for b in beta:
-        w, _ = b.weight()
-        weights.append(w if isinstance(w, int) else 1)
-    return weights
+def _odd_gens(beta):
+    """The odd generators e_k with d(e_k) = beta_k; the R-weight of e_k is
+    the weight of beta_k, or 1 when beta_k is zero or not quasihomogeneous."""
+    return [Generator(f"e{k}", w if isinstance(w, int) else 1)
+            for k, (w, _) in enumerate(b.weight() for b in beta)]
 
 
 def derived_zero_locus(ring, beta):
     """The dg-scheme Z(beta): odd generator e_k with d(e_k) = beta_k."""
-    beta = [ring.constant(b) if not hasattr(b, "terms") else b for b in beta]
-    gens = [Generator(f"e{k}", w) for k, w in enumerate(_odd_weights(beta))]
-    return DgSchemePresentation(ring, gens, beta)
+    beta = [_coerce(ring, b, "beta entry") for b in beta]
+    return DgSchemePresentation(ring, _odd_gens(beta), beta)
 
 
 class CurvedStructure:
@@ -258,20 +292,12 @@ class MatrixFactorization:
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
         # delta0: P0 -> P1 (rows indexed by P1), delta1: P1 -> P0
-        self.delta0 = [[self._coerce(c) for c in row] for row in delta0]
-        self.delta1 = [[self._coerce(c) for c in row] for row in delta1]
-        self.potential = self._coerce(potential)
+        coerce = lambda c: _coerce(ring, c, "matrix factorization entry")
+        self.delta0 = [[coerce(c) for c in row] for row in delta0]
+        self.delta1 = [[coerce(c) for c in row] for row in delta1]
+        self.potential = coerce(potential)
         self.metadata = {}
         self.verify()
-
-    def _coerce(self, c):
-        """A Poly of ``ring`` as it is, a constant into it; a Poly of another
-        ring is a ValueError (its exponents would be read by position)."""
-        if hasattr(c, "terms"):
-            if c.ring is not self.ring and c.ring != self.ring:
-                raise ValueError("matrix factorization entry from a different ring")
-            return c
-        return self.ring.constant(c)
 
     @property
     def rank0(self):
@@ -346,59 +372,19 @@ def koszul_mf(ring, alpha, beta):
     """The Koszul matrix factorization {alpha, beta} of W = <alpha, beta>.
 
     Underlying module Wedge of the free rank-n module on odd generators;
-    delta = (wedge by sum alpha_k e_k) + (Koszul contraction by beta).
-    Computed directly by exterior-algebra combinatorics (independent of the
-    fold path, which must reproduce it bit-exactly).
-    """
-    alpha = [ring.constant(a) if not hasattr(a, "terms") else a for a in alpha]
-    beta = [ring.constant(b) if not hasattr(b, "terms") else b for b in beta]
+    delta = (wedge by sum alpha_k e_k) + (Koszul contraction by beta).  That
+    is the fold of the derived zero locus Z(beta) curved by sum alpha_k e_k,
+    written by the fold's closed form.  beta need not be quasihomogeneous:
+    no dg-scheme is built, so no R-weight is checked."""
+    alpha = [_coerce(ring, a, "alpha entry") for a in alpha]
+    beta = [_coerce(ring, b, "beta entry") for b in beta]
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
-    n = len(alpha)
-    odd_weights = _odd_weights(beta)
-    subsets = []
-    for k in range(n + 1):
-        subsets.extend(combinations(range(n), k))
-    even = [s for s in subsets if len(s) % 2 == 0]
-    odd = [s for s in subsets if len(s) % 2 == 1]
-    even_index = {s: i for i, s in enumerate(even)}
-    odd_index = {s: i for i, s in enumerate(odd)}
-
-    def apply_delta(s):
-        out = {}
-        # wedge by alpha: alpha_k e_k . e_S
-        for k in range(n):
-            if k in s or not alpha[k]:
-                continue
-            sign = 1 if sum(1 for x in s if x < k) % 2 == 0 else -1
-            key = tuple(sorted(s + (k,)))
-            out[key] = out.get(key, ring.zero) + sign * alpha[k]
-        # Koszul contraction by beta
-        for pos, k in enumerate(s):
-            if not beta[k]:
-                continue
-            sign = 1 if pos % 2 == 0 else -1
-            key = s[:pos] + s[pos + 1:]
-            out[key] = out.get(key, ring.zero) + sign * beta[k]
-        return out
-
-    zero = ring.zero
-    delta0 = [[zero] * len(even) for _ in range(len(odd))]
-    for j, s in enumerate(even):
-        for key, c in apply_delta(s).items():
-            delta0[odd_index[key]][j] = c
-    delta1 = [[zero] * len(odd) for _ in range(len(even))]
-    for j, s in enumerate(odd):
-        for key, c in apply_delta(s).items():
-            delta1[even_index[key]][j] = c
     potential = ring.zero
     for a, b in zip(alpha, beta):
         potential = potential + a * b
-    gen = lambda s: Generator("^".join(f"e{k}" for k in s) or "1",
-                              sum(odd_weights[k] for k in s))
-    p0 = [gen(s) for s in even]
-    p1 = [gen(s) for s in odd]
-    return MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
+    return _fold(ring, _odd_gens(beta), beta,
+                 {(k,): a for k, a in enumerate(alpha)}, potential)
 
 
 def _linear_forms(matrix, ring):
@@ -479,17 +465,31 @@ def koszul_reduce(scheme, f, steps):
         for s, c in f.coefficients.items() if killed.isdisjoint(s)})
 
 
+def _fold(ring, odd_gens, differential, f_terms, potential):
+    """The MF of delta = d + f on Wedge(odd_gens) over ``ring``, with
+    d(e_k) = differential[k] and f = sum_t f_terms[t] e_t (odd t): P0/P1 are
+    the even/odd exterior parts in (size, lex) order, and both deltas are
+    ``_exterior_matrix`` of the same contraction and wedge terms.
+    delta^2 = potential . id is certified when the MF is built."""
+    zero = ring.zero
+    contract = [_signed(c) for c in differential]
+    wedge = [(t, _signed(c)) for t, c in f_terms.items() if c]
+    even, odd = _subsets(len(odd_gens), 0), _subsets(len(odd_gens), 1)
+    gen = lambda s: Generator("^".join(odd_gens[k].name for k in s) or "1",
+                              sum(odd_gens[k].weight for k in s))
+    return MatrixFactorization(ring, [gen(s) for s in even], [gen(s) for s in odd],
+                               _exterior_matrix(even, odd, contract, wedge, zero),
+                               _exterior_matrix(odd, even, contract, wedge, zero),
+                               potential)
+
+
 def fold_to_mf(curved):
     """2-periodization of (O_X, delta): P0/P1 are the even/odd exterior parts
-    over the even coordinate ring, with the same (size, lex) subset order the
-    Koszul construction uses, so the two agree bit-exactly.
+    over the even coordinate ring.
 
     In closed form, delta(e_s) = sum_pos (-1)^pos d(b_{s[pos]}) e_{s - s[pos]}
-    + sum_{t disjoint from s} sign(t, s) f_t e_{t u s}.  No two terms share a
-    row: contraction targets have size |s| - 1 and differ for each removed
-    index; wedge targets have size >= |s| + 1 (every t is odd), and t -> t u s
-    is injective.  So each entry is one signed copy of a d(b_k) or an f_t,
-    written once; delta^2 = W . id is certified when the MF is built.
+    + sum_{t disjoint from s} sign(t, s) f_t e_{t u s}, so each entry is one
+    signed copy of a d(b_k) or an f_t (``_exterior_matrix``).
 
     Each d(b_k) and f_t is negated once, and its two signed copies are
     shared, immutable Poly objects written into every cell they fill; every
@@ -497,32 +497,8 @@ def fold_to_mf(curved):
     distinct entry objects, and every walk keyed by entry object (``verify``,
     the restrictions, ``write_mf``) works once per distinct entry."""
     scheme = curved.scheme
-    ring = scheme.ring
-    even = scheme.basis_subsets(parity=0)
-    odd = scheme.basis_subsets(parity=1)
-    even_index = {s: i for i, s in enumerate(even)}
-    odd_index = {s: i for i, s in enumerate(odd)}
-    zero = ring.zero
-    delta0 = [[zero] * len(even) for _ in range(len(odd))]
-    delta1 = [[zero] * len(odd) for _ in range(len(even))]
-    signed = lambda c: (c, -c)  # index 1 is the negated copy
-    d_signed = [signed(c) if c else None for c in scheme.differential]
-    f_terms = [(t, signed(c)) for t, c in curved.f_minus_1.coefficients.items()]
-    for delta, sources, rows in ((delta0, even, odd_index), (delta1, odd, even_index)):
-        for j, s in enumerate(sources):
-            for pos, k in enumerate(s):
-                c = d_signed[k]
-                if c:
-                    delta[rows[s[:pos] + s[pos + 1:]]][j] = c[pos % 2]
-            for t, c in f_terms:
-                sign = _merge_sign(t, s)
-                if sign is not None:
-                    delta[rows[tuple(sorted(t + s))]][j] = c[sign < 0]
-    namegen = lambda s: "^".join(scheme.odd_gens[k].name for k in s) or "1"
-    weight = lambda s: sum(scheme.odd_gens[k].weight for k in s)
-    p0 = [Generator(namegen(s), weight(s)) for s in even]
-    p1 = [Generator(namegen(s), weight(s)) for s in odd]
-    return MatrixFactorization(ring, p0, p1, delta0, delta1, curved.curvature)
+    return _fold(scheme.ring, scheme.odd_gens, scheme.differential,
+                 curved.f_minus_1.coefficients, curved.curvature)
 
 
 def mf_tensor(m, n):
@@ -569,8 +545,9 @@ def mf_tensor(m, n):
 
 
 def unit_mf(ring):
-    """Rank (1|0) matrix factorization of potential 0: the monoidal unit."""
-    return MatrixFactorization(ring, [Generator("1", 0)], [], [], [[]], ring.zero)
+    """Rank (1|0) matrix factorization of potential 0, the monoidal unit:
+    the Koszul factorization with n = 0."""
+    return koszul_mf(ring, [], [])
 
 
 # -- homotopy solving ------------------------------------------------------
@@ -703,26 +680,21 @@ def exp_multiplication_operator(scheme, h, parity_basis):
     """Matrix of multiplication by exp(h) on the chosen exterior-basis list.
 
     ``h`` must be even and nilpotent (it lives in the exterior factor), so the
-    series terminates exactly."""
-    ring = scheme.ring
-    index = {s: i for i, s in enumerate(parity_basis)}
-    cols = []
-    for s in parity_basis:
-        acc = total = SuperElement(scheme, {s: ring.one})
-        k = 1
-        while True:
-            acc = h * acc
-            if not acc:
-                break
-            acc = acc * Fraction(1, k)  # h^k e_s / k!
-            total = total + acc
-            k += 1
-        col = [ring.zero] * len(parity_basis)
-        for t, c in total.coefficients.items():
-            col[index[t]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(parity_basis))]
-            for i in range(len(parity_basis))]
+    series terminates exactly.  exp(h) = sum_t g_t e_t is summed once, and
+    e_s -> sum_t sign(t, s) g_t e_{t u s} is written by ``_exterior_matrix``
+    with no contraction."""
+    acc = total = scheme.scalar_element(scheme.ring.one)
+    k = 1
+    while True:
+        acc = h * acc
+        if not acc:
+            break
+        acc = acc * Fraction(1, k)  # h^k / k!
+        total = total + acc
+        k += 1
+    wedge = [(t, _signed(g)) for t, g in total.coefficients.items()]
+    return _exterior_matrix(parity_basis, parity_basis, [None] * scheme.n_odd,
+                            wedge, scheme.ring.zero)
 
 
 def gauge_intertwiner(scheme, f_a, f_b):

@@ -77,6 +77,9 @@ class GroupElement:
     @classmethod
     def diagonal(cls, ring, entries):
         field = ring.field
+        if len(entries) != ring.nvars:
+            raise ValueError(f"a diagonal element needs {ring.nvars} entries to act "
+                             f"on {ring!r}, got {len(entries)}")
         m = linalg.zeros(field, ring.nvars, ring.nvars)
         for i, e in enumerate(entries):
             m[i][i] = field.scalar(e)

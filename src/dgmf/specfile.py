@@ -466,6 +466,10 @@ def parse_scheme(text):
         raise SpecParseError(1, "missing odd generators in [scheme]")
     lineno, val = kv["odd"]
     odd = _parse_gen_list(lineno, val)
+    names = [g.name for g in odd]
+    repeated = next((n for k, n in enumerate(names) if n in names[:k]), None)
+    if repeated is not None:
+        raise SpecParseError(lineno, f"repeated odd generator {repeated}")
     images = []
     for g in odd:
         key = f"d({g.name})"
@@ -495,6 +499,9 @@ def _parse_super_element(scheme, lineno, text):
             raise SpecParseError(lineno, f"term {' '.join(part)!r} must look "
                                          f"like (poly)*b0^b1")
         coeff = _read_poly(scheme.ring, lineno, part[1:close], "coefficient")
+        if len(set(odd)) != len(odd):
+            raise SpecParseError(lineno, f"term {' '.join(part)!r} repeats an "
+                                         f"odd generator")
         try:
             subset = tuple(sorted(names[n] for n in odd))
         except KeyError as e:

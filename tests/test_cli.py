@@ -169,6 +169,27 @@ def test_fold_bad_scheme_exit_3(tmp_path):
     assert code in (2, 3)
 
 
+def test_fold_rejects_a_repeated_odd_generator_exit_2(tmp_path, capsys):
+    # this used to fold Wedge(b0, b0), with p0 = 1, b0^b0
+    text = FOLD.replace("odd = b0:2", "odd = b0:2, b0:2")
+    code, out = _run(tmp_path, "fold", text)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"line {text.splitlines().index('odd = b0:2, b0:2') + 1}:" in err
+    assert "repeated odd generator b0" in err
+
+
+def test_fold_rejects_a_term_that_repeats_an_odd_generator_exit_2(tmp_path, capsys):
+    # this used to exit 3, "curvature is not an even function"
+    text = FOLD.replace("odd = b0:2", "odd = b0:2, b1:2\nd(b1) = u0^2").replace(
+        "f = (-4*u0)*b0", "f = (-4*u0)*b0 + (1)*b0^b0^b1")
+    code, out = _run(tmp_path, "fold", text)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"line {len(text.splitlines())}:" in err and "repeats an odd generator" in err
+    assert _run(tmp_path, "fold", text.replace(" + (1)*b0^b0^b1", ""))[0] == 0
+
+
 def test_fundamental_emits_certificate(tmp_path):
     code, out = _run(tmp_path, "fundamental", SPIN)
     assert code == 0

@@ -78,18 +78,98 @@ def test_fold_matches_koszul_bit_exact():
                 p = p + rng.randint(-2, 2) * mono
             alpha.append(p if p else xs[i])
         beta = xs
-        km = koszul_mf(R, alpha, beta)
+        want = _reference_koszul_mf(R, alpha, beta)
         scheme = derived_zero_locus(R, beta)
         f = scheme.zero_element()
         for k in range(n):
-            coeff = {(): R.zero}
             f = f + alpha[k] * scheme.odd_coordinate(k)
-        fm = fold_to_mf(dgmf_from_homotopy(scheme, f))
-        assert km.p0_gens == fm.p0_gens
-        assert km.p1_gens == fm.p1_gens
-        assert km.delta0 == fm.delta0
-        assert km.delta1 == fm.delta1
-        assert km.potential == fm.potential
+        _assert_same_mf(koszul_mf(R, alpha, beta), want)
+        _assert_same_mf(fold_to_mf(dgmf_from_homotopy(scheme, f)), want)
+
+
+def _reference_koszul_mf(ring, alpha, beta):
+    """The Koszul factorization as koszul_mf used to build it, by exterior
+    combinatorics of its own with a Poly sum per cell, independent of the
+    fold.  Kept as the reference for koszul_mf and the fold."""
+    alpha = [ring.constant(a) if not hasattr(a, "terms") else a for a in alpha]
+    beta = [ring.constant(b) if not hasattr(b, "terms") else b for b in beta]
+    if len(alpha) != len(beta):
+        raise ValueError("alpha and beta must have the same length")
+    n = len(alpha)
+    odd_weights = [w if isinstance(w, int) else 1 for w, _ in (b.weight() for b in beta)]
+    subsets = []
+    for k in range(n + 1):
+        subsets.extend(combinations(range(n), k))
+    even = [s for s in subsets if len(s) % 2 == 0]
+    odd = [s for s in subsets if len(s) % 2 == 1]
+    even_index = {s: i for i, s in enumerate(even)}
+    odd_index = {s: i for i, s in enumerate(odd)}
+
+    def apply_delta(s):
+        out = {}
+        # wedge by alpha: alpha_k e_k . e_S
+        for k in range(n):
+            if k in s or not alpha[k]:
+                continue
+            sign = 1 if sum(1 for x in s if x < k) % 2 == 0 else -1
+            key = tuple(sorted(s + (k,)))
+            out[key] = out.get(key, ring.zero) + sign * alpha[k]
+        # Koszul contraction by beta
+        for pos, k in enumerate(s):
+            if not beta[k]:
+                continue
+            sign = 1 if pos % 2 == 0 else -1
+            key = s[:pos] + s[pos + 1:]
+            out[key] = out.get(key, ring.zero) + sign * beta[k]
+        return out
+
+    zero = ring.zero
+    delta0 = [[zero] * len(even) for _ in range(len(odd))]
+    for j, s in enumerate(even):
+        for key, c in apply_delta(s).items():
+            delta0[odd_index[key]][j] = c
+    delta1 = [[zero] * len(odd) for _ in range(len(even))]
+    for j, s in enumerate(odd):
+        for key, c in apply_delta(s).items():
+            delta1[even_index[key]][j] = c
+    potential = ring.zero
+    for a, b in zip(alpha, beta):
+        potential = potential + a * b
+    gen = lambda s: Generator("^".join(f"e{k}" for k in s) or "1",
+                              sum(odd_weights[k] for k in s))
+    p0 = [gen(s) for s in even]
+    p1 = [gen(s) for s in odd]
+    return factorizations.MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_koszul_mf_matches_the_reference_and_shares_entries(order):
+    """koszul_mf equals the reference on seeded {alpha, beta} over Q(zeta_N),
+    with zero alpha_k and beta_k, beta that is not quasihomogeneous, n = 0
+    (unit_mf) and scalar entries; its cells hold at most
+    2 (#nonzero alpha + #nonzero beta) + 1 distinct objects."""
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x", "y", "w"], [1, 1, 2])
+    x, y, w = ring.gens()
+    rng = random.Random(order)
+    cases = [([], []), ([x], [x]), ([x, 0], [x + x * x, y]), ([field.zeta, y], [x, w])]
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        cases.append(([_random_poly(rng, ring, density=0.7) for _ in range(n)],
+                      [_random_poly(rng, ring, density=0.7) for _ in range(n)]))
+    for alpha, beta in cases:
+        want = _reference_koszul_mf(ring, alpha, beta)
+        got = koszul_mf(ring, alpha, beta)
+        _assert_same_mf(got, want)
+        nonzero = sum(1 for c in alpha + beta if c)
+        assert len({id(c) for c in _cells(got)}) <= 2 * nonzero + 1
+    _assert_same_mf(unit_mf(ring), _reference_koszul_mf(ring, [], []))
+    assert (unit_mf(ring).delta0, unit_mf(ring).delta1) == ([], [[]])
+    with pytest.raises(ValueError, match="same length"):
+        koszul_mf(ring, [x, y], [x])
+    # the scheme Z(beta) checks R-weights; koszul_mf builds no scheme
+    with pytest.raises(ValueError, match="R-weight"):
+        derived_zero_locus(ring, [x + x * x, y])
 
 
 def _reference_fold(curved):
@@ -475,6 +555,70 @@ def test_gauge_intertwiner_trivial():
     f = x * scheme.odd_coordinate(0)
     h, E0, E1 = gauge_intertwiner(scheme, f, f)
     assert not h
+
+
+def _reference_exp_operator(scheme, h, parity_basis):
+    """exp(h) on the exterior basis as exp_multiplication_operator used to
+    build it: the series h^k e_s / k! summed once per basis vector e_s."""
+    ring = scheme.ring
+    index = {s: i for i, s in enumerate(parity_basis)}
+    cols = []
+    for s in parity_basis:
+        acc = total = factorizations.SuperElement(scheme, {s: ring.one})
+        k = 1
+        while True:
+            acc = h * acc
+            if not acc:
+                break
+            acc = acc * Fraction(1, k)  # h^k e_s / k!
+            total = total + acc
+            k += 1
+        col = [ring.zero] * len(parity_basis)
+        for t, c in total.coefficients.items():
+            col[index[t]] = c
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(parity_basis))]
+            for i in range(len(parity_basis))]
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_exp_operator_matches_the_per_basis_vector_series(order):
+    """E0 and E1 of exp(h) equal the reference on seeded even nilpotent h
+    (degree -2 and -4 terms, some of them zero) with up to five generators."""
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x", "y"], [1, 1])
+    rng = random.Random(order)
+    deep = 0
+    for n in range(6):
+        scheme = derived_zero_locus(ring, [ring.zero] * n)
+        h = scheme.element({s: _random_poly(rng, ring, density=0.6)
+                            for s in scheme.basis_subsets(parity=0) if s})
+        deep += bool(h * h)
+        for parity in (0, 1):
+            basis = scheme.basis_subsets(parity=parity)
+            got = factorizations.exp_multiplication_operator(scheme, h, basis)
+            assert got == _reference_exp_operator(scheme, h, basis)
+    assert deep
+
+
+def test_dg_scheme_rejects_a_polynomial_from_another_ring():
+    # t + 2x of Q[t, x] has the exponent tuples of x + 2t in Q[x, t]: read
+    # by position, koszul_steps pivoted on t with coefficient 2, not 1
+    R, S = PolyRing(F, ["x", "t"]), PolyRing(F, ["t", "x"])
+    foreign = S.gen("t") + 2 * S.gen("x")
+    own = R.gen("t") + 2 * R.gen("x")
+    with pytest.raises(ValueError, match="d\\(b0\\) from a different ring"):
+        factorizations.DgSchemePresentation(R, [("b0", 1)], [foreign])
+    with pytest.raises(ValueError, match="different ring"):
+        derived_zero_locus(R, [foreign])
+    with pytest.raises(ValueError, match="different ring"):
+        koszul_mf(R, [own], [foreign])
+    with pytest.raises(ValueError, match="different ring"):
+        koszul_mf(R, [foreign], [own])
+    scheme = factorizations.DgSchemePresentation(R, [("b0", 1)], [own])
+    with pytest.raises(ValueError, match="different ring"):
+        scheme.scalar_element(foreign)
+    assert factorizations.koszul_steps(scheme, 1) == [(1, 0, F.one)]
 
 
 def test_unit_mf_verifies_and_restricts():

@@ -82,3 +82,13 @@ def test_fixed_subspace():
     fixed = g.fixed_subspace()
     assert len(fixed) == 1
     assert fixed[0][0] == F.one and not fixed[0][1]
+
+
+def test_diagonal_rejects_a_wrong_number_of_entries():
+    # one entry used to raise "no multiplicative order", three an IndexError
+    F = CyclotomicField(4)
+    R = PolyRing(F, ["x", "y"], [1, 1])
+    for entries in ([F.zeta], [F.zeta, F.one, F.one]):
+        with pytest.raises(ValueError, match=f"needs 2 entries .* got {len(entries)}"):
+            GroupElement.diagonal(R, entries)
+    assert GroupElement.diagonal(R, [F.zeta, F.one]).order == 4
