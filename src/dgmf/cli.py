@@ -21,6 +21,7 @@ contractible point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -170,7 +171,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """Built once per process; each ``parse_args`` gives a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="dgmf",
         description="exact dg-matrix factorizations and the genus-0 pipeline")
@@ -189,8 +192,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except specfile.SpecParseError as e:

@@ -131,17 +131,13 @@ class DgSchemePresentation:
                 sign = 1 if pos % 2 == 0 else -1
                 contrib = sign * coeff * self.differential[k]
                 if contrib:
-                    cur = terms.get(rest, self.ring.zero)
-                    cur = cur + contrib
-                    if cur:
-                        terms[rest] = cur
-                    else:
-                        terms.pop(rest, None)
+                    terms[rest] = terms.get(rest, self.ring.zero) + contrib
         return SuperElement(self, terms)
 
 
 class SuperElement:
-    """An element of S(A_dual) (x) Wedge(B_dual): subset -> even coefficient."""
+    """An element of S(A_dual) (x) Wedge(B_dual): subset -> even coefficient.
+    Zero coefficients are dropped when the element is built."""
 
     __slots__ = ("scheme", "coefficients")
 
@@ -153,10 +149,8 @@ class SuperElement:
         return bool(self.coefficients)
 
     def __eq__(self, other):
-        return (isinstance(other, SuperElement) and other.scheme is self.scheme
-                and other.coefficients == self.coefficients) or (
-            isinstance(other, SuperElement) and other.scheme.ring == self.scheme.ring
-            and other.coefficients == self.coefficients)
+        return (isinstance(other, SuperElement) and other.scheme.ring == self.scheme.ring
+                and other.coefficients == self.coefficients)
 
     def degrees(self):
         return sorted({-len(s) for s in self.coefficients})
@@ -173,11 +167,7 @@ class SuperElement:
     def __add__(self, other):
         terms = dict(self.coefficients)
         for s, c in other.coefficients.items():
-            cur = terms.get(s, self.scheme.ring.zero) + c
-            if cur:
-                terms[s] = cur
-            else:
-                terms.pop(s, None)
+            terms[s] = terms.get(s, self.scheme.ring.zero) + c
         return SuperElement(self.scheme, terms)
 
     def __neg__(self):
@@ -196,12 +186,7 @@ class SuperElement:
                 if sign is None:
                     continue
                 key = tuple(sorted(s + t))
-                contrib = sign * c * e
-                cur = terms.get(key, self.scheme.ring.zero) + contrib
-                if cur:
-                    terms[key] = cur
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, self.scheme.ring.zero) + sign * c * e
         return SuperElement(self.scheme, terms)
 
     def __rmul__(self, other):
@@ -292,7 +277,7 @@ class MatrixFactorization:
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
         # delta0: P0 -> P1 (rows indexed by P1), delta1: P1 -> P0
-        coerce = lambda c: _coerce(ring, c, "matrix factorization entry")
+        coerce = linalg.per_object(lambda c: _coerce(ring, c, "matrix factorization entry"))
         self.delta0 = [[coerce(c) for c in row] for row in delta0]
         self.delta1 = [[coerce(c) for c in row] for row in delta1]
         self.potential = coerce(potential)
@@ -311,14 +296,22 @@ class MatrixFactorization:
         """Certify delta1 . delta0 = W . id and delta0 . delta1 = W . id
         exactly, without building either composite (``first_mismatch``).
         The first failing entry, row by row and delta1 . delta0 first, is
-        reported in a CertificateError."""
+        reported in a CertificateError.
+
+        A square MF with W != 0 checks delta1 . delta0 alone, as the other
+        composite follows.  Its ring (Q(zeta_N)[x...], the point base or
+        k[t]) is a domain, and over the fraction field det delta1 .
+        det delta0 = W^n != 0, so delta1 = W . delta0^-1 and
+        delta0 . delta1 = W . id."""
         if len(self.delta0) != self.rank1 or any(len(r) != self.rank0 for r in self.delta0):
             raise ValueError("delta0 has wrong shape")
         if len(self.delta1) != self.rank0 or any(len(r) != self.rank1 for r in self.delta1):
             raise ValueError("delta1 has wrong shape")
         zero = self.ring.zero
-        for a, b, n in ((self.delta1, self.delta0, self.rank0),
-                        (self.delta0, self.delta1, self.rank1)):
+        checks = [(self.delta1, self.delta0, self.rank0)]
+        if not self.potential or self.rank0 != self.rank1:
+            checks.append((self.delta0, self.delta1, self.rank1))
+        for a, b, n in checks:
             target = [[self.potential if i == j else zero for j in range(n)]
                       for i in range(n)]
             bad = linalg.first_mismatch([(a, b)], target, self.ring.field)
@@ -682,7 +675,10 @@ def exp_multiplication_operator(scheme, h, parity_basis):
     ``h`` must be even and nilpotent (it lives in the exterior factor), so the
     series terminates exactly.  exp(h) = sum_t g_t e_t is summed once, and
     e_s -> sum_t sign(t, s) g_t e_{t u s} is written by ``_exterior_matrix``
-    with no contraction."""
+    with no contraction.  A degree-0 or odd term of h is a ValueError."""
+    if any(not t or len(t) % 2 for t in h.coefficients):
+        raise ValueError("exp(h) needs an even nilpotent h: "
+                         "no degree-0 or odd exterior term")
     acc = total = scheme.scalar_element(scheme.ring.one)
     k = 1
     while True:

@@ -70,15 +70,15 @@ def mat_neg(a):
 
 def per_object(f):
     """f, computed once per distinct argument object and returned again for
-    that object.  Keyed by id, so the caller keeps every argument alive
-    while the returned function is in use."""
+    that object.  Keyed by id; each argument is kept alive with its image,
+    so an id is never reused for another argument."""
     images = {}
 
     def image(c):
         y = images.get(id(c))
         if y is None:
-            y = images[id(c)] = f(c)
-        return y
+            y = images[id(c)] = (c, f(c))
+        return y[1]
 
     return image
 

@@ -8,7 +8,7 @@ import pytest
 from dgmf import factorizations, linalg
 from dgmf.complexes import Generator
 from dgmf.poly import Poly, exponents_of_weight
-from dgmf.specfile import parse_spec, write_mf
+from dgmf.specfile import parse_mf, parse_spec, write_mf
 from dgmf import (
     CONTRACTIBLE,
     NONCONTRACTIBLE,
@@ -601,6 +601,20 @@ def test_exp_operator_matches_the_per_basis_vector_series(order):
     assert deep
 
 
+def test_exp_multiplication_operator_rejects_a_non_nilpotent_h():
+    # a degree-0 term makes the series infinite; an odd term is not even
+    R = _ring(2)
+    scheme = derived_zero_locus(R, [R.zero, R.zero])
+    e0, e1 = scheme.odd_coordinate(0), scheme.odd_coordinate(1)
+    basis = scheme.basis_subsets(0)
+    for h in (scheme.scalar_element(R.one), scheme.scalar_element(R.gen("x0")) + e0 * e1,
+              e0, e0 * e1 + e1):
+        with pytest.raises(ValueError, match="even nilpotent"):
+            factorizations.exp_multiplication_operator(scheme, h, basis)
+    assert factorizations.exp_multiplication_operator(scheme, e0 * e1, basis) \
+        == [[R.one, R.zero], [R.one, R.one]]
+
+
 def test_dg_scheme_rejects_a_polynomial_from_another_ring():
     # t + 2x of Q[t, x] has the exponent tuples of x + 2t in Q[x, t]: read
     # by position, koszul_steps pivoted on t with coefficient 2, not 1
@@ -967,6 +981,131 @@ def test_verify_rejects_a_perturbed_entry(seed):
         factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, delta0,
                                            delta1, mf.potential)
     assert str(info.value) == expected
+
+
+def _verify_error(mf):
+    """The message of MatrixFactorization.verify on mf's data, or None."""
+    try:
+        factorizations.MatrixFactorization.verify(mf)
+    except CertificateError as e:
+        return str(e)
+    return None
+
+
+def _perturbed(rng, mf):
+    """mf's data with one entry of delta0, delta1 or the potential changed."""
+    ring = mf.ring
+    delta0 = [list(row) for row in mf.delta0]
+    delta1 = [list(row) for row in mf.delta1]
+    potential = mf.potential
+    e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+    bump = Poly(ring, {e: _random_scalar(rng, ring.field)})
+    m = rng.choice([m for m in (delta0, delta1) if m and m[0]] + [None])
+    if m is None:
+        potential = potential + bump
+    else:
+        i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+        m[i][j] = m[i][j] + bump
+    return _uncertified(ring, delta0, delta1, potential)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_matches_the_two_product_reference(seed):
+    """verify's verdict and message equal the dense two-product reference on
+    fold, Koszul, parsed .mf and point-restricted MFs (W(p) != 0 and
+    W(p) = 0), exact and perturbed; a square MF with W != 0 checks one
+    composite, every other MF both."""
+    rng = random.Random(seed)
+    field = CyclotomicField(rng.choice([4, 7, 12]))
+    n = rng.choice([1, 2])
+    ring = PolyRing(field, [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)])
+    xs, ys = ring.gens()[:n], ring.gens()[n:]
+    koszul = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                       [y * y + _random_scalar(rng, field) * x for x, y in zip(xs, ys)])
+    fold = _a1_mf(rng.choice([2, 3, 4])).mf
+    parsed, _ = parse_mf(write_mf(fold))
+    generic = [_random_scalar(rng, field) for _ in range(2 * n)]
+    mfs = [koszul, fold, parsed, unit_mf(ring),
+           koszul_mf(ring, list(xs), [ring.zero] * n),
+           koszul.restrict_to_point(generic),
+           koszul.restrict_to_point([field.zero] * (2 * n)),
+           fold.restrict_to_point([fold.ring.field.scalar(k + 2)
+                                   for k in range(fold.ring.nvars)])]
+    assert mfs[5].potential and not mfs[6].potential
+    failures = 0
+    for mf in mfs:
+        assert _verify_error(mf) is None is _reference_composite_error(mf)
+        for _ in range(3):
+            wrong = _perturbed(rng, mf)
+            expected = _reference_composite_error(wrong)
+            assert _verify_error(wrong) == expected
+            failures += expected is not None
+    assert failures >= 12
+
+
+def test_verify_rejects_a_nilpotent_pair_when_w_is_zero():
+    # delta1 . delta0 = 0 = W . id, but delta0 . delta1 = [[0, 1], [0, 0]]
+    R = _ring(1)
+    gens = ([("e0", 0), ("e1", 0)], [("f0", 1), ("f1", 1)])
+    with pytest.raises(CertificateError) as info:
+        factorizations.MatrixFactorization(R, *gens, [[1, 0], [0, 0]],
+                                           [[0, 1], [0, 0]], 0)
+    assert str(info.value) == "delta^2 != W . id at entry (0,1): 1 vs 0"
+
+
+def test_verify_rejects_a_non_square_mf_with_one_composite_equal_to_w():
+    # delta1 . delta0 = x^2 = W, but delta0 . delta1 = [[x^2, 0], [0, 0]]
+    R = _ring(1)
+    x = R.gen("x0")
+    gens = ([("e", 0)], [("f0", 1), ("f1", 1)])
+    data = _uncertified(R, [[x], [R.zero]], [[x, R.zero]], x * x)
+    expected = _reference_composite_error(data)
+    assert expected.startswith("delta^2 != W . id at entry (1,1): 0 vs ")
+    with pytest.raises(CertificateError) as info:
+        factorizations.MatrixFactorization(R, *gens, data.delta0, data.delta1, x * x)
+    assert str(info.value) == expected
+
+
+def test_verify_checks_one_composite_for_a_square_mf_with_nonzero_w(monkeypatch):
+    R = _ring(2)
+    x, y = R.gens()
+    calls = []
+    first_mismatch = linalg.first_mismatch
+
+    def counting(*args):
+        calls.append(args)
+        return first_mismatch(*args)
+
+    monkeypatch.setattr(linalg, "first_mismatch", counting)
+    for mf, want in ((koszul_mf(R, [x, y], [y, x * x]), 1),
+                     (_a1_mf(3).mf, 1),
+                     (koszul_mf(R, [x, y], [R.zero, R.zero]), 2),
+                     (unit_mf(R), 2),
+                     (factorizations.MatrixFactorization(
+                         R, [("e", 0)], [("f0", 1), ("f1", 1)],
+                         [[R.zero], [R.zero]], [[x, y]], R.zero), 2)):
+        calls.clear()
+        assert mf.verify()
+        assert len(calls) == want
+
+
+def test_matrix_factorization_coerces_each_entry_object_once(monkeypatch):
+    R = _ring(1)
+    one, zero = Fraction(1), Fraction(0)
+    coerced = []
+    coerce = factorizations._coerce
+
+    def counting(ring, c, what):
+        coerced.append(c)
+        return coerce(ring, c, what)
+
+    monkeypatch.setattr(factorizations, "_coerce", counting)
+    gens = ([("e0", 0), ("e1", 0)], [("f0", 1), ("f1", 1)])
+    mf = factorizations.MatrixFactorization(R, *gens, [[one, zero], [zero, one]],
+                                            [[one, zero], [zero, one]], one)
+    assert len(coerced) == 2 and mf.potential == R.one
+    assert len({id(c) for m in (mf.delta0, mf.delta1) for row in m for c in row}) == 2
+    assert mf.delta0[0][0] is mf.delta1[1][1] is mf.potential
 
 
 def test_restrict_to_point_matches_evaluate():
