@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 parse error, 3 precondition violation,
 
 Commands raise, and ``main`` alone maps exceptions to exit codes:
 SpecParseError -> 2; CertificateError -> 4; any other ValueError (a failed
-precondition, such as inconsistent spin data) or a missing input file -> 3;
+precondition, e.g. inconsistent spin data) or an unopenable path (OSError) -> 3;
 CliFailure -> its own code, which ``check`` and ``glue`` use for verdicts.
 Malformed spec values, such as a degree ``d <= 0`` or a ``divisor`` line
 whose fifth word is not ``mult`` or whose multiplicity is not a positive
@@ -201,7 +201,7 @@ def main(argv=None):
     except CertificateError as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CliFailure as e:

@@ -281,7 +281,6 @@ class MatrixFactorization:
         self.delta0 = [[coerce(c) for c in row] for row in delta0]
         self.delta1 = [[coerce(c) for c in row] for row in delta1]
         self.potential = coerce(potential)
-        self.metadata = {}
         self.verify()
 
     @property

@@ -19,9 +19,9 @@ from . import linalg
 from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
                         homology_ranks, induced_homology_map_rank)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
-                             DgSchemePresentation, SuperElement, dgmf_from_homotopy,
+                             CurvedStructure, DgSchemePresentation, dgmf_from_homotopy,
                              fold_to_mf, koszul_reduce, koszul_steps, point_homology,
-                             unit_mf, _linear_forms, _solve_d_preimage)
+                             _linear_forms, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import PolyRing, substituter
 from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
@@ -264,34 +264,39 @@ def _component_section_basis(spec, comp):
     return out
 
 
+def _node_matching(spec, basis, value):
+    """The node-matching map on the sections ``basis`` of (component,
+    V-coordinate, section), one row per node and V-coordinate j:
+    r2_j s(q2) - lambda^{w_j} r1_j s(q1), with s(q) = value(s, q)."""
+    field, lam = spec.field, spec.J_sqrt_lambda
+    if spec.nodes and lam is None:
+        raise SpinDataError("nodal curve requires J_sqrt (lambda with lambda^d = -1)")
+    rows = []
+    for node in spec.nodes:
+        (c1, q1, r1) = node.branch1
+        (c2, q2, r2) = node.branch2
+        for j in range(spec.vring.nvars):
+            tw = lam ** spec.vring.weights[j]
+            row = []
+            for (comp, var, s) in basis:
+                if var != j:
+                    row.append(field.zero)
+                elif comp == c1:
+                    row.append(-tw * r1[j] * value(s, q1))
+                elif comp == c2:
+                    row.append(r2[j] * value(s, q2))
+                else:
+                    row.append(field.zero)
+            rows.append(row)
+    return rows
+
+
 def two_term_realization(spec):
     field = spec.field
     raw = []
     for comp in spec.components:
         raw.extend(_component_section_basis(spec, comp))
-    # node-matching map: for each node and each V-coordinate,
-    # r2_j s_j(q2) - lambda^{w_j} r1_j s_j(q1) = 0
-    rows = []
-    lam = spec.J_sqrt_lambda
-    for node in spec.nodes:
-        (c1, q1, r1) = node.branch1
-        (c2, q2, r2) = node.branch2
-        if lam is None:
-            raise SpinDataError("nodal curve requires J_sqrt (lambda with "
-                                "lambda^d = -1)")
-        for j in range(spec.vring.nvars):
-            tw = lam ** spec.vring.weights[j]
-            row = []
-            for (comp, var, fn) in raw:
-                if var != j:
-                    row.append(field.zero)
-                elif comp == c1:
-                    row.append(-tw * r1[j] * fn.evaluate(q1))
-                elif comp == c2:
-                    row.append(r2[j] * fn.evaluate(q2))
-                else:
-                    row.append(field.zero)
-            rows.append(row)
+    rows = _node_matching(spec, raw, lambda fn, q: fn.evaluate(q))
     if rows:
         if linalg.rank(rows, field) < len(rows):
             raise SpinDataError("divisor not ample enough: node-matching map "
@@ -348,24 +353,7 @@ def cech_oracle(spec):
         for j, a in enumerate(spec.bundle_degrees[comp]):
             for p in range(a + 1):
                 basis.append((comp, j, p))
-    rows = []
-    lam = spec.J_sqrt_lambda
-    for node in spec.nodes:
-        (c1, q1, r1) = node.branch1
-        (c2, q2, r2) = node.branch2
-        for j in range(spec.vring.nvars):
-            tw = lam ** spec.vring.weights[j]
-            row = []
-            for (comp, var, p) in basis:
-                if var != j:
-                    row.append(field.zero)
-                elif comp == c1:
-                    row.append(-tw * r1[j] * q1 ** p)
-                elif comp == c2:
-                    row.append(r2[j] * q2 ** p)
-                else:
-                    row.append(field.zero)
-            rows.append(row)
+    rows = _node_matching(spec, basis, lambda p, q: q ** p)
     r = linalg.rank(rows, field)
     h0 = len(basis) - r
     chi = sum(a + 1 for comp in spec.components for a in spec.bundle_degrees[comp])
@@ -414,26 +402,41 @@ def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
 
 
 class PipelineResult:
-    def __init__(self, spec, model, obstruction, f_minus_1, mf, scheme_out,
-                 f_out, sector_names, extra_names, change_matrix):
+    """The curved dg-scheme ``scheme_out``, curving -``f_out``, curvature
+    ``potential``; its folds ``mf`` and ``sector_mf`` are built on first read."""
+
+    def __init__(self, spec, model, scheme_out, f_out, potential, sector_names,
+                 extra_names, change_matrix, narrow_concentrated):
         self.spec = spec
         self.model = model
-        self.obstruction = obstruction
-        self.f_minus_1 = f_minus_1  # in u coordinates
-        self.mf = mf
         self.scheme_out = scheme_out  # presentation over the output ring
         self.f_out = f_out            # f_{-1} in output coordinates
+        self.potential = potential
         self.sector_names = sector_names
         self.extra_names = extra_names
         self.change_matrix = change_matrix  # y = M u
+        self.narrow_concentrated = narrow_concentrated
+
+    @cached_property
+    def mf(self):
+        return fold_to_mf(CurvedStructure(self.scheme_out, -self.f_out, self.potential))
+
+    def pulled_back(self, images, target):
+        """The curved dg-scheme with ``images[v]`` put for coordinate v."""
+        sub = substituter(self.scheme_out.ring, images, target)
+        scheme = DgSchemePresentation(target, self.scheme_out.odd_gens,
+                                      [sub(p) for p in self.scheme_out.differential])
+        return dgmf_from_homotopy(scheme, -scheme.element(
+            {t: sub(c) for t, c in self.f_out.coefficients.items()}))
 
     def certificate(self):
         h0, h1 = self.model.homology()
+        n = self.scheme_out.n_odd  # folds to rank 2^(n-1) | 2^(n-1), or 1 | 0
         return {
             "field_order": self.spec.field.order,
             "two_term_homology": {"h0": h0, "h1": h1},
-            "rank": [self.mf.rank0, self.mf.rank1],
-            "potential": str(self.mf.potential),
+            "rank": [2 ** (n - 1)] * 2 if n else [1, 0],
+            "potential": str(self.potential),
             "sector_variables": list(self.sector_names),
             "auxiliary_variables": list(self.extra_names),
             "sign_convention": SIGN_CONVENTION,
@@ -447,8 +450,6 @@ class PipelineResult:
         (a nonzero section of V that vanishes at the broad markings) stays in
         its ring: every section of a summand L_j with no broad marking, as in
         ``x^2 + y^2`` with both markings ``gamma diag(1, -1)``."""
-        if self.scheme_out is None:
-            return [], self.mf
         steps = koszul_steps(self.scheme_out, len(self.sector_names))
         scheme, f = koszul_reduce(self.scheme_out, self.f_out, steps)
         curved = dgmf_from_homotopy(scheme, -f)
@@ -488,60 +489,58 @@ class PipelineResult:
 
 
 def fundamental_mf(spec, pivot_order=None):
-    """The fundamental MF of ``spec``.  Its ring has one layout, addressed by
-    position everywhere: generator k < n_sect = len(spec.sectors()) is the
-    sector coordinate of ``spec.sectors()[k]``, and generator n_sect + m is
-    the auxiliary coordinate t{m+1}, dual to the unit A-basis vector of the
-    m-th non-pivot column of Z."""
+    """The curved dg-scheme of ``spec``, whose fold is the fundamental MF.
+    Its ring has one layout, addressed by position everywhere: generator
+    k < n_sect = len(spec.sectors()) is the sector coordinate of
+    ``spec.sectors()[k]``, and generator n_sect + m is the auxiliary
+    coordinate t{m+1}, dual to the unit A-basis vector of the m-th non-pivot
+    column of Z."""
     model = two_term_realization(spec)
     obstruction = build_obstruction(spec, model)
     f = solve_f_minus_one(spec, model, obstruction, pivot_order=pivot_order)
     field = spec.field
     sring = spec.sector_ring()
-    if not model.z_matrix and model.homology() == (0, 0):
+    narrow = not model.z_matrix and model.homology() == (0, 0)
+    if narrow:
         # narrow concentrated case: [A -> B] acyclic, pushforward is the unit
-        mf = unit_mf(sring)
-        mf.metadata["narrow_concentrated"] = True
-        return PipelineResult(spec, model, obstruction, f, mf, None, None,
-                              list(sring.names), [], None)
-    # choose coordinates: sector rows of Z first, then the unit vectors e_k
-    # for the k that are not the last nonzero index of any vector in row(Z);
-    # those last indices are the pivots of Z's right-to-left echelon form
-    # (Z is surjective, as two_term_realization checked)
-    _, pivots = linalg.rref(model.z_matrix, field,
-                            col_order=range(model.dim_a - 1, -1, -1))
-    pivot_cols = {j for _, j in pivots}
-    extra_indices = [k for k in range(model.dim_a) if k not in pivot_cols]
-    units = linalg.identity(field, model.dim_a)
-    m_rows = [list(row) for row in model.z_matrix] + [units[k] for k in extra_indices]
-    m_inv = linalg.invert(m_rows, field)
-    sector_names = list(sring.names)
-    extra_names = [f"t{i + 1}" for i in range(len(extra_indices))]
-    for (_i, j), name in zip(spec.sectors(), sector_names):
-        if name in extra_names:
-            raise SpinDataError(
-                f"the sector coordinate {name} of V-variable "
-                f"{spec.vring.names[j]!r} clashes with an auxiliary coordinate: "
-                f"auxiliary coordinates are named t1, t2, ...; rename the variable")
-    weights = list(sring.weights) + [model.a_weights[k] for k in extra_indices]
-    out_ring = PolyRing(field, sector_names + extra_names, weights)
-    # u_k = sum_i (M^{-1})[k][i] y_i
-    u_images = _linear_forms(m_inv, out_ring)
-    to_out = substituter(obstruction.u_ring, u_images, out_ring)
-    images_out = [to_out(img) for img in obstruction.scheme.differential]
-    scheme_out = DgSchemePresentation(out_ring, obstruction.scheme.odd_gens,
-                                      images_out)
-    f_out = SuperElement(scheme_out, {s: to_out(c)
-                                      for s, c in f.coefficients.items()})
-    curved = dgmf_from_homotopy(scheme_out, -f_out)
-    # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i
-    if curved.curvature != spec.sector_potential(out_ring):
+        scheme_out = DgSchemePresentation(sring, [], [])
+        f_out, extra_names, m_rows = scheme_out.zero_element(), [], []
+    else:
+        # choose coordinates: sector rows of Z first, then the unit vectors
+        # e_k for the k that are not the last nonzero index of any vector in
+        # row(Z); those last indices are the pivots of Z's right-to-left
+        # echelon form (Z is surjective, as two_term_realization checked)
+        _, pivots = linalg.rref(model.z_matrix, field,
+                                col_order=range(model.dim_a - 1, -1, -1))
+        pivot_cols = {j for _, j in pivots}
+        extra_indices = [k for k in range(model.dim_a) if k not in pivot_cols]
+        units = linalg.identity(field, model.dim_a)
+        m_rows = [list(row) for row in model.z_matrix] + [units[k] for k in extra_indices]
+        extra_names = [f"t{i + 1}" for i in range(len(extra_indices))]
+        for (_i, j), name in zip(spec.sectors(), sring.names):
+            if name in extra_names:
+                raise SpinDataError(
+                    f"the sector coordinate {name} of V-variable "
+                    f"{spec.vring.names[j]!r} clashes with an auxiliary coordinate: "
+                    f"auxiliary coordinates are named t1, t2, ...; rename the variable")
+        weights = list(sring.weights) + [model.a_weights[k] for k in extra_indices]
+        out_ring = PolyRing(field, list(sring.names) + extra_names, weights)
+        # u_k = sum_i (M^{-1})[k][i] y_i
+        to_out = substituter(obstruction.u_ring,
+                             _linear_forms(linalg.invert(m_rows, field), out_ring),
+                             out_ring)
+        scheme_out = DgSchemePresentation(
+            out_ring, obstruction.scheme.odd_gens,
+            [to_out(img) for img in obstruction.scheme.differential])
+        f_out = scheme_out.element({s: to_out(c) for s, c in f.coefficients.items()})
+    # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i;
+    # this is the delta^2 = W . id certificate of every fold
+    potential = dgmf_from_homotopy(scheme_out, -f_out).curvature
+    if potential != spec.sector_potential(scheme_out.ring):
         raise SpinDataError("curvature does not equal the sector potential; "
                             "spin data is inconsistent")
-    mf = fold_to_mf(curved)
-    mf.metadata["projection"] = {"sector": sector_names, "auxiliary": extra_names}
-    return PipelineResult(spec, model, obstruction, f, mf, scheme_out, f_out,
-                          sector_names, extra_names, m_rows)
+    return PipelineResult(spec, model, scheme_out, f_out, potential, list(sring.names),
+                          extra_names, m_rows, narrow)
 
 
 # -- equivariance ----------------------------------------------------------
@@ -564,7 +563,7 @@ def check_equivariance(spec, result, elements=None):
     are dual to the unit A-basis vectors of the auxiliary rows of
     ``change_matrix``, of the V-coordinate ``model.a_coords`` records.  Only
     a non-diagonal element is skipped."""
-    if result.scheme_out is None:
+    if result.narrow_concentrated:
         return {"trivial": True, "elements": []}
     elements = elements if elements is not None else [spec.J] + spec.group_generators
     one, model, sectors = spec.field.one, result.model, spec.sectors()
@@ -594,23 +593,24 @@ def check_equivariance(spec, result, elements=None):
 def rigidification_transport_check(spec, result, marking_index, eps):
     """Re-run the pipeline with the rigidification at one marking changed by a
     centralizer element; the output must be the coordinate transport of the
-    original, bit-exactly.  Returns True/False."""
+    original, bit-exactly.  Returns True/False.  The curved dg-schemes are
+    compared; the fold is a fixed, injective index map in which every nonzero
+    d(b_k) and f_t fills a cell, so that is the comparison of the folds."""
+    if not 0 <= marking_index < len(spec.markings):
+        raise SpinDataError(f"marking index {marking_index} is not one of the "
+                            f"{len(spec.markings)} markings")
     if not eps.is_diagonal():
         raise SpinDataError("centralizer transport implemented for diagonal "
                             "elements")
-    gamma = spec.markings[marking_index].gamma
-    wit = eps.commutator_witness(gamma)
+    m = spec.markings[marking_index]
+    wit = eps.commutator_witness(m.gamma)
     if wit is not None:
         raise SpinDataError(f"element does not centralize gamma: commutator "
                             f"witness {wit}")
     diag = eps.diagonal_entries()
-    new_markings = []
-    for i, m in enumerate(spec.markings):
-        if i == marking_index:
-            new_rig = [diag[j] * m.rig[j] for j in range(len(m.rig))]
-            new_markings.append(Marking(m.component, m.point, m.gamma, new_rig))
-        else:
-            new_markings.append(m)
+    new_markings = list(spec.markings)
+    new_markings[marking_index] = Marking(m.component, m.point, m.gamma,
+                                          [diag[j] * r for j, r in enumerate(m.rig)])
     spec2 = SpinCurveSpec(spec.field, spec.vring, spec.W, spec.degree_d,
                           spec.group_generators, spec.J, spec.components,
                           spec.bundle_degrees, new_markings, spec.nodes,
@@ -618,15 +618,14 @@ def rigidification_transport_check(spec, result, marking_index, eps):
     result2 = fundamental_mf(spec2)
     # transported original: substitute the changed marking's sector
     # coordinates x -> eps^{-1} x
-    ring = result.mf.ring
+    ring, new = result.scheme_out.ring, result2.scheme_out
     images = ring.gens()
     for k, (i, j) in enumerate(spec.sectors()):
         if i == marking_index:
             images[k] = diag[j].inverse() * images[k]
-    sub = substituter(ring, images, ring)
-    return (linalg.entrywise(sub, result.mf.delta0, result.mf.delta1)
-            == [result2.mf.delta0, result2.mf.delta1]
-            and sub(result.mf.potential) == result2.mf.potential)
+    moved = result.pulled_back(images, ring)
+    return (moved.scheme.odd_gens, moved.scheme.differential, moved.f_minus_1) == (
+        new.odd_gens, new.differential, -result2.f_out)
 
 
 # -- log forms and residues ------------------------------------------------
@@ -841,8 +840,9 @@ def _omega_to_rj_map(logmodel, omega_cx, rj_cx):
 
 def twisted_diagonal_glue(disconnected, glued):
     """Cartesian-square certificate for gluing two marked points into a node,
-    plus the pullback of the disconnected fundamental MF along the twisted
-    diagonal.  Returns a report dict; raises SpinDataError on bad input."""
+    plus the pullback of the disconnected curved dg-scheme along the twisted
+    diagonal, a CurvedStructure.  Returns a report dict; raises SpinDataError
+    on bad input."""
     field = disconnected.field
     lam = glued.J_sqrt_lambda
     if lam is None:
@@ -895,9 +895,9 @@ def twisted_diagonal_glue(disconnected, glued):
         fiber = linalg.mat_mul(fiber, kernel, field)
     # span(glued A) must equal the fiber product
     cartesian, witness = _same_span(model_glued.embed, fiber, field)
-    # pull back the disconnected fundamental MF along the twisted diagonal:
+    # pull back the disconnected curved dg-scheme along the twisted diagonal:
     # output coordinate k is sectors[k] for k < len(sectors), then auxiliary
-    ring_disc = result_disc.mf.ring
+    ring_disc = result_disc.scheme_out.ring
     kept = [k for k in range(ring_disc.nvars) if k not in rows1 and k not in rows2]
     target_ring = PolyRing(field,
                            [f"{disconnected.vring.names[j]}n" for j in broad]
@@ -910,8 +910,7 @@ def twisted_diagonal_glue(disconnected, glued):
         images[k1], images[k2] = y, tw * y
     for y, k in zip(gens[len(broad):], kept):
         images[k] = y
-    pulled = result_disc.mf._mapped(target_ring,
-                                    substituter(ring_disc, images, target_ring))
+    pulled = result_disc.pulled_back(images, target_ring)
     # the glued potential, embedded into the same ring: each glued sector is
     # matched by component and point to a disconnected one
     position = {sector: k for k, sector in enumerate(sectors)}
@@ -926,12 +925,12 @@ def twisted_diagonal_glue(disconnected, glued):
     glued_sring = glued.sector_ring()
     glued_pot_embedded = substituter(glued_sring, emb_images, target_ring)(
         glued.sector_potential(glued_sring))
-    potentials_match = (pulled.potential == glued_pot_embedded)
+    potentials_match = (pulled.curvature == glued_pot_embedded)
     return {
         "cartesian": cartesian,
         "counterexample": witness,
-        "pulled_back_mf": pulled,
-        "pulled_back_potential": pulled.potential,
+        "pulled_back_scheme": pulled,
+        "pulled_back_potential": pulled.curvature,
         "glued_potential": glued_pot_embedded,
         "potentials_match": potentials_match,
     }

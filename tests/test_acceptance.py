@@ -299,7 +299,7 @@ def test_criterion_6_fundamental_mf():
     support is exactly the origin."""
     start = time.monotonic()
     rn = fundamental_mf(_spec(NARROW))
-    assert rn.mf.metadata.get("narrow_concentrated") is True
+    assert rn.narrow_concentrated is True
     assert (rn.mf.rank0, rn.mf.rank1) == (1, 0)
     rb = fundamental_mf(_spec(BROAD))
     ring = rb.mf.ring

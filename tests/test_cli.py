@@ -226,6 +226,19 @@ def test_glue_missing_flag_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+@pytest.mark.parametrize("flag", ["--input", "--glued", "--output"])
+def test_a_path_that_cannot_be_opened_exits_3(tmp_path, capsys, flag, kind):
+    """Any OSError from opening the input, --glued or output path is a
+    precondition violation, not a traceback."""
+    paths = {"--input": _write(tmp_path, "disc.spec", DISCONNECTED),
+             "--glued": _write(tmp_path, "glued.spec", GLUED),
+             "--output": str(tmp_path / "out.json")}
+    paths[flag] = str(tmp_path if kind == "directory" else tmp_path / "missing" / "x")
+    assert main(["glue"] + [word for pair in paths.items() for word in pair]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_support(tmp_path):
     _code, out = _run(tmp_path, "fundamental", SPIN)
     code, rep = _run(tmp_path, "support", out, "--points", "5", "--seed", "1")

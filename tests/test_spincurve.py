@@ -27,10 +27,11 @@ from dgmf import (
     cech_oracle,
     UPoly,
 )
-from dgmf import linalg
+from dgmf import linalg, spincurve
 from dgmf.poly import PolyRing, substituter
-from dgmf.specfile import parse_spec
-from dgmf.factorizations import dgmf_from_homotopy, fold_to_mf, koszul_reduce, koszul_steps
+from dgmf.specfile import parse_spec, write_mf
+from dgmf.factorizations import (dgmf_from_homotopy, fold_to_mf, koszul_reduce,
+                                 koszul_steps, unit_mf)
 
 BROAD = """[field]
 order = 4
@@ -195,16 +196,21 @@ def test_certificate_shape():
 
 def test_narrow_concentrated_gives_unit():
     r = fundamental_mf(_spec(NARROW))
-    assert r.mf.metadata.get("narrow_concentrated") is True
+    assert r.narrow_concentrated is True
+    # the empty scheme over the sector ring, whose fold is the unit MF
+    assert r.scheme_out.n_odd == 0 and not r.f_out
+    unit = unit_mf(r.spec.sector_ring())
+    assert r.mf == unit and write_mf(r.mf) == write_mf(unit)
     assert (r.mf.rank0, r.mf.rank1) == (1, 0)
     assert not r.mf.potential
+    assert r.sector_mf == unit and r.sector_steps == []
 
 
 def test_narrow_general_zero_potential():
     r = fundamental_mf(_spec(NARROW.replace("bundle c0 = -1",
                                             "bundle c0 = 0")))
     assert not r.mf.potential
-    assert r.mf.metadata["projection"]["sector"] == []
+    assert r.sector_names == [] and not r.narrow_concentrated
 
 
 def test_missing_bundle_degrees_rejected():
@@ -511,6 +517,135 @@ def test_rigidification_transport():
     assert rigidification_transport_check(spec, r, 1, eps)
 
 
+def _recording(monkeypatch, rerun=lambda result: result):
+    """Make the pipeline's own calls of fundamental_mf (the transport
+    check's re-run, the glue's disconnected result) go through ``rerun``, and
+    return the list of the results they got."""
+    made = []
+
+    def recording(spec, pivot_order=None):
+        made.append(rerun(fundamental_mf(spec, pivot_order)))
+        return made[-1]
+
+    monkeypatch.setattr(spincurve, "fundamental_mf", recording)
+    return made
+
+
+def test_the_pipeline_readers_build_no_unreduced_fold(monkeypatch):
+    made = _recording(monkeypatch)
+    spec = _spec(BROAD.replace("mult 1", "mult 3"))
+    r = fundamental_mf(spec)
+    F = spec.field
+    r.certificate()
+    check_equivariance(spec, r)
+    assert rigidification_transport_check(spec, r, 1, GroupElement.diagonal(spec.vring, [-F.one]))
+    assert r.fiber_data([F.zero, F.zero]) == (1, 1, "noncontractible")
+    assert twisted_diagonal_glue(_spec(DISCONNECTED), _spec(GLUED))["potentials_match"]
+    assert len(made) == 2
+    assert all("mf" not in vars(result) for result in [r] + made)
+    # the fold is built on first read, and kept
+    mf = r.mf
+    assert "mf" in vars(r) and r.mf is mf and (mf.rank0, mf.rank1) == (4, 4)
+
+
+CERTIFIED = {
+    "a1-m1": BROAD,
+    "a1-m3": BROAD.replace("mult 1", "mult 3"),
+    "a1-m6": BROAD.replace("mult 1", "mult 6"),
+    "a1-off-m2": ONE_AUXILIARY["a1-off-m2"],
+    "xy": XY,
+    "a2-zeta12": A2_ZETA12,
+    "dihedral": DIHEDRAL,
+    "kept": KEPT,
+    "narrow": NARROW,
+    "narrow-general": NARROW.replace("bundle c0 = -1", "bundle c0 = 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_certificate_equals_its_value_from_the_fold(name):
+    r = fundamental_mf(_spec(CERTIFIED[name]))
+    cert = r.certificate()
+    assert "mf" not in vars(r)
+    assert cert == dict(cert, rank=[r.mf.rank0, r.mf.rank1], potential=str(r.mf.potential))
+
+
+def _mf_transport(spec, result, rerun, marking_index, eps):
+    """The reference: the folded MF of ``result``, transported, against the
+    folded MF of the re-run."""
+    diag = eps.diagonal_entries()
+    ring = result.mf.ring
+    images = ring.gens()
+    for k, (i, j) in enumerate(spec.sectors()):
+        if i == marking_index:
+            images[k] = diag[j].inverse() * images[k]
+    sub = substituter(ring, images, ring)
+    return (linalg.entrywise(sub, result.mf.delta0, result.mf.delta1)
+            == [rerun.mf.delta0, rerun.mf.delta1]
+            and sub(result.mf.potential) == rerun.mf.potential)
+
+
+@pytest.mark.parametrize("name", ["a1-m1", "a1-m3", "xy", "a2-zeta12", "dihedral", "narrow"])
+def test_transport_check_matches_the_mf_comparison(monkeypatch, name):
+    spec = _spec(CERTIFIED[name])
+    r = fundamental_mf(spec)
+    made = _recording(monkeypatch)
+    F = spec.field
+    verdicts = []
+    for eps in ([-F.one] * spec.vring.nvars, [F.zeta_power(k + 1) for k in range(spec.vring.nvars)]):
+        eps = GroupElement.diagonal(spec.vring, eps)
+        for i in range(len(spec.markings)):
+            try:
+                got = rigidification_transport_check(spec, r, i, eps)
+            except SpinDataError:
+                continue  # the re-run's spin data are inconsistent
+            assert got == _mf_transport(spec, r, made[-1], i, eps)
+            verdicts.append(got)
+    # x -> -x fixes x^2 but not x^3
+    assert verdicts and all(verdicts) == (name != "a2-zeta12")
+
+
+def _perturbed(k, what):
+    """The re-run with d(b_k), or the coefficient f_{(k,)} of the curving,
+    doubled, and its curvature computed again."""
+    def rerun(result):
+        old = result.scheme_out
+        images = list(old.differential)
+        coefficients = dict(result.f_out.coefficients)
+        if what == "d":
+            images[k] = 2 * images[k]
+        else:
+            coefficients[(k,)] = 2 * coefficients[(k,)]
+        result.scheme_out = DgSchemePresentation(old.ring, old.odd_gens, images)
+        result.f_out = result.scheme_out.element(coefficients)
+        result.potential = dgmf_from_homotopy(result.scheme_out, -result.f_out).curvature
+        return result
+    return rerun
+
+
+@pytest.mark.parametrize("what", ["d", "f"])
+def test_transport_check_rejects_a_rerun_with_one_perturbed_term(monkeypatch, what):
+    spec = _spec(BROAD.replace("mult 1", "mult 3"))
+    r = fundamental_mf(spec)
+    eps = GroupElement.diagonal(spec.vring, [-spec.field.one])
+    assert rigidification_transport_check(spec, r, 0, eps)
+    perturbed = [k for k in range(r.scheme_out.n_odd)
+                 if (r.scheme_out.differential[k] if what == "d" else (k,) in r.f_out.coefficients)]
+    assert len(perturbed) >= 2
+    for k in perturbed:
+        made = _recording(monkeypatch, _perturbed(k, what))
+        assert not rigidification_transport_check(spec, r, 0, eps)
+        assert not _mf_transport(spec, r, made[-1], 0, eps)
+
+
+@pytest.mark.parametrize("index", [-1, -2, 2, 5])
+def test_transport_check_rejects_a_marking_index_outside_the_markings(index):
+    spec = _spec(BROAD)
+    eps = GroupElement.diagonal(spec.vring, [-spec.field.one])
+    with pytest.raises(SpinDataError, match="marking index"):
+        rigidification_transport_check(spec, fundamental_mf(spec), index, eps)
+
+
 def test_residue_structure_and_triangle():
     spec = _spec(BROAD)
     lm = residue_structure(spec)
@@ -799,11 +934,13 @@ def test_glue_matches_the_name_keyed_reference(name):
         assert got[key] == want[key], key
     assert str(got["pulled_back_potential"]) == str(want["pulled_back_potential"])
     assert str(got["glued_potential"]) == str(want["glued_potential"])
-    assert got["pulled_back_mf"] == want["pulled_back_mf"]
+    # the fold of the pulled-back curved dg-scheme is the pulled-back MF
+    mf = fold_to_mf(got["pulled_back_scheme"])
+    assert mf == want["pulled_back_mf"]
+    assert got["pulled_back_scheme"].curvature == mf.potential
     if name == "narrow":
         assert not got["cartesian"] and got["counterexample"] == [disc.field.one, disc.field.zero]
     if name == "xy":
-        mf = got["pulled_back_mf"]
         assert got["cartesian"] and (mf.rank0, mf.rank1) == (8, 8)
 
 
@@ -862,7 +999,7 @@ def test_equivariance_matches_the_per_term_reference_on_folded_schemes(text):
         inputs.append((swapped, swapped.element(f.coefficients)))
     for scheme_in, f_in in inputs:
         folded = SimpleNamespace(scheme_out=scheme_in, f_out=f_in, model=r.model,
-                                 change_matrix=r.change_matrix,
+                                 change_matrix=r.change_matrix, narrow_concentrated=False,
                                  mf=fold_to_mf(dgmf_from_homotopy(scheme_in, -f_in)))
         got = [e["verdict"] for e in check_equivariance(spec, folded, elements)["elements"]]
         assert got == _reference_equivariance(spec, folded, elements)
