@@ -617,20 +617,26 @@ NONCONTRACTIBLE = "noncontractible"
 def point_homology(mf, point):
     """(h0, h1) of the restriction of an MF to a point, exactly.
 
-    If W(p) != 0 the restriction is contractible (delta is invertible) and
-    both vanish; if W(p) = 0 it is a 2-periodic complex of vector spaces and
-    h_i = rank P_i - rank delta0 - rank delta1.
+    If W(p) != 0 both vanish, read from W(p) alone: the MF is certified,
+    so delta1(p) delta0(p) = W(p) . id with W(p) a unit, delta(p) is
+    invertible and the restriction is contractible.  If W(p) = 0 the MF is
+    restricted (and the restriction certified); it is a 2-periodic complex
+    of vector spaces and h_i = rank P_i - rank delta0 - rank delta1.
     """
     field = mf.ring.field
-    # an MF over the point base (no variables) is its own restriction
-    restricted = mf.restrict_to_point(point) if mf.ring.nvars else mf
-    if restricted.potential:
+    if mf.ring.nvars:
+        if mf.potential.evaluate(point):
+            return (0, 0)
+        mf = mf.restrict_to_point(point)
+    elif len(point):
+        raise ValueError("an MF over the point base is restricted to the point ()")
+    if mf.potential:
         return (0, 0)
-    d0 = [[c.constant_value() for c in row] for row in restricted.delta0]
-    d1 = [[c.constant_value() for c in row] for row in restricted.delta1]
+    d0 = [[c.constant_value() for c in row] for row in mf.delta0]
+    d1 = [[c.constant_value() for c in row] for row in mf.delta1]
     r0 = linalg.rank(d0, field) if d0 and d0[0] else 0
     r1 = linalg.rank(d1, field) if d1 and d1[0] else 0
-    return (restricted.rank0 - r0 - r1, restricted.rank1 - r0 - r1)
+    return (mf.rank0 - r0 - r1, mf.rank1 - r0 - r1)
 
 
 def point_verdict(mf, point):
@@ -646,14 +652,17 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
     verdict without one means the solver and the rank verdict disagree:
     CertificateError.  For the same reason ``degree_bound`` bounds nothing
     here; it is only checked to be >= 0.
-    Each point restricts the MF once (one delta^2 check); the verdict and
-    the certificate both read that restriction."""
+    With certificates, each point restricts the MF once (one delta^2
+    check); the verdict and the certificate both read that restriction.
+    Without, the verdict is ``point_verdict``'s: read from W(p) where it is
+    a unit, and from the certified restriction only where W(p) = 0."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []
     for point in points:
-        restricted = mf.restrict_to_point(point)
-        verdict = point_verdict(restricted, ())
+        restricted, at = (mf.restrict_to_point(point), ()) if with_certificates \
+            else (mf, point)
+        verdict = point_verdict(restricted, at)
         cert = None
         if verdict == CONTRACTIBLE and with_certificates:
             cert = nullhomotopy_solve(restricted)
@@ -731,44 +740,45 @@ def gauge_intertwiner(scheme, f_a, f_b):
     return h, e0, e1
 
 
+def _d_system(scheme, target, degree, weight):
+    """(basis, matrix, rhs) of d(h) = target for h of pure exterior degree
+    ``degree`` and R-weight ``weight``, one unknown per x^e e_s in ``basis``.
+    The column of x^e e_s is sum_pos (-1)^pos x^e d(b_{s[pos]}) e_{s - s[pos]}:
+    each term c x^f of d(b_k), signed, in the row (s - s[pos], e + f).  Rows
+    are numbered in order of first use, the target's last."""
+    ring = scheme.ring
+    field = ring.field
+    terms = [[(f, (c, -c)) for f, c in p.terms.items()] for p in scheme.differential]
+    basis, columns, rows = [], [], {}
+    for subset in combinations(range(scheme.n_odd), -degree):
+        wodd = sum(scheme.odd_gens[k].weight for k in subset)
+        for exps in ring.monomials_of_weight(weight - wodd):
+            basis.append((subset, exps))
+            col = []
+            for pos, k in enumerate(subset):
+                rest = subset[:pos] + subset[pos + 1:]
+                for f, c in terms[k]:
+                    key = (rest, tuple(a + b for a, b in zip(exps, f)))
+                    col.append((rows.setdefault(key, len(rows)), c[pos % 2]))
+            columns.append(col)
+    values = {rows.setdefault((t, e), len(rows)): cc
+              for t, c in target.coefficients.items() for e, cc in c.terms.items()}
+    matrix = [[field.zero] * len(basis) for _ in range(len(rows))]
+    for j, col in enumerate(columns):
+        for i, c in col:
+            matrix[i][j] = c
+    return basis, matrix, [values.get(i, field.zero) for i in range(len(rows))]
+
+
 def _solve_d_preimage(scheme, target, degree, weight, col_order=None):
     """Solve d(h) = target with h of pure exterior degree ``degree`` and exact
-    R-weight ``weight``; exact linear algebra on the monomial basis.
+    R-weight ``weight``; exact linear algebra on the system of ``_d_system``.
 
     ``col_order`` controls pivoting and thereby which of the (gauge-equivalent)
     solutions is returned; the default is the deterministic monomial order."""
     ring = scheme.ring
-    field = ring.field
-    size = -degree
-    basis = []
-    for subset in combinations(range(scheme.n_odd), size):
-        wodd = sum(scheme.odd_gens[k].weight for k in subset)
-        for exps in ring.monomials_of_weight(weight - wodd):
-            basis.append((subset, exps))
-    # target rows indexed by (subset of size-1, exponent)
-    rows = {}
-    columns = []
-    for subset, exps in basis:
-        elt = SuperElement(scheme, {subset: Poly(ring, {exps: field.one})})
-        image = scheme.d(elt)
-        col = {}
-        for t, c in image.coefficients.items():
-            for e, cc in c.terms.items():
-                col[(t, e)] = cc
-                rows.setdefault((t, e), len(rows))
-        columns.append(col)
-    for t, c in target.coefficients.items():
-        for e, cc in c.terms.items():
-            rows.setdefault((t, e), len(rows))
-    matrix = [[field.zero] * len(basis) for _ in range(len(rows))]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            matrix[rows[key]][j] = c
-    rhs = [field.zero] * len(rows)
-    for t, c in target.coefficients.items():
-        for e, cc in c.terms.items():
-            rhs[rows[(t, e)]] = cc
-    sol = linalg.solve(matrix, rhs, field, col_order=col_order) if matrix else (
+    basis, matrix, rhs = _d_system(scheme, target, degree, weight)
+    sol = linalg.solve(matrix, rhs, ring.field, col_order=col_order) if matrix else (
         [] if not target else None)
     if sol is None:
         return None

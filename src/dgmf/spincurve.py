@@ -13,6 +13,7 @@ along D.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from math import comb
 from operator import mul
 
 from . import linalg
@@ -24,7 +25,8 @@ from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              _linear_forms, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import PolyRing, substituter
-from .ratfun import (RationalFunction, UPoly, two_periodic_homology_dims)
+from .ratfun import (RationalFunction, UPoly, _series_inverse,
+                     two_periodic_homology_dims)
 
 
 class SpinDataError(ValueError):
@@ -150,8 +152,9 @@ class SpinCurveSpec:
                     f"eta on {comp} must have simple poles exactly at the markings")
             if num.degree() > len(marks) - 2:
                 raise SpinDataError(f"eta on {comp} has a pole at infinity")
+            # the poles are simple: res_mu = num(mu) / den'(mu), den'(mu) != 0
             for mu in marks:
-                if not form.residue(mu):
+                if not num.evaluate(mu):
                     raise SpinDataError(f"eta on {comp} has vanishing residue at {mu}")
 
     # -- sectors ----------------------------------------------------------
@@ -200,7 +203,9 @@ class SpinCurveSpec:
 class TwoTermModel:
     """A = H^0(V(D)) -> B = H^0(V(D)|_D), with the sector evaluation Z.
 
-    ``raw_basis`` lists the ambient basis (component, var, RationalFunction);
+    ``raw_basis`` lists the ambient basis (component, var, p), the section
+    t^p / D(t) of L_var(D) with D = prod (t - q)^mult over the divisor
+    points of the component;
     for a nodal curve A is the kernel of the node-matching map, encoded by the
     ``embed`` matrix (columns = A basis in the ambient basis).  Each A-basis
     vector is built from sections of one V-coordinate, ``a_coords[k]``.
@@ -215,7 +220,7 @@ class TwoTermModel:
         self.z_matrix = z_matrix  # rows = sectors, cols = A
         self.a_coords = []
         for col in range(self.dim_a):
-            coords = {var for (_c, var, _fn), row in zip(raw_basis, embed) if row[col]}
+            coords = {var for (_c, var, _p), row in zip(raw_basis, embed) if row[col]}
             if len(coords) != 1:
                 raise SpinDataError("A-basis vector mixes V-coordinates")
             self.a_coords.append(coords.pop())
@@ -244,30 +249,35 @@ class TwoTermModel:
         return (len(self.z_matrix) == self.dim_a and self.z_surjective())
 
 
-def _component_section_basis(spec, comp):
-    """Basis of (+)_j H^0(L_j(D)) on one component, as rational functions."""
-    field = spec.field
-    t = UPoly.gen(field)
-    denom = UPoly.constant(field, 1)
-    for (q, mult) in spec.divisor_points(comp):
-        denom = denom * (t - UPoly.constant(field, q)) ** mult
-    degD = spec.degD(comp)
-    out = []
-    for j in range(spec.vring.nvars):
-        a = spec.bundle_degrees[comp][j]
-        top = a + degD
-        if top < -1:
-            raise SpinDataError(
-                f"divisor not ample enough: H^1(L_{j}(D)) != 0 on {comp}")
-        for p in range(top + 1):
-            out.append((comp, j, RationalFunction(t ** p, denom)))
-    return out
+def _principal_parts(field, poles, q, top):
+    """For p = 0..top, the principal part at q of t^p / D(t), D = prod
+    (t - r)^m over the (r, m) of ``poles``, (q, mult) one of them: the
+    coefficients of (t - q)^-1, ..., (t - q)^-mult.
+
+    Near q, t^p / D = (t - q)^-mult t^p / D_q with D_q = D / (t - q)^mult,
+    so they are the Taylor coefficients at q of t^p / D_q of orders mult - 1
+    down to 0: those of t^p are C(p, i) q^(p - i), and one series inverse
+    of D_q(t + q) serves every p."""
+    mult, s = dict(poles)[q], UPoly.gen(field)
+    shifted = [(s + (q - r)) ** m for r, m in poles if r != q]  # D_q(t + q)
+    inverse = _series_inverse(field, reduce(mul, shifted, UPoly.constant(field, 1)).coeffs,
+                              mult)
+    powers = [field.one]
+    for _ in range(top):
+        powers.append(powers[-1] * q)
+    parts = []
+    for p in range(top + 1):
+        taylor = [(a, comb(p, a) * powers[p - a]) for a in range(min(p, mult - 1) + 1)]
+        taylor = [(a, c) for a, c in taylor if c]
+        parts.append([sum((c * inverse[i - a] for a, c in taylor if a <= i), field.zero)
+                      for i in range(mult - 1, -1, -1)])
+    return parts
 
 
 def _node_matching(spec, basis, value):
     """The node-matching map on the sections ``basis`` of (component,
-    V-coordinate, section), one row per node and V-coordinate j:
-    r2_j s(q2) - lambda^{w_j} r1_j s(q1), with s(q) = value(s, q)."""
+    V-coordinate, p), one row per node and V-coordinate j:
+    r2_j s(q2) - lambda^{w_j} r1_j s(q1), with s(q) = value(component, p, q)."""
     field, lam = spec.field, spec.J_sqrt_lambda
     if spec.nodes and lam is None:
         raise SpinDataError("nodal curve requires J_sqrt (lambda with lambda^d = -1)")
@@ -278,13 +288,13 @@ def _node_matching(spec, basis, value):
         for j in range(spec.vring.nvars):
             tw = lam ** spec.vring.weights[j]
             row = []
-            for (comp, var, s) in basis:
+            for (comp, var, p) in basis:
                 if var != j:
                     row.append(field.zero)
                 elif comp == c1:
-                    row.append(-tw * r1[j] * value(s, q1))
+                    row.append(-tw * r1[j] * value(comp, p, q1))
                 elif comp == c2:
-                    row.append(r2[j] * value(s, q2))
+                    row.append(r2[j] * value(comp, p, q2))
                 else:
                     row.append(field.zero)
             rows.append(row)
@@ -293,10 +303,27 @@ def _node_matching(spec, basis, value):
 
 def two_term_realization(spec):
     field = spec.field
+    # the basis of (+)_j H^0(L_j(D)): (comp, j, p) for t^p / D(t), p <= top
     raw = []
     for comp in spec.components:
-        raw.extend(_component_section_basis(spec, comp))
-    rows = _node_matching(spec, raw, lambda fn, q: fn.evaluate(q))
+        for j in range(spec.vring.nvars):
+            top = spec.bundle_degrees[comp][j] + spec.degD(comp)
+            if top < -1:
+                raise SpinDataError(
+                    f"divisor not ample enough: H^1(L_{j}(D)) != 0 on {comp}")
+            raw.extend((comp, j, p) for p in range(top + 1))
+    values = {}  # (comp, q) -> [q^p / D(q) for p = 0, 1, ...], for q off D
+
+    def value(comp, p, q):
+        if (comp, q) not in values:
+            d = reduce(mul, [(q - r) ** m for r, m in spec.divisor_points(comp)], field.one)
+            values[comp, q] = [d.inverse()]
+        row = values[comp, q]
+        while len(row) <= p:
+            row.append(row[-1] * q)
+        return row[p]
+
+    rows = _node_matching(spec, raw, value)
     if rows:
         if linalg.rank(rows, field) < len(rows):
             raise SpinDataError("divisor not ample enough: node-matching map "
@@ -305,31 +332,29 @@ def two_term_realization(spec):
         embed = [[kernel[c][r] for c in range(len(kernel))] for r in range(len(raw))]
     else:
         embed = linalg.identity(field, len(raw))
-    # B: jets along D, read from one principal part per section and point
+    # B: jets along D, read from the principal parts at each point
     b_basis = []
     f_raw = []
     for comp in spec.components:
-        for (q, mult) in spec.divisor_points(comp):
+        poles = spec.divisor_points(comp)
+        top = max((p for (c, _j, p) in raw if c == comp), default=-1)
+        for (q, mult) in poles:
+            parts = _principal_parts(field, poles, q, top)
             for j in range(spec.vring.nvars):
-                parts = [fn.laurent_coefficients(q, range(-1, -mult - 1, -1))
-                         if (c2, j2) == (comp, j) else None for (c2, j2, fn) in raw]
                 for order in range(1, mult + 1):
                     b_basis.append((comp, j, q, order))
-                    f_raw.append([field.zero if p is None else p[order - 1]
-                                  for p in parts])
-    f_matrix = linalg.mat_mul(f_raw, embed, field) if f_raw else []
+                    f_raw.append([parts[p][order - 1] if (c2, j2) == (comp, j)
+                                  else field.zero for (c2, j2, p) in raw])
+    # without nodes, embed is the identity
+    f_matrix = linalg.mat_mul(f_raw, embed, field) if rows and f_raw else f_raw
     # Z: evaluate-then-rigidify at broad coordinates of markings
     z_raw = []
     for (i, j) in spec.sectors():
         m = spec.markings[i]
-        row = []
-        for (comp, var, fn) in raw:
-            if comp == m.component and var == j:
-                row.append(m.rig[j] * fn.evaluate(m.point))
-            else:
-                row.append(field.zero)
-        z_raw.append(row)
-    z_matrix = linalg.mat_mul(z_raw, embed, field) if z_raw else []
+        z_raw.append([m.rig[j] * value(comp, p, m.point)
+                      if comp == m.component and var == j else field.zero
+                      for (comp, var, p) in raw])
+    z_matrix = linalg.mat_mul(z_raw, embed, field) if rows and z_raw else z_raw
     model = TwoTermModel(spec, raw, embed, b_basis, f_matrix, z_matrix)
     # oracle comparison and surjectivity checks
     oracle = cech_oracle(spec)
@@ -353,7 +378,7 @@ def cech_oracle(spec):
         for j, a in enumerate(spec.bundle_degrees[comp]):
             for p in range(a + 1):
                 basis.append((comp, j, p))
-    rows = _node_matching(spec, basis, lambda p, q: q ** p)
+    rows = _node_matching(spec, basis, lambda _c, p, q: q ** p)
     r = linalg.rank(rows, field)
     h0 = len(basis) - r
     chi = sum(a + 1 for comp in spec.components for a in spec.bundle_degrees[comp])
@@ -660,23 +685,27 @@ class LogFormModel:
             divden = divden * (t - UPoly.constant(field, q)) ** mult
         self.degD = spec.degD(comp)
         self.markden, self.divden = markden, divden
-        # omega^log(D): numerators of degree <= n + degD - 2
+        # omega^log(D): p in a_log stands for t^p dt / (markden divden),
+        # numerators of degree <= n + degD - 2
         top_log = self.n + self.degD - 2
         if top_log < -1:
             raise SpinDataError("divisor not ample enough for the log model")
-        self.a_log = [RationalFunction(t ** p, markden * divden)
-                      for p in range(top_log + 1)]
-        # omega(D): numerators of degree <= degD - 2
-        self.a_om = [RationalFunction(t ** p, divden)
-                     for p in range(max(self.degD - 1, 0))]
-        # jets along D
+        self.a_log = range(top_log + 1)
+        # omega(D): p in a_om stands for t^p dt / divden, degree <= degD - 2
+        self.a_om = range(max(self.degD - 1, 0))
+        # jets along D, and residues at the markings (simple poles)
         self.b_basis = [(q, o) for (q, mult) in self.div_points
                         for o in range(1, mult + 1)]
-        self.f_log = [[fn.laurent_coefficient(q, -o) for fn in self.a_log]
-                      for (q, o) in self.b_basis]
-        self.f_om = [[fn.laurent_coefficient(q, -o) for fn in self.a_om]
-                     for (q, o) in self.b_basis]
-        self.res = [[fn.residue(mu) for fn in self.a_log] for mu in self.marks]
+        log_poles = [(mu, 1) for mu in self.marks] + self.div_points
+
+        def jets(poles, top):
+            return [[part[o] for part in _principal_parts(field, poles, q, top)]
+                    for (q, mult) in self.div_points for o in range(mult)]
+
+        self.f_log = jets(log_poles, top_log)
+        self.f_om = jets(self.div_points, len(self.a_om) - 1)
+        self.res = [[part[0] for part in _principal_parts(field, log_poles, mu, top_log)]
+                    for mu in self.marks]
         # inclusion omega(D) -> omega^log(D): multiply the numerator by markden
         self.incl = []
         for p in range(len(self.a_om)):

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import mul
 from types import SimpleNamespace
 
@@ -25,12 +27,16 @@ from dgmf import (
     two_term_realization,
     two_periodic_homology_dims,
     cech_oracle,
+    point_homology,
+    support_check,
     UPoly,
 )
+from dgmf.ratfun import RationalFunction
 from dgmf import linalg, spincurve
-from dgmf.poly import PolyRing, substituter
+from dgmf.poly import Poly, PolyRing, substituter
 from dgmf.specfile import parse_spec, write_mf
-from dgmf.factorizations import (dgmf_from_homotopy, fold_to_mf, koszul_reduce,
+from dgmf.factorizations import (SuperElement, _d_system, _solve_d_preimage,
+                                 dgmf_from_homotopy, fold_to_mf, koszul_mf, koszul_reduce,
                                  koszul_steps, unit_mf)
 
 BROAD = """[field]
@@ -1004,3 +1010,395 @@ def test_equivariance_matches_the_per_term_reference_on_folded_schemes(text):
         got = [e["verdict"] for e in check_equivariance(spec, folded, elements)["elements"]]
         assert got == _reference_equivariance(spec, folded, elements)
         assert {"equivariant", "broken"} <= set(got)
+
+
+# -- closed forms of the sections t^p / D(t) --------------------------------
+
+A2_ZETA6 = A2_ZETA12.replace("order = 12", "order = 6").replace("z^4", "z^2").replace(
+    "rig z^3", "rig 1")
+
+# one to three divisor points per component, multiplicities 1-6, off-origin
+# points, Q(i), Q(zeta_6), Q(zeta_12) and the nodal glue specs
+SECTION_SPECS = {
+    "a1-m1": BROAD,
+    "a1-m6": BROAD.replace("mult 1", "mult 6"),
+    "a1-off-m4": BROAD.replace("divisor c0 at 0 mult 1", "divisor c0 at -2 mult 4"),
+    "a1-three-points": BROAD.replace("divisor c0 at 0 mult 1",
+                                     "divisor c0 at 0 mult 2\ndivisor c0 at 2 mult 3\n"
+                                     "divisor c0 at (1+z) mult 1"),
+    "xy-off-m2": XY,
+    "kept": KEPT,
+    "a2-zeta6-m4": A2_ZETA6.replace("mult 2", "mult 4"),
+    "a2-zeta6-two-points": A2_ZETA6.replace("divisor c0 at 0 mult 2",
+                                            "divisor c0 at z mult 2\ndivisor c0 at 3 mult 1"),
+    "a2-zeta12-m2": A2_ZETA12,
+    "a2-zeta12-three-points": A2_ZETA12.replace(
+        "divisor c0 at 0 mult 2",
+        "divisor c0 at z mult 1\ndivisor c0 at (1+z^3) mult 5\ndivisor c0 at -3 mult 2"),
+    "narrow": NARROW,
+    "disconnected": DISCONNECTED,
+    "glued": GLUED,
+    "glued-m3": _mult(GLUED, 3),
+    "glued-off-points": GLUED.replace("divisor c1 at 0 mult 1",
+                                      "divisor c1 at 2 mult 2\ndivisor c1 at -3 mult 1"),
+    "glued-xy": _xy_pair(GLUED),
+}
+
+
+def _divisor_polynomial(spec, comp):
+    """D(t) = prod (t - q)^mult over the divisor points of ``comp``."""
+    field = spec.field
+    t = UPoly.gen(field)
+    return reduce(mul, [(t - UPoly.constant(field, q)) ** mult
+                        for (q, mult) in spec.divisor_points(comp)], UPoly.constant(field, 1))
+
+
+def _reference_realization(spec):
+    """The two-term model from RationalFunction sections t^p / D(t): node
+    rows and Z by ``evaluate``, F by ``laurent_coefficients``."""
+    field = spec.field
+    t = UPoly.gen(field)
+    raw = [(comp, j, RationalFunction(t ** p, _divisor_polynomial(spec, comp)))
+           for comp in spec.components for j in range(spec.vring.nvars)
+           for p in range(spec.bundle_degrees[comp][j] + spec.degD(comp) + 1)]
+    rows = []
+    for node in spec.nodes:
+        (c1, q1, r1), (c2, q2, r2) = node.branch1, node.branch2
+        for j in range(spec.vring.nvars):
+            tw = spec.J_sqrt_lambda ** spec.vring.weights[j]
+            rows.append([field.zero if var != j else
+                         -tw * r1[j] * fn.evaluate(q1) if comp == c1 else
+                         r2[j] * fn.evaluate(q2) if comp == c2 else field.zero
+                         for (comp, var, fn) in raw])
+    if rows:
+        kernel = linalg.nullspace(rows, field)
+        embed = [[kernel[c][r] for c in range(len(kernel))] for r in range(len(raw))]
+    else:
+        embed = linalg.identity(field, len(raw))
+    b_basis, f_raw = [], []
+    for comp in spec.components:
+        for (q, mult) in spec.divisor_points(comp):
+            for j in range(spec.vring.nvars):
+                for order in range(1, mult + 1):
+                    b_basis.append((comp, j, q, order))
+                    f_raw.append([fn.laurent_coefficients(q, [-order])[0]
+                                  if (c, var) == (comp, j) else field.zero
+                                  for (c, var, fn) in raw])
+    z_raw = [[spec.markings[i].rig[j] * fn.evaluate(spec.markings[i].point)
+              if (comp, var) == (spec.markings[i].component, j) else field.zero
+              for (comp, var, fn) in raw] for (i, j) in spec.sectors()]
+    product = lambda m: linalg.mat_mul(m, embed, field) if m else []
+    return raw, rows, embed, b_basis, product(f_raw), product(z_raw)
+
+
+@pytest.mark.parametrize("name", list(SECTION_SPECS))
+def test_two_term_realization_matches_the_rational_function_reference(monkeypatch, name):
+    """Every entry of the node rows, embed, F and Z equals the
+    RationalFunction reference; embed is the identity without nodes."""
+    spec = _spec(SECTION_SPECS[name])
+    node_rows = []
+    matching = spincurve._node_matching
+    monkeypatch.setattr(spincurve, "_node_matching",
+                        lambda *args: node_rows.append(matching(*args)) or node_rows[-1])
+    model = two_term_realization(spec)
+    raw, rows, embed, b_basis, f_matrix, z_matrix = _reference_realization(spec)
+    t = UPoly.gen(spec.field)
+    assert [(c, j, RationalFunction(t ** p, _divisor_polynomial(spec, c)))
+            for (c, j, p) in model.raw_basis] == raw
+    assert node_rows[0] == rows and bool(rows) == bool(spec.nodes)
+    assert model.embed == embed
+    assert model.b_basis == b_basis
+    assert model.f_matrix == f_matrix
+    assert model.z_matrix == z_matrix
+
+
+@pytest.mark.parametrize("order", [4, 6, 12])
+def test_principal_parts_match_laurent_coefficients(order):
+    """Seeded pole sets: one to three points, multiplicities 1-6, points off
+    the origin and away from Q."""
+    field = CyclotomicField(order)
+    rng = random.Random(f"principal-parts:{order}")
+    t = UPoly.gen(field)
+    candidates = [field.zero, field.scalar(2), field.scalar(-3), field.zeta,
+                  field.one + field.zeta ** (order // 2 - 1), field.scalar(Fraction(1, 2))]
+    for _ in range(12):
+        points = rng.sample(candidates, rng.randint(1, 3))
+        poles = [(q, rng.randint(1, 6)) for q in points]
+        denom = reduce(mul, [(t - UPoly.constant(field, q)) ** m for q, m in poles],
+                       UPoly.constant(field, 1))
+        top = rng.randint(0, 8)
+        for q, mult in poles:
+            got = spincurve._principal_parts(field, poles, q, top)
+            want = [RationalFunction(t ** p, denom).laurent_coefficients(
+                q, range(-1, -mult - 1, -1)) for p in range(top + 1)]
+            assert got == want
+
+
+@pytest.mark.parametrize("name", ["a1-m1", "a1-m6", "a1-off-m4", "a1-three-points",
+                                  "a2-zeta6-two-points", "a2-zeta12-three-points", "narrow"])
+def test_log_form_model_matches_the_laurent_reference(name):
+    """f_log, f_om and res equal the Laurent coefficients of the forms
+    t^p dt / (markden divden) and t^p dt / divden."""
+    spec = _spec(SECTION_SPECS[name])
+    lm = residue_structure(spec)
+    t = UPoly.gen(spec.field)
+    log = [RationalFunction(t ** p, lm.markden * lm.divden) for p in lm.a_log]
+    om = [RationalFunction(t ** p, lm.divden) for p in lm.a_om]
+    assert lm.f_log == [[fn.laurent_coefficient(q, -o) for fn in log] for (q, o) in lm.b_basis]
+    assert lm.f_om == [[fn.laurent_coefficient(q, -o) for fn in om] for (q, o) in lm.b_basis]
+    assert lm.res == [[fn.residue(mu) for fn in log] for mu in lm.marks]
+
+
+def _unreduced(num, den):
+    """num / den as given, without cancelling their gcd: a form whose pole
+    set is den's roots even where num vanishes."""
+    form = object.__new__(RationalFunction)
+    form.num, form.den, form.field = num, den, num.field
+    return form
+
+
+def _with_eta(spec, form):
+    return spincurve.SpinCurveSpec(spec.field, spec.vring, spec.W, spec.degree_d,
+                                   spec.group_generators, spec.J, spec.components,
+                                   spec.bundle_degrees, spec.markings, spec.nodes,
+                                   spec.divisor, {"c0": form}, spec.J_sqrt_lambda)
+
+
+# four markings, so eta = num / prod (t - mu) may have num of degree <= 2
+FOUR_MARKS = BROAD.replace("marking c0 at -1 gamma diag(1) rig z",
+                           "marking c0 at -1 gamma diag(1) rig z\n"
+                           "marking c0 at z gamma diag(1) rig 1\n"
+                           "marking c0 at 3 gamma diag(1) rig 1").replace(
+    "eta c0 = (2) / (t^2 + (-1))\n", "")
+
+
+def test_eta_validation_rejects_a_vanishing_residue():
+    # (t - 1) / prod (t - mu) has a simple pole at every marking on paper,
+    # and residue 0 at t = 1
+    spec = _spec(FOUR_MARKS)
+    field = spec.field
+    t = UPoly.gen(field)
+    den = reduce(mul, [t - UPoly.constant(field, m.point) for m in spec.markings])
+    form = _unreduced(t - UPoly.constant(field, 1), den)
+    assert form.residue(field.one) == 0
+    with pytest.raises(SpinDataError, match="eta on c0 has vanishing residue at 1"):
+        _with_eta(spec, form)
+
+
+def test_eta_residue_test_matches_the_laurent_residue():
+    """On a seeded corpus of forms num / prod (t - mu) over the markings,
+    half of them with num(mu) = 0 at a chosen marking, the spec is rejected
+    exactly when a Laurent residue vanishes."""
+    spec = _spec(FOUR_MARKS)
+    field = spec.field
+    marks = [m.point for m in spec.markings]
+    t = UPoly.gen(field)
+    den = reduce(mul, [t - UPoly.constant(field, mu) for mu in marks])
+    rng = random.Random("eta-residues")
+    scalar = lambda: field.scalar(rng.randint(-3, 3)) + rng.randint(0, 1) * field.zeta
+    verdicts = []
+    for _ in range(40):
+        if rng.random() < 0.5:
+            num = UPoly(field, [scalar(), scalar()])
+        else:
+            mu = UPoly.constant(field, rng.choice(marks))
+            num = UPoly(field, [scalar()]) * (t - mu)
+        if not num:
+            continue
+        form = _unreduced(num, den)
+        vanishing = any(form.residue(mu) == 0 for mu in marks)
+        try:
+            _with_eta(spec, form)
+            rejected = False
+        except SpinDataError as e:
+            assert "vanishing residue" in str(e)
+            rejected = True
+        assert rejected == vanishing
+        verdicts.append(rejected)
+    assert True in verdicts and False in verdicts
+
+
+# -- the d-preimage system by index shift ------------------------------------
+
+def _reference_d_system(scheme, target, degree, weight):
+    """The system of d(h) = target built by ``scheme.d`` on one basis
+    monomial at a time, rows keyed in order of first use."""
+    ring, field = scheme.ring, scheme.ring.field
+    basis = [(s, e) for s in combinations(range(scheme.n_odd), -degree)
+             for e in ring.monomials_of_weight(
+                 weight - sum(scheme.odd_gens[k].weight for k in s))]
+    rows, columns = {}, []
+    for subset, exps in basis:
+        image = scheme.d(SuperElement(scheme, {subset: Poly(ring, {exps: field.one})}))
+        columns.append({(t, e): c for t, p in image.coefficients.items()
+                        for e, c in p.terms.items()})
+        for key in columns[-1]:
+            rows.setdefault(key, len(rows))
+    for t, p in target.coefficients.items():
+        for e in p.terms:
+            rows.setdefault((t, e), len(rows))
+    matrix = [[field.zero] * len(basis) for _ in rows]
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            matrix[rows[key]][j] = c
+    rhs = [field.zero] * len(rows)
+    for t, p in target.coefficients.items():
+        for e, c in p.terms.items():
+            rhs[rows[(t, e)]] = c
+    return basis, matrix, rhs
+
+
+def _d_problems():
+    """(scheme, target, degree, weight): the f_{-1} system of each section
+    spec (degree -1), and at degree -2 d(h) for a seeded h on its output
+    scheme and the gauge difference of the two pivot orders on BROAD."""
+    out = []
+    rng = random.Random("d-preimage")
+    for name, text in SECTION_SPECS.items():
+        if name == "a2-zeta12-three-points":  # its 120 x 288 solve takes ~30 s
+            text = A2_ZETA12.replace("divisor c0 at 0 mult 2", "divisor c0 at z mult 1\n"
+                                     "divisor c0 at (1+z^3) mult 2\ndivisor c0 at -3 mult 1")
+        spec = _spec(text)
+        model = two_term_realization(spec)
+        obs = build_obstruction(spec, model)
+        out.append((obs.scheme, obs.scheme.scalar_element(-obs.c), -1, spec.degree_d))
+        scheme = fundamental_mf(spec).scheme_out
+        if scheme.n_odd < 2:
+            continue
+        ring = scheme.ring
+        pair = (0, 1)
+        weight = spec.degree_d
+        exps = ring.monomials_of_weight(
+            weight - scheme.odd_gens[0].weight - scheme.odd_gens[1].weight)
+        if exps:
+            h = SuperElement(scheme, {pair: Poly(ring, {e: ring.field.scalar(
+                rng.randint(-3, 3)) for e in exps})})
+            out.append((scheme, scheme.d(h), -2, weight))
+    spec = _spec(BROAD)
+    r1, r2 = fundamental_mf(spec), fundamental_mf(spec, pivot_order=[1, 0])
+    diff = _transplant(r1.f_out, r1.scheme_out) - _transplant(r2.f_out, r1.scheme_out)
+    out.append((r1.scheme_out, diff, -2, diff.weight()))
+    return out
+
+
+def test_d_system_matches_the_per_monomial_reference():
+    """Same basis, matrix and right-hand side, and the same solution for
+    every pivot order the tests use (None and [1, 0])."""
+    problems = _d_problems()
+    assert {degree for (_s, _t, degree, _w) in problems} == {-1, -2}
+    for scheme, target, degree, weight in problems:
+        basis, matrix, rhs = _reference_d_system(scheme, target, degree, weight)
+        assert _d_system(scheme, target, degree, weight) == (basis, matrix, rhs)
+        field = scheme.ring.field
+        for order in (None, [1, 0]):
+            got = _solve_d_preimage(scheme, target, degree, weight, col_order=order)
+            sol = linalg.solve(matrix, rhs, field, col_order=order) if matrix else (
+                [] if not target else None)
+            if sol is None:
+                assert got is None
+                continue
+            want = {}
+            for x, (s, e) in zip(sol, basis):
+                if x:
+                    want.setdefault(s, {})[e] = x
+            assert {s: p.terms for s, p in got.coefficients.items()} == want
+            assert order is not None or scheme.d(got) == target
+
+
+# -- support verdicts read from W(p) ------------------------------------------
+
+def _restricting_verdict(mf, point):
+    """The verdict from the restriction at every point: contractible iff
+    W(p) != 0 or rank P_i = rank delta0 + rank delta1."""
+    at = mf.restrict_to_point(point)
+    if at.potential:
+        return "contractible"
+    d0, d1 = ([[c.constant_value() for c in row] for row in d] for d in (at.delta0, at.delta1))
+    rank = lambda m: linalg.rank(m, at.ring.field) if m and m[0] else 0
+    r = rank(d0) + rank(d1)
+    return "contractible" if (at.rank0, at.rank1) == (r, r) else "noncontractible"
+
+
+def _support_inputs():
+    """(MF, points) for the A_1, x^2 + y^2 and A_2 fundamental MFs, a Koszul
+    MF and MFs over the point base; the points include zeros of W, contractible
+    or not, and points where W is a unit."""
+    out = []
+    rng = random.Random("support-verdicts")
+    for text in (BROAD, BROAD.replace("mult 1", "mult 3"), XY, A2_ZETA12):
+        result = fundamental_mf(_spec(text))
+        mf, F = result.mf, result.spec.field
+        n_sect, n = len(result.sector_names), mf.ring.nvars
+        degree = result.spec.degree_d
+        # x_2 = u x_1 with u^d = -1 is a zero of the sector potential
+        root = next(u for u in (F.zeta_power(k) for k in range(F.order))
+                    if u ** degree == F.scalar(-1))
+        rand = lambda: F.scalar(rng.randint(-3, 3)) + rng.randint(0, 2) * F.zeta
+        points = [[F.zero] * n, [rand() for _ in range(n)], [F.one] * n]
+        for _ in range(3):
+            lam = rand()
+            points.append(([lam, lam * root] + [F.zero] * (n_sect - 2)
+                           + [rand() for _ in range(n - n_sect)]))
+        out.append((mf, points))
+    R = PolyRing(CyclotomicField(4), ["x", "y"])
+    x, y = R.gens()
+    F = R.field
+    kos = koszul_mf(R, [x, x * y], [x, y])
+    out.append((kos, [[F.zero, F.zero], [F.one, F.zero], [F.zero, F.one],
+                      [F.one, F.zeta], [F.scalar(2), F.one]]))
+    for point in ([F.zero, F.zero], [F.one, F.zero], [F.one, F.one]):
+        out.append((kos.restrict_to_point(point), [()]))
+    return out
+
+
+def test_support_check_without_certificates_matches_the_restricting_reference():
+    seen = set()
+    for mf, points in _support_inputs():
+        want = [_restricting_verdict(mf, p) for p in points]
+        got = support_check(mf, points, with_certificates=False)
+        assert [e["verdict"] for e in got] == want
+        assert [e["point"] for e in got] == [tuple(p) for p in points]
+        assert all(e["certificate"] is None for e in got)
+        with_certs = support_check(mf, points)
+        assert [e["verdict"] for e in with_certs] == want
+        seen |= {(v, not mf.restrict_to_point(p).potential) for v, p in zip(want, points)}
+    # zeros of W with either verdict, and units of W
+    assert seen == {("contractible", False), ("contractible", True),
+                    ("noncontractible", True)}
+
+
+def test_support_check_rejects_a_perturbed_restriction_where_w_vanishes(monkeypatch):
+    """The restriction is built, and certified, wherever its delta is read:
+    at a zero of W.  Where W(p) is a unit the verdict reads W(p) alone."""
+    result = fundamental_mf(_spec(BROAD))
+    mf, F = result.mf, result.spec.field
+    n = mf.ring.nvars
+    unit, zero = [F.one] * n, [F.zero] * n
+    assert mf.potential.evaluate(unit) and not mf.potential.evaluate(zero)
+    original = MatrixFactorization.restrict_to_point
+    restricted = []
+
+    def perturbed(self, point):
+        restricted.append(tuple(point))
+        at = original(self, point)
+        d0, d1 = ([list(row) for row in d] for d in (at.delta0, at.delta1))
+        d0[0][0], d1[0][0] = d0[0][0] + at.ring.one, d1[0][0] + at.ring.one
+        return MatrixFactorization(at.ring, at.p0_gens, at.p1_gens, d0, d1, at.potential)
+
+    monkeypatch.setattr(MatrixFactorization, "restrict_to_point", perturbed)
+    assert support_check(mf, [unit], with_certificates=False)[0]["verdict"] == "contractible"
+    assert restricted == []
+    with pytest.raises(CertificateError):
+        support_check(mf, [zero], with_certificates=False)
+    assert restricted == [tuple(zero)]
+    with pytest.raises(CertificateError):
+        support_check(mf, [unit])
+
+
+def test_point_homology_rejects_a_point_for_an_mf_over_the_point_base():
+    result = fundamental_mf(_spec(BROAD))
+    F = result.spec.field
+    at = result.mf.restrict_to_point([F.zero] * result.mf.ring.nvars)
+    assert point_homology(at, ()) == (1, 1)
+    with pytest.raises(ValueError, match="point base"):
+        point_homology(at, (F.zero,))
