@@ -257,6 +257,22 @@ def cone_projection(f):
     return ChainMap(cf, shifted, comps)
 
 
+def _tensor_index(C, D):
+    """The map (n, i, m, j) -> (n + m, position) placing c_i (x) d_j in the
+    tensor basis, ordered by n, m, i, j within each degree."""
+    index = {}
+    counters = {}
+    for n in C.degrees():
+        for m in D.degrees():
+            deg = n + m
+            for i in range(C.rank(n)):
+                for j in range(D.rank(m)):
+                    pos = counters.get(deg, 0)
+                    counters[deg] = pos + 1
+                    index[(n, i, m, j)] = (deg, pos)
+    return index
+
+
 def tensor(C, D):
     """Graded tensor product with the Koszul sign rule
     d(c (x) e) = dc (x) e + (-1)^{|c|} c (x) de; basis ordered
@@ -264,16 +280,12 @@ def tensor(C, D):
     if C.ring != D.ring:
         raise ValueError("tensor of complexes over different rings")
     ring = C.ring
+    index = _tensor_index(C, D)
     objects = {}
-    index = {}
-    for n in C.degrees():
-        for m in D.degrees():
-            deg = n + m
-            objects.setdefault(deg, [])
-            for i, g in enumerate(C.gens(n)):
-                for j, h in enumerate(D.gens(m)):
-                    index[(n, i, m, j)] = (deg, len(objects[deg]))
-                    objects[deg].append(Generator(f"{g.name}*{h.name}", g.weight + h.weight))
+    for (n, i, m, j), (deg, _) in index.items():
+        g, h = C.gens(n)[i], D.gens(m)[j]
+        objects.setdefault(deg, []).append(
+            Generator(f"{g.name}*{h.name}", g.weight + h.weight))
     diffs = {}
     for deg in list(objects):
         if deg + 1 not in objects:

@@ -1,8 +1,11 @@
 """Bounded-degree Jacobian-ideal membership for quasihomogeneous potentials.
 
-Nondegeneracy (isolated critical point at the origin) is decided, when
-possible within a degree bound, by exact linear algebra in the weight-graded
-pieces: the potential is nondegenerate iff some power of the maximal ideal is
+The Jacobian ring of W is H^0 of the derived critical locus Z(dW), the
+dg-scheme ``derived_zero_locus(ring, partials)``: its weight-m piece
+Jac(W)_m = H^0(Z(dW))_m is the cokernel of d from exterior degree -1 to
+degree 0.  Nondegeneracy (isolated critical point at the origin) is decided,
+when possible within a degree bound, by the rank of that d on each weight
+piece: the potential is nondegenerate iff some power of the maximal ideal is
 contained in the ideal of partial derivatives.  The third verdict
 "inconclusive" is honest: the bound was too small, nothing more.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
+from .factorizations import _d_system, derived_zero_locus
 
 
 NONDEGENERATE = "nondegenerate"
@@ -19,50 +23,16 @@ DEGENERATE = "degenerate"
 INCONCLUSIVE = "inconclusive"
 
 
-def _graded_piece_in_jacobian(W, weight, partials):
-    """True iff every monomial of the given weight lies in the span of
-    monomial multiples of the partial derivatives."""
-    ring = W.ring
-    field = ring.field
-    basis = ring.monomials_of_weight(weight)
-    if not basis:
-        return True
-    index = {e: i for i, e in enumerate(basis)}
-    columns = []
-    for i, dW in enumerate(partials):
-        if not dW:
-            continue
-        wi, _ = dW.weight()
-        if wi == "zero":
-            continue
-        for mono in ring.monomials_of_weight(weight - wi):
-            col = [field.zero] * len(basis)
-            ok = True
-            for e, c in dW.terms.items():
-                prod = tuple(a + b for a, b in zip(e, mono))
-                if prod not in index:
-                    ok = False
-                    break
-                col[index[prod]] = col[index[prod]] + c
-            if ok:
-                columns.append(col)
-    if not columns:
-        return False
-    matrix = [[col[r] for col in columns] for r in range(len(basis))]
-    return linalg.rank(matrix, field) == len(basis)
-
-
-def _degenerate_witness(W, partials):
-    """Look for a coordinate subspace on which the whole gradient vanishes
-    identically; returns the list of surviving variable names, or None."""
-    ring = W.ring
+def _degenerate_witness(ring, partials):
+    """The first keep-set, in (size, lex) order, of a coordinate subspace on
+    which the whole gradient vanishes identically, as a list of variable
+    names; None if there is none.  A partial vanishes there iff each of its
+    monomials has a positive exponent outside the keep-set."""
     n = ring.nvars
     for keep_size in range(1, n + 1):
         for keep in combinations(range(n), keep_size):
-            images = []
-            for i in range(n):
-                images.append(ring.gen(ring.names[i]) if i in keep else ring.zero)
-            if all(not dW.substitute(images) for dW in partials):
+            if all(any(a for i, a in enumerate(e) if i not in keep)
+                   for dW in partials for e in dW.terms):
                 return [ring.names[i] for i in keep]
     return None
 
@@ -83,14 +53,16 @@ def nondegeneracy_check(W, degree_bound):
     if w == "inhomogeneous":
         raise ValueError("nondegeneracy check requires a quasihomogeneous potential")
     partials = [W.derivative(i) for i in range(ring.nvars)]
-    witness = _degenerate_witness(W, partials)
+    witness = _degenerate_witness(ring, partials)
     if witness is not None:
         return (DEGENERATE, witness)
+    critical = derived_zero_locus(ring, partials)
+    zero = critical.zero_element()
     band = max(ring.weights)
-    checked = {}
-    for m in range(1, degree_bound + 1):
-        checked[m] = _graded_piece_in_jacobian(W, m, partials)
+    checked = {m: linalg.rank(_d_system(critical, zero, -1, m)[1], ring.field)
+               == len(ring.monomials_of_weight(m))
+               for m in range(1, degree_bound + 1)}
     for start in range(1, degree_bound - band + 2):
-        if all(checked.get(start + k, False) for k in range(band)):
+        if all(checked[start + k] for k in range(band)):
             return (NONDEGENERATE, (start, start + band - 1))
     return (INCONCLUSIVE, None)

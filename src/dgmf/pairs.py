@@ -14,8 +14,8 @@ resolution that motivates it is kept around as a test oracle
 from __future__ import annotations
 
 from . import linalg
-from .complexes import (ChainMap, FreeComplex, cone, homology_ranks,
-                        tensor, triangle_les_exact)
+from .complexes import (ChainMap, FreeComplex, _tensor_index, cone,
+                        homology_ranks, tensor, triangle_les_exact)
 
 
 class PairObject:
@@ -95,20 +95,6 @@ def pair_tensor(p, q):
                     mat[row][col] = mat[row][col] + pc[i2][i] * qc[j2][j]
         comps[n] = mat
     return PairObject(fa, fb, ChainMap(fb, fa, comps))
-
-
-def _tensor_index(C, D):
-    index = {}
-    counters = {}
-    for n in C.degrees():
-        for m in D.degrees():
-            deg = n + m
-            for i in range(C.rank(n)):
-                for j in range(D.rank(m)):
-                    pos = counters.get(deg, 0)
-                    counters[deg] = pos + 1
-                    index[(n, i, m, j)] = (deg, pos)
-    return index
 
 
 def canonical_resolution(p):

@@ -152,7 +152,9 @@ class SpinCurveSpec:
                     f"eta on {comp} must have simple poles exactly at the markings")
             if num.degree() > len(marks) - 2:
                 raise SpinDataError(f"eta on {comp} has a pole at infinity")
-            # the poles are simple: res_mu = num(mu) / den'(mu), den'(mu) != 0
+            # the poles are simple: res_mu = num(mu) / den'(mu), den'(mu) != 0;
+            # a parsed eta is in lowest terms, so num(mu) = 0 lost its pole at
+            # mu above, and only a hand-built, unreduced form reaches this
             for mu in marks:
                 if not num.evaluate(mu):
                     raise SpinDataError(f"eta on {comp} has vanishing residue at {mu}")
@@ -477,10 +479,8 @@ class PipelineResult:
         ``x^2 + y^2`` with both markings ``gamma diag(1, -1)``."""
         steps = koszul_steps(self.scheme_out, len(self.sector_names))
         scheme, f = koszul_reduce(self.scheme_out, self.f_out, steps)
-        curved = dgmf_from_homotopy(scheme, -f)
-        if curved.curvature != self.spec.sector_potential(scheme.ring):
-            raise CertificateError("the reduced curvature is not the sector potential")
-        return steps, fold_to_mf(curved)
+        return steps, fold_to_mf(
+            CurvedStructure(scheme, -f, self.spec.sector_potential(scheme.ring)))
 
     sector_steps = property(lambda self: self.sector_reduction[0])
     sector_mf = property(lambda self: self.sector_reduction[1])
@@ -706,14 +706,11 @@ class LogFormModel:
         self.f_om = jets(self.div_points, len(self.a_om) - 1)
         self.res = [[part[0] for part in _principal_parts(field, log_poles, mu, top_log)]
                     for mu in self.marks]
-        # inclusion omega(D) -> omega^log(D): multiply the numerator by markden
-        self.incl = []
-        for p in range(len(self.a_om)):
-            numer = (t ** p) * markden
-            col = [field.zero] * len(self.a_log)
-            for k, c in enumerate(numer.coeffs):
-                col[k] = c
-            self.incl.append(col)
+        # inclusion omega(D) -> omega^log(D), dim_log x dim_om: multiply the
+        # numerator by markden, so column p holds its coefficients from row p
+        m = markden.coeffs
+        self.incl = [[m[k - p] if 0 <= k - p < len(m) else field.zero
+                      for p in self.a_om] for k in self.a_log]
 
     def _two_term(self, a_dims, f_matrix, prefix):
         base = PolyRing(self.field, [], [])
@@ -769,12 +766,11 @@ class LogFormModel:
         identification of the connecting map with summation."""
         field = self.field
         dim_log, dim_om = len(self.a_log), len(self.a_om)
-        incl_mat = [[self.incl[c][r] for c in range(dim_om)] for r in range(dim_log)]
         report = {}
         report["dimensions_exact"] = (dim_log == dim_om + self.n)
         report["inclusion_injective"] = (
-            linalg.rank(incl_mat, field) == dim_om if dim_om else True)
-        comp = linalg.mat_mul(self.res, incl_mat, field) if (self.n and dim_om) else []
+            linalg.rank(self.incl, field) == dim_om if dim_om else True)
+        comp = linalg.mat_mul(self.res, self.incl, field) if (self.n and dim_om) else []
         report["residue_kills_omega"] = all(not c for row in comp for c in row)
         report["residue_surjective"] = (
             linalg.rank(self.res, field) == self.n if self.n else True)
@@ -843,8 +839,7 @@ def _omega_to_rj_map(logmodel, omega_cx, rj_cx):
     dim_om = len(logmodel.a_om)
     comps = {}
     if dim_om and rj_cx.rank(0):
-        comps[0] = [[base.constant(logmodel.incl[c][r]) for c in range(dim_om)]
-                    for r in range(rj_cx.rank(0))]
+        comps[0] = [[base.constant(c) for c in row] for row in logmodel.incl]
     nb = len(logmodel.b_basis)
     if nb and rj_cx.rank(1):
         rows = rj_cx.rank(1)

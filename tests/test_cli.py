@@ -513,3 +513,15 @@ def test_a1_mult_6_fundamental_and_support_bytes_are_pinned(tmp_path):
         "843b30632130b6cc5fa59d5f0e763171f0a97c2c2c6dd729401372655010d56d")
     assert hashlib.sha256(support.read_bytes()).hexdigest() == (
         "f5df23d61b97197664f94da1500c59752a5b9836adee31e484d5f2ed63968b30")
+
+
+def test_cli_rejects_an_eta_whose_residue_vanishes_exit_3(tmp_path, capsys):
+    # (t - 1) / (t^2 - 1) has residue 0 at the marking 1, but it is read in
+    # lowest terms, as 1 / (t + 1): it has lost its pole at 1, and is
+    # rejected for that before any residue is looked at
+    text = SPIN.replace("eta c0 = (2) / (t^2 + (-1))",
+                        "eta c0 = (t + (-1)) / (t^2 + (-1))")
+    code, out = _run(tmp_path, "fundamental", text)
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert "eta on c0 must have simple poles exactly at the markings" in err

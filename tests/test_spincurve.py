@@ -401,6 +401,22 @@ def test_sector_reduction_rejects_an_image_off_the_hyperplane():
         koszul_reduce(scheme, f, [(j1, k0, c0), (j0, k1, c1)])
 
 
+def test_sector_reduction_rejects_a_perturbed_curving(monkeypatch):
+    # the fold of the reduced curving certifies delta^2 = W . id against the
+    # sector potential, so a curvature that is not W fails on first read
+    result = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 3")))
+    reduce_exactly = spincurve.koszul_reduce
+
+    def doubled(scheme, f, steps):
+        scheme_out, f_out = reduce_exactly(scheme, f, steps)
+        t, c = next(iter(f_out.coefficients.items()))
+        return scheme_out, scheme_out.element({**f_out.coefficients, t: c + c})
+
+    monkeypatch.setattr(spincurve, "koszul_reduce", doubled)
+    with pytest.raises(CertificateError, match="delta\\^2 != W"):
+        result.sector_mf
+
+
 def test_fiber_data_along_auxiliary_coordinates_the_reduction_keeps():
     # graft coordinates t2, t3 that no d(b) involves onto a real output
     result = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 2")))
