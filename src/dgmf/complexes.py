@@ -1,11 +1,14 @@
 """Bounded complexes of free graded modules.
 
 Generators carry R-weights; differentials are matrices of polynomials (or
-scalars when the base ring has no variables, i.e. over a point).  The three
-constructions everything else relies on are the mapping cone (with the
-convention d_cone = [[d_D, f], [0, -d_C]]), the graded tensor product with
-Koszul signs, and the weight-d piece of the symmetric power of a two-term
-complex.  Homology is exact Gaussian elimination, available over the field.
+scalars when the base ring has no variables, i.e. over a point).  The
+mapping cone (with the convention d_cone = [[d_D, f], [0, -d_C]]) gives Rj^!
+of a pair and the ranks of induced maps on homology.  The graded tensor
+product with Koszul signs, ``_tensor``, is shared with matrix
+factorizations, which are 2-periodic complexes: ``tensor``,
+``pairs.pair_tensor`` and ``factorizations.mf_tensor`` write their bases and
+matrices with it.
+Homology is exact Gaussian elimination, available over the field.
 """
 
 from __future__ import annotations
@@ -257,59 +260,53 @@ def cone_projection(f):
     return ChainMap(cf, shifted, comps)
 
 
-def _tensor_index(C, D):
-    """The map (n, i, m, j) -> (n + m, position) placing c_i (x) d_j in the
-    tensor basis, ordered by n, m, i, j within each degree."""
-    index = {}
-    counters = {}
-    for n in C.degrees():
-        for m in D.degrees():
-            deg = n + m
-            for i in range(C.rank(n)):
-                for j in range(D.rank(m)):
-                    pos = counters.get(deg, 0)
-                    counters[deg] = pos + 1
-                    index[(n, i, m, j)] = (deg, pos)
-    return index
+def _tensor(c_gens, c_diff, d_gens, d_diff, zero, period=0):
+    """The graded tensor product of two factors, each given as degree ->
+    generators and degree -> matrix of d out of that degree (rows = the next
+    degree).  Degrees add, mod 2 when ``period`` is 2 (a matrix
+    factorization is a 2-periodic complex).
+
+    Returns (index, gens, diffs): ``index`` maps (n, i, m, j) to (degree,
+    position) of c_i (x) d_j, ordered by n, m, i, j within each degree.  The
+    Koszul sign rule d(c (x) e) = dc (x) e + (-1)^{|c|} c (x) de writes each
+    cell at most once: the two terms land in the blocks (n + 1, m) and
+    (n, m + 1), which differ even mod 2, and distinct rows of one factor's
+    matrix give distinct rows.  So each entry is an entry of the first factor
+    as it is, or one of the second factor or its negation (computed once per
+    distinct object), and every zero cell holds ``zero``."""
+    add = (lambda n, m: (n + m) % period) if period else (lambda n, m: n + m)
+    index, gens = {}, {}
+    for n, cg in sorted(c_gens.items()):
+        for m, dg in sorted(d_gens.items()):
+            deg = add(n, m)
+            out = gens.setdefault(deg, [])
+            for i, g in enumerate(cg):
+                for j, h in enumerate(dg):
+                    index[n, i, m, j] = (deg, len(out))
+                    out.append(Generator(f"{g.name}*{h.name}", g.weight + h.weight))
+    diffs = {deg: [[zero] * len(g) for _ in gens.get(add(deg, 1), ())]
+             for deg, g in gens.items()}
+    negate = linalg.per_object(lambda c: -c)
+    for (n, i, m, j), (deg, col) in index.items():
+        out = diffs[deg]
+        for i2, row in enumerate(c_diff.get(n, ())):
+            if row[i]:
+                out[index[add(n, 1), i2, m, j][1]][col] = row[i]
+        for j2, row in enumerate(d_diff.get(m, ())):
+            if row[j]:
+                c = row[j] if n % 2 == 0 else negate(row[j])
+                out[index[n, i, add(m, 1), j2][1]][col] = c
+    return index, gens, diffs
 
 
 def tensor(C, D):
     """Graded tensor product with the Koszul sign rule
     d(c (x) e) = dc (x) e + (-1)^{|c|} c (x) de; basis ordered
-    degree-lexicographically for bit-reproducible output."""
+    degree-lexicographically for bit-reproducible output (``_tensor``)."""
     if C.ring != D.ring:
         raise ValueError("tensor of complexes over different rings")
-    ring = C.ring
-    index = _tensor_index(C, D)
-    objects = {}
-    for (n, i, m, j), (deg, _) in index.items():
-        g, h = C.gens(n)[i], D.gens(m)[j]
-        objects.setdefault(deg, []).append(
-            Generator(f"{g.name}*{h.name}", g.weight + h.weight))
-    diffs = {}
-    for deg in list(objects):
-        if deg + 1 not in objects:
-            continue
-        mat = [[ring.zero] * len(objects[deg]) for _ in range(len(objects[deg + 1]))]
-        diffs[deg] = mat
-    for (n, i, m, j), (deg, col) in index.items():
-        if deg not in diffs:
-            continue
-        mat = diffs[deg]
-        dC = C.diff(n)
-        for i2 in range(C.rank(n + 1)):
-            c = dC[i2][i]
-            if c:
-                _, row = index[(n + 1, i2, m, j)]
-                mat[row][col] = mat[row][col] + c
-        dD = D.diff(m)
-        sign = 1 if n % 2 == 0 else -1
-        for j2 in range(D.rank(m + 1)):
-            c = dD[j2][j]
-            if c:
-                _, row = index[(n, i, m + 1, j2)]
-                mat[row][col] = mat[row][col] + sign * c
-    return FreeComplex(ring, objects, diffs)
+    _, gens, diffs = _tensor(C.objects, C.diffs, D.objects, D.diffs, C.ring.zero)
+    return FreeComplex(C.ring, gens, diffs)
 
 
 def sym_power_two_term(ring, a_gens, b_gens, f_matrix, weight):
@@ -372,71 +369,31 @@ def sym_power_two_term(ring, a_gens, b_gens, f_matrix, weight):
 # -- homology over the field ----------------------------------------------
 
 
-def _scalar_matrix(m, ring):
-    out = []
-    for row in m:
-        srow = []
-        for c in row:
-            if not c.is_constant():
-                raise ValueError("homology only over a point; restrict to a fiber first")
-            srow.append(c.constant_value())
-        out.append(srow)
-    return out
+def _rank(ring, m):
+    """Rank over the field of a matrix of constants of ``ring``, a point."""
+    if ring.nvars != 0:
+        raise ValueError("homology only over a point; restrict to a fiber first")
+    return linalg.rank([[c.constant_value() for c in row] for row in m], ring.field) if m else 0
 
 
 def homology_ranks(C):
     """Exact homology ranks, degree -> rank; requires a point base."""
-    if C.ring.nvars != 0:
-        raise ValueError("homology only over a point; restrict to a fiber first")
-    field = C.ring.field
-    ranks = {}
-    rank_d = {}
-    for n in C.degrees():
-        m = _scalar_matrix(C.diff(n), C.ring)
-        rank_d[n] = linalg.rank(m, field) if m else 0
-    for n in C.degrees():
-        ranks[n] = C.rank(n) - rank_d.get(n, 0) - rank_d.get(n - 1, 0)
-    return {n: r for n, r in ranks.items() if C.rank(n)}
-
-
-def homology_data(C, n):
-    """(cycle basis, boundary basis) at degree n, as lists of column vectors."""
-    field = C.ring.field
-    dn = _scalar_matrix(C.diff(n), C.ring)
-    if C.rank(n + 1) == 0 or not dn:
-        cycles = [[field.one if i == j else field.zero for i in range(C.rank(n))]
-                  for j in range(C.rank(n))]
-    else:
-        cycles = linalg.nullspace(dn, field)
-    boundaries = []
-    dprev = _scalar_matrix(C.diff(n - 1), C.ring)
-    if dprev and C.rank(n - 1):
-        cols = linalg.transpose(dprev)
-        r, pivots = linalg.rref(dprev, field)
-        pivot_cols = [j for _, j in pivots]
-        boundaries = [cols[j] for j in pivot_cols]
-    return cycles, boundaries
+    rank_d = {n: _rank(C.ring, C.diff(n)) for n in C.degrees()}
+    return {n: C.rank(n) - rank_d[n] - rank_d.get(n - 1, 0) for n in C.degrees()}
 
 
 def induced_homology_map_rank(f, n):
-    """Rank of H^n(f) for a chain map f, over the field."""
-    field = f.source.ring.field
-    cyc_s, bnd_s = homology_data(f.source, n)
-    cyc_t, bnd_t = homology_data(f.target, n)
-    comp = _scalar_matrix(f.component(n), f.source.ring)
-    images = []
-    for v in cyc_s:
-        images.append([sum((comp[i][j] * v[j] for j in range(len(v))), field.zero)
-                       for i in range(len(comp))] if comp else [])
-    dim_t = f.target.rank(n)
-    if dim_t == 0:
-        return 0
-    cols = bnd_t + images
-    big = [[col[i] for col in cols] for i in range(dim_t)]
-    small = [[col[i] for col in bnd_t] for i in range(dim_t)] if bnd_t else []
-    r_big = linalg.rank(big, field) if cols else 0
-    r_small = linalg.rank(small, field) if bnd_t else 0
-    return r_big - r_small
+    """Rank of H^n(f) for a chain map f: C -> D, over the field, read from
+    the cone.
+
+    Its differential out of degree n - 1 is [[d_D, f_n], [0, -d_C]] on
+    D^{n-1} (+) C^n, with image I.  The projection of I onto C^{n+1} is
+    im d_C^n.  Its kernel on I is {(d_D x + f_n y, 0) : d_C y = 0} =
+    B^n(D) + f_n(Z^n(C)), which contains B^n(D) with quotient the image of
+    H^n(f).  So rank d_cone = rank d_C^n + rank d_D^{n-1} + rank H^n(f)."""
+    ring = f.source.ring
+    return (_rank(ring, cone(f).diff(n - 1)) - _rank(ring, f.source.diff(n))
+            - _rank(ring, f.target.diff(n - 1)))
 
 
 def triangle_les_exact(f):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .complexes import Generator, _coerce
+from .complexes import Generator, _coerce, _tensor
 from .poly import Poly, PolyRing, substituter
 
 
@@ -496,43 +496,18 @@ def fold_to_mf(curved):
 def mf_tensor(m, n):
     """Z/2-graded tensor product; potentials add.
 
-    P0 = M0 (x) N0 (+) M1 (x) N1 and P1 = M0 (x) N1 (+) M1 (x) N0.  On the
-    block M_a (x) N_b, delta is delta_m (x) 1 into block (1-a, b) plus
-    (-1)^a 1 (x) delta_n into block (a, 1-b).  Cells share entry objects:
-    each of m's as it is, each of n's and its negation (computed once), and
-    one zero."""
+    The graded tensor product of the two 2-periodic complexes
+    (``complexes._tensor`` with period 2): P0 = M0 (x) N0 (+) M1 (x) N1 and
+    P1 = M0 (x) N1 (+) M1 (x) N0, and on the block M_a (x) N_b, delta is
+    delta_m (x) 1 + (-1)^a 1 (x) delta_n.  Cells share entry objects: each
+    of m's as it is, each of n's and its negation (computed once), and one
+    zero."""
     if m.ring != n.ring:
         raise ValueError("tensor of matrix factorizations over different rings")
-    ring = m.ring
-    m_gens, n_gens = (m.p0_gens, m.p1_gens), (n.p0_gens, n.p1_gens)
-    m_delta, n_delta = (m.delta0, m.delta1), (n.delta0, n.delta1)
-    gens = ([], [])
-    offset = {}  # block (a, b) -> index of its first generator in P_{a+b}
-    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        p = gens[(a + b) % 2]
-        offset[a, b] = len(p)
-        p.extend(Generator(f"{g.name}*{h.name}", g.weight + h.weight)
-                 for g in m_gens[a] for h in n_gens[b])
-    zero = ring.zero
-    delta = ([[zero] * len(gens[0]) for _ in gens[1]],
-             [[zero] * len(gens[1]) for _ in gens[0]])
-    # (-1)^a delta_n: each distinct entry object of n is negated once
-    n_signed = (n_delta, linalg.entrywise(lambda c: -c, *n_delta))
-    for (a, b), col0 in offset.items():
-        out = delta[(a + b) % 2]
-        width, width_flip = len(n_gens[b]), len(n_gens[1 - b])
-        for i in range(len(m_gens[a])):
-            for j in range(width):
-                col = col0 + i * width + j
-                for i2, row in enumerate(m_delta[a]):
-                    c = row[i]
-                    if c:
-                        out[offset[1 - a, b] + i2 * width + j][col] = c
-                for j2, row in enumerate(n_signed[a][b]):
-                    c = row[j]
-                    if c:
-                        out[offset[a, 1 - b] + i * width_flip + j2][col] = c
-    return MatrixFactorization(ring, gens[0], gens[1], delta[0], delta[1],
+    _, gens, delta = _tensor({0: m.p0_gens, 1: m.p1_gens}, {0: m.delta0, 1: m.delta1},
+                             {0: n.p0_gens, 1: n.p1_gens}, {0: n.delta0, 1: n.delta1},
+                             m.ring.zero, period=2)
+    return MatrixFactorization(m.ring, gens[0], gens[1], delta[0], delta[1],
                                m.potential + n.potential)
 
 

@@ -58,11 +58,11 @@ def nondegeneracy_check(W, degree_bound):
         return (DEGENERATE, witness)
     critical = derived_zero_locus(ring, partials)
     zero = critical.zero_element()
-    band = max(ring.weights)
-    checked = {m: linalg.rank(_d_system(critical, zero, -1, m)[1], ring.field)
-               == len(ring.monomials_of_weight(m))
-               for m in range(1, degree_bound + 1)}
-    for start in range(1, degree_bound - band + 2):
-        if all(checked[start + k] for k in range(band)):
-            return (NONDEGENERATE, (start, start + band - 1))
+    band, run = max(ring.weights), 0
+    for m in range(1, degree_bound + 1):
+        full = (linalg.rank(_d_system(critical, zero, -1, m)[1], ring.field)
+                == len(ring.monomials_of_weight(m)))
+        run = run + 1 if full else 0
+        if run == band:
+            return (NONDEGENERATE, (m - band + 1, m))
     return (INCONCLUSIVE, None)

@@ -14,8 +14,8 @@ resolution that motivates it is kept around as a test oracle
 from __future__ import annotations
 
 from . import linalg
-from .complexes import (ChainMap, FreeComplex, _tensor_index, cone,
-                        homology_ranks, tensor, triangle_les_exact)
+from .complexes import (ChainMap, FreeComplex, _tensor, cone, homology_ranks,
+                        triangle_les_exact)
 
 
 class PairObject:
@@ -69,31 +69,26 @@ def rj_shriek_triangle_exact(p):
 
 
 def pair_tensor(p, q):
-    """Componentwise graded tensor with the product comparison map."""
+    """Componentwise graded tensor with the product comparison map: phi (x)
+    phi sends the basis vector (n, i, m, j) of p.F_beta (x) q.F_beta to
+    sum phi_n[i2][i] phi_m[j2][j] (n, i2, m, j2), one product per cell,
+    placed by the two indexes of ``complexes._tensor``."""
     if p.ring != q.ring:
         raise ValueError("pair tensor over different rings")
-    fa = tensor(p.f_alpha, q.f_alpha)
-    fb = tensor(p.f_beta, q.f_beta)
-    comps = {}
-    # phi (x) phi on the lexicographically ordered tensor basis
-    tgt_index = _tensor_index(p.f_alpha, q.f_alpha)
-    src_index = _tensor_index(p.f_beta, q.f_beta)
-    for n in fb.degrees():
-        mat = [[p.ring.zero] * fb.rank(n) for _ in range(fa.rank(n))]
-        for (n1, i, m1, j), (deg_s, col) in src_index.items():
-            if deg_s != n:
-                continue
-            pc = p.phi.component(n1)
-            qc = q.phi.component(m1)
-            for i2 in range(p.f_alpha.rank(n1)):
-                if not pc or not pc[i2][i]:
-                    continue
-                for j2 in range(q.f_alpha.rank(m1)):
-                    if not qc or not qc[j2][j]:
-                        continue
-                    _deg, row = tgt_index[(n1, i2, m1, j2)]
-                    mat[row][col] = mat[row][col] + pc[i2][i] * qc[j2][j]
-        comps[n] = mat
+    ring = p.ring
+
+    def indexed_tensor(c, d):
+        index, gens, diffs = _tensor(c.objects, c.diffs, d.objects, d.diffs, ring.zero)
+        return index, FreeComplex(ring, gens, diffs)
+
+    tgt_index, fa = indexed_tensor(p.f_alpha, q.f_alpha)
+    src_index, fb = indexed_tensor(p.f_beta, q.f_beta)
+    comps = {n: linalg.zeros(ring, fa.rank(n), fb.rank(n)) for n in fb.degrees()}
+    for (n, i, m, j), (deg, col) in src_index.items():
+        for i2, prow in enumerate(p.phi.component(n)):
+            for j2, qrow in enumerate(q.phi.component(m)):
+                if prow[i] and qrow[j]:
+                    comps[deg][tgt_index[n, i2, m, j2][1]][col] = prow[i] * qrow[j]
     return PairObject(fa, fb, ChainMap(fb, fa, comps))
 
 

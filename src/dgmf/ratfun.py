@@ -2,10 +2,11 @@
 Q(zeta_N), Laurent expansions and residues (including at infinity), and
 homology of matrices over the principal ideal domain k[t].
 
-Residues are the workhorse of the log-differential model on P^1: sections of
-omega^log and its twists are stored as rational 1-forms f(t) dt and their
-residues are read off from exact Laurent expansions, never from the residue
-theorem itself (which is what the tests are checking).
+Residues are read off from exact Laurent expansions, never from the residue
+theorem itself (which is what the tests check); they serve the residue
+theorem check of the log forms on P^1 (``LogFormModel.total_residue``).  The
+log-form model reads its residue map from principal parts
+(``spincurve._principal_parts``), not from here.
 
 Homology over k[t] diagonalizes by Euclidean steps on integers.  An entry is
 (vectors, den): vectors[i] (length phi(N), low to high in t, the top one

@@ -220,12 +220,14 @@ class TwoTermModel:
         self.b_basis = b_basis
         self.f_matrix = f_matrix  # rows = B, cols = A
         self.z_matrix = z_matrix  # rows = sectors, cols = A
-        self.a_coords = []
-        for col in range(self.dim_a):
-            coords = {var for (_c, var, _p), row in zip(raw_basis, embed) if row[col]}
-            if len(coords) != 1:
-                raise SpinDataError("A-basis vector mixes V-coordinates")
-            self.a_coords.append(coords.pop())
+        # An A-basis vector has support in one V-coordinate, so its first
+        # nonzero row names it: each node-matching row touches the columns of
+        # one V-coordinate, Gauss-Jordan combines only rows with a nonzero in
+        # a shared column, so every reduced row stays in one coordinate, and
+        # the nullspace vector of a free column is nonzero only at that
+        # column and at pivots of rows meeting it.
+        self.a_coords = [raw_basis[next(r for r, row in enumerate(embed) if row[col])][1]
+                         for col in range(self.dim_a)]
         self.a_weights = [spec.vring.weights[j] for j in self.a_coords]
         self.b_weights = [spec.vring.weights[j] for (_c, j, _q, _o) in b_basis]
         self.f_rank = linalg.rank(f_matrix, spec.field)

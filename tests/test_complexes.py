@@ -4,10 +4,13 @@ import pytest
 
 from dgmf import (
     CyclotomicField,
+    linalg,
     PolyRing,
     FreeComplex,
     ChainMap,
     cone,
+    cone_inclusion,
+    cone_projection,
     tensor,
     sym_power_two_term,
     homology_ranks,
@@ -312,3 +315,224 @@ def test_certificate_kernel_accepts_and_rejects_like_the_dense_reference(order, 
     # both verdicts occur often enough for the comparison to mean something
     for seen in verdicts.values():
         assert 5 <= sum(seen) <= len(seen) - 5
+
+
+# -- the graded tensor product against the per-complex index ---------------
+
+
+def _reference_tensor_index(C, D):
+    """The map (n, i, m, j) -> (n + m, position) placing c_i (x) d_j in the
+    tensor basis, ordered by n, m, i, j within each degree."""
+    index = {}
+    counters = {}
+    for n in C.degrees():
+        for m in D.degrees():
+            deg = n + m
+            for i in range(C.rank(n)):
+                for j in range(D.rank(m)):
+                    pos = counters.get(deg, 0)
+                    counters[deg] = pos + 1
+                    index[(n, i, m, j)] = (deg, pos)
+    return index
+
+
+def _reference_tensor(C, D):
+    """The tensor product as ``tensor`` used to build it from its own index,
+    adding each Koszul term into its cell; kept as the reference."""
+    ring = C.ring
+    index = _reference_tensor_index(C, D)
+    objects = {}
+    for (n, i, m, j), (deg, _) in index.items():
+        g, h = C.gens(n)[i], D.gens(m)[j]
+        objects.setdefault(deg, []).append(
+            Generator(f"{g.name}*{h.name}", g.weight + h.weight))
+    diffs = {}
+    for deg in list(objects):
+        if deg + 1 not in objects:
+            continue
+        mat = [[ring.zero] * len(objects[deg]) for _ in range(len(objects[deg + 1]))]
+        diffs[deg] = mat
+    for (n, i, m, j), (deg, col) in index.items():
+        if deg not in diffs:
+            continue
+        mat = diffs[deg]
+        dC = C.diff(n)
+        for i2 in range(C.rank(n + 1)):
+            c = dC[i2][i]
+            if c:
+                _, row = index[(n + 1, i2, m, j)]
+                mat[row][col] = mat[row][col] + c
+        dD = D.diff(m)
+        sign = 1 if n % 2 == 0 else -1
+        for j2 in range(D.rank(m + 1)):
+            c = dD[j2][j]
+            if c:
+                _, row = index[(n, i, m + 1, j2)]
+                mat[row][col] = mat[row][col] + sign * c
+    return FreeComplex(ring, objects, diffs)
+
+
+@pytest.mark.parametrize("nvars", [0, 2])
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_tensor_matches_the_reference_on_seeded_complexes(order, nvars):
+    """Generators (names, weights, order) and every differential agree with
+    the reference on random complexes in degrees shifted by -1..2, so that
+    both signs of the Koszul rule occur."""
+    ring = PolyRing(CyclotomicField(order), ["x", "y"][:nvars], [1] * nvars)
+    rng = random.Random(f"tensor:{order}:{nvars}")
+    complexes = [FreeComplex.single(ring), FreeComplex.zero_complex(ring)]
+    for _ in range(8):
+        objects, diffs = _random_complex_data(rng, ring, rng.randint(1, 3))
+        for n, gens in objects.items():
+            objects[n] = [Generator(g.name, rng.randint(0, 3)) for g in gens]
+        complexes.append(FreeComplex(ring, objects, diffs).shift(rng.randint(-1, 2)))
+    negated = 0
+    for C in complexes:
+        for D in complexes:
+            got, want = tensor(C, D), _reference_tensor(C, D)
+            assert got == want  # generators in order, and every differential
+            negated += any(n % 2 for n in C.degrees()) and any(
+                c for m in D.diffs.values() for row in m for c in row)
+    assert negated
+
+
+def test_tensor_rejects_complexes_over_different_rings():
+    other = PolyRing(F, ["x"], [1])
+    with pytest.raises(ValueError, match="tensor of complexes over different rings"):
+        tensor(_single(), FreeComplex.single(other))
+
+
+# -- induced maps on homology against cycles and boundaries ----------------
+
+
+def _reference_scalar_matrix(m, ring):
+    out = []
+    for row in m:
+        srow = []
+        for c in row:
+            if not c.is_constant():
+                raise ValueError("homology only over a point; restrict to a fiber first")
+            srow.append(c.constant_value())
+        out.append(srow)
+    return out
+
+
+def _reference_homology_data(C, n):
+    """(cycle basis, boundary basis) at degree n, as lists of column vectors."""
+    field = C.ring.field
+    dn = _reference_scalar_matrix(C.diff(n), C.ring)
+    if C.rank(n + 1) == 0 or not dn:
+        cycles = [[field.one if i == j else field.zero for i in range(C.rank(n))]
+                  for j in range(C.rank(n))]
+    else:
+        cycles = linalg.nullspace(dn, field)
+    boundaries = []
+    dprev = _reference_scalar_matrix(C.diff(n - 1), C.ring)
+    if dprev and C.rank(n - 1):
+        cols = linalg.transpose(dprev)
+        r, pivots = linalg.rref(dprev, field)
+        pivot_cols = [j for _, j in pivots]
+        boundaries = [cols[j] for j in pivot_cols]
+    return cycles, boundaries
+
+
+def _reference_induced_homology_map_rank(f, n):
+    """Rank of H^n(f): the images of the source cycles modulo the target
+    boundaries; the cycle/boundary computation the cone formula replaced."""
+    field = f.source.ring.field
+    cyc_s, bnd_s = _reference_homology_data(f.source, n)
+    cyc_t, bnd_t = _reference_homology_data(f.target, n)
+    comp = _reference_scalar_matrix(f.component(n), f.source.ring)
+    images = []
+    for v in cyc_s:
+        images.append([sum((comp[i][j] * v[j] for j in range(len(v))), field.zero)
+                       for i in range(len(comp))] if comp else [])
+    dim_t = f.target.rank(n)
+    if dim_t == 0:
+        return 0
+    cols = bnd_t + images
+    big = [[col[i] for col in cols] for i in range(dim_t)]
+    small = [[col[i] for col in bnd_t] for i in range(dim_t)] if bnd_t else []
+    r_big = linalg.rank(big, field) if cols else 0
+    r_small = linalg.rank(small, field) if bnd_t else 0
+    return r_big - r_small
+
+
+def _combination(rng, vectors, length, field):
+    """sum c_v v over ``vectors`` (each of ``length``), c_v in {-1, 0, 1}."""
+    coeffs = [rng.randint(-1, 1) for _ in vectors]
+    return [sum((c * v[u] for c, v in zip(coeffs, vectors)), field.zero)
+            for u in range(length)]
+
+
+def _random_point_complex(rng, ring):
+    """A complex over the point in degrees -1..2 with d o d = 0: each row of
+    d^n is a random combination of a basis of the left kernel of d^(n-1).
+    Entries a + b*zeta; ranks 0 occur."""
+    field = ring.field
+    scalar = lambda: field.scalar(rng.randint(-2, 2)) + rng.randint(-1, 1) * field.zeta
+    ranks = {n: rng.randint(0, 3) for n in range(-1, 3)}
+    diffs = {-1: [[scalar() if rng.random() < 0.6 else field.zero
+                   for _ in range(ranks[-1])] for _ in range(ranks[0])]}
+    for n in (0, 1):
+        prev = diffs[n - 1]
+        left = (linalg.nullspace(linalg.transpose(prev), field) if prev and prev[0]
+                else linalg.identity(field, ranks[n]))
+        diffs[n] = [_combination(rng, left, ranks[n], field) for _ in range(ranks[n + 1])]
+    objects = {n: [Generator(f"g{n}.{k}", 0) for k in range(r)] for n, r in ranks.items()}
+    return FreeComplex(ring, objects, diffs)
+
+
+def _random_chain_map(rng, C, D):
+    """A random combination of a basis of the chain maps C -> D: the
+    nullspace of f -> (d_D f_n - f_(n+1) d_C)_n, unknowns f_n row-major."""
+    field = C.ring.field
+    degs = range(-1, 3)
+    offset, size = {}, 0
+    for n in degs:
+        offset[n] = size
+        size += D.rank(n) * C.rank(n)
+    rows = []
+    for n in degs:
+        dD = _reference_scalar_matrix(D.diff(n), D.ring)
+        dC = _reference_scalar_matrix(C.diff(n), C.ring)
+        for i in range(D.rank(n + 1)):
+            for j in range(C.rank(n)):
+                row = [field.zero] * size
+                for k in range(D.rank(n)):
+                    row[offset[n] + k * C.rank(n) + j] += dD[i][k]
+                for k in range(C.rank(n + 1)):
+                    row[offset[n + 1] + i * C.rank(n + 1) + k] -= dC[k][j]
+                rows.append(row)
+    basis = linalg.nullspace(rows, field) if rows else linalg.identity(field, size)
+    x = _combination(rng, basis, size, field)
+    comps = {n: [x[offset[n] + i * C.rank(n): offset[n] + (i + 1) * C.rank(n)]
+                 for i in range(D.rank(n))] for n in degs}
+    return ChainMap(C, D, comps)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_induced_homology_map_rank_matches_the_reference_on_seeded_maps(order):
+    """The cone formula and the cycles-mod-boundaries reference agree on
+    random chain maps over Q, Q(zeta_3) and Q(i), in degrees -1..2; the
+    cone, inclusion and projection of each map are compared too."""
+    ring = PolyRing(CyclotomicField(order), [], [])
+    rng = random.Random(f"induced:{order}")
+    ranks = []
+    for _ in range(40):
+        f = _random_chain_map(rng, _random_point_complex(rng, ring),
+                              _random_point_complex(rng, ring))
+        for g in (f, cone_inclusion(f), cone_projection(f)):
+            for n in range(-2, 4):
+                got = induced_homology_map_rank(g, n)
+                assert got == _reference_induced_homology_map_rank(g, n)
+                ranks.append(got)
+    assert 0 < sum(1 for r in ranks if r) < len(ranks)
+
+
+def test_homology_rejects_a_ring_with_variables():
+    ring = PolyRing(F, ["x"], [1])
+    C = FreeComplex(ring, {0: [Generator("a", 0)], 1: [Generator("b", 0)]}, {0: [[1]]})
+    for compute in (homology_ranks, lambda c: induced_homology_map_rank(ChainMap.identity(c), 0)):
+        with pytest.raises(ValueError, match="homology only over a point"):
+            compute(C)

@@ -388,6 +388,12 @@ def test_unit_mf_is_tensor_unit():
     assert (t.rank0, t.rank1) == (a.rank0, a.rank1)
 
 
+def test_mf_tensor_rejects_factorizations_over_different_rings():
+    x, y = _ring(1).gen("x0"), PolyRing(F, ["y"], [1]).gen("y")
+    with pytest.raises(ValueError, match="tensor of matrix factorizations over different rings"):
+        mf_tensor(koszul_mf(x.ring, [x], [x]), koszul_mf(y.ring, [y], [y]))
+
+
 def _reference_mf_tensor(m, n):
     """The tensor product as mf_tensor used to build it, with one copy of the
     block loop per source block; kept as the reference."""

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from dgmf import (CyclotomicField, DEGENERATE, INCONCLUSIVE, NONDEGENERATE,
-                  PolyRing, linalg, nondegeneracy_check)
+                  PolyRing, jacobian, linalg, nondegeneracy_check)
 
 F = CyclotomicField(1)
 
@@ -161,3 +161,34 @@ def test_nondegeneracy_check_matches_the_reference_on_a_seeded_corpus(order):
                 assert got == _reference_check(W, bound), (str(W), bound)
                 verdicts.add(got[0])
     assert verdicts == {NONDEGENERATE, DEGENERATE, INCONCLUSIVE}
+
+
+def test_nondegeneracy_check_stops_at_the_first_full_band(monkeypatch):
+    """The weight pieces are ranked upward and the scan returns at the first
+    band of full pieces: the Fermat cubic in three variables is full from
+    weight 4 on, so bound 10 ranks pieces 1..4 only, and a bound the band
+    does not fit under ranks every piece up to it."""
+    calls = []
+
+    def counting(scheme, element, degree, weight):
+        calls.append(weight)
+        return real(scheme, element, degree, weight)
+
+    real = jacobian._d_system
+    monkeypatch.setattr(jacobian, "_d_system", counting)
+    R = PolyRing(F, ["x", "y", "z"], [1, 1, 1])
+    W = R.parse("x^3 + y^3 + z^3")
+    assert nondegeneracy_check(W, 10) == (NONDEGENERATE, (4, 4))
+    assert calls == [1, 2, 3, 4]
+    calls.clear()
+    assert nondegeneracy_check(W, 3) == (INCONCLUSIVE, None)
+    assert calls == [1, 2, 3]
+    calls.clear()
+    R = PolyRing(F, ["x", "y"], [1, 3])  # band 3
+    assert nondegeneracy_check(R.parse("x^3*y + y^2"), 10) == (NONDEGENERATE, (5, 7))
+    assert calls == [1, 2, 3, 4, 5, 6, 7]
+    calls.clear()
+    # the empty weight-1 piece is full and x (weight 2) is not: the run restarts
+    R = PolyRing(F, ["x", "y"], [2, 3])
+    assert nondegeneracy_check(R.parse("x^3 + y^2"), 10) == (NONDEGENERATE, (3, 5))
+    assert calls == [1, 2, 3, 4, 5]

@@ -17,6 +17,7 @@ from dgmf import (
     pair_tensor,
     rj_shriek,
     rj_shriek_triangle_exact,
+    tensor,
     unit_pair,
 )
 from dgmf.complexes import Generator, NotAChainMap
@@ -158,3 +159,70 @@ def _random_invertible(rng, n):
         from dgmf import linalg
         if linalg.rank([[F.scalar(e) for e in row] for row in m], F) == n:
             return [[F.scalar(e) for e in row] for row in m]
+
+
+def _reference_pair_tensor(p, q):
+    """The pair tensor as ``pair_tensor`` used to build it: both components
+    by ``tensor``, then both tensor indexes built again for phi (x) phi,
+    adding each product into its cell; kept as the reference."""
+    def index_of(C, D):
+        index, counters = {}, {}
+        for n in C.degrees():
+            for m in D.degrees():
+                for i in range(C.rank(n)):
+                    for j in range(D.rank(m)):
+                        pos = counters.get(n + m, 0)
+                        counters[n + m] = pos + 1
+                        index[(n, i, m, j)] = (n + m, pos)
+        return index
+
+    fa = tensor(p.f_alpha, q.f_alpha)
+    fb = tensor(p.f_beta, q.f_beta)
+    comps = {}
+    tgt_index = index_of(p.f_alpha, q.f_alpha)
+    src_index = index_of(p.f_beta, q.f_beta)
+    for n in fb.degrees():
+        mat = [[p.ring.zero] * fb.rank(n) for _ in range(fa.rank(n))]
+        for (n1, i, m1, j), (deg_s, col) in src_index.items():
+            if deg_s != n:
+                continue
+            pc = p.phi.component(n1)
+            qc = q.phi.component(m1)
+            for i2 in range(p.f_alpha.rank(n1)):
+                if not pc or not pc[i2][i]:
+                    continue
+                for j2 in range(q.f_alpha.rank(m1)):
+                    if not qc or not qc[j2][j]:
+                        continue
+                    _deg, row = tgt_index[(n1, i2, m1, j2)]
+                    mat[row][col] = mat[row][col] + pc[i2][i] * qc[j2][j]
+        comps[n] = mat
+    return PairObject(fa, fb, ChainMap(fb, fa, comps))
+
+
+def _shifted_pair(p, k):
+    """P[k]: both components shifted, phi's components moved with them."""
+    fa, fb = p.f_alpha.shift(k), p.f_beta.shift(k)
+    return PairObject(fa, fb, ChainMap(fb, fa, {n - k: c for n, c in p.phi.components.items()}))
+
+
+def test_pair_tensor_matches_the_reference_on_seeded_pairs():
+    """Both components (generators and differentials) and every component
+    of phi (x) phi agree with the reference, on random pairs shifted so
+    that odd degrees occur."""
+    rng = random.Random(29)
+    pairs = [unit_pair(PT), j_lower_shriek(FreeComplex.single(PT))]
+    pairs += [_shifted_pair(_random_pair(rng), rng.randint(-1, 2)) for _ in range(10)]
+    nonzero = 0
+    for p in pairs:
+        for q in pairs:
+            got, want = pair_tensor(p, q), _reference_pair_tensor(p, q)
+            assert got == want  # generators, differentials and phi
+            nonzero += any(c for m in got.phi.components.values() for row in m for c in row)
+    assert nonzero
+
+
+def test_pair_tensor_rejects_pairs_over_different_rings():
+    other = PolyRing(F, ["x"], [1])
+    with pytest.raises(ValueError, match="pair tensor over different rings"):
+        pair_tensor(unit_pair(PT), unit_pair(other))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -31,6 +32,7 @@ from dgmf import (
     support_check,
     UPoly,
 )
+from dgmf.cli import main
 from dgmf.ratfun import RationalFunction
 from dgmf import linalg, spincurve
 from dgmf.poly import Poly, PolyRing, substituter
@@ -734,6 +736,27 @@ def test_equivariance_verdicts_follow_the_character(text):
     assert verdicts == ["equivariant" if F.zeta_power(k * spec.degree_d) == F.one
                         else "broken" for k in range(F.order)]
     assert "broken" in verdicts
+
+
+def test_fundamental_reports_the_dihedral_swap_as_skipped(tmp_path):
+    """``dgmf fundamental`` on the dihedral spec: the two diagonal
+    generators are checked, the coordinate swap is not diagonal and is
+    reported skipped."""
+    spec_file, out = tmp_path / "dihedral.txt", tmp_path / "out.txt"
+    spec_file.write_text(DIHEDRAL)
+    assert main(["fundamental", "--input", str(spec_file), "--output", str(out)]) == 0
+    cert = json.loads(out.read_text().split("[certificate]\n", 1)[1])
+    assert cert["equivariance"] == {"trivial": False, "elements": [
+        {"element": "GroupElement([-1, 0; 0, -1], order=2)", "verdict": "equivariant"},
+        {"element": "GroupElement([-1, 0; 0, 1], order=2)", "verdict": "equivariant"},
+        {"element": "GroupElement([0, 1; 1, 0], order=2)",
+         "verdict": "skipped: not diagonal"}]}
+
+
+def test_equivariance_of_a_narrow_concentrated_spec_is_trivial():
+    """Its fundamental MF is the unit MF: no element is checked."""
+    spec = _spec(NARROW)
+    assert check_equivariance(spec, fundamental_mf(spec)) == {"trivial": True, "elements": []}
 
 
 def _greedy_complement(z_matrix, field, dim):
