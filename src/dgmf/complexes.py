@@ -3,7 +3,9 @@
 Generators carry R-weights; differentials are matrices of polynomials (or
 scalars when the base ring has no variables, i.e. over a point).  The
 mapping cone (with the convention d_cone = [[d_D, f], [0, -d_C]]) gives Rj^!
-of a pair and the ranks of induced maps on homology.  The graded tensor
+of a pair and the ranks of induced maps on homology; one cone writer,
+``_cone_diff``, writes its blocks for both, and an induced rank reads one
+block without building the cone.  The graded tensor
 product with Koszul signs, ``_tensor``, is shared with matrix
 factorizations, which are 2-periodic complexes: ``tensor``,
 ``pairs.pair_tensor`` and ``factorizations.mf_tensor`` write their bases and
@@ -203,33 +205,34 @@ def _coerce(ring, c, what):
 # -- cone, tensor, symmetric powers ---------------------------------------
 
 
+def _cone_diff(f, n):
+    """The cone's differential out of degree n, from D^n (+) C^{n+1} to
+    D^{n+1} (+) C^{n+2}: [[d_D^n, f_{n+1}], [0, -d_C^{n+1}]], each distinct
+    entry of d_C negated once.  The one cone writer: ``cone`` is its
+    generators plus these blocks, and ``induced_homology_map_rank`` ranks one
+    block without building a complex."""
+    C, D = f.source, f.target
+    zero = C.ring.zero
+    negate = linalg.per_object(lambda c: -c)
+    return ([list(d_row) + list(f_row)
+             for d_row, f_row in zip(D.diff(n), f.component(n + 1))]
+            + [[zero] * D.rank(n) + [negate(c) for c in row] for row in C.diff(n + 1)])
+
+
 def cone(f):
     """Mapping cone of a chain map f: C -> D.
 
-    Degree n is D^n (+) C^{n+1}, with differential [[d_D, f], [0, -d_C]].
+    Degree n is D^n (+) C^{n+1}, with differential ``_cone_diff(f, n)``.
     """
     C, D = f.source, f.target
-    ring = C.ring
     objects = {}
     for n in set(D.degrees()) | {m - 1 for m in C.degrees()}:
         gens = [Generator(f"D.{g.name}", g.weight) for g in D.gens(n)]
         gens += [Generator(f"C.{g.name}", g.weight) for g in C.gens(n + 1)]
         if gens:
             objects[n] = gens
-    diffs = {}
-    for n in list(objects):
-        if n + 1 not in objects:
-            continue
-        dD, fc, dC = D.diff(n), f.component(n + 1), C.diff(n + 1)
-        rows = []
-        for i in range(D.rank(n + 1)):
-            rows.append([dD[i][j] for j in range(D.rank(n))]
-                        + [fc[i][j] for j in range(C.rank(n + 1))])
-        for i in range(C.rank(n + 2)):
-            rows.append([ring.zero] * D.rank(n)
-                        + [-dC[i][j] for j in range(C.rank(n + 1))])
-        diffs[n] = rows
-    return FreeComplex(ring, objects, diffs)
+    return FreeComplex(C.ring, objects,
+                       {n: _cone_diff(f, n) for n in objects if n + 1 in objects})
 
 
 def cone_inclusion(f):
@@ -384,15 +387,15 @@ def homology_ranks(C):
 
 def induced_homology_map_rank(f, n):
     """Rank of H^n(f) for a chain map f: C -> D, over the field, read from
-    the cone.
+    one block of the cone, ``_cone_diff(f, n - 1)``; no complex is built.
 
-    Its differential out of degree n - 1 is [[d_D, f_n], [0, -d_C]] on
+    The cone's differential out of degree n - 1 is [[d_D, f_n], [0, -d_C]] on
     D^{n-1} (+) C^n, with image I.  The projection of I onto C^{n+1} is
     im d_C^n.  Its kernel on I is {(d_D x + f_n y, 0) : d_C y = 0} =
     B^n(D) + f_n(Z^n(C)), which contains B^n(D) with quotient the image of
     H^n(f).  So rank d_cone = rank d_C^n + rank d_D^{n-1} + rank H^n(f)."""
     ring = f.source.ring
-    return (_rank(ring, cone(f).diff(n - 1)) - _rank(ring, f.source.diff(n))
+    return (_rank(ring, _cone_diff(f, n - 1)) - _rank(ring, f.source.diff(n))
             - _rank(ring, f.target.diff(n - 1)))
 
 
@@ -400,8 +403,8 @@ def triangle_les_exact(f):
     """Verify exactness of the homology long exact sequence of the triangle
     C --f--> D --> cone(f) --> C[1], over a point base.  Returns True/False."""
     C, D = f.source, f.target
-    cf = cone(f)
     inc = cone_inclusion(f)
+    cf = inc.target
     proj = cone_projection(f)
     hC = homology_ranks(C)
     hD = homology_ranks(D)

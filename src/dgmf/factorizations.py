@@ -152,9 +152,6 @@ class SuperElement:
         return (isinstance(other, SuperElement) and other.scheme.ring == self.scheme.ring
                 and other.coefficients == self.coefficients)
 
-    def degrees(self):
-        return sorted({-len(s) for s in self.coefficients})
-
     def is_pure_degree(self, k):
         return all(-len(s) == k for s in self.coefficients)
 

@@ -31,7 +31,7 @@ class GroupElement:
         ident = linalg.identity(field, self.ring.nvars)
         power = self.matrix
         for k in range(1, bound + 1):
-            if linalg.mat_eq(power, ident):
+            if power == ident:
                 return k
             power = linalg.mat_mul(power, self.matrix, field)
         raise ValueError(f"matrix has no multiplicative order <= {bound}; "
@@ -49,7 +49,7 @@ class GroupElement:
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and other.ring == self.ring
-                and linalg.mat_eq(other.matrix, self.matrix))
+                and other.matrix == self.matrix)
 
     def __hash__(self):
         return hash((self.ring, tuple(tuple(row) for row in self.matrix)))
@@ -62,17 +62,6 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.ring, linalg.invert(self.matrix, self.ring.field))
-
-    def __pow__(self, k):
-        k %= self.order
-        result = GroupElement.identity(self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    @classmethod
-    def identity(cls, ring):
-        return cls(ring, linalg.identity(ring.field, ring.nvars))
 
     @classmethod
     def diagonal(cls, ring, entries):

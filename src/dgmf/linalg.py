@@ -92,12 +92,6 @@ def entrywise(f, *matrices):
     return [[[image(c) for c in row] for row in m] for m in matrices]
 
 
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

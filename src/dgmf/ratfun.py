@@ -194,7 +194,8 @@ def _series_inverse(field, coeffs, length):
 
 
 class RationalFunction:
-    """num/den over Q(zeta_N); exact Laurent expansions at any point."""
+    """num/den over Q(zeta_N) in lowest terms, den monic; exact Laurent
+    expansions and residues at any point."""
 
     def __init__(self, num, den):
         if not den:
@@ -208,43 +209,9 @@ class RationalFunction:
         self.den = den.monic()
         self.field = num.field
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, UPoly.constant(p.field, 1))
-
-    def __bool__(self):
-        return bool(self.num)
-
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
                 and self.num == other.num and self.den == other.den)
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.from_poly(UPoly.constant(self.field, other))
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalFunction)
-                       else RationalFunction.from_poly(UPoly.constant(self.field, -other)))
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.from_poly(UPoly.constant(self.field, other))
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.from_poly(UPoly.constant(self.field, other))
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def evaluate(self, point):
         d = self.den.evaluate(point)

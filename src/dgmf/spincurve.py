@@ -329,10 +329,10 @@ def two_term_realization(spec):
 
     rows = _node_matching(spec, raw, value)
     if rows:
-        if linalg.rank(rows, field) < len(rows):
+        kernel = linalg.nullspace(rows, field)
+        if len(raw) - len(kernel) < len(rows):
             raise SpinDataError("divisor not ample enough: node-matching map "
                                 "is not surjective, H^1(V(D)) != 0")
-        kernel = linalg.nullspace(rows, field)
         embed = [[kernel[c][r] for c in range(len(kernel))] for r in range(len(raw))]
     else:
         embed = linalg.identity(field, len(raw))
@@ -560,12 +560,12 @@ def fundamental_mf(spec, pivot_order=None):
             out_ring, obstruction.scheme.odd_gens,
             [to_out(img) for img in obstruction.scheme.differential])
         f_out = scheme_out.element({s: to_out(c) for s, c in f.coefficients.items()})
-    # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i;
-    # this is the delta^2 = W . id certificate of every fold
-    potential = dgmf_from_homotopy(scheme_out, -f_out).curvature
-    if potential != spec.sector_potential(scheme_out.ring):
-        raise SpinDataError("curvature does not equal the sector potential; "
-                            "spin data is inconsistent")
+    # global sign convention: delta = d - f_{-1}, potential = + sum_i W_i.
+    # The curving is certified already: the solve checked d(f_{-1}) = -c, and
+    # u = M^{-1} y is a ring isomorphism commuting with d that sends
+    # c = Z^*(sum_i W_i) to sum_i W_i (the first rows of M are Z); every fold
+    # checks delta^2 = W . id again.
+    potential = spec.sector_potential(scheme_out.ring)
     return PipelineResult(spec, model, scheme_out, f_out, potential, list(sring.names),
                           extra_names, m_rows, narrow)
 
@@ -816,49 +816,33 @@ def residue_structure(spec):
 
 def check_projection_commutation(logmodel):
     """Both orders of (restrict away from the boundary) and (push to the
-    point) for the log-form pair: compare homology ranks and exhibit the
-    natural comparison map when it is a quasi-isomorphism."""
-    pair = logmodel.pair()
-    route_rj_then_push = logmodel.omega_complex()
-    route_push_then_rj = rj_shriek(pair)
-    h_a = homology_ranks(route_rj_then_push)
-    h_b = homology_ranks(route_push_then_rj)
-    degrees = set(h_a) | set(h_b)
-    ok = all(h_a.get(n, 0) == h_b.get(n, 0) for n in degrees)
-    quasi_iso = None
-    if ok:
-        quasi_iso = _omega_to_rj_map(logmodel, route_rj_then_push,
-                                     route_push_then_rj)
-    return ok, {"rj_then_push": h_a, "push_then_rj": h_b,
-                "quasi_iso": quasi_iso}
-
-
-def _omega_to_rj_map(logmodel, omega_cx, rj_cx):
-    """The inclusion omega(D) -> omega^log(D) in degree 0 and the identity on
-    jets in degree 1 is a chain map into Cone(phi)[-1]; verify and return it,
-    or None if the induced maps are not isomorphisms."""
-    base = omega_cx.ring
-    dim_om = len(logmodel.a_om)
+    point) for the log-form pair: compare homology ranks and, when they
+    agree, exhibit the natural comparison map omega(D) -> Cone(phi)[-1] if it
+    is a quasi-isomorphism: the inclusion omega(D) -> omega^log(D) in degree
+    0 and the identity on jets in degree 1."""
+    omega_cx = logmodel.omega_complex()  # restrict, then push
+    rj_cx = rj_shriek(logmodel.pair())   # push, then restrict
+    h_a, h_b = homology_ranks(omega_cx), homology_ranks(rj_cx)
+    ok = all(h_a.get(n, 0) == h_b.get(n, 0) for n in set(h_a) | set(h_b))
+    report = {"rj_then_push": h_a, "push_then_rj": h_b, "quasi_iso": None}
+    if not ok:
+        return ok, report
+    base, nb = omega_cx.ring, len(logmodel.b_basis)
     comps = {}
-    if dim_om and rj_cx.rank(0):
+    if logmodel.a_om and rj_cx.rank(0):
         comps[0] = [[base.constant(c) for c in row] for row in logmodel.incl]
-    nb = len(logmodel.b_basis)
     if nb and rj_cx.rank(1):
         rows = rj_cx.rank(1)
-        mat = [[base.zero] * nb for _ in range(rows)]
-        for k in range(nb):
-            mat[rows - nb + k][k] = base.one
-        comps[1] = mat
+        comps[1] = [[base.one if r == rows - nb + k else base.zero for k in range(nb)]
+                    for r in range(rows)]
     try:
         f = ChainMap(omega_cx, rj_cx, comps)
     except NotAChainMap:
-        return None
-    h_a, h_b = homology_ranks(omega_cx), homology_ranks(rj_cx)
-    for n in (0, 1):
-        if h_a.get(n, 0) != h_b.get(n, 0) or \
-                induced_homology_map_rank(f, n) != h_a.get(n, 0):
-            return None
-    return f
+        return ok, report
+    # the ranks agree, so H(f) is an isomorphism exactly when it has full rank
+    if all(induced_homology_map_rank(f, n) == h_a.get(n, 0) for n in (0, 1)):
+        report["quasi_iso"] = f
+    return ok, report
 
 
 # -- gluing ----------------------------------------------------------------
@@ -969,8 +953,8 @@ def _same_span(a, b, field):
     both = [ra + rb for ra, rb in zip(a, b)]
     if linalg.rank(a, field) == linalg.rank(b, field) == linalg.rank(both, field):
         return True, None
+    # the ranks differ, so some column lies outside the other span
     for x, y in ((a, b), (b, a)):
         for col in linalg.transpose(y):
             if linalg.solve(x, col, field) is None:
                 return False, col
-    return False, None

@@ -536,3 +536,39 @@ def test_homology_rejects_a_ring_with_variables():
     for compute in (homology_ranks, lambda c: induced_homology_map_rank(ChainMap.identity(c), 0)):
         with pytest.raises(ValueError, match="homology only over a point"):
             compute(C)
+
+
+def test_induced_homology_map_rank_builds_no_complex(monkeypatch):
+    """The rank is read from one block of the cone (``_cone_diff``); no
+    FreeComplex is constructed on the seeded maps."""
+    ring = PolyRing(CyclotomicField(3), [], [])
+    rng = random.Random("induced:3")
+    maps = []
+    for _ in range(40):
+        f = _random_chain_map(rng, _random_point_complex(rng, ring),
+                              _random_point_complex(rng, ring))
+        maps += [f, cone_inclusion(f), cone_projection(f)]
+    built = []
+    init = FreeComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeComplex, "__init__", counting)
+    ranks = [induced_homology_map_rank(g, n) for g in maps for n in range(-2, 4)]
+    assert built == [] and any(ranks)
+
+
+def test_cone_differential_negates_each_distinct_entry_once():
+    """The cone of f: C -> D writes d_D and f as they are and -d_C below; a
+    d_C entry object shared by several cells has one negation, shared too."""
+    x = PT.constant(F.scalar(2))
+    C = FreeComplex(PT, {0: [Generator("a", 0)], 1: [Generator("b", 0), Generator("c", 0)]},
+                    {0: [[x], [x]]})
+    cf = cone(ChainMap.identity(C))
+    assert (cf.rank(-1), cf.rank(0), cf.rank(1)) == (1, 3, 2)
+    (one,), (neg_b,), (neg_c,) = cf.diff(-1)
+    assert one == PT.one and neg_b == -x and neg_b is neg_c
+    assert cf.diff(0) == [[x, PT.one, PT.zero], [x, PT.zero, PT.one]]
+    assert homology_ranks(cf) == {-1: 0, 0: 0, 1: 0}

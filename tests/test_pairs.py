@@ -226,3 +226,18 @@ def test_pair_tensor_rejects_pairs_over_different_rings():
     other = PolyRing(F, ["x"], [1])
     with pytest.raises(ValueError, match="pair tensor over different rings"):
         pair_tensor(unit_pair(PT), unit_pair(other))
+
+
+def test_shriek_triangle_builds_two_cones_per_pair(monkeypatch):
+    """On the 50 random pairs of acceptance criterion 4, the exactness check
+    builds cone(phi) once for the inclusion and once for the projection,
+    and reads every induced rank without a cone: 100 cones, not 966."""
+    from dgmf import complexes
+    from test_acceptance import _random_pair
+    rng = random.Random(4)
+    pairs = [_random_pair(rng) for _ in range(50)]
+    built = []
+    cone = complexes.cone
+    monkeypatch.setattr(complexes, "cone", lambda f: built.append(f) or cone(f))
+    assert all(rj_shriek_triangle_exact(p) for p in pairs)
+    assert len(built) == 2 * len(pairs)

@@ -670,23 +670,36 @@ def test_transport_check_rejects_a_marking_index_outside_the_markings(index):
         rigidification_transport_check(spec, fundamental_mf(spec), index, eps)
 
 
+# divisor multiplicity 1 (omega(D) = 0) and 2-4 (omega(D) != 0, so the
+# degree-0 inclusion omega(D) -> omega^log(D) enters the comparison map), at
+# the origin and off it
+RESIDUE_DIVISORS = [f"divisor c0 at {q} mult {m}" for q in (0, 2) for m in (1, 2, 3, 4)]
+
+
 def test_residue_structure_and_triangle():
-    spec = _spec(BROAD)
-    lm = residue_structure(spec)
     rng = random.Random(77)
-    for _ in range(10):
-        form = lm.random_form(rng)
-        assert not lm.total_residue(form)
-    report = lm.residue_triangle_report()
-    assert report["inclusion_injective"]
-    assert report["residue_kills_omega"]
-    assert report["connecting_is_summation"]
+    for divisor in RESIDUE_DIVISORS:
+        lm = residue_structure(_spec(BROAD.replace("divisor c0 at 0 mult 1", divisor)))
+        assert len(lm.a_om) == int(divisor[-1]) - 1
+        for _ in range(10):
+            form = lm.random_form(rng)
+            assert not lm.total_residue(form)
+        report = lm.residue_triangle_report()
+        assert report["inclusion_injective"]
+        assert report["residue_kills_omega"]
+        assert report["connecting_is_summation"]
+        assert report["exact"] and report["coker_omega_dim"] == 1
 
 
 def test_projection_commutation():
-    lm = residue_structure(_spec(BROAD))
-    ok, _info = check_projection_commutation(lm)
-    assert ok
+    for divisor in RESIDUE_DIVISORS:
+        lm = residue_structure(_spec(BROAD.replace("divisor c0 at 0 mult 1", divisor)))
+        ok, info = check_projection_commutation(lm)
+        assert ok and info["push_then_rj"] == {0: 0, 1: 1}
+        # a quasi-isomorphism omega(D) -> Cone(phi)[-1], with the inclusion in
+        # degree 0 once omega(D) != 0
+        f = info["quasi_iso"]
+        assert f is not None and (0 in f.components) == bool(lm.a_om)
 
 
 def test_twisted_diagonal_glue():
@@ -1441,3 +1454,49 @@ def test_point_homology_rejects_a_point_for_an_mf_over_the_point_base():
     assert point_homology(at, ()) == (1, 1)
     with pytest.raises(ValueError, match="point base"):
         point_homology(at, (F.zero,))
+
+
+def test_two_term_realization_rejects_a_node_matching_that_is_not_surjective(tmp_path, capsys):
+    # without a divisor, the bundles of degree -1 have no sections to match
+    # at the node, so H^1(V(D)) != 0
+    text = (GLUED.replace("bundle c0 = 0", "bundle c0 = -1")
+            .replace("bundle c1 = 0", "bundle c1 = -1")
+            .replace("divisor c0 at 0 mult 1\ndivisor c1 at 0 mult 1\n", ""))
+    assert "divisor" not in text
+    with pytest.raises(SpinDataError, match="node-matching map is not surjective"):
+        two_term_realization(_spec(text))
+    path = tmp_path / "in.spec"
+    path.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(["fundamental", "--input", str(path), "--output", str(out)]) == 3
+    assert "node-matching map is not surjective" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every pipeline spec of this file but one: the f_{-1} solve of
+# a2-zeta12-three-points alone takes about 20 s (CPython 3.11, 2-core VM)
+SPEC_FIXTURES = {**CERTIFIED, "a2-zeta6": A2_ZETA6,
+                 **{f"one-aux-{k}": v for k, v in ONE_AUXILIARY.items()},
+                 **{f"sections-{k}": v for k, v in SECTION_SPECS.items()
+                    if k != "a2-zeta12-three-points"},
+                 **{f"glue-{k}-{side}": v for k, pair in GLUE_PAIRS.items()
+                    for side, v in zip(("disconnected", "glued"), pair)}}
+
+
+@pytest.mark.parametrize("name", list(SPEC_FIXTURES))
+def test_pipeline_potential_is_the_curvature_of_its_curving(name):
+    """The transport argument: d(f_{-1}) = -c is certified by the solve, and
+    the change of coordinates sends c = Z^*(sum W_i) to sum W_i, so the
+    curvature of the output curving is the sector potential."""
+    r = fundamental_mf(_spec(SPEC_FIXTURES[name]))
+    assert r.potential == dgmf_from_homotopy(r.scheme_out, -r.f_out).curvature
+
+
+def test_fundamental_mf_rejects_a_perturbed_curving_on_fold():
+    # the fold certifies delta^2 = W . id against the sector potential, so a
+    # curving whose curvature is not W fails on the first read of ``mf``
+    r = fundamental_mf(_spec(BROAD.replace("mult 1", "mult 3")))
+    t, c = next(iter(r.f_out.coefficients.items()))
+    r.f_out = r.scheme_out.element({**r.f_out.coefficients, t: c + c})
+    with pytest.raises(CertificateError, match="delta\\^2 != W"):
+        r.mf
