@@ -250,8 +250,12 @@ def cone_inclusion(f):
 
 def cone_projection(f):
     """The canonical chain map cone(f) -> C[1]."""
+    return _projection(f, cone(f))
+
+
+def _projection(f, cf):
+    """The canonical chain map cf -> C[1], for cf = cone(f)."""
     C = f.source
-    cf = cone(f)
     shifted = C.shift(1)
     comps = {}
     for n in cf.degrees():
@@ -405,7 +409,7 @@ def triangle_les_exact(f):
     C, D = f.source, f.target
     inc = cone_inclusion(f)
     cf = inc.target
-    proj = cone_projection(f)
+    proj = _projection(f, cf)
     hC = homology_ranks(C)
     hD = homology_ranks(D)
     hCf = homology_ranks(cf)

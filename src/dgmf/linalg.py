@@ -18,17 +18,21 @@ elimination (kept as the reference in the tests).
 certificate kernel: it decides whether a sum of products of Poly matrices
 equals a target, exactly, without building any product, and every identity
 on Poly matrices (delta^2 = W . id, d o d = 0, commuting squares, gauge
-intertwiners, contracting homotopies) is checked by it.  Its accumulation,
-``_accumulate``, also sums the results of ``poly.substituter``.  ``zeros`` and
-``identity`` only touch ``.zero`` and ``.one`` of their base, so they build
-Poly matrices too: pass the PolyRing where a field is asked for.
+intertwiners, contracting homotopies) is checked by it.  It packs each
+coefficient into one integer (zeta -> 2^B) and settles each cell by one
+divisibility test by Phi_N(2^B); its docstring proves the test exact.
+``zeros`` and ``identity`` only touch ``.zero`` and ``.one`` of their base,
+so they build Poly matrices too: pass the PolyRing where a field is asked
+for.
 ``entrywise`` maps Poly matrices once per distinct entry object
 (``per_object``), so cells that share an entry share its image.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
+from operator import attrgetter, lshift
 
 from .cyclotomic import Scalar, _inverse_integers, _lowest, _product, _sum
 
@@ -220,105 +224,75 @@ def invert(matrix, field):
     return [[_entry(x, field) for x in row[n:]] for row in r]
 
 
-def _terms(poly):
-    """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
-    the coefficient is sum(integer * zeta^k) / denominator."""
-    return [(e, [(k, x) for k, x in enumerate(c.ints) if x], c.den)
-            for e, c in poly.terms.items()]
+_den, _ints, _terms_of = attrgetter("den"), attrgetter("ints"), attrgetter("terms")
 
 
 def first_mismatch(products, target, field):
     """The first (i, j), row by row, at which sum(a . b for a, b in products)
     differs from ``target`` (a matrix of Poly over ``field``); None if equal.
+    A difference A . B - C . D = 0 is checked as the products
+    [(A, B), (-C, D)] against a zero target.
 
-    Exact, and no product Poly or Scalar is built.  Every nonzero entry is
-    turned once into integer terms with packed exponents, and the nonzero
-    columns of each row are listed once (Gustavson's row-by-row product).
-    Row i then accumulates, per column and exponent, one unreduced integer
-    vector of length 2*phi(N) - 1 over the lcm of its denominators, reduces
-    it by Phi_N once and compares it with the target by cross-multiplying
-    denominators.  A difference A . B - C . D = 0 is checked as the products
-    [(A, B), (-C, D)] against a zero target."""
-    cache = {}  # id -> terms; every entry stays alive in its matrix meanwhile
+    Exact, and no product Poly or Scalar is built.  Every coefficient is put
+    over one common denominator D (the target over D^2).  Each distinct
+    entry is turned once into terms (packed exponent, packed coefficient):
+    a coefficient sum(x_k z^k) becomes the one int sum(x_k 2^(B k))
+    (Kronecker substitution z -> 2^B).  Row i starts from minus the target
+    and adds the product of every term of a[i][k] and every term of b[k][j]
+    under the key ``j << ebits | exponent`` (Gustavson's row-by-row
+    product).  Each value is then P(2^B), for P the unreduced integer
+    polynomial in z (degree <= 2 phi - 2) of D^2 times the difference at
+    that cell and monomial; the cell agrees iff Phi_N(2^B) divides them all.
 
-    def terms(poly):
-        t = cache.get(id(poly))
-        if t is None:
-            t = cache[id(poly)] = _terms(poly)
-        return t
-
-    sparse = lambda m: [[(j, terms(c)) for j, c in enumerate(row) if c.terms] for row in m]
-    products = [(sparse(a), sparse(b)) for a, b in products]
-    target = [dict(row) for row in sparse(target)]
-    # pack each exponent into one int, `shift` bits per variable: enough for
-    # every exponent here and every sum of two, so a product's exponent is
-    # the sum of its factors' and distinct exponents stay distinct.  On the
-    # point base every exponent is () and stays so.
-    if any(e for ts in cache.values() for e, _, _ in ts):
-        top = max(x for ts in cache.values() for e, _, _ in ts for x in e)
-        shift = (2 * top + 1).bit_length()
-        for ts in cache.values():
-            ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
-                     for e, vec, d in ts]
-    width = 2 * field.degree - 1
-    for i, want in enumerate(target):
-        acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
-        for a, b in products:
+    Why that is exact.  Every coefficient of P is at most
+    S = K T^2 phi max|A| max|B| + max|C| in absolute value (K the summed
+    inner dimension, T the most terms in one entry, the maxima over the
+    scaled integers of left factors, right factors and target); with
+    H = D max|x_k|, each factor's maximum is at most H and the target's at
+    most H D <= H^2, so S <= (K T^2 phi + 1) H^2, the bound used.  Reducing
+    z^(phi + m) by the rows of ``field._reduction`` bounds each coefficient
+    of R = P mod Phi_N by M = S c, c = 1 + sum |entries of the rows|; the
+    lower coefficients of Phi_N (the negated first row) sum to h <= c - 1.
+    With X = 2^B, B = bitlen(M) + 3 gives X > 8 M, so M + h <= 2 M < X - 1
+    when S >= 1 (S = 0 leaves P = 0).  Then |R(X)| < M X^phi / (X - 1) <=
+    X^phi (1 - h / (X - 1)) < Phi_N(X).  Phi_N is monic, so Q(X) in
+    P(X) = Q(X) Phi_N(X) + R(X) is an integer, and Phi_N(X) | P(X) iff
+    R(X) = 0, iff R = 0 (a base-X expansion with digits strictly between
+    -X/2 and X/2 is unique), iff P(zeta) = 0."""
+    mats = [m for pair in products for m in pair] + [target]
+    sparse = [[[(j, p) for j, p in enumerate(row) if p.terms] for row in m] for m in mats]
+    distinct = {id(p): p for m in sparse for row in m for _, p in row}
+    coeffs = [c for p in distinct.values() for c in p.terms.values()]
+    den = lcm(*set(map(_den, coeffs)))
+    height = max(map(abs, chain.from_iterable(map(_ints, coeffs))), default=0) * den
+    most = max(map(len, map(_terms_of, distinct.values())), default=0)
+    inner = sum(len(b) for _, b in products)
+    reduction = field._reduction
+    bits = ((inner * most * most * field.degree + 1) * height * height
+            * (1 + sum(abs(t) for row in reduction for _, t in row))).bit_length() + 3
+    # Phi_N(2^B): the first row of the reduction is z^phi mod Phi_N
+    modulus = (1 << bits * field.degree) - sum(t << bits * i for i, t in reduction[0])
+    exps = set(chain.from_iterable(map(_terms_of, distinct.values())))
+    shift = (2 * max(chain.from_iterable(exps), default=0) + 1).bit_length()
+    packed = {e: sum(map(lshift, e, range(0, shift * len(e), shift))) for e in exps}
+    ebits = shift * max(map(len, exps), default=0)  # a sum of two exponents fits
+    places = range(0, bits * field.degree, bits)
+    table = {i: [(packed[e], sum(map(lshift, c.ints, places)) * (den // c.den))
+                 for e, c in p.terms.items()] for i, p in distinct.items()}
+    rows = [([[(k, table[id(p)]) for k, p in row] for row in a],
+             [[((j << ebits) + e, v) for j, p in row for e, v in table[id(p)]] for row in b])
+            for a, b in zip(sparse[:-1:2], sparse[1:-1:2])]
+    for i, want in enumerate(sparse[-1]):
+        acc = {(j << ebits) + e: -v * den for j, p in want for e, v in table[id(p)]}
+        get = acc.get
+        for a, b in rows:
             for k, ta in a[i]:
-                for j, tb in b[k]:
-                    cell = acc.get(j)
-                    if cell is None:
-                        cell = acc[j] = {}
-                    _accumulate(cell, ta, tb, width)
-        for j in sorted(acc.keys() | want.keys()):
-            if not _agrees(acc.get(j, {}), want.get(j, ()), field):
-                return i, j
+                bk = b[k]
+                for ea, va in ta:
+                    for kb, vb in bk:
+                        key = kb + ea
+                        acc[key] = get(key, 0) + va * vb
+        bad = [key for key, v in acc.items() if v % modulus]
+        if bad:
+            return i, min(bad) >> ebits
     return None
-
-
-def _accumulate(cell, ta, tb, width):
-    """Add every product of a term of ``ta`` and a term of ``tb`` (lists of
-    (exponent, nonzero (k, integer) pairs, denominator), as ``_terms`` gives)
-    to cell[ea + eb] = [denominator, unreduced integer vector of length
-    ``width``], rescaled to the lcm of the denominators.  Exponents are
-    packed ints here, or () on the point base, or tuples with ea = () for a
-    substitution."""
-    for ea, va, da in ta:
-        for eb, vb, db in tb:
-            e, d = ea + eb, da * db
-            slot = cell.get(e)
-            if slot is None:
-                slot = cell[e] = [d, [0] * width]
-            den, ints = slot
-            if d != den:
-                common = lcm(den, d)
-                if common != den:
-                    f = common // den
-                    slot[:] = den, ints = common, [x * f for x in ints]
-            scale = den // d
-            for ka, xa in va:
-                xa *= scale
-                for kb, xb in vb:
-                    ints[ka + kb] += xa * xb
-
-
-def _agrees(cell, expected, field):
-    """Whether the accumulated {exponent: [den, unreduced ints]} equals the
-    Poly whose ``_terms`` are ``expected``."""
-    expected = {e: (v, d) for e, v, d in expected}
-    for e, (den, ints) in cell.items():
-        got = field.reduce_integers(ints) if any(ints) else None
-        w = expected.pop(e, None)
-        if w is None:
-            if got is not None and any(got):
-                return False
-        elif got is None:
-            return False
-        else:
-            v, wden = w
-            diff = [g * wden for g in got]
-            for k, x in v:
-                diff[k] -= x * den
-            if any(diff):
-                return False
-    return not expected

@@ -5,16 +5,16 @@ Poly is a finitely supported map from exponent tuples to nonzero Scalars.
 The weight of a monomial is the weighted degree sum; quasihomogeneity checks
 and weight-graded enumeration live here because every module above relies on
 them.  Substitution (``substituter``, also behind ``Poly.evaluate`` and the
-restrictions of an MF) sums on integers through ``linalg._accumulate``, the
-kernel of ``linalg.first_mismatch``.
+restrictions of an MF) sums each coefficient as one unreduced integer vector
+and reduces it by Phi_N once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Scalar, _power, read_terms, tokenize
-from .linalg import _accumulate, _terms
 
 
 class PolyRing:
@@ -106,8 +106,15 @@ def exponents_of_weight(weights, target):
     return out
 
 
+def _terms(poly):
+    """The terms of a Poly as (exponent, nonzero (k, integer), denominator):
+    the coefficient is sum(integer * zeta^k) / denominator."""
+    return [(e, [(k, x) for k, x in enumerate(c.ints) if x], c.den)
+            for e, c in poly.terms.items()]
+
+
 def _monomial_table(values, one):
-    """The map e -> the ``linalg._terms`` of prod values[v] ** e[v], for
+    """The map e -> the ``_terms`` of prod values[v] ** e[v], for
     Poly values.  Each power of each value and each monomial's terms are
     computed once, on first use, and kept."""
     powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
@@ -149,8 +156,23 @@ def substituter(ring, images, target):
 
     def substitute(poly):
         acc = {}  # exponent -> [denominator, unreduced integer vector]
-        for e, vc, dc in _terms(poly):
-            _accumulate(acc, [((), vc, dc)], monomial(e), width)
+        for e, va, da in _terms(poly):
+            for e2, vb, db in monomial(e):
+                d = da * db
+                slot = acc.get(e2)
+                if slot is None:
+                    slot = acc[e2] = [d, [0] * width]
+                den, ints = slot
+                if d != den:  # rescale the slot to the lcm of the denominators
+                    common = lcm(den, d)
+                    if common != den:
+                        f = common // den
+                        slot[:] = den, ints = common, [x * f for x in ints]
+                scale = den // d
+                for ka, xa in va:
+                    xa *= scale
+                    for kb, xb in vb:
+                        ints[ka + kb] += xa * xb
         return Poly(target, {e2: field._reduce(ints, den) for e2, (den, ints) in acc.items()})
 
     return substitute

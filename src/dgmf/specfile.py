@@ -9,10 +9,12 @@ section is one, and so is a second ``component``, ``bundle`` or ``eta`` line
 for one component of a ``[curve]`` section.
 
 Every scalar and polynomial literal is read by the one grammar of
-``cyclotomic.read_terms``.  The structure around them (polynomial and scalar
-lists split at ``,``, matrix rows at ``;``, ``(num)/(den)`` at ``/``, and
-``(poly)*b0^b1`` terms at ``+``) is found in the same token list, outside
-parentheses, by ``cyclotomic.split_tokens``.
+``cyclotomic.read_terms``.  That grammar has no ``,`` or ``;``, so polynomial
+and scalar lists are split at ``,`` and matrix rows at ``;`` on the raw
+text, and each distinct entry text of a matrix is tokenized and read once.
+``(num)/(den)`` at ``/`` and ``(poly)*b0^b1`` terms at ``+``, where
+parentheses matter, are split in the token list, outside parentheses, by
+``cyclotomic.split_tokens``.
 """
 
 from __future__ import annotations
@@ -101,20 +103,17 @@ def _read_entry(ring, lineno, toks, what):
     return _read_poly(ring, lineno, toks, what)
 
 
-def _read_entries(ring, lineno, toks, what, memo):
-    """Comma-separated ``_read_entry`` polynomials; none for no tokens.
-    ``memo`` maps the token tuple of each entry read so far to its Poly, so
-    each distinct literal is read once and all its copies share one
-    immutable Poly (``(0)``, the writer's zero entry, is one such key).
-    Pass one memo for all the entries of one ring."""
-    out = []
-    for part in split_tokens(toks, ",") if toks else []:
-        key = tuple(part)
-        poly = memo.get(key)
-        if poly is None:
-            poly = memo[key] = _read_entry(ring, lineno, part, what)
-        out.append(poly)
-    return out
+def _read_entries(ring, lineno, text, what, memo):
+    """The ``_read_entry`` polynomials of ``text`` split at ``,``; none for
+    blank text.  ``memo`` maps each stripped entry text read so far to its
+    Poly, so each distinct literal is tokenized and read once and all its
+    copies share one immutable Poly (``(0)``, the writer's zero entry, is
+    one such key).  Pass one memo for all the entries of one ring."""
+    keys = [part.strip() for part in text.split(",")] if text.strip() else []
+    for key in dict.fromkeys(keys):
+        if key not in memo:
+            memo[key] = _read_entry(ring, lineno, tokenize(key), what)
+    return [memo[key] for key in keys]
 
 
 def _parse_variables(field, lineno, text):
@@ -143,24 +142,24 @@ def _parse_scalar(field, lineno, text):
                       "scalar").constant_value()
 
 
-def _read_scalars(field, lineno, toks):
-    """The comma-separated scalars of the token list ``toks``."""
+def _read_scalars(field, lineno, text):
+    """The comma-separated scalars of ``text``."""
     ring = PolyRing(field, [])
-    return [_read_poly(ring, lineno, part, "scalar").constant_value()
-            for part in split_tokens(toks, ",")]
+    return [_read_poly(ring, lineno, tokenize(part), "scalar").constant_value()
+            for part in text.split(",")]
 
 
 def _parse_group_element(ring, lineno, text):
     text = text.strip()
     field = ring.field
     if text.startswith("diag(") and text.endswith(")"):
-        entries = _read_scalars(field, lineno, tokenize(text[5:-1]))
+        entries = _read_scalars(field, lineno, text[5:-1])
         if len(entries) != ring.nvars:
             raise SpecParseError(lineno, "diag() entry count != variable count")
         return GroupElement.diagonal(ring, entries)
     if text.startswith("matrix "):
         return GroupElement(ring, [_read_scalars(field, lineno, row) for row in
-                                   split_tokens(tokenize(text[len("matrix "):]), ";")])
+                                   text[len("matrix "):].split(";")])
     raise SpecParseError(lineno, f"expected diag(...) or matrix ..., got {text!r}")
 
 
@@ -288,7 +287,7 @@ def _parse_curve(field, ring, lines):
                 point = _parse_scalar(field, lineno, point_text)
                 gamma_text, _, rig_text = tail.partition("rig")
                 gamma = _parse_group_element(ring, lineno, gamma_text)
-                rig = _read_scalars(field, lineno, tokenize(rig_text))
+                rig = _read_scalars(field, lineno, rig_text)
                 markings.append(Marking(comp, point, gamma, rig))
             elif head == "divisor":
                 # divisor c0 at 0 mult 2
@@ -312,7 +311,7 @@ def _parse_curve(field, ring, lines):
                                                      "<point> rig <scalars> ~ ...")
                     comp = bwords[0]
                     point = _parse_scalar(field, lineno, bwords[2])
-                    rig = _read_scalars(field, lineno, tokenize(" ".join(bwords[4:])))
+                    rig = _read_scalars(field, lineno, " ".join(bwords[4:]))
                     return (comp, point, rig)
 
                 nodes.append(Node(branch(left), branch(right)))
@@ -369,17 +368,15 @@ def _parse_gen_list(lineno, text):
 
 
 def _parse_matrix(ring, lineno, text, rows, cols, memo):
+    """A matrix of ``_read_entries`` rows, split at ``;`` on the raw text
+    (the literal grammar has no ``;``)."""
     text = text.strip()
-    if rows == 0:
-        if text:
-            raise SpecParseError(lineno, "expected an empty matrix")
-        return []
-    if cols == 0:
+    if rows == 0 or cols == 0:
         if text:
             raise SpecParseError(lineno, "expected an empty matrix")
         return [[] for _ in range(rows)]
     matrix = [_read_entries(ring, lineno, row, "entry", memo)
-              for row in split_tokens(tokenize(text), ";")] if text else []
+              for row in text.split(";")] if text else []
     if len(matrix) != rows or any(len(r) != cols for r in matrix):
         raise SpecParseError(lineno, f"matrix shape {len(matrix)} rows, "
                                      f"expected {rows} x {cols}")
@@ -411,7 +408,7 @@ def parse_mf(text):
     _, val1 = kv["p1"]
     p0 = _parse_gen_list(kv["p0"][0], val0)
     p1 = _parse_gen_list(kv["p1"][0], val1)
-    memo = {}  # one for both matrices: token tuple -> Poly
+    memo = {}  # one for both matrices: entry text -> Poly
     lineno, val = kv["delta0"]
     delta0 = _parse_matrix(ring, lineno, val, len(p1), len(p0), memo)
     lineno, val = kv["delta1"]
@@ -451,8 +448,8 @@ def parse_koszul(text):
         raise SpecParseError(1, "missing alpha or beta in [koszul]")
     (la, alpha), (lb, beta) = kv["alpha"], kv["beta"]
     memo = {}
-    return (ring, _read_entries(ring, la, tokenize(alpha), "alpha entry", memo),
-            _read_entries(ring, lb, tokenize(beta), "beta entry", memo))
+    return (ring, _read_entries(ring, la, alpha, "alpha entry", memo),
+            _read_entries(ring, lb, beta, "beta entry", memo))
 
 
 def parse_scheme(text):

@@ -290,6 +290,25 @@ def test_negative_variable_exponent_is_a_parse_error(tmp_path):
             assert code == 2, (command, bad)
 
 
+@pytest.mark.parametrize("edit", [
+    ("delta0 = ", "delta0 = (0), , "),      # an empty entry
+    ("\ndelta1", ",\ndelta1"),              # a trailing ,
+    ("\ndelta1", " ;\ndelta1"),             # a trailing ;
+    ("delta0 = (", "delta0 = (0, "),        # a , inside parentheses
+    ("delta0 = (", "delta0 = (0 ; "),       # a ; inside parentheses
+])
+def test_a_misplaced_matrix_separator_is_a_parse_error(tmp_path, edit):
+    """Matrix rows and entries are split at ; and , on the raw text: every
+    misplaced separator leaves an entry that does not parse, or a wrong
+    shape, and exits 2."""
+    _code, mf_text = _run(tmp_path, "fundamental", SPIN.replace("mult 1", "mult 2"))
+    bad = mf_text.replace(*edit, 1)
+    assert bad != mf_text
+    for command in ("verify", "support"):
+        code, _ = _run(tmp_path, command, bad)
+        assert code == 2, (command, edit)
+
+
 def test_malformed_polynomial_is_a_parse_error(tmp_path):
     _code, mf_text = _run(tmp_path, "koszul", KOSZUL)
     for entry in ("(x^)", "(x*)", "(*x)", "(x**1)", "(x +)"):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dgmf import CyclotomicField, PolyRing, koszul_mf
 from dgmf import linalg
-from test_factorizations import _reference_homotopy_system
+from dgmf.poly import Poly, _terms
+from test_factorizations import _dense_sum, _reference_homotopy_system
 
 F = CyclotomicField(4)
 
@@ -267,3 +269,197 @@ def test_rref_matches_dense_reference_on_a_homotopy_system():
     system = [row + [b] for row, b in zip(matrix, rhs)]
     assert (len(system), len(system[0])) == (32, 33)
     _assert_rref_matches_reference(system, field, random.Random("homotopy"))
+
+
+def _reference_first_mismatch(products, target, field):
+    """The previous ``first_mismatch`` kernel: per row, each (column,
+    exponent) is accumulated as one unreduced integer vector of length
+    2 phi - 1 over the lcm of its denominators, reduced by Phi_N once and
+    compared with the target by cross-multiplying denominators."""
+    cache = {}  # id -> terms; every entry stays alive in its matrix meanwhile
+
+    def terms(poly):
+        t = cache.get(id(poly))
+        if t is None:
+            t = cache[id(poly)] = _terms(poly)
+        return t
+
+    sparse = lambda m: [[(j, terms(c)) for j, c in enumerate(row) if c.terms] for row in m]
+    products = [(sparse(a), sparse(b)) for a, b in products]
+    target = [dict(row) for row in sparse(target)]
+    if any(e for ts in cache.values() for e, _, _ in ts):
+        top = max(x for ts in cache.values() for e, _, _ in ts for x in e)
+        shift = (2 * top + 1).bit_length()
+        for ts in cache.values():
+            ts[:] = [(sum(x << shift * v for v, x in enumerate(e)), vec, d)
+                     for e, vec, d in ts]
+    width = 2 * field.degree - 1
+    for i, want in enumerate(target):
+        acc = {}  # j -> {exponent: [denominator, unreduced integer vector]}
+        for a, b in products:
+            for k, ta in a[i]:
+                for j, tb in b[k]:
+                    _accumulate(acc.setdefault(j, {}), ta, tb, width)
+        for j in sorted(acc.keys() | want.keys()):
+            if not _reference_agrees(acc.get(j, {}), want.get(j, ()), field):
+                return i, j
+    return None
+
+
+def _accumulate(cell, ta, tb, width):
+    """Add every product of a term of ``ta`` and a term of ``tb`` (lists of
+    (exponent, nonzero (k, integer) pairs, denominator), as ``_terms`` gives)
+    to cell[ea + eb] = [denominator, unreduced integer vector of length
+    ``width``], rescaled to the lcm of the denominators."""
+    for ea, va, da in ta:
+        for eb, vb, db in tb:
+            e, d = ea + eb, da * db
+            slot = cell.get(e)
+            if slot is None:
+                slot = cell[e] = [d, [0] * width]
+            den, ints = slot
+            if d != den:
+                common = lcm(den, d)
+                if common != den:
+                    f = common // den
+                    slot[:] = den, ints = common, [x * f for x in ints]
+            scale = den // d
+            for ka, xa in va:
+                xa *= scale
+                for kb, xb in vb:
+                    ints[ka + kb] += xa * xb
+
+
+def _reference_agrees(cell, expected, field):
+    """Whether the accumulated {exponent: [den, unreduced ints]} equals the
+    Poly whose ``_terms`` are ``expected``."""
+    expected = {e: (v, d) for e, v, d in expected}
+    for e, (den, ints) in cell.items():
+        got = field.reduce_integers(ints) if any(ints) else None
+        w = expected.pop(e, None)
+        if w is None:
+            if got is not None and any(got):
+                return False
+        elif got is None:
+            return False
+        else:
+            v, wden = w
+            diff = [g * wden for g in got]
+            for k, x in v:
+                diff[k] -= x * den
+            if any(diff):
+                return False
+    return not expected
+
+
+def _corpus_scalar(rng, field, dens):
+    """A seeded Scalar: numerators up to 2^200 now and then, denominators
+    drawn from ``dens``, rational now and then, zero never."""
+    while True:
+        top = 2 ** 200 if rng.random() < 0.2 else 9
+        den = rng.choice(dens)
+        coeffs = [Fraction(rng.randint(-top, top), den) for _ in range(field.degree)]
+        if rng.random() < 0.3:
+            coeffs[1:] = [0] * (field.degree - 1)
+        if any(coeffs):
+            return field.from_coeffs(coeffs)
+
+
+def _corpus_matrix(rng, ring, rows, cols, dens, density=0.4):
+    """Seeded Poly matrices; a Poly base ring gets up to three terms of
+    degree <= 2 per entry, and shared entry objects now and then."""
+    shared = []
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            if rng.random() > density:
+                row.append(ring.zero)
+            elif shared and rng.random() < 0.2:
+                row.append(rng.choice(shared))
+            else:
+                terms = {}
+                for _ in range(rng.randint(1, 3) if ring.nvars else 1):
+                    e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+                    terms[e] = _corpus_scalar(rng, ring.field, dens)
+                shared.append(Poly(ring, terms))
+                row.append(shared[-1])
+        out.append(row)
+    return out
+
+
+# pairwise coprime denominators, one set per factor and one for the target
+_CORPUS_DENS = ([1, 2, 4], [3, 9], [5, 25, 2 ** 61 - 1], [7, 11, 13])
+
+
+@pytest.mark.parametrize("order", [1, 4, 5, 7, 12])
+@pytest.mark.parametrize("nvars", [0, 2])
+def test_first_mismatch_rejects_what_the_reference_kernel_rejects_on_a_seeded_corpus(order, nvars):
+    """The same (i, j) or None as the previous kernel, on exact sums,
+    single-entry perturbations and unrelated targets, for one product and
+    for [(A, B), (-C, D)], over Q, Q(i), Q(zeta_5), Q(zeta_7), Q(zeta_12),
+    point-base and Poly matrices."""
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x", "y"][:nvars])
+    rng = random.Random(f"corpus-{order}-{nvars}")
+    outcomes = set()
+    for trial in range(10):
+        n, m, p = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 5)
+        products = [(_corpus_matrix(rng, ring, n, m, _CORPUS_DENS[0]),
+                     _corpus_matrix(rng, ring, m, p, _CORPUS_DENS[1]))]
+        if trial % 2:
+            c = _corpus_matrix(rng, ring, n, m + 1, _CORPUS_DENS[2])
+            products.append((linalg.mat_neg(c),
+                             _corpus_matrix(rng, ring, m + 1, p, _CORPUS_DENS[3])))
+        exact = _dense_sum(products, ring, n, p)
+        wrong = [list(row) for row in exact]
+        i, j = rng.randrange(n), rng.randrange(p)
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        wrong[i][j] = wrong[i][j] + Poly(ring, {e: _corpus_scalar(rng, field, [1, 3])})
+        other = _corpus_matrix(rng, ring, n, p, _CORPUS_DENS[3], density=0.2)
+        for want in (exact, wrong, other):
+            got = linalg.first_mismatch(products, want, field)
+            assert got == _reference_first_mismatch(products, want, field)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("order", [5, 7, 12])
+@pytest.mark.parametrize("nvars", [0, 1])
+def test_first_mismatch_rejects_only_what_phi_n_does_not_cancel(order, nvars):
+    """Phi_N(zeta) = sum c_k zeta^k = 0 (for Q(zeta_7), the sum of
+    zeta^k over k < 7) as one row times one column, each product
+    c_k zeta^(k - s) . zeta^s of two reduced powers, so that the unreduced
+    sum reaches degree phi(N) and vanishes only after reduction by Phi_N.
+    The exact sum is accepted, and a change of any one coordinate of it
+    rejected at its cell."""
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x"][:nvars])
+    x = ring.gen("x") if nvars else ring.one
+    steps = [(c, min(k, field.degree - 1), k) for k, c in enumerate(field.modulus) if c]
+    a = [[ring.zero] * len(steps),
+         [ring.constant(field.scalar(c) * field.zeta_power(k - s)) * x for c, s, k in steps]]
+    b = [[ring.zero, ring.constant(field.zeta_power(s))] for _, s, _ in steps]
+    zero = [[ring.zero] * 2 for _ in range(2)]
+    assert linalg.first_mismatch([(a, b)], zero, field) is None
+    assert _reference_first_mismatch([(a, b)], zero, field) is None
+    for k in range(field.degree):
+        wrong = [list(row) for row in zero]
+        wrong[1][1] = ring.constant(field.zeta_power(k)) * x
+        assert linalg.first_mismatch([(a, b)], wrong, field) == (1, 1)
+        assert _reference_first_mismatch([(a, b)], wrong, field) == (1, 1)
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_first_mismatch_rejects_a_difference_of_phi_n_at_a_power_of_two(order):
+    """A cell that differs by Phi_N(2^b) zeta^k is a nonzero
+    difference that a test modulo Phi_N(2^b) cannot see, so B must exceed
+    every such b that the target's size allows: each is rejected."""
+    field = CyclotomicField(order)
+    point = PolyRing(field, [])
+    one = [[point.one]]
+    for b in range(1, 80):
+        gap = sum(int(c) << b * k for k, c in enumerate(field.modulus))
+        for k in range(field.degree):
+            want = [[point.constant(1 + gap * field.zeta_power(k))]]
+            assert linalg.first_mismatch([(one, one)], want, field) == (0, 0)

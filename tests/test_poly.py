@@ -33,6 +33,16 @@ def test_ring_axioms(p, q, r):
     assert p - p == R.zero
 
 
+@settings(max_examples=100, deadline=None)
+@given(_polys())
+def test_scalar_minus_poly_is_the_negated_difference(p):
+    # a scalar or an int on the left of ``-`` runs Poly.__rsub__
+    for s in (3, -1, Fraction(2, 7), F.zeta, 1 - F.zeta):
+        diff = s - p
+        assert isinstance(diff, Poly) and diff == -(p - s)
+        assert diff + p == R.constant(s)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_polys(), _polys())
 def test_weight_additivity(p, q):

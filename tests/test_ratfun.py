@@ -31,6 +31,17 @@ def test_upoly_basics():
         t ** -1
 
 
+def test_scalar_minus_upoly_is_the_negated_difference():
+    # a scalar or an int on the left of ``-`` runs UPoly.__rsub__
+    field = CyclotomicField(4)
+    x = UPoly.gen(field)
+    for p in (x, x ** 3 - UPoly.constant(field, 2) * x, UPoly(field, [])):
+        for s in (3, 0, Fraction(-1, 2), field.zeta):
+            diff = s - p
+            assert isinstance(diff, UPoly) and diff == -(p - s)
+            assert diff + p == UPoly.constant(field, s)
+
+
 def test_residue_dx_over_x():
     # dx/x at 0 and infinity: residues 1 and -1
     f = RationalFunction(one, t)

@@ -212,3 +212,48 @@ def test_parse_mf_rejects_one_wrong_copy_of_a_shared_entry(tmp_path):
     path = tmp_path / "bad.mf"
     path.write_text(bad)
     assert main(["verify", "--input", str(path)]) == 4
+
+
+def _fixture_texts():
+    """name -> the .mf text that ``dgmf fundamental`` writes (with its
+    certificate) for every pipeline spec fixture of tests/test_spincurve.py,
+    plus the Koszul, unit and A_1 texts of this file."""
+    from test_spincurve import SPEC_FIXTURES, _spec
+    from dgmf import CyclotomicField, PolyRing, unit_mf
+    texts = {}
+    for name, spec in SPEC_FIXTURES.items():
+        r = fundamental_mf(_spec(spec))
+        texts[name] = write_mf(r.mf, certificate=r.certificate())
+    ring, alpha, beta = parse_koszul(KOSZUL)
+    texts["koszul"] = write_mf(koszul_mf(ring, alpha, beta))
+    texts["unit"] = write_mf(unit_mf(PolyRing(CyclotomicField(4), ["x"], [1])))
+    texts["a1-m6"] = _a1_text(6)
+    return texts
+
+
+def test_write_mf_reads_back_byte_for_byte_on_every_fixture():
+    for name, text in _fixture_texts().items():
+        mf, cert = parse_mf(text)
+        assert write_mf(mf, certificate=cert) == text, name
+
+
+def test_parse_mf_ignores_whitespace_around_separators():
+    """Spaces, tabs and none at all around ``,`` and ``;`` and inside the
+    parentheses of an entry give the same MF, and the copies of one
+    literal still share one Poly."""
+    text = _a1_text(3)
+    mf, _ = parse_mf(text)
+    for old, new in ((", ", ","), (", ", " ,\t"), (" ; ", ";"), (" ; ", "\t;  "),
+                     ("(", "( "), (")", " )")):
+        variant = "\n".join(
+            line.replace(old, new) if line.startswith("delta") else line
+            for line in text.split("\n"))
+        assert variant != text
+        got, _ = parse_mf(variant)
+        assert got == mf and write_mf(got) == text
+        ids = {}
+        for m in (got.delta0, got.delta1):
+            for row in m:
+                for c in row:
+                    ids.setdefault(f"({c})", set()).add(id(c))
+        assert all(len(objects) == 1 for objects in ids.values())
