@@ -7,11 +7,12 @@ cyclotomic polynomial.  All arithmetic is exact; nothing is ever rounded.
 A ``Scalar`` stores that form as an integer vector ``ints`` of length phi(N)
 over one positive denominator ``den``, in lowest terms (``_lowest``), with
 zero as (0, ..., 0)/1; ``coeffs`` views it as ``fractions.Fraction``
-coefficients, for printing.  ``_product`` convolves two integer vectors and
-reduces once by an integer table of the monic, integer Phi_N; a rational
-factor (zero included) just scales the other one.  ``_inverse_integers``
-solves M x = e_0 fraction-free (Bareiss), where M is the integer matrix of
-multiplication by ``ints``.  ``linalg``, ``poly`` and ``ratfun`` run these
+coefficients, for printing.  Each field builds one integer table of z^m mod
+Phi_N; ``_product`` convolves two integer vectors and reduces once by its
+rows, and a rational factor (zero included) just scales the other one.
+``_inverse_integers`` is the Galois norm: the product of the other
+conjugates over the rational norm.  ``cyclotomic_polynomial`` is the Moebius
+product of the x^e - 1.  ``linalg``, ``poly`` and ``ratfun`` run these
 kernels on the stored pairs themselves.
 
 Every exact literal, a scalar or a polynomial, is read by one grammar
@@ -31,23 +32,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-
-def _poly_divmod(num, den):
-    """Exact division with remainder of rational coefficient lists
-    (low-to-high); it builds the cyclotomic polynomials."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
 
 
 def _lowest(ints, den):
@@ -86,63 +70,66 @@ def _product(field, a, da, b, db):
 
 def _inverse_integers(field, ints, den):
     """(inverse ints, inverse den), in lowest terms, of the nonzero element
-    sum(ints[k] * z^k) / den.
+    a = sum(ints[k] * z^k) / den.
 
-    Column k of the integer matrix M is ints * z^k mod Phi_N, so M x = e_0
-    says ints * x = 1, and the inverse is den * x.  Bareiss elimination keeps
-    every entry an integer; back substitution then finds X = D x, with D the
-    last pivot (+-det M), by exact integer division."""
-    n = len(ints)
+    The Galois norm.  The automorphisms sigma_j: z -> z^j, j in (Z/N)^x, fix
+    Q exactly, so the product n of all conjugates sigma_j(A) of the integral
+    A = den * a is a nonzero rational integer, and a^-1 = den * P / n with
+    P = prod_{j != 1} sigma_j(A).  In Z[z]/(z^N - 1), sigma_j only moves the
+    coefficient of z^k to z^(jk mod N), so P is a chain of integer cyclic
+    convolutions, reduced by Phi_N once; n is the constant of A * P."""
     if not any(ints[1:]):
-        a = ints[0]
-        g = gcd(a, den)
-        return [den // g if a > 0 else -den // g] + [0] * (n - 1), abs(a) // g
-    top_row = field._reduction[0]  # z^phi(N) as nonzero (index, coefficient)
-    columns = [list(ints)]
-    for _ in range(n - 1):
-        col = columns[-1]
-        shifted = [0] + col[:-1]
-        if col[-1]:
-            for i, t in top_row:
-                shifted[i] += col[-1] * t
-        columns.append(shifted)
-    m = [[col[i] for col in columns] + [int(i == 0)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        p = next(i for i in range(k, n) if m[i][k])  # M is invertible
-        m[k], m[p] = m[p], m[k]
-        pivot, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            c = row[k]
-            row[k] = 0
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - c * row_k[j]) // prev
-        prev = pivot
-    d = prev
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        s = d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
-        x[i] = s // row[i]
-    if d < 0:
-        d, x = -d, [-v for v in x]
-    x = [den * v for v in x]
-    g = gcd(d, *x)
-    return [v // g for v in x], d // g
+        p, norm = [1] + [0] * (len(ints) - 1), ints[0]
+    else:
+        order = field.order
+        terms = [(k, c) for k, c in enumerate(ints) if c]
+        conj = [1] + [0] * (order - 1)
+        for j in range(2, order):
+            if gcd(j, order) == 1:
+                moved = [(j * k % order, c) for k, c in terms]
+                out = [0] * (2 * order - 1)
+                for i, c in enumerate(conj):
+                    if c:
+                        for k, b in moved:
+                            out[i + k] += c * b
+                conj = [x + y for x, y in zip(out, out[order:] + [0])]  # z^N = 1
+        p = field.reduce_integers(conj)
+        norm = _product(field, ints, 1, p, 1)[0][0]  # the other coefficients are 0
+    x = [den * v for v in p]
+    g = gcd(norm, *x) if norm > 0 else -gcd(norm, *x)
+    return [v // g for v in x], norm // g
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of the n-th cyclotomic polynomial, low-to-high, as Fractions."""
+    """Coefficients of the n-th cyclotomic polynomial, low-to-high, as Fractions.
+
+    Moebius inversion of x^n - 1 = prod_{d | n} Phi_d gives
+    Phi_n = prod_{d | n} (x^(n/d) - 1)^mu(d), over the squarefree d.  Each
+    factor is one in-place pass on integer coefficients.  Every product
+    comes before any quotient, so the list always holds Phi_n times the
+    factors still to divide out, and each quotient is exact:
+    a = q (x^e - 1) reads q_i = q_(i-e) - a_i from the bottom up."""
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    # x^n - 1 divided by the product of Phi_d for proper divisors d of n
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem
-    return tuple(poly)
+    factors, m, p = [(n, 1)], n, 2  # (n/d, mu(d)) for the squarefree d | n
+    while m > 1:
+        if m % p == 0:
+            factors += [(e // p, -mu) for e, mu in factors]
+            while m % p == 0:
+                m //= p
+        p += 1
+    poly = [1]
+    for e, mu in sorted(factors, key=lambda f: -f[1]):
+        if mu > 0:  # times x^e - 1, from the top down
+            poly += [0] * e
+            for i in range(len(poly) - 1, -1, -1):
+                poly[i] = (poly[i - e] if i >= e else 0) - poly[i]
+        else:  # over x^e - 1, from the bottom up
+            for i in range(len(poly) - e):
+                poly[i] = (poly[i - e] if i >= e else 0) - poly[i]
+            del poly[-e:]
+    return tuple(map(Fraction, poly))
 
 
 class CyclotomicField:
@@ -153,19 +140,21 @@ class CyclotomicField:
             raise ValueError("cyclotomic order must be positive")
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = len(self.modulus) - 1  # = phi(order)
-        # Phi_N is monic with integer coefficients, so z^k for k in
-        # [degree, 2*degree-2] reduces to an integer vector; each row keeps
-        # only its nonzero (index, coefficient) pairs
-        zd = [-int(c) for c in self.modulus[:-1]]  # z^degree
-        row = zd
-        self._reduction = []
-        for _ in range(max(1, self.degree - 1)):
-            self._reduction.append([(i, c) for i, c in enumerate(row) if c])
+        self.degree = d = len(self.modulus) - 1  # = phi(order)
+        # z^m mod Phi_N for m < max(N, 2*degree) as nonzero (index,
+        # coefficient) pairs: z^m = z * z^(m-1), and z^degree is minus the
+        # lower terms of the monic, integer Phi_N.  ``_reduction`` holds
+        # z^degree, ..., z^(2*degree-2) (z^1 when degree is 1)
+        zd = [-int(c) for c in self.modulus[:-1]]
+        row = [1] + [0] * (d - 1)
+        self._powers = []
+        for _ in range(max(order, 2 * d)):
+            self._powers.append([(i, c) for i, c in enumerate(row) if c])
             top = row[-1]
             row = [0] + row[:-1]
             if top:
                 row = [x + top * y for x, y in zip(row, zd)]
+        self._reduction = self._powers[d:d + max(1, d - 1)]
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -197,25 +186,21 @@ class CyclotomicField:
     @property
     def zeta(self):
         """The root of unity zeta_N (of multiplicative order exactly N)."""
-        if self.degree == 1:  # N in {1, 2}: zeta is rational
-            return self.scalar(1 if self.order == 1 else -1)
-        return Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
+        return self.zeta_power(1)
 
     def zeta_power(self, k):
-        """zeta^k for any integer k, read from a table built once per order."""
-        return _zeta_powers(self.order)[k % self.order]
+        """zeta^k for any integer k: row k mod N of the table."""
+        return Scalar(self, self.reduce_integers([0] * (k % self.order) + [1]), 1)
 
     def reduce_integers(self, ints):
         """The integer vector of length degree equal to sum(ints[k] * z^k) mod
-        Phi_N, for an integer list of length <= 2*degree-1 (<= 2 when degree
-        is 1)."""
-        d = self.degree
-        if len(ints) > d + len(self._reduction):
-            raise ValueError("too many coefficients to reduce")
+        Phi_N, for any integer list: z^k is row k mod N of the table."""
+        d, n, powers = self.degree, self.order, self._powers
         out = ints[:d] + [0] * (d - len(ints))
-        for c, row in zip(ints[d:], self._reduction):
+        for k in range(d, len(ints)):
+            c = ints[k]
             if c:
-                for i, t in row:
+                for i, t in powers[k % n]:
                     out[i] += c * t
         return out
 
@@ -240,17 +225,6 @@ def _constants(order):
     keying by the order keeps the cache off the field object."""
     field = CyclotomicField(order)
     return field.scalar(0), field.scalar(1)
-
-
-@lru_cache(maxsize=None)
-def _zeta_powers(order):
-    """(zeta^0, ..., zeta^(order-1)) of Q(zeta_order), built once."""
-    field = CyclotomicField(order)
-    zeta = field.zeta
-    powers = [field.one]
-    for _ in range(order - 1):
-        powers.append(powers[-1] * zeta)
-    return tuple(powers)
 
 
 def _power(base, n, one):
@@ -346,8 +320,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, by one fraction-free integer solve
-        (``_inverse_integers``)."""
+        """Multiplicative inverse, by the Galois norm (``_inverse_integers``)."""
         if not self:
             raise ZeroDivisionError("division by zero")
         return Scalar(self.field, *_inverse_integers(self.field, self.ints, self.den))

@@ -5,14 +5,14 @@ Matrices are plain lists of lists of Scalar.  Every elimination (``rref``,
 ``rank``, ``nullspace``, ``solve``, ``invert``) runs ``_eliminate``, a
 Gauss-Jordan elimination on the (``ints``, ``den``) pair each Scalar stores,
 kept in lowest terms, with None for zero.  Products run through
-``cyclotomic._product``.  It scales the pivot row by the pivot's
-fraction-free inverse (``cyclotomic._inverse_integers``), lists that row's
-nonzero columns once, and updates each other row with a nonzero in the pivot
-column on those columns only.  Entries become Scalars only where a result
-needs them: all of R in ``rref``, the returned columns in ``nullspace``,
-``solve`` and ``invert``, and nothing in ``rank``.  The reduced row echelon
-form is unique, so every result equals that of Scalar Gauss-Jordan
-elimination (kept as the reference in the tests).
+``cyclotomic._product``.  It scales the pivot row by the pivot's integer
+inverse (``cyclotomic._inverse_integers``, the Galois norm), lists that
+row's nonzero columns once, and updates each other row with a nonzero in
+the pivot column on those columns only.  Entries become Scalars only where
+a result needs them: all of R in ``rref``, the returned columns in
+``nullspace``, ``solve`` and ``invert``, and nothing in ``rank``.  The
+reduced row echelon form is unique, so every result equals that of Scalar
+Gauss-Jordan elimination (kept as the reference in the tests).
 
 ``mat_mul`` multiplies Scalar matrices.  ``first_mismatch`` is the sparse
 certificate kernel: it decides whether a sum of products of Poly matrices
@@ -105,7 +105,7 @@ def _eliminate(matrix, field, col_order=None):
 
     Returns (R, pivots) as ``rref`` does, but each entry of R is an
     (``ints``, ``den``) pair as a Scalar stores it, and None is zero.  The
-    pivot row is scaled by the pivot's fraction-free inverse; each other row
+    pivot row is scaled by the pivot's integer inverse; each other row
     with a nonzero in the pivot column is updated on the pivot row's nonzero
     columns only."""
     m = [[(x.ints, x.den) if x else None for x in row] for row in matrix]

@@ -6,7 +6,7 @@ The weight of a monomial is the weighted degree sum; quasihomogeneity checks
 and weight-graded enumeration live here because every module above relies on
 them.  Substitution (``substituter``, also behind ``Poly.evaluate`` and the
 restrictions of an MF) sums each coefficient as one unreduced integer vector
-and reduces it by Phi_N once.
+and reduces it by Phi_N once, through the field's table of z-powers.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Homology over k[t] diagonalizes by Euclidean steps on integers.  An entry is
 nonzero) over den is the t^i coefficient, in lowest terms; None is zero.  It
 is the (``ints``, ``den``) pairs of a UPoly's Scalars over the lcm of their
 ``den``, so no Fraction is built on the way in or out.  Each
-pivot's leading coefficient is inverted once, fraction-free
-(``cyclotomic._inverse_integers``); quotients come from pseudo-division, and
-each update x - q * y is one convolution in t and z, reduced by Phi_N once.
+pivot's leading coefficient is inverted once, on integers, by the Galois
+norm (``cyclotomic._inverse_integers``); quotients come from
+pseudo-division, and each update x - q * y is one convolution in t and z,
+reduced by the field's table of z-powers once.
 """
 
 from __future__ import annotations

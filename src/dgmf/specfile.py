@@ -97,8 +97,14 @@ def _read_poly(ring, lineno, toks, what):
 
 
 def _read_entry(ring, lineno, toks, what):
-    """A polynomial, optionally in one pair of parentheses."""
-    if toks and toks[0] == "(" and toks[-1] == ")":
+    """A polynomial, optionally in one pair of parentheses around all of it:
+    the outer pair is stripped only when the first ``(`` closes at the end."""
+    depth = 0
+    for i, tok in enumerate(toks):
+        depth += (tok == "(") - (tok == ")")
+        if not depth:
+            break
+    if toks and toks[0] == "(" and not depth and i == len(toks) - 1:
         toks = toks[1:-1]
     return _read_poly(ring, lineno, toks, what)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -9,6 +10,67 @@ from dgmf import CyclotomicField, PolyRing, UPoly, cyclotomic_polynomial, linalg
 from dgmf.cyclotomic import _inverse_integers
 from dgmf.poly import substituter
 from dgmf.ratfun import _diagonal
+
+
+def _reference_divmod(num, den):
+    """Exact division with remainder of rational coefficient lists
+    (low-to-high), on Fractions."""
+    num = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        c = q[i] = num[i + len(den) - 1] / den[-1]
+        for j, dj in enumerate(den):
+            num[i + j] -= c * dj
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+@lru_cache(maxsize=None)
+def _reference_cyclotomic_polynomial(n):
+    """``cyclotomic_polynomial`` before the Moebius product: x^n - 1 divided
+    by Phi_d for every proper divisor d of n, by Fraction long division."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _reference_divmod(poly, _reference_cyclotomic_polynomial(d))
+            assert not rem
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_the_recursive_reference():
+    for n in range(1, 201):
+        phi = cyclotomic_polynomial(n)
+        assert phi == _reference_cyclotomic_polynomial(n), n
+        assert all(type(c) is Fraction for c in phi)
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(0)
+
+
+def test_powers_of_zeta_match_the_reference_reduction():
+    # the reduction rows, zeta and zeta^k for k in [-2N, 2N] as before the
+    # one table: the old shift recurrence, the degree-1 branch of zeta and
+    # x^(k mod N) mod Phi_N by long division
+    for order in range(1, 41):
+        F = CyclotomicField(order)
+        phi = _reference_cyclotomic_polynomial(order)
+        zd = [-int(c) for c in phi[:-1]]
+        row, rows = zd, []
+        for _ in range(max(1, F.degree - 1)):
+            rows.append([(i, c) for i, c in enumerate(row) if c])
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [x + top * y for x, y in zip(row, zd)]
+        assert F._reduction == rows
+        zeta = (F.scalar(1 if order == 1 else -1) if F.degree == 1 else
+                F.from_coeffs([0, 1] + [0] * (F.degree - 2)))
+        assert (F.zeta.ints, F.zeta.den) == (zeta.ints, zeta.den)
+        for k in range(-2 * order, 2 * order + 1):
+            _, rem = _reference_divmod([0] * (k % order) + [1], phi)
+            want = [int(c) for c in rem] + [0] * (F.degree - len(rem))
+            got = F.zeta_power(k)
+            assert (list(got.ints), got.den) == (want, 1), (order, k)
 
 
 def test_cyclotomic_polynomials():
@@ -207,24 +269,12 @@ def _reference_inverse(a):
     F = a.field
     if a.is_rational():
         return F.scalar(1 / a.coeffs[0])
-
-    def divmod_(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-        for i in range(len(num) - len(den), -1, -1):
-            c = q[i] = num[i + len(den) - 1] / den[-1]
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-        while num and num[-1] == 0:
-            num.pop()
-        return q, num
-
     r0, r1 = list(F.modulus), list(a.coeffs)
     while r1 and r1[-1] == 0:
         r1.pop()
     s0, s1 = [], [Fraction(1)]  # Bezout coefficients of a
     while r1:
-        q, r = divmod_(r0, r1)
+        q, r = _reference_divmod(r0, r1)
         s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
         for i, qi in enumerate(q):
             for j, sj in enumerate(s1):
@@ -236,7 +286,11 @@ def _reference_inverse(a):
     return F.from_coeffs([si / r0[0] for si in s0])
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 9, 12])
+# N = 2 (mod 4) and every order with phi(N) = 8 next to the workloads' fields
+INVERSE_ORDERS = [1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 16, 18, 20, 24]
+
+
+@pytest.mark.parametrize("order", INVERSE_ORDERS)
 def test_inverse_matches_euclid_reference(order):
     F = CyclotomicField(order)
     rng = random.Random(f"inverse:{order}")
@@ -263,6 +317,75 @@ def test_inverse_matches_euclid_reference(order):
         want = (list(inv.ints), inv.den)
         assert _inverse_integers(F, list(a.ints), a.den) == want
         assert _inverse_integers(F, [6 * v for v in a.ints], 6 * a.den) == want
+        assert _reference_inverse_integers(F, list(a.ints), a.den) == want
+
+
+def _reference_inverse_integers(field, ints, den):
+    """``_inverse_integers`` before the Galois norm: column k of the integer
+    matrix M is ints * z^k mod Phi_N, so M x = e_0 says ints * x = 1 and
+    the inverse is den * x.  Bareiss elimination keeps every entry an
+    integer; back substitution then finds X = D x, with D the last pivot
+    (+-det M), by exact integer division."""
+    n = len(ints)
+    if not any(ints[1:]):
+        a = ints[0]
+        g = gcd(a, den)
+        return [den // g if a > 0 else -den // g] + [0] * (n - 1), abs(a) // g
+    top_row = field._reduction[0]  # z^phi(N) as nonzero (index, coefficient)
+    columns = [list(ints)]
+    for _ in range(n - 1):
+        col = columns[-1]
+        shifted = [0] + col[:-1]
+        if col[-1]:
+            for i, t in top_row:
+                shifted[i] += col[-1] * t
+        columns.append(shifted)
+    m = [[col[i] for col in columns] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k])  # M is invertible
+        m[k], m[p] = m[p], m[k]
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            c = row[k]
+            row[k] = 0
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - c * row_k[j]) // prev
+        prev = pivot
+    d = prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = s // row[i]
+    if d < 0:
+        d, x = -d, [-v for v in x]
+    x = [den * v for v in x]
+    g = gcd(d, *x)
+    return [v // g for v in x], d // g
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_inverse_integers_match_the_bareiss_reference(order):
+    # numerators up to 2^200 over denominators other than 1, units, rationals
+    # and forms that are not in lowest terms
+    F = CyclotomicField(order)
+    rng = random.Random(f"bareiss:{order}")
+    forms = [(list(F.zeta_power(k).ints), 1) for k in range(order)]
+    forms += [([1] * F.degree, 3), ([-12] + [0] * (F.degree - 1), 8)]
+    for _ in range(30 if F.degree <= 8 else 6):  # the reference is cubic in phi(N)
+        bits = rng.choice([4, 64, 200])
+        ints = [rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.8 else 0
+                for _ in range(F.degree)]
+        ints[rng.randrange(F.degree)] = rng.randint(1, 2 ** bits)
+        forms.append((ints, rng.randint(2, 2 ** bits)))
+    for ints, den in forms:
+        for scale in (1, rng.choice([6, rng.randint(2, 2 ** 64)])):
+            scaled = ([scale * v for v in ints], scale * den)
+            want = _reference_inverse_integers(F, *scaled)
+            assert _inverse_integers(F, *scaled) == want, (order, ints, den, scale)
+            inv_ints, inv_den = want
+            assert inv_den > 0 and gcd(inv_den, *inv_ints) == 1
 
 
 def _assert_canonical(s):

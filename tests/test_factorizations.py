@@ -554,6 +554,33 @@ def test_gauge_intertwiner_between_equivalent_curvings():
     assert got is not None  # verification happens inside, raising on failure
 
 
+def test_gauge_intertwiner_rejects_a_difference_that_is_not_exact():
+    # e0 has weight 1 and every h of degree -2 on Z(x0, x1) is a multiple of
+    # e0 e1, of weight 2, so f_a + e0 is not gauge equivalent to f_a
+    R = _ring(2)
+    x, y = R.gens()
+    scheme = derived_zero_locus(R, [x, y])
+    e0, e1 = scheme.odd_coordinate(0), scheme.odd_coordinate(1)
+    f_a = x * e0 + y * e1
+    assert gauge_intertwiner(scheme, f_a, f_a + e0) is None
+
+
+def test_koszul_reduce_rejects_a_substitution_that_misses_a_pivot(monkeypatch):
+    # on Z(t + x) the step (1, 0, 1) maps t to -x, so d(b_0) goes to 0; a
+    # substitution that adds x to every image sends it to 2x instead
+    R = PolyRing(F, ["x", "t"])
+    scheme = derived_zero_locus(R, [R.gen("t") + R.gen("x")])
+    steps = [(1, 0, F.one)]
+    assert factorizations.koszul_steps(scheme, 1) == steps
+    reduced, _ = factorizations.koszul_reduce(scheme, scheme.zero_element(), steps)
+    assert reduced.ring.names == ("x",) and reduced.n_odd == 0
+    original = factorizations.substituter
+    monkeypatch.setattr(factorizations, "substituter", lambda ring, images, target: original(
+        ring, [p + target.gen("x") for p in images], target))
+    with pytest.raises(CertificateError, match=r"maps d\(b_0\) to 2\*x, not 0"):
+        factorizations.koszul_reduce(scheme, scheme.zero_element(), steps)
+
+
 def test_gauge_intertwiner_trivial():
     R = _ring(1)
     x = R.gen("x0")

@@ -90,6 +90,31 @@ def test_parse_koszul_roundtrip():
     assert mf.potential == x * x
 
 
+def test_an_entry_whose_first_parenthesis_closes_early_is_read_whole(tmp_path):
+    # "(1 + z)*x + (2)" starts with "(" and ends with ")", but they are two
+    # pairs; only a "(" that closes at the last token is stripped
+    wrapped = "((1 + z)*x + (2))"
+    _, want, _ = parse_koszul(KOSZUL.replace("alpha = x", f"alpha = {wrapped}"))
+    outputs = []
+    for text in ("(1 + z)*x + (2)", wrapped):
+        spec = KOSZUL.replace("alpha = x", f"alpha = {text}")
+        ring, alpha, beta = parse_koszul(spec)
+        assert alpha == want and str(alpha[0]) == "(1 + z)*x + 2"
+        mf_text = write_mf(koszul_mf(ring, alpha, beta))
+        assert "delta0 = ((1 + z)*x + 2)" in mf_text
+        mf, _ = parse_mf(mf_text.replace("((1 + z)*x + 2)", text))
+        assert write_mf(mf) == mf_text
+        path = tmp_path / "in.koszul"
+        path.write_text(spec)
+        out = tmp_path / f"out{len(outputs)}.mf"
+        assert main(["koszul", "--input", str(path), "--output", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] == mf_text
+    for bad in ("((1 + z)*x", "(1 + z))*x", ")x("):
+        with pytest.raises(SpecParseError, match="bad alpha entry"):
+            parse_koszul(KOSZUL.replace("alpha = x", f"alpha = {bad}"))
+
+
 def test_parse_scheme():
     scheme, f = parse_scheme(SCHEME)
     assert scheme.n_odd == 1

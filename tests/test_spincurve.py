@@ -126,6 +126,35 @@ divisor c1 at 0 mult 1
 """
 
 
+# a chain c0 - c1 - c2 of A_1 over Q(i), marked on the two ends: each node
+# row has a column on the third component, which it does not meet
+CHAIN = """[field]
+order = 4
+[potential]
+variables = x:1
+W = x^2
+d = 2
+[group]
+generator = diag(-1)
+J = diag(-1)
+J_sqrt = z
+[curve]
+component c0
+component c1
+component c2
+bundle c0 = 0
+bundle c1 = 0
+bundle c2 = 0
+marking c0 at 1 gamma diag(1) rig 1
+marking c2 at -1 gamma diag(1) rig z
+node c0 at -1 rig z ~ c1 at 1 rig 1
+node c1 at -1 rig z ~ c2 at 1 rig 1
+divisor c0 at 0 mult 1
+divisor c1 at 0 mult 1
+divisor c2 at 0 mult 1
+"""
+
+
 # W = x^3 over Q(zeta_12): J = diag(zeta_3) = diag(z^4)
 A2_ZETA12 = """[field]
 order = 12
@@ -1473,9 +1502,21 @@ def test_two_term_realization_rejects_a_node_matching_that_is_not_surjective(tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("degree, homology", [(0, (1, 0)), (-1, (0, 0)), (-2, (0, 1))])
+def test_three_component_chain_matches_the_cech_oracle(tmp_path, degree, homology):
+    text = CHAIN.replace("bundle c1 = 0", f"bundle c1 = {degree}")
+    spec = _spec(text)
+    assert len(spec.components) == 3 and len(spec.nodes) == 2
+    assert two_term_realization(spec).homology() == cech_oracle(spec) == homology
+    path, out = tmp_path / "chain.spec", tmp_path / "chain.mf"
+    path.write_text(text)
+    assert main(["fundamental", "--input", str(path), "--output", str(out)]) == 0
+    assert main(["verify", "--input", str(out)]) == 0
+
+
 # every pipeline spec of this file but one: the f_{-1} solve of
 # a2-zeta12-three-points alone takes about 20 s (CPython 3.11, 2-core VM)
-SPEC_FIXTURES = {**CERTIFIED, "a2-zeta6": A2_ZETA6,
+SPEC_FIXTURES = {**CERTIFIED, "a2-zeta6": A2_ZETA6, "chain": CHAIN,
                  **{f"one-aux-{k}": v for k, v in ONE_AUXILIARY.items()},
                  **{f"sections-{k}": v for k, v in SECTION_SPECS.items()
                     if k != "a2-zeta12-three-points"},
