@@ -124,20 +124,14 @@ class FreeComplex:
         return FreeComplex(self.ring, objects, diffs)
 
     def direct_sum(self, other):
-        objects = {}
-        diffs = {}
-        for n in set(self.degrees()) | set(other.degrees()):
-            objects[n] = self.gens(n) + other.gens(n)
-        for n in list(objects):
-            if len(objects.get(n, [])) and len(objects.get(n + 1, [])):
-                a, b = self.diff(n), other.diff(n)
-                m = []
-                for row in a:
-                    m.append(list(row) + [self.ring.zero] * other.rank(n))
-                for row in b:
-                    m.append([self.ring.zero] * self.rank(n) + list(row))
-                diffs[n] = m
-        return FreeComplex(self.ring, objects, diffs)
+        ring = self.ring
+        objects = {n: self.gens(n) + other.gens(n)
+                   for n in set(self.degrees()) | set(other.degrees())}
+        diffs = {n: linalg.blocks(
+                     [[self.diff(n), linalg.zeros(ring, self.rank(n + 1), other.rank(n))],
+                      [linalg.zeros(ring, other.rank(n + 1), self.rank(n)), other.diff(n)]])
+                 for n in objects}
+        return FreeComplex(ring, objects, diffs)
 
 
 class ChainMap:
@@ -212,11 +206,9 @@ def _cone_diff(f, n):
     generators plus these blocks, and ``induced_homology_map_rank`` ranks one
     block without building a complex."""
     C, D = f.source, f.target
-    zero = C.ring.zero
-    negate = linalg.per_object(lambda c: -c)
-    return ([list(d_row) + list(f_row)
-             for d_row, f_row in zip(D.diff(n), f.component(n + 1))]
-            + [[zero] * D.rank(n) + [negate(c) for c in row] for row in C.diff(n + 1)])
+    negated, = linalg.entrywise(lambda c: -c, C.diff(n + 1))
+    return linalg.blocks([[D.diff(n), f.component(n + 1)],
+                          [linalg.zeros(C.ring, C.rank(n + 2), D.rank(n)), negated]])
 
 
 def cone(f):
@@ -237,15 +229,11 @@ def cone(f):
 
 def cone_inclusion(f):
     """The canonical chain map D -> cone(f)."""
-    D = f.target
-    cf = cone(f)
-    comps = {}
-    for n in D.degrees():
-        m = [[D.ring.zero] * D.rank(n) for _ in range(cf.rank(n))]
-        for i in range(D.rank(n)):
-            m[i][i] = D.ring.one
-        comps[n] = m
-    return ChainMap(D, cf, comps)
+    C, D = f.source, f.target
+    comps = {n: linalg.blocks([[linalg.identity(D.ring, D.rank(n))],
+                               [linalg.zeros(D.ring, C.rank(n + 1), D.rank(n))]])
+             for n in D.degrees()}
+    return ChainMap(D, cone(f), comps)
 
 
 def cone_projection(f):
@@ -255,16 +243,11 @@ def cone_projection(f):
 
 def _projection(f, cf):
     """The canonical chain map cf -> C[1], for cf = cone(f)."""
-    C = f.source
-    shifted = C.shift(1)
-    comps = {}
-    for n in cf.degrees():
-        nd = f.target.rank(n)
-        m = [[C.ring.zero] * cf.rank(n) for _ in range(shifted.rank(n))]
-        for i in range(C.rank(n + 1)):
-            m[i][nd + i] = C.ring.one
-        comps[n] = m
-    return ChainMap(cf, shifted, comps)
+    C, D = f.source, f.target
+    comps = {n: linalg.blocks([[linalg.zeros(C.ring, C.rank(n + 1), D.rank(n)),
+                                linalg.identity(C.ring, C.rank(n + 1))]])
+             for n in cf.degrees()}
+    return ChainMap(cf, C.shift(1), comps)
 
 
 def _tensor(c_gens, c_diff, d_gens, d_diff, zero, period=0):

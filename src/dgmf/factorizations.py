@@ -18,11 +18,11 @@ n = 0 case), and the gauge operators exp(-h) (wedge only).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import linalg
 from .complexes import Generator, _coerce, _tensor
-from .poly import Poly, PolyRing, substituter
+from .poly import Poly, PolyRing, _linear_forms, substituter
 
 
 class CertificateError(ValueError):
@@ -137,7 +137,10 @@ class DgSchemePresentation:
 
 class SuperElement:
     """An element of S(A_dual) (x) Wedge(B_dual): subset -> even coefficient.
-    Zero coefficients are dropped when the element is built."""
+    A subset is the increasing tuple of its odd generators' indices: the
+    keys must already be sorted, since sorting a wedge product changes its
+    sign and the constructor's sort does not.  Zero coefficients are dropped
+    when the element is built."""
 
     __slots__ = ("scheme", "coefficients")
 
@@ -376,14 +379,6 @@ def koszul_mf(ring, alpha, beta):
                  {(k,): a for k, a in enumerate(alpha)}, potential)
 
 
-def _linear_forms(matrix, ring):
-    """sum_j matrix[i][j] * (j-th generator of ring), one form per row."""
-    units = [tuple(int(i == j) for i in range(ring.nvars))
-             for j in range(ring.nvars)]
-    return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
-            for row in matrix]
-
-
 def _linear_rows(scheme):
     """The coefficient vector of each d(b_k), a linear form."""
     ring = scheme.ring
@@ -529,8 +524,9 @@ def nullhomotopy_solve(mf):
     0), and delta1 h0 = id gives h0 = delta1^-1 = delta0 / W(p).
 
     If W(p) = 0, delta h + h delta = id is one constant linear system in the
-    2 . n0 . n1 entries of h (h0 row-major, then h1 row-major), solved
-    exactly once with free unknowns set to 0.
+    2 . n0 . n1 entries of h (h0 row-major, then h1 row-major, so
+    vec(a h b) = (a (x) b^T) vec h), solved exactly once with free unknowns
+    set to 0.
 
     Either way the returned h is checked exactly (CertificateError if not).
     """
@@ -548,32 +544,20 @@ def nullhomotopy_solve(mf):
     else:
         d0 = [[c.constant_value() for c in row] for row in mf.delta0]
         d1 = [[c.constant_value() for c in row] for row in mf.delta1]
-        h1_at = n0 * n1  # column of h1[0][0]
-        matrix, rhs = [], []
-        # delta1 h0 + h1 delta0 = id on P0
-        for i in range(n0):
-            for j in range(n0):
-                row = [field.zero] * (2 * n0 * n1)
-                for k in range(n1):
-                    row[k * n0 + j] = d1[i][k]
-                    row[h1_at + i * n1 + k] = d0[k][j]
-                matrix.append(row)
-                rhs.append(field.one if i == j else field.zero)
-        # delta0 h1 + h0 delta1 = id on P1
-        for i in range(n1):
-            for j in range(n1):
-                row = [field.zero] * (2 * n0 * n1)
-                for k in range(n0):
-                    row[h1_at + k * n1 + j] = d0[i][k]
-                    row[i * n0 + k] = d1[k][j]
-                matrix.append(row)
-                rhs.append(field.one if i == j else field.zero)
+        # transposes built with their shapes (``transpose`` of a 0-row matrix is [])
+        d0t = [[row[j] for row in d0] for j in range(n0)]
+        d1t = [[row[j] for row in d1] for j in range(n1)]
+        zero = field.zero
+        # delta1 h0 + h1 delta0 = id on P0, delta0 h1 + h0 delta1 = id on P1
+        matrix = linalg.blocks([[linalg.kron(d1, n0, zero), linalg.kron(n0, d0t, zero)],
+                                [linalg.kron(n1, d1t, zero), linalg.kron(d0, n1, zero)]])
+        rhs = [c for n in (n0, n1) for row in linalg.identity(field, n) for c in row]
         sol = linalg.solve(matrix, rhs, field)
         if sol is None:
             return None
-        h0 = [[ring.constant(sol[i * n0 + j]) for j in range(n0)] for i in range(n1)]
-        h1 = [[ring.constant(sol[h1_at + i * n1 + j]) for j in range(n1)]
-              for i in range(n0)]
+        entries = iter(map(ring.constant, sol))
+        h0 = [list(islice(entries, n0)) for _ in range(n1)]
+        h1 = [list(islice(entries, n1)) for _ in range(n0)]
     target0, target1 = linalg.identity(ring, n0), linalg.identity(ring, n1)
     bad0 = linalg.first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field)
     bad1 = linalg.first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from . import linalg
+from .poly import _linear_forms
 
 
 class GroupElement:
@@ -99,16 +100,7 @@ class GroupElement:
         """Linear substitution action on a polynomial of the same ring."""
         if p.ring != self.ring:
             raise ValueError("polynomial ring does not match the group element")
-        gens = self.ring.gens()
-        images = []
-        for i in range(self.ring.nvars):
-            img = self.ring.zero
-            for j in range(self.ring.nvars):
-                c = self.matrix[j][i]
-                if c:
-                    img = img + c * gens[j]
-            images.append(img)
-        return p.substitute(images)
+        return p.substitute(_linear_forms(linalg.transpose(self.matrix), self.ring))
 
     def fixed_subspace(self):
         """Basis of V^g = ker(g - id), as column vectors of Scalars."""

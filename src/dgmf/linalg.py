@@ -26,6 +26,9 @@ so they build Poly matrices too: pass the PolyRing where a field is asked
 for.
 ``entrywise`` maps Poly matrices once per distinct entry object
 (``per_object``), so cells that share an entry share its image.
+``blocks`` writes block matrices (cones, direct sums, resolutions) and
+``kron`` the Kronecker products a (x) I_n and I_n (x) b (the maps
+h -> a . h and h -> h . b^T on row-major h), placing entries as they are.
 """
 
 from __future__ import annotations
@@ -94,6 +97,28 @@ def entrywise(f, *matrices):
     image."""
     image = per_object(f)
     return [[[image(c) for c in row] for row in m] for m in matrices]
+
+
+def blocks(grid):
+    """The block matrix of ``grid``, a list of block rows: each block row's
+    blocks side by side, every entry as it is.  The blocks of a block row
+    have one row count (a ValueError if not)."""
+    return [[c for part in parts for c in part]
+            for block_row in grid for parts in zip(*block_row, strict=True)]
+
+
+def kron(a, b, zero):
+    """a (x) b with one factor an int n for I_n, indexed row-major: each
+    entry of the matrix factor is placed as it is (no product is taken), and
+    every other cell holds ``zero``.  A factor gives its shape by its rows,
+    so build a transposed factor with its shape: ``transpose`` of a 0-row
+    matrix has lost its column count."""
+    if isinstance(a, int):
+        cols = len(b[0]) if b else 0
+        return [[zero] * (i * cols) + list(row) + [zero] * ((a - 1 - i) * cols)
+                for i in range(a) for row in b]
+    return [[row[k // b] if k % b == j else zero for k in range(len(row) * b)]
+            for row in a for j in range(b)]
 
 
 def transpose(a):

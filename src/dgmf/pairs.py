@@ -100,16 +100,8 @@ def canonical_resolution(p):
     """
     ring = p.ring
     middle_beta = p.f_beta.direct_sum(p.f_alpha)
-    comps = {}
-    for n in middle_beta.degrees():
-        mat = [[ring.zero] * middle_beta.rank(n) for _ in range(p.f_alpha.rank(n))]
-        pc = p.phi.component(n)
-        for i in range(p.f_alpha.rank(n)):
-            for j in range(p.f_beta.rank(n)):
-                mat[i][j] = pc[i][j] if pc else ring.zero
-            mat[i][p.f_beta.rank(n) + i] = ring.one
-        if mat:
-            comps[n] = mat
+    comps = {n: linalg.blocks([[p.phi.component(n), linalg.identity(ring, p.f_alpha.rank(n))]])
+             for n in middle_beta.degrees()}
     middle = PairObject(p.f_alpha, middle_beta, ChainMap(middle_beta, p.f_alpha, comps))
     quotient = PairObject(FreeComplex.zero_complex(ring), p.f_alpha)
     return middle, quotient
@@ -144,20 +136,21 @@ class PairMorphism:
         self.transport_beta = transport_beta or {}
 
 
+def _transported(t_out, m, t_in, ring):
+    """t_out . m . t_in^-1 for a nonempty matrix m of constants of ``ring``,
+    a point; a missing (None) transport is the identity."""
+    field = ring.field
+    t_out = t_out or linalg.identity(field, len(m))
+    t_in = t_in or linalg.identity(field, len(m[0]))
+    m = [[e.constant_value() for e in row] for row in m]
+    new = linalg.mat_mul(linalg.mat_mul(t_out, m, field), linalg.invert(t_in, field), field)
+    return [[ring.constant(e) for e in row] for row in new]
+
+
 def _transport_complex(c, transports):
-    field = c.ring.field
-    objects = {n: list(c.gens(n)) for n in c.degrees()}
-    diffs = {}
-    for n in c.degrees():
-        if c.rank(n + 1) == 0 or c.rank(n) == 0:
-            continue
-        t_next = transports.get(n + 1, linalg.identity(field, c.rank(n + 1)))
-        t_here = transports.get(n, linalg.identity(field, c.rank(n)))
-        d = [[entry.constant_value() for entry in row] for row in c.diff(n)]
-        new = linalg.mat_mul(linalg.mat_mul(t_next, d, field),
-                             linalg.invert(t_here, field), field)
-        diffs[n] = [[c.ring.constant(e) for e in row] for row in new]
-    return FreeComplex(c.ring, objects, diffs)
+    diffs = {n: _transported(transports.get(n + 1), c.diff(n), transports.get(n), c.ring)
+             for n in c.degrees() if c.rank(n + 1)}
+    return FreeComplex(c.ring, c.objects, diffs)
 
 
 def pair_pushforward(f, p):
@@ -167,19 +160,11 @@ def pair_pushforward(f, p):
     ring = p.ring
     if ring.nvars != 0:
         raise ValueError("affine transport pushforward requires a point base")
-    field = ring.field
     fa = _transport_complex(p.f_alpha, f.transport_alpha)
     fb = _transport_complex(p.f_beta, f.transport_beta)
-    comps = {}
-    for n in fb.degrees():
-        if p.f_alpha.rank(n) == 0:
-            continue
-        ta = f.transport_alpha.get(n, linalg.identity(field, p.f_alpha.rank(n)))
-        tb = f.transport_beta.get(n, linalg.identity(field, p.f_beta.rank(n)))
-        phi_n = [[e.constant_value() for e in row] for row in p.phi.component(n)]
-        new = linalg.mat_mul(linalg.mat_mul(ta, phi_n, field),
-                             linalg.invert(tb, field), field)
-        comps[n] = [[ring.constant(e) for e in row] for row in new]
+    comps = {n: _transported(f.transport_alpha.get(n), p.phi.component(n),
+                             f.transport_beta.get(n), ring)
+             for n in fb.degrees() if p.f_alpha.rank(n)}
     return PairObject(fa, fb, ChainMap(fb, fa, comps))
 
 
@@ -213,12 +198,6 @@ def _pushforward_of_rj(f, p):
         nb = p.f_beta.rank(n)
         ta = f.transport_alpha.get(n - 1, linalg.identity(field, na))
         tb = f.transport_beta.get(n, linalg.identity(field, nb))
-        block = linalg.zeros(field, na + nb, na + nb)
-        for i in range(na):
-            for j in range(na):
-                block[i][j] = ta[i][j]
-        for i in range(nb):
-            for j in range(nb):
-                block[na + i][na + j] = tb[i][j]
-        transports[n] = block
+        transports[n] = linalg.blocks([[ta, linalg.zeros(field, na, nb)],
+                                       [linalg.zeros(field, nb, na), tb]])
     return _transport_complex(c, transports)

@@ -178,6 +178,14 @@ def substituter(ring, images, target):
     return substitute
 
 
+def _linear_forms(matrix, ring):
+    """sum_j matrix[i][j] * (j-th generator of ring), one form per row."""
+    units = [tuple(int(i == j) for i in range(ring.nvars))
+             for j in range(ring.nvars)]
+    return [Poly(ring, {units[j]: c for j, c in enumerate(row) if c})
+            for row in matrix]
+
+
 class Poly:
     """Immutable multivariate polynomial; no zero coefficients are stored."""
 

@@ -161,11 +161,8 @@ class UPoly:
             raise ValueError("valuation of zero polynomial")
         return next(i for i, c in enumerate(self.coeffs) if c)
 
-    def reversed_coeffs(self, length=None):
-        n = length if length is not None else len(self.coeffs)
-        z = self.field.zero
-        padded = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        return UPoly(self.field, list(reversed(padded)))
+    def reversed_coeffs(self):
+        return UPoly(self.field, self.coeffs[::-1])
 
     def __str__(self):
         if not self.coeffs:

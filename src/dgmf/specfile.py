@@ -20,6 +20,7 @@ parentheses matter, are split in the token list, outside parentheses, by
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from . import linalg
 from .complexes import FreeComplex, Generator
@@ -506,9 +507,14 @@ def _parse_super_element(scheme, lineno, text):
             raise SpecParseError(lineno, f"term {' '.join(part)!r} repeats an "
                                          f"odd generator")
         try:
-            subset = tuple(sorted(names[n] for n in odd))
+            positions = [names[n] for n in odd]
         except KeyError as e:
             raise SpecParseError(lineno, f"unknown odd generator {e}")
+        # odd generators anticommute: sorting them signs the term by the
+        # parity of the permutation, the parity of its inversions
+        if sum(a > b for a, b in combinations(positions, 2)) % 2:
+            coeff = -coeff
+        subset = tuple(sorted(positions))
         terms[subset] = terms.get(subset, scheme.ring.zero) + coeff
     return SuperElement(scheme, terms)
 

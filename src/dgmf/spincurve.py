@@ -22,9 +22,9 @@ from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              CurvedStructure, DgSchemePresentation, dgmf_from_homotopy,
                              fold_to_mf, koszul_reduce, koszul_steps, point_homology,
-                             _linear_forms, _solve_d_preimage)
+                             _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
-from .poly import PolyRing, substituter
+from .poly import PolyRing, _linear_forms, substituter
 from .ratfun import (RationalFunction, UPoly, _series_inverse,
                      two_periodic_homology_dims)
 
@@ -34,6 +34,11 @@ class SpinDataError(ValueError):
 
 
 SIGN_CONVENTION = "delta = d - f_{-1}; emitted potential is sum_i W_i"
+
+
+def _wrong_length(what, values, n):
+    return SpinDataError(f"{what}: {len(values)} values given, {n} expected (one per "
+                         f"V-variable)")
 
 
 class Marking:
@@ -106,10 +111,22 @@ class SpinCurveSpec:
         for comp in self.components:
             if comp not in self.bundle_degrees:
                 raise SpinDataError(f"component {comp} has no bundle degrees")
-        for m in self.markings:
+        # one bundle degree and one rig scalar per V-variable
+        n = self.vring.nvars
+        for comp, degrees in self.bundle_degrees.items():
+            if len(degrees) != n:
+                raise _wrong_length(f"bundle {comp}", degrees, n)
+        for node in self.nodes:
+            for comp, q, rig in (node.branch1, node.branch2):
+                if len(rig) != n:
+                    raise _wrong_length(f"the rig of node branch {comp} at {q}", rig, n)
+        for i, m in enumerate(self.markings, start=1):
             m.broad_indices()  # raises for non-diagonal gamma
             if m.component not in self.components:
                 raise SpinDataError(f"marking on unknown component {m.component}")
+            if len(m.rig) != n:
+                raise _wrong_length(f"the rig of marking {i} ({m.component} at {m.point})",
+                                    m.rig, n)
         for (comp, _q, mult) in self.divisor:
             if comp not in self.components:
                 raise SpinDataError(f"divisor point on unknown component {comp}")
@@ -781,14 +798,11 @@ class LogFormModel:
         if self.n and self.b_basis:
             # functional on coker(f_om): left kernel of f_om
             lnull = linalg.nullspace(linalg.transpose(self.f_om), field) if dim_om \
-                else [[field.one if i == j else field.zero
-                       for i in range(len(self.b_basis))]
-                      for j in range(len(self.b_basis))]
+                else linalg.identity(field, len(self.b_basis))
             report["coker_omega_dim"] = len(lnull)
             if len(lnull) == 1:
                 ell = lnull[0]
-                for i in range(self.n):
-                    e_i = [field.one if k == i else field.zero for k in range(self.n)]
+                for e_i in linalg.identity(field, self.n):
                     lift = linalg.solve(self.res, e_i, field)
                     if lift is None:
                         values = None
@@ -828,13 +842,11 @@ def check_projection_commutation(logmodel):
     if not ok:
         return ok, report
     base, nb = omega_cx.ring, len(logmodel.b_basis)
-    comps = {}
+    # degree 1 of Cone(phi)[-1] is the residues r_i, then the jets
+    comps = {1: linalg.blocks([[linalg.zeros(base, logmodel.n, nb)],
+                               [linalg.identity(base, nb)]])}
     if logmodel.a_om and rj_cx.rank(0):
         comps[0] = [[base.constant(c) for c in row] for row in logmodel.incl]
-    if nb and rj_cx.rank(1):
-        rows = rj_cx.rank(1)
-        comps[1] = [[base.one if r == rows - nb + k else base.zero for k in range(nb)]
-                    for r in range(rows)]
     try:
         f = ChainMap(omega_cx, rj_cx, comps)
     except NotAChainMap:

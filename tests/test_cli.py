@@ -511,6 +511,87 @@ def test_mutated_inputs_give_documented_exit_codes(tmp_path):
     assert runs > 500
 
 
+CUBIC = (SPIN.replace("W = x^2\nd = 2", "W = x^3\nd = 3")
+         .replace("generator = diag(-1)\nJ = diag(-1)", "J = diag(1)"))
+MF_BAD_CERTIFICATE = """[mf]
+order = 4
+variables = x:1
+potential = x^2
+p0 = 1:0
+p1 = b0:1
+delta0 = (x)
+delta1 = (x)
+[certificate]
+{"rank": [1, 1],
+"""
+
+
+@pytest.mark.parametrize("command, text, glued, code, message", [
+    ("check", CUBIC.replace("J = diag(1)\n", ""), None, 2,
+     "cyclotomic order must be divisible by d"),
+    ("fundamental", CUBIC, None, 3,
+     "cyclotomic order 4 does not accommodate the exponent group of order 3"),
+    ("fundamental", SPIN.replace("generator = diag(-1)", "generator = diag(z)"), None, 3,
+     "W is not invariant under a group generator"),
+    ("fundamental", SPIN.replace("bundle c0 = 0", "bundle c0 = -3"), None, 3,
+     "H^1(L_0(D)) != 0 on c0"),
+    ("verify", MF_BAD_CERTIFICATE, None, 2, "line 10: bad certificate JSON"),
+    ("homology", COMPLEX.replace("[complex]", "[complex]\nvariables = x:1"), None, 3,
+     "homology only over a point"),
+    ("fundamental", GLUED.replace("J_sqrt = z\n", ""), None, 3,
+     "nodal curve requires J_sqrt"),
+    ("glue", DISCONNECTED, GLUED.replace("J_sqrt = z\n", ""), 3,
+     "glued spec must carry J_sqrt"),
+    ("glue", DISCONNECTED, DISCONNECTED, 3, "expected exactly one new node"),
+    ("glue", DISCONNECTED, GLUED.replace("node c0 at -1", "node c0 at 2"), 3,
+     "(c0, 2) is not a marking of the disconnected spec"),
+    ("glue", DISCONNECTED, GLUED.replace("divisor c0 at 0 mult 1", "divisor c0 at 0 mult 2"),
+     3, "different section models"),
+], ids=["order-not-divisible-by-d", "order-without-the-exponent-group", "w-not-invariant",
+        "h1-of-a-summand", "bad-certificate-json", "homology-over-variables",
+        "node-without-j-sqrt", "glued-without-j-sqrt", "no-new-node",
+        "branch-not-a-marking", "different-section-models"])
+def test_input_errors_exit_with_their_code_and_message(tmp_path, capsys, command, text,
+                                                       glued, code, message):
+    extra = ("--glued", _write(tmp_path, "glued.txt", glued)) if glued else ()
+    got, out = _run(tmp_path, command, text, *extra)
+    err = capsys.readouterr().err
+    assert got == code and message in err, err
+    assert out == "" and "Traceback" not in err
+
+
+# the lists of a spec whose length is the number of V-variables
+LIST = re.compile(r"(bundle \w+ = |rig |diag\()([^\n~)]*?)(?= ~|\n|\))")
+
+
+def _length_mutants(text, rng):
+    """The spec with one list of ``LIST`` made one entry shorter or longer,
+    at every list, in a seeded order."""
+    for m in LIST.finditer(text):
+        entries = [e.strip() for e in m.group(2).split(",")]
+        k = rng.randrange(len(entries))
+        for changed in (entries[:k] + entries[k + 1:], entries[:k + 1] + entries[k:],
+                        entries + [rng.choice(["0", "1", "z", "-1"])]):
+            yield text[:m.start(2)] + ", ".join(changed) + text[m.end(2):]
+
+
+def test_spec_lists_of_the_wrong_length_give_documented_exit_codes(tmp_path, capsys):
+    from test_spincurve import GLUE_PAIRS, XY
+    rng = random.Random(28)
+    runs = 0
+    for text in (SPIN, DISCONNECTED, GLUED, XY, GLUE_PAIRS["xy"][1]):
+        for mutated in _length_mutants(text, rng):
+            for command in ("check", "fundamental"):
+                try:
+                    code, _ = _run(tmp_path, command, mutated)
+                except Exception as e:
+                    pytest.fail(f"{command} raised {e!r} on:\n{mutated}")
+                assert code in (0, 2, 3, 4, 5), f"{command} exited {code} on:\n{mutated}"
+                assert "Traceback" not in capsys.readouterr().err
+                runs += 1
+    assert runs > 200
+
+
 def test_rig_negative_power_of_z(tmp_path):
     _, plain = _run(tmp_path, "fundamental", SPIN)
     _, want = _run(tmp_path, "fundamental", SPIN.replace("rig z\n", "rig -z\n"))

@@ -572,3 +572,25 @@ def test_cone_differential_negates_each_distinct_entry_once():
     assert one == PT.one and neg_b == -x and neg_b is neg_c
     assert cf.diff(0) == [[x, PT.one, PT.zero], [x, PT.zero, PT.one]]
     assert homology_ranks(cf) == {-1: 0, 0: 0, 1: 0}
+
+
+def test_direct_sum_and_cone_with_an_empty_degree():
+    # gap has degrees 0 and 2 and nothing in degree 1
+    gap = FreeComplex(PT, {0: [Generator("a", 0)], 2: [Generator("c", 0)]}, {})
+    line = _two_term([[PT.constant(2)]])
+    s = gap.direct_sum(line)
+    assert [s.rank(n) for n in (0, 1, 2)] == [2, 1, 1]
+    assert s.diff(0) == [[PT.zero, PT.constant(2)]]
+    assert s.diff(1) == [[PT.zero]]
+    assert homology_ranks(s) == {0: 1, 1: 0, 2: 1}
+    # the cone of the identity is acyclic
+    ident = ChainMap.identity(gap)
+    cf = cone(ident)
+    assert [cf.rank(n) for n in (-1, 0, 1, 2)] == [1, 1, 1, 1]
+    assert all(r == 0 for r in homology_ranks(cf).values())
+    assert triangle_les_exact(ident)
+    # cone of the zero map gap -> line: H(line) (+) H(gap[1])
+    zero = ChainMap.zero(gap, line)
+    assert {n: r for n, r in homology_ranks(cone(zero)).items() if r} == {-1: 1, 1: 1}
+    assert cone_inclusion(zero).components[1] == [[PT.one], [PT.zero]]
+    assert cone_projection(zero).components[1] == [[PT.zero, PT.one]]

@@ -1296,3 +1296,19 @@ def test_restrict_to_point_rejects_one_changed_copy_of_a_shared_entry():
     mf.delta0[i][j] = shared + mf.ring.one
     with pytest.raises(CertificateError):
         mf.restrict_to_point(point)
+
+
+@pytest.mark.parametrize("n0, n1", [(1, 0), (0, 1)])
+def test_nullhomotopy_solve_of_a_rank_one_point_mf_is_none(n0, n1):
+    # W = 0 and one side of rank 0: delta h + h delta = 0 cannot be id, and
+    # the system's transposed blocks have 0 rows or 0 columns
+    point = PolyRing(F, [])
+    mf = factorizations.MatrixFactorization(
+        point, [Generator(f"e{i}", 0) for i in range(n0)],
+        [Generator(f"f{i}", 1) for i in range(n1)],
+        [[point.zero] * n0 for _ in range(n1)], [[point.zero] * n1 for _ in range(n0)],
+        point.zero)
+    assert (mf.rank0, mf.rank1) == (n0, n1)
+    assert nullhomotopy_solve(mf) is None
+    if (n0, n1) == (1, 0):
+        assert nullhomotopy_solve(unit_mf(point)) is None

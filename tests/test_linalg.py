@@ -463,3 +463,56 @@ def test_first_mismatch_rejects_a_difference_of_phi_n_at_a_power_of_two(order):
         for k in range(field.degree):
             want = [[point.constant(1 + gap * field.zeta_power(k))]]
             assert linalg.first_mismatch([(one, one)], want, field) == (0, 0)
+
+
+def test_blocks_places_each_block_row_side_by_side():
+    a, b = [[1, 2], [3, 4]], [[5], [6]]
+    c, d = [[7, 8]], [[9]]
+    assert linalg.blocks([[a, b], [c, d]]) == [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
+    # a block row of 0-row blocks adds no row; a 0-column block adds no cell
+    assert linalg.blocks([[[], []], [c, d]]) == [[7, 8, 9]]
+    assert linalg.blocks([[[[], []], [[1], [2]]]]) == [[1], [2]]
+    assert linalg.blocks([[[[]], [[]]]]) == [[]]
+    assert linalg.blocks([]) == []
+    # entries are placed as they are, not copied
+    x = F.zeta
+    assert linalg.blocks([[[[x]]]])[0][0] is x
+    with pytest.raises(ValueError):
+        linalg.blocks([[a, c]])
+
+
+def _reference_kron(a, a_cols, b, b_cols):
+    """The dense Kronecker product of int matrices, each with its column
+    count."""
+    return [[a[i][k] * b[j][l] for k in range(a_cols) for l in range(b_cols)]
+            for i in range(len(a)) for j in range(len(b))]
+
+
+def test_kron_with_an_identity_factor_by_hand():
+    a = [[1, 2], [3, 4]]
+    assert linalg.kron(a, 2, 0) == [[1, 0, 2, 0], [0, 1, 0, 2],
+                                    [3, 0, 4, 0], [0, 3, 0, 4]]
+    assert linalg.kron(2, a, 0) == [[1, 2, 0, 0], [3, 4, 0, 0],
+                                    [0, 0, 1, 2], [0, 0, 3, 4]]
+    assert linalg.kron([[1, 2, 3]], 2, 0) == [[1, 0, 2, 0, 3, 0], [0, 1, 0, 2, 0, 3]]
+    assert linalg.kron(2, [[1], [2]], 0) == [[1, 0], [2, 0], [0, 1], [0, 2]]
+    assert linalg.kron(a, 1, 0) == linalg.kron(1, a, 0) == a
+    # 0-row and 0-column factors, and I_0
+    assert linalg.kron([], 3, 0) == linalg.kron(3, [], 0) == []
+    assert linalg.kron([[], []], 2, 0) == [[], [], [], []]
+    assert linalg.kron(2, [[]], 0) == [[], []]
+    assert linalg.kron(a, 0, 0) == linalg.kron(0, a, 0) == []
+    # the zero is the one object given, and entries are placed as they are
+    x = object()
+    out = linalg.kron([[x, None]], 2, "zero")
+    assert out[0][0] is x and out[1][1] is x and out[0][1] == "zero"
+
+
+def test_kron_matches_the_dense_product_with_an_identity():
+    rng = random.Random(28)
+    for _ in range(60):
+        rows, cols, n = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert linalg.kron(a, n, 0) == _reference_kron(a, cols, eye, n)
+        assert linalg.kron(n, a, 0) == _reference_kron(eye, n, a, cols)

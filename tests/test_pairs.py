@@ -96,6 +96,16 @@ def test_canonical_resolution_oracle():
         assert _ranks(rj_shriek(middle)) == _ranks(p.f_beta)
 
 
+def test_canonical_resolution_with_an_empty_degree():
+    gap = FreeComplex(PT, {0: [Generator("a", 0)], 2: [Generator("c", 0)]}, {})
+    p = PairObject(gap, gap, ChainMap.identity(gap))
+    middle, quotient = canonical_resolution(p)
+    assert middle.f_beta == gap.direct_sum(gap)
+    assert middle.phi.components == {0: [[PT.one, PT.one]], 2: [[PT.one, PT.one]]}
+    assert _ranks(rj_shriek(middle)) == _ranks(gap)
+    assert quotient.f_beta == gap
+
+
 def _ranks(c):
     """Homology ranks with zero-rank degrees dropped, for shape-free
     comparison."""

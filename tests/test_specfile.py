@@ -131,6 +131,39 @@ def test_parse_scheme_sums_terms_that_cancel():
     assert f == parse_scheme(SCHEME)[1]
 
 
+WEDGE = """[field]
+order = 4
+[scheme]
+variables = u0:1
+odd = b0:1, b1:1, b2:1
+d(b0) = 0
+d(b1) = 0
+d(b2) = 0
+f = (-1)*b0^b1^b2
+"""
+
+
+@pytest.mark.parametrize("term, sign", [("b1^b0^b2", -1), ("b0^b2^b1", -1),
+                                        ("b2^b0^b1", 1), ("b2^b1^b0", -1)])
+def test_parse_scheme_signs_a_wedge_by_the_parity_of_its_order(term, sign):
+    # odd generators anticommute: b1^b0^b2 = -b0^b1^b2
+    scheme, want = parse_scheme(WEDGE)
+    _, f = parse_scheme(WEDGE.replace("(-1)*b0^b1^b2", f"({-sign})*{term}"))
+    assert f == want and f.coefficients == {(0, 1, 2): scheme.ring.constant(-1)}
+    _, f = parse_scheme(WEDGE.replace("(-1)*b0^b1^b2", f"(1)*b0^b1^b2 + (1)*{term}"))
+    assert f.coefficients == ({} if sign == -1 else {(0, 1, 2): scheme.ring.constant(2)})
+
+
+def test_fold_writes_the_same_bytes_for_both_orders_of_a_wedge(tmp_path):
+    outputs = []
+    for f in ("(u0 + z)*b1^b0^b2", "(-u0 - z)*b0^b1^b2"):
+        path, out = tmp_path / "in.scheme", tmp_path / f"out{len(outputs)}.mf"
+        path.write_text(WEDGE.replace("(-1)*b0^b1^b2", f))
+        assert main(["fold", "--input", str(path), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and b"(-1*u0 + -z)" in outputs[0]
+
+
 @pytest.mark.parametrize("term", ["(2*u0)", "(-4*u0)**b0", "(-4*u0*b0"])
 def test_parse_scheme_rejects_a_malformed_term(term):
     with pytest.raises(SpecParseError, match="line 7"):
@@ -141,6 +174,21 @@ def test_parse_complex():
     cx = parse_complex(COMPLEX)
     assert cx.rank(0) == 1 and cx.rank(1) == 1
     assert cx.diff(0)[0][0] == cx.ring.one
+
+
+def test_parse_complex_reads_its_variables():
+    cx = parse_complex(COMPLEX.replace("[complex]", "[complex]\nvariables = x:1, y:2")
+                       .replace("d 0 = (1)", "d 0 = (x)"))
+    assert cx.ring.names == ("x", "y") and cx.ring.weights == (1, 2)
+    assert cx.diff(0) == [[cx.ring.gen("x")]]
+
+
+def test_parse_mf_rejects_bad_certificate_json():
+    text = write_mf(koszul_mf(*parse_koszul(KOSZUL)), certificate={"rank": [1, 1]})
+    assert parse_mf(text)[1] == {"rank": [1, 1]}
+    line = text.splitlines().index("[certificate]") + 2
+    with pytest.raises(SpecParseError, match=f"line {line}: bad certificate JSON"):
+        parse_mf(text.replace('"rank"', "rank"))
 
 
 def test_mf_roundtrip_with_certificate():

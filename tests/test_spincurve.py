@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -36,7 +37,7 @@ from dgmf.cli import main
 from dgmf.ratfun import RationalFunction
 from dgmf import linalg, spincurve
 from dgmf.poly import Poly, PolyRing, substituter
-from dgmf.specfile import parse_spec, write_mf
+from dgmf.specfile import SpecParseError, parse_spec, write_mf
 from dgmf.factorizations import (SuperElement, _d_system, _solve_d_preimage,
                                  dgmf_from_homotopy, fold_to_mf, koszul_mf, koszul_reduce,
                                  koszul_steps, unit_mf)
@@ -998,8 +999,7 @@ def _xy_pair(text):
     return (text.replace("variables = x:1\nW = x^2", "variables = x:1, y:1\nW = x^2 + y^2")
             .replace("diag(-1)", "diag(-1, -1)").replace("diag(1)", "diag(1, 1)")
             .replace("= 0\n", "= 0, 0\n").replace("rig 1\n", "rig 1, 1\n")
-            .replace("rig z\n", "rig z, z\n")
-            .replace("rig z ~ c1 at 1 rig 1", "rig z, z ~ c1 at 1 rig 1, 1"))
+            .replace("rig z\n", "rig z, z\n").replace("rig z ~", "rig z, z ~"))
 
 
 GLUE_PAIRS = {
@@ -1541,3 +1541,73 @@ def test_fundamental_mf_rejects_a_perturbed_curving_on_fold():
     r.f_out = r.scheme_out.element({**r.f_out.coefficients, t: c + c})
     with pytest.raises(CertificateError, match="delta\\^2 != W"):
         r.mf
+
+
+XY_NODAL = GLUE_PAIRS["xy"][1]
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (XY, "bundle c0 = 0, 0", "bundle c0 = 0", "bundle c0: 1 values given, 2 expected"),
+    (XY, "bundle c0 = 0, 0", "bundle c0 = 0, 0, 0", "bundle c0: 3 values given, 2 expected"),
+    (XY, "rig 1, 1", "rig 1", "the rig of marking 1 (c0 at 1): 1 values given, 2 expected"),
+    (XY, "rig 1, 1", "rig 1, 1, 1",
+     "the rig of marking 1 (c0 at 1): 3 values given, 2 expected"),
+    (XY_NODAL, "rig z, z ~", "rig z ~",
+     "the rig of node branch c0 at -1: 1 values given, 2 expected"),
+    (XY_NODAL, "~ c1 at 1 rig 1, 1", "~ c1 at 1 rig 1, 1, 1",
+     "the rig of node branch c1 at 1: 3 values given, 2 expected"),
+], ids=["bundle-short", "bundle-long", "marking-rig-short", "marking-rig-long",
+        "node-rig-short", "node-rig-long"])
+def test_spec_rejects_a_list_of_the_wrong_length(tmp_path, capsys, text, old, new, message):
+    # these used to end in an IndexError, a misleading "disagrees with the
+    # Cech oracle", or silence
+    _spec(text)
+    assert old in text
+    bad = text.replace(old, new, 1)
+    with pytest.raises(SpinDataError, match=re.escape(message)):
+        _spec(bad)
+    path, out = tmp_path / "bad.spec", tmp_path / "out.mf"
+    path.write_text(bad)
+    assert main(["fundamental", "--input", str(path), "--output", str(out)]) == 3
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_spec_rejects_an_order_that_does_not_accommodate_the_exponent_group():
+    text = (BROAD.replace("W = x^2\nd = 2", "W = x^3\nd = 3")
+            .replace("generator = diag(-1)\nJ = diag(-1)", "J = diag(1)"))
+    with pytest.raises(SpinDataError, match="cyclotomic order 4 does not accommodate "
+                                            "the exponent group of order 3"):
+        _spec(text)
+    # without an explicit J the parser derives J and rejects the order itself
+    with pytest.raises(SpecParseError, match="cyclotomic order must be divisible by d"):
+        parse_spec(text.replace("J = diag(1)\n", ""))
+
+
+def test_spec_rejects_a_potential_that_a_generator_moves():
+    with pytest.raises(SpinDataError, match="W is not invariant under a group generator"):
+        _spec(BROAD.replace("generator = diag(-1)", "generator = diag(z)"))
+
+
+def test_two_term_realization_rejects_a_bundle_the_divisor_does_not_make_ample():
+    with pytest.raises(SpinDataError, match=re.escape("H^1(L_0(D)) != 0 on c0")):
+        two_term_realization(_spec(BROAD.replace("bundle c0 = 0", "bundle c0 = -3")))
+
+
+def test_a_nodal_spec_without_j_sqrt_is_rejected():
+    glued = _spec(GLUED.replace("J_sqrt = z\n", ""))
+    with pytest.raises(SpinDataError, match="nodal curve requires J_sqrt"):
+        two_term_realization(glued)
+    with pytest.raises(SpinDataError, match="glued spec must carry J_sqrt"):
+        twisted_diagonal_glue(_spec(DISCONNECTED), glued)
+
+
+@pytest.mark.parametrize("glued, message", [
+    (DISCONNECTED, "expected exactly one new node in the glued spec"),
+    (GLUED.replace("node c0 at -1", "node c0 at 2"),
+     "(c0, 2) is not a marking of the disconnected spec"),
+    (GLUED.replace("divisor c0 at 0 mult 1", "divisor c0 at 0 mult 2"),
+     "disconnected and glued specs use different section models"),
+], ids=["no-new-node", "branch-not-a-marking", "different-section-models"])
+def test_glue_rejects_input_that_is_not_one_gluing(glued, message):
+    with pytest.raises(SpinDataError, match=re.escape(message)):
+        twisted_diagonal_glue(_spec(DISCONNECTED), _spec(glued))
