@@ -13,7 +13,10 @@ integer, are SpecParseErrors.  A negative ``--degree-bound`` (``check``,
 ``support``) or ``--points`` (``support``) is a precondition violation (3).
 ``--degree-bound`` bounds the nondegeneracy search of ``check``; on
 ``support`` it bounds nothing (a contracting homotopy at a point is
-constant) and only exits 3 when negative.  ``support`` prints verdicts
+constant) and only exits 3 when negative.  ``check`` reads W and the group
+first (a bad W exits 4), then builds the spin data of a ``[curve]`` section
+as ``fundamental`` does: data that ``SpinCurveSpec.validate`` rejects exits
+3 under both commands, before any report.  ``support`` prints verdicts
 without homotopies; the library's ``support_check`` certifies each
 contractible point.
 """
@@ -73,6 +76,8 @@ def cmd_check(args):
     if bad:
         raise CliFailure(EXIT_CERTIFICATE, f"W not invariant under {bad[0]}")
     report["invariant"] = True
+    if doc.curve is not None:
+        doc.spin_spec()  # SpinCurveSpec.validate: a bad [curve] exits 3
     verdict, detail = nondegeneracy_check(doc.potential, args.degree_bound)
     report["nondegeneracy"] = verdict
     _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -529,6 +529,14 @@ def nullhomotopy_solve(mf):
     set to 0.
 
     Either way the returned h is checked exactly (CertificateError if not).
+    At W(p) != 0 with n0 = n1 that check is the one composite
+    delta1 h0 = id.  With h1 = 0 the two blocks of delta h + h delta are
+    delta1 h0 on P0 and h0 delta1 on P1, and over the field Q(zeta_N) a
+    square matrix with a one-sided inverse is invertible, with that inverse
+    on both sides; so delta1 h0 = id gives h0 delta1 = id.  This is
+    ``verify``'s one-composite argument, applied to delta1 and h0 as they
+    are: a wrong W(p)^-1, or a delta0 changed after certification, makes
+    delta1 h0 != id.  W(p) = 0, or n0 != n1, checks both blocks.
     """
     ring = mf.ring
     if ring.nvars:
@@ -558,11 +566,15 @@ def nullhomotopy_solve(mf):
         entries = iter(map(ring.constant, sol))
         h0 = [list(islice(entries, n0)) for _ in range(n1)]
         h1 = [list(islice(entries, n1)) for _ in range(n0)]
-    target0, target1 = linalg.identity(ring, n0), linalg.identity(ring, n1)
-    bad0 = linalg.first_mismatch([(mf.delta1, h0), (h1, mf.delta0)], target0, field)
-    bad1 = linalg.first_mismatch([(mf.delta0, h1), (h0, mf.delta1)], target1, field)
-    if bad0 is not None or bad1 is not None:
-        raise CertificateError("solved homotopy fails delta h + h delta = id")
+    # delta1 h0 + h1 delta0 = id on P0, delta0 h1 + h0 delta1 = id on P1
+    if w and n0 == n1:  # h1 = 0: delta1 h0 = id is the whole certificate
+        checks = [([(mf.delta1, h0)], n0)]
+    else:
+        checks = [([(mf.delta1, h0), (h1, mf.delta0)], n0),
+                  ([(mf.delta0, h1), (h0, mf.delta1)], n1)]
+    for products, n in checks:
+        if linalg.first_mismatch(products, linalg.identity(ring, n), field) is not None:
+            raise CertificateError("solved homotopy fails delta h + h delta = id")
     return h0, h1
 
 

@@ -4,15 +4,19 @@ A PolyRing fixes the variable names and their (positive integer) weights; a
 Poly is a finitely supported map from exponent tuples to nonzero Scalars.
 The weight of a monomial is the weighted degree sum; quasihomogeneity checks
 and weight-graded enumeration live here because every module above relies on
-them.  Substitution (``substituter``, also behind ``Poly.evaluate`` and the
-restrictions of an MF) sums each coefficient as one unreduced integer vector
-and reduces it by Phi_N once, through the field's table of z-powers.
+them.  Products have one integer loop, ``_sum_of_products``: substitution
+(``substituter``, also behind ``Poly.evaluate`` and the restrictions of an
+MF), ``Poly.__mul__`` (so ``**`` too) and the substituter's table of powers
+all sum each coefficient as one unreduced integer vector over one
+denominator and reduce it by Phi_N once, through the field's table of
+z-powers.  No Scalar is built until a coefficient is final.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .cyclotomic import Scalar, _power, read_terms, tokenize
 
@@ -113,10 +117,55 @@ def _terms(poly):
             for e, c in poly.terms.items()]
 
 
+def _sum_of_products(field, terms, images):
+    """The {exponent: Scalar} of sum over the ``_terms`` (e, ints, den) of
+    ints/den times each term of ``images(e)``, a ``_terms`` list whose
+    exponents are those of the result.  The integer loop behind
+    ``substituter``, ``Poly.__mul__`` and the power table.
+
+    Each result coefficient is summed as one unreduced integer vector over
+    the lcm of its terms' denominators, then reduced by Phi_N and brought to
+    lowest terms once.  Result exponents keep the order in which they first
+    occur; those that sum to zero are dropped (by ``Poly``)."""
+    width = 2 * field.degree - 1
+    acc = {}  # exponent -> [denominator, unreduced integer vector]
+    for e, va, da in terms:
+        for e2, vb, db in images(e):
+            d = da * db
+            slot = acc.get(e2)
+            if slot is None:
+                slot = acc[e2] = [d, [0] * width]
+            den, ints = slot
+            if d != den:  # rescale the slot to the lcm of the denominators
+                common = lcm(den, d)
+                if common != den:
+                    f = common // den
+                    slot[:] = den, ints = common, [x * f for x in ints]
+            scale = den // d
+            for ka, xa in va:
+                xa *= scale
+                for kb, xb in vb:
+                    ints[ka + kb] += xa * xb
+    return {e2: field._reduce(ints, den) for e2, (den, ints) in acc.items()}
+
+
+def _times(a, b):
+    """a * b for Polys of one ring, on ``_sum_of_products``: each term of a
+    shifts the exponents of b's terms by its own."""
+    tb = _terms(b)
+
+    def shifted(e):
+        if not any(e):
+            return tb
+        return [(tuple(map(add, e, e2)), vb, db) for e2, vb, db in tb]
+
+    return Poly(a.ring, _sum_of_products(a.ring.field, _terms(a), shifted))
+
+
 def _monomial_table(values, one):
     """The map e -> the ``_terms`` of prod values[v] ** e[v], for
     Poly values.  Each power of each value and each monomial's terms are
-    computed once, on first use, and kept."""
+    computed once, on first use, and kept; every product is ``_times``."""
     powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
     table = {}
 
@@ -127,8 +176,8 @@ def _monomial_table(values, one):
             for v, pw, k in zip(values, powers, e):
                 if k:
                     while len(pw) <= k:
-                        pw.append(pw[-1] * v)
-                    m = pw[k] if m is one else m * pw[k]
+                        pw.append(_times(pw[-1], v))
+                    m = pw[k] if m is one else _times(m, pw[k])
             terms = table[e] = _terms(m)
         return terms
 
@@ -139,41 +188,18 @@ def substituter(ring, images, target):
     """The map Poly -> Poly (over ``target``) that substitutes ``images[v]``
     for the v-th variable of ``ring``.  Each monomial image is computed
     once, from one table of powers per image, and shared by every Poly the
-    map is applied to.
-
-    Each result coefficient is summed as one unreduced integer vector over
-    the lcm of its terms' denominators, then reduced by Phi_N and brought to
-    lowest terms once.  Result terms keep the order in which their exponents
-    first occur; those that sum to zero are dropped."""
+    map is applied to.  Each coefficient of the result is summed by
+    ``_sum_of_products``, so result terms keep the order in which their
+    exponents first occur, and those that sum to zero are dropped."""
     images = list(images)
     if len(images) != ring.nvars:
         raise ValueError("one image per variable")
     if target.field != ring.field or any(img.ring != target for img in images):
         raise ValueError("images must lie in the target ring over the same field")
-    field = target.field
     monomial = _monomial_table(images, target.one)
-    width = 2 * field.degree - 1
 
     def substitute(poly):
-        acc = {}  # exponent -> [denominator, unreduced integer vector]
-        for e, va, da in _terms(poly):
-            for e2, vb, db in monomial(e):
-                d = da * db
-                slot = acc.get(e2)
-                if slot is None:
-                    slot = acc[e2] = [d, [0] * width]
-                den, ints = slot
-                if d != den:  # rescale the slot to the lcm of the denominators
-                    common = lcm(den, d)
-                    if common != den:
-                        f = common // den
-                        slot[:] = den, ints = common, [x * f for x in ints]
-                scale = den // d
-                for ka, xa in va:
-                    xa *= scale
-                    for kb, xb in vb:
-                        ints[ka + kb] += xa * xb
-        return Poly(target, {e2: field._reduce(ints, den) for e2, (den, ints) in acc.items()})
+        return Poly(target, _sum_of_products(target.field, _terms(poly), monomial))
 
     return substitute
 
@@ -250,17 +276,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        zero = self.ring.field.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, zero) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return _times(self, other)
 
     __rmul__ = __mul__
 

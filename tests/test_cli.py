@@ -625,3 +625,30 @@ def test_cli_rejects_an_eta_whose_residue_vanishes_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3 and out == ""
     assert "eta on c0 must have simple poles exactly at the markings" in err
+
+
+def test_check_rejects_a_curve_that_fundamental_rejects_exit_3(tmp_path, capsys):
+    """Every length mutant whose spin data ``SpinCurveSpec.validate``
+    rejects exits 3 under ``check`` as under ``fundamental``, with no
+    report written."""
+    from test_spincurve import GLUE_PAIRS, XY
+    from dgmf.specfile import SpecParseError, parse_spec
+    from dgmf.spincurve import SpinDataError
+    rng = random.Random(28)
+    rejected = 0
+    for text in (SPIN, DISCONNECTED, GLUED, XY, GLUE_PAIRS["xy"][1]):
+        for mutated in _length_mutants(text, rng):
+            try:
+                parse_spec(mutated).spin_spec()
+                continue
+            except SpecParseError:
+                continue
+            except SpinDataError:
+                rejected += 1
+            for command in ("check", "fundamental"):
+                (tmp_path / "out.txt").unlink(missing_ok=True)
+                code, out = _run(tmp_path, command, mutated)
+                err = capsys.readouterr().err
+                assert code == 3 and out == "", f"{command} exited {code} on:\n{mutated}"
+                assert err.startswith("error: ") and "Traceback" not in err
+    assert rejected == 55

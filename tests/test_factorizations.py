@@ -1,12 +1,14 @@
+import copy
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
 from dgmf import factorizations, linalg
 from dgmf.complexes import Generator
+from dgmf.cyclotomic import Scalar
 from dgmf.poly import Poly, exponents_of_weight
 from dgmf.specfile import parse_mf, parse_spec, write_mf
 from dgmf import (
@@ -727,6 +729,69 @@ def test_closed_form_homotopy_rejects_a_perturbed_delta():
     mf.delta0[1][0] = mf.delta0[1][0] + mf.ring.one
     with pytest.raises(CertificateError):
         nullhomotopy_solve(mf)
+
+
+def _koszul_at_a_unit_point(order):
+    """A rank-4 Koszul MF {c_i x_i, x_i y} over Q(zeta_order), restricted to
+    a point where W(p) != 0."""
+    field = CyclotomicField(order)
+    R = PolyRing(field, ["x0", "x1", "y"], [1, 1, 1])
+    x0, x1, y = R.gens()
+    c = [1 + field.zeta, 2 - field.zeta ** 2]
+    mf = koszul_mf(R, [c[0] * x0, c[1] * x1], [x0 * y, x1 * y])
+    at = mf.restrict_to_point([1 + field.zeta, field.scalar(3), 2 - field.zeta])
+    assert at.potential and at.rank0 == at.rank1 == 2
+    return at
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_one_composite_homotopy_rejects_a_wrong_inverse_or_a_perturbed_delta0(
+        order, monkeypatch):
+    # at W(p) != 0 the certificate is delta1 h0 = id alone: h0 = delta0 / W(p)
+    # with a wrong W(p)^-1, or with any one delta0 entry changed after the
+    # restriction was certified, fails it
+    at = _koszul_at_a_unit_point(order)
+    field = at.ring.field
+    h0, h1 = nullhomotopy_solve(at)
+    assert not any(c for row in h1 for c in row)
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda s: inverse(s) * (1 + field.zeta))
+    with pytest.raises(CertificateError):
+        nullhomotopy_solve(at)
+    monkeypatch.setattr(Scalar, "inverse", inverse)
+    for i, j in product(range(at.rank1), range(at.rank0)):
+        bad = copy.copy(at)
+        bad.delta0 = [list(row) for row in at.delta0]
+        bad.delta0[i][j] = bad.delta0[i][j] + at.ring.constant(field.zeta)
+        with pytest.raises(CertificateError):
+            nullhomotopy_solve(bad)
+    assert nullhomotopy_solve(at) == (h0, h1)
+
+
+def test_support_check_certifies_a_unit_point_with_two_exact_products(monkeypatch):
+    # per point: the restriction's delta^2 check, then the homotopy's; each
+    # is one composite where W(p) != 0 and two where W(p) = 0
+    calls = []
+    first_mismatch = linalg.first_mismatch
+
+    def counting(*args):
+        calls.append(args)
+        return first_mismatch(*args)
+
+    R = _ring(2)
+    x, y = R.gens()
+    mf = koszul_mf(R, [x], [y])  # W = x y
+    unit = _koszul_at_a_unit_point(7)
+    monkeypatch.setattr(linalg, "first_mismatch", counting)
+    for point, verdict, want in (([F.one, F.one], CONTRACTIBLE, 2),
+                                 ([F.one, F.zero], CONTRACTIBLE, 4),
+                                 ([F.zero, F.one], CONTRACTIBLE, 4),
+                                 ([F.zero, F.zero], NONCONTRACTIBLE, 2)):
+        calls.clear()
+        (entry,) = support_check(mf, [point])
+        assert entry["verdict"] == verdict and len(calls) == want, (point, len(calls))
+    calls.clear()
+    assert nullhomotopy_solve(unit) is not None and len(calls) == 1
 
 
 def test_nullhomotopy_solve_needs_the_point_base():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgmf import (CyclotomicField, GroupElement, Poly, PolyRing, UPoly, fundamental_mf,
                   koszul_mf)
-from dgmf.poly import exponents_of_weight, substituter
+from dgmf.poly import _monomial_table, _terms, exponents_of_weight, substituter
 from dgmf.specfile import parse_spec
 from test_cyclotomic import _reference_parse as _reference_scalar_parse
 
@@ -37,7 +37,7 @@ def test_ring_axioms(p, q, r):
 @given(_polys())
 def test_scalar_minus_poly_is_the_negated_difference(p):
     # a scalar or an int on the left of ``-`` runs Poly.__rsub__
-    for s in (3, -1, Fraction(2, 7), F.zeta, 1 - F.zeta):
+    for s in (1, 3, -1, Fraction(2, 7), F.zeta, 1 - F.zeta):
         diff = s - p
         assert isinstance(diff, Poly) and diff == -(p - s)
         assert diff + p == R.constant(s)
@@ -573,3 +573,94 @@ def test_pow_matches_repeated_product(order):
         for n in range(10):
             assert base ** n == product
             product = product * base
+
+
+# -- the integer product kernel against the Scalar path ----------------------
+
+
+def _scalar_product(p, q):
+    """The former ``Poly.__mul__``: each term pair multiplied and added
+    Scalar by Scalar, a sum that reaches zero dropped at once."""
+    terms = {}
+    zero = p.ring.field.zero
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, zero) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return Poly(p.ring, terms)
+
+
+def _scalar_monomial_table(values, one):
+    """The former power table: each power pw[-1] * v and each monomial
+    m * pw[k] a ``_scalar_product``, returned as a Poly."""
+    powers = [[one, v] for v in values]
+
+    def monomial(e):
+        m = one
+        for v, pw, k in zip(values, powers, e):
+            if k:
+                while len(pw) <= k:
+                    pw.append(_scalar_product(pw[-1], v))
+                m = pw[k] if m is one else _scalar_product(m, pw[k])
+        return m
+
+    return monomial
+
+
+def _as_dict(terms):
+    """A ``_terms`` list as {exponent: (nonzero (k, integer) pairs, den)}."""
+    return {e: (tuple(v), d) for e, v, d in terms}
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_integer_product_and_power_table_match_the_scalar_path(order):
+    """On a seeded corpus, ``Poly.__mul__`` and ``_monomial_table`` give
+    the same ``terms`` as the Scalar path: coefficients with denominators up
+    to 2^40, products whose terms cancel, the zero-variable ring, and every
+    monomial with exponents up to 4."""
+    field = CyclotomicField(order)
+    rng = random.Random(f"product:{order}")
+
+    def scalar(nonzero=False):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 2 ** 40 - 87]))
+                  if rng.random() < 0.7 else 0 for _ in range(field.degree)]
+        if nonzero:
+            coeffs[0] = Fraction(rng.randint(1, 9), rng.choice([1, 5, 2 ** 40 - 87]))
+        return field.from_coeffs(coeffs)
+
+    def poly(ring, most):
+        exps = list(itertools.product(range(3), repeat=ring.nvars))
+        return Poly(ring, {e: scalar() for e in rng.sample(exps, rng.randint(0, most))})
+
+    ring = PolyRing(field, ["x", "y"], [1, 2])
+    point = PolyRing(field, [], [])
+    x, y = ring.gens()
+    for _ in range(20):
+        for r, most in ((ring, 6), (point, 1)):
+            p, q = poly(r, most), poly(r, most) + r.constant(scalar(nonzero=True))
+            for a, b in ((p, q), (q, p), (q, q), (p, r.zero), (r.one, q)):
+                assert (a * b).terms == _scalar_product(a, b).terms
+        # (c x + d y)(c x - d y): the two x y terms cancel, and so does all
+        # of p q - q p
+        c, d = scalar(nonzero=True), scalar(nonzero=True)
+        p, q = c * x + d * y, c * x - d * y
+        assert (p * q).terms == _scalar_product(p, q).terms \
+            == {(2, 0): c * c, (0, 2): -(d * d)}
+        assert not (p * q - q * p).terms
+        # (1 + c x y)(1 - c x y): the middle terms cancel
+        u = ring.one + c * x * y
+        assert (u * (2 - u)).terms == _scalar_product(u, 2 - u).terms
+        assert (1, 1) not in (u * (2 - u)).terms
+    # every monomial of exponents up to 4 in two seeded images, and the one
+    # monomial () of the zero-variable ring
+    for r in (ring, point):
+        for _ in range(3):
+            values = [poly(r, 3) + r.constant(scalar(nonzero=True)) for _ in range(r.nvars)]
+            table = _monomial_table(values, r.one)
+            reference = _scalar_monomial_table(values, r.one)
+            for e in itertools.product(range(5), repeat=r.nvars):
+                assert _as_dict(table(e)) == _as_dict(_terms(reference(e))), e

@@ -36,7 +36,7 @@ def test_scalar_minus_upoly_is_the_negated_difference():
     field = CyclotomicField(4)
     x = UPoly.gen(field)
     for p in (x, x ** 3 - UPoly.constant(field, 2) * x, UPoly(field, [])):
-        for s in (3, 0, Fraction(-1, 2), field.zeta):
+        for s in (1, 3, 0, Fraction(-1, 2), field.zeta, 1 - field.zeta):
             diff = s - p
             assert isinstance(diff, UPoly) and diff == -(p - s)
             assert diff + p == UPoly.constant(field, s)
