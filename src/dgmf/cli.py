@@ -13,10 +13,13 @@ integer, are SpecParseErrors.  A negative ``--degree-bound`` (``check``,
 ``support``) or ``--points`` (``support``) is a precondition violation (3).
 ``--degree-bound`` bounds the nondegeneracy search of ``check``; on
 ``support`` it bounds nothing (a contracting homotopy at a point is
-constant) and only exits 3 when negative.  ``check`` reads W and the group
-first (a bad W exits 4), then builds the spin data of a ``[curve]`` section
-as ``fundamental`` does: data that ``SpinCurveSpec.validate`` rejects exits
-3 under both commands, before any report.  ``support`` prints verdicts
+constant) and only exits 3 when negative.  ``check`` runs
+``spincurve.check_symmetry`` once: W, the group and J, directly or, with a
+``[curve]`` section, as the first step of ``SpinCurveSpec.validate``, which
+builds the spin data as ``fundamental`` does.  A W that is not
+quasihomogeneous of weight d or not invariant exits 4 under ``check`` and 3
+under ``fundamental``; any other rejected datum, such as a wrong J, exits 3
+under both, before any report.  ``support`` prints verdicts
 without homotopies; the library's ``support_check`` certifies each
 contractible point.
 """
@@ -34,7 +37,8 @@ from .factorizations import (CertificateError, fold_to_mf, dgmf_from_homotopy,
                              koszul_mf, support_check)
 from .jacobian import DEGENERATE, INCONCLUSIVE, nondegeneracy_check
 from .complexes import homology_ranks
-from .spincurve import check_equivariance, fundamental_mf, twisted_diagonal_glue
+from .spincurve import (PotentialError, check_equivariance, check_symmetry, fundamental_mf,
+                        twisted_diagonal_glue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,20 +70,16 @@ def _emit(args, text):
 
 def cmd_check(args):
     doc = specfile.parse_spec(_read_input(args))
-    report = {}
-    w, _ = doc.potential.weight()
-    if w != doc.degree_d:
-        raise CliFailure(EXIT_CERTIFICATE,
-                         f"W is not quasihomogeneous of weight {doc.degree_d}")
-    report["quasihomogeneous"] = True
-    bad = [repr(g) for g in doc.generators if g.act(doc.potential) != doc.potential]
-    if bad:
-        raise CliFailure(EXIT_CERTIFICATE, f"W not invariant under {bad[0]}")
-    report["invariant"] = True
-    if doc.curve is not None:
-        doc.spin_spec()  # SpinCurveSpec.validate: a bad [curve] exits 3
+    try:
+        if doc.curve is None:
+            check_symmetry(doc.field, doc.ring, doc.potential, doc.degree_d,
+                           doc.generators, doc.J)
+        else:
+            doc.spin_spec()  # SpinCurveSpec.validate runs check_symmetry first
+    except PotentialError as e:
+        raise CliFailure(EXIT_CERTIFICATE, str(e))
     verdict, detail = nondegeneracy_check(doc.potential, args.degree_bound)
-    report["nondegeneracy"] = verdict
+    report = {"quasihomogeneous": True, "invariant": True, "nondegeneracy": verdict}
     _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if verdict == DEGENERATE:
         raise CliFailure(EXIT_CERTIFICATE, f"degenerate: {detail}")

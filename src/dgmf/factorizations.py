@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from . import linalg
-from .complexes import Generator, _coerce, _tensor
+from .complexes import Generator, _coerce, _rank, _tensor
 from .poly import Poly, PolyRing, _linear_forms, substituter
 
 
@@ -589,9 +589,9 @@ def point_homology(mf, point):
     so delta1(p) delta0(p) = W(p) . id with W(p) a unit, delta(p) is
     invertible and the restriction is contractible.  If W(p) = 0 the MF is
     restricted (and the restriction certified); it is a 2-periodic complex
-    of vector spaces and h_i = rank P_i - rank delta0 - rank delta1.
+    of vector spaces and h_i = rank P_i - rank delta0 - rank delta1, each
+    rank read by ``complexes._rank``.
     """
-    field = mf.ring.field
     if mf.ring.nvars:
         if mf.potential.evaluate(point):
             return (0, 0)
@@ -600,10 +600,7 @@ def point_homology(mf, point):
         raise ValueError("an MF over the point base is restricted to the point ()")
     if mf.potential:
         return (0, 0)
-    d0 = [[c.constant_value() for c in row] for row in mf.delta0]
-    d1 = [[c.constant_value() for c in row] for row in mf.delta1]
-    r0 = linalg.rank(d0, field) if d0 and d0[0] else 0
-    r1 = linalg.rank(d1, field) if d1 and d1[0] else 0
+    r0, r1 = _rank(mf.ring, mf.delta0), _rank(mf.ring, mf.delta1)
     return (mf.rank0 - r0 - r1, mf.rank1 - r0 - r1)
 
 

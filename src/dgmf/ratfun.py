@@ -22,7 +22,7 @@ reduced by the field's table of z-powers once.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .cyclotomic import _inverse_integers, _power, _product
 
@@ -145,25 +145,6 @@ class UPoly:
             total = total * point + c
         return total
 
-    def shift(self, a):
-        """Compose with t -> t + a (Taylor recentering at a)."""
-        result = UPoly(self.field, [])
-        t_plus_a = UPoly(self.field, [a, self.field.one])
-        power = UPoly.constant(self.field, 1)
-        for c in self.coeffs:
-            result = result + power * c
-            power = power * t_plus_a
-        return result
-
-    def valuation(self):
-        """Order of vanishing at 0 (number of leading zero coefficients)."""
-        if not self:
-            raise ValueError("valuation of zero polynomial")
-        return next(i for i, c in enumerate(self.coeffs) if c)
-
-    def reversed_coeffs(self):
-        return UPoly(self.field, self.coeffs[::-1])
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -177,6 +158,27 @@ class UPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _taylor(field, q, degree, orders):
+    """The binomial Taylor shift at q: rows i < ``orders``, columns k <=
+    ``degree``, entry C(k, i) q^(k - i), the t^i coefficient of (t + q)^k.
+    Column k is the jet of t^k at q, and the matrix takes the coefficients
+    of f to those of f(t + q).  One table of q-powers serves every entry."""
+    powers = [field.one]
+    for _ in range(degree):
+        powers.append(powers[-1] * q)
+    return [[comb(k, i) * powers[k - i] if k >= i else field.zero
+             for k in range(degree + 1)] for i in range(orders)]
+
+
+def _with_roots(field, roots):
+    """prod (t - q)^m over the (q, m) of ``roots``: a monic UPoly."""
+    coeffs = [field.one]
+    for q, m in roots:
+        for _ in range(m):  # (t - q) c: new c_k = c_(k-1) - q c_k
+            coeffs = [a - q * b for a, b in zip([field.zero] + coeffs, coeffs + [field.zero])]
+    return UPoly(field, coeffs)
 
 
 def _series_inverse(field, coeffs, length):
@@ -223,14 +225,17 @@ class RationalFunction:
 
     def laurent_coefficients(self, point, ks):
         """The coefficient of (t - point)^k for each k of ``ks``, from one
-        Taylor shift of the numerator and the denominator."""
+        Taylor shift (``_taylor``) of the numerator and the denominator."""
+        zero = self.field.zero
         if not self.num:
-            return [self.field.zero for _ in ks]
-        num = self.num.shift(point)
-        den = self.den.shift(point)
-        vn, vd = num.valuation(), den.valuation()
+            return [zero for _ in ks]
+        degree = max(self.num.degree(), self.den.degree())
+        shift = _taylor(self.field, point, degree, degree + 1)
+        num, den = ([sum((row[k] * c for k, c in enumerate(p.coeffs) if c), zero)
+                     for row in shift] for p in (self.num, self.den))
+        vn, vd = (next(i for i, c in enumerate(v) if c) for v in (num, den))
         # f = (t^vn * nu) / (t^vd * de) with nu(0), de(0) != 0
-        nu, de = num.coeffs[vn:], den.coeffs[vd:]
+        nu, de = num[vn:], den[vd:]
         idxs = [k - (vn - vd) for k in ks]
         inv = _series_inverse(self.field, de, max(idxs) + 1) if max(idxs) >= 0 else []
         out = []
@@ -246,23 +251,15 @@ class RationalFunction:
         return self.laurent_coefficient(point, -1)
 
     def residue_at_infinity(self):
-        """Residue at infinity of ``self * dt``: substitute t = 1/s."""
-        if not self.num:
-            return self.field.zero
-        # f(1/s) dt = -s^(deg den - deg num - 2) * num~(s)/den~(s) ds
-        dn, dd = self.num.degree(), self.den.degree()
-        num_rev = self.num.reversed_coeffs()
-        den_rev = self.den.reversed_coeffs()
-        shift = dd - dn - 2
-        t = UPoly.gen(self.field)
-        if shift >= 0:
-            g = RationalFunction(-(t ** shift) * num_rev, den_rev)
-        else:
-            g = RationalFunction(-num_rev, (t ** (-shift)) * den_rev)
-        return g.residue(self.field.zero)
+        """Residue at infinity of ``self * dt``, from one division: den is
+        monic of degree d, so f = P + r/den with r = num mod den, whose 1/t
+        term at infinity is r_(d-1)/t, and the residue is -r_(d-1)."""
+        d = self.den.degree()
+        r = self.num.divmod(self.den)[1].coeffs
+        return -r[-1] if len(r) == d > 0 else self.field.zero
 
     def __str__(self):
-        return f"({self.num})/({self.den})" if self.den.degree() > 0 else str(self.num)
+        return f"({self.num})/({self.den})"
 
     __repr__ = __str__
 

@@ -13,7 +13,6 @@ along D.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import comb
 from operator import mul
 
 from . import linalg
@@ -25,7 +24,7 @@ from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import PolyRing, _linear_forms, substituter
-from .ratfun import (RationalFunction, UPoly, _series_inverse,
+from .ratfun import (RationalFunction, UPoly, _series_inverse, _taylor, _with_roots,
                      two_periodic_homology_dims)
 
 
@@ -69,6 +68,30 @@ class Node:
         self.branch2 = branch2
 
 
+class PotentialError(SpinDataError):
+    """W is not quasihomogeneous of weight d, or a group generator moves it."""
+
+
+def check_symmetry(field, vring, W, d, generators, J):
+    """The checks of a spec's symmetry data that need no curve: W is
+    quasihomogeneous of weight d and invariant under each generator
+    (PotentialError otherwise), and J is the R-charge element of order d,
+    diag(zeta_d^{w_j}) (SpinDataError otherwise)."""
+    if not W.is_quasihomogeneous_of(d):
+        raise PotentialError(f"W is not quasihomogeneous of weight {d}")
+    for g in generators:
+        if g.act(W) != W:
+            raise PotentialError(f"W is not invariant under a group generator, {g!r}")
+    if field.order % d:
+        raise SpinDataError(
+            f"cyclotomic order {field.order} does not accommodate the "
+            f"exponent group of order {d}; supplied matrix order must divide N")
+    zeta_d = field.zeta ** (field.order // d)
+    if not (J.is_diagonal() and J.diagonal_entries() == [zeta_d ** w for w in vring.weights]):
+        raise SpinDataError("J must act diagonally by the d-th roots of the "
+                            "R-charge weights")
+
+
 class SpinCurveSpec:
     def __init__(self, field, vring, W, degree_d, group_generators, J,
                  components, bundle_degrees, markings, nodes=(), divisor=(),
@@ -91,23 +114,8 @@ class SpinCurveSpec:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        d = self.degree_d
-        if not self.W.is_quasihomogeneous_of(d):
-            raise SpinDataError(f"W is not quasihomogeneous of weight {d}")
-        for g in self.group_generators:
-            if g.act(self.W) != self.W:
-                raise SpinDataError("W is not invariant under a group generator")
-        # J must be the R-charge element of order d: diag(zeta_d^{w_j})
-        zeta_d = self.field.zeta ** (self.field.order // d) if \
-            self.field.order % d == 0 else None
-        if zeta_d is None:
-            raise SpinDataError(
-                f"cyclotomic order {self.field.order} does not accommodate the "
-                f"exponent group of order {d}; supplied matrix order must divide N")
-        expected = [zeta_d ** w for w in self.vring.weights]
-        if not (self.J.is_diagonal() and self.J.diagonal_entries() == expected):
-            raise SpinDataError("J must act diagonally by the d-th roots of the "
-                                "R-charge weights")
+        check_symmetry(self.field, self.vring, self.W, self.degree_d,
+                       self.group_generators, self.J)
         for comp in self.components:
             if comp not in self.bundle_degrees:
                 raise SpinDataError(f"component {comp} has no bundle degrees")
@@ -158,13 +166,8 @@ class SpinCurveSpec:
             if form is None:
                 continue
             # simple poles exactly at the markings of this component
-            field = self.field
-            t = UPoly.gen(field)
-            expected = UPoly.constant(field, 1)
-            for mu in marks:
-                expected = expected * (t - UPoly.constant(field, mu))
             num, den = form.num, form.den
-            if den.monic() != expected.monic():
+            if den.monic() != _with_roots(self.field, [(mu, 1) for mu in marks]):
                 raise SpinDataError(
                     f"eta on {comp} must have simple poles exactly at the markings")
             if num.degree() > len(marks) - 2:
@@ -277,19 +280,15 @@ def _principal_parts(field, poles, q, top):
 
     Near q, t^p / D = (t - q)^-mult t^p / D_q with D_q = D / (t - q)^mult,
     so they are the Taylor coefficients at q of t^p / D_q of orders mult - 1
-    down to 0: those of t^p are C(p, i) q^(p - i), and one series inverse
-    of D_q(t + q) serves every p."""
-    mult, s = dict(poles)[q], UPoly.gen(field)
-    shifted = [(s + (q - r)) ** m for r, m in poles if r != q]  # D_q(t + q)
-    inverse = _series_inverse(field, reduce(mul, shifted, UPoly.constant(field, 1)).coeffs,
-                              mult)
-    powers = [field.one]
-    for _ in range(top):
-        powers.append(powers[-1] * q)
+    down to 0: those of t^p are column p of one binomial Taylor shift
+    (``_taylor``), and one series inverse of D_q(t + q) serves every p."""
+    mult = dict(poles)[q]
+    d_q = _with_roots(field, [(r - q, m) for r, m in poles if r != q])  # D_q(t + q)
+    inverse = _series_inverse(field, d_q.coeffs, mult)
+    jets = _taylor(field, q, top, mult)  # jets[a][p]: the (t - q)^a coefficient of t^p
     parts = []
     for p in range(top + 1):
-        taylor = [(a, comb(p, a) * powers[p - a]) for a in range(min(p, mult - 1) + 1)]
-        taylor = [(a, c) for a, c in taylor if c]
+        taylor = [(a, row[p]) for a, row in enumerate(jets) if row[p]]
         parts.append([sum((c * inverse[i - a] for a, c in taylor if a <= i), field.zero)
                       for i in range(mult - 1, -1, -1)])
     return parts
@@ -694,16 +693,10 @@ class LogFormModel:
         self.field = field
         self.marks = [m.point for m in spec.markings if m.component == comp]
         self.n = len(self.marks)
-        t = UPoly.gen(field)
-        markden = UPoly.constant(field, 1)
-        for mu in self.marks:
-            markden = markden * (t - UPoly.constant(field, mu))
-        divden = UPoly.constant(field, 1)
         self.div_points = spec.divisor_points(comp)
-        for (q, mult) in self.div_points:
-            divden = divden * (t - UPoly.constant(field, q)) ** mult
         self.degD = spec.degD(comp)
-        self.markden, self.divden = markden, divden
+        self.markden = _with_roots(field, [(mu, 1) for mu in self.marks])
+        self.divden = _with_roots(field, self.div_points)
         # omega^log(D): p in a_log stands for t^p dt / (markden divden),
         # numerators of degree <= n + degD - 2
         top_log = self.n + self.degD - 2
@@ -727,7 +720,7 @@ class LogFormModel:
                     for mu in self.marks]
         # inclusion omega(D) -> omega^log(D), dim_log x dim_om: multiply the
         # numerator by markden, so column p holds its coefficients from row p
-        m = markden.coeffs
+        m = self.markden.coeffs
         self.incl = [[m[k - p] if 0 <= k - p < len(m) else field.zero
                       for p in self.a_om] for k in self.a_log]
 
@@ -765,11 +758,7 @@ class LogFormModel:
 
     def random_form(self, rng):
         """A random global section of omega^log(D), as a RationalFunction."""
-        t = UPoly.gen(self.field)
-        num = UPoly.constant(self.field, 0)
-        for p in range(len(self.a_log)):
-            c = self.field.scalar(rng.randint(-5, 5))
-            num = num + UPoly.constant(self.field, c) * t ** p
+        num = UPoly(self.field, [self.field.scalar(rng.randint(-5, 5)) for _ in self.a_log])
         return RationalFunction(num, self.markden * self.divden)
 
     def total_residue(self, form):
@@ -801,16 +790,12 @@ class LogFormModel:
                 else linalg.identity(field, len(self.b_basis))
             report["coker_omega_dim"] = len(lnull)
             if len(lnull) == 1:
-                ell = lnull[0]
-                for e_i in linalg.identity(field, self.n):
-                    lift = linalg.solve(self.res, e_i, field)
-                    if lift is None:
-                        values = None
-                        break
-                    jet = [sum((self.f_log[r][c] * lift[c] for c in range(dim_log)),
-                               field.zero) for r in range(len(self.b_basis))]
-                    values.append(sum((ell[r] * jet[r] for r in range(len(jet))),
-                                      field.zero))
+                # ell . F_log . [lifts of the unit vectors through res]
+                lifts = [linalg.solve(self.res, e_i, field)
+                         for e_i in linalg.identity(field, self.n)]
+                values = None if None in lifts else linalg.mat_mul(
+                    [lnull[0]], linalg.mat_mul(self.f_log, linalg.transpose(lifts), field),
+                    field)[0]
         if values:
             first = values[0]
             report["connecting_is_summation"] = bool(first) and all(

@@ -652,3 +652,51 @@ def test_check_rejects_a_curve_that_fundamental_rejects_exit_3(tmp_path, capsys)
                 assert code == 3 and out == "", f"{command} exited {code} on:\n{mutated}"
                 assert err.startswith("error: ") and "Traceback" not in err
     assert rejected == 55
+
+
+NO_CURVE = SPIN[:SPIN.index("[curve]")]
+
+
+@pytest.mark.parametrize("text", [SPIN, NO_CURVE], ids=["curve", "no-curve"])
+@pytest.mark.parametrize("edit, code, message", [
+    (("J = diag(-1)", "J = diag(z)"), 3,
+     "J must act diagonally by the d-th roots of the R-charge weights"),
+    (("generator = diag(-1)", "generator = diag(z)"), 4,
+     "W is not invariant under a group generator"),
+    (("W = x^2", "W = x^2 + x"), 4, "W is not quasihomogeneous of weight 2"),
+], ids=["wrong-j", "w-not-invariant", "w-inhomogeneous"])
+def test_check_rejects_bad_symmetry_data_with_and_without_a_curve(tmp_path, capsys, text,
+                                                                  edit, code, message):
+    bad = text.replace(*edit)
+    assert bad != text
+    got, out = _run(tmp_path, "check", bad)
+    err = capsys.readouterr().err
+    assert got == code and out == "" and message in err, err
+    # fundamental reads the same checks, and exits 3 on each
+    if text is SPIN:
+        assert _run(tmp_path, "fundamental", bad)[0] == 3
+
+
+@pytest.mark.parametrize("text", [SPIN, NO_CURVE], ids=["curve", "no-curve"])
+def test_check_tests_w_once(tmp_path, monkeypatch, text):
+    """W's quasihomogeneity and its invariance under the one generator are
+    each tested once per ``check``, with a [curve] section or without."""
+    from dgmf.groups import GroupElement
+    from dgmf.poly import Poly
+    from dgmf.specfile import parse_spec
+    W = parse_spec(text).potential
+    calls = {"weight": 0, "act": 0}
+    is_qh, act = Poly.is_quasihomogeneous_of, GroupElement.act
+
+    def counted_is_qh(self, d):
+        calls["weight"] += self == W
+        return is_qh(self, d)
+
+    def counted_act(self, p):
+        calls["act"] += p == W
+        return act(self, p)
+
+    monkeypatch.setattr(Poly, "is_quasihomogeneous_of", counted_is_qh)
+    monkeypatch.setattr(GroupElement, "act", counted_act)
+    assert _run(tmp_path, "check", text)[0] == 0
+    assert calls == {"weight": 1, "act": 1}

@@ -93,6 +93,50 @@ def test_residue_at_infinity_matches_sum_rule():
     assert not total
 
 
+def test_residue_at_infinity_is_one_division(monkeypatch):
+    """Over Q(zeta_7), with numerators of any degree (a polynomial part
+    included), the residue at infinity closes the residue theorem, and it
+    is read from num mod den: no RationalFunction is built on the way."""
+    field = CyclotomicField(7)
+    s = UPoly.gen(field)
+    rng = random.Random(30)
+    forms = []
+    for _ in range(25):
+        roots = [(field.scalar(r) + field.zeta ** rng.randint(0, 6), rng.randint(1, 3))
+                 for r in rng.sample(range(-4, 5), rng.randint(1, 3))]
+        num = UPoly(field, [field.scalar(rng.randint(-3, 3)) + field.zeta * rng.randint(-1, 1)
+                            for _ in range(rng.randint(0, 8))])
+        forms.append((RationalFunction(num, ratfun._with_roots(field, roots)), roots))
+    forms.append((RationalFunction(s ** 3, UPoly.constant(field, 2)), []))
+
+    def no_new_form(*args):
+        raise AssertionError("residue_at_infinity built a RationalFunction")
+
+    monkeypatch.setattr(RationalFunction, "__init__", no_new_form)
+    for f, roots in forms:
+        finite = sum((f.residue(q) for q, _m in roots), field.zero)
+        assert not finite + f.residue_at_infinity()
+
+
+def test_taylor_shift_and_roots_builder():
+    """Column k of ``_taylor(q)`` is (t + q)^k, and ``_with_roots`` is the
+    product of its factors."""
+    field = CyclotomicField(4)
+    s = UPoly.gen(field)
+    for q in (field.zero, field.scalar(3), 1 - 2 * field.zeta):
+        rows = ratfun._taylor(field, q, 5, 4)
+        for k in range(6):
+            want = (s + UPoly.constant(field, q)) ** k
+            assert [row[k] for row in rows] == [
+                want.coeffs[i] if i < len(want.coeffs) else field.zero for i in range(4)]
+    roots = [(field.zeta, 2), (field.scalar(-1), 1), (field.zero, 3)]
+    want = UPoly.constant(field, 1)
+    for q, m in roots:
+        want = want * (s - UPoly.constant(field, q)) ** m
+    assert ratfun._with_roots(field, roots) == want
+    assert ratfun._with_roots(field, []) == UPoly.constant(field, 1)
+
+
 def test_two_periodic_homology_over_line():
     z = UPoly.constant(F, 0)
     # block-diagonal stabilization of (k[t], t): one unit of torsion each way

@@ -330,3 +330,47 @@ def test_parse_mf_ignores_whitespace_around_separators():
                 for c in row:
                     ids.setdefault(f"({c})", set()).add(id(c))
         assert all(len(objects) == 1 for objects in ids.values())
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_a_printed_rational_function_reads_back(order):
+    """``str(f)`` is always ``(num)/(den)``, so the spec's eta reader reads
+    it back, a constant denominator and zero included."""
+    from random import Random
+    from dgmf import CyclotomicField, RationalFunction, UPoly
+    from dgmf.specfile import _parse_ratfun
+    from test_factorizations import _random_scalar
+    rng, field = Random(order), CyclotomicField(order)
+    forms = [RationalFunction(UPoly(field, []), UPoly.constant(field, 3)),
+             RationalFunction(UPoly.gen(field), UPoly.constant(field, -2))]
+    while len(forms) < 40:
+        num, den = (UPoly(field, [_random_scalar(rng, field) for _ in range(rng.randint(lo, 4))])
+                    for lo in (0, 1))
+        if den:
+            forms.append(RationalFunction(num, den))
+    assert sum(f.den.degree() == 0 for f in forms) >= 4
+    for f in forms:
+        assert _parse_ratfun(field, 1, str(f)) == f, str(f)
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_a_printed_super_element_reads_back(order):
+    """``repr(e)`` of an element with no degree-0 term is the scheme
+    reader's sum of ``(poly)*b0^b1`` terms."""
+    from itertools import combinations
+    from random import Random
+    from dgmf import CyclotomicField, PolyRing
+    from dgmf.factorizations import DgSchemePresentation
+    from dgmf.specfile import _parse_super_element
+    from test_factorizations import _random_poly
+    rng, field = Random(order), CyclotomicField(order)
+    ring = PolyRing(field, ["u0", "u1"], [1, 2])
+    scheme = DgSchemePresentation(ring, [("b0", 1), ("b1", 2), ("b2", 1)],
+                                  [ring.zero] * 3)
+    subsets = [s for k in (1, 2, 3) for s in combinations(range(3), k)]
+    tried = 0
+    while tried < 30:
+        e = scheme.element({s: _random_poly(rng, ring, density=0.4) for s in subsets})
+        if e.coefficients:
+            assert _parse_super_element(scheme, 1, repr(e)) == e, repr(e)
+            tried += 1
