@@ -330,13 +330,9 @@ class MatrixFactorization:
                 and other.potential == self.potential)
 
     def restrict_to_point(self, point):
-        """Evaluate all entries at a Scalar tuple; returns a new MF over the
-        point base (the zero-variable ring), certified by its own ``verify``.
-        One substitution of constants serves every entry, so each
-        monomial's value at the point is computed once for the whole MF."""
-        base = PolyRing(self.ring.field, [], [])
-        images = [base.constant(base.field.scalar(p)) for p in point]
-        return self._mapped(base, substituter(self.ring, images, base))
+        """The certified MF over the point base of the values at a Scalar tuple
+        (``_at_point``); an MF over the point base is its own restriction to ()."""
+        return _at_point(self, point)[2]()
 
     def restrict_to_line(self, point_images):
         """Substitute each variable by a univariate polynomial in t (a Poly
@@ -358,6 +354,23 @@ class MatrixFactorization:
         delta0, delta1 = linalg.entrywise(sub, self.delta0, self.delta1)
         return MatrixFactorization(target, self.p0_gens, self.p1_gens, delta0,
                                    delta1, sub(self.potential))
+
+
+def _at_point(mf, point):
+    """(W(p), deltas, restricted): W's value at ``point`` over the point base,
+    and functions giving (delta0(p), delta1(p)) and their MF, certified by
+    its ``verify``: one substituter, each distinct entry evaluated once, and
+    nothing but W until asked for.  An MF over the point base is its own
+    value at the point (), read as it is."""
+    if not mf.ring.nvars:
+        if len(point):
+            raise ValueError("an MF over the point base is restricted to the point ()")
+        return mf.potential, lambda: (mf.delta0, mf.delta1), lambda: mf
+    base = PolyRing(mf.ring.field, [], [])
+    sub = substituter(mf.ring, [base.constant(base.field.scalar(p)) for p in point], base)
+    w = sub(mf.potential)
+    deltas = lambda: linalg.entrywise(sub, mf.delta0, mf.delta1)
+    return w, deltas, lambda: MatrixFactorization(base, mf.p0_gens, mf.p1_gens, *deltas(), w)
 
 
 def koszul_mf(ring, alpha, beta):
@@ -516,66 +529,62 @@ def nullhomotopy_solve(mf):
     """An odd h = (h0, h1) with delta h + h delta = id (a contracting
     homotopy) of an MF over the point base, or None if it has none.
 
-    If W(p) != 0, h = (delta0 / W(p), 0): delta1 delta0 = delta0 delta1 =
-    W(p) . id.  This is the solution the general solve below gives too.  The
-    map h -> delta h + h delta has rank n0 . n1 and is injective on
-    {h1 = 0}, since delta1 h0 = 0 forces h0 = 0.  So with h0's unknowns
-    ordered before h1's, the h0 columns are the pivots, h1 is free (set to
-    0), and delta1 h0 = id gives h0 = delta1^-1 = delta0 / W(p).
+    If W(p) != 0, h = (delta0 / W(p), 0), checked by delta1 h0 = id alone
+    (``_unit_homotopy``).  The MF is square: delta1 delta0 = W . id and
+    delta0 delta1 = W . id with W != 0 make both deltas injective over the
+    field, so n0 = n1 (``verify`` checks both composites when the ranks
+    differ).  With h1 = 0 the blocks of delta h + h delta are delta1 h0 and
+    h0 delta1, and a square one-sided inverse over Q(zeta_N) is two-sided.
+    Times W(p), delta1 h0 = id is delta1 delta0 = W(p) . id, so the check
+    certifies the values of delta as an MF too.  The general solve below
+    gives the same h, as it is injective on {h1 = 0}.
 
     If W(p) = 0, delta h + h delta = id is one constant linear system in the
     2 . n0 . n1 entries of h (h0 row-major, then h1 row-major, so
     vec(a h b) = (a (x) b^T) vec h), solved exactly once with free unknowns
-    set to 0.
-
-    Either way the returned h is checked exactly (CertificateError if not).
-    At W(p) != 0 with n0 = n1 that check is the one composite
-    delta1 h0 = id.  With h1 = 0 the two blocks of delta h + h delta are
-    delta1 h0 on P0 and h0 delta1 on P1, and over the field Q(zeta_N) a
-    square matrix with a one-sided inverse is invertible, with that inverse
-    on both sides; so delta1 h0 = id gives h0 delta1 = id.  This is
-    ``verify``'s one-composite argument, applied to delta1 and h0 as they
-    are: a wrong W(p)^-1, or a delta0 changed after certification, makes
-    delta1 h0 != id.  W(p) = 0, or n0 != n1, checks both blocks.
+    set to 0; both blocks are checked exactly (CertificateError if not).
     """
     ring = mf.ring
     if ring.nvars:
         raise ValueError("nullhomotopy_solve needs an MF over the point base; "
                          "restrict it to a point first")
+    if mf.potential:
+        return _unit_homotopy(mf.potential, mf.delta0, mf.delta1)
     field = ring.field
     n0, n1 = mf.rank0, mf.rank1
-    w = mf.potential.constant_value()
-    if w:
-        inv = ring.constant(w.inverse())
-        h0, = linalg.entrywise(lambda c: c * inv, mf.delta0)
-        h1 = [[ring.zero] * n1 for _ in range(n0)]
-    else:
-        d0 = [[c.constant_value() for c in row] for row in mf.delta0]
-        d1 = [[c.constant_value() for c in row] for row in mf.delta1]
-        # transposes built with their shapes (``transpose`` of a 0-row matrix is [])
-        d0t = [[row[j] for row in d0] for j in range(n0)]
-        d1t = [[row[j] for row in d1] for j in range(n1)]
-        zero = field.zero
-        # delta1 h0 + h1 delta0 = id on P0, delta0 h1 + h0 delta1 = id on P1
-        matrix = linalg.blocks([[linalg.kron(d1, n0, zero), linalg.kron(n0, d0t, zero)],
-                                [linalg.kron(n1, d1t, zero), linalg.kron(d0, n1, zero)]])
-        rhs = [c for n in (n0, n1) for row in linalg.identity(field, n) for c in row]
-        sol = linalg.solve(matrix, rhs, field)
-        if sol is None:
-            return None
-        entries = iter(map(ring.constant, sol))
-        h0 = [list(islice(entries, n0)) for _ in range(n1)]
-        h1 = [list(islice(entries, n1)) for _ in range(n0)]
+    d0 = [[c.constant_value() for c in row] for row in mf.delta0]
+    d1 = [[c.constant_value() for c in row] for row in mf.delta1]
+    # transposes built with their shapes (``transpose`` of a 0-row matrix is [])
+    d0t = [[row[j] for row in d0] for j in range(n0)]
+    d1t = [[row[j] for row in d1] for j in range(n1)]
+    zero = field.zero
     # delta1 h0 + h1 delta0 = id on P0, delta0 h1 + h0 delta1 = id on P1
-    if w and n0 == n1:  # h1 = 0: delta1 h0 = id is the whole certificate
-        checks = [([(mf.delta1, h0)], n0)]
-    else:
-        checks = [([(mf.delta1, h0), (h1, mf.delta0)], n0),
-                  ([(mf.delta0, h1), (h0, mf.delta1)], n1)]
-    for products, n in checks:
+    matrix = linalg.blocks([[linalg.kron(d1, n0, zero), linalg.kron(n0, d0t, zero)],
+                            [linalg.kron(n1, d1t, zero), linalg.kron(d0, n1, zero)]])
+    rhs = [c for n in (n0, n1) for row in linalg.identity(field, n) for c in row]
+    sol = linalg.solve(matrix, rhs, field)
+    if sol is None:
+        return None
+    entries = iter(map(ring.constant, sol))
+    h0 = [list(islice(entries, n0)) for _ in range(n1)]
+    h1 = [list(islice(entries, n1)) for _ in range(n0)]
+    for products, n in (([(mf.delta1, h0), (h1, mf.delta0)], n0),
+                        ([(mf.delta0, h1), (h0, mf.delta1)], n1)):
         if linalg.first_mismatch(products, linalg.identity(ring, n), field) is not None:
             raise CertificateError("solved homotopy fails delta h + h delta = id")
     return h0, h1
+
+
+def _unit_homotopy(w, delta0, delta1):
+    """h = (delta0 / w, 0) from the values of a certified MF at a point where
+    w = W(p) != 0, checked by delta1 h0 = id alone (``nullhomotopy_solve``)."""
+    ring = w.ring
+    inv = ring.constant(w.constant_value().inverse())
+    h0, = linalg.entrywise(lambda c: c * inv, delta0)
+    if linalg.first_mismatch([(delta1, h0)], linalg.identity(ring, len(delta1)),
+                             ring.field) is not None:
+        raise CertificateError("solved homotopy fails delta h + h delta = id")
+    return h0, [[ring.zero] * len(delta0) for _ in delta1]
 
 
 CONTRACTIBLE = "contractible"
@@ -583,25 +592,17 @@ NONCONTRACTIBLE = "noncontractible"
 
 
 def point_homology(mf, point):
-    """(h0, h1) of the restriction of an MF to a point, exactly.
-
-    If W(p) != 0 both vanish, read from W(p) alone: the MF is certified,
-    so delta1(p) delta0(p) = W(p) . id with W(p) a unit, delta(p) is
-    invertible and the restriction is contractible.  If W(p) = 0 the MF is
-    restricted (and the restriction certified); it is a 2-periodic complex
-    of vector spaces and h_i = rank P_i - rank delta0 - rank delta1, each
-    rank read by ``complexes._rank``.
-    """
-    if mf.ring.nvars:
-        if mf.potential.evaluate(point):
-            return (0, 0)
-        mf = mf.restrict_to_point(point)
-    elif len(point):
-        raise ValueError("an MF over the point base is restricted to the point ()")
-    if mf.potential:
+    """(h0, h1) of the restriction of an MF to a point, exactly, from one
+    substitution (``_at_point``).  If W(p) != 0 both vanish, read from W(p)
+    alone (the MF is certified, so delta(p) is invertible).  If W(p) = 0 the
+    restriction is certified, and h_i = rank P_i - rank delta0 - rank delta1,
+    each rank read by ``complexes._rank``."""
+    w, _, restricted = _at_point(mf, point)
+    if w:
         return (0, 0)
-    r0, r1 = _rank(mf.ring, mf.delta0), _rank(mf.ring, mf.delta1)
-    return (mf.rank0 - r0 - r1, mf.rank1 - r0 - r1)
+    at = restricted()
+    r0, r1 = _rank(at.ring, at.delta0), _rank(at.ring, at.delta1)
+    return (at.rank0 - r0 - r1, at.rank1 - r0 - r1)
 
 
 def point_verdict(mf, point):
@@ -611,26 +612,25 @@ def point_verdict(mf, point):
 
 
 def support_check(mf, points, degree_bound=4, with_certificates=True):
-    """Per-point contractibility report; certificates come from
-    ``nullhomotopy_solve`` and are verified exactly before being reported.
-    At a point every contracting homotopy is constant, so a contractible
-    verdict without one means the solver and the rank verdict disagree:
-    CertificateError.  For the same reason ``degree_bound`` bounds nothing
-    here; it is only checked to be >= 0.
-    With certificates, each point restricts the MF once (one delta^2
-    check); the verdict and the certificate both read that restriction.
-    Without, the verdict is ``point_verdict``'s: read from W(p) where it is
-    a unit, and from the certified restriction only where W(p) = 0."""
+    """Per point, ``point_verdict``'s verdict and, if ``with_certificates``
+    and it is contractible, a contracting homotopy checked exactly.  Every
+    such homotopy is constant, so a contractible verdict without one is a
+    CertificateError, and ``degree_bound`` bounds nothing (it must be >= 0).
+    W and both deltas share one substitution (``_at_point``).  Where
+    W(p) != 0 no restricted MF is built, and h = (delta0(p) / W(p), 0) is
+    checked by delta1(p) h0 = id alone (``nullhomotopy_solve``); the verdict
+    is ``point_verdict``'s here too, which reads W(p) again.  Where W(p) = 0
+    the verdict and the solve read one certified restriction."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []
     for point in points:
-        restricted, at = (mf.restrict_to_point(point), ()) if with_certificates \
-            else (mf, point)
-        verdict = point_verdict(restricted, at)
+        w, deltas, restricted = _at_point(mf, point)
+        at, at_point = (mf, point) if w else (restricted(), ())
+        verdict = point_verdict(at, at_point)
         cert = None
-        if verdict == CONTRACTIBLE and with_certificates:
-            cert = nullhomotopy_solve(restricted)
+        if with_certificates and verdict == CONTRACTIBLE:
+            cert = _unit_homotopy(w, *deltas()) if w else nullhomotopy_solve(at)
             if cert is None:
                 raise CertificateError(
                     f"no contracting homotopy at the contractible point {point}")

@@ -257,6 +257,13 @@ def parse_spec(text):
                         J_sqrt_lambda, curve)
 
 
+def _split_before(words, keyword):
+    """(the words before the first ``keyword``, the rest from it on): a
+    point literal of a ``[curve]`` line runs up to its next keyword."""
+    k = words.index(keyword) if keyword in words else len(words)
+    return words[:k], words[k:]
+
+
 def _parse_curve(field, ring, lines):
     components = []
     bundle_degrees = {}
@@ -297,15 +304,14 @@ def _parse_curve(field, ring, lines):
                 rig = _read_scalars(field, lineno, rig_text)
                 markings.append(Marking(comp, point, gamma, rig))
             elif head == "divisor":
-                # divisor c0 at 0 mult 2
-                if (len(words) not in (4, 6) or words[2] != "at"
-                        or words[4:5] not in ([], ["mult"])):
+                # divisor c0 at (1 + z^3) mult 2
+                point_words, tail = _split_before(words[3:], "mult")
+                if words[2:3] != ["at"] or not point_words or len(tail) not in (0, 2):
                     raise SpecParseError(lineno, "expected divisor <component> "
                                                  "at <point> [mult <m>]")
                 comp = words[1]
-                point = _parse_scalar(field, lineno, words[3])
-                mult = _parse_positive(lineno, words[5], "multiplicity") \
-                    if len(words) == 6 else 1
+                mult = _parse_positive(lineno, tail[1], "multiplicity") if tail else 1
+                point = _parse_scalar(field, lineno, " ".join(point_words))
                 divisor.append((comp, point, mult))
             elif head == "node":
                 # node c0 at -1 rig z ~ c1 at 1 rig 1
@@ -313,12 +319,13 @@ def _parse_curve(field, ring, lines):
 
                 def branch(btext):
                     bwords = btext.split()
-                    if bwords[1:2] != ["at"] or bwords[3:4] != ["rig"]:
+                    point_words, tail = _split_before(bwords[2:], "rig")
+                    if bwords[1:2] != ["at"] or not point_words or not tail:
                         raise SpecParseError(lineno, "expected node <component> at "
                                                      "<point> rig <scalars> ~ ...")
                     comp = bwords[0]
-                    point = _parse_scalar(field, lineno, bwords[2])
-                    rig = _read_scalars(field, lineno, " ".join(bwords[4:]))
+                    point = _parse_scalar(field, lineno, " ".join(point_words))
+                    rig = _read_scalars(field, lineno, " ".join(tail[1:]))
                     return (comp, point, rig)
 
                 nodes.append(Node(branch(left), branch(right)))
@@ -490,10 +497,14 @@ def parse_scheme(text):
 
 
 def _parse_super_element(scheme, lineno, text):
-    """A sum, at ``+`` tokens, of terms ``(poly)*b0^b1^...``."""
+    """A sum, at ``+`` tokens, of terms ``(poly)*b0^b1^...``, or ``0``, the
+    zero element as ``SuperElement`` prints it."""
     names = {g.name: k for k, g in enumerate(scheme.odd_gens)}
     terms = {}
-    for part in split_tokens(tokenize(text), "+"):
+    toks = tokenize(text)
+    if toks == ["0"]:
+        return scheme.zero_element()
+    for part in split_tokens(toks, "+"):
         if not part:
             continue
         close = len(part) - 1 - part[::-1].index(")") if ")" in part else 0

@@ -373,6 +373,21 @@ def test_bad_divisor_exit_2(tmp_path, line):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, tight, spaced", [
+    (SPIN, "divisor c0 at (1+z) mult 1", "divisor c0 at ( 1 + z ) mult 1"),
+    (GLUED, "node c0 at -1 rig z ~ c1 at (2-1) rig 1",
+     "node c0 at - 1 rig z ~ c1 at (2 - 1) rig 1")], ids=["divisor", "node"])
+def test_fundamental_reads_a_curve_point_with_spaces(tmp_path, text, tight, spaced):
+    # the point is the text between "at" and the next keyword, "mult" or "rig"
+    line = next(ln for ln in text.splitlines() if ln.startswith(tight.split()[0]))
+    outputs = []
+    for new in (tight, spaced):
+        code, out = _run(tmp_path, "fundamental", text.replace(line, new))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_missing_marking_and_node_keywords_exit_2(tmp_path):
     # every keyword the line format names is checked, with the line number
     bad = SPIN.replace("marking c0 at 1 gamma", "marking c0 1 gamma")

@@ -539,8 +539,9 @@ def test_support_check_restricts_and_checks_once_per_point(monkeypatch):
     monkeypatch.setattr(factorizations.MatrixFactorization, "verify", recording_verify)
     report = support_check(mf, [[F.zero], [F.one], [F.scalar(-2)]])
     assert [entry["certificate"] is not None for entry in report] == [False, True, True]
-    # the verdict and the certificate share one restriction, checked once
-    assert checked == [0, 0, 0]
+    # one certified restriction at the zero of W, where the verdict reads its
+    # ranks; none where W(p) is a unit, whose homotopy check certifies delta(p)
+    assert checked == [0]
 
 
 def test_gauge_intertwiner_between_equivalent_curvings():
@@ -731,15 +732,21 @@ def test_closed_form_homotopy_rejects_a_perturbed_delta():
         nullhomotopy_solve(mf)
 
 
-def _koszul_at_a_unit_point(order):
-    """A rank-4 Koszul MF {c_i x_i, x_i y} over Q(zeta_order), restricted to
-    a point where W(p) != 0."""
+def _koszul_and_a_unit_point(order):
+    """A rank-4 Koszul MF {c_i x_i, x_i y} over Q(zeta_order) and a point
+    where W(p) != 0."""
     field = CyclotomicField(order)
     R = PolyRing(field, ["x0", "x1", "y"], [1, 1, 1])
     x0, x1, y = R.gens()
     c = [1 + field.zeta, 2 - field.zeta ** 2]
     mf = koszul_mf(R, [c[0] * x0, c[1] * x1], [x0 * y, x1 * y])
-    at = mf.restrict_to_point([1 + field.zeta, field.scalar(3), 2 - field.zeta])
+    return mf, [1 + field.zeta, field.scalar(3), 2 - field.zeta]
+
+
+def _koszul_at_a_unit_point(order):
+    """The MF of ``_koszul_and_a_unit_point``, restricted to its point."""
+    mf, point = _koszul_and_a_unit_point(order)
+    at = mf.restrict_to_point(point)
     assert at.potential and at.rank0 == at.rank1 == 2
     return at
 
@@ -768,9 +775,10 @@ def test_one_composite_homotopy_rejects_a_wrong_inverse_or_a_perturbed_delta0(
     assert nullhomotopy_solve(at) == (h0, h1)
 
 
-def test_support_check_certifies_a_unit_point_with_two_exact_products(monkeypatch):
-    # per point: the restriction's delta^2 check, then the homotopy's; each
-    # is one composite where W(p) != 0 and two where W(p) = 0
+def test_support_check_certifies_a_unit_point_with_one_exact_product(monkeypatch):
+    # where W(p) != 0: the homotopy's one composite, delta1 h0 = id, and no
+    # restriction; where W(p) = 0: the restriction's two delta^2 composites,
+    # then the homotopy's two blocks at a contractible point
     calls = []
     first_mismatch = linalg.first_mismatch
 
@@ -783,7 +791,7 @@ def test_support_check_certifies_a_unit_point_with_two_exact_products(monkeypatc
     mf = koszul_mf(R, [x], [y])  # W = x y
     unit = _koszul_at_a_unit_point(7)
     monkeypatch.setattr(linalg, "first_mismatch", counting)
-    for point, verdict, want in (([F.one, F.one], CONTRACTIBLE, 2),
+    for point, verdict, want in (([F.one, F.one], CONTRACTIBLE, 1),
                                  ([F.one, F.zero], CONTRACTIBLE, 4),
                                  ([F.zero, F.one], CONTRACTIBLE, 4),
                                  ([F.zero, F.zero], NONCONTRACTIBLE, 2)):
@@ -792,6 +800,119 @@ def test_support_check_certifies_a_unit_point_with_two_exact_products(monkeypatc
         assert entry["verdict"] == verdict and len(calls) == want, (point, len(calls))
     calls.clear()
     assert nullhomotopy_solve(unit) is not None and len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_support_check_rejects_a_wrong_inverse_or_a_perturbed_value_at_a_unit_point(
+        order, monkeypatch):
+    # where W(p) != 0, support_check builds no restricted MF: delta1(p) h0 = id
+    # with h0 = delta0(p) / W(p) is the one check of delta's values, so a
+    # wrong W(p)^-1, or any one value of delta0 or delta1 changed, fails it
+    mf, point = _koszul_and_a_unit_point(order)
+    field = mf.ring.field
+    (want,) = support_check(mf, [point])
+    assert want["verdict"] == CONTRACTIBLE and want["certificate"] is not None
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda s: inverse(s) * (1 + field.zeta))
+    with pytest.raises(CertificateError):
+        support_check(mf, [point])
+    monkeypatch.setattr(Scalar, "inverse", inverse)
+    at_point = factorizations._at_point
+    for k, m in enumerate((mf.delta0, mf.delta1)):
+        for i, j in product(range(len(m)), range(len(m[0]))):
+
+            def perturbed(mf, point, k=k, i=i, j=j):
+                w, deltas, restricted = at_point(mf, point)
+
+                def values():
+                    d = [[list(row) for row in rows] for rows in deltas()]
+                    d[k][i][j] = d[k][i][j] + w.ring.constant(field.zeta)
+                    return d
+
+                return w, values, restricted
+
+            monkeypatch.setattr(factorizations, "_at_point", perturbed)
+            with pytest.raises(CertificateError):
+                support_check(mf, [point])
+    monkeypatch.setattr(factorizations, "_at_point", at_point)
+    assert support_check(mf, [point]) == [want]
+
+
+@pytest.mark.parametrize("n0, n1", [(1, 2), (2, 1)])
+def test_matrix_factorization_rejects_unequal_ranks_where_w_is_a_unit(n0, n1):
+    # delta1 delta0 = W . id holds, but with W = 1 a certified MF is square
+    # (both deltas are injective), and ``verify`` checks delta0 delta1 too
+    point = PolyRing(F, [])
+    one, zero = point.one, point.zero
+    delta0 = [[one if i == j else zero for j in range(n0)] for i in range(n1)]
+    delta1 = [[one if i == j else zero for j in range(n1)] for i in range(n0)]
+    gens = ([Generator(f"e{i}", 0) for i in range(n0)],
+            [Generator(f"f{i}", 1) for i in range(n1)])
+    with pytest.raises(CertificateError):
+        factorizations.MatrixFactorization(point, *gens, delta0, delta1, one)
+    # the composite on the smaller side is W . id
+    small = linalg.identity(point, min(n0, n1))
+    pair = (delta1, delta0) if n0 < n1 else (delta0, delta1)
+    assert linalg.first_mismatch([pair], small, F) is None
+
+
+def _reference_support_check(mf, points, with_certificates):
+    """The restricting reference: with certificates, restrict to the point,
+    then ``point_verdict`` and ``nullhomotopy_solve`` on the restriction;
+    without, ``point_verdict`` on the MF and the point."""
+    report = []
+    for point in points:
+        restricted, at = (mf.restrict_to_point(point), ()) if with_certificates \
+            else (mf, point)
+        verdict = point_verdict(restricted, at)
+        cert = None
+        if verdict == CONTRACTIBLE and with_certificates:
+            cert = nullhomotopy_solve(restricted)
+            assert cert is not None
+        report.append({"point": tuple(point), "verdict": verdict, "certificate": cert})
+    return report
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_support_check_matches_the_restricting_reference(order, monkeypatch):
+    # {c_i x_i, x_i y} of rank 2 and 4 at units of W, at contractible zeros
+    # (y = 0) and at noncontractible points (x = 0): the same verdicts and
+    # homotopies, entry for entry; and on each MF over the point base at ()
+    # the same, read as it is: no restriction, no second verify
+    field = CyclotomicField(order)
+    rng = random.Random(f"support-reference:{order}")
+    verified = []
+    verify = factorizations.MatrixFactorization.verify
+
+    def recording_verify(self):
+        verified.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(factorizations.MatrixFactorization, "verify", recording_verify)
+    for n in (2, 3):
+        ring = PolyRing(field, [f"x{i}" for i in range(n)] + ["y"])
+        xs, y = ring.gens()[:n], ring.gens()[n]
+        mf = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                       [x * y for x in xs])
+        assert mf.rank0 == 2 ** (n - 1)
+        rand = lambda k: [_random_scalar(rng, field) for _ in range(k)]
+        points = [rand(n + 1), rand(n + 1), rand(n) + [field.zero],
+                  [field.zero] * n + rand(1)]
+        kinds = [(bool(mf.potential.evaluate(p)), point_verdict(mf, p)) for p in points]
+        assert kinds == [(True, CONTRACTIBLE)] * 2 + [(False, CONTRACTIBLE),
+                                                      (False, NONCONTRACTIBLE)]
+        for with_certificates in (True, False):
+            want = _reference_support_check(mf, points, with_certificates)
+            verified.clear()
+            assert support_check(mf, points, with_certificates=with_certificates) == want
+            assert len(verified) == 2  # one restriction per zero of W
+        for p in points:
+            at = mf.restrict_to_point(p)
+            for with_certificates in (True, False):
+                want = _reference_support_check(at, [()], with_certificates)
+                verified.clear()
+                assert support_check(at, [()], with_certificates=with_certificates) == want
+                assert verified == []
 
 
 def test_nullhomotopy_solve_needs_the_point_base():
@@ -901,15 +1022,18 @@ def test_nullhomotopy_solve_matches_the_polynomial_search(order, n):
 
 
 def test_support_check_raises_when_solver_and_verdict_disagree(monkeypatch):
-    R = _ring(1)
-    x = R.gen("x0")
-    mf = koszul_mf(R, [x], [x])
+    # {x, y} at (1, 0): W(p) = 0 but delta0(p) = 1, a contractible zero of W,
+    # the only kind of point where the solver is asked
+    R = _ring(2)
+    x, y = R.gens()
+    mf = koszul_mf(R, [x], [y])
+    point = [F.one, F.zero]
     monkeypatch.setattr(factorizations, "nullhomotopy_solve",
                         lambda mf: None)
     with pytest.raises(CertificateError):
-        support_check(mf, [[F.one]])
+        support_check(mf, [point])
     # without certificates the solver is never asked
-    assert support_check(mf, [[F.one]], with_certificates=False)[0]["verdict"] \
+    assert support_check(mf, [point], with_certificates=False)[0]["verdict"] \
         == CONTRACTIBLE
 
 

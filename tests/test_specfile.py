@@ -1,6 +1,7 @@
 import pytest
 
-from dgmf import CertificateError, fundamental_mf, koszul_mf, specfile
+from dgmf import (CertificateError, dgmf_from_homotopy, fold_to_mf, fundamental_mf,
+                  koszul_mf, specfile)
 from dgmf.cli import main
 from dgmf.cyclotomic import read_terms
 from dgmf.poly import Poly
@@ -162,6 +163,18 @@ def test_fold_writes_the_same_bytes_for_both_orders_of_a_wedge(tmp_path):
         assert main(["fold", "--input", str(path), "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] and b"(-1*u0 + -z)" in outputs[0]
+
+
+def test_fold_of_a_scheme_with_zero_curving_is_the_uncurved_fold(tmp_path):
+    # ``0`` is how a zero SuperElement prints, and it reads back
+    path, out = tmp_path / "in.scheme", tmp_path / "out.mf"
+    path.write_text(SCHEME.replace("f = (-4*u0)*b0", "f = 0"))
+    assert main(["fold", "--input", str(path), "--output", str(out)]) == 0
+    scheme, f = parse_scheme(path.read_text())
+    assert not f and repr(f) == "0"
+    mf = fold_to_mf(dgmf_from_homotopy(scheme, scheme.zero_element()))
+    assert not mf.potential and mf.delta1 == [[scheme.ring.parse("u1^2")]]
+    assert out.read_text() == write_mf(mf)
 
 
 @pytest.mark.parametrize("term", ["(2*u0)", "(-4*u0)**b0", "(-4*u0*b0"])
@@ -356,7 +369,7 @@ def test_a_printed_rational_function_reads_back(order):
 @pytest.mark.parametrize("order", [1, 4, 7])
 def test_a_printed_super_element_reads_back(order):
     """``repr(e)`` of an element with no degree-0 term is the scheme
-    reader's sum of ``(poly)*b0^b1`` terms."""
+    reader's sum of ``(poly)*b0^b1`` terms, or ``0`` for the zero element."""
     from itertools import combinations
     from random import Random
     from dgmf import CyclotomicField, PolyRing
@@ -368,6 +381,8 @@ def test_a_printed_super_element_reads_back(order):
     scheme = DgSchemePresentation(ring, [("b0", 1), ("b1", 2), ("b2", 1)],
                                   [ring.zero] * 3)
     subsets = [s for k in (1, 2, 3) for s in combinations(range(3), k)]
+    zero = scheme.zero_element()
+    assert _parse_super_element(scheme, 1, repr(zero)) == zero
     tried = 0
     while tried < 30:
         e = scheme.element({s: _random_poly(rng, ring, density=0.4) for s in subsets})

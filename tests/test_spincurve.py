@@ -35,7 +35,7 @@ from dgmf import (
 )
 from dgmf.cli import main
 from dgmf.ratfun import RationalFunction
-from dgmf import linalg, spincurve
+from dgmf import factorizations, linalg, spincurve
 from dgmf.poly import Poly, PolyRing, substituter
 from dgmf.specfile import SpecParseError, parse_spec, write_mf
 from dgmf.factorizations import (SuperElement, _d_system, _solve_d_preimage,
@@ -1449,31 +1449,39 @@ def test_support_check_without_certificates_matches_the_restricting_reference():
 
 
 def test_support_check_rejects_a_perturbed_restriction_where_w_vanishes(monkeypatch):
-    """The restriction is built, and certified, wherever its delta is read:
-    at a zero of W.  Where W(p) is a unit the verdict reads W(p) alone."""
+    """The values of delta at a point are read, and certified, only where
+    they are used: at a zero of W, by the restriction's delta^2 check, and
+    at a unit of W, with a certificate, by its homotopy check.  Without a
+    certificate, the verdict at a unit reads W(p) alone."""
     result = fundamental_mf(_spec(BROAD))
     mf, F = result.mf, result.spec.field
     n = mf.ring.nvars
     unit, zero = [F.one] * n, [F.zero] * n
     assert mf.potential.evaluate(unit) and not mf.potential.evaluate(zero)
-    original = MatrixFactorization.restrict_to_point
-    restricted = []
+    original = factorizations._at_point
+    read = []
 
-    def perturbed(self, point):
-        restricted.append(tuple(point))
-        at = original(self, point)
-        d0, d1 = ([list(row) for row in d] for d in (at.delta0, at.delta1))
-        d0[0][0], d1[0][0] = d0[0][0] + at.ring.one, d1[0][0] + at.ring.one
-        return MatrixFactorization(at.ring, at.p0_gens, at.p1_gens, d0, d1, at.potential)
+    def perturbed(mf, point):
+        w, deltas, _ = original(mf, point)
 
-    monkeypatch.setattr(MatrixFactorization, "restrict_to_point", perturbed)
+        def values():
+            read.append(tuple(point))
+            d0, d1 = ([list(row) for row in d] for d in deltas())
+            d0[0][0], d1[0][0] = d0[0][0] + w.ring.one, d1[0][0] + w.ring.one
+            return d0, d1
+
+        return w, values, lambda: MatrixFactorization(w.ring, mf.p0_gens, mf.p1_gens,
+                                                      *values(), w)
+
+    monkeypatch.setattr(factorizations, "_at_point", perturbed)
     assert support_check(mf, [unit], with_certificates=False)[0]["verdict"] == "contractible"
-    assert restricted == []
+    assert read == []
     with pytest.raises(CertificateError):
         support_check(mf, [zero], with_certificates=False)
-    assert restricted == [tuple(zero)]
+    assert read == [tuple(zero)]
     with pytest.raises(CertificateError):
         support_check(mf, [unit])
+    assert read == [tuple(zero), tuple(unit)]
 
 
 def test_point_homology_rejects_a_point_for_an_mf_over_the_point_base():
