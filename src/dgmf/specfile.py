@@ -4,15 +4,21 @@ input formats for the koszul/fold/homology commands.
 Spec files are sectioned (`[field]`, `[potential]`, `[group]`, `[curve]`);
 matrix factorizations are written with fully parenthesised exact entries so
 `verify` can re-check delta^2 = W . id from the file alone.  All parse errors
-carry the 1-based line number.  A key repeated in a ``key = value``
-section is one, and so is a second ``component``, ``bundle`` or ``eta`` line
-for one component of a ``[curve]`` section.
+carry the 1-based line number.
+
+Each shape of input has one reader.  ``_section`` reads each ``key = value``
+section: keys are case-insensitive, none is repeated, the required ones are
+there.  ``_cut`` splits each ``[curve]`` line with keywords: after the
+component, a keyword's point, element or scalar list runs to the next
+keyword word.  A ``component``, ``bundle`` or ``eta`` line names one
+component, before any ``=``, once.  ``_name_weights`` reads every
+``name:weight`` list.
 
 Every scalar and polynomial literal is read by the one grammar of
-``cyclotomic.read_terms``.  That grammar has no ``,`` or ``;``, so polynomial
-and scalar lists are split at ``,`` and matrix rows at ``;`` on the raw
-text, and each distinct entry text of a matrix is tokenized and read once.
-``(num)/(den)`` at ``/`` and ``(poly)*b0^b1`` terms at ``+``, where
+``cyclotomic.read_terms``; a scalar is a scalar list of length one.  That
+grammar has no ``,`` or ``;``, so lists are split at ``,`` and matrix rows
+at ``;`` on the raw text, and each distinct entry text of a matrix is read
+once.  ``(num)/(den)`` at ``/`` and ``(poly)*b0^b1`` terms at ``+``, where
 parentheses matter, are split in the token list, outside parentheses, by
 ``cyclotomic.split_tokens``.
 """
@@ -81,12 +87,21 @@ def _parse_positive(lineno, text, what):
     return value
 
 
-def _parse_field(kv, where):
+def _section(sections, name, required=()):
+    """The ``key = value`` pairs of ``[name]``, key -> (lineno, value), with
+    every key of ``required`` (lower case) among them."""
+    if name not in sections:
+        raise SpecParseError(1, f"missing [{name}] section")
+    kv = _keyvals(sections[name])
+    for key in required:
+        if key not in kv:
+            raise SpecParseError(1, f"missing {key} in [{name}]")
+    return kv
+
+
+def _parse_field(kv):
     """The cyclotomic field Q(zeta_N) from the ``order`` key of a section."""
-    if "order" not in kv:
-        raise SpecParseError(1, f"missing order in [{where}]")
-    lineno, val = kv["order"]
-    return CyclotomicField(_parse_positive(lineno, val, "cyclotomic order"))
+    return CyclotomicField(_parse_positive(*kv["order"], "cyclotomic order"))
 
 
 def _read_poly(ring, lineno, toks, what):
@@ -123,47 +138,55 @@ def _read_entries(ring, lineno, text, what, memo):
     return [memo[key] for key in keys]
 
 
-def _parse_variables(field, lineno, text):
-    names, weights = [], []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, w = part.partition(":")
-        if not name.strip().isidentifier():  # else no literal could name it
-            raise SpecParseError(lineno, f"bad variable entry {part!r}")
-        names.append(name.strip())
+def _name_weights(lineno, text, what, default=""):
+    """The (name, weight) pairs of the comma-separated ``name:weight`` list
+    ``text``, blank entries skipped.  The weight follows the last ``:``; an
+    entry with no weight text reads ``default`` instead, so with the empty
+    default every entry needs a weight."""
+    pairs = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        name, _, w = part.rpartition(":") if ":" in part else (part, "", "")
         try:
-            weights.append(int(w) if w else 1)
+            pairs.append((name.strip(), int(w or default)))
         except ValueError:
-            raise SpecParseError(lineno, f"bad weight in {part!r}")
+            raise SpecParseError(lineno, f"bad {what} {part!r}")
+    return pairs
+
+
+def _parse_variables(field, lineno, text):
+    """A ring's variables: identifiers, else no literal could name them,
+    of weight 1 unless given."""
+    pairs = _name_weights(lineno, text, "variable entry", default="1")
+    bad = next((name for name, _ in pairs if not name.isidentifier()), None)
+    if bad is not None:
+        raise SpecParseError(lineno, f"bad variable name {bad!r}")
     try:
-        return PolyRing(field, names, weights)
+        return PolyRing(field, [n for n, _ in pairs], [w for _, w in pairs])
     except ValueError as e:
         raise SpecParseError(lineno, str(e))
 
 
-def _parse_scalar(field, lineno, text):
-    """A scalar: a polynomial without variables."""
-    return _read_poly(PolyRing(field, []), lineno, tokenize(text),
-                      "scalar").constant_value()
+def _parse_gen_list(lineno, text):
+    return [Generator(*pair) for pair in _name_weights(lineno, text, "generator entry")]
 
 
-def _read_scalars(field, lineno, text):
-    """The comma-separated scalars of ``text``."""
+def _read_scalars(field, lineno, text, count=None):
+    """The comma-separated scalars of ``text``, a polynomial without
+    variables each: exactly ``count`` of them if ``count`` is given."""
     ring = PolyRing(field, [])
-    return [_read_poly(ring, lineno, tokenize(part), "scalar").constant_value()
-            for part in text.split(",")]
+    scalars = [_read_poly(ring, lineno, tokenize(part), "scalar").constant_value()
+               for part in text.split(",")]
+    if count is not None and len(scalars) != count:
+        raise SpecParseError(lineno, f"expected {count} scalar(s) in {text.strip()!r}")
+    return scalars
 
 
 def _parse_group_element(ring, lineno, text):
     text = text.strip()
     field = ring.field
     if text.startswith("diag(") and text.endswith(")"):
-        entries = _read_scalars(field, lineno, text[5:-1])
-        if len(entries) != ring.nvars:
-            raise SpecParseError(lineno, "diag() entry count != variable count")
-        return GroupElement.diagonal(ring, entries)
+        return GroupElement.diagonal(ring, _read_scalars(field, lineno, text[5:-1],
+                                                         ring.nvars))
     if text.startswith("matrix "):
         return GroupElement(ring, [_read_scalars(field, lineno, row) for row in
                                    text[len("matrix "):].split(";")])
@@ -211,25 +234,21 @@ class SpecDocument:
                              self.J_sqrt_lambda)
 
 
+def _ring_from_sections(sections, name, required=()):
+    """(field, ring, the key = value pairs of ``[name]``): the field from the
+    ``order`` of ``[field]``, the ring from the ``variables`` of ``[name]``."""
+    field = _parse_field(_section(sections, "field", ("order",)))
+    kv = _section(sections, name, ("variables", *required))
+    return field, _parse_variables(field, *kv["variables"]), kv
+
+
 def parse_spec(text):
     sections = _sections(text)
-    if "field" not in sections:
-        raise SpecParseError(1, "missing [field] section")
-    field = _parse_field(_keyvals(sections["field"]), "field")
-    if "potential" not in sections:
-        raise SpecParseError(1, "missing [potential] section")
-    kv = _keyvals(sections["potential"])
-    for key in ("variables", "w", "d"):
-        if key not in kv:
-            raise SpecParseError(1, f"missing {key} in [potential]")
-    lineno, val = kv["variables"]
-    ring = _parse_variables(field, lineno, val)
+    field, ring, kv = _ring_from_sections(sections, "potential", ("w", "d"))
     lineno, val = kv["w"]
     W = _read_poly(ring, lineno, tokenize(val), "potential")
     degree_d = _parse_positive(*kv["d"], "degree")
-    generators = []
-    J = None
-    J_sqrt_lambda = None
+    generators, J, J_sqrt_lambda = [], None, None
     singles = []  # the [group] lines other than the repeatable generators
     for lineno, line in sections.get("group", []):
         key, _, val = line.partition("=")
@@ -241,7 +260,7 @@ def parse_spec(text):
         if key == "j":
             J = _parse_group_element(ring, lineno, val)
         elif key == "j_sqrt":
-            J_sqrt_lambda = _parse_scalar(field, lineno, val)
+            J_sqrt_lambda = _read_scalars(field, lineno, val, 1)[0]
         else:
             raise SpecParseError(lineno, f"unknown [group] key {key!r}")
     if J is None:
@@ -250,91 +269,87 @@ def parse_spec(text):
             raise SpecParseError(1, "cyclotomic order must be divisible by d")
         zeta_d = field.zeta ** (field.order // degree_d)
         J = GroupElement.diagonal(ring, [zeta_d ** w for w in ring.weights])
-    curve = None
-    if "curve" in sections:
-        curve = _parse_curve(field, ring, sections["curve"])
+    curve = _parse_curve(field, ring, sections["curve"]) if "curve" in sections else None
     return SpecDocument(field, ring, W, degree_d, generators, J,
                         J_sqrt_lambda, curve)
 
 
-def _split_before(words, keyword):
-    """(the words before the first ``keyword``, the rest from it on): a
-    point literal of a ``[curve]`` line runs up to its next keyword."""
-    k = words.index(keyword) if keyword in words else len(words)
-    return words[:k], words[k:]
+_KEYWORDS = ("at", "gamma", "rig", "mult")
+_MARKING = "marking <component> at <point> gamma <element> rig <scalars>"
+_DIVISOR = "divisor <component> at <point> [mult <m>]"
+_NODE = "node <component> at <point> rig <scalars> ~ <component> at <point> rig <scalars>"
+
+
+def _cut(lineno, text, usage, *forms):
+    """(component, {keyword: text}) of a ``[curve]`` line after its head: the
+    first word is the component, and the text of each keyword word that
+    follows runs to the next keyword word.  The keywords, in order, must
+    spell one of ``forms``; each text is checked by the reader of its field."""
+    words = text.split()
+    cuts = [i for i, w in enumerate(words) if i and w in _KEYWORDS]
+    if cuts[:1] != [1] or " ".join(words[i] for i in cuts) not in forms:
+        raise SpecParseError(lineno, f"expected {usage}")
+    return words[0], {words[i]: " ".join(words[i + 1:j])
+                      for i, j in zip(cuts, cuts[1:] + [len(words)])}
 
 
 def _parse_curve(field, ring, lines):
-    components = []
-    bundle_degrees = {}
-    markings = []
-    nodes = []
-    divisor = []
-    eta = {}
+    components, markings, nodes, divisor = [], [], [], []
+    bundle_degrees, eta = {}, {}
     first = {}  # (head, component) -> line, for the lines given once each
 
-    def once(lineno, head, comp):
+    def once(lineno, head, text):
+        comp = text.split()
+        if len(comp) != 1:
+            raise SpecParseError(lineno, f"expected one component after {head}, "
+                                         f"got {text.strip()!r}")
+        comp = comp[0]
         if (head, comp) in first:
             raise SpecParseError(lineno, f"{head} {comp} repeated (first on line "
                                          f"{first[head, comp]})")
         first[head, comp] = lineno
         return comp
 
+    def point(lineno, text):
+        return _read_scalars(field, lineno, text, 1)[0]
+
     for lineno, line in lines:
-        words = line.split()
-        head = words[0].lower()
+        head_word = line.split()[0]
+        head, rest = head_word.lower(), line[len(head_word):]
+        key, _, val = rest.partition("=")
         try:
             if head == "component":
-                components.append(once(lineno, head, words[1]))
+                components.append(once(lineno, head, rest))
             elif head == "bundle":
                 # bundle c0 = 0, -1
-                _, _, val = line.partition("=")
-                comp = once(lineno, head, words[1])
+                comp = once(lineno, head, key)
                 bundle_degrees[comp] = [int(p) for p in val.split(",")]
+            elif head == "eta":
+                # eta c0 = (2) / (t^2 + (-1))
+                eta[once(lineno, head, key)] = _parse_ratfun(field, lineno, val)
             elif head == "marking":
                 # marking c0 at 1 gamma diag(1) rig 1, z
-                if words[2:3] != ["at"]:
-                    raise SpecParseError(lineno, "expected marking <component> at "
-                                                 "<point> gamma <element> rig <scalars>")
-                comp = words[1]
-                point_text, _, tail = line.split(None, 3)[3].partition("gamma")
-                point = _parse_scalar(field, lineno, point_text)
-                gamma_text, _, rig_text = tail.partition("rig")
-                gamma = _parse_group_element(ring, lineno, gamma_text)
-                rig = _read_scalars(field, lineno, rig_text)
-                markings.append(Marking(comp, point, gamma, rig))
+                comp, f = _cut(lineno, rest, _MARKING, "at gamma rig")
+                markings.append(Marking(comp, point(lineno, f["at"]),
+                                        _parse_group_element(ring, lineno, f["gamma"]),
+                                        _read_scalars(field, lineno, f["rig"])))
             elif head == "divisor":
                 # divisor c0 at (1 + z^3) mult 2
-                point_words, tail = _split_before(words[3:], "mult")
-                if words[2:3] != ["at"] or not point_words or len(tail) not in (0, 2):
-                    raise SpecParseError(lineno, "expected divisor <component> "
-                                                 "at <point> [mult <m>]")
-                comp = words[1]
-                mult = _parse_positive(lineno, tail[1], "multiplicity") if tail else 1
-                point = _parse_scalar(field, lineno, " ".join(point_words))
-                divisor.append((comp, point, mult))
+                comp, f = _cut(lineno, rest, _DIVISOR, "at", "at mult")
+                mult = _parse_positive(lineno, f["mult"], "multiplicity") if "mult" in f else 1
+                divisor.append((comp, point(lineno, f["at"]), mult))
             elif head == "node":
                 # node c0 at -1 rig z ~ c1 at 1 rig 1
-                left, _, right = line[len("node"):].partition("~")
-
-                def branch(btext):
-                    bwords = btext.split()
-                    point_words, tail = _split_before(bwords[2:], "rig")
-                    if bwords[1:2] != ["at"] or not point_words or not tail:
-                        raise SpecParseError(lineno, "expected node <component> at "
-                                                     "<point> rig <scalars> ~ ...")
-                    comp = bwords[0]
-                    point = _parse_scalar(field, lineno, " ".join(point_words))
-                    rig = _read_scalars(field, lineno, " ".join(tail[1:]))
-                    return (comp, point, rig)
-
-                nodes.append(Node(branch(left), branch(right)))
-            elif head == "eta":
-                _, _, val = line.partition("=")
-                eta[once(lineno, head, words[1])] = _parse_ratfun(field, lineno, val)
+                branches = rest.split("~")
+                if len(branches) != 2:
+                    raise SpecParseError(lineno, f"expected {_NODE}")
+                cuts = [_cut(lineno, b, _NODE, "at rig") for b in branches]
+                nodes.append(Node(*((comp, point(lineno, f["at"]),
+                                     _read_scalars(field, lineno, f["rig"]))
+                                    for comp, f in cuts)))
             else:
                 raise SpecParseError(lineno, f"unknown [curve] entry {head!r}")
-        except (IndexError, ValueError) as e:
+        except ValueError as e:
             if isinstance(e, SpecParseError):
                 raise
             raise SpecParseError(lineno, f"malformed {head!r} entry: {e}")
@@ -367,20 +382,6 @@ def write_mf(mf, certificate=None):
     return "\n".join(lines) + "\n"
 
 
-def _parse_gen_list(lineno, text):
-    gens = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, w = part.rpartition(":")
-        try:
-            gens.append(Generator(name.strip(), int(w)))
-        except ValueError:
-            raise SpecParseError(lineno, f"bad generator entry {part!r}")
-    return gens
-
-
 def _parse_matrix(ring, lineno, text, rows, cols, memo):
     """A matrix of ``_read_entries`` rows, split at ``;`` on the raw text
     (the literal grammar has no ``;``)."""
@@ -407,33 +408,23 @@ def parse_mf(text):
     its copies share that one immutable Poly, so ``verify`` turns each
     distinct entry into terms once as well."""
     sections = _sections(text)
-    if "mf" not in sections:
-        raise SpecParseError(1, "missing [mf] section")
-    kv = _keyvals([(n, l) for (n, l) in sections["mf"]])
-    for key in ("variables", "potential", "p0", "p1", "delta0", "delta1"):
-        if key not in kv:
-            raise SpecParseError(1, f"missing {key} in [mf]")
-    field = _parse_field(kv, "mf")
-    lineno, val = kv["variables"]
-    ring = _parse_variables(field, lineno, val)
+    kv = _section(sections, "mf", ("order", "variables", "potential", "p0", "p1",
+                                   "delta0", "delta1"))
+    field = _parse_field(kv)
+    ring = _parse_variables(field, *kv["variables"])
     lineno, val = kv["potential"]
     potential = _read_poly(ring, lineno, tokenize(val), "potential")
-    _, val0 = kv["p0"]
-    _, val1 = kv["p1"]
-    p0 = _parse_gen_list(kv["p0"][0], val0)
-    p1 = _parse_gen_list(kv["p1"][0], val1)
+    p0 = _parse_gen_list(*kv["p0"])
+    p1 = _parse_gen_list(*kv["p1"])
     memo = {}  # one for both matrices: entry text -> Poly
-    lineno, val = kv["delta0"]
-    delta0 = _parse_matrix(ring, lineno, val, len(p1), len(p0), memo)
-    lineno, val = kv["delta1"]
-    delta1 = _parse_matrix(ring, lineno, val, len(p0), len(p1), memo)
+    delta0 = _parse_matrix(ring, *kv["delta0"], len(p1), len(p0), memo)
+    delta1 = _parse_matrix(ring, *kv["delta1"], len(p0), len(p1), memo)
     mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
     certificate = None
     if "certificate" in sections:
         lines = sections["certificate"]
-        blob = "\n".join(l for (_n, l) in lines)
         try:
-            certificate = json.loads(blob)
+            certificate = json.loads("\n".join(l for (_n, l) in lines))
         except json.JSONDecodeError as e:
             raise SpecParseError(lines[0][0] if lines else 1,
                                  f"bad certificate JSON: {e}")
@@ -443,23 +434,10 @@ def parse_mf(text):
 # -- koszul / fold / complex inputs ---------------------------------------
 
 
-def _ring_from_sections(sections, section="ring"):
-    field = _parse_field(_keyvals(sections.get("field", [])), "field")
-    kv = _keyvals(sections[section])
-    if "variables" not in kv:
-        raise SpecParseError(1, f"missing variables in [{section}]")
-    lineno, val = kv["variables"]
-    return field, _parse_variables(field, lineno, val), kv
-
-
 def parse_koszul(text):
     sections = _sections(text)
-    if "koszul" not in sections or "ring" not in sections:
-        raise SpecParseError(1, "koszul input needs [field], [ring], [koszul]")
-    field, ring, _ = _ring_from_sections(sections)
-    kv = _keyvals(sections["koszul"])
-    if "alpha" not in kv or "beta" not in kv:
-        raise SpecParseError(1, "missing alpha or beta in [koszul]")
+    _, ring, _ = _ring_from_sections(sections, "ring")
+    kv = _section(sections, "koszul", ("alpha", "beta"))
     (la, alpha), (lb, beta) = kv["alpha"], kv["beta"]
     memo = {}
     return (ring, _read_entries(ring, la, alpha, "alpha entry", memo),
@@ -468,31 +446,21 @@ def parse_koszul(text):
 
 def parse_scheme(text):
     """[scheme] with even variables, odd generators, their images, and the
-    curving function f_{-1}; returns (scheme, f)."""
+    curving function f_{-1}; returns (scheme, f).  Keys are case-insensitive,
+    so ``d(B0)`` and ``d(b0)`` name one key, and two odd generators whose
+    names differ only in case are an error."""
     sections = _sections(text)
-    if "scheme" not in sections:
-        raise SpecParseError(1, "missing [scheme] section")
-    field, ring, kv = _ring_from_sections(sections, section="scheme")
-    if "odd" not in kv:
-        raise SpecParseError(1, "missing odd generators in [scheme]")
+    _, ring, kv = _ring_from_sections(sections, "scheme", ("odd",))
     lineno, val = kv["odd"]
     odd = _parse_gen_list(lineno, val)
-    names = [g.name for g in odd]
-    repeated = next((n for k, n in enumerate(names) if n in names[:k]), None)
+    keys = [f"d({g.name})".lower() for g in odd]
+    repeated = next((g.name for k, g in enumerate(odd) if keys[k] in keys[:k]), None)
     if repeated is not None:
-        raise SpecParseError(lineno, f"repeated odd generator {repeated}")
-    images = []
-    for g in odd:
-        key = f"d({g.name})"
-        if key not in kv:
-            raise SpecParseError(lineno, f"missing {key} in [scheme]")
-        ln, val = kv[key]
-        images.append(_read_poly(ring, ln, tokenize(val), key))
+        raise SpecParseError(lineno, f"repeated odd generator {repeated} (case ignored)")
+    kv = _section(sections, "scheme", keys)
+    images = [_read_poly(ring, kv[key][0], tokenize(kv[key][1]), key) for key in keys]
     scheme = DgSchemePresentation(ring, odd, images)
-    f = scheme.zero_element()
-    if "f" in kv:
-        ln, v = kv["f"]
-        f = _parse_super_element(scheme, ln, v)
+    f = _parse_super_element(scheme, *kv["f"]) if "f" in kv else scheme.zero_element()
     return scheme, f
 
 
@@ -532,16 +500,10 @@ def _parse_super_element(scheme, lineno, text):
 
 def parse_complex(text):
     sections = _sections(text)
-    if "complex" not in sections:
-        raise SpecParseError(1, "missing [complex] section")
-    field = _parse_field(_keyvals(sections.get("field", [])), "field")
-    kv = _keyvals(sections["complex"])
-    ring = PolyRing(field, [], [])
-    if "variables" in kv:
-        lineno, val = kv["variables"]
-        ring = _parse_variables(field, lineno, val)
-    objects = {}
-    diffs_text = {}
+    field = _parse_field(_section(sections, "field", ("order",)))
+    kv = _section(sections, "complex")
+    ring = _parse_variables(field, *kv.get("variables", (1, "")))
+    objects, diffs_text = {}, {}
     for key, (lineno, val) in kv.items():
         words = key.split()
         if not words or words[0] not in ("generators", "d"):

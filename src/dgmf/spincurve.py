@@ -161,23 +161,20 @@ class SpinCurveSpec:
         self._validate_eta()
 
     def _validate_eta(self):
+        """Each eta has simple poles exactly at the markings of its component
+        and none at infinity.  Then its residue num(mu)/den'(mu) at each
+        marking mu is nonzero: ``RationalFunction`` divides num and den by
+        their gcd, so num(mu) = 0 would put (t - mu) in that gcd, den would
+        lose its root mu, and the pole check would already have failed."""
         for comp, form in self.eta.items():
             marks = [m.point for m in self.markings if m.component == comp]
             if form is None:
                 continue
-            # simple poles exactly at the markings of this component
-            num, den = form.num, form.den
-            if den.monic() != _with_roots(self.field, [(mu, 1) for mu in marks]):
+            if form.den.monic() != _with_roots(self.field, [(mu, 1) for mu in marks]):
                 raise SpinDataError(
                     f"eta on {comp} must have simple poles exactly at the markings")
-            if num.degree() > len(marks) - 2:
+            if form.num.degree() > len(marks) - 2:
                 raise SpinDataError(f"eta on {comp} has a pole at infinity")
-            # the poles are simple: res_mu = num(mu) / den'(mu), den'(mu) != 0;
-            # a parsed eta is in lowest terms, so num(mu) = 0 lost its pole at
-            # mu above, and only a hand-built, unreduced form reaches this
-            for mu in marks:
-                if not num.evaluate(mu):
-                    raise SpinDataError(f"eta on {comp} has vanishing residue at {mu}")
 
     # -- sectors ----------------------------------------------------------
 

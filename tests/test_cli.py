@@ -190,6 +190,20 @@ def test_fold_rejects_a_term_that_repeats_an_odd_generator_exit_2(tmp_path, caps
     assert _run(tmp_path, "fold", text.replace(" + (1)*b0^b0^b1", ""))[0] == 0
 
 
+def test_fold_reads_an_upper_case_odd_generator(tmp_path, capsys):
+    # keys are case-insensitive, so d(B0) used to be looked up as a key it
+    # could not be: "missing d(B0) in [scheme]", exit 2
+    _, want = _run(tmp_path, "fold", FOLD)
+    for text in (FOLD.replace("b0", "B0"),
+                 FOLD.replace("odd = b0", "odd = B0").replace("*b0", "*B0")):
+        code, got = _run(tmp_path, "fold", text)
+        assert code == 0 and got == want.replace("b0", "B0")
+    # two odd names that differ only in case would share one d() key
+    capsys.readouterr()
+    assert _run(tmp_path, "fold", FOLD.replace("odd = b0:2", "odd = b0:2, B0:2"))[0] == 2
+    assert "line 5: repeated odd generator B0" in capsys.readouterr().err
+
+
 def test_fundamental_emits_certificate(tmp_path):
     code, out = _run(tmp_path, "fundamental", SPIN)
     assert code == 0
@@ -467,6 +481,53 @@ def test_cli_rejects_a_repeated_curve_line_exit_2(tmp_path, capsys, first, secon
     assert code == 2 and out == ""
     assert f"line {len(lines)}:" in err
     assert f"first on line {lines.index(first) + 1})" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("bundle c0 = 0", "bundle c0=0"), ("bundle c0 = 0", "bundle c0= 0"),
+    ("eta c0 = (2) / (t^2 + (-1))", "eta c0= (2)/(t^2 + (-1))")])
+def test_the_component_of_a_curve_line_ends_at_the_equals_sign(tmp_path, old, new):
+    # these used to take "c0=0" or "c0=" for the component and exit 3,
+    # "component c0 has no bundle degrees"
+    _, want = _run(tmp_path, "fundamental", SPIN)
+    assert _run(tmp_path, "fundamental", SPIN.replace(old, new)) == (0, want)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("component c0", "component c0 c9"), ("bundle c0 = 0", "bundle c0 c9 = 0"),
+    ("eta c0 =", "eta c0 c9 ="), ("bundle c0 = 0", "bundle = 0"), ("eta c0 =", "eta =")])
+def test_a_curve_line_names_one_component_exit_2(tmp_path, capsys, old, new):
+    # these used to drop c9 and exit 0, or take "=" for the component and
+    # exit 3
+    text = SPIN.replace(old, new)
+    code, out = _run(tmp_path, "fundamental", text)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    lineno = next(k for k, (a, b) in enumerate(zip(SPIN.splitlines(), text.splitlines()), 1)
+                  if a != b)
+    assert f"line {lineno}: expected one component after {new.split()[0]}" in err
+
+
+@pytest.mark.parametrize("line", ["marking c0 at 1gamma diag(1) rig 1",
+                                  "marking c0 at 1 gamma diag(1)rig 1"])
+def test_a_marking_keyword_is_a_word_exit_2(tmp_path, capsys, line):
+    # a keyword inside a word used to cut the line and exit 0; a marking is
+    # cut at keyword words, as a divisor and a node are
+    code, out = _run(tmp_path, "fundamental",
+                     SPIN.replace("marking c0 at 1 gamma diag(1) rig 1", line))
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and "line 14: expected marking" in err
+
+
+@pytest.mark.parametrize("text, old, new", [
+    (SPIN, "marking c0 at 1 gamma", "marking c0 at 1, 2 gamma"),
+    (SPIN, "divisor c0 at 0 mult", "divisor c0 at 0, 2 mult"),
+    (SPIN, "J_sqrt = z", "J_sqrt = z, 1"),
+    (GLUED, "c1 at 1 rig 1", "c1 at 1, 3 rig 1")], ids=["marking", "divisor", "J_sqrt", "node"])
+def test_a_point_or_a_scalar_is_one_value_exit_2(tmp_path, capsys, text, old, new):
+    # a single scalar is read as a scalar list that must have one entry
+    assert _run(tmp_path, "fundamental", text.replace(old, new))[0] == 2
+    assert "expected 1 scalar(s)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["marking c0 at 1 gamma diag(1) rig z",

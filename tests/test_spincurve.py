@@ -1230,14 +1230,6 @@ def test_log_form_model_matches_the_laurent_reference(name):
     assert lm.res == [[fn.residue(mu) for fn in log] for mu in lm.marks]
 
 
-def _unreduced(num, den):
-    """num / den as given, without cancelling their gcd: a form whose pole
-    set is den's roots even where num vanishes."""
-    form = object.__new__(RationalFunction)
-    form.num, form.den, form.field = num, den, num.field
-    return form
-
-
 def _with_eta(spec, form):
     return spincurve.SpinCurveSpec(spec.field, spec.vring, spec.W, spec.degree_d,
                                    spec.group_generators, spec.J, spec.components,
@@ -1254,22 +1246,25 @@ FOUR_MARKS = BROAD.replace("marking c0 at -1 gamma diag(1) rig z",
 
 
 def test_eta_validation_rejects_a_vanishing_residue():
-    # (t - 1) / prod (t - mu) has a simple pole at every marking on paper,
-    # and residue 0 at t = 1
+    # (t - 1) / prod (t - mu) has residue 0 at t = 1 on paper; built by
+    # RationalFunction it is in lowest terms, has lost its pole at 1, and
+    # the pole check rejects it
     spec = _spec(FOUR_MARKS)
     field = spec.field
     t = UPoly.gen(field)
     den = reduce(mul, [t - UPoly.constant(field, m.point) for m in spec.markings])
-    form = _unreduced(t - UPoly.constant(field, 1), den)
+    form = RationalFunction(t - UPoly.constant(field, 1), den)
+    assert form.num == UPoly.constant(field, 1) and form.den.degree() == 3
     assert form.residue(field.one) == 0
-    with pytest.raises(SpinDataError, match="eta on c0 has vanishing residue at 1"):
+    with pytest.raises(SpinDataError, match="eta on c0 must have simple poles exactly"):
         _with_eta(spec, form)
+    _with_eta(spec, RationalFunction(t - UPoly.constant(field, 2), den))
 
 
 def test_eta_residue_test_matches_the_laurent_residue():
     """On a seeded corpus of forms num / prod (t - mu) over the markings,
-    half of them with num(mu) = 0 at a chosen marking, the spec is rejected
-    exactly when a Laurent residue vanishes."""
+    half of them with num(mu) = 0 at a chosen marking, the spec is rejected,
+    by the pole check, exactly when a Laurent residue vanishes."""
     spec = _spec(FOUR_MARKS)
     field = spec.field
     marks = [m.point for m in spec.markings]
@@ -1286,13 +1281,13 @@ def test_eta_residue_test_matches_the_laurent_residue():
             num = UPoly(field, [scalar()]) * (t - mu)
         if not num:
             continue
-        form = _unreduced(num, den)
+        form = RationalFunction(num, den)
         vanishing = any(form.residue(mu) == 0 for mu in marks)
         try:
             _with_eta(spec, form)
             rejected = False
         except SpinDataError as e:
-            assert "vanishing residue" in str(e)
+            assert "simple poles exactly at the markings" in str(e)
             rejected = True
         assert rejected == vanishing
         verdicts.append(rejected)
