@@ -22,7 +22,7 @@ from itertools import combinations, islice
 
 from . import linalg
 from .complexes import Generator, _coerce, _rank, _tensor
-from .poly import Poly, PolyRing, _linear_forms, substituter
+from .poly import Poly, PolyRing, _linear_forms, _point_substituter, substituter
 
 
 class CertificateError(ValueError):
@@ -359,18 +359,17 @@ class MatrixFactorization:
 def _at_point(mf, point):
     """(W(p), deltas, restricted): W's value at ``point`` over the point base,
     and functions giving (delta0(p), delta1(p)) and their MF, certified by
-    its ``verify``: one substituter, each distinct entry evaluated once, and
-    nothing but W until asked for.  An MF over the point base is its own
-    value at the point (), read as it is."""
+    its ``verify``: the point's one memoized substituter (``poly``), each
+    distinct entry evaluated once, and nothing but W until asked for.  An MF
+    over the point base is its own value at the point (), read as it is."""
     if not mf.ring.nvars:
         if len(point):
             raise ValueError("an MF over the point base is restricted to the point ()")
         return mf.potential, lambda: (mf.delta0, mf.delta1), lambda: mf
-    base = PolyRing(mf.ring.field, [], [])
-    sub = substituter(mf.ring, [base.constant(base.field.scalar(p)) for p in point], base)
+    sub = _point_substituter(mf.ring, tuple(map(mf.ring.field.scalar, point)))
     w = sub(mf.potential)
     deltas = lambda: linalg.entrywise(sub, mf.delta0, mf.delta1)
-    return w, deltas, lambda: MatrixFactorization(base, mf.p0_gens, mf.p1_gens, *deltas(), w)
+    return w, deltas, lambda: MatrixFactorization(w.ring, mf.p0_gens, mf.p1_gens, *deltas(), w)
 
 
 def koszul_mf(ring, alpha, beta):
@@ -579,8 +578,8 @@ def _unit_homotopy(w, delta0, delta1):
     """h = (delta0 / w, 0) from the values of a certified MF at a point where
     w = W(p) != 0, checked by delta1 h0 = id alone (``nullhomotopy_solve``)."""
     ring = w.ring
-    inv = ring.constant(w.constant_value().inverse())
-    h0, = linalg.entrywise(lambda c: c * inv, delta0)
+    inv = w.constant_value().inverse()
+    h0, = linalg.entrywise(lambda c: ring.constant(c.constant_value() * inv), delta0)
     if linalg.first_mismatch([(delta1, h0)], linalg.identity(ring, len(delta1)),
                              ring.field) is not None:
         raise CertificateError("solved homotopy fails delta h + h delta = id")
@@ -616,11 +615,11 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
     and it is contractible, a contracting homotopy checked exactly.  Every
     such homotopy is constant, so a contractible verdict without one is a
     CertificateError, and ``degree_bound`` bounds nothing (it must be >= 0).
-    W and both deltas share one substitution (``_at_point``).  Where
-    W(p) != 0 no restricted MF is built, and h = (delta0(p) / W(p), 0) is
-    checked by delta1(p) h0 = id alone (``nullhomotopy_solve``); the verdict
-    is ``point_verdict``'s here too, which reads W(p) again.  Where W(p) = 0
-    the verdict and the solve read one certified restriction."""
+    W and both deltas share the point's table (``_at_point``).  Where
+    W(p) != 0 no restricted MF is built, h = (delta0(p) / W(p), 0) takes one
+    Scalar product per entry and is checked by delta1(p) h0 = id alone, and
+    ``point_verdict`` re-reads W(p) from that table.  Where W(p) = 0 the
+    verdict and the solve read one certified restriction."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []

@@ -9,16 +9,19 @@ them.  Products have one integer loop, ``_sum_of_products``: substitution
 MF), ``Poly.__mul__`` (so ``**`` too) and the substituter's table of powers
 all sum each coefficient as one unreduced integer vector over one
 denominator and reduce it by Phi_N once, through the field's table of
-z-powers.  No Scalar is built until a coefficient is final.
+z-powers.  The table's powers and monomials stay integer terms; only final
+coefficients become Scalars.  Evaluation at a point reads one table per
+point: ``_point_substituter`` memoizes the last (ring, point) evaluated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .cyclotomic import Scalar, _power, read_terms, tokenize
+from .cyclotomic import Scalar, _lowest, _power, read_terms, tokenize
 
 
 class PolyRing:
@@ -118,15 +121,15 @@ def _terms(poly):
 
 
 def _sum_of_products(field, terms, images):
-    """The {exponent: Scalar} of sum over the ``_terms`` (e, ints, den) of
-    ints/den times each term of ``images(e)``, a ``_terms`` list whose
-    exponents are those of the result.  The integer loop behind
-    ``substituter``, ``Poly.__mul__`` and the power table.
+    """The (exponent, ints, den) of each coefficient of the sum over the
+    ``_terms`` (e, ints, den) of ints/den times each term of ``images(e)``,
+    a ``_terms`` list whose exponents are those of the result: the one
+    integer loop behind every product.
 
-    Each result coefficient is summed as one unreduced integer vector over
-    the lcm of its terms' denominators, then reduced by Phi_N and brought to
-    lowest terms once.  Result exponents keep the order in which they first
-    occur; those that sum to zero are dropped (by ``Poly``)."""
+    Each coefficient is summed as one unreduced integer vector over the lcm
+    of its terms' denominators; the finisher reduces it by Phi_N and brings
+    it to lowest terms once.  Result exponents keep the order in which they
+    first occur; a coefficient that sums to zero comes out as zero."""
     width = 2 * field.degree - 1
     acc = {}  # exponent -> [denominator, unreduced integer vector]
     for e, va, da in terms:
@@ -146,39 +149,44 @@ def _sum_of_products(field, terms, images):
                 xa *= scale
                 for kb, xb in vb:
                     ints[ka + kb] += xa * xb
-    return {e2: field._reduce(ints, den) for e2, (den, ints) in acc.items()}
+    return ((e2, *_lowest(field.reduce_integers(ints), den)) for e2, (den, ints) in acc.items())
 
 
-def _times(a, b):
-    """a * b for Polys of one ring, on ``_sum_of_products``: each term of a
-    shifts the exponents of b's terms by its own."""
-    tb = _terms(b)
+def _shifted(terms):
+    """``images`` for a product by ``terms``: e -> terms shifted by e."""
+    return lambda e: [(tuple(map(add, e, e2)), v, d) for e2, v, d in terms] if any(e) else terms
 
-    def shifted(e):
-        if not any(e):
-            return tb
-        return [(tuple(map(add, e, e2)), vb, db) for e2, vb, db in tb]
 
-    return Poly(a.ring, _sum_of_products(a.ring.field, _terms(a), shifted))
+def _times(field, a, b):
+    """a * b for ``_terms`` lists, as a ``_terms`` list: no Scalar built."""
+    return [(e, [(k, x) for k, x in enumerate(ints) if x], den)
+            for e, ints, den in _sum_of_products(field, a, _shifted(b)) if any(ints)]
+
+
+def _poly(ring, terms, images):
+    """The Poly of ``_sum_of_products``: only final coefficients become Scalars."""
+    return Poly(ring, {e: Scalar(ring.field, ints, den)
+                       for e, ints, den in _sum_of_products(ring.field, terms, images)})
 
 
 def _monomial_table(values, one):
-    """The map e -> the ``_terms`` of prod values[v] ** e[v], for
-    Poly values.  Each power of each value and each monomial's terms are
-    computed once, on first use, and kept; every product is ``_times``."""
-    powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
-    table = {}
+    """The map e -> the ``_terms`` of prod values[v] ** e[v], for Poly values:
+    each power and monomial computed once, on first use, by ``_times``.  An
+    entry depends on its key alone, so threads sharing it fill one twice at worst."""
+    field = one.ring.field
+    powers = {(v, 1): _terms(x) for v, x in enumerate(values)}  # (v, k) -> values[v] ** k
+    table = {(0,) * len(values): _terms(one)}
 
     def monomial(e):
         terms = table.get(e)
         if terms is None:
-            m = one
-            for v, pw, k in zip(values, powers, e):
+            for v, k in enumerate(e):
+                for j in range(2, k + 1):
+                    if (v, j) not in powers:
+                        powers[v, j] = _times(field, powers[v, j - 1], powers[v, 1])
                 if k:
-                    while len(pw) <= k:
-                        pw.append(_times(pw[-1], v))
-                    m = pw[k] if m is one else _times(m, pw[k])
-            terms = table[e] = _terms(m)
+                    terms = powers[v, k] if terms is None else _times(field, terms, powers[v, k])
+            table[e] = terms
         return terms
 
     return monomial
@@ -197,11 +205,15 @@ def substituter(ring, images, target):
     if target.field != ring.field or any(img.ring != target for img in images):
         raise ValueError("images must lie in the target ring over the same field")
     monomial = _monomial_table(images, target.one)
+    return lambda poly: _poly(target, _terms(poly), monomial)
 
-    def substitute(poly):
-        return Poly(target, _sum_of_products(target.field, _terms(poly), monomial))
 
-    return substitute
+@lru_cache(maxsize=1)
+def _point_substituter(ring, point):
+    """The substituter of a tuple of Scalars into the point base, kept for
+    the last (ring, point): its images and tables, no Poly it was applied to."""
+    base = PolyRing(ring.field, [], [])
+    return substituter(ring, [base.constant(p) for p in point], base)
 
 
 def _linear_forms(matrix, ring):
@@ -276,7 +288,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _times(self, other)
+        return _poly(self.ring, _terms(self), _shifted(_terms(other)))
 
     __rmul__ = __mul__
 
@@ -326,10 +338,9 @@ class Poly:
 
     def evaluate(self, point):
         """Evaluate at a tuple of Scalars (or ints/Fractions): substitute
-        constants, into the zero-variable ring."""
-        base = PolyRing(self.ring.field, [], [])
-        images = [base.constant(base.field.scalar(p)) for p in point]
-        return substituter(self.ring, images, base)(self).constant_value()
+        constants, into the zero-variable ring (``_point_substituter``)."""
+        point = tuple(map(self.ring.field.scalar, point))
+        return _point_substituter(self.ring, point)(self).constant_value()
 
     def substitute(self, images):
         """Substitute each variable by the given Poly (all in one ring)."""

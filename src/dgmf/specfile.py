@@ -45,7 +45,7 @@ class SpecParseError(ValueError):
 
 
 def _sections(text):
-    """section name -> list of (lineno, stripped line)."""
+    """section name -> (header lineno, list of (lineno, stripped line))."""
     out = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,11 +54,11 @@ def _sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            out.setdefault(current, [])
+            out.setdefault(current, (lineno, []))
             continue
         if current is None:
             raise SpecParseError(lineno, "content before any [section] header")
-        out[current].append((lineno, line))
+        out[current][1].append((lineno, line))
     return out
 
 
@@ -87,15 +87,16 @@ def _parse_positive(lineno, text, what):
     return value
 
 
-def _section(sections, name, required=()):
-    """The ``key = value`` pairs of ``[name]``, key -> (lineno, value), with
-    every key of ``required`` (lower case) among them."""
+def _section(sections, name, required=(), lineno=None):
+    """``[name]``'s ``key = value`` pairs, key -> (lineno, value); a missing key
+    of ``required`` (lower case) is reported at ``lineno``, else at the header."""
     if name not in sections:
         raise SpecParseError(1, f"missing [{name}] section")
-    kv = _keyvals(sections[name])
+    header, lines = sections[name]
+    kv = _keyvals(lines)
     for key in required:
         if key not in kv:
-            raise SpecParseError(1, f"missing {key} in [{name}]")
+            raise SpecParseError(lineno or header, f"missing {key} in [{name}]")
     return kv
 
 
@@ -182,15 +183,19 @@ def _read_scalars(field, lineno, text, count=None):
 
 
 def _parse_group_element(ring, lineno, text):
-    text = text.strip()
-    field = ring.field
+    """A ``diag(...)`` or ``matrix ...`` element; scalars that make none are
+    a SpecParseError at ``lineno``, in ``[group]`` as in ``[curve]``."""
+    text, field = text.strip(), ring.field
     if text.startswith("diag(") and text.endswith(")"):
-        return GroupElement.diagonal(ring, _read_scalars(field, lineno, text[5:-1],
-                                                         ring.nvars))
-    if text.startswith("matrix "):
-        return GroupElement(ring, [_read_scalars(field, lineno, row) for row in
-                                   text[len("matrix "):].split(";")])
-    raise SpecParseError(lineno, f"expected diag(...) or matrix ..., got {text!r}")
+        make, value = GroupElement.diagonal, _read_scalars(field, lineno, text[5:-1])
+    elif text.startswith("matrix "):
+        make, value = GroupElement, [_read_scalars(field, lineno, r) for r in text[7:].split(";")]
+    else:
+        raise SpecParseError(lineno, f"expected diag(...) or matrix ..., got {text!r}")
+    try:
+        return make(ring, value)
+    except ValueError as e:
+        raise SpecParseError(lineno, f"bad group element {text!r}: {e}")
 
 
 def _parse_ratfun(field, lineno, text):
@@ -250,7 +255,7 @@ def parse_spec(text):
     degree_d = _parse_positive(*kv["d"], "degree")
     generators, J, J_sqrt_lambda = [], None, None
     singles = []  # the [group] lines other than the repeatable generators
-    for lineno, line in sections.get("group", []):
+    for lineno, line in sections.get("group", (1, []))[1]:
         key, _, val = line.partition("=")
         if key.strip().lower() == "generator":
             generators.append(_parse_group_element(ring, lineno, val))
@@ -269,7 +274,7 @@ def parse_spec(text):
             raise SpecParseError(1, "cyclotomic order must be divisible by d")
         zeta_d = field.zeta ** (field.order // degree_d)
         J = GroupElement.diagonal(ring, [zeta_d ** w for w in ring.weights])
-    curve = _parse_curve(field, ring, sections["curve"]) if "curve" in sections else None
+    curve = _parse_curve(field, ring, sections["curve"][1]) if "curve" in sections else None
     return SpecDocument(field, ring, W, degree_d, generators, J,
                         J_sqrt_lambda, curve)
 
@@ -422,11 +427,11 @@ def parse_mf(text):
     mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
     certificate = None
     if "certificate" in sections:
-        lines = sections["certificate"]
+        header, lines = sections["certificate"]
         try:
             certificate = json.loads("\n".join(l for (_n, l) in lines))
         except json.JSONDecodeError as e:
-            raise SpecParseError(lines[0][0] if lines else 1,
+            raise SpecParseError(lines[0][0] if lines else header,
                                  f"bad certificate JSON: {e}")
     return mf, certificate
 
@@ -457,7 +462,7 @@ def parse_scheme(text):
     repeated = next((g.name for k, g in enumerate(odd) if keys[k] in keys[:k]), None)
     if repeated is not None:
         raise SpecParseError(lineno, f"repeated odd generator {repeated} (case ignored)")
-    kv = _section(sections, "scheme", keys)
+    kv = _section(sections, "scheme", keys, lineno)
     images = [_read_poly(ring, kv[key][0], tokenize(kv[key][1]), key) for key in keys]
     scheme = DgSchemePresentation(ring, odd, images)
     f = _parse_super_element(scheme, *kv["f"]) if "f" in kv else scheme.zero_element()

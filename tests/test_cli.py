@@ -530,6 +530,34 @@ def test_a_point_or_a_scalar_is_one_value_exit_2(tmp_path, capsys, text, old, ne
     assert "expected 1 scalar(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, lineno", [
+    ("generator = diag(-1)", 8), ("J = diag(-1)", 9),
+    ("marking c0 at 1 gamma diag(1)", 14)], ids=["generator", "J", "gamma"])
+@pytest.mark.parametrize("element", ["matrix 1, 0 ; 0, 1", "diag(0)"], ids=["shape", "order"])
+def test_a_matrix_that_is_no_group_element_exit_2(tmp_path, capsys, old, lineno, element):
+    # in [group] these used to exit 3, while the same text as a [curve]
+    # gamma exited 2: both are parse errors at the element's line now
+    new = old.replace("diag(-1)", element).replace("diag(1)", element)
+    code, out = _run(tmp_path, "fundamental", SPIN.replace(old, new))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"line {lineno}: bad group element {element!r}" in err
+
+
+@pytest.mark.parametrize("command, text, line, message", [
+    ("check", SPIN, "W = x^2", "line 3: missing w in [potential]"),
+    ("koszul", KOSZUL, "beta = x", "line 5: missing beta in [koszul]"),
+    ("fold", FOLD, "d(b0) = u1^2", "line 5: missing d(b0) in [scheme]")],
+    ids=["potential", "koszul", "scheme"])
+def test_a_missing_key_is_reported_at_its_section_header_exit_2(tmp_path, capsys, command,
+                                                                 text, line, message):
+    # these used to be reported at line 1; a missing d(name) of [scheme] is
+    # reported at the odd line that names it
+    code, out = _run(tmp_path, command, text.replace(line + "\n", ""))
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("line", ["marking c0 at 1 gamma diag(1) rig z",
                                   "divisor c0 at 0 mult 2"], ids=["marking", "divisor"])
 def test_cli_rejects_a_repeated_point_exit_3(tmp_path, capsys, line):

@@ -1,12 +1,13 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
-from dgmf import factorizations, linalg
+from dgmf import factorizations, linalg, poly
 from dgmf.complexes import Generator
 from dgmf.cyclotomic import Scalar
 from dgmf.poly import Poly, exponents_of_weight
@@ -913,6 +914,92 @@ def test_support_check_matches_the_restricting_reference(order, monkeypatch):
                 verified.clear()
                 assert support_check(at, [()], with_certificates=with_certificates) == want
                 assert verified == []
+
+
+def _three_kinds_of_points(order):
+    """``_koszul_and_a_unit_point``'s MF and three points of it: a unit of
+    W, a contractible zero of W (y = 0) and a noncontractible one (x = 0)."""
+    mf, unit = _koszul_and_a_unit_point(order)
+    zero = mf.ring.field.zero
+    return mf, [unit, unit[:2] + [zero], [zero, zero, unit[2]]]
+
+
+@pytest.mark.parametrize("order", [4, 7])
+def test_point_memo_rejects_a_perturbed_mf_at_a_shared_point(order):
+    # the memo of a point's substituter holds what depends on the ring and
+    # the point alone: a second MF over the same ring, at the same point,
+    # reads its own delta(p), so a negated delta0 entry fails its
+    # certificate, and the first MF's report stays as it was
+    mf, points = _three_kinds_of_points(order)
+    for point in points[:2]:
+        want = support_check(mf, [point])
+        i, j = next((i, j) for i, row in enumerate(mf.delta0)
+                    for j, c in enumerate(row) if c.evaluate(point))
+        bad = copy.copy(mf)
+        bad.delta0 = [list(row) for row in mf.delta0]
+        bad.delta0[i][j] = -bad.delta0[i][j]
+        with pytest.raises(CertificateError):
+            support_check(bad, [point])
+        assert support_check(mf, [point]) == want
+
+
+def test_point_memo_key_is_canonical_for_ints_and_scalars(monkeypatch):
+    # a point given as ints, as Fractions and as Scalars is one memo key:
+    # one table for the three, and the same report
+    field = CyclotomicField(4)
+    R = PolyRing(field, ["x0", "x1", "y"])
+    x0, x1, y = R.gens()
+    mf = koszul_mf(R, [(1 + field.zeta) * x0, 3 * x1], [x0 * y, x1 * y])
+    built = []
+    table = poly._monomial_table
+    monkeypatch.setattr(poly, "_monomial_table", lambda *a: built.append(a) or table(*a))
+    for ints in ([1, 3, 2], [1, -2, 0], [0, 0, 5]):
+        forms = (ints, [Fraction(v) for v in ints], [field.scalar(v) for v in ints])
+        for with_certificates in (True, False):
+            poly._point_substituter.cache_clear()
+            built.clear()
+            reports = [support_check(mf, [p], with_certificates=with_certificates)
+                       for p in forms]
+            assert reports[0] == reports[1] == reports[2] and len(built) == 1
+            assert reports[0][0]["verdict"] == (NONCONTRACTIBLE if ints[0] == 0
+                                                else CONTRACTIBLE)
+
+
+def test_support_check_reports_every_flipped_verdict_or_rejects_it(monkeypatch):
+    # every verdict is ``point_verdict``'s, looked up by name: flipped, it
+    # flips each reported verdict; with certificates a flipped contractible
+    # verdict has none, and a flipped noncontractible one has no homotopy
+    mf, points = _three_kinds_of_points(7)
+    honest = [point_verdict(mf, p) for p in points]
+    assert honest == [CONTRACTIBLE, CONTRACTIBLE, NONCONTRACTIBLE]
+    flip = {CONTRACTIBLE: NONCONTRACTIBLE, NONCONTRACTIBLE: CONTRACTIBLE}
+    verdict = factorizations.point_verdict
+    monkeypatch.setattr(factorizations, "point_verdict", lambda m, p: flip[verdict(m, p)])
+    report = support_check(mf, points, with_certificates=False)
+    assert [r["verdict"] for r in report] == [flip[v] for v in honest]
+    report = support_check(mf, points[:2], with_certificates=True)
+    assert [(r["verdict"], r["certificate"]) for r in report] == [(NONCONTRACTIBLE, None)] * 2
+    with pytest.raises(CertificateError, match="no contracting homotopy"):
+        support_check(mf, points[2:], with_certificates=True)
+
+
+def test_support_check_at_a_unit_point_builds_one_table_no_mf_one_product_check(monkeypatch):
+    # the verdict re-reads W(p) from the point's table, and the certificate
+    # is the one composite delta1(p) h0 = id: counted, not timed
+    mf, point = _koszul_and_a_unit_point(7)
+    counts = Counter()
+
+    def count(owner, name):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: counts.update([name]) or f(*a))
+
+    count(poly, "_monomial_table")
+    count(factorizations.MatrixFactorization, "__init__")
+    count(linalg, "first_mismatch")
+    poly._point_substituter.cache_clear()
+    (entry,) = support_check(mf, [point])
+    assert entry["verdict"] == CONTRACTIBLE and entry["certificate"] is not None
+    assert counts == {"_monomial_table": 1, "first_mismatch": 1}
 
 
 def test_nullhomotopy_solve_needs_the_point_base():

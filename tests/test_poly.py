@@ -664,3 +664,53 @@ def test_integer_product_and_power_table_match_the_scalar_path(order):
             reference = _scalar_monomial_table(values, r.one)
             for e in itertools.product(range(5), repeat=r.nvars):
                 assert _as_dict(table(e)) == _as_dict(_terms(reference(e))), e
+
+
+def _poly_monomial_table(values, one):
+    """The former power table on Poly products: each power pw[-1] * v and
+    each monomial m * pw[k] a ``Poly.__mul__``, its ``_terms`` read at the
+    end and kept."""
+    powers = [[one, v] for v in values]  # powers[v][k] = values[v] ** k
+    table = {}
+
+    def monomial(e):
+        terms = table.get(e)
+        if terms is None:
+            m = one
+            for v, pw, k in zip(values, powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * v)
+                    m = pw[k] if m is one else m * pw[k]
+            terms = table[e] = _terms(m)
+        return terms
+
+    return monomial
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_integer_power_table_matches_the_poly_path(order):
+    """``_monomial_table`` keeps powers and monomials as ``_terms``; on a
+    seeded corpus its entries equal those of the Poly-product table, terms
+    in the same order: point and line targets, zero values, coefficients
+    with denominators around 2^64, and exponents asked for more than once."""
+    field = CyclotomicField(order)
+    rng = random.Random(f"table:{order}")
+
+    def scalar():
+        return field.from_coeffs([Fraction(rng.randint(-2 ** 64, 2 ** 64),
+                                           rng.randint(2 ** 63, 2 ** 65))
+                                  if rng.random() < 0.7 else 0 for _ in range(field.degree)])
+
+    for target in (PolyRing(field, []), PolyRing(field, ["t"])):
+        exps = list(itertools.product(range(3), repeat=target.nvars))
+        for trial in range(6):
+            values = [Poly(target, {e: scalar() for e in rng.sample(exps, rng.randint(1, len(exps)))})
+                      for _ in range(3)]
+            if trial % 2:
+                values[trial % 3] = target.zero
+            table = _monomial_table(values, target.one)
+            reference = _poly_monomial_table(values, target.one)
+            queries = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(25)]
+            for e in queries + [(0, 0, 0)] + queries[::-1]:
+                assert table(e) == reference(e), e
