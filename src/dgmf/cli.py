@@ -10,7 +10,10 @@ CliFailure -> its own code, which ``check`` and ``glue`` use for verdicts.
 Malformed spec values, such as a degree ``d <= 0`` or a ``divisor`` line
 whose fifth word is not ``mult`` or whose multiplicity is not a positive
 integer, are SpecParseErrors.  A negative ``--degree-bound`` (``check``,
-``support``) or ``--points`` (``support``) is a precondition violation (3).
+``support``) or ``--points`` (``support``) is a precondition violation (3),
+and so is a ``--points`` above the 19^n - 1 distinct nonzero points with
+integer coordinates in [-9, 9] that ``support`` samples from on n
+variables, decided before it samples (an MF over the point base has none).
 ``--degree-bound`` bounds the nondegeneracy search of ``check``; on
 ``support`` it bounds nothing (a contracting homotopy at a point is
 constant) and only exits 3 when negative.  ``check`` runs
@@ -45,6 +48,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_CERTIFICATE = 4
 EXIT_BOUND = 5
+
+SAMPLE_BOUND = 9  # support samples each coordinate from the integers in [-9, 9]
 
 
 class CliFailure(Exception):
@@ -147,13 +152,21 @@ def cmd_support(args):
     if args.points < 0:
         raise ValueError(f"--points must be >= 0, got {args.points}")
     mf, _cert = specfile.parse_mf(_read_input(args))
-    field = mf.ring.field
+    field, nvars = mf.ring.field, mf.ring.nvars
+    available = (2 * SAMPLE_BOUND + 1) ** nvars - 1  # the nonzero points of the grid
+    if args.points > available:
+        raise ValueError(
+            f"--points {args.points} is too many: " + (
+                f"only {available} distinct nonzero points have integer coordinates "
+                f"in [-{SAMPLE_BOUND}, {SAMPLE_BOUND}]" if nvars else
+                "an MF over the point base has no nonzero point to sample"))
     rng = random.Random(args.seed)
     points = []
     attempts = 0
     while len(points) < args.points and attempts < 100 * args.points:
         attempts += 1
-        p = tuple(field.scalar(rng.randint(-9, 9)) for _ in range(mf.ring.nvars))
+        p = tuple(field.scalar(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
+                  for _ in range(nvars))
         if any(p) and p not in points:
             points.append(p)
     report = support_check(mf, points, degree_bound=args.degree_bound,

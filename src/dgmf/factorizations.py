@@ -22,6 +22,7 @@ from itertools import combinations, islice
 
 from . import linalg
 from .complexes import Generator, _coerce, _rank, _tensor
+from .cyclotomic import Scalar, _lowest, _product
 from .poly import Poly, PolyRing, _linear_forms, _point_substituter, substituter
 
 
@@ -528,12 +529,14 @@ def nullhomotopy_solve(mf):
     """An odd h = (h0, h1) with delta h + h delta = id (a contracting
     homotopy) of an MF over the point base, or None if it has none.
 
-    If W(p) != 0, h = (delta0 / W(p), 0), checked by delta1 h0 = id alone
-    (``_unit_homotopy``).  The MF is square: delta1 delta0 = W . id and
-    delta0 delta1 = W . id with W != 0 make both deltas injective over the
-    field, so n0 = n1 (``verify`` checks both composites when the ranks
-    differ).  With h1 = 0 the blocks of delta h + h delta are delta1 h0 and
-    h0 delta1, and a square one-sided inverse over Q(zeta_N) is two-sided.
+    If W(p) != 0, h = (delta0 / W(p), 0), with W(p) inverted once and each
+    distinct delta0 entry scaled by one integer product, checked by
+    delta1 h0 = id alone (``_unit_homotopy``).  The MF is square:
+    delta1 delta0 = W . id and delta0 delta1 = W . id with W != 0 make both
+    deltas injective over the field, so n0 = n1 (``verify`` checks both
+    composites when the ranks differ).  With h1 = 0 the blocks of
+    delta h + h delta are delta1 h0 and h0 delta1, and a square one-sided
+    inverse over Q(zeta_N) is two-sided.
     Times W(p), delta1 h0 = id is delta1 delta0 = W(p) . id, so the check
     certifies the values of delta as an MF too.  The general solve below
     gives the same h, as it is injective on {h1 = 0}.
@@ -576,14 +579,27 @@ def nullhomotopy_solve(mf):
 
 def _unit_homotopy(w, delta0, delta1):
     """h = (delta0 / w, 0) from the values of a certified MF at a point where
-    w = W(p) != 0, checked by delta1 h0 = id alone (``nullhomotopy_solve``)."""
-    ring = w.ring
+    w = W(p) != 0, checked by delta1 h0 = id alone (``nullhomotopy_solve``).
+    W(p) is inverted once, by ``Scalar.inverse``; each distinct nonzero
+    delta0 value is scaled by it as one integer product brought to lowest
+    terms (``cyclotomic._product``, ``_lowest``), straight into a point-base
+    Poly: the same h0 as the Scalar product, with no Scalar built twice.
+    Every zero cell of h0 and h1 is one shared zero."""
+    ring, field, zero = w.ring, w.ring.field, w.ring.zero
     inv = w.constant_value().inverse()
-    h0, = linalg.entrywise(lambda c: ring.constant(c.constant_value() * inv), delta0)
+
+    def scaled(c):
+        if not c:
+            return zero
+        s = c.constant_value()
+        return Poly._trusted(ring, {(): Scalar(field, *_lowest(
+            *_product(field, s.ints, s.den, inv.ints, inv.den)))})
+
+    h0, = linalg.entrywise(scaled, delta0)
     if linalg.first_mismatch([(delta1, h0)], linalg.identity(ring, len(delta1)),
-                             ring.field) is not None:
+                             field) is not None:
         raise CertificateError("solved homotopy fails delta h + h delta = id")
-    return h0, [[ring.zero] * len(delta0) for _ in delta1]
+    return h0, [[zero] * len(delta0) for _ in delta1]
 
 
 CONTRACTIBLE = "contractible"
@@ -617,9 +633,10 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
     CertificateError, and ``degree_bound`` bounds nothing (it must be >= 0).
     W and both deltas share the point's table (``_at_point``).  Where
     W(p) != 0 no restricted MF is built, h = (delta0(p) / W(p), 0) takes one
-    Scalar product per entry and is checked by delta1(p) h0 = id alone, and
-    ``point_verdict`` re-reads W(p) from that table.  Where W(p) = 0 the
-    verdict and the solve read one certified restriction."""
+    inverse and one integer product per distinct entry (``_unit_homotopy``)
+    and is checked by delta1(p) h0 = id alone, and ``point_verdict``
+    re-reads W(p) from that table.  Where W(p) = 0 the verdict and the solve
+    read one certified restriction."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
     report = []

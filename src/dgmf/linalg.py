@@ -22,10 +22,12 @@ intertwiners, contracting homotopies) is checked by it.  It packs each
 coefficient into one integer (zeta -> 2^B) and settles each cell by one
 divisibility test by Phi_N(2^B); its docstring proves the test exact.
 ``zeros`` and ``identity`` only touch ``.zero`` and ``.one`` of their base,
-so they build Poly matrices too: pass the PolyRing where a field is asked
-for.
-``entrywise`` maps Poly matrices once per distinct entry object
-(``per_object``), so cells that share an entry share its image.
+each read once per matrix, so they build Poly matrices too: pass the
+PolyRing where a field is asked for.  Every zero cell is one object, and
+so is every diagonal cell of ``identity``.
+``entrywise`` maps matrices once per distinct entry object, through one
+dict per call, so cells that share an entry share its image; ``per_object``
+is that memo as a function, for callers that map cells one at a time.
 ``blocks`` writes block matrices (cones, direct sums, resolutions) and
 ``kron`` the Kronecker products a (x) I_n and I_n (x) b (the maps
 h -> a . h and h -> h . b^T on row-major h), placing entries as they are.
@@ -46,9 +48,11 @@ def zeros(field, rows, cols):
 
 
 def identity(field, n):
+    """I_n, with one shared ``field.one`` object on its diagonal."""
     m = zeros(field, n, n)
+    one = field.one
     for i in range(n):
-        m[i][i] = field.one
+        m[i][i] = one
     return m
 
 
@@ -92,11 +96,26 @@ def per_object(f):
 
 def entrywise(f, *matrices):
     """The matrices [[f(c) for c in row] for row in m], one for each m, with
-    f applied once per distinct entry object (``per_object``): cells that
-    share an object (one zero, one signed copy of a fold entry) share its
-    image."""
-    image = per_object(f)
-    return [[[image(c) for c in row] for row in m] for m in matrices]
+    f applied once per distinct entry object: cells that share an object
+    (one zero, one signed copy of a fold entry) share its image.  One dict
+    per call, keyed by id, with no call per cell: the matrices keep every
+    entry alive meanwhile, so no id is reused.  An image that is None is
+    not memoized."""
+    images = {}
+    get = images.get
+    out = []
+    for m in matrices:
+        rows = []
+        for row in m:
+            cells = []
+            for c in row:
+                y = get(id(c))
+                if y is None:
+                    y = images[id(c)] = f(c)
+                cells.append(y)
+            rows.append(cells)
+        out.append(rows)
+    return out
 
 
 def blocks(grid):

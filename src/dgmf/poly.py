@@ -9,9 +9,11 @@ them.  Products have one integer loop, ``_sum_of_products``: substitution
 MF), ``Poly.__mul__`` (so ``**`` too) and the substituter's table of powers
 all sum each coefficient as one unreduced integer vector over one
 denominator and reduce it by Phi_N once, through the field's table of
-z-powers.  The table's powers and monomials stay integer terms; only final
-coefficients become Scalars.  Evaluation at a point reads one table per
-point: ``_point_substituter`` memoizes the last (ring, point) evaluated.
+z-powers.  The table's powers and monomials stay integer terms; only
+nonzero final coefficients become Scalars, and the product Poly takes them
+as they are (``Poly._trusted``, with no second zero filter).  Evaluation
+at a point reads one table per point: ``_point_substituter`` memoizes the
+last (ring, point) evaluated.
 """
 
 from __future__ import annotations
@@ -164,9 +166,11 @@ def _times(field, a, b):
 
 
 def _poly(ring, terms, images):
-    """The Poly of ``_sum_of_products``: only final coefficients become Scalars."""
-    return Poly(ring, {e: Scalar(ring.field, ints, den)
-                       for e, ints, den in _sum_of_products(ring.field, terms, images)})
+    """The Poly of ``_sum_of_products``: only nonzero final coefficients
+    become Scalars, handed to ``Poly._trusted`` with no second zero filter."""
+    field = ring.field
+    return Poly._trusted(ring, {e: Scalar(field, ints, den) for e, ints, den
+                                in _sum_of_products(field, terms, images) if any(ints)})
 
 
 def _monomial_table(values, one):
@@ -232,6 +236,16 @@ class Poly:
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """The Poly of ``terms``, a dict whose coefficients are all nonzero,
+        kept as it is: the one bypass of ``__init__``'s zero filter, for
+        callers that build each coefficient only where it is nonzero."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
 
     # -- basics -----------------------------------------------------------
 

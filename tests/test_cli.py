@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from dgmf import CyclotomicField, PolyRing, cli, koszul_mf
 from dgmf.cli import main
+from dgmf.specfile import write_mf
 
 SPIN = """[field]
 order = 4
@@ -285,6 +287,39 @@ def test_support_negative_points_exit_3(tmp_path, capsys):
     assert "--points" in capsys.readouterr().err
     code, report = _run(tmp_path, "support", out, "--points", "0")
     assert code == 0 and json.loads(report) == []
+
+
+def test_support_rejects_more_points_than_the_sample_grid_holds_exit_3(
+        tmp_path, capsys, monkeypatch):
+    # support samples distinct nonzero points with integer coordinates in
+    # [-9, 9]: 19^n - 1 of them on n variables, none on the point base.
+    # Asking for more exits 3 before any sampling; up to that many, the
+    # report has exactly --points verdicts
+    point = PolyRing(CyclotomicField(4), [])
+    x = PolyRing(point.field, ["x"]).gen("x")
+    mf = koszul_mf(x.ring, [x], [x]).restrict_to_point([2])
+    point_mf = write_mf(mf)
+    assert mf.ring == point and "variables = \n" in point_mf
+    _code, line_mf = _run(tmp_path, "koszul", KOSZUL)
+    sampled = []
+    real_random = cli.random.Random
+    monkeypatch.setattr(cli.random, "Random",
+                        lambda seed: sampled.append(seed) or real_random(seed))
+    for text, points, why in ((point_mf, (), "point base"),
+                              (point_mf, ("--points", "1"), "point base"),
+                              (line_mf, ("--points", "19"), "only 18"),
+                              (line_mf, ("--points", "30"), "only 18")):
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        code, report = _run(tmp_path, "support", text, *points)
+        err = capsys.readouterr().err
+        assert (code, report, sampled) == (3, "", []), (points, why)
+        assert err.startswith("error: --points") and why in err, err
+    code, report = _run(tmp_path, "support", point_mf, "--points", "0")
+    assert code == 0 and json.loads(report) == []
+    code, report = _run(tmp_path, "support", line_mf, "--points", "18")
+    entries = json.loads(report)
+    assert code == 0 and len(entries) == 18
+    assert sorted(int(e["point"][0]) for e in entries) == [v for v in range(-9, 10) if v]
 
 
 def test_negative_variable_exponent_is_a_parse_error(tmp_path):

@@ -1002,6 +1002,83 @@ def test_support_check_at_a_unit_point_builds_one_table_no_mf_one_product_check(
     assert counts == {"_monomial_table": 1, "first_mismatch": 1}
 
 
+def test_unit_homotopy_inverts_once_multiplies_no_scalar_and_shares_one_identity(
+        monkeypatch):
+    # the count guard above, carried into ``_unit_homotopy``: W(p) is
+    # inverted once and no Scalar product is taken there; the identity its
+    # check is against holds one object on its diagonal, so
+    # ``first_mismatch`` sees one distinct entry in it
+    mf, point = _koszul_and_a_unit_point(7)
+    counts, targets, inside = Counter(), [], []
+
+    def count(owner, name, record=None):
+        f = getattr(owner, name)
+
+        def counted(*a):
+            if inside:
+                counts.update([name])
+                if record is not None:
+                    record.append(a[1])
+            return f(*a)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("inverse", "__mul__", "__rmul__"):
+        count(Scalar, name)
+    count(linalg, "first_mismatch", targets)
+    unit_homotopy = factorizations._unit_homotopy
+
+    def watched(*a):
+        inside.append(True)
+        try:
+            return unit_homotopy(*a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(factorizations, "_unit_homotopy", watched)
+    (entry,) = support_check(mf, [point])
+    assert entry["verdict"] == CONTRACTIBLE and entry["certificate"] is not None
+    assert counts == {"inverse": 1, "first_mismatch": 1}
+    (target,) = targets
+    assert len({id(c) for row in target for c in row if c}) == 1
+    for base in (mf.ring, mf.ring.field, PolyRing(mf.ring.field, [])):
+        for n in (1, 2, 4):
+            ident = linalg.identity(base, n)
+            assert len({id(ident[i][i]) for i in range(n)}) == 1
+            assert all(ident[i][j] == (base.one if i == j else base.zero)
+                       for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("order", [4, 7, 12])
+def test_integer_h0_equals_the_scalar_product_h0(order):
+    # at seeded unit points of {c_i x_i, x_i y} of rank 2 and 4, h0 scaled
+    # by integer products equals ring.constant(delta0(p) * W(p)^-1) entry for
+    # entry, its Scalars' ints and den included, and h1 is zero
+    field = CyclotomicField(order)
+    rng = random.Random(f"integer-h0:{order}")
+    for n in (2, 3):
+        ring = PolyRing(field, [f"x{i}" for i in range(n)] + ["y"])
+        xs, y = ring.gens()[:n], ring.gens()[n]
+        mf = koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                       [x * y for x in xs])
+        assert mf.rank0 == 2 ** (n - 1)
+        for _ in range(4):
+            point = [_random_scalar(rng, field) for _ in range(n + 1)]
+            w, deltas, _ = factorizations._at_point(mf, point)
+            assert w
+            delta0, delta1 = deltas()
+            inv = w.constant_value().inverse()
+            want = [[w.ring.constant(c.constant_value() * inv) for c in row]
+                    for row in delta0]
+            h0, h1 = factorizations._unit_homotopy(w, delta0, delta1)
+            assert h0 == want and not any(c for row in h1 for c in row)
+            for got_row, want_row in zip(h0, want):
+                for got, ref in zip(got_row, want_row):
+                    assert list(got.terms) == list(ref.terms)
+                    for g, r in zip(got.terms.values(), ref.terms.values()):
+                        assert (type(g.ints), g.ints, g.den) == (tuple, r.ints, r.den)
+
+
 def test_nullhomotopy_solve_needs_the_point_base():
     R = _ring(1)
     x = R.gen("x0")

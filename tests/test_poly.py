@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dgmf import (CyclotomicField, GroupElement, Poly, PolyRing, UPoly, fundamental_mf,
                   koszul_mf)
-from dgmf.poly import _monomial_table, _terms, exponents_of_weight, substituter
+from dgmf.cyclotomic import Scalar
+from dgmf.poly import (_monomial_table, _shifted, _sum_of_products, _terms, exponents_of_weight,
+                       substituter)
 from dgmf.specfile import parse_spec
 from test_cyclotomic import _reference_parse as _reference_scalar_parse
 
@@ -714,3 +716,66 @@ def test_integer_power_table_matches_the_poly_path(order):
             queries = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(25)]
             for e in queries + [(0, 0, 0)] + queries[::-1]:
                 assert table(e) == reference(e), e
+
+
+# -- zero-free results of the integer product ---------------------------------
+
+
+def _unfiltered_poly(ring, terms, images):
+    """The former ``_poly``: a Scalar for every finished coefficient of
+    ``_sum_of_products``, zeros included, filtered by ``Poly.__init__``."""
+    return Poly(ring, {e: Scalar(ring.field, ints, den)
+                       for e, ints, den in _sum_of_products(ring.field, terms, images)})
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_products_and_substitutions_store_no_zero_coefficient(order):
+    """A product or a substitution whose coefficients cancel builds no
+    Scalar for them and stores none: its ``terms`` are those that
+    ``Poly(ring, unfiltered)`` gives, in the same order.  By hand: (x+1)(x-1),
+    (x + z y)(x - z y) over Q(i), x^2 - y^2 + x at x = t + 1, y = t (t^2
+    cancels), x - y at x = y = t (all of it cancels), and an evaluation to
+    zero; then a seeded corpus of (a + b)(a - b), and of a (x - y) + b at
+    x = y."""
+    field = CyclotomicField(order)
+    ring = PolyRing(field, ["x", "y"], [1, 1])
+    line = PolyRing(field, ["t"])
+    x, y = ring.gens()
+    t = line.gen("t")
+    z = field.zeta
+
+    def zero_free(got, target, terms, images):
+        """Checks ``got`` against ``_unfiltered_poly``; the number of its
+        coefficients that cancelled."""
+        want = _unfiltered_poly(target, terms, images)
+        assert all(got.terms.values()), got.terms
+        assert list(got.terms.items()) == list(want.terms.items())
+        return sum(not any(ints) for _, ints, _ in _sum_of_products(field, terms, images))
+
+    def product(a, b):
+        return zero_free(a * b, a.ring, _terms(a), _shifted(_terms(b)))
+
+    def substitution(p, images, target):
+        return zero_free(substituter(p.ring, images, target)(p), target, _terms(p),
+                         _monomial_table(images, target.one))
+
+    assert product(x + 1, x - 1) == 1 and (x + 1) * (x - 1) == x ** 2 - 1
+    assert product(x + z * y, x - z * y) == 1
+    assert (x + z * y) * (x - z * y) == x ** 2 - z * z * y ** 2
+    assert substitution(x ** 2 - y ** 2 + x, [t + 1, t], line) == 1
+    assert (x ** 2 - y ** 2 + x).substitute([t + 1, t]) == 3 * t + 2
+    assert substitution(x - y, [t, t], line) == 1 and not (x - y).substitute([t, t]).terms
+    if order == 4:  # 1 + z^2 = 0 in Q(i)
+        point = PolyRing(field, [])
+        assert substitution(x ** 2 + y ** 2, [point.one, point.constant(z)], point) == 1
+        assert (x ** 2 + y ** 2).evaluate([1, z]) == field.zero
+    rng = random.Random(f"zero-free:{order}")
+    cancelled = 0
+    for _ in range(12):
+        a, b = _seeded_poly(rng, ring, max_terms=3), _seeded_poly(rng, ring, max_terms=3)
+        cancelled += product(a + b, a - b) + product(a - b, a + b) + product(a, b)
+        images = [_seeded_poly(rng, line, max_terms=2) for _ in range(2)]
+        cancelled += substitution(a - b, images, line)
+        # a (x - y) at x = y = image: every coefficient cancels
+        cancelled += substitution(a * (x - y) + b, [images[0], images[0]], line)
+    assert cancelled > 0
