@@ -278,10 +278,9 @@ class MatrixFactorization:
         self.p0_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p0_gens]
         self.p1_gens = [g if isinstance(g, Generator) else Generator(*g) for g in p1_gens]
         # delta0: P0 -> P1 (rows indexed by P1), delta1: P1 -> P0
-        coerce = linalg.per_object(lambda c: _coerce(ring, c, "matrix factorization entry"))
-        self.delta0 = [[coerce(c) for c in row] for row in delta0]
-        self.delta1 = [[coerce(c) for c in row] for row in delta1]
-        self.potential = coerce(potential)
+        coerce = lambda c: _coerce(ring, c, "matrix factorization entry")
+        self.delta0, self.delta1, [[self.potential]] = linalg.entrywise(
+            coerce, delta0, delta1, [[potential]])
         self.verify()
 
     @property

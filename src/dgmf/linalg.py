@@ -26,8 +26,10 @@ each read once per matrix, so they build Poly matrices too: pass the
 PolyRing where a field is asked for.  Every zero cell is one object, and
 so is every diagonal cell of ``identity``.
 ``entrywise`` maps matrices once per distinct entry object, through one
-dict per call, so cells that share an entry share its image; ``per_object``
-is that memo as a function, for callers that map cells one at a time.
+dict per call, so cells that share an entry share its image; it coerces
+the differentials of every ``MatrixFactorization``.  ``per_object`` is that
+memo as a function, for callers that map cells one at a time (the signs
+of a tensor product's differential, the ``.mf`` writer's entry texts).
 ``blocks`` writes block matrices (cones, direct sums, resolutions) and
 ``kron`` the Kronecker products a (x) I_n and I_n (x) b (the maps
 h -> a . h and h -> h . b^T on row-major h), placing entries as they are.
@@ -98,10 +100,10 @@ def entrywise(f, *matrices):
     """The matrices [[f(c) for c in row] for row in m], one for each m, with
     f applied once per distinct entry object: cells that share an object
     (one zero, one signed copy of a fold entry) share its image.  One dict
-    per call, keyed by id, with no call per cell: the matrices keep every
-    entry alive meanwhile, so no id is reused.  An image that is None is
-    not memoized."""
-    images = {}
+    per call, keyed by id, with no call per cell.  Each distinct entry is
+    kept alive until the call returns, so no id is reused, also when the
+    rows are generated.  An image that is None is not memoized."""
+    images, entries = {}, []
     get = images.get
     out = []
     for m in matrices:
@@ -112,6 +114,7 @@ def entrywise(f, *matrices):
                 y = get(id(c))
                 if y is None:
                     y = images[id(c)] = f(c)
+                    entries.append(c)
                 cells.append(y)
             rows.append(cells)
         out.append(rows)

@@ -16,7 +16,9 @@ is the (``ints``, ``den``) pairs of a UPoly's Scalars over the lcm of their
 pivot's leading coefficient is inverted once, on integers, by the Galois
 norm (``cyclotomic._inverse_integers``); quotients come from
 pseudo-division, and each update x - q * y is one convolution in t and z,
-reduced by the field's table of z-powers once.
+reduced by the field's table of z-powers once.  A pivot of degree 0 is a
+unit of k[t]: its quotients are one scaling by that inverse, and its step is
+one row pass with no column pass (``_diagonal`` says why that is exact).
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class RationalFunction:
         """The coefficient of (t - point)^k for each k of ``ks``, from one
         Taylor shift (``_taylor``) of the numerator and the denominator."""
         zero = self.field.zero
-        if not self.num:
+        if not self.num or not ks:
             return [zero for _ in ks]
         degree = max(self.num.degree(), self.den.degree())
         shift = _taylor(self.field, point, degree, degree + 1)
@@ -330,7 +332,15 @@ def _quotient(field, x, monic, inverse):
 
 def _diagonal(matrix):
     """Nonzero entries of a diagonal form of ``matrix`` over k[t], reached by
-    Euclidean row and column operations on integer entries."""
+    Euclidean row and column operations on integer entries.
+
+    A unit pivot p (degree 0) at (k, k) ends its step after one row pass:
+    each row below with x != 0 in column k takes q = x * p^-1 and is updated
+    in the columns right of k, and its column-k cell is x - q * p = 0 with
+    no product.  Row k is then the only row with a nonzero in column k, so
+    the column pass would subtract multiples of column k from the later
+    columns in row k alone; no later step reads row k, so it is skipped.
+    The pivots and the diagonal are those of the full Euclidean steps."""
     # Unimodular operations keep the determinantal divisors, and the only
     # nonzero r x r minor of a diagonal matrix with r nonzero entries is their
     # product, so no Smith divisibility chain (and no U, V) is needed.
@@ -347,6 +357,14 @@ def _diagonal(matrix):
                 row[k], row[pj] = row[pj], row[k]
             pivot = a[k][k]
             inverse = _inverse_integers(field, pivot[0][-1], pivot[1])  # once per pivot
+            if len(pivot[0]) == 1:  # a unit: x - (x / pivot) * pivot is 0
+                for row in a[k + 1:]:
+                    if row[k]:
+                        q = _scaled(field, row[k], inverse)
+                        row[k:] = [None] + [_sub_product(field, x, q, y) if y else x
+                                            for x, y in zip(row[k + 1:], a[k][k + 1:])]
+                diagonal.append(pivot)
+                break
             monic = _scaled(field, pivot, inverse)
             for row in a[k + 1:]:
                 if row[k]:
@@ -368,8 +386,20 @@ def _diagonal(matrix):
             for vectors, den in diagonal]
 
 
+def _columns(matrix, name):
+    """The common row length of ``matrix``, None when it has no rows; a
+    ValueError naming it when its rows differ in length."""
+    if not matrix:
+        return None
+    cols = len(matrix[0])
+    if any(len(row) != cols for row in matrix):
+        raise ValueError(f"{name} has wrong shape: rows of different lengths")
+    return cols
+
+
 def poly_mat_rank(matrix):
     """Rank over the fraction field k(t)."""
+    _columns(matrix, "matrix")
     return len(_diagonal(matrix))
 
 
@@ -381,9 +411,15 @@ def two_periodic_homology_dims(delta0, delta1):
     Brings each differential to a diagonal form over k[t]: when the ranks
     are complementary, the homology is the torsion of a cokernel, whose
     length is the sum of the degrees of the nonzero diagonal entries.
+    delta0 is rank P1 x rank P0 and delta1 is rank P0 x rank P1; any other
+    shape is a ValueError naming the matrix.  A matrix with no rows carries
+    no column count, so the ranks come from delta0's shape where it has one.
     """
-    n0 = len(delta0[0]) if delta0 and delta0[0] else (len(delta1) if delta1 else 0)
-    n1 = len(delta1[0]) if delta1 and delta1[0] else (len(delta0) if delta0 else 0)
+    cols0, cols1 = _columns(delta0, "delta0"), _columns(delta1, "delta1")
+    n1 = len(delta0)
+    n0 = len(delta1) if cols0 is None else cols0
+    if len(delta1) != n0 or cols1 not in (None, n1):
+        raise ValueError(f"delta1 has wrong shape: expected {n0} x {n1}")
     diag0, diag1 = _diagonal(delta0), _diagonal(delta1)
     r0, r1 = len(diag0), len(diag1)
     h0 = sum(d.degree() for d in diag1) if r0 + r1 == n0 else None

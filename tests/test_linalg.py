@@ -87,6 +87,14 @@ def test_entrywise_maps_each_distinct_object_once():
     once = linalg.per_object(f)
     assert once(b) is once(b) and len(calls) == 5
 
+
+def test_entrywise_keeps_generated_entries_apart():
+    # rows and entries made on the fly and dropped after their cell: an id
+    # freed and reused by the next entry must not return the old image
+    rows = ([Fraction(i, 7)] for i in range(50))
+    got, = linalg.entrywise(str, rows)
+    assert got == [[str(Fraction(i, 7))] for i in range(50)]
+
 def test_mat_ops():
     a = [[F.one, F.zeta], [F.zero, F.one]]
     assert linalg.transpose(a) == [[F.one, F.zero], [F.zeta, F.one]]

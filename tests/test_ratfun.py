@@ -391,8 +391,201 @@ def test_integer_steps_match_upoly_arithmetic(order):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_diagonal_matches_divmod_reference_on_koszul_lines(n):
-    # the 8 x 8 and 16 x 16 fibers, through the origin and off it
-    for offsets in ([0] * n, list(range(1, n + 1))):
+    # the 8 x 8 and 16 x 16 fibers, through the origin, through the common
+    # zero t = -1 of the x_i, and contractible (the x_i vanish at distinct t,
+    # so every diagonal entry is a unit)
+    for offsets in ([0] * n, list(range(1, n + 1)), [1] * n):
         _rank, d0, d1 = _koszul_line(n, offsets)
         for m in (d0, d1):
             _assert_same_diagonal(m)
+
+
+def _euclidean_diagonal(matrix):
+    """``_diagonal`` with the full Euclidean step at every pivot, a unit
+    included: pseudo-division, a row pass through the pivot column, a column
+    pass, and a re-scan.  The reference for the unit-pivot shortcut."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    field = matrix[0][0].field if rows and cols else None
+    a = [[ratfun._entry(p) if p else None for p in row] for row in matrix]
+    diagonal = []
+    for k in range(min(rows, cols)):
+        while entries := [(len(a[i][j][0]), i, j) for i in range(k, rows)
+                          for j in range(k, cols) if a[i][j]]:
+            _, pi, pj = min(entries)
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            pivot = a[k][k]
+            inverse = ratfun._inverse_integers(field, pivot[0][-1], pivot[1])
+            monic = ratfun._scaled(field, pivot, inverse)
+            for row in a[k + 1:]:
+                if row[k]:
+                    q = ratfun._quotient(field, row[k], monic, inverse)
+                    row[k:] = [ratfun._sub_product(field, x, q, y) if y else x
+                               for x, y in zip(row[k:], a[k][k:])]
+            for j in range(k + 1, cols):
+                if a[k][j]:
+                    q = ratfun._quotient(field, a[k][j], monic, inverse)
+                    for row in a[k:]:
+                        if row[k]:
+                            row[j] = ratfun._sub_product(field, row[j], q, row[k])
+            if not any(row[k] for row in a[k + 1:]) and not any(a[k][k + 1:]):
+                diagonal.append(pivot)
+                break
+        else:
+            break
+    return [UPoly(field, [field._reduce(v, den) for v in vectors])
+            for vectors, den in diagonal]
+
+
+def _seeded_scalar(rng, field):
+    """A nonzero element of the field with small rational coordinates."""
+    c = field.zero
+    while not c:
+        c = field.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(field.degree)])
+    return c
+
+
+def _all_unit_pivots(rng, field, rows, cols, rank):
+    """L . U . (a column permutation), L rows x rank and U rank x cols
+    triangular with nonzero constants on the diagonal and t times a seeded
+    polynomial (or 0) off it.  Each entry of row k of the trailing block
+    L_kk . U is t times something except the constant L_kk U_kk, and that
+    block is what is left after k unit pivots, so every pivot is a unit."""
+    t = UPoly.gen(field)
+    zero = UPoly(field, [])
+
+    def off():
+        if rng.random() < 0.25:
+            return zero
+        return t * UPoly(field, [_seeded_scalar(rng, field)
+                                 for _ in range(rng.randint(1, 2))])
+
+    constant = lambda: UPoly(field, [_seeded_scalar(rng, field)])
+    lower = [[constant() if i == k else off() if i > k else zero
+              for k in range(rank)] for i in range(rows)]
+    upper = [[constant() if j == k else off() if j > k else zero
+              for j in range(cols)] for k in range(rank)]
+    order = rng.sample(range(cols), cols)
+    return [[sum((lower[i][k] * upper[k][j] for k in range(rank)), zero)
+             for j in order] for i in range(rows)]
+
+
+def _no_unit_at_first(rng, field, rows, cols):
+    """Every entry of degree 1 or 2: the first pivots have positive degree,
+    and units appear only as their remainders."""
+    return [[UPoly(field, [_seeded_scalar(rng, field) if rng.random() < 0.8
+                           else field.zero for _ in range(rng.randint(1, 2))]
+                   + [_seeded_scalar(rng, field)])
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_diagonal_unit_pivots_match_divmod_reference(order):
+    field = CyclotomicField(order)
+    rng = random.Random(f"unit pivots:{order}")
+    zero = UPoly(field, [])
+    shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 3), (3, 1)]
+    for trial, (rows, cols) in enumerate(shapes * 2):
+        # every pivot a unit, full rank and rank-deficient
+        rank = min(rows, cols) - trial % 2 if min(rows, cols) > 1 else 1
+        m = _all_unit_pivots(rng, field, rows, cols, rank)
+        got = _assert_same_diagonal(m)
+        want, pivots = _divmod_diagonal(m)
+        assert len(got) == rank == pivots and all(d.degree() == 0 for d in got)
+        assert got == _euclidean_diagonal(m)
+        # no unit until the first remainders
+        m = _no_unit_at_first(rng, field, rows, cols)
+        assert _assert_same_diagonal(m) == _euclidean_diagonal(m)
+        # a mix: a unit-pivot block beside a block without units, rows mixed
+        unit = _all_unit_pivots(rng, field, rows, cols, min(rows, cols))
+        none = _no_unit_at_first(rng, field, rows, cols)
+        m = [row_a + row_b for row_a, row_b in zip(unit, none)]
+        rng.shuffle(m)
+        if trial % 3 == 0:  # a zero row: rank-deficient
+            m[rng.randrange(rows)] = [zero] * (2 * cols)
+        assert _assert_same_diagonal(m) == _euclidean_diagonal(m)
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of each named ``ratfun`` kernel."""
+    calls = {name: 0 for name in names}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(ratfun, name, counting(name, getattr(ratfun, name)))
+    return calls
+
+
+def test_diagonal_unit_pivot_takes_no_quotient(monkeypatch):
+    field = CyclotomicField(7)
+    rng = random.Random("unit pivot counts")
+    for rows, cols, rank in [(3, 3, 3), (4, 4, 4), (4, 3, 2)]:
+        m = _all_unit_pivots(rng, field, rows, cols, rank)
+        want, pivots = _divmod_diagonal(m)
+        calls = _counted(monkeypatch, "_quotient", "_inverse_integers")
+        assert _diagonal(m) == want
+        assert calls == {"_quotient": 0, "_inverse_integers": pivots}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_diagonal_koszul_lines_take_fewer_products(monkeypatch, n):
+    # the unit pivots of the fibers skip their column-k products and their
+    # column pass; the full Euclidean steps are the reference.  The lines
+    # through one zero of all x_i have no unit pivot; on the contractible
+    # line (the x_i vanish at distinct t) every diagonal entry is a unit.
+    for offsets in ([0] * n, [1] * n, list(range(1, n + 1))):
+        _rank, d0, d1 = _koszul_line(n, offsets)
+        for m in (d0, d1):
+            calls = _counted(monkeypatch, "_sub_product", "_quotient")
+            want = _euclidean_diagonal(m)
+            full = dict(calls)
+            calls.update(dict.fromkeys(calls, 0))
+            got = _diagonal(m)
+            assert [d.coeffs for d in got] == [d.coeffs for d in want]
+            if offsets == [1] * n:
+                assert all(d.degree() == 0 for d in got)
+                assert calls["_sub_product"] < full["_sub_product"]
+                assert calls["_quotient"] < full["_quotient"]
+            else:
+                assert calls == full
+            monkeypatch.undo()
+
+
+def test_two_periodic_homology_rejects_wrong_shapes():
+    with pytest.raises(ValueError, match="delta1 has wrong shape"):
+        two_periodic_homology_dims([[t, one]], [[t]])  # delta1 must be 2 x 1
+    with pytest.raises(ValueError, match="delta1 has wrong shape"):
+        two_periodic_homology_dims([[t]], [[t], [t]])
+    with pytest.raises(ValueError, match="delta1 has wrong shape"):
+        two_periodic_homology_dims([], [[t]])  # delta0 is 0 x 1, delta1 1 x 0
+    with pytest.raises(ValueError, match="delta0 has wrong shape"):
+        two_periodic_homology_dims([[t], [t, t]], [[t, t]])
+    with pytest.raises(ValueError, match="delta1 has wrong shape"):
+        two_periodic_homology_dims([[t, t]], [[t], [t, t]])
+    assert two_periodic_homology_dims([], []) == (0, 0)
+    assert two_periodic_homology_dims([], [[], []]) == (None, 0)
+    assert two_periodic_homology_dims([[], []], []) == (0, None)
+
+
+def test_poly_mat_rank_rejects_ragged_matrix():
+    with pytest.raises(ValueError, match="matrix has wrong shape"):
+        poly_mat_rank([[t], [t, t]])
+    assert poly_mat_rank([]) == 0 and poly_mat_rank([[], []]) == 0
+    assert poly_mat_rank([[t, one], [t * t, t]]) == 1
+
+
+def test_laurent_coefficients_of_no_orders_is_empty():
+    for f in (RationalFunction(one, t), RationalFunction(t + one, t * t - one),
+              RationalFunction(UPoly(F, []), t)):
+        assert f.laurent_coefficients(F.zero, []) == []
+        assert f.laurent_coefficients(F.scalar(2), []) == []
+    f = RationalFunction(one, t)
+    assert f.laurent_coefficients(F.zero, [-1, 0]) == [F.one, F.zero]
