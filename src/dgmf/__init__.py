@@ -23,7 +23,7 @@ from .pairs import (PairMorphism, PairObject, canonical_resolution,
                     unit_pair)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              CurvedStructure, DgSchemePresentation,
-                             MatrixFactorization, SuperElement,
+                             KoszulMF, MatrixFactorization, SuperElement,
                              derived_zero_locus, dgmf_from_homotopy, fold_to_mf,
                              gauge_intertwiner, koszul_mf, leibniz_holds,
                              mf_tensor, nullhomotopy_solve, point_homology,

@@ -61,7 +61,18 @@ def _exterior_matrix(sources, targets, contract, wedge, zero):
     (t, (g_t, -g_t)).  No two terms share a cell: contraction targets have
     size |s| - 1 and differ for each removed index, wedge targets have size
     >= |s| and t -> t u s is injective.  So each entry is one of the given
-    objects, written once, and every zero cell holds ``zero``."""
+    objects, written once, and every zero cell holds ``zero``.
+
+    The Clifford identity.  With contract = beta and wedge = ((k,), alpha_k),
+    this is delta = sum_k (beta_k i_k + alpha_k w_k): i_k and w_k send e_s to
+    (-1)^#{a in s: a < k} times e_{s - k} and e_{s u k}, or to 0 if k is not
+    in s, resp. in s.  On e_s one of i_k w_k, w_k i_k acts, by one sign
+    twice, so i_k w_k + w_k i_k = id; and i_k i_k = w_k w_k = 0.  For k != l,
+    i_k i_l + i_l i_k, w_k w_l + w_l w_k and i_k w_l + w_l i_k each send e_s
+    to 0 or to one basis vector twice, with signs that differ by
+    (-1)^([k < l] + [l < k]) = -1: the l-operator acting first moves k's
+    count by [l < k], and acting second has its own moved by [k < l].  So
+    delta^2 = (sum_k alpha_k beta_k) . id, on both blocks (``KoszulMF``)."""
     rows = {s: i for i, s in enumerate(targets)}
     out = [[zero] * len(sources) for _ in targets]
     for j, s in enumerate(sources):
@@ -295,7 +306,9 @@ class MatrixFactorization:
         """Certify delta1 . delta0 = W . id and delta0 . delta1 = W . id
         exactly, without building either composite (``first_mismatch``).
         The first failing entry, row by row and delta1 . delta0 first, is
-        reported in a CertificateError.
+        reported in a CertificateError.  This is the certificate of every MF
+        read as cells, a parsed ``.mf`` (the trust boundary) included; a
+        ``KoszulMF`` is certified instead by sum_k alpha_k beta_k = W.
 
         A square MF with W != 0 checks delta1 . delta0 alone, as the other
         composite follows.  Its ring (Q(zeta_N)[x...], the point base or
@@ -372,6 +385,42 @@ def _at_point(mf, point):
     return w, deltas, lambda: MatrixFactorization(w.ring, mf.p0_gens, mf.p1_gens, *deltas(), w)
 
 
+class KoszulMF(MatrixFactorization):
+    """The Koszul MF K{alpha, beta}: the fold of d(e_k) = beta_k curved by
+    sum_k alpha_k e_k.  Its data of record is (alpha, beta, W), and both
+    deltas are written from it (``_fold_data``), not read as cells."""
+
+    def __init__(self, ring, odd_gens, alpha, beta, potential):
+        self.ring, self.odd_gens = ring, list(odd_gens)
+        self.alpha = [_coerce(ring, a, "alpha entry") for a in alpha]
+        self.beta = [_coerce(ring, b, "beta entry") for b in beta]
+        self.potential = _coerce(ring, potential, "matrix factorization entry")
+        if not len(self.alpha) == len(self.beta) == len(self.odd_gens):
+            raise ValueError("alpha, beta and the odd generators must have the same length")
+        self.p0_gens, self.p1_gens, self.delta0, self.delta1 = _fold_data(
+            ring, self.odd_gens, self.beta, {(k,): a for k, a in enumerate(self.alpha)})
+        self.verify()
+
+    def verify(self):
+        """Certify delta^2 = W . id by sum_k alpha_k beta_k = W: one
+        ``first_mismatch`` of the 1 x n by n x 1 product against [[W]].  Both
+        composites of the deltas are (sum_k alpha_k beta_k) . id by the
+        Clifford identity (``_exterior_matrix``), for W = 0 too."""
+        bad = linalg.first_mismatch([([self.alpha], [[b] for b in self.beta])],
+                                    [[self.potential]], self.ring.field)
+        if bad is not None:
+            total = sum((a * b for a, b in zip(self.alpha, self.beta)), self.ring.zero)
+            raise CertificateError(f"delta^2 != W . id: sum_k alpha_k beta_k = "
+                                   f"{total} vs {self.potential}")
+        return True
+
+    def _mapped(self, target, sub):
+        """The Koszul MF of the images of alpha, beta and W under ``sub``."""
+        [alpha], [beta], [[w]] = linalg.entrywise(sub, [self.alpha], [self.beta],
+                                                  [[self.potential]])
+        return KoszulMF(target, self.odd_gens, alpha, beta, w)
+
+
 def koszul_mf(ring, alpha, beta):
     """The Koszul matrix factorization {alpha, beta} of W = <alpha, beta>.
 
@@ -382,13 +431,8 @@ def koszul_mf(ring, alpha, beta):
     no dg-scheme is built, so no R-weight is checked."""
     alpha = [_coerce(ring, a, "alpha entry") for a in alpha]
     beta = [_coerce(ring, b, "beta entry") for b in beta]
-    if len(alpha) != len(beta):
-        raise ValueError("alpha and beta must have the same length")
-    potential = ring.zero
-    for a, b in zip(alpha, beta):
-        potential = potential + a * b
-    return _fold(ring, _odd_gens(beta), beta,
-                 {(k,): a for k, a in enumerate(alpha)}, potential)
+    return KoszulMF(ring, _odd_gens(beta), alpha, beta,
+                    sum((a * b for a, b in zip(alpha, beta)), ring.zero))
 
 
 def _linear_rows(scheme):
@@ -461,22 +505,20 @@ def koszul_reduce(scheme, f, steps):
         for s, c in f.coefficients.items() if killed.isdisjoint(s)})
 
 
-def _fold(ring, odd_gens, differential, f_terms, potential):
-    """The MF of delta = d + f on Wedge(odd_gens) over ``ring``, with
-    d(e_k) = differential[k] and f = sum_t f_terms[t] e_t (odd t): P0/P1 are
-    the even/odd exterior parts in (size, lex) order, and both deltas are
-    ``_exterior_matrix`` of the same contraction and wedge terms.
-    delta^2 = potential . id is certified when the MF is built."""
-    zero = ring.zero
+def _fold_data(ring, odd_gens, differential, f_terms):
+    """(P0 gens, P1 gens, delta0, delta1) of delta = d + f on Wedge(odd_gens),
+    d(e_k) = differential[k], f = sum_t f_terms[t] e_t (odd t): the even/odd
+    exterior parts in (size, lex) order, and ``_exterior_matrix`` of the
+    same contraction and wedge terms."""
     contract = [_signed(c) for c in differential]
     wedge = [(t, _signed(c)) for t, c in f_terms.items() if c]
     even, odd = _subsets(len(odd_gens), 0), _subsets(len(odd_gens), 1)
     gen = lambda s: Generator("^".join(odd_gens[k].name for k in s) or "1",
                               sum(odd_gens[k].weight for k in s))
-    return MatrixFactorization(ring, [gen(s) for s in even], [gen(s) for s in odd],
-                               _exterior_matrix(even, odd, contract, wedge, zero),
-                               _exterior_matrix(odd, even, contract, wedge, zero),
-                               potential)
+    zero = ring.zero
+    return ([gen(s) for s in even], [gen(s) for s in odd],
+            _exterior_matrix(even, odd, contract, wedge, zero),
+            _exterior_matrix(odd, even, contract, wedge, zero))
 
 
 def fold_to_mf(curved):
@@ -491,10 +533,17 @@ def fold_to_mf(curved):
     shared, immutable Poly objects written into every cell they fill; every
     zero cell holds one zero.  So the MF has at most 2 (#d(b) + #f) + 1
     distinct entry objects, and every walk keyed by entry object (``verify``,
-    the restrictions, ``write_mf``) works once per distinct entry."""
-    scheme = curved.scheme
-    return _fold(scheme.ring, scheme.odd_gens, scheme.differential,
-                 curved.f_minus_1.coefficients, curved.curvature)
+    the restrictions, ``write_mf``) works once per distinct entry.
+
+    A curving linear in the odd generators folds to a ``KoszulMF``,
+    certified by sum_k f_k d(b_k) = W; any other curving, like a ``.mf``
+    file read back, to a ``MatrixFactorization`` checked cell by cell."""
+    scheme, terms, w = curved.scheme, curved.f_minus_1.coefficients, curved.curvature
+    ring, odd_gens, differential = scheme.ring, scheme.odd_gens, scheme.differential
+    if all(len(t) == 1 for t, c in terms.items() if c):
+        alpha = [terms.get((k,), ring.zero) for k in range(len(odd_gens))]
+        return KoszulMF(ring, odd_gens, alpha, differential, w)
+    return MatrixFactorization(ring, *_fold_data(ring, odd_gens, differential, terms), w)
 
 
 def mf_tensor(m, n):

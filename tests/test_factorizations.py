@@ -1463,16 +1463,76 @@ def test_verify_checks_one_composite_for_a_square_mf_with_nonzero_w(monkeypatch)
         return first_mismatch(*args)
 
     monkeypatch.setattr(linalg, "first_mismatch", counting)
+    # a Koszul MF checks sum_k alpha_k beta_k = W alone, W = 0 included; a
+    # plain MF checks one composite when square with W != 0, else both
     for mf, want in ((koszul_mf(R, [x, y], [y, x * x]), 1),
                      (_a1_mf(3).mf, 1),
-                     (koszul_mf(R, [x, y], [R.zero, R.zero]), 2),
-                     (unit_mf(R), 2),
+                     (koszul_mf(R, [x, y], [R.zero, R.zero]), 1),
+                     (unit_mf(R), 1),
+                     (factorizations.MatrixFactorization(
+                         R, [("e", 0)], [("f", 1)], [[x]], [[y]], x * y), 1),
                      (factorizations.MatrixFactorization(
                          R, [("e", 0)], [("f0", 1), ("f1", 1)],
                          [[R.zero], [R.zero]], [[x, y]], R.zero), 2)):
         calls.clear()
         assert mf.verify()
         assert len(calls) == want
+
+
+def _clifford_mismatches(n, order, seed):
+    """Where each composite of the Koszul deltas of ``_exterior_matrix`` on
+    seeded alpha, beta (n of each) first differs from
+    (sum_k alpha_k beta_k) . id; (None, None) if both agree."""
+    rng = random.Random(seed)
+    ring = PolyRing(CyclotomicField(order), ["x", "y"])
+    alpha = [_random_poly(rng, ring, density=1) for _ in range(n)]
+    beta = [_random_poly(rng, ring, density=1) for _ in range(n)]
+    w = sum((a * b for a, b in zip(alpha, beta)), ring.zero)
+    contract = [factorizations._signed(b) for b in beta]
+    wedge = [((k,), factorizations._signed(a)) for k, a in enumerate(alpha) if a]
+    even, odd = factorizations._subsets(n, 0), factorizations._subsets(n, 1)
+    d0 = factorizations._exterior_matrix(even, odd, contract, wedge, ring.zero)
+    d1 = factorizations._exterior_matrix(odd, even, contract, wedge, ring.zero)
+    return tuple(linalg.first_mismatch(
+        [(a, b)], [[w if i == j else ring.zero for j in range(size)]
+                   for i in range(size)], ring.field)
+        for a, b, size in ((d1, d0, len(even)), (d0, d1, len(odd))))
+
+
+def test_exterior_matrix_meets_the_clifford_identity_and_rejects_a_flipped_sign(
+        monkeypatch):
+    """Both composites of the Koszul deltas are (sum_k alpha_k beta_k) . id
+    for every n <= 7 over Q, Q(i) and Q(zeta_7), as proved in
+    ``_exterior_matrix``; a writer that drops the Koszul sign, or flips it
+    on one pair, fails for every n >= 2."""
+    cases = [(n, order, 10 * n + order) for n in range(8) for order in (1, 4, 7)]
+    for case in cases:
+        assert _clifford_mismatches(*case) == (None, None), case
+    merge_sign = factorizations._merge_sign
+    for wrong in (lambda s, t: None if set(s) & set(t) else 1,
+                  lambda s, t: (-1 if (s, t) == ((1,), (0,)) else 1) * merge_sign(s, t)
+                  if not set(s) & set(t) else None):
+        monkeypatch.setattr(factorizations, "_merge_sign", wrong)
+        for n, order, seed in cases:
+            if n >= 2:
+                assert _clifford_mismatches(n, order, seed) != (None, None), (n, order)
+
+
+def test_fold_of_a_degree_3_curving_stays_plain_and_rejects_a_wrong_curvature():
+    # d(b_0) = y and d(b_1) = d(b_2) = d(b_3) = 0, f = x b_0 + x y b_1 b_2 b_3:
+    # delta^2 = d(f) = x y, certified cell by cell by the plain fold
+    R = _ring(2)
+    x, y = R.gens()
+    scheme = derived_zero_locus(R, [y, R.zero, R.zero, R.zero])
+    f = scheme.element({(0,): x, (1, 2, 3): x * y})
+    curved = dgmf_from_homotopy(scheme, f)
+    mf = fold_to_mf(curved)
+    assert type(mf) is factorizations.MatrixFactorization
+    assert curved.curvature == x * y and mf.rank0 == mf.rank1 == 8
+    assert mf == _reference_fold(curved)
+    for wrong in (R.zero, x * y + x):
+        with pytest.raises(CertificateError, match=r"^delta\^2 != W \. id at entry"):
+            fold_to_mf(factorizations.CurvedStructure(scheme, f, wrong))
 
 
 def test_matrix_factorization_coerces_each_entry_object_once(monkeypatch):
@@ -1558,10 +1618,13 @@ def test_restrict_to_line_rejects_a_perturbed_entry(seed):
     for got, want in ((fiber.delta0, mf.delta0), (fiber.delta1, mf.delta1),
                       ([[fiber.potential]], [[mf.potential]])):
         assert got == [[_naive_on_line(p, images, line) for p in row] for row in want]
-    # one perturbed entry: no MF is built from it; and when the entry of the
-    # certified MF is changed after it was built, the line MF fails its
-    # delta^2 certificate, at the entry and with the message of the dense
-    # reference on the naive line MF
+    # one perturbed entry: no MF is built from it; and when the entry of a
+    # certified plain MF (the Koszul MF's cells) is changed after it was
+    # built, the line MF fails its delta^2 certificate, at the entry and
+    # with the message of the dense reference on the naive line MF
+    koszul = mf
+    mf = factorizations.MatrixFactorization(ring, mf.p0_gens, mf.p1_gens, mf.delta0,
+                                            mf.delta1, mf.potential)
     delta0 = [list(row) for row in mf.delta0]
     delta1 = [list(row) for row in mf.delta1]
     m = rng.choice([delta0, delta1])
@@ -1580,6 +1643,13 @@ def test_restrict_to_line_rejects_a_perturbed_entry(seed):
     with pytest.raises(CertificateError) as info:
         mf.restrict_to_line(images)
     assert str(info.value) == expected
+    # a Koszul MF is restricted from (alpha, beta, W): one alpha_k or beta_k
+    # changed after it was built fails sum_k alpha_k beta_k = W on the line
+    data = rng.choice([koszul.alpha, koszul.beta])
+    k = rng.randrange(n)
+    data[k] = data[k] + Poly(ring, {e: _random_scalar(rng, field)})
+    with pytest.raises(CertificateError, match=r"^delta\^2 != W \. id"):
+        koszul.restrict_to_line(images)
 
 
 # -- shared entry objects --------------------------------------------------

@@ -1536,6 +1536,22 @@ def test_pipeline_potential_is_the_curvature_of_its_curving(name):
     assert r.potential == dgmf_from_homotopy(r.scheme_out, -r.f_out).curvature
 
 
+@pytest.mark.parametrize("name", list(SPEC_FIXTURES))
+def test_pipeline_folds_are_koszul_mfs_equal_to_the_plain_fold(name):
+    """The curving is linear in the odd generators, so ``mf`` and
+    ``sector_mf`` are KoszulMFs; each equals the plain fold by exterior
+    arithmetic cell for cell and writes the same ``.mf`` bytes."""
+    from test_factorizations import _assert_same_mf, _reference_fold
+    r = fundamental_mf(_spec(SPEC_FIXTURES[name]))
+    curve = factorizations.CurvedStructure
+    scheme, f = koszul_reduce(r.scheme_out, r.f_out, r.sector_steps)
+    for got, curved in ((r.mf, curve(r.scheme_out, -r.f_out, r.potential)),
+                        (r.sector_mf, curve(scheme, -f,
+                                            r.spec.sector_potential(scheme.ring)))):
+        assert isinstance(got, factorizations.KoszulMF)
+        _assert_same_mf(got, _reference_fold(curved))
+
+
 def test_fundamental_mf_rejects_a_perturbed_curving_on_fold():
     # the fold certifies delta^2 = W . id against the sector potential, so a
     # curving whose curvature is not W fails on the first read of ``mf``
