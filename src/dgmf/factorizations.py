@@ -18,7 +18,8 @@ n = 0 case), and the gauge operators exp(-h) (wedge only).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations, islice
 
 from . import linalg
 from .complexes import Generator, _coerce, _rank, _tensor
@@ -50,9 +51,31 @@ def _subsets(n, parity=None):
             for s in combinations(range(n), k)]
 
 
-def _exterior_matrix(sources, targets, contract, wedge, zero):
-    """The matrix (rows ``targets``, columns ``sources``, both lists of
-    sorted subsets) of the operator on the exterior basis
+@lru_cache(maxsize=None)
+def _cells(n, source, target, term):
+    """The cells (row, column, negated) that one term of ``_exterior_matrix``
+    fills, from the exterior basis of parity ``source`` on n generators to
+    that of parity ``target``, both in (size, lex) order: contraction by
+    e_k for the int ``term`` = k, wedge by e_t for the tuple ``term`` = t.
+    Keyed by shape alone, so every operator of one shape fills one list."""
+    rows = {s: i for i, s in enumerate(_subsets(n, target))}
+    cells = []
+    for j, s in enumerate(_subsets(n, source)):
+        if isinstance(term, int):
+            if term in s:
+                pos = s.index(term)
+                cells.append((rows[s[:pos] + s[pos + 1:]], j, pos % 2))
+        else:
+            sign = _merge_sign(term, s)
+            if sign is not None:
+                cells.append((rows[tuple(sorted(term + s))], j, sign < 0))
+    return cells
+
+
+def _exterior_matrix(n, source, target, contract, wedge, zero):
+    """The matrix, from the exterior basis of parity ``source`` on n
+    generators to that of parity ``target`` (columns and rows, each in
+    (size, lex) order), of the operator
 
         e_s -> sum_pos (-1)^pos c_{s[pos]} e_{s - s[pos]}
                + sum_{t disjoint from s} sign(t, s) g_t e_{t u s}.
@@ -61,7 +84,8 @@ def _exterior_matrix(sources, targets, contract, wedge, zero):
     (t, (g_t, -g_t)).  No two terms share a cell: contraction targets have
     size |s| - 1 and differ for each removed index, wedge targets have size
     >= |s| and t -> t u s is injective.  So each entry is one of the given
-    objects, written once, and every zero cell holds ``zero``.
+    objects, written once, and every zero cell holds ``zero``: one fill of
+    the memoized cells of each term (``_cells``).
 
     The Clifford identity.  With contract = beta and wedge = ((k,), alpha_k),
     this is delta = sum_k (beta_k i_k + alpha_k w_k): i_k and w_k send e_s to
@@ -72,18 +96,14 @@ def _exterior_matrix(sources, targets, contract, wedge, zero):
     to 0 or to one basis vector twice, with signs that differ by
     (-1)^([k < l] + [l < k]) = -1: the l-operator acting first moves k's
     count by [l < k], and acting second has its own moved by [k < l].  So
-    delta^2 = (sum_k alpha_k beta_k) . id, on both blocks (``KoszulMF``)."""
-    rows = {s: i for i, s in enumerate(targets)}
-    out = [[zero] * len(sources) for _ in targets]
-    for j, s in enumerate(sources):
-        for pos, k in enumerate(s):
-            c = contract[k]
-            if c:
-                out[rows[s[:pos] + s[pos + 1:]]][j] = c[pos % 2]
-        for t, g in wedge:
-            sign = _merge_sign(t, s)
-            if sign is not None:
-                out[rows[tuple(sorted(t + s))]][j] = g[sign < 0]
+    delta^2 = (sum_k alpha_k beta_k) . id, on both blocks (``KoszulMF``),
+    for values alpha_k, beta_k in any commutative ring."""
+    size = lambda parity: 1 << (n - 1) if n else 1 - parity
+    out = [[zero] * size(source) for _ in range(size(target))]
+    for term, c in chain(enumerate(contract), wedge):
+        if c:
+            for i, j, negated in _cells(n, source, target, term):
+                out[i][j] = c[negated]
     return out
 
 
@@ -370,25 +390,40 @@ class MatrixFactorization:
 
 
 def _at_point(mf, point):
-    """(W(p), deltas, restricted): W's value at ``point`` over the point base,
-    and functions giving (delta0(p), delta1(p)) and their MF, certified by
-    its ``verify``: the point's one memoized substituter (``poly``), each
-    distinct entry evaluated once, and nothing but W until asked for.  An MF
-    over the point base is its own value at the point (), read as it is."""
-    if not mf.ring.nvars:
-        if len(point):
-            raise ValueError("an MF over the point base is restricted to the point ()")
-        return mf.potential, lambda: (mf.delta0, mf.delta1), lambda: mf
-    sub = _point_substituter(mf.ring, tuple(map(mf.ring.field.scalar, point)))
+    """(W(p), values, restricted): W's value at ``point`` over the point base,
+    and functions giving the values the MF is read from at p and its
+    restriction there, certified by its ``verify``: the point's one memoized
+    substituter (``poly``), each distinct entry evaluated once, and nothing
+    but W until asked for.  A ``KoszulMF`` is read from (alpha(p), beta(p))
+    alone and restricts to their KoszulMF, certified by
+    sum_k alpha_k(p) beta_k(p) = W(p); any other MF from (delta0(p),
+    delta1(p)), certified cell by cell.  An MF over the point base is its
+    own value at the point (), read as it is."""
+    ring, koszul = mf.ring, isinstance(mf, KoszulMF)
+    data = [mf.alpha, mf.beta] if koszul else [mf.delta0, mf.delta1]
+    if len(point) != ring.nvars:
+        raise ValueError("an MF over the point base is restricted to the point ()"
+                         if not ring.nvars else f"a point needs one scalar per "
+                         f"variable ({ring.nvars}), got {len(point)}")
+    if not ring.nvars:
+        return mf.potential, lambda: data, lambda: mf
+    sub = _point_substituter(ring, tuple(map(ring.field.scalar, point)))
     w = sub(mf.potential)
-    deltas = lambda: linalg.entrywise(sub, mf.delta0, mf.delta1)
-    return w, deltas, lambda: MatrixFactorization(w.ring, mf.p0_gens, mf.p1_gens, *deltas(), w)
+    if koszul:
+        values = lambda: linalg.entrywise(sub, data)[0]
+        return w, values, lambda: KoszulMF(w.ring, mf.odd_gens, *values(), w)
+    values = lambda: linalg.entrywise(sub, *data)
+    return w, values, lambda: MatrixFactorization(w.ring, mf.p0_gens, mf.p1_gens,
+                                                  *values(), w)
 
 
 class KoszulMF(MatrixFactorization):
     """The Koszul MF K{alpha, beta}: the fold of d(e_k) = beta_k curved by
     sum_k alpha_k e_k.  Its data of record is (alpha, beta, W), and both
-    deltas are written from it (``_fold_data``), not read as cells."""
+    deltas are written from it (``_fold_data``), not read as cells.  So are
+    its restrictions: to a line (``_mapped``) and to a point (``_at_point``),
+    each the KoszulMF of the images of alpha, beta and W; and at a point
+    where W(p) != 0, ``support_check``'s homotopy (``_unit_homotopy``)."""
 
     def __init__(self, ring, odd_gens, alpha, beta, potential):
         self.ring, self.odd_gens = ring, list(odd_gens)
@@ -512,13 +547,12 @@ def _fold_data(ring, odd_gens, differential, f_terms):
     same contraction and wedge terms."""
     contract = [_signed(c) for c in differential]
     wedge = [(t, _signed(c)) for t, c in f_terms.items() if c]
-    even, odd = _subsets(len(odd_gens), 0), _subsets(len(odd_gens), 1)
+    n, zero = len(odd_gens), ring.zero
     gen = lambda s: Generator("^".join(odd_gens[k].name for k in s) or "1",
                               sum(odd_gens[k].weight for k in s))
-    zero = ring.zero
-    return ([gen(s) for s in even], [gen(s) for s in odd],
-            _exterior_matrix(even, odd, contract, wedge, zero),
-            _exterior_matrix(odd, even, contract, wedge, zero))
+    return ([gen(s) for s in _subsets(n, 0)], [gen(s) for s in _subsets(n, 1)],
+            _exterior_matrix(n, 0, 1, contract, wedge, zero),
+            _exterior_matrix(n, 1, 0, contract, wedge, zero))
 
 
 def fold_to_mf(curved):
@@ -625,16 +659,31 @@ def nullhomotopy_solve(mf):
     return h0, h1
 
 
-def _unit_homotopy(w, delta0, delta1):
-    """h = (delta0 / w, 0) from the values of a certified MF at a point where
-    w = W(p) != 0, checked by delta1 h0 = id alone (``nullhomotopy_solve``).
-    W(p) is inverted once, by ``Scalar.inverse``; each distinct nonzero
-    delta0 value is scaled by it as one integer product brought to lowest
-    terms (``cyclotomic._product``, ``_lowest``), straight into a point-base
-    Poly: the same h0 as the Scalar product, with no Scalar built twice.
-    Every zero cell of h0 and h1 is one shared zero."""
+def _unit_homotopy(w, a, b, koszul=False):
+    """h = (delta0(p) / w, 0) at a point where w = W(p) != 0, from the values
+    ``_at_point`` reads there: (a, b) = (delta0(p), delta1(p)) of a certified
+    MF, or (alpha(p), beta(p)) of a KoszulMF if ``koszul``.  W(p) is
+    inverted once, by ``Scalar.inverse``; each distinct nonzero value is
+    scaled by it as one integer product brought to lowest terms
+    (``cyclotomic._product``, ``_lowest``), straight into a point-base Poly:
+    the same h0 as the Scalar product, with no Scalar built twice.  Every
+    zero cell of h0 and h1 is one shared zero.
+
+    From the cells, h0 is checked by delta1(p) h0 = id alone
+    (``nullhomotopy_solve``).  From Koszul values, h0 is ``_exterior_matrix``
+    of the 2n scaled values W(p)^-1 alpha_k(p) and W(p)^-1 beta_k(p), each
+    negated once: W(p)^-1 delta0(p) entry for entry, as each cell of
+    delta0(p) is one signed value.  It is certified by two scalar checks,
+    s = sum_k alpha_k(p) beta_k(p) equals W(p), and W(p) W(p)^-1 = 1.
+    Proof: the Clifford identity (``_exterior_matrix``) holds for values in
+    any commutative ring, so delta1(p) delta0(p) = s . id on P0 and
+    delta0(p) delta1(p) = s . id on P1.  Hence delta1(p) h0 = W(p)^-1 s . id
+    and h0 delta1(p) = W(p)^-1 s . id, and the checks make both id: with
+    h1 = 0 these are the two blocks of delta h + h delta = id.  They also
+    certify delta(p) as an MF of W(p), with no product of matrices."""
     ring, field, zero = w.ring, w.ring.field, w.ring.zero
-    inv = w.constant_value().inverse()
+    value = w.constant_value()
+    inv = value.inverse()
 
     def scaled(c):
         if not c:
@@ -643,11 +692,20 @@ def _unit_homotopy(w, delta0, delta1):
         return Poly._trusted(ring, {(): Scalar(field, *_lowest(
             *_product(field, s.ints, s.den, inv.ints, inv.den)))})
 
-    h0, = linalg.entrywise(scaled, delta0)
-    if linalg.first_mismatch([(delta1, h0)], linalg.identity(ring, len(delta1)),
+    if koszul:
+        total = sum((x.constant_value() * y.constant_value() for x, y in zip(a, b)),
+                    field.zero)
+        if total != value or value * inv != field.one:
+            raise CertificateError(f"solved homotopy fails delta h + h delta = id: "
+                                   f"sum_k alpha_k(p) beta_k(p) = {total}, W(p) = {value}")
+        h0 = _exterior_matrix(len(a), 0, 1, [_signed(scaled(c)) for c in b],
+                              [((k,), _signed(scaled(c))) for k, c in enumerate(a)], zero)
+        return h0, [[zero] * len(h0) for _ in h0]
+    h0, = linalg.entrywise(scaled, a)
+    if linalg.first_mismatch([(b, h0)], linalg.identity(ring, len(b)),
                              field) is not None:
         raise CertificateError("solved homotopy fails delta h + h delta = id")
-    return h0, [[zero] * len(delta0) for _ in delta1]
+    return h0, [[zero] * len(a) for _ in b]
 
 
 CONTRACTIBLE = "contractible"
@@ -679,22 +737,26 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
     and it is contractible, a contracting homotopy checked exactly.  Every
     such homotopy is constant, so a contractible verdict without one is a
     CertificateError, and ``degree_bound`` bounds nothing (it must be >= 0).
-    W and both deltas share the point's table (``_at_point``).  Where
-    W(p) != 0 no restricted MF is built, h = (delta0(p) / W(p), 0) takes one
-    inverse and one integer product per distinct entry (``_unit_homotopy``)
-    and is checked by delta1(p) h0 = id alone, and ``point_verdict``
-    re-reads W(p) from that table.  Where W(p) = 0 the verdict and the solve
-    read one certified restriction."""
+    W and the values share the point's table (``_at_point``): alpha(p) and
+    beta(p) for a ``KoszulMF``, both deltas for any other MF.  Where
+    W(p) != 0 no restricted MF is built, ``point_verdict`` re-reads W(p)
+    from that table, and h = (delta0(p) / W(p), 0) takes one inverse and one
+    integer product per distinct value (``_unit_homotopy``).  It is checked
+    by sum_k alpha_k(p) beta_k(p) = W(p) and W(p) W(p)^-1 = 1 for a
+    KoszulMF, by delta1(p) h0 = id for any other MF.  Where W(p) = 0 the
+    verdict and the solve read one certified restriction, a KoszulMF's
+    certified by sum_k alpha_k(p) beta_k(p) = 0."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
+    koszul = isinstance(mf, KoszulMF)
     report = []
     for point in points:
-        w, deltas, restricted = _at_point(mf, point)
+        w, values, restricted = _at_point(mf, point)
         at, at_point = (mf, point) if w else (restricted(), ())
         verdict = point_verdict(at, at_point)
         cert = None
         if with_certificates and verdict == CONTRACTIBLE:
-            cert = _unit_homotopy(w, *deltas()) if w else nullhomotopy_solve(at)
+            cert = _unit_homotopy(w, *values(), koszul) if w else nullhomotopy_solve(at)
             if cert is None:
                 raise CertificateError(
                     f"no contracting homotopy at the contractible point {point}")
@@ -707,15 +769,20 @@ def support_check(mf, points, degree_bound=4, with_certificates=True):
 
 
 def exp_multiplication_operator(scheme, h, parity_basis):
-    """Matrix of multiplication by exp(h) on the chosen exterior-basis list.
+    """Matrix of multiplication by exp(h) on ``parity_basis``, the exterior
+    basis of one parity, ``scheme.basis_subsets(parity)``.
 
     ``h`` must be even and nilpotent (it lives in the exterior factor), so the
     series terminates exactly.  exp(h) = sum_t g_t e_t is summed once, and
     e_s -> sum_t sign(t, s) g_t e_{t u s} is written by ``_exterior_matrix``
-    with no contraction.  A degree-0 or odd term of h is a ValueError."""
+    with no contraction.  A degree-0 or odd term of h, or a basis list of
+    another order, is a ValueError."""
     if any(not t or len(t) % 2 for t in h.coefficients):
         raise ValueError("exp(h) needs an even nilpotent h: "
                          "no degree-0 or odd exterior term")
+    parity = len(parity_basis[0]) % 2 if parity_basis else 1
+    if list(parity_basis) != scheme.basis_subsets(parity):
+        raise ValueError("exp(h) acts on scheme.basis_subsets(parity)")
     acc = total = scheme.scalar_element(scheme.ring.one)
     k = 1
     while True:
@@ -726,8 +793,7 @@ def exp_multiplication_operator(scheme, h, parity_basis):
         total = total + acc
         k += 1
     wedge = [(t, _signed(g)) for t, g in total.coefficients.items()]
-    return _exterior_matrix(parity_basis, parity_basis, [None] * scheme.n_odd,
-                            wedge, scheme.ring.zero)
+    return _exterior_matrix(scheme.n_odd, parity, parity, [], wedge, scheme.ring.zero)
 
 
 def gauge_intertwiner(scheme, f_a, f_b):

@@ -529,20 +529,24 @@ def test_support_check_report():
 def test_support_check_restricts_and_checks_once_per_point(monkeypatch):
     R = _ring(1)
     x = R.gen("x0")
-    mf = koszul_mf(R, [x ** 2], [x])
+    koszul = koszul_mf(R, [x ** 2], [x])
     checked = []
-    verify = factorizations.MatrixFactorization.verify
+    for cls in (factorizations.MatrixFactorization, factorizations.KoszulMF):
 
-    def recording_verify(self):
-        checked.append(self.ring.nvars)
-        return verify(self)
+        def recording_verify(self, verify=cls.verify, name=cls.__name__):
+            checked.append((name, self.ring.nvars))
+            return verify(self)
 
-    monkeypatch.setattr(factorizations.MatrixFactorization, "verify", recording_verify)
-    report = support_check(mf, [[F.zero], [F.one], [F.scalar(-2)]])
-    assert [entry["certificate"] is not None for entry in report] == [False, True, True]
+        monkeypatch.setattr(cls, "verify", recording_verify)
     # one certified restriction at the zero of W, where the verdict reads its
-    # ranks; none where W(p) is a unit, whose homotopy check certifies delta(p)
-    assert checked == [0]
+    # ranks: the Koszul MF's restriction is a Koszul MF, the plain MF's a
+    # plain one; none where W(p) is a unit, whose homotopy check certifies
+    # delta(p)
+    for mf in (koszul, _plain(koszul)):
+        checked.clear()
+        report = support_check(mf, [[F.zero], [F.one], [F.scalar(-2)]])
+        assert [entry["certificate"] is not None for entry in report] == [False, True, True]
+        assert checked == [(type(mf).__name__, 0)]
 
 
 def test_gauge_intertwiner_between_equivalent_curvings():
@@ -733,6 +737,14 @@ def test_closed_form_homotopy_rejects_a_perturbed_delta():
         nullhomotopy_solve(mf)
 
 
+def _plain(mf):
+    """The plain MatrixFactorization of an MF's cells, certified cell by
+    cell and read from its cells at a point: a Koszul MF's cells, shared
+    objects and all, without its (alpha, beta)."""
+    return factorizations.MatrixFactorization(mf.ring, mf.p0_gens, mf.p1_gens,
+                                              mf.delta0, mf.delta1, mf.potential)
+
+
 def _koszul_and_a_unit_point(order):
     """A rank-4 Koszul MF {c_i x_i, x_i y} over Q(zeta_order) and a point
     where W(p) != 0."""
@@ -777,9 +789,12 @@ def test_one_composite_homotopy_rejects_a_wrong_inverse_or_a_perturbed_delta0(
 
 
 def test_support_check_certifies_a_unit_point_with_one_exact_product(monkeypatch):
-    # where W(p) != 0: the homotopy's one composite, delta1 h0 = id, and no
-    # restriction; where W(p) = 0: the restriction's two delta^2 composites,
-    # then the homotopy's two blocks at a contractible point
+    # a plain MF, where W(p) != 0: the homotopy's one composite,
+    # delta1 h0 = id, and no restriction; where W(p) = 0: the restriction's
+    # two delta^2 composites, then the homotopy's two blocks at a
+    # contractible point.  A Koszul MF, where W(p) != 0: no product at all,
+    # two scalar checks; where W(p) = 0: the restriction's one 1 x n check
+    # sum_k alpha_k(p) beta_k(p) = 0, then the same two blocks
     calls = []
     first_mismatch = linalg.first_mismatch
 
@@ -789,16 +804,17 @@ def test_support_check_certifies_a_unit_point_with_one_exact_product(monkeypatch
 
     R = _ring(2)
     x, y = R.gens()
-    mf = koszul_mf(R, [x], [y])  # W = x y
+    koszul = koszul_mf(R, [x], [y])  # W = x y
     unit = _koszul_at_a_unit_point(7)
     monkeypatch.setattr(linalg, "first_mismatch", counting)
-    for point, verdict, want in (([F.one, F.one], CONTRACTIBLE, 1),
-                                 ([F.one, F.zero], CONTRACTIBLE, 4),
-                                 ([F.zero, F.one], CONTRACTIBLE, 4),
-                                 ([F.zero, F.zero], NONCONTRACTIBLE, 2)):
-        calls.clear()
-        (entry,) = support_check(mf, [point])
-        assert entry["verdict"] == verdict and len(calls) == want, (point, len(calls))
+    for mf, counts in ((_plain(koszul), (1, 4, 4, 2)), (koszul, (0, 3, 3, 1))):
+        for point, verdict, want in zip(([F.one, F.one], [F.one, F.zero],
+                                         [F.zero, F.one], [F.zero, F.zero]),
+                                        (CONTRACTIBLE,) * 3 + (NONCONTRACTIBLE,), counts):
+            calls.clear()
+            (entry,) = support_check(mf, [point])
+            assert entry["verdict"] == verdict and len(calls) == want, (point, len(calls))
+    # an MF over the point base is read from its cells, Koszul or not
     calls.clear()
     assert nullhomotopy_solve(unit) is not None and len(calls) == 1
 
@@ -806,17 +822,21 @@ def test_support_check_certifies_a_unit_point_with_one_exact_product(monkeypatch
 @pytest.mark.parametrize("order", [4, 7, 12])
 def test_support_check_rejects_a_wrong_inverse_or_a_perturbed_value_at_a_unit_point(
         order, monkeypatch):
-    # where W(p) != 0, support_check builds no restricted MF: delta1(p) h0 = id
-    # with h0 = delta0(p) / W(p) is the one check of delta's values, so a
-    # wrong W(p)^-1, or any one value of delta0 or delta1 changed, fails it
-    mf, point = _koszul_and_a_unit_point(order)
+    # where W(p) != 0, support_check builds no restricted MF: for a plain MF,
+    # delta1(p) h0 = id with h0 = delta0(p) / W(p) is the one check of
+    # delta's values, so a wrong W(p)^-1, or any one value of delta0 or
+    # delta1 changed, fails it; for a Koszul MF, W(p) W(p)^-1 = 1 fails
+    koszul, point = _koszul_and_a_unit_point(order)
+    mf = _plain(koszul)
     field = mf.ring.field
     (want,) = support_check(mf, [point])
     assert want["verdict"] == CONTRACTIBLE and want["certificate"] is not None
+    assert support_check(koszul, [point]) == [want]
     inverse = Scalar.inverse
     monkeypatch.setattr(Scalar, "inverse", lambda s: inverse(s) * (1 + field.zeta))
-    with pytest.raises(CertificateError):
-        support_check(mf, [point])
+    for m in (mf, koszul):
+        with pytest.raises(CertificateError):
+            support_check(m, [point])
     monkeypatch.setattr(Scalar, "inverse", inverse)
     at_point = factorizations._at_point
     for k, m in enumerate((mf.delta0, mf.delta1)):
@@ -836,7 +856,7 @@ def test_support_check_rejects_a_wrong_inverse_or_a_perturbed_value_at_a_unit_po
             with pytest.raises(CertificateError):
                 support_check(mf, [point])
     monkeypatch.setattr(factorizations, "_at_point", at_point)
-    assert support_check(mf, [point]) == [want]
+    assert support_check(mf, [point]) == support_check(koszul, [point]) == [want]
 
 
 @pytest.mark.parametrize("n0, n1", [(1, 2), (2, 1)])
@@ -883,13 +903,13 @@ def test_support_check_matches_the_restricting_reference(order, monkeypatch):
     field = CyclotomicField(order)
     rng = random.Random(f"support-reference:{order}")
     verified = []
-    verify = factorizations.MatrixFactorization.verify
+    for cls in (factorizations.MatrixFactorization, factorizations.KoszulMF):
 
-    def recording_verify(self):
-        verified.append(self)
-        return verify(self)
+        def recording_verify(self, verify=cls.verify):
+            verified.append(self)
+            return verify(self)
 
-    monkeypatch.setattr(factorizations.MatrixFactorization, "verify", recording_verify)
+        monkeypatch.setattr(cls, "verify", recording_verify)
     for n in (2, 3):
         ring = PolyRing(field, [f"x{i}" for i in range(n)] + ["y"])
         xs, y = ring.gens()[:n], ring.gens()[n]
@@ -906,7 +926,8 @@ def test_support_check_matches_the_restricting_reference(order, monkeypatch):
             want = _reference_support_check(mf, points, with_certificates)
             verified.clear()
             assert support_check(mf, points, with_certificates=with_certificates) == want
-            assert len(verified) == 2  # one restriction per zero of W
+            # one restriction per zero of W, the Koszul MF of alpha(p), beta(p)
+            assert [type(m) for m in verified] == [factorizations.KoszulMF] * 2
         for p in points:
             at = mf.restrict_to_point(p)
             for with_certificates in (True, False):
@@ -928,11 +949,15 @@ def _three_kinds_of_points(order):
 def test_point_memo_rejects_a_perturbed_mf_at_a_shared_point(order):
     # the memo of a point's substituter holds what depends on the ring and
     # the point alone: a second MF over the same ring, at the same point,
-    # reads its own delta(p), so a negated delta0 entry fails its
-    # certificate, and the first MF's report stays as it was
-    mf, points = _three_kinds_of_points(order)
+    # reads its own values, and the first MF's report stays as it was.  A
+    # plain MF reads its own delta(p), so a negated delta0 entry fails its
+    # certificate; a Koszul MF its own alpha(p), beta(p), so a negated
+    # alpha_k fails sum_k alpha_k(p) beta_k(p) = W(p) where beta_k(p) != 0
+    koszul, points = _three_kinds_of_points(order)
+    mf = _plain(koszul)
     for point in points[:2]:
         want = support_check(mf, [point])
+        assert support_check(koszul, [point]) == want
         i, j = next((i, j) for i, row in enumerate(mf.delta0)
                     for j, c in enumerate(row) if c.evaluate(point))
         bad = copy.copy(mf)
@@ -941,6 +966,16 @@ def test_point_memo_rejects_a_perturbed_mf_at_a_shared_point(order):
         with pytest.raises(CertificateError):
             support_check(bad, [point])
         assert support_check(mf, [point]) == want
+    unit = points[0]
+    (want,) = support_check(koszul, [unit])
+    for k in range(len(koszul.alpha)):
+        assert koszul.alpha[k].evaluate(unit) and koszul.beta[k].evaluate(unit)
+        bad = copy.copy(koszul)
+        bad.alpha = list(koszul.alpha)
+        bad.alpha[k] = -bad.alpha[k]
+        with pytest.raises(CertificateError):
+            support_check(bad, [unit])
+        assert support_check(koszul, [unit]) == [want]
 
 
 def test_point_memo_key_is_canonical_for_ints_and_scalars(monkeypatch):
@@ -985,30 +1020,39 @@ def test_support_check_reports_every_flipped_verdict_or_rejects_it(monkeypatch):
 
 def test_support_check_at_a_unit_point_builds_one_table_no_mf_one_product_check(monkeypatch):
     # the verdict re-reads W(p) from the point's table, and the certificate
-    # is the one composite delta1(p) h0 = id: counted, not timed
-    mf, point = _koszul_and_a_unit_point(7)
+    # is the one composite delta1(p) h0 = id for a plain MF, two scalar
+    # checks and no product for a Koszul MF: counted, not timed
+    koszul, point = _koszul_and_a_unit_point(7)
     counts = Counter()
 
-    def count(owner, name):
+    def count(patch, owner, name):
         f = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: counts.update([name]) or f(*a))
+        patch.setattr(owner, name, lambda *a: counts.update([name]) or f(*a))
 
-    count(poly, "_monomial_table")
-    count(factorizations.MatrixFactorization, "__init__")
-    count(linalg, "first_mismatch")
-    poly._point_substituter.cache_clear()
-    (entry,) = support_check(mf, [point])
-    assert entry["verdict"] == CONTRACTIBLE and entry["certificate"] is not None
-    assert counts == {"_monomial_table": 1, "first_mismatch": 1}
+    for mf, want in ((_plain(koszul), {"_monomial_table": 1, "first_mismatch": 1}),
+                     (koszul, {"_monomial_table": 1})):
+        with monkeypatch.context() as patch:
+            count(patch, poly, "_monomial_table")
+            count(patch, factorizations.MatrixFactorization, "__init__")
+            count(patch, factorizations.KoszulMF, "__init__")
+            count(patch, linalg, "first_mismatch")
+            counts.clear()
+            poly._point_substituter.cache_clear()
+            (entry,) = support_check(mf, [point])
+        assert entry["verdict"] == CONTRACTIBLE and entry["certificate"] is not None
+        assert counts == want, type(mf)
 
 
 def test_unit_homotopy_inverts_once_multiplies_no_scalar_and_shares_one_identity(
         monkeypatch):
     # the count guard above, carried into ``_unit_homotopy``: W(p) is
-    # inverted once and no Scalar product is taken there; the identity its
-    # check is against holds one object on its diagonal, so
-    # ``first_mismatch`` sees one distinct entry in it
-    mf, point = _koszul_and_a_unit_point(7)
+    # inverted once and no Scalar product is taken for h0.  A plain MF's
+    # identity that its check is against holds one object on its diagonal,
+    # so ``first_mismatch`` sees one distinct entry in it; a Koszul MF's
+    # checks take n + 1 Scalar products, sum_k alpha_k(p) beta_k(p) and
+    # W(p) W(p)^-1, and no ``first_mismatch``
+    koszul, point = _koszul_and_a_unit_point(7)
+    mf = _plain(koszul)
     counts, targets, inside = Counter(), [], []
 
     def count(owner, name, record=None):
@@ -1036,8 +1080,11 @@ def test_unit_homotopy_inverts_once_multiplies_no_scalar_and_shares_one_identity
             inside.pop()
 
     monkeypatch.setattr(factorizations, "_unit_homotopy", watched)
-    (entry,) = support_check(mf, [point])
+    (entry,) = support_check(koszul, [point])
     assert entry["verdict"] == CONTRACTIBLE and entry["certificate"] is not None
+    assert counts == {"inverse": 1, "__mul__": len(koszul.alpha) + 1} and targets == []
+    counts.clear()
+    assert support_check(mf, [point]) == [entry]
     assert counts == {"inverse": 1, "first_mismatch": 1}
     (target,) = targets
     assert len({id(c) for row in target for c in row if c}) == 1
@@ -1053,7 +1100,8 @@ def test_unit_homotopy_inverts_once_multiplies_no_scalar_and_shares_one_identity
 def test_integer_h0_equals_the_scalar_product_h0(order):
     # at seeded unit points of {c_i x_i, x_i y} of rank 2 and 4, h0 scaled
     # by integer products equals ring.constant(delta0(p) * W(p)^-1) entry for
-    # entry, its Scalars' ints and den included, and h1 is zero
+    # entry, its Scalars' ints and den included, and h1 is zero: from the
+    # cells of delta(p), and from the Koszul values alpha(p), beta(p)
     field = CyclotomicField(order)
     rng = random.Random(f"integer-h0:{order}")
     for n in (2, 3):
@@ -1064,19 +1112,219 @@ def test_integer_h0_equals_the_scalar_product_h0(order):
         assert mf.rank0 == 2 ** (n - 1)
         for _ in range(4):
             point = [_random_scalar(rng, field) for _ in range(n + 1)]
-            w, deltas, _ = factorizations._at_point(mf, point)
-            assert w
+            w, deltas, _ = factorizations._at_point(_plain(mf), point)
+            w_koszul, values, _ = factorizations._at_point(mf, point)
+            assert w and w_koszul == w
             delta0, delta1 = deltas()
             inv = w.constant_value().inverse()
             want = [[w.ring.constant(c.constant_value() * inv) for c in row]
                     for row in delta0]
-            h0, h1 = factorizations._unit_homotopy(w, delta0, delta1)
-            assert h0 == want and not any(c for row in h1 for c in row)
-            for got_row, want_row in zip(h0, want):
-                for got, ref in zip(got_row, want_row):
-                    assert list(got.terms) == list(ref.terms)
-                    for g, r in zip(got.terms.values(), ref.terms.values()):
-                        assert (type(g.ints), g.ints, g.den) == (tuple, r.ints, r.den)
+            for h0, h1 in (factorizations._unit_homotopy(w, delta0, delta1),
+                           factorizations._unit_homotopy(w, *values(), True)):
+                assert h0 == want and not any(c for row in h1 for c in row)
+                assert (len(h1), len(h1[0])) == (mf.rank0, mf.rank1)
+                for got_row, want_row in zip(h0, want):
+                    for got, ref in zip(got_row, want_row):
+                        assert list(got.terms) == list(ref.terms)
+                        for g, r in zip(got.terms.values(), ref.terms.values()):
+                            assert (type(g.ints), g.ints, g.den) == (tuple, r.ints, r.den)
+
+
+# -- a Koszul MF at a point ------------------------------------------------
+
+
+def _linear_koszul(rng, field, n):
+    """K{alpha, beta} over Q(zeta_N)[x0.., y0..] with alpha_k = c_k x_k and
+    beta_k = e_k y_k, c_k and e_k seeded and nonzero: alpha_k(p) = 0 iff
+    x_k = 0, and beta_k(p) = 0 iff y_k = 0."""
+    ring = PolyRing(field, [f"x{k}" for k in range(n)] + [f"y{k}" for k in range(n)])
+    xs, ys = ring.gens()[:n], ring.gens()[n:]
+    return koszul_mf(ring, [_random_scalar(rng, field) * x for x in xs],
+                     [_random_scalar(rng, field) * y for y in ys])
+
+
+def _koszul_points(rng, mf):
+    """Seeded points of ``_linear_koszul``'s MF, each with its
+    (W(p) != 0, verdict): a generic point; alpha_0(p) = 0; beta_0(p) = 0;
+    for n >= 2 a zero of W with alpha_0, alpha_1, beta_0, beta_1 nonzero
+    at p (y_1 solves alpha_0 beta_0 + alpha_1 beta_1 = 0); a zero of W with
+    beta(p) = 0; and alpha(p) = beta(p) = 0."""
+    field, n = mf.ring.field, len(mf.alpha)
+    rand = lambda k: [_random_scalar(rng, field) for _ in range(k)]
+    zero = field.zero
+    points = [(rand(2 * n), (True, CONTRACTIBLE)),
+              ([zero] + rand(2 * n - 1), (n >= 2, CONTRACTIBLE)),
+              (rand(n) + [zero] + rand(n - 1), (n >= 2, CONTRACTIBLE)),
+              (rand(n) + [zero] * n, (False, CONTRACTIBLE)),
+              ([zero] * (2 * n), (False, NONCONTRACTIBLE))]
+    if n >= 2:
+        p = rand(2) + [zero] * (n - 2) + rand(1) + [field.one] + [zero] * (n - 2)
+        a0, a1, b0, e1 = (c.evaluate(p) for c in mf.alpha[:2] + mf.beta[:2])
+        p[n + 1] = -(a0 * b0) / (a1 * e1)
+        points.insert(3, (p, (False, CONTRACTIBLE)))
+    for p, kind in points:
+        assert (bool(mf.potential.evaluate(p)), point_verdict(mf, p)) == kind, (n, p)
+    return [p for p, _ in points]
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_koszul_mf_at_a_point_equals_the_mf_of_its_cells(order):
+    """On a seeded corpus, n <= 5, a Koszul MF (read from alpha(p), beta(p),
+    certified by sum_k alpha_k(p) beta_k(p) = W(p)) and the plain MF of its
+    cells (read and certified cell by cell) give the same report of
+    ``support_check``, with and without certificates, verdicts and h0, h1
+    entry for entry; the same ``point_homology``; and the same restriction,
+    gens, cells and W.  At n = 5 the W(p) = 0 contractible points are
+    certified for n <= 4 only: each solve has 2 . 16^2 unknowns."""
+    field = CyclotomicField(order)
+    rng = random.Random(f"koszul-at-a-point:{order}")
+    for n in range(1, 6):
+        koszul = _linear_koszul(rng, field, n)
+        plain = _plain(koszul)
+        points = _koszul_points(rng, koszul)
+        solvable = [p for p in points if n <= 4 or koszul.potential.evaluate(p)
+                    or point_verdict(koszul, p) == NONCONTRACTIBLE]
+        for with_certificates, pts in ((False, points), (True, solvable)):
+            want = support_check(plain, pts, with_certificates=with_certificates)
+            assert support_check(koszul, pts, with_certificates=with_certificates) == want
+        for p in points:
+            assert point_homology(koszul, p) == point_homology(plain, p)
+            at, want = koszul.restrict_to_point(p), plain.restrict_to_point(p)
+            assert isinstance(at, factorizations.KoszulMF)
+            _assert_same_mf(at, want)
+
+
+def _perturbing(monkeypatch, value=None, potential=None):
+    """Patch ``_at_point`` so that a Koszul MF's values at p read
+    ``value(alpha(p), beta(p))`` and its W(p) reads ``potential(W(p))``,
+    the restriction built from what is read."""
+    at_point = factorizations._at_point
+
+    def perturbed(mf, point):
+        w, values, _ = at_point(mf, point)
+        w = potential(w) if potential else w
+        read = (lambda: value(*values())) if value else values
+        return w, read, lambda: factorizations.KoszulMF(w.ring, mf.odd_gens, *read(), w)
+
+    monkeypatch.setattr(factorizations, "_at_point", perturbed)
+
+
+@pytest.mark.parametrize("order", [1, 4, 7, 12])
+def test_koszul_point_certificate_rejects_a_wrong_inverse_value_potential_or_datum(
+        order, monkeypatch):
+    """Every way a Koszul MF's values at a point can be wrong is a
+    CertificateError, at a unit of W (the two scalar checks of
+    ``_unit_homotopy``) and, where it applies there, at a zero of W where
+    alpha_0, alpha_1, beta_0, beta_1 are nonzero (the restriction's
+    sum_k alpha_k(p) beta_k(p) = W(p)): a wrong W(p)^-1 (units only); an
+    alpha_k(p) or beta_k(p) off by zeta + 1 where its partner is nonzero; a
+    W(p) off by zeta + 1; and an alpha_k or beta_k changed after the Koszul
+    MF was built, nonzero at p, where its partner is nonzero."""
+    field = CyclotomicField(order)
+    rng = random.Random(f"koszul-rejects:{order}")
+    mf = _linear_koszul(rng, field, 3)
+    points = _koszul_points(rng, mf)
+    unit, zero = points[0], points[3]
+    assert mf.potential.evaluate(unit) and not mf.potential.evaluate(zero)
+    want = [support_check(mf, [p]) for p in (unit, zero)]
+    off = 1 + field.zeta
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda s: inverse(s) * off)
+    with pytest.raises(CertificateError):
+        support_check(mf, [unit])
+    monkeypatch.setattr(Scalar, "inverse", inverse)
+    for side, k in product((0, 1), (0, 1)):
+
+        def value(alpha, beta, side=side, k=k):
+            values = [list(alpha), list(beta)]
+            values[side][k] = values[side][k] + values[side][k].ring.constant(off)
+            return values
+
+        with monkeypatch.context() as patch:
+            _perturbing(patch, value=value)
+            for p in (unit, zero):
+                with pytest.raises(CertificateError):
+                    support_check(mf, [p])
+    with monkeypatch.context() as patch:
+        _perturbing(patch, potential=lambda w: w + w.ring.constant(off))
+        for p in (unit, zero):
+            with pytest.raises(CertificateError):
+                support_check(mf, [p])
+    x0, x1 = mf.ring.gens()[:2]
+    for side, k in product(("alpha", "beta"), (0, 1)):
+        bad = copy.copy(mf)
+        setattr(bad, side, list(getattr(mf, side)))
+        getattr(bad, side)[k] = getattr(bad, side)[k] + x0 * x1
+        for p in (unit, zero):
+            with pytest.raises(CertificateError):
+                support_check(bad, [p])
+            with pytest.raises(CertificateError):
+                bad.restrict_to_point(p)
+    assert [support_check(mf, [p]) for p in (unit, zero)] == want
+
+
+def test_koszul_mf_at_a_point_substitutes_alpha_beta_and_w_and_checks_no_product(
+        monkeypatch):
+    """The count guard of the Koszul path, on the ``support`` workload's
+    shape {c_i x_i, x_i y}, n = 3.  At a unit of W the point's substituter
+    is applied to W (twice: ``point_verdict`` re-reads it), then to each
+    alpha_k and beta_k once, and to nothing else, and no ``first_mismatch``
+    is called.  At a zero of W the restriction is certified by one 1 x n by
+    n x 1 ``first_mismatch`` against [[W(p)]], not by two rank-r ones."""
+    field = CyclotomicField(7)
+    ring = PolyRing(field, ["x0", "x1", "x2", "y"])
+    xs, y = ring.gens()[:3], ring.gens()[3]
+    mf = koszul_mf(ring, [(1 + field.zeta ** k) * x for k, x in enumerate(xs, 1)],
+                   [x * y for x in xs])
+    substituted, products = [], []
+    substituter, first_mismatch = poly.substituter, linalg.first_mismatch
+
+    def recording(*args):
+        sub = substituter(*args)
+        return lambda p: substituted.append(p) or sub(p)
+
+    def counting(pairs, target, field):
+        products.append([(len(a), len(b), len(b[0])) for a, b in pairs])
+        return first_mismatch(pairs, target, field)
+
+    monkeypatch.setattr(poly, "substituter", recording)
+    monkeypatch.setattr(linalg, "first_mismatch", counting)
+    try:
+        for point, with_certificates, want in (
+                ([2, -1, 3, 1 + field.zeta], True, []),
+                ([0, 0, 0, 5], True, [[(1, 3, 1)]]),
+                ([2, 1, -1, 0], False, [[(1, 3, 1)]])):
+            poly._point_substituter.cache_clear()
+            substituted.clear()
+            products.clear()
+            (entry,) = support_check(mf, [point], with_certificates=with_certificates)
+            assert entry["verdict"] == (NONCONTRACTIBLE if point[0] == 0 else CONTRACTIBLE)
+            assert products == want, point
+            assert [id(p) for p in substituted] == \
+                [id(mf.potential)] * (2 if point[3] and point[0] else 1) + \
+                [id(c) for c in mf.alpha + mf.beta], point
+        assert entry["certificate"] is None
+    finally:
+        poly._point_substituter.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["plain", "koszul"])
+def test_a_point_of_the_wrong_length_raises_a_value_error_naming_both_lengths(kind):
+    field = CyclotomicField(4)
+    R = PolyRing(field, ["x", "y"])
+    x, y = R.gens()
+    mf = koszul_mf(R, [x], [y])
+    mf = _plain(mf) if kind == "plain" else mf
+    for point in ([1], [1, 2, 3], []):
+        for call in (lambda: support_check(mf, [point]),
+                     lambda: support_check(mf, [point], with_certificates=False),
+                     lambda: point_homology(mf, point),
+                     lambda: point_verdict(mf, point),
+                     lambda: mf.restrict_to_point(point)):
+            with pytest.raises(ValueError,
+                               match=rf"one scalar per variable \(2\), got {len(point)}$"):
+                call()
+    assert support_check(mf, [[1, 2]])[0]["verdict"] == CONTRACTIBLE
 
 
 def test_nullhomotopy_solve_needs_the_point_base():
@@ -1490,13 +1738,13 @@ def _clifford_mismatches(n, order, seed):
     w = sum((a * b for a, b in zip(alpha, beta)), ring.zero)
     contract = [factorizations._signed(b) for b in beta]
     wedge = [((k,), factorizations._signed(a)) for k, a in enumerate(alpha) if a]
-    even, odd = factorizations._subsets(n, 0), factorizations._subsets(n, 1)
-    d0 = factorizations._exterior_matrix(even, odd, contract, wedge, ring.zero)
-    d1 = factorizations._exterior_matrix(odd, even, contract, wedge, ring.zero)
+    d0 = factorizations._exterior_matrix(n, 0, 1, contract, wedge, ring.zero)
+    d1 = factorizations._exterior_matrix(n, 1, 0, contract, wedge, ring.zero)
+    even, odd = (len(factorizations._subsets(n, parity)) for parity in (0, 1))
     return tuple(linalg.first_mismatch(
         [(a, b)], [[w if i == j else ring.zero for j in range(size)]
                    for i in range(size)], ring.field)
-        for a, b, size in ((d1, d0, len(even)), (d0, d1, len(odd))))
+        for a, b, size in ((d1, d0, even), (d0, d1, odd)))
 
 
 def test_exterior_matrix_meets_the_clifford_identity_and_rejects_a_flipped_sign(
@@ -1509,13 +1757,72 @@ def test_exterior_matrix_meets_the_clifford_identity_and_rejects_a_flipped_sign(
     for case in cases:
         assert _clifford_mismatches(*case) == (None, None), case
     merge_sign = factorizations._merge_sign
-    for wrong in (lambda s, t: None if set(s) & set(t) else 1,
-                  lambda s, t: (-1 if (s, t) == ((1,), (0,)) else 1) * merge_sign(s, t)
-                  if not set(s) & set(t) else None):
-        monkeypatch.setattr(factorizations, "_merge_sign", wrong)
-        for n, order, seed in cases:
-            if n >= 2:
-                assert _clifford_mismatches(n, order, seed) != (None, None), (n, order)
+    try:
+        for wrong in (lambda s, t: None if set(s) & set(t) else 1,
+                      lambda s, t: (-1 if (s, t) == ((1,), (0,)) else 1) * merge_sign(s, t)
+                      if not set(s) & set(t) else None):
+            monkeypatch.setattr(factorizations, "_merge_sign", wrong)
+            factorizations._cells.cache_clear()  # placements are memoized by shape
+            for n, order, seed in cases:
+                if n >= 2:
+                    assert _clifford_mismatches(n, order, seed) != (None, None), (n, order)
+    finally:
+        monkeypatch.setattr(factorizations, "_merge_sign", merge_sign)
+        factorizations._cells.cache_clear()
+
+
+def _reference_exterior_matrix(sources, targets, contract, wedge, zero):
+    """The index map as ``_exterior_matrix`` wrote it before its placements
+    were memoized: every cell placed from the basis lists on each call."""
+    rows = {s: i for i, s in enumerate(targets)}
+    out = [[zero] * len(sources) for _ in targets]
+    for j, s in enumerate(sources):
+        for pos, k in enumerate(s):
+            c = contract[k]
+            if c:
+                out[rows[s[:pos] + s[pos + 1:]]][j] = c[pos % 2]
+        for t, g in wedge:
+            sign = factorizations._merge_sign(t, s)
+            if sign is not None:
+                out[rows[tuple(sorted(t + s))]][j] = g[sign < 0]
+    return out
+
+
+def test_exterior_matrix_equals_the_unmemoized_writer():
+    """For every n <= 7 and both blocks, the memoized index map writes the
+    reference's object into every cell: the Koszul terms (contraction and
+    wedge by one generator), filled twice, with nonzero values and then
+    with values some of them zero, which the reference's callers leave out
+    of its wedge list; and wedges by larger t into either parity, as a
+    degree-3 curving and exp(h) use them.  The memo is keyed by shape
+    alone: the second Koszul fill adds no entry to it."""
+    rng = random.Random(7)
+    ring = PolyRing(CyclotomicField(7), ["x", "y"])
+    signed = lambda: factorizations._signed(_random_poly(rng, ring, density=0.7))
+    nonzero = lambda: factorizations._signed(_random_scalar(rng, ring.field) * ring.gen("x"))
+    cells = factorizations._cells
+
+    def same(n, source, target, contract, wedge):
+        subsets = [factorizations._subsets(n, parity) for parity in (0, 1)]
+        zero = ring.zero
+        got = factorizations._exterior_matrix(n, source, target, contract, wedge, zero)
+        want = _reference_exterior_matrix(subsets[source], subsets[target], contract,
+                                          [(t, g) for t, g in wedge if g], zero)
+        assert len(got) == len(want) and all(len(row) == len(subsets[source]) for row in got)
+        assert [list(map(id, row)) for row in got] == [list(map(id, row)) for row in want]
+
+    for n in range(8):
+        for block in (0, 1):
+            for fill in (nonzero, signed):
+                size = cells.cache_info().currsize
+                same(n, block, 1 - block, [fill() for _ in range(n)],
+                     [((k,), fill()) for k in range(n)])
+                assert fill is nonzero or cells.cache_info().currsize == size, (n, block)
+            for target in (block, 1 - block):
+                same(n, block, target, [None] * n if target == block else
+                     [signed() for _ in range(n)],
+                     [(t, signed()) for t in factorizations._subsets(n)
+                      if len(t) % 2 == (target != block) and rng.random() < 0.4])
 
 
 def test_fold_of_a_degree_3_curving_stays_plain_and_rejects_a_wrong_curvature():
@@ -1706,8 +2013,13 @@ def test_mf_tensor_shares_the_entry_objects_of_its_factors():
 
 def test_restrict_to_point_rejects_one_changed_copy_of_a_shared_entry():
     """A cell changed after the MF was built holds a new object, and it gets
-    its own image: the point MF fails its delta^2 certificate."""
-    mf = _a1_mf(4).mf
+    its own image: the point MF fails its delta^2 certificate.  That is a
+    plain MF of the fold's cells; the fold itself, a Koszul MF, is
+    restricted from (alpha, beta, W), and one alpha_k changed after it was
+    built, where beta_k(p) != 0, fails sum_k alpha_k(p) beta_k(p) = W(p)."""
+    koszul = _a1_mf(4).mf
+    assert isinstance(koszul, factorizations.KoszulMF)
+    mf = _plain(koszul)
     field = mf.ring.field
     shared = max((c for row in mf.delta0 for c in row if c),
                  key=lambda c: sum(d is c for row in mf.delta0 for d in row))
@@ -1719,6 +2031,11 @@ def test_restrict_to_point_rejects_one_changed_copy_of_a_shared_entry():
     mf.delta0[i][j] = shared + mf.ring.one
     with pytest.raises(CertificateError):
         mf.restrict_to_point(point)
+    assert koszul.restrict_to_point(point) == _plain(koszul).restrict_to_point(point)
+    k = next(k for k, b in enumerate(koszul.beta) if b.evaluate(point))
+    koszul.alpha[k] = koszul.alpha[k] + koszul.ring.one
+    with pytest.raises(CertificateError, match=r"^delta\^2 != W \. id"):
+        koszul.restrict_to_point(point)
 
 
 @pytest.mark.parametrize("n0, n1", [(1, 0), (0, 1)])

@@ -1447,9 +1447,14 @@ def test_support_check_rejects_a_perturbed_restriction_where_w_vanishes(monkeypa
     """The values of delta at a point are read, and certified, only where
     they are used: at a zero of W, by the restriction's delta^2 check, and
     at a unit of W, with a certificate, by its homotopy check.  Without a
-    certificate, the verdict at a unit reads W(p) alone."""
+    certificate, the verdict at a unit reads W(p) alone.  The cells are
+    those of the fundamental MF, in a plain MF: the fundamental MF itself is
+    a Koszul MF, read at a point from alpha(p) and beta(p)."""
     result = fundamental_mf(_spec(BROAD))
-    mf, F = result.mf, result.spec.field
+    F = result.spec.field
+    assert isinstance(result.mf, factorizations.KoszulMF)
+    mf = MatrixFactorization(result.mf.ring, result.mf.p0_gens, result.mf.p1_gens,
+                             result.mf.delta0, result.mf.delta1, result.mf.potential)
     n = mf.ring.nvars
     unit, zero = [F.one] * n, [F.zero] * n
     assert mf.potential.evaluate(unit) and not mf.potential.evaluate(zero)
