@@ -117,7 +117,7 @@ def cmd_fundamental(args):
 
 
 def cmd_verify(args):
-    specfile.parse_mf(_read_input(args))
+    specfile.check_claims(*specfile.parse_mf(_read_input(args)))
     _emit(args, "verified: delta^2 = W . id\n")
     return EXIT_OK
 

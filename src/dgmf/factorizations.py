@@ -327,8 +327,10 @@ class MatrixFactorization:
         exactly, without building either composite (``first_mismatch``).
         The first failing entry, row by row and delta1 . delta0 first, is
         reported in a CertificateError.  This is the certificate of every MF
-        read as cells, a parsed ``.mf`` (the trust boundary) included; a
-        ``KoszulMF`` is certified instead by sum_k alpha_k beta_k = W.
+        read as cells, a parsed ``.mf`` (the trust boundary) that is no Koszul
+        fold included; a ``KoszulMF``, a ``.mf`` that spells one among them
+        (``koszul_of_cells``), is certified instead by
+        sum_k alpha_k beta_k = W.
 
         A square MF with W != 0 checks delta1 . delta0 alone, as the other
         composite follows.  Its ring (Q(zeta_N)[x...], the point base or
@@ -437,13 +439,11 @@ class KoszulMF(MatrixFactorization):
         self.verify()
 
     def verify(self):
-        """Certify delta^2 = W . id by sum_k alpha_k beta_k = W: one
-        ``first_mismatch`` of the 1 x n by n x 1 product against [[W]].  Both
-        composites of the deltas are (sum_k alpha_k beta_k) . id by the
-        Clifford identity (``_exterior_matrix``), for W = 0 too."""
-        bad = linalg.first_mismatch([([self.alpha], [[b] for b in self.beta])],
-                                    [[self.potential]], self.ring.field)
-        if bad is not None:
+        """Certify delta^2 = W . id by sum_k alpha_k beta_k = W
+        (``koszul_identity_fails``).  Both composites of the deltas are
+        (sum_k alpha_k beta_k) . id by the Clifford identity
+        (``_exterior_matrix``), for W = 0 too."""
+        if koszul_identity_fails(self.ring, self.alpha, self.beta, self.potential):
             total = sum((a * b for a, b in zip(self.alpha, self.beta)), self.ring.zero)
             raise CertificateError(f"delta^2 != W . id: sum_k alpha_k beta_k = "
                                    f"{total} vs {self.potential}")
@@ -454,6 +454,51 @@ class KoszulMF(MatrixFactorization):
         [alpha], [beta], [[w]] = linalg.entrywise(sub, [self.alpha], [self.beta],
                                                   [[self.potential]])
         return KoszulMF(target, self.odd_gens, alpha, beta, w)
+
+
+def koszul_identity_fails(ring, alpha, beta, w):
+    """Whether sum_k alpha_k beta_k != w over ``ring``: one exact
+    ``first_mismatch`` of the 1 x n by n x 1 product against [[w]]."""
+    return linalg.first_mismatch([([alpha], [[b] for b in beta])], [[w]],
+                                 ring.field) is not None
+
+
+def koszul_of_cells(ring, p0_gens, p1_gens, delta0, delta1, potential):
+    """The ``KoszulMF`` equal to the MF of these cells (Generators and Poly
+    cells over ``ring``) if they are exactly a Koszul fold, else None.
+
+    With rank0 + rank1 = 2^n, alpha_k = delta0[{k}][{}] and
+    beta_k = delta1[{}][{k}] are read from the cells: row and column k of
+    the (size, lex) exterior basis.  ``KoszulMF(ring, p1_gens[:n], alpha,
+    beta, W)`` checks sum_k alpha_k beta_k = W exactly.  Then both generator
+    lists must equal its fold's (``_fold_data``) and every cell its fold's
+    cell, each distinct (cell, fold cell) pair of objects compared once and
+    a cell that is its fold cell's object not at all.
+
+    That certifies delta^2 = W . id for the cells: they equal
+    ``_exterior_matrix`` of contraction by beta and wedge by alpha, so by
+    the Clifford identity both composites are (sum_k alpha_k beta_k) . id,
+    and that sum is W.  Any failed check, sum_k alpha_k beta_k != W
+    included, gives None, so the caller certifies the cells as a plain
+    ``MatrixFactorization``, with its own report of the first bad entry."""
+    r0, r1 = len(p0_gens), len(p1_gens)
+    size, shape = r0 + r1, lambda m: [len(row) for row in m]
+    if (not size or size & (size - 1) or r0 != (size + 1) // 2
+            or shape(delta0) != [r0] * r1 or shape(delta1) != [r1] * r0):
+        return None
+    n = size.bit_length() - 1
+    try:
+        mf = KoszulMF(ring, p1_gens[:n], [delta0[k][0] for k in range(n)],
+                      delta1[0][:n], potential)
+    except CertificateError:
+        return None
+    if mf.p0_gens != list(p0_gens) or mf.p1_gens != list(p1_gens):
+        return None
+    pairs = {(id(a), id(b)): (a, b)
+             for cells, fold in ((delta0, mf.delta0), (delta1, mf.delta1))
+             for row, fold_row in zip(cells, fold)
+             for a, b in zip(row, fold_row) if a is not b}
+    return mf if all(a == b for a, b in pairs.values()) else None
 
 
 def koszul_mf(ring, alpha, beta):
@@ -570,8 +615,8 @@ def fold_to_mf(curved):
     the restrictions, ``write_mf``) works once per distinct entry.
 
     A curving linear in the odd generators folds to a ``KoszulMF``,
-    certified by sum_k f_k d(b_k) = W; any other curving, like a ``.mf``
-    file read back, to a ``MatrixFactorization`` checked cell by cell."""
+    certified by sum_k f_k d(b_k) = W, as its ``.mf`` file is when read back;
+    any other curving to a ``MatrixFactorization`` checked cell by cell."""
     scheme, terms, w = curved.scheme, curved.f_minus_1.coefficients, curved.curvature
     ring, odd_gens, differential = scheme.ring, scheme.odd_gens, scheme.differential
     if all(len(t) == 1 for t, c in terms.items() if c):

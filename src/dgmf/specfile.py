@@ -31,7 +31,8 @@ from itertools import combinations
 from . import linalg
 from .complexes import FreeComplex, Generator
 from .cyclotomic import CyclotomicField, read_terms, split_tokens, tokenize
-from .factorizations import DgSchemePresentation, MatrixFactorization, SuperElement
+from .factorizations import (CertificateError, DgSchemePresentation, MatrixFactorization,
+                             SuperElement, koszul_of_cells)
 from .groups import GroupElement
 from .poly import Poly, PolyRing
 from .ratfun import RationalFunction, UPoly
@@ -410,8 +411,14 @@ def parse_mf(text):
     (CertificateError if it fails).
 
     Each distinct entry literal of delta0 and delta1 is read once, and all
-    its copies share that one immutable Poly, so ``verify`` turns each
-    distinct entry into terms once as well."""
+    its copies share that one immutable Poly.  A file that is exactly a
+    Koszul fold, as every pipeline, ``koszul`` and ``fold`` output of a
+    curving linear in the odd generators is, reads back as that
+    ``KoszulMF``, certified by sum_k alpha_k beta_k = W and a walk that finds
+    every cell equal to its fold's (``koszul_of_cells``).  Any other file,
+    such as a tensor product, a fold of a degree-3 curving or an edited
+    file, is a ``MatrixFactorization`` checked cell by cell, with the same
+    report of the first bad entry as before."""
     sections = _sections(text)
     kv = _section(sections, "mf", ("order", "variables", "potential", "p0", "p1",
                                    "delta0", "delta1"))
@@ -424,7 +431,8 @@ def parse_mf(text):
     memo = {}  # one for both matrices: entry text -> Poly
     delta0 = _parse_matrix(ring, *kv["delta0"], len(p1), len(p0), memo)
     delta1 = _parse_matrix(ring, *kv["delta1"], len(p0), len(p1), memo)
-    mf = MatrixFactorization(ring, p0, p1, delta0, delta1, potential)
+    mf = (koszul_of_cells(ring, p0, p1, delta0, delta1, potential)
+          or MatrixFactorization(ring, p0, p1, delta0, delta1, potential))
     certificate = None
     if "certificate" in sections:
         header, lines = sections["certificate"]
@@ -434,6 +442,39 @@ def parse_mf(text):
             raise SpecParseError(lines[0][0] if lines else header,
                                  f"bad certificate JSON: {e}")
     return mf, certificate
+
+
+def check_claims(mf, certificate):
+    """Check the claims of a ``.mf`` certificate that the file alone can
+    confirm: ``rank`` is [rank0, rank1], ``field_order`` the field's order,
+    ``potential`` reads to the [mf] potential, and ``sector_variables``
+    followed by ``auxiliary_variables`` are the ring's names, in order.  A
+    claim the certificate does not make is not checked (nor is any claim of
+    a certificate that is no JSON object); a false one is a CertificateError
+    that names it and what the file has."""
+    claims = certificate if isinstance(certificate, dict) else {}
+    ring, ranks, names = mf.ring, [mf.rank0, mf.rank1], list(mf.ring.names)
+
+    def reads_to_potential(text):
+        try:
+            return _read_poly(ring, 0, tokenize(text), "potential") == mf.potential
+        except ValueError:
+            return False
+
+    for keys, holds, actual in (
+            (["rank"], lambda v: v == ranks, ranks),
+            (["field_order"], lambda v: v == ring.field.order, ring.field.order),
+            (["potential"], lambda v: isinstance(v, str) and reads_to_potential(v),
+             str(mf.potential)),
+            (["sector_variables", "auxiliary_variables"],
+             lambda s, a: isinstance(s, list) and isinstance(a, list) and s + a == names,
+             names)):
+        claimed = [claims.get(key, []) for key in keys]
+        if not claims.keys().isdisjoint(keys) and not holds(*claimed):
+            raise CertificateError(
+                f"the certificate claims {' + '.join(keys)} = "
+                f"{' + '.join(map(json.dumps, claimed))}, but the file has "
+                f"{json.dumps(actual)}")
 
 
 # -- koszul / fold / complex inputs ---------------------------------------

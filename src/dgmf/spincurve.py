@@ -20,8 +20,8 @@ from .complexes import (ChainMap, FreeComplex, Generator, NotAChainMap,
                         homology_ranks, induced_homology_map_rank)
 from .factorizations import (CONTRACTIBLE, NONCONTRACTIBLE, CertificateError,
                              CurvedStructure, DgSchemePresentation, dgmf_from_homotopy,
-                             fold_to_mf, koszul_reduce, koszul_steps, point_homology,
-                             _solve_d_preimage)
+                             fold_to_mf, koszul_identity_fails, koszul_reduce,
+                             koszul_steps, point_homology, _solve_d_preimage)
 from .pairs import PairObject, rj_shriek
 from .poly import PolyRing, _linear_forms, substituter
 from .ratfun import (RationalFunction, UPoly, _series_inverse, _taylor, _with_roots,
@@ -432,13 +432,15 @@ def solve_f_minus_one(spec, model, obstruction, pivot_order=None):
     """Exact linear solve for f_{-1} with d(f_{-1}) = -c, in the weight-d
     piece of degree -1.  The pivot order is the determinism knob; any two
     solutions differ by an exact element (gauge)."""
-    scheme = obstruction.scheme
-    target = scheme.scalar_element(-obstruction.c)
-    f = _solve_d_preimage(scheme, target, degree=-1, weight=spec.degree_d,
-                          col_order=pivot_order)
+    scheme, minus_c = obstruction.scheme, -obstruction.c
+    f = _solve_d_preimage(scheme, scheme.scalar_element(minus_c), degree=-1,
+                          weight=spec.degree_d, col_order=pivot_order)
     if f is None:
         raise SpinDataError("spin-structure data violates the residue constraint")
-    if scheme.d(f) + scheme.scalar_element(obstruction.c):
+    # f = sum_k f_k b_k has exterior degree 1, so d(f) = sum_k f_k d(b_k)
+    alpha = [f.coefficients.get((k,), scheme.ring.zero) for k in range(scheme.n_odd)]
+    if not f.is_pure_degree(-1) or koszul_identity_fails(
+            scheme.ring, alpha, scheme.differential, minus_c):
         raise CertificateError("solved f_{-1} fails d(f_{-1}) = -c")
     return f
 

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,46 @@ def test_verify_detects_corruption_exit_4(tmp_path):
     bad = out.replace("x1^2 + x2^2", "x1^2 + 3*x2^2", 1)
     code, _ = _run(tmp_path, "verify", bad)
     assert code == 4
+
+
+def test_verify_rejects_each_false_certificate_claim_exit_4(tmp_path, capsys):
+    """``rank``, ``field_order``, ``potential`` and the variable names are
+    claims the file alone confirms: each tampered one exits 4 with a message
+    that names it, while a claim written another way that reads the same
+    verifies, with the same stdout as the untouched file."""
+    _code, out = _run(tmp_path, "fundamental", SPIN)
+    head, sep, block = out.partition("[certificate]\n")
+    cert = json.loads(block)
+    assert _run(tmp_path, "verify", out) == (0, "verified: delta^2 = W . id\n")
+    capsys.readouterr()
+    tampered = {"rank": [2, 1], "field_order": 8, "potential": "x1^2 + 3*x2^2",
+                "sector_variables": list(reversed(cert["sector_variables"])),
+                "auxiliary_variables": "t1"}
+    for key, value in tampered.items():
+        bad = head + sep + json.dumps({**cert, key: value}, indent=2) + "\n"
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        assert _run(tmp_path, "verify", bad) == (4, ""), key
+        err = capsys.readouterr().err
+        assert err.startswith("certificate failure: the certificate claims ") and key in err
+    same = head + sep + json.dumps({**cert, "potential": "x2^2 + x1 * x1"}) + "\n"
+    assert _run(tmp_path, "verify", same) == (0, "verified: delta^2 = W . id\n")
+    missing = {k: v for k, v in cert.items() if k not in tampered}
+    assert _run(tmp_path, "verify", head + sep + json.dumps(missing) + "\n")[0] == 0
+
+
+def test_python_m_dgmf_runs_the_cli(tmp_path):
+    """``python -m dgmf`` is ``dgmf``: verify of a fundamental ``.mf`` prints
+    the verdict and exits 0, and a tampered one exits 4."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    _code, out = _run(tmp_path, "fundamental", SPIN)
+    for text, code, stdout in ((out, 0, "verified: delta^2 = W . id\n"),
+                               (out.replace("x1^2 + x2^2", "x1^2 + 3*x2^2", 1), 4, "")):
+        path = _write(tmp_path, "file.mf", text)
+        proc = subprocess.run([sys.executable, "-m", "dgmf", "verify", "--input", path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
 
 
 def test_homology(tmp_path):

@@ -1,7 +1,10 @@
+from functools import cache
+
 import pytest
 
 from dgmf import (CertificateError, dgmf_from_homotopy, fold_to_mf, fundamental_mf,
-                  koszul_mf, specfile)
+                  koszul_mf, linalg, specfile)
+from dgmf.factorizations import KoszulMF, MatrixFactorization, mf_tensor
 from dgmf.cli import main
 from dgmf.cyclotomic import read_terms
 from dgmf.poly import Poly
@@ -243,9 +246,9 @@ def test_mf_parse_error_line_numbers():
     assert "line" in str(e.value)
 
 
-def _a1_text(mult):
-    return write_mf(fundamental_mf(parse_spec(SPIN.replace("mult 1", f"mult {mult}"))
-                                   .spin_spec()).mf)
+def _a1_text(mult, certified=False):
+    r = fundamental_mf(parse_spec(SPIN.replace("mult 1", f"mult {mult}")).spin_spec())
+    return write_mf(r.mf, certificate=r.certificate() if certified else None)
 
 
 def test_parse_mf_reads_each_distinct_literal_once(monkeypatch):
@@ -300,6 +303,7 @@ def test_parse_mf_rejects_one_wrong_copy_of_a_shared_entry(tmp_path):
     assert main(["verify", "--input", str(path)]) == 4
 
 
+@cache
 def _fixture_texts():
     """name -> the .mf text that ``dgmf fundamental`` writes (with its
     certificate) for every pipeline spec fixture of tests/test_spincurve.py,
@@ -321,6 +325,111 @@ def test_write_mf_reads_back_byte_for_byte_on_every_fixture():
     for name, text in _fixture_texts().items():
         mf, cert = parse_mf(text)
         assert write_mf(mf, certificate=cert) == text, name
+
+
+def _plain_parse(text, monkeypatch):
+    """``parse_mf`` as it reads a file that is no Koszul fold."""
+    with monkeypatch.context() as m:
+        m.setattr(specfile, "koszul_of_cells", lambda *args: None)
+        return parse_mf(text)
+
+
+def test_every_fixture_file_reads_back_as_its_canonical_koszul_mf(monkeypatch):
+    """Every ``.mf`` that ``fundamental``, ``koszul`` and ``unit_mf`` write is
+    a Koszul fold, so it reads back as a ``KoszulMF``, equal to the plain
+    parse of its cells and written back to the same bytes."""
+    texts = _fixture_texts()
+    assert "a1-m6" in texts and len(texts) == 45
+    for name, text in texts.items():
+        mf, cert = parse_mf(text)
+        plain, _ = _plain_parse(text, monkeypatch)
+        assert isinstance(mf, KoszulMF) and type(plain) is MatrixFactorization, name
+        assert mf == plain and plain == mf, name
+        assert write_mf(mf, certificate=cert) == write_mf(plain, certificate=cert) == text
+        specfile.check_claims(mf, cert)
+
+
+def test_koszul_reader_rejects_a_tensor_product_and_a_degree_3_fold_to_the_plain_path(
+        monkeypatch):
+    """A tensor product of Koszul MFs, and the fold of a curving with a
+    degree-3 term (whose alpha, beta read from the cells do satisfy
+    sum_k alpha_k beta_k = W = 0), are no Koszul folds: they read back as a
+    plain MF, cell for cell the plain parse."""
+    ring, _, _ = parse_koszul(KOSZUL.replace("x:1", "x:1, y:1"))
+    x, y = ring.gens()
+    tensor = mf_tensor(koszul_mf(ring, [x], [x]), koszul_mf(ring, [y], [x + y]))
+    scheme, f = parse_scheme(WEDGE.replace("(-1)*b0^b1^b2", "(u0)*b0 + (-1)*b0^b1^b2"))
+    cubic = fold_to_mf(dgmf_from_homotopy(scheme, f))
+    assert f.coefficients[(0,)] and not cubic.potential
+    for mf in (tensor, cubic):
+        text = write_mf(mf)
+        got, _ = parse_mf(text)
+        assert type(got) is MatrixFactorization and got.rank0 + got.rank1 in (4, 8)
+        assert got == mf == _plain_parse(text, monkeypatch)[0] and write_mf(got) == text
+
+
+def _in_deltas(text, old, new, count=-1):
+    """``text`` with ``old`` replaced by ``new`` on the delta lines alone."""
+    return "\n".join(line.replace(old, new, count) if line.startswith("delta") else line
+                      for line in text.split("\n"))
+
+
+def test_parse_mf_rejects_a_tampered_koszul_fold_and_verify_exits_4(tmp_path, monkeypatch):
+    """On the A_1 mult 3 fold (alpha_1 = 4*t1, beta_1 = t2): alpha_1 changed
+    in every copy is the fold of other Koszul data, with
+    sum_k alpha_k beta_k = W + t1*t2; one negated copy of alpha_1 written
+    as alpha_1 is no fold.  Both fall back to the cell-by-cell check,
+    which raises its own report.  Permuting the ring's variables keeps a
+    Koszul fold, and the certificate's variable claim refutes it.
+    Permuting the odd generators' names keeps delta^2 = W . id: that file
+    is no fold of its names, so it reads back as the plain MF it is."""
+    text = _a1_text(3, certified=True)
+    assert text.count("(4*t1)") == 2 and text.count("(-4*t1)") == 2
+    every = _in_deltas(_in_deltas(text, "(4*t1)", "(5*t1)"), "(-4*t1)", "(-5*t1)")
+    one = _in_deltas(text, "(-4*t1)", "(4*t1)", 1)
+    for bad in (every, one):
+        with pytest.raises(CertificateError, match=r"delta\^2 != W \. id at entry"):
+            parse_mf(bad)
+        with pytest.raises(CertificateError, match=r"delta\^2 != W \. id at entry"):
+            _plain_parse(bad, monkeypatch)
+    swapped = text.replace("variables = x1:1, x2:1", "variables = x2:1, x1:1")
+    mf, cert = parse_mf(swapped)
+    assert isinstance(mf, KoszulMF)
+    with pytest.raises(CertificateError, match="sector_variables"):
+        specfile.check_claims(mf, cert)
+    renamed = text.replace("p1 = b0:1, b1:1", "p1 = b1:1, b0:1")
+    mf, _ = parse_mf(renamed)
+    assert type(mf) is MatrixFactorization and mf.p1_gens[0].name == "b1"
+    for bad, code in ((every, 4), (one, 4), (swapped, 4), (renamed, 0)):
+        path = tmp_path / "bad.mf"
+        path.write_text(bad)
+        assert main(["verify", "--input", str(path)]) == code
+
+
+def test_parse_mf_checks_a_koszul_fold_by_one_1xn_product_and_rejects_a_wrong_one_cell_by_cell(
+        monkeypatch):
+    """A Koszul ``.mf`` (A_1 at mult 6, rank 32, n = 6) is certified by one
+    1 x 6 by 6 x 1 ``first_mismatch`` and no rank-32 product; with alpha_0
+    changed in every copy, that one check fails and the cell-by-cell check
+    of the plain MF runs and rejects it."""
+    text = _a1_text(6, certified=True)
+    shapes = []
+    first_mismatch = linalg.first_mismatch
+
+    def counting(products, target, field):
+        shapes.append([(len(a), len(b), len(b[0])) for a, b in products])
+        return first_mismatch(products, target, field)
+
+    monkeypatch.setattr(linalg, "first_mismatch", counting)
+    mf, _ = parse_mf(text)
+    assert isinstance(mf, KoszulMF) and mf.rank0 == 32
+    assert shapes == [[(1, 6, 1)]]
+    a = mf.alpha[0]
+    bad = _in_deltas(_in_deltas(text, f"({a})", f"({2 * a})"), f"({-a})", f"({-2 * a})")
+    shapes.clear()
+    with pytest.raises(CertificateError, match="at entry"):
+        parse_mf(bad)
+    assert shapes == [[(1, 6, 1)], [(32, 32, 32)]]
 
 
 def test_parse_mf_ignores_whitespace_around_separators():

@@ -761,8 +761,36 @@ def test_solve_f_minus_one_rejects_a_wrong_solution(wrong_solve):
     spec = _spec(BROAD)
     model = two_term_realization(spec)
     obstruction = build_obstruction(spec, model)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"fails d\(f_\{-1\}\) = -c"):
         solve_f_minus_one(spec, model, obstruction)
+
+
+def test_solve_f_minus_one_checks_one_1xn_product_and_rejects_a_wrong_solve(
+        monkeypatch, request):
+    """d(f_{-1}) = -c is checked as sum_k f_k d(b_k) = -c, one 1 x n by
+    n x 1 ``first_mismatch``, with no derivation of a SuperElement; after a
+    wrong solve (``wrong_solve``) the same one check fails."""
+    spec = _spec(BROAD.replace("mult 1", "mult 4"))
+    model = two_term_realization(spec)
+    obstruction = build_obstruction(spec, model)
+    n = obstruction.scheme.n_odd
+    calls = []
+    first_mismatch = linalg.first_mismatch
+
+    def counting(products, target, field):
+        calls.append([(len(a), len(b), len(b[0])) for a, b in products])
+        return first_mismatch(products, target, field)
+
+    monkeypatch.setattr(linalg, "first_mismatch", counting)
+    monkeypatch.setattr(factorizations.DgSchemePresentation, "d",
+                        lambda *args: pytest.fail("d(f_{-1}) derived"))
+    f = solve_f_minus_one(spec, model, obstruction)
+    assert n == 4 and calls == [[(1, n, 1)]] and f.is_pure_degree(-1)
+    request.getfixturevalue("wrong_solve")
+    calls.clear()
+    with pytest.raises(CertificateError, match=r"fails d\(f_\{-1\}\) = -c"):
+        solve_f_minus_one(spec, model, obstruction)
+    assert calls == [[(1, n, 1)]]
 
 
 @pytest.mark.parametrize("text", [BROAD, A2_ZETA12], ids=["a1-zeta4", "a2-zeta12"])
